@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.core.buckets import NO_BUCKET
 from repro.core.distances import INF
+from repro.util.ranges import sorted_unique_ids
 
 __all__ = ["BucketIndex"]
 
@@ -211,7 +212,9 @@ class BucketIndex:
         if not batches:
             return np.empty(0, dtype=np.int64)
         cand = batches[0] if len(batches) == 1 else np.concatenate(batches)
-        out = np.unique(cand[self._bucket_of[cand] == k])
+        out = sorted_unique_ids(
+            cand[self._bucket_of[cand] == k], self._bucket_of.size
+        )
         self._pending[k] = [out]
         self._clean.add(k)
         return out

@@ -1,14 +1,19 @@
 """Execution context shared by all distributed kernels.
 
-Bundles the immutable per-run state — the (weight-sorted) graph, the vertex
-partition, the machine model, the metrics sink and the accounting
-communicator — plus the derived per-vertex edge-classification tables the
-paper computes in its preprocessing stage (short-edge offsets and long-edge
-degrees used by the push/pull volume estimator).
+Bundles two kinds of state. *Per-graph tables*, immutable once built: the
+(weight-sorted) graph, the vertex partition, the machine model and the
+derived per-vertex edge-classification tables the paper computes in its
+preprocessing stage (short-edge offsets and long-edge degrees used by the
+push/pull volume estimator). *Per-run state*: the metrics sink, the
+accounting communicator, the paranoid guards and the tracer.
+:func:`make_context` builds both; :meth:`ExecutionContext.fork` keeps the
+tables and renews only the per-run state, which is what a further solve on
+the same prepared graph needs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +98,26 @@ class ExecutionContext:
         )
 
     # ------------------------------------------------------------------
+    # Per-run state
+    # ------------------------------------------------------------------
+    def fork(self, tracer=None) -> "ExecutionContext":
+        """A context for one more run on the same prepared graph.
+
+        Shares every per-graph table with ``self`` by identity (sorted
+        graph, partition and its ``owner_map``, short/long tables,
+        ``thread_map``, reverse tables, histogram, thresholds) and carries
+        fresh per-run state, made exactly as :func:`make_context` makes it.
+        ``self`` is only read, so one template may be forked from several
+        threads. ``tracer`` is as for :func:`make_context`.
+        """
+        return dataclasses.replace(
+            self,
+            **_run_state(
+                self.graph, self.partition, self.machine, self.config, tracer
+            ),
+        )
+
+    # ------------------------------------------------------------------
     # Work-accounting helpers
     # ------------------------------------------------------------------
     def charge(
@@ -156,6 +181,42 @@ class ExecutionContext:
         self.charge_scan(per_rank)
 
 
+def _classification_delta(config: SolverConfig) -> int:
+    """Short/long split width: Δ for the paper's buckets, effectively
+    infinite for the windowed strategies (radius/ρ), whose short phases
+    relax every edge."""
+    return min(config.classification_width, 2**60)
+
+
+def _run_state(graph, partition, machine, config, tracer) -> dict:
+    """The per-run fields of an :class:`ExecutionContext`: fresh metrics,
+    communicator, guards (under ``config.paranoid``) and tracer wiring.
+
+    The one place per-run state is made; :func:`make_context` and
+    :meth:`ExecutionContext.fork` both end here.
+    """
+    metrics = Metrics(
+        num_ranks=machine.num_ranks, threads_per_rank=machine.threads_per_rank
+    )
+    if tracer is None:
+        if config.trace is not None and config.trace.enabled:
+            from repro.obs.tracer import Tracer
+
+            tracer = Tracer(machine, config.trace)
+    metrics.tracer = tracer
+    guards = (
+        InvariantGuards(graph.num_vertices, _classification_delta(config))
+        if config.paranoid
+        else None
+    )
+    return dict(
+        metrics=metrics,
+        comm=Communicator(machine, partition, metrics),
+        guards=guards,
+        tracer=tracer,
+    )
+
+
 def make_context(
     graph: CSRGraph,
     machine: MachineConfig,
@@ -167,7 +228,9 @@ def make_context(
 
     Sorts adjacency lists by weight, computes the short/long split tables for
     the configured Δ, resolves the load-balancing thresholds, and wires up
-    metrics + communicator.
+    metrics + communicator. Everything but the last step depends only on
+    (graph, machine, config): a further run on the same three should
+    :meth:`~ExecutionContext.fork` the result instead of calling this again.
 
     ``tracer`` attaches an existing :class:`~repro.obs.tracer.Tracer`
     instead of building one from ``config.trace`` — multi-root front-ends
@@ -182,14 +245,7 @@ def make_context(
         )
     else:
         partition = BlockPartition(sorted_graph.num_vertices, machine.num_ranks)
-    metrics = Metrics(
-        num_ranks=machine.num_ranks, threads_per_rank=machine.threads_per_rank
-    )
-    comm = Communicator(machine, partition, metrics)
-    # Edge classification follows the stepping strategy: Δ for the
-    # paper's buckets, effectively infinite for the windowed strategies
-    # (radius/ρ), whose short phases relax every edge.
-    delta = min(config.classification_width, 2**60)
+    delta = _classification_delta(config)
     short_offsets = sorted_graph.short_edge_offsets(delta)
     long_degrees = sorted_graph.degrees - short_offsets
     mean_degree = (
@@ -214,29 +270,13 @@ def make_context(
     if config.use_pruning and config.pushpull_estimator == "histogram":
         hist_source = reverse_graph if reverse_graph is not None else sorted_graph
         histogram = build_weight_histogram(hist_source, config.histogram_bins)
-    guards = (
-        InvariantGuards(sorted_graph.num_vertices, delta)
-        if config.paranoid
-        else None
-    )
     thread_map = thread_index(
         np.arange(sorted_graph.num_vertices, dtype=np.int64), partition, machine
     )
-    if tracer is not None:
-        metrics.tracer = tracer
-    else:
-        trace_cfg = getattr(config, "trace", None)
-        if trace_cfg is not None and trace_cfg.enabled:
-            from repro.obs.tracer import Tracer
-
-            tracer = Tracer(machine, trace_cfg)
-            metrics.tracer = tracer
     return ExecutionContext(
         graph=sorted_graph,
         partition=partition,
         machine=machine,
-        metrics=metrics,
-        comm=comm,
         config=config,
         short_offsets=short_offsets,
         long_degrees=long_degrees,
@@ -245,7 +285,6 @@ def make_context(
         reverse_graph=reverse_graph,
         reverse_short_offsets=rev_short,
         reverse_long_degrees=rev_long,
-        guards=guards,
         thread_map=thread_map,
-        tracer=tracer,
+        **_run_state(sorted_graph, partition, machine, config, tracer),
     )

@@ -35,6 +35,7 @@ from repro.core.context import ExecutionContext
 from repro.core.distances import INF
 from repro.runtime.comm import RELAX_RECORD_BYTES, REQUEST_RECORD_BYTES
 from repro.runtime.work import thread_work, thread_work_balanced
+from repro.util.ranges import sorted_unique_ids
 
 __all__ = [
     "PushPullEstimate",
@@ -324,7 +325,7 @@ def _exchange_cost(
     out_bytes = np.bincount(src, minlength=p) * record_bytes
     in_bytes = np.bincount(dst, minlength=p) * record_bytes
     bytes_max = int((out_bytes + in_bytes).max())
-    pairs = np.unique(src * p + dst)
+    pairs = sorted_unique_ids(src * p + dst, p * p)
     msgs_max = int(np.bincount(pairs // p, minlength=p).max())
     return ctx.machine.alpha * msgs_max + ctx.machine.beta * bytes_max
 

@@ -4,13 +4,15 @@ A relaxation batch is a pair of arrays ``(dst, nd)``: proposed new tentative
 distances for destination vertices. Applying a batch is a grouped min-reduce
 (``np.minimum.at``), the vectorised equivalent of the paper's L2-atomic
 min-updates. The set of vertices whose distance actually decreased — the
-next phase's candidates — falls out of comparing the touched entries before
-and after.
+next phase's candidates — is the set of destinations of the records that
+pass the improvement filter; no before/after comparison is needed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.util.ranges import sorted_unique_ids
 
 __all__ = ["apply_relaxations"]
 
@@ -32,6 +34,11 @@ def apply_relaxations(
     Returns
     -------
     Sorted unique array of vertices whose tentative distance decreased.
+
+    Records with ``nd >= d[dst]`` are dropped first. Every destination
+    ``v`` of a surviving record ``i`` then strictly decreases: its new
+    value is ``min(d_old[v], min_j nd_j) <= nd_i < d_old[v]``. So the
+    changed set *is* the set of surviving destinations, deduplicated.
     """
     dst = np.asarray(dst, dtype=np.int64)
     nd = np.asarray(nd, dtype=np.int64)
@@ -46,8 +53,5 @@ def apply_relaxations(
     if not improving.any():
         return np.empty(0, dtype=np.int64)
     dst = dst[improving]
-    nd = nd[improving]
-    touched = np.unique(dst)
-    before = d[touched].copy()
-    np.minimum.at(d, dst, nd)
-    return touched[d[touched] < before]
+    np.minimum.at(d, dst, nd[improving])
+    return sorted_unique_ids(dst, d.size)

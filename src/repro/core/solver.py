@@ -269,9 +269,11 @@ class BatchSolver:
     """Multi-root solver that pays the preprocessing once.
 
     ``solve_sssp`` rebuilds the execution context — weight-sorted adjacency,
-    short/long tables, optional histograms and vertex splitting — on every
-    call. Multi-root workloads (Graph 500's 64 search keys, centrality
-    pipelines) share all of that across roots; this class hoists it.
+    short/long tables, partition, optional histograms and vertex splitting
+    — on every call. Multi-root workloads (Graph 500's 64 search keys,
+    centrality pipelines) share all of that across roots; this class builds
+    it once and takes a :meth:`~repro.core.context.ExecutionContext.fork`
+    per solve.
 
     Example::
 
@@ -299,22 +301,13 @@ class BatchSolver:
     ) -> None:
         if config is None:
             config = preset(algorithm, delta)
-            self.algorithm = (
-                algorithm
-                if algorithm in DELTA_FREE_PRESETS
-                else f"{algorithm}-{delta}"
-            )
-        else:
-            self.algorithm = algorithm
+            if algorithm not in DELTA_FREE_PRESETS:
+                algorithm = f"{algorithm}-{delta}"
         if machine is None:
             machine = MachineConfig(
                 num_ranks=num_ranks, threads_per_rank=threads_per_rank
             )
-        self.config = config
-        self.machine = machine
-        self._original_graph = graph
-        self._mapping = None
-        self.num_proxies = 0
+        mapping = None
         work_graph = graph
         if config.inter_split:
             if not graph.undirected:
@@ -323,14 +316,43 @@ class BatchSolver:
                 )
             mean_degree = float(graph.degrees.mean()) if graph.num_vertices else 0.0
             threshold = config.derived_split_degree(mean_degree)
-            split = split_heavy_vertices(graph, threshold, seed=split_seed)
-            work_graph = split.graph
-            self._mapping = split
-            self.num_proxies = split.num_proxies
-        # One context build sorts the graph and derives every table; per-root
-        # contexts reuse the sorted graph so the work is not repeated.
-        self._template_ctx = make_context(work_graph, machine, config)
-        self._work_graph = self._template_ctx.graph
+            mapping = split_heavy_vertices(graph, threshold, seed=split_seed)
+            work_graph = mapping.graph
+        # One context build sorts the graph and derives every table; each
+        # solve forks it, renewing only the per-run state.
+        self._adopt(
+            graph, make_context(work_graph, machine, config), algorithm, mapping
+        )
+
+    @classmethod
+    def from_context(cls, ctx, *, algorithm: str = "custom") -> "BatchSolver":
+        """A solver over an already-prepared context, paying no preprocessing.
+
+        For callers that hold a :func:`~repro.core.context.make_context`
+        result for the graph anyway (the serving plane memoises one per
+        snapshot for repair). ``ctx`` is used as the template and never
+        run on. Results report ``ctx.graph`` — the weight-sorted
+        equivalent of the graph the context was built from — as their
+        graph. A vertex-splitting config is rejected: its context is of the
+        split graph, and the id mapping back is not part of it.
+        """
+        if ctx.config.inter_split:
+            raise ValueError(
+                "from_context cannot serve a vertex-splitting config; "
+                "build BatchSolver(graph, config=...) instead"
+            )
+        self = cls.__new__(cls)
+        self._adopt(ctx.graph, ctx, algorithm, None)
+        return self
+
+    def _adopt(self, graph: CSRGraph, ctx, algorithm: str, mapping) -> None:
+        self.algorithm = algorithm
+        self.config = ctx.config
+        self.machine = ctx.machine
+        self._original_graph = graph
+        self._mapping = mapping
+        self.num_proxies = mapping.num_proxies if mapping is not None else 0
+        self._template_ctx = ctx
 
     def solve(
         self,
@@ -349,9 +371,7 @@ class BatchSolver:
         :meth:`solve_many`); the caller then finalizes it.
         """
         root = _validate_root(root, self._original_graph.num_vertices)
-        ctx = make_context(
-            self._work_graph, self.machine, self.config, tracer=tracer
-        )
+        ctx = self._template_ctx.fork(tracer)
         start_root = (
             int(self._mapping.new_id_of_original[root])
             if self._mapping is not None

@@ -59,6 +59,7 @@ from repro.core.distances import INF
 from repro.core.paths import build_parent_tree
 from repro.core.relax import apply_relaxations
 from repro.core.stepping import make_strategy
+from repro.util.ranges import concat_ranges, sorted_unique_ids
 
 __all__ = ["RepairResult", "repair_sssp"]
 
@@ -88,31 +89,11 @@ class RepairResult:
     strategy: str
 
 
-def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(starts[i], starts[i] + counts[i])`` vectorised.
-
-    ``counts`` must be strictly positive (filter zero-degree segments
-    first — the boundary trick below cannot represent empty segments).
-    """
-    total = int(counts.sum())
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    ends = np.cumsum(counts)
-    out[ends[:-1]] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(out)
-
-
 def _gather_arcs(graph, vertices: np.ndarray):
     """All out-arcs of ``vertices``: ``(tails_repeated, heads, weights)``."""
-    degrees = graph.degrees[vertices]
-    nonzero = degrees > 0
-    v = vertices[nonzero]
-    deg = degrees[nonzero]
-    if v.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    flat = _expand_ranges(graph.indptr[v], deg)
-    return np.repeat(v, deg), graph.adj[flat], graph.weights[flat]
+    indptr = graph.indptr
+    flat, owner = concat_ranges(indptr[vertices], indptr[vertices + 1])
+    return vertices[owner], graph.adj[flat], graph.weights[flat]
 
 
 def _damage_closure(graph, d: np.ndarray, delta, root: int) -> np.ndarray:
@@ -137,7 +118,7 @@ def _damage_closure(graph, d: np.ndarray, delta, root: int) -> np.ndarray:
     ih = delta.improved_heads
     if ih.size:
         seeds.append(ih)
-    work = np.unique(np.concatenate(seeds))
+    work = sorted_unique_ids(np.concatenate(seeds), n)
     work = work[(work != root) & (d[work] < INF)]
     if work.size == 0:
         return dirty
@@ -171,7 +152,7 @@ def _damage_closure(graph, d: np.ndarray, delta, root: int) -> np.ndarray:
             & ~dirty[nbrs]
             & (nbrs != root)
         )
-        work = np.unique(nbrs[child])
+        work = sorted_unique_ids(nbrs[child], n)
     return dirty
 
 
@@ -281,8 +262,6 @@ def repair_sssp(
     index = None
     if strategy.uses_bucket_index:
         index = BucketIndex(ctx.config.delta, d, settled)
-    indptr = graph.indptr
-    degrees = graph.degrees
     steps = 0
     relax_records = 0
     ordinal = 0
@@ -303,17 +282,11 @@ def repair_sssp(
             # the repair frontier is small, a second phase buys nothing),
             # then settle them; any vertex improved back into the window
             # — including an active one — is re-activated next round.
-            src_d = d[active]
-            deg = degrees[active]
-            nonzero = deg > 0
+            tails, dst, w = _gather_arcs(graph, active)
+            nd = d[tails] + w
             settled[active] = True
             if index is not None:
                 index.on_settled(active)
-            if not nonzero.any():
-                continue
-            flat = _expand_ranges(indptr[active[nonzero]], deg[nonzero])
-            dst = graph.adj[flat]
-            nd = np.repeat(src_d[nonzero], deg[nonzero]) + graph.weights[flat]
             relax_records += int(dst.size)
             changed = apply_relaxations(d, dst, nd)
             if changed.size:

@@ -18,6 +18,7 @@ input edges, not directed arcs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,9 +109,13 @@ class CSRGraph:
         """Weights (view) aligned with :meth:`neighbors`."""
         return self.weights[self.indptr[u] : self.indptr[u + 1]]
 
-    @property
+    @cached_property
     def max_weight(self) -> int:
-        """Largest edge weight (0 on an edgeless graph)."""
+        """Largest edge weight (0 on an edgeless graph).
+
+        Reduced once per graph: the push/pull estimator reads it per bucket,
+        and the arrays of a graph never change after construction.
+        """
         return int(self.weights.max()) if self.weights.size else 0
 
     # ------------------------------------------------------------------
@@ -153,24 +158,12 @@ class CSRGraph:
         """
         if not self._sorted_by_weight:
             raise ValueError("short_edge_offsets requires a weight-sorted graph")
-        n = self.num_vertices
-        out = np.empty(n, dtype=np.int64)
-        starts = self.indptr[:-1]
-        ends = self.indptr[1:]
-        # Vectorised per-segment searchsorted: within a sorted segment the
-        # count of weights < delta equals searchsorted(weights, delta, 'left')
-        # restricted to the segment. np.searchsorted over the whole array is
-        # wrong across segment boundaries, so do it segment-wise but without a
-        # Python loop: a weight < delta contributes 1 to its segment.
-        short_mask = self.weights < delta
-        counts = np.zeros(n, dtype=np.int64)
-        if short_mask.any():
-            seg = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
-            np.add.at(counts, seg[short_mask], 1)
-        out[:] = counts
-        # Sanity: counts cannot exceed degree.
-        assert np.all(out <= ends - starts)
-        return out
+        # Short arcs of u = (short arcs before indptr[u + 1]) - (short arcs
+        # before indptr[u]): a prefix-count difference, read off the sorted
+        # positions of the short arcs so that only those are materialised.
+        # Empty segments and an empty position list need no special case.
+        short_positions = np.flatnonzero(self.weights < delta)
+        return np.diff(np.searchsorted(short_positions, self.indptr))
 
     def reverse(self) -> "CSRGraph":
         """Return the graph with all arcs reversed.

@@ -105,20 +105,15 @@ class Communicator:
         dst = np.asarray(dst_ranks, dtype=np.int64)
         if src.shape != dst.shape:
             raise ValueError("src_ranks and dst_ranks must align")
-        off_node = src != dst
-        src = src[off_node]
-        dst = dst[off_node]
-        bytes_per_rank = np.zeros(p, dtype=np.int64)
-        msgs_per_rank = np.zeros(p, dtype=np.int64)
-        if src.size:
-            # One bincount over (src, dst) lane ids yields the full P×P
-            # traffic grid; bytes and aggregated message counts (one per
-            # lane with traffic) fall out of its row/column reductions.
-            lanes = np.bincount(src * p + dst, minlength=p * p).reshape(p, p)
-            out_counts = lanes.sum(axis=1)
-            in_counts = lanes.sum(axis=0)
-            bytes_per_rank = (out_counts + in_counts) * record_bytes
-            msgs_per_rank = np.count_nonzero(lanes, axis=1).astype(np.int64)
+        # One bincount over (src, dst) lane ids yields the full P×P
+        # traffic grid. Same-rank records are exactly its diagonal, so
+        # zeroing that drops them without compacting the record arrays;
+        # bytes and aggregated message counts (one per lane with traffic)
+        # are row/column reductions of what is left.
+        lanes = np.bincount(src * p + dst, minlength=p * p).reshape(p, p)
+        np.fill_diagonal(lanes, 0)
+        bytes_per_rank = (lanes.sum(axis=1) + lanes.sum(axis=0)) * record_bytes
+        msgs_per_rank = np.count_nonzero(lanes, axis=1).astype(np.int64)
         self.metrics.add_exchange(msgs_per_rank, bytes_per_rank, phase_kind=phase_kind)
 
     def exchange_by_rank_counts(

@@ -627,9 +627,16 @@ class QueryBroker:
     def _solver_for(self, snapshot_id: int) -> BatchSolver:
         """The pinned snapshot's solver, built lazily on first solve.
 
-        Construction (context build, weight sort, partition) runs outside
-        the broker lock; a concurrent builder loses the ``setdefault``
-        race and its solver is discarded — both are equivalent."""
+        One preprocessing per snapshot: the solver is built over the
+        versioner's memoised context (the one hot-root repair already
+        uses), so the weight sort and the tables are paid once. A
+        vertex-splitting config solves on a different graph than the
+        snapshot's and a snapshot may have left the versioner's retention
+        window while still pinned here; both build from the graph.
+
+        Construction runs outside the broker lock; a concurrent builder
+        loses the ``setdefault`` race and its solver is discarded — both
+        are equivalent."""
         with self._lock:
             solver = self._solvers.get(snapshot_id)
             graph = self._graphs.get(snapshot_id)
@@ -637,7 +644,16 @@ class QueryBroker:
             return solver
         if graph is None:
             raise KeyError(f"snapshot {snapshot_id} is no longer resident")
-        built = BatchSolver(graph, **self._solver_kwargs)
+        ctx = None
+        if not self._solver.config.inter_split:
+            try:
+                ctx = self.versioner.context_for(snapshot_id)
+            except KeyError:  # out of the retention window, still pinned here
+                pass
+        if ctx is not None:
+            built = BatchSolver.from_context(ctx, algorithm=self._solver.algorithm)
+        else:
+            built = BatchSolver(graph, **self._solver_kwargs)
         with self._lock:
             return self._solvers.setdefault(snapshot_id, built)
 

@@ -35,6 +35,7 @@ from repro.core.config import SolverConfig
 from repro.core.context import ExecutionContext, make_context
 from repro.core.distances import INF
 from repro.core.pushpull import combine_expectation_costs, expectation_partials
+from repro.core.relax import apply_relaxations
 from repro.core.stepping import Step, make_strategy
 from repro.graph.csr import CSRGraph
 from repro.runtime.comm import RECOVERY_PHASE, RELAX_RECORD_BYTES, REQUEST_RECORD_BYTES
@@ -113,17 +114,7 @@ def _post_relaxations(
 
 def _apply_inbox(state: RankState, dst: np.ndarray, nd: np.ndarray) -> np.ndarray:
     """Min-apply received records to the local slice; returns changed locals."""
-    if dst.size == 0:
-        return np.empty(0, dtype=np.int64)
-    local = state.to_local(dst)
-    improving = nd < state.d[local]
-    if not improving.any():
-        return np.empty(0, dtype=np.int64)
-    local, nd = local[improving], nd[improving]
-    touched = np.unique(local)
-    before = state.d[touched].copy()
-    np.minimum.at(state.d, local, nd)
-    changed = touched[state.d[touched] < before]
+    changed = apply_relaxations(state.d, state.to_local(dst), nd)
     if state.index is not None and changed.size:
         # Every relaxation site feeds the incremental bucket index here, so
         # membership follows the changed set instead of per-epoch rescans.

@@ -21,6 +21,65 @@ class TestBatchSolver:
             assert batch.metrics.summary() == single.metrics.summary()
             assert batch.gteps == pytest.approx(single.gteps)
 
+    @pytest.mark.parametrize("algorithm", ["opt", "lb-opt-split", "radius", "rho"])
+    def test_forked_solve_equals_fresh_context(self, rmat1_small, algorithm):
+        """Every counter of a solve on a forked context equals a solve on a
+        context built from scratch — for the first root and for roots
+        solved after the same solver has served others."""
+        kwargs = dict(algorithm=algorithm, delta=25, num_ranks=4, threads_per_rank=2)
+        solver = BatchSolver(rmat1_small, **kwargs)
+        roots = [int(r) for r in choose_roots(rmat1_small, 3, seed=1)]
+        for root in roots + roots[:1]:
+            batch = solver.solve(root)
+            single = solve_sssp(rmat1_small, root, **kwargs)
+            assert np.array_equal(batch.distances, single.distances)
+            assert batch.metrics.summary() == single.metrics.summary()
+            assert batch.metrics.per_bucket_stats == single.metrics.per_bucket_stats
+            assert batch.metrics.records == single.metrics.records
+            assert batch.cost == single.cost
+            assert batch.gteps == single.gteps
+            assert batch.num_proxies == single.num_proxies
+            assert batch.algorithm == single.algorithm
+
+    def test_paranoid_solves_get_their_own_guards(self, rmat1_small):
+        cfg = SolverConfig(delta=25, paranoid=True)
+        solver = BatchSolver(rmat1_small, algorithm="x", config=cfg,
+                             num_ranks=2, threads_per_rank=2)
+        a, b = solver.solve(3), solver.solve(5)
+        assert a.guards is not None and a.guards is not b.guards
+        assert a.guards.checks > 0 and a.guards.violations == 0
+
+    def test_from_context_matches_constructor(self, rmat1_small):
+        from repro.core.config import preset
+        from repro.core.context import make_context
+        from repro.runtime.machine import MachineConfig
+
+        machine = MachineConfig(num_ranks=4, threads_per_rank=2)
+        ctx = make_context(rmat1_small, machine, preset("opt", 25))
+        adopted = BatchSolver.from_context(ctx, algorithm="opt-25")
+        built = BatchSolver(rmat1_small, algorithm="opt", delta=25, machine=machine)
+        assert adopted._template_ctx is ctx
+        assert (adopted.algorithm, adopted.config, adopted.machine) == (
+            built.algorithm, built.config, built.machine,
+        )
+        for root in (int(r) for r in choose_roots(rmat1_small, 2, seed=6)):
+            a, b = adopted.solve(root, validate=True), built.solve(root)
+            assert np.array_equal(a.distances, b.distances)
+            assert a.metrics.records == b.metrics.records
+            assert (a.cost, a.gteps, a.num_vertices, a.num_edges) == (
+                b.cost, b.gteps, b.num_vertices, b.num_edges,
+            )
+        assert ctx.metrics.records == []  # the template is never run on
+
+    def test_from_context_rejects_vertex_splitting(self, rmat1_small):
+        from repro.core.context import make_context
+        from repro.runtime.machine import MachineConfig
+
+        cfg = SolverConfig(delta=25, inter_split=True, split_degree=24)
+        ctx = make_context(rmat1_small, MachineConfig(num_ranks=2), cfg)
+        with pytest.raises(ValueError, match="vertex-splitting"):
+            BatchSolver.from_context(ctx)
+
     def test_solve_many(self, rmat1_small):
         solver = BatchSolver(rmat1_small, num_ranks=2, threads_per_rank=2)
         roots = choose_roots(rmat1_small, 3, seed=2)
@@ -88,9 +147,9 @@ class TestBatchSolver:
     def test_preprocessing_shared(self, rmat1_small):
         # the work graph is sorted once; per-root solves reuse the object
         solver = BatchSolver(rmat1_small, num_ranks=2, threads_per_rank=2)
-        g1 = solver._work_graph
+        g1 = solver._template_ctx.graph
         solver.solve(3)
-        assert solver._work_graph is g1
+        assert solver._template_ctx.graph is g1
 
     def test_faster_than_repeated_solves_on_unsorted_graph(self, rmat2_small):
         import time

@@ -43,6 +43,78 @@ class TestMakeContext:
         assert ctx.heavy_threshold >= 8
 
 
+SHARED_TABLES = (
+    "graph", "partition", "machine", "config", "short_offsets", "long_degrees",
+    "reverse_graph", "reverse_short_offsets", "reverse_long_degrees",
+    "weight_histogram", "thread_map",
+)
+
+
+class TestFork:
+    def test_forks_share_tables_but_not_run_state(self, rmat1_small):
+        template = ctx_for(rmat1_small, ranks=4)
+        owner_map = template.partition.owner_map
+        a, b = template.fork(), template.fork()
+        for ctx in (a, b):
+            for name in SHARED_TABLES:
+                assert getattr(ctx, name) is getattr(template, name), name
+            assert ctx.partition.owner_map is owner_map
+            assert ctx.heavy_threshold == template.heavy_threshold
+            assert ctx.metrics is not template.metrics
+            assert ctx.comm is not template.comm
+            # the communicator reports into its own context's metrics
+            assert ctx.comm.metrics is ctx.metrics
+            assert ctx.comm.partition is template.partition
+            assert ctx.guards is None and ctx.tracer is None
+        assert a.metrics is not b.metrics and a.comm is not b.comm
+
+    def test_accounting_stays_with_the_fork(self, path_graph):
+        template = ctx_for(path_graph)
+        a, b = template.fork(), template.fork()
+        a.comm.allreduce(3)
+        a.scan_all_ranks()
+        assert len(a.metrics.records) == 2
+        assert b.metrics.records == [] and template.metrics.records == []
+
+    def test_directed_tables_shared(self):
+        from repro.graph.builder import from_edges
+
+        g = from_edges(np.array([0, 1, 2]), np.array([1, 2, 0]),
+                       np.array([4, 30, 2]), 3)
+        template = ctx_for(g, use_pruning=True, pushpull_estimator="histogram")
+        assert template.reverse_graph is not None
+        assert template.weight_histogram is not None
+        fork = template.fork()
+        for name in SHARED_TABLES:
+            assert getattr(fork, name) is getattr(template, name), name
+
+    def test_paranoid_fork_gets_fresh_guards(self, path_graph):
+        template = ctx_for(path_graph, paranoid=True)
+        a, b = template.fork(), template.fork()
+        assert template.guards is not None
+        assert a.guards is not None and b.guards is not None
+        assert len({id(template.guards), id(a.guards), id(b.guards)}) == 3
+        a.guards.on_bucket_start(4)
+        b.guards.on_bucket_start(0)  # would trip monotonicity if shared
+        assert (a.guards.delta, a.guards.num_vertices) == (
+            template.guards.delta, template.guards.num_vertices,
+        )
+
+    def test_tracer_wiring(self, path_graph):
+        from repro.obs.tracer import TraceConfig, Tracer
+
+        template = ctx_for(path_graph, trace=TraceConfig())
+        a, b = template.fork(), template.fork()
+        # a configured trace builds one tracer per run …
+        assert isinstance(a.tracer, Tracer) and a.tracer is not b.tracer
+        assert a.tracer is not template.tracer
+        assert a.metrics.tracer is a.tracer
+        # … unless the caller attaches its own
+        shared = Tracer(template.machine, TraceConfig())
+        c = template.fork(shared)
+        assert c.tracer is shared and c.metrics.tracer is shared
+
+
 class TestCharging:
     def test_charge_records_compute(self, path_graph):
         ctx = ctx_for(path_graph)

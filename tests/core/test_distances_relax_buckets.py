@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.buckets import NO_BUCKET, bucket_index, bucket_members, next_bucket
 from repro.core.distances import INF, init_distances, is_reached, settled_fraction
@@ -72,6 +73,53 @@ class TestApplyRelaxations:
         d = np.array([0, 7], dtype=np.int64)
         changed = apply_relaxations(d, np.array([1]), np.array([7]))
         assert changed.size == 0
+
+
+def apply_relaxations_by_sorting(d, dst, nd):
+    """The formulation ``apply_relaxations`` had before it went sort-free,
+    kept here as the oracle: dedupe the touched destinations with a sort
+    and report the ones whose value differs before and after."""
+    improving = nd < d[dst]
+    dst, nd = dst[improving], nd[improving]
+    touched = np.unique(dst)
+    before = d[touched].copy()
+    np.minimum.at(d, dst, nd)
+    return touched[d[touched] < before]
+
+
+class TestApplyRelaxationsAgainstSortingOracle:
+    """The changed set is exactly the surviving destinations — no
+    before/after comparison — on either side of the dedupe switch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # n up to 40: every batch takes the mask; n up to 5000 with at most
+        # 64 records: small batches take the sort.
+        n=st.one_of(st.integers(1, 40), st.integers(1, 5000)),
+        k=st.integers(0, 64),
+        hi=st.sampled_from([1, 5, 100]),  # hi=1: nothing can improve on d >= 0
+        seed=st.integers(0, 2**31),
+    )
+    def test_same_distances_and_changed_set(self, n, k, hi, seed):
+        rng = np.random.default_rng(seed)
+        d0 = rng.integers(0, 100, n).astype(np.int64)
+        dst = rng.integers(0, n, k)
+        nd = rng.integers(0, hi, k).astype(np.int64)
+        expected_d = d0.copy()
+        expected_changed = apply_relaxations_by_sorting(expected_d, dst, nd)
+        d = d0.copy()
+        changed = apply_relaxations(d, dst, nd)
+        assert changed.dtype == np.int64
+        assert np.array_equal(d, expected_d)
+        assert np.array_equal(changed, expected_changed)
+        assert np.array_equal(changed, np.flatnonzero(d < d0))
+
+    def test_all_non_improving_batch_changes_nothing(self):
+        d = np.arange(2000, dtype=np.int64)
+        dst = np.array([5, 5, 1999, 0])
+        changed = apply_relaxations(d, dst, d[dst] + np.array([0, 3, 0, 1]))
+        assert changed.size == 0
+        assert np.array_equal(d, np.arange(2000))
 
 
 class TestBuckets:

@@ -91,6 +91,14 @@ class TestAccessors:
     def test_max_weight(self):
         assert make_simple().max_weight == 7
 
+    def test_max_weight_is_reduced_once_per_graph(self):
+        g = make_simple()
+        assert "max_weight" not in vars(g)
+        assert g.max_weight == 7
+        assert vars(g)["max_weight"] == 7  # later reads hit the instance dict
+        # the cache is per instance: a derived graph reduces its own arrays
+        assert "max_weight" not in vars(g.sorted_by_weight())
+
     def test_arc_tails(self):
         g = make_simple()
         assert list(g.arc_tails()) == [0, 0, 1]
@@ -147,6 +155,44 @@ class TestSortedByWeight:
         s = rmat1_small.sorted_by_weight()
         assert np.array_equal(s.short_edge_offsets(1), np.zeros(s.num_vertices))
         assert np.array_equal(s.short_edge_offsets(10**9), s.degrees)
+
+
+def short_edge_offsets_by_search(g, delta):
+    """Per-vertex ``searchsorted`` over each weight-sorted adjacency list."""
+    return np.array(
+        [
+            np.searchsorted(g.neighbor_weights(u), delta, side="left")
+            for u in range(g.num_vertices)
+        ],
+        dtype=np.int64,
+    )
+
+
+class TestShortEdgeOffsetsAgainstSearch:
+    def test_isolated_vertices_and_extreme_deltas(self):
+        # vertices 0, 3 and 6 are isolated (first, middle, last)
+        g = from_undirected_edges(
+            np.array([1, 1, 2, 4]), np.array([2, 4, 5, 5]),
+            np.array([3, 9, 3, 20]), 7,
+        ).sorted_by_weight()
+        for delta in (0, 1, 3, 4, 9, 20, 21, 2**60):  # below min … above max
+            off = g.short_edge_offsets(delta)
+            assert off.dtype == np.int64
+            assert np.array_equal(off, short_edge_offsets_by_search(g, delta))
+        assert not g.short_edge_offsets(3).any()
+        assert np.array_equal(g.short_edge_offsets(21), g.degrees)
+
+    def test_edgeless_graph(self):
+        g = CSRGraph(np.zeros(4, np.int64), np.empty(0, np.int64),
+                     np.empty(0, np.int64)).sorted_by_weight()
+        assert np.array_equal(g.short_edge_offsets(5), np.zeros(3, np.int64))
+
+    @pytest.mark.parametrize("delta", [1, 7, 25, 100, 256, 10**6])
+    def test_rmat(self, rmat1_small, delta):
+        g = rmat1_small.sorted_by_weight()
+        assert np.array_equal(
+            g.short_edge_offsets(delta), short_edge_offsets_by_search(g, delta)
+        )
 
 
 @st.composite

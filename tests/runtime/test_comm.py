@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph.partition import BlockPartition
 from repro.runtime.comm import (
@@ -83,6 +84,55 @@ class TestExchangeByVertex:
         comm.exchange_by_vertex(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 16)
         rec = metrics.records[-1]
         assert rec.bytes_max == 0 and rec.msgs_max == 0
+
+
+def exchange_by_filtering(src, dst, p, record_bytes):
+    """What ``exchange_by_rank`` did before it stopped compacting: drop the
+    same-rank records, then count the rest. The oracle for the record."""
+    off_node = src != dst
+    src, dst = src[off_node], dst[off_node]
+    lanes = np.bincount(src * p + dst, minlength=p * p).reshape(p, p)
+    bytes_per_rank = (lanes.sum(axis=1) + lanes.sum(axis=0)) * record_bytes
+    msgs_per_rank = np.count_nonzero(lanes, axis=1)
+    return int(msgs_per_rank.max()), int(bytes_per_rank.max()), int(bytes_per_rank.sum()) // 2
+
+
+class TestExchangeByRankDiagonal:
+    """Same-rank records are the diagonal of the lane grid: zeroing it
+    must account exactly what filtering the records first did."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.integers(1, 6),
+        k=st.integers(0, 60),
+        record_bytes=st.sampled_from([0, 16, 24]),
+        same_rank=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_record_equals_filter_then_count(self, p, k, record_bytes, same_rank, seed):
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, p, k)
+        dst = src.copy() if same_rank else rng.integers(0, p, k)
+        comm, metrics, _ = make_comm(num_ranks=p, n=4 * p)
+        comm.exchange_by_rank(src, dst, record_bytes, phase_kind="long")
+        (rec,) = metrics.records
+        assert (rec.kind, rec.phase_kind) == ("exchange", "long")
+        assert (rec.msgs_max, rec.bytes_max, rec.bytes_total) == exchange_by_filtering(
+            src, dst, p, record_bytes
+        )
+
+    def test_all_same_rank_traffic_is_free(self):
+        comm, metrics, _ = make_comm()
+        ranks = np.array([0, 1, 1, 3, 3, 3])
+        comm.exchange_by_rank(ranks, ranks, 16)
+        rec = metrics.records[-1]
+        assert (rec.msgs_max, rec.bytes_max, rec.bytes_total) == (0, 0, 0)
+
+    def test_zero_byte_records_still_count_messages(self):
+        comm, metrics, _ = make_comm()
+        comm.exchange_by_rank(np.array([0, 0, 2]), np.array([1, 3, 2]), 0)
+        rec = metrics.records[-1]
+        assert (rec.msgs_max, rec.bytes_max, rec.bytes_total) == (2, 0, 0)
 
 
 class TestAllreduce:

@@ -203,6 +203,53 @@ class TestDeferredRetirement:
         broker.shutdown()
 
 
+class TestOnePreprocessingPerSnapshot:
+    def test_solver_shares_the_versioner_context(self, rmat1_small):
+        broker = manual_broker(rmat1_small)
+        root = int(choose_root(rmat1_small, seed=0))
+        broker.query(root)
+        broker.apply_updates(churn(rmat1_small, 21), repair_hot_roots=1)
+        other = int(choose_root(rmat1_small, seed=1))
+        res = broker.query(other)  # a miss: builds snapshot 1's solver
+        ctx = broker.versioner.context_for(1)
+        assert broker._solver_for(1)._template_ctx is ctx
+        assert broker._solver_for(1).algorithm == broker._solver_for(0).algorithm
+        np.testing.assert_array_equal(
+            res.distances, offline(broker.versioner.current.graph, other)
+        )
+        broker.shutdown()
+
+    def test_snapshot_out_of_retention_builds_from_its_graph(self, rmat1_small):
+        broker = manual_broker(rmat1_small, snapshot_retention=1)
+        broker.apply_updates(churn(rmat1_small, 22))
+        graph1 = broker.versioner.current.graph
+        fut = broker.submit(int(choose_root(rmat1_small, seed=2)))  # pins 1
+        broker.apply_updates(churn(graph1, 23))
+        assert 1 not in broker.versioner
+        broker.drain()
+        res = fut.result()
+        assert res.snapshot_id == 1
+        np.testing.assert_array_equal(res.distances, offline(graph1, res.root))
+        broker.shutdown()
+
+    def test_vertex_splitting_builds_from_the_graph(self, rmat1_small):
+        from repro.core.config import SolverConfig
+
+        cfg = SolverConfig(delta=25, use_ios=True, use_pruning=True,
+                           intra_lb=True, inter_split=True, split_degree=24)
+        broker = manual_broker(rmat1_small, algorithm="split", config=cfg)
+        broker.apply_updates(churn(rmat1_small, 24))
+        root = int(choose_root(rmat1_small, seed=3))
+        res = broker.query(root)
+        assert broker._solver_for(1).num_proxies > 0
+        np.testing.assert_array_equal(
+            res.distances,
+            solve_sssp(broker.versioner.current.graph, root, config=cfg,
+                       num_ranks=2, threads_per_rank=2).distances,
+        )
+        broker.shutdown()
+
+
 class TestLiveObservability:
     def test_wide_events_carry_snapshot_id(self, rmat1_small):
         broker = manual_broker(rmat1_small, events=True)

@@ -1,9 +1,11 @@
-"""Unit tests for vectorised range concatenation."""
+"""Unit tests for the vectorised index kernels."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.util.ranges import concat_ranges
+from repro.util import ranges
+from repro.util.ranges import concat_ranges, sorted_unique_ids
 
 
 class TestConcatRanges:
@@ -24,6 +26,22 @@ class TestConcatRanges:
         idx, owners = concat_ranges(np.array([0, 2, 2]), np.array([2, 2, 4]))
         assert list(idx) == [0, 1, 2, 3]
         assert list(owners) == [0, 0, 2, 2]
+
+    @pytest.mark.parametrize(
+        "starts, ends",
+        [
+            ([4, 4, 9], [4, 6, 11]),   # empty first
+            ([4, 6, 9], [6, 6, 11]),   # empty middle
+            ([4, 9, 2], [6, 11, 2]),   # empty last
+            ([3, 3, 0, 7, 7], [3, 5, 0, 7, 9]),  # empty runs around full ones
+            ([5, 1, 8], [5, 1, 8]),    # all empty
+        ],
+    )
+    def test_empty_ranges_anywhere(self, starts, ends):
+        idx, owners = concat_ranges(np.array(starts), np.array(ends))
+        ref = [(x, i) for i, (s, e) in enumerate(zip(starts, ends)) for x in range(s, e)]
+        assert idx.dtype == owners.dtype == np.int64
+        assert list(zip(idx.tolist(), owners.tolist())) == ref
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -50,6 +68,44 @@ class TestConcatRanges:
         assert idx.size == 10_000
         assert idx[0] == 10 and idx[-1] == 10_009
         assert np.all(owners == 0)
+
+
+class TestSortedUniqueIds:
+    """``np.unique`` is the oracle; the dense/sparse switch must be invisible."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 40), st.integers(1, 5000)),
+        size=st.integers(0, 64),
+        seed=st.integers(0, 2**31),
+    )
+    def test_equals_np_unique(self, n, size, seed):
+        ids = np.random.default_rng(seed).integers(0, n, size)
+        out = sorted_unique_ids(ids, n)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, np.unique(ids))
+
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    def test_empty(self, n):
+        out = sorted_unique_ids(np.empty(0, dtype=np.int64), n)
+        assert out.dtype == np.int64 and out.size == 0
+
+    def test_single_vertex_universe(self):
+        assert list(sorted_unique_ids(np.zeros(5, dtype=np.int64), 1)) == [0]
+
+    def test_both_sides_of_the_switch(self):
+        # The same ids against a small and a large universe take the mask
+        # and the sort respectively; each side also at its boundary size.
+        share = ranges._DENSE_SHARE
+        ids = np.array([3, 1, 3, 0, 1])
+        assert ids.size * share >= 64 and ids.size * share < 10**6
+        assert list(sorted_unique_ids(ids, 64)) == [0, 1, 3]
+        assert list(sorted_unique_ids(ids, 10**6)) == [0, 1, 3]
+        n = 4 * share
+        rng = np.random.default_rng(0)
+        for size in (3, 4, 5):  # sort, first masked size, mask
+            ids = rng.integers(0, n, size)
+            assert np.array_equal(sorted_unique_ids(ids, n), np.unique(ids))
 
 
 class TestFormatTable:
