@@ -1,11 +1,11 @@
 """Profiling tour: where does the simulated time go?
 
-Uses the analysis toolkit on one OPT run: the priced execution timeline
-(which individual steps dominate), the per-phase-kind time split, the cost
-model's linear decomposition over the machine constants, a what-if
-retiming under a different interconnect — all without re-running anything
-— and finally a *traced* re-run that puts the measured wall clock next to
-the simulated clock and reports where the two drift apart.
+One *traced* OPT run, read five ways: the priced execution timeline the
+tracer recorded (which individual steps dominate), the per-phase-kind time
+split, the cost model's linear decomposition over the machine constants, a
+what-if retiming under a different interconnect — all without re-running
+anything — and finally the measured wall clock next to the simulated clock,
+with a report of where the two drift apart.
 
 Run:  python examples/profiling_tour.py
 """
@@ -15,26 +15,47 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro import rmat_graph, solve_sssp
-from repro.analysis.trace import render_timeline, time_by_phase_kind
 from repro.graph.roots import choose_root
 from repro.obs import TraceConfig
 from repro.obs.report import drift_table
 from repro.runtime.calibration import cost_coefficients, retime
+from repro.util.tables import format_table
 
 
 def main() -> None:
     graph = rmat_graph(scale=13, seed=9).sorted_by_weight()
     root = choose_root(graph, seed=0)
     res = solve_sssp(graph, root, algorithm="opt", delta=25,
-                     num_ranks=16, threads_per_rank=16)
+                     num_ranks=16, threads_per_rank=16,
+                     trace=TraceConfig(path=None))
     machine = res.machine
+    tracer = res.trace
+    # One record event per accounting step, priced by the cost model.
+    records = [e for e in tracer.events if e["type"] == "record"]
 
     # 1. The most expensive individual steps.
-    print(render_timeline(res.metrics, machine, top=10))
+    top = sorted(records, key=lambda r: r["sim_dt"], reverse=True)[:10]
+    print(format_table(
+        [
+            {
+                "step": r["step"],
+                "kind": r["kind"],
+                "phase": r["phase"],
+                "cost_us": r["sim_dt"] * 1e6,
+                "share": f"{r['sim_dt'] / tracer.sim_t:.1%}",
+            }
+            for r in top
+        ],
+        title=f"total simulated time: {tracer.sim_t * 1e3:.3f} ms; "
+              f"{len(records)} records; top {len(top)} by cost:",
+    ))
 
     # 2. Time by paper-level phase kind.
+    by_phase: dict[str, float] = {}
+    for r in records:
+        by_phase[r["phase"]] = by_phase.get(r["phase"], 0.0) + r["sim_dt"]
     print("\ntime by phase kind (ms):")
-    for kind, t in sorted(time_by_phase_kind(res.metrics, machine).items()):
+    for kind, t in sorted(by_phase.items()):
         print(f"  {kind:<8} {t * 1e3:8.3f}")
 
     # 3. The run's exact linear time signature.
@@ -57,17 +78,13 @@ def main() -> None:
     print(f"\nretimed under a 4x faster network: {t0 * 1e3:.3f} ms -> "
           f"{t1 * 1e3:.3f} ms ({t0 / t1:.2f}x speedup)")
 
-    # 5. Wall clock vs. simulated clock: re-run with the tracer attached.
-    # Everything above priced the run on the *simulated* machine; the tracer
-    # also measures what the Python simulator actually spent per record kind
-    # and flags kinds the cost model weights differently from reality.
-    traced = solve_sssp(graph, root, algorithm="opt", delta=25,
-                        num_ranks=16, threads_per_rank=16,
-                        trace=TraceConfig(path=None))
-    tracer = traced.trace
-    print(f"\ntraced re-run: wall {tracer.wall_total * 1e3:9.2f} ms over "
+    # 5. Wall clock vs. simulated clock. Everything above priced the run on
+    # the *simulated* machine; the tracer also measured what the Python
+    # simulator actually spent per record kind and flags kinds the cost
+    # model weights differently from reality.
+    print(f"\ntraced run: wall {tracer.wall_total * 1e3:9.2f} ms over "
           f"{tracer.num_records} records in {len(tracer.events)} events")
-    print(f"               sim  {tracer.sim_t * 1e3:9.4f} ms "
+    print(f"            sim  {tracer.sim_t * 1e3:9.4f} ms "
           f"(identical to the cost model total: "
           f"{abs(tracer.sim_t - res.cost.total_time) < 1e-12})")
     print()

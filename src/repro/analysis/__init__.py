@@ -15,7 +15,6 @@ from repro.analysis.phase_stats import (
     phase_relaxation_series,
 )
 from repro.analysis.sweep import delta_sweep, weak_scaling
-from repro.analysis.trace import render_timeline, time_by_phase_kind, timeline
 
 __all__ = [
     "OracleReport",
@@ -24,8 +23,5 @@ __all__ = [
     "delta_sweep",
     "evaluate_decision_sequences",
     "phase_relaxation_series",
-    "render_timeline",
-    "time_by_phase_kind",
-    "timeline",
     "weak_scaling",
 ]

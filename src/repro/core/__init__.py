@@ -42,10 +42,13 @@ from repro.core.reference import (
 )
 from repro.core.relax import apply_relaxations
 from repro.core.solver import BatchSolver, SsspResult, solve_sssp
+from repro.core.transport import DeclaredTransport
+from repro.core.views import VertexView, whole_graph_view
 
 __all__ = [
     "BatchSolver",
     "DEFAULT_TAU",
+    "DeclaredTransport",
     "DELTA_INFINITY",
     "DeltaSteppingEngine",
     "DistanceMismatch",
@@ -53,6 +56,7 @@ __all__ = [
     "INF",
     "NO_PARENT",
     "ValidationReport",
+    "VertexView",
     "WeightHistogram",
     "build_parent_tree",
     "build_weight_histogram",
@@ -88,4 +92,5 @@ __all__ = [
     "solve_sssp",
     "split_heavy_vertices",
     "validate_distances",
+    "whole_graph_view",
 ]

@@ -1,8 +1,10 @@
 """Distributed Bellman-Ford (Section II-A).
 
-Used in two places: standalone as the Δ = ∞ baseline, and as the tail stage
+Used in three places: standalone as the Δ = ∞ baseline, as the tail stage
 of the hybridization strategy (Section III-D), which collapses all buckets
-past the switch point into one and finishes with Bellman-Ford iterations.
+past the switch point into one and finishes with Bellman-Ford iterations,
+and — charged to the recovery phase — as the fixpoint pass of the
+watchdog's ``degrade`` policy and of the SPMD self-healing sweep.
 
 Each iteration relaxes *all* incident arcs of every active vertex (a vertex
 is active when its tentative distance changed in the previous iteration);
@@ -14,9 +16,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.context import ExecutionContext
-from repro.core.distances import init_distances
-from repro.core.relax import apply_relaxations
-from repro.runtime.comm import RELAX_RECORD_BYTES
+from repro.core.transport import DeclaredTransport
+from repro.core.views import (
+    VertexView,
+    active_per_rank,
+    gathered,
+    relax_round,
+    rooted_whole_view,
+)
+from repro.runtime.comm import RECOVERY_PHASE, RELAX_RECORD_BYTES
 from repro.runtime.metrics import ComputeKind
 from repro.util.ranges import concat_ranges
 
@@ -25,91 +33,69 @@ __all__ = ["run_bellman_ford", "bellman_ford_stage"]
 
 def bellman_ford_stage(
     ctx: ExecutionContext,
-    d: np.ndarray,
-    initial_active: np.ndarray,
+    views: list[VertexView],
+    transport,
     *,
     phase_kind: str = "bf",
     epoch_hook=None,
 ) -> int:
-    """Run Bellman-Ford iterations from an arbitrary starting state.
+    """Bellman-Ford iterations from the views' current active sets.
 
-    Parameters
-    ----------
-    ctx:
-        Execution context (graph, accounting).
-    d:
-        Tentative distances, updated in place.
-    initial_active:
-        Vertices considered active in the first iteration.
-    phase_kind:
-        ``"bf"`` for the algorithm's own stage, ``"recovery"`` when the
-        stage is a watchdog degradation pass (its cost then lands in the
-        recovery accounting instead of the paper-facing phases).
-    epoch_hook:
-        Optional ``hook(active)`` called at the top of every iteration,
-        when the distance array is a consistent epoch boundary — the
-        defense layer checkpoints and the watchdog tick live here.
-
-    Returns
-    -------
-    Number of iterations (phases) executed.
+    ``phase_kind`` is ``"bf"`` for the algorithm's own stage and
+    ``"recovery"`` for degradation passes and self-healing sweeps (their
+    cost then lands in the recovery accounting instead of the paper-facing
+    phases). ``epoch_hook`` is called at the top of every iteration, when
+    the distances are a consistent epoch boundary — the defence layer's
+    checkpoints and watchdog tick and the recovery manager's in-memory
+    snapshots live there. Returns the number of iterations executed.
     """
-    graph = ctx.graph
-    indptr, adj, weights = graph.indptr, graph.adj, graph.weights
-    sync_kind = phase_kind if phase_kind == "recovery" else "bucket"
-    active = np.asarray(initial_active, dtype=np.int64)
-    iterations = 0
+    sync_kind = RECOVERY_PHASE if phase_kind == RECOVERY_PHASE else "bucket"
     tr = ctx.tracer
+    iteration = 0
     while True:
         # Global check whether any rank still has active vertices.
-        ctx.comm.allreduce(1, phase_kind=sync_kind)
-        if active.size == 0:
+        total_active = transport.allreduce_sum(
+            [v.active.size for v in views], phase_kind=sync_kind
+        )
+        if total_active == 0:
             break
         if epoch_hook is not None:
-            epoch_hook(active)
-        iterations += 1
+            epoch_hook()
+        iteration += 1
         span = (
             tr.begin(
-                "bf", cat="phase", iteration=iterations, kind=phase_kind,
-                active=int(active.size),
+                "bf", cat="phase", iteration=iteration, kind=phase_kind,
+                active=int(total_active),
             )
             if tr is not None
             else None
         )
         # Building the active list is a scan over last phase's changed set.
-        per_rank = np.bincount(
-            np.asarray(ctx.partition.owner(active), dtype=np.int64),
-            minlength=ctx.machine.num_ranks,
-        )
-        ctx.charge_scan(per_rank)
-        # Relax every incident arc of every active vertex.
-        arcs, owner_idx = concat_ranges(indptr[active], indptr[active + 1])
-        src = active[owner_idx]
-        dst = adj[arcs]
-        nd = d[src] + weights[arcs]
-        ctx.charge(
-            ComputeKind.BF_RELAX,
-            active,
-            (indptr[active + 1] - indptr[active]).astype(np.float64),
+        ctx.charge_scan(active_per_rank(ctx, views))
+        gen = []
+        for v in views:
+            active = v.active
+            arcs, owner_idx = concat_ranges(v.indptr[active], v.indptr[active + 1])
+            src = active[owner_idx]
+            transport.send(v, src, v.adj[arcs], v.d[src] + v.weights[arcs])
+            gen.append(
+                (v.to_global(active), v.local_degrees(active).astype(np.float64))
+            )
+        inboxes, relaxed = relax_round(
+            ctx, transport, ComputeKind.BF_RELAX, gen, RELAX_RECORD_BYTES,
             phase_kind=phase_kind,
         )
-        ctx.comm.exchange_by_vertex(src, dst, RELAX_RECORD_BYTES,
-                                    phase_kind=phase_kind)
-        ctx.charge(
-            ComputeKind.BF_RELAX, dst, None, phase_kind=phase_kind,
-            count_as_relax=True,
-        )
-        ctx.metrics.note_phase(phase_kind, dst.size)
-        active = apply_relaxations(d, dst, nd)
+        for v, (dst, nd) in zip(views, inboxes):
+            v.active = v.apply(dst, nd)
         if ctx.guards is not None:
-            ctx.guards.after_relaxations(d)
+            ctx.guards.after_relaxations(gathered(views, "d"))
         if tr is not None:
-            tr.end(span, relaxed=int(dst.size))
-    return iterations
+            tr.end(span, relaxed=relaxed)
+    return iteration
 
 
 def run_bellman_ford(ctx: ExecutionContext, root: int) -> np.ndarray:
     """Full Bellman-Ford SSSP from ``root``. Returns the distance array."""
-    d = init_distances(ctx.graph.num_vertices, root)
-    bellman_ford_stage(ctx, d, np.array([root], dtype=np.int64))
-    return d
+    view = rooted_whole_view(ctx, root)
+    bellman_ford_stage(ctx, [view], DeclaredTransport(ctx.comm))
+    return view.d

@@ -129,13 +129,6 @@ class SolverConfig:
     """Collect the exact per-bucket self/backward/forward edge census and
     pull request/response counts of Fig. 7 (costs one extra adjacency sweep
     per bucket; off by default)."""
-    incremental_buckets: bool = True
-    """Maintain bucket membership and the minimum non-empty bucket with the
-    incremental :class:`~repro.core.bucket_index.BucketIndex` (fed by the
-    changed-vertex sets relaxations already return) instead of rescanning
-    the full distance array every epoch. Results, metrics and simulated
-    cost are bit-identical either way — the flag exists so benchmarks can
-    measure the scan-based hot path (``False``) against the index."""
     paranoid: bool = False
     """Enable runtime invariant guards (:mod:`repro.runtime.guards`):
     per-superstep checks of bucket monotonicity, settled finality, IOS edge

@@ -1,6 +1,8 @@
-"""The Δ-stepping engine (Section II-A, Fig. 2) with the paper's optimisations.
+"""The whole-graph driver of the Δ-stepping family (Section II-A, Fig. 2).
 
-One engine executes the whole algorithm family; the
+One kernel set executes the whole algorithm family
+(:mod:`repro.core.phases`, :mod:`repro.core.pruning`,
+:mod:`repro.core.bellman_ford`); the
 :class:`~repro.core.config.SolverConfig` flags select the variant:
 
 - plain Δ-stepping with short/long edge classification (``Del-Δ``);
@@ -8,46 +10,30 @@ One engine executes the whole algorithm family; the
 - pruning push/pull long phases with the decision heuristic
   (``use_pruning``);
 - hybridization into Bellman-Ford (``use_hybrid``);
-- Δ = 1 reproduces Dial/Dijkstra, Δ = ∞ reproduces Bellman-Ford.
+- Δ = 1 reproduces Dial/Dijkstra, Δ = ∞ reproduces Bellman-Ford;
+- ``config.strategy`` picks the window rule: the paper's Δ-buckets
+  (``"delta"``), radius stepping (``"radius"``) or ρ-stepping (``"rho"``).
 
-Step selection — which window of tentative distances to drain and settle
-next — is delegated to the :class:`~repro.core.stepping.SteppingStrategy`
-chosen by ``config.strategy``: the paper's Δ-buckets (``"delta"``),
-radius stepping (``"radius"``) or ρ-stepping (``"rho"``). The engine owns
-the drain/settle loop, accounting, checkpoints and hybridization; the
-strategy owns the window and the relaxation phase policy.
-
-Execution is bulk-synchronous. Every epoch (bucket) runs a first stage of
-iterative *short phases* (relaxing short — under IOS only inner short —
-arcs of active vertices) until the bucket drains, settles the bucket
-members, then one *long phase* relaxes the remaining arcs by push or pull.
-All communication and per-thread compute is declared to the accounting
-runtime, which is what the cost model and the paper-figure benches consume.
+:class:`DeltaSteppingEngine` runs those kernels on a single
+:class:`~repro.core.views.VertexView` spanning the whole graph, through a
+:class:`~repro.core.transport.DeclaredTransport`: nothing moves, and every
+exchange and per-thread compute charge a distributed run would incur is
+declared to the accounting runtime, which is what the cost model and the
+paper-figure benches consume. The rank driver
+(:mod:`repro.spmd.engine`) runs the same kernels on one view per rank
+through a mailbox.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bellman_ford import bellman_ford_stage
-from repro.core.bucket_index import BucketIndex
-from repro.core.buckets import window_members
 from repro.core.context import ExecutionContext
-from repro.core.distances import INF, init_distances
-from repro.core.hybrid import should_switch
-from repro.core.pruning import bucket_census, long_phase_pull, long_phase_push
-from repro.core.pushpull import decide_mode
-from repro.core.relax import apply_relaxations
-from repro.core.stepping import Step, make_strategy
-from repro.runtime.comm import RELAX_RECORD_BYTES
-from repro.runtime.metrics import ComputeKind
-from repro.runtime.watchdog import (
-    DeadlineConfig,
-    DeadlineExceeded,
-    SolveTimeout,
-    Watchdog,
-)
-from repro.util.ranges import concat_ranges
+from repro.core.defence import Defence
+from repro.core.phases import begin_solve, finish_solve, run_stepping
+from repro.core.transport import DeclaredTransport
+from repro.core.views import rooted_whole_view
+from repro.runtime.watchdog import DeadlineConfig, DeadlineExceeded
 
 __all__ = ["DeltaSteppingEngine", "run_delta_stepping"]
 
@@ -58,7 +44,6 @@ class DeltaSteppingEngine:
     def __init__(self, ctx: ExecutionContext) -> None:
         self.ctx = ctx
 
-    # ------------------------------------------------------------------
     def run(
         self,
         root: int,
@@ -84,376 +69,31 @@ class DeltaSteppingEngine:
         """
         ctx = self.ctx
         cfg = ctx.config
-        n = ctx.graph.num_vertices
-        tr = ctx.tracer
-
-        ckpt_mgr = None
-        if checkpoint_dir is not None:
-            # Lazy import: spmd.checkpoint has no core dependencies, but
-            # importing the spmd package at module scope would cycle.
-            from repro.spmd.checkpoint import CheckpointManager
-
-            ckpt_mgr = CheckpointManager(
-                checkpoint_dir,
-                graph=ctx.graph,
-                config=cfg,
-                machine=ctx.machine,
-                root=root,
-                engine="core-delta",
-                interval=checkpoint_interval,
-                keep=checkpoint_keep,
-            )
-        watchdog = (
-            Watchdog(deadline)
-            if deadline is not None and deadline.enabled
-            else None
+        solve_span = begin_solve(ctx, "core-delta", root, delta=int(cfg.delta))
+        view = rooted_whole_view(ctx, root)
+        views = [view]
+        transport = DeclaredTransport(ctx.comm)
+        defence = Defence(
+            ctx,
+            views,
+            transport,
+            root,
+            "core-delta",
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_interval=checkpoint_interval,
+            checkpoint_keep=checkpoint_keep,
+            resume=resume,
+            deadline=deadline,
         )
-
-        d = init_distances(n, root)
-        settled = np.zeros(n, dtype=bool)
-        bucket_ordinal = 0
-        epoch = 0
-        stage = "bucket"
-        start_active: np.ndarray | None = None
-
-        solve_span = (
-            tr.begin(
-                "solve",
-                cat="solve",
-                engine="core-delta",
-                root=int(root),
-                n=int(n),
-                delta=int(cfg.delta),
-            )
-            if tr is not None
-            else None
-        )
-
-        start_ckpt = (
-            ckpt_mgr.load_resume() if (ckpt_mgr is not None and resume) else None
-        )
-        if start_ckpt is not None:
-            d = start_ckpt.d.copy()
-            settled = start_ckpt.settled.copy()
-            bucket_ordinal = start_ckpt.bucket_ordinal
-            epoch = start_ckpt.epoch
-            stage = start_ckpt.stage
-            start_active = start_ckpt.active.copy()
-            ctx.metrics.hybrid_switch_bucket = start_ckpt.hybrid_switch_bucket
-            if tr is not None:
-                tr.instant(
-                    "resume", epoch=int(epoch), stage=stage,
-                    bucket_ordinal=int(bucket_ordinal),
-                )
-
-        def checkpoint_now(stage_name: str, active, *, force: bool = False):
-            if ckpt_mgr is None:
-                return None
-            kwargs = dict(
-                epoch=epoch,
-                stage=stage_name,
-                bucket_ordinal=bucket_ordinal,
-                superstep=0,
-                d=d,
-                settled=settled,
-                active=np.asarray(active, dtype=np.int64),
-                hybrid_switch_bucket=ctx.metrics.hybrid_switch_bucket,
-            )
-            path = ckpt_mgr.save(**kwargs) if force else ckpt_mgr.maybe_save(**kwargs)
-            if path is not None and tr is not None:
-                tr.instant(
-                    "checkpoint", stage=stage_name, epoch=int(epoch),
-                    path=str(path),
-                )
-            return path
-
-        def tick() -> None:
-            if watchdog is not None:
-                watchdog.note_epoch(
-                    settled_total=int(settled.sum()),
-                    relaxations=ctx.metrics.total_relaxations,
-                )
-
-        def bf_hook(active: np.ndarray) -> None:
-            nonlocal epoch
-            epoch += 1
-            checkpoint_now("bf", active)
-            tick()
-
-        hook = bf_hook if (ckpt_mgr is not None or watchdog is not None) else None
-
+        if cfg.is_bellman_ford:
+            # Δ = ∞: the whole solve is the Bellman-Ford stage.
+            defence.stage = "bf"
         try:
-            if cfg.is_bellman_ford:
-                initial = (
-                    start_active
-                    if stage == "bf" and start_active is not None
-                    else np.array([root], dtype=np.int64)
-                )
-                bellman_ford_stage(ctx, d, initial, epoch_hook=hook)
-            elif stage == "bf":
-                # Resume directly into the hybrid Bellman-Ford tail.
-                bellman_ford_stage(ctx, d, start_active, epoch_hook=hook)
-                settled |= d < INF
-            else:
-                strategy = make_strategy(cfg)
-                strategy.prepare(ctx)
-                # The incremental index replaces the per-epoch full scans;
-                # built after a potential resume so it covers the restored
-                # state. settled_count mirrors settled.sum() so the scan
-                # charges stay numerically identical without the O(n) sum.
-                # Only the delta strategy can use it — the index is keyed
-                # on the fixed bucket width.
-                index = (
-                    BucketIndex(cfg.delta, d, settled)
-                    if cfg.incremental_buckets and strategy.uses_bucket_index
-                    else None
-                )
-                settled_count = int(settled.sum())
-                while True:
-                    # Next step: every rank scans its unsettled vertices
-                    # for its window candidate, then the strategy's
-                    # selection collective combines them.
-                    ctx.scan_all_ranks(n - settled_count)
-                    step = strategy.next_step(
-                        ctx, d, settled, index, bucket_ordinal
-                    )
-                    if step is None:
-                        break
-                    settled_count = self._process_epoch(
-                        d, settled, step, bucket_ordinal, index,
-                        settled_count, strategy,
-                    )
-                    bucket_ordinal += 1
-                    epoch += 1
-                    if cfg.use_hybrid:
-                        # Settled-fraction aggregate for the switch decision.
-                        ctx.comm.allreduce(1, phase_kind="bucket")
-                        if should_switch(
-                            settled, cfg.tau, count=settled_count, tracer=tr
-                        ):
-                            ctx.metrics.hybrid_switch_bucket = step.key
-                            remaining = np.nonzero(~settled & (d < INF))[
-                                0
-                            ].astype(np.int64)
-                            checkpoint_now("bf", remaining)
-                            tick()
-                            bellman_ford_stage(ctx, d, remaining, epoch_hook=hook)
-                            settled |= d < INF
-                            break
-                    checkpoint_now("bucket", np.empty(0, np.int64))
-                    tick()
+            run_stepping(ctx, views, transport, defence)
         except DeadlineExceeded as exc:
-            self._resolve_deadline(
-                exc, deadline, d, settled, watchdog, checkpoint_now
-            )
-        if ctx.guards is not None:
-            ctx.guards.check_final(d, root)
-            ctx.guards.check_recovery_separation(
-                ctx.metrics, allowed=ctx.metrics.degraded_to_bf
-            )
-        if tr is not None:
-            tr.end(solve_span, settled=int(settled.sum()))
-            tr.finish(metrics=ctx.metrics)
-        return d
-
-    # ------------------------------------------------------------------
-    def _resolve_deadline(
-        self, exc, deadline, d, settled, watchdog, checkpoint_now
-    ) -> None:
-        """Apply the deadline policy after the watchdog tripped."""
-        ctx = self.ctx
-        if deadline.policy == "degrade":
-            # Every tentative distance is the length of a real path, so a
-            # Bellman-Ford fixpoint from the finite set recovers the exact
-            # shortest distances — the paper's own hybridization machinery,
-            # charged to the recovery phase.
-            ctx.metrics.degraded_to_bf = True
-            if ctx.tracer is not None:
-                ctx.tracer.instant("degrade-to-bf", reason=str(exc.reason))
-            finite = np.nonzero(d < INF)[0].astype(np.int64)
-            bellman_ford_stage(ctx, d, finite, phase_kind="recovery")
-            settled[:] = d < INF
-            return
-        finite = np.nonzero(d < INF)[0].astype(np.int64)
-        # A stage="bf" checkpoint over the finite set is always resumable:
-        # re-running Bellman-Ford from it converges to the exact answer.
-        path = checkpoint_now("bf", finite, force=True)
-        raise SolveTimeout(
-            exc.reason,
-            distances=d.copy(),
-            epochs_completed=watchdog.epochs,
-            supersteps=watchdog.supersteps,
-            checkpoint_path=path,
-        ) from exc
-
-    # ------------------------------------------------------------------
-    def _short_phase(
-        self, d: np.ndarray, active: np.ndarray, step: Step
-    ) -> np.ndarray:
-        """One short-edge phase over ``active``; returns changed vertices."""
-        ctx = self.ctx
-        tr = ctx.tracer
-        span = (
-            tr.begin("short", cat="phase", bucket=int(step.key))
-            if tr is not None
-            else None
-        )
-        graph = ctx.graph
-        hi = step.hi
-        indptr, adj, weights = graph.indptr, graph.adj, graph.weights
-        starts = indptr[active]
-        ends = starts + ctx.short_offsets[active]
-        arcs, owner_idx = concat_ranges(starts, ends)
-        src = active[owner_idx]
-        dst = adj[arcs]
-        nd = d[src] + weights[arcs]
-        scanned = (ends - starts).astype(np.float64)
-        if ctx.config.use_ios:
-            # Inner-short filter: relax only when the proposed distance lands
-            # inside the current bucket; outer short arcs wait for the long
-            # phase.
-            inner = nd < hi
-            if ctx.guards is not None:
-                ctx.guards.check_ios_coverage(int(arcs.size), int(nd.size))
-                ctx.guards.check_ios_partition(nd, hi, inner)
-            src, dst, nd = src[inner], dst[inner], nd[inner]
-        ctx.charge(ComputeKind.SHORT_RELAX, active, scanned, phase_kind="short")
-        ctx.comm.exchange_by_vertex(src, dst, RELAX_RECORD_BYTES, phase_kind="short")
-        ctx.charge(
-            ComputeKind.SHORT_RELAX, dst, None, phase_kind="short", count_as_relax=True
-        )
-        ctx.metrics.note_phase("short", dst.size)
-        changed = apply_relaxations(d, dst, nd)
-        if ctx.guards is not None:
-            ctx.guards.after_relaxations(d)
-        if tr is not None:
-            tr.end(span, active=int(active.size), relaxed=int(dst.size))
-        return changed
-
-    # ------------------------------------------------------------------
-    def _process_epoch(
-        self,
-        d: np.ndarray,
-        settled: np.ndarray,
-        step: Step,
-        bucket_ordinal: int,
-        index: BucketIndex | None,
-        settled_count: int,
-        strategy,
-    ) -> int:
-        """Process one step's window to completion: short stage, settle,
-        and (for the delta strategy) the long phase.
-
-        Returns the updated settled count. ``index``, when given, replaces
-        the membership scans and is kept current from the changed-vertex
-        sets the relaxation phases return.
-        """
-        ctx = self.ctx
-        cfg = ctx.config
-        k = step.key
-        lo = step.lo
-        hi = step.hi
-        tr = ctx.tracer
-        epoch_span = (
-            tr.begin(
-                f"bucket {k}", cat="epoch", bucket=int(k),
-                ordinal=int(bucket_ordinal),
-            )
-            if tr is not None
-            else None
-        )
-        if ctx.guards is not None:
-            ctx.guards.on_bucket_start(k)
-
-        # Epoch start: identify the bucket members. The scan charge is the
-        # same either way — each rank still owns a pass over its unsettled
-        # block in the accounting model — but the index answers from the
-        # changed set instead of touching all n vertices.
-        ctx.scan_all_ranks(settled.size - settled_count)
-        active = (
-            index.members(k)
-            if index is not None
-            else window_members(d, settled, lo, hi)
-        )
-
-        # --- Stage 1: iterative short phases until the window drains.
-        while True:
-            ctx.comm.allreduce(1, phase_kind="bucket")
-            if active.size == 0:
-                break
-            per_rank = np.bincount(
-                np.asarray(ctx.partition.owner(active), dtype=np.int64),
-                minlength=ctx.machine.num_ranks,
-            )
-            ctx.charge_scan(per_rank)
-            changed = self._short_phase(d, active, step)
-            if index is not None:
-                index.on_relaxed(changed, d)
-            if changed.size:
-                in_bucket = (d[changed] >= lo) & (d[changed] < hi)
-                active = changed[in_bucket]
-            else:
-                active = changed
-
-        # --- Settle the window.
-        members = (
-            index.members(k)
-            if index is not None
-            else window_members(d, settled, lo, hi)
-        )
-        settled[members] = True
-        settled_count += int(members.size)
-        if index is not None:
-            index.on_settled(members)
-        if ctx.guards is not None:
-            ctx.guards.check_settled(d, settled)
-
-        stats: dict[str, int | str] = {}
-        if cfg.collect_census:
-            stats.update(bucket_census(ctx, d, settled, members, k))
-
-        # --- Stage 2: one long phase, push or pull. The windowed
-        # strategies classify every edge short, so their long phase is
-        # structurally empty and skipped outright.
-        if strategy.short_phase_only:
-            mode = "none"
-            estimate = None
-            stats.update({"mode": "none", "relaxations": 0})
-            if ctx.guards is not None and index is not None:
-                ctx.guards.check_bucket_index(index, d, settled)
-        else:
-            long_span = (
-                tr.begin("long", cat="phase", bucket=int(k))
-                if tr is not None
-                else None
-            )
-            mode, estimate = decide_mode(
-                ctx, d, settled, members, k, bucket_ordinal
-            )
-            if mode == "push":
-                changed, phase_stats = long_phase_push(ctx, d, members, k)
-            else:
-                changed, phase_stats = long_phase_pull(
-                    ctx, d, settled, members, k
-                )
-            if tr is not None:
-                tr.end(long_span, mode=mode, relaxed=int(changed.size))
-            if index is not None:
-                index.on_relaxed(changed, d)
-            if ctx.guards is not None:
-                ctx.guards.after_relaxations(d)
-                if index is not None:
-                    ctx.guards.check_bucket_index(index, d, settled)
-            stats.update(phase_stats)
-        stats["bucket"] = k
-        stats["members"] = int(members.size)
-        if estimate is not None:
-            stats["est_push_cost"] = estimate.push_cost
-            stats["est_pull_cost"] = estimate.pull_cost
-        ctx.metrics.note_bucket(stats)
-        if tr is not None:
-            tr.end(epoch_span, members=int(members.size), mode=mode)
-        return settled_count
+            defence.resolve_deadline(exc, DeclaredTransport(ctx.comm))
+        finish_solve(ctx, views, root, solve_span)
+        return view.d
 
 
 def run_delta_stepping(ctx: ExecutionContext, root: int) -> np.ndarray:

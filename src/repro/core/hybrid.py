@@ -10,8 +10,6 @@ finishes with Bellman-Ford.
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["should_switch", "DEFAULT_TAU"]
 
 DEFAULT_TAU = 0.4
@@ -19,26 +17,18 @@ DEFAULT_TAU = 0.4
 
 
 def should_switch(
-    settled: np.ndarray,
-    tau: float,
-    *,
-    count: int | None = None,
-    tracer=None,
+    settled_count: int, num_vertices: int, tau: float, *, tracer=None
 ) -> bool:
     """True when the settled fraction exceeds ``tau``.
 
     Evaluated at the end of each epoch; the settled count is a global
-    aggregate (one allreduce, charged by the engine). Callers tracking the
-    settled count incrementally pass it as ``count`` to skip the O(n) sum;
-    the decision is identical either way. A ``tracer``
+    aggregate (one allreduce, charged by the solve loop). A ``tracer``
     (:class:`repro.obs.tracer.Tracer`), when given, records the check as an
     instant event — pure telemetry, no effect on the decision.
     """
-    if settled.size == 0:
+    if num_vertices == 0:
         return True
-    if count is None:
-        count = int(settled.sum())
-    fraction = float(count) / settled.size
+    fraction = float(settled_count) / num_vertices
     decision = fraction > tau
     if tracer is not None:
         tracer.instant(

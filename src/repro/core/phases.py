@@ -1,0 +1,280 @@
+"""The stepping loop and the epoch body, written once for both drivers.
+
+Execution is bulk-synchronous. The loop asks the
+:class:`~repro.core.stepping.SteppingStrategy` for the next window; every
+epoch then runs a first stage of iterative *short phases* (relaxing short —
+under IOS only inner short — arcs of active vertices) until the window
+drains, settles the window members, and, for the Δ strategy, relaxes the
+remaining arcs in one *long phase* by push or pull
+(:mod:`repro.core.pruning`, chosen by :func:`~repro.core.pushpull.decide_mode`).
+With hybridization the loop hands over to the Bellman-Ford tail
+(:func:`~repro.core.bellman_ford.bellman_ford_stage`) once the settled
+fraction passes τ.
+
+Everything here takes ``(ctx, views, transport)``: one whole-graph
+:class:`~repro.core.views.VertexView` with a
+:class:`~repro.core.transport.DeclaredTransport`, or one view per rank with
+a :class:`~repro.spmd.mailbox.Mailbox`. The scans, allreduces, exchanges
+and compute charges are the same calls in the same order either way — the
+two drivers cannot disagree about the algorithm because there is one copy
+of it. Census collection and the exact/histogram estimators read global
+arrays and therefore need the whole-graph view.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.bellman_ford import bellman_ford_stage
+from repro.core.context import ExecutionContext
+from repro.core.defence import Defence, chain_hooks
+from repro.core.distances import INF
+from repro.core.hybrid import should_switch
+from repro.core.pruning import bucket_census, long_phase_pull, long_phase_push
+from repro.core.pushpull import decide_mode
+from repro.core.stepping import Step, make_strategy
+from repro.core.views import (
+    VertexView,
+    active_per_rank,
+    gathered,
+    relax_round,
+)
+from repro.runtime.comm import RELAX_RECORD_BYTES
+from repro.runtime.metrics import ComputeKind
+from repro.util.ranges import concat_ranges
+
+__all__ = ["begin_solve", "finish_solve", "run_stepping", "process_epoch"]
+
+
+def begin_solve(ctx: ExecutionContext, engine: str, root: int, **attrs):
+    """Open the solve's root span (``None`` without a tracer)."""
+    if ctx.tracer is None:
+        return None
+    return ctx.tracer.begin(
+        "solve", cat="solve", engine=engine, root=int(root),
+        n=int(ctx.graph.num_vertices), **attrs,
+    )
+
+
+def finish_solve(
+    ctx: ExecutionContext,
+    views: list[VertexView],
+    root: int,
+    solve_span,
+    *,
+    faults_injected: bool = False,
+) -> None:
+    """End-of-solve guards and the close of the root span."""
+    if ctx.guards is not None:
+        ctx.guards.check_final(gathered(views, "d"), root)
+        ctx.guards.check_recovery_separation(
+            ctx.metrics, allowed=faults_injected or ctx.metrics.degraded_to_bf
+        )
+    if ctx.tracer is not None:
+        ctx.tracer.end(
+            solve_span, settled=sum(int(v.settled.sum()) for v in views)
+        )
+        ctx.tracer.finish(metrics=ctx.metrics)
+
+
+def _settle_reached(views: list[VertexView]) -> None:
+    for v in views:
+        v.settled |= v.d < INF
+
+
+def run_stepping(
+    ctx: ExecutionContext,
+    views: list[VertexView],
+    transport,
+    defence: Defence,
+    *,
+    recovery_hook=None,
+) -> None:
+    """Step until no window remains (or the hybrid switch fires).
+
+    ``defence`` supplies the resume point and receives the epoch
+    boundaries; ``recovery_hook`` is the rank driver's in-memory snapshot
+    cadence, called at the top of every epoch.
+    """
+    cfg = ctx.config
+    bf_hook = chain_hooks(
+        recovery_hook, defence.bf_hook if defence.enabled else None
+    )
+    if defence.stage == "bf":
+        # Resuming past the hybrid switch (or from a forced timeout
+        # checkpoint): run the Bellman-Ford tail directly.
+        bellman_ford_stage(ctx, views, transport, epoch_hook=bf_hook)
+        _settle_reached(views)
+        return
+    strategy = make_strategy(cfg)
+    if strategy.uses_bucket_index:
+        # The incremental index replaces the per-epoch full scans; built
+        # after a potential resume so it covers the restored state. Only
+        # the delta strategy can use it — it is keyed on the fixed width.
+        for v in views:
+            v.attach_index(cfg.delta)
+    strategy.prepare(ctx, views)
+    ordinal = defence.bucket_ordinal
+    n = ctx.graph.num_vertices
+    while True:
+        # Next step: every rank scans its unsettled vertices for its
+        # window candidate, then the strategy's selection collective
+        # combines them.
+        ctx.scan_all_ranks(sum(v.num_unsettled for v in views))
+        step = strategy.next_step(ctx, views, transport, ordinal)
+        if step is None:
+            break
+        if ctx.guards is not None:
+            ctx.guards.on_bucket_start(step.key)
+        if recovery_hook is not None:
+            recovery_hook()
+        process_epoch(ctx, views, transport, step, ordinal, strategy)
+        ordinal += 1
+        defence.bucket_ordinal = ordinal
+        if cfg.use_hybrid:
+            # Settled-fraction aggregate for the switch decision.
+            settled_total = transport.allreduce_sum(
+                [v.num_local - v.num_unsettled for v in views]
+            )
+            if should_switch(settled_total, n, cfg.tau, tracer=ctx.tracer):
+                ctx.metrics.hybrid_switch_bucket = step.key
+                for v in views:
+                    v.active = np.nonzero(~v.settled & (v.d < INF))[0]
+                    # No bucket is read again: the Bellman-Ford tail need
+                    # not keep the index current.
+                    v.index = None
+                defence.stage = "bf"
+                if defence.enabled:
+                    defence.on_epoch()
+                bellman_ford_stage(ctx, views, transport, epoch_hook=bf_hook)
+                _settle_reached(views)
+                break
+        if defence.enabled:
+            defence.on_epoch()
+
+
+def process_epoch(
+    ctx: ExecutionContext,
+    views: list[VertexView],
+    transport,
+    step: Step,
+    bucket_ordinal: int,
+    strategy,
+) -> None:
+    """Process one step's window to completion: short stage, settle, and
+    (for the delta strategy) the long phase."""
+    cfg = ctx.config
+    k, lo, hi = step.key, step.lo, step.hi
+    tr = ctx.tracer
+    guards = ctx.guards
+    epoch_span = (
+        tr.begin(
+            f"bucket {k}", cat="epoch", bucket=int(k), ordinal=int(bucket_ordinal)
+        )
+        if tr is not None
+        else None
+    )
+
+    # Epoch start: identify the window members. Each rank owns a pass over
+    # its unsettled block in the accounting model, though the bucket index
+    # answers from the changed set instead of touching all n vertices.
+    ctx.scan_all_ranks(sum(v.num_unsettled for v in views))
+    for v in views:
+        v.active = v.members(step)
+
+    # --- Stage 1: iterative short phases until the window drains.
+    while True:
+        total_active = transport.allreduce_sum([v.active.size for v in views])
+        if total_active == 0:
+            break
+        short_span = (
+            tr.begin("short", cat="phase", bucket=int(k), active=int(total_active))
+            if tr is not None
+            else None
+        )
+        ctx.charge_scan(active_per_rank(ctx, views))
+        gen = []
+        for v in views:
+            active = v.active
+            starts = v.indptr[active]
+            ends = starts + v.short_offsets[active]
+            arcs, owner_idx = concat_ranges(starts, ends)
+            src = active[owner_idx]
+            dst = v.adj[arcs]
+            nd = v.d[src] + v.weights[arcs]
+            if cfg.use_ios:
+                # Inner-short filter: relax only when the proposed distance
+                # lands inside the current bucket; outer short arcs wait
+                # for the long phase.
+                inner = nd < hi
+                if guards is not None:
+                    guards.check_ios_coverage(int(arcs.size), int(nd.size))
+                    guards.check_ios_partition(nd, hi, inner)
+                src, dst, nd = src[inner], dst[inner], nd[inner]
+            transport.send(v, src, dst, nd)
+            gen.append((v.to_global(active), (ends - starts).astype(np.float64)))
+        inboxes, relaxed = relax_round(
+            ctx, transport, ComputeKind.SHORT_RELAX, gen, RELAX_RECORD_BYTES,
+            phase_kind="short",
+        )
+        for v, (dst, nd) in zip(views, inboxes):
+            changed = v.apply(dst, nd)
+            if changed.size:
+                d_changed = v.d[changed]
+                changed = changed[(d_changed >= lo) & (d_changed < hi)]
+            v.active = changed
+        if guards is not None:
+            guards.after_relaxations(gathered(views, "d"))
+        if tr is not None:
+            tr.end(short_span, relaxed=relaxed)
+
+    # --- Settle the window.
+    members_per_view = [v.members(step) for v in views]
+    for v, members in zip(views, members_per_view):
+        v.settle(members)
+    members_count = sum(int(m.size) for m in members_per_view)
+    if guards is not None:
+        guards.check_settled(gathered(views, "d"), gathered(views, "settled"))
+
+    stats: dict[str, int | str] = {}
+    if cfg.collect_census:
+        (whole,), (members,) = views, members_per_view
+        stats.update(bucket_census(ctx, whole, members, k))
+
+    # --- Stage 2: one long phase, push or pull. The windowed strategies
+    # classify every edge short, so their long phase is structurally empty
+    # and skipped outright.
+    estimate = None
+    if strategy.short_phase_only:
+        mode = "none"
+        stats.update({"mode": "none", "relaxations": 0})
+    else:
+        long_span = (
+            tr.begin("long", cat="phase", bucket=int(k), active=members_count)
+            if tr is not None
+            else None
+        )
+        mode, estimate = decide_mode(
+            ctx, views, members_per_view, k, bucket_ordinal
+        )
+        if mode == "push":
+            phase_stats = long_phase_push(ctx, views, transport, members_per_view, k)
+        else:
+            phase_stats = long_phase_pull(ctx, views, transport, k)
+        if tr is not None:
+            tr.end(long_span, mode=mode, relaxed=int(phase_stats["relaxations"]))
+        if guards is not None:
+            guards.after_relaxations(gathered(views, "d"))
+        stats.update(phase_stats)
+    if guards is not None:
+        for v in views:
+            if v.index is not None:
+                guards.check_bucket_index(v.index, v.d, v.settled)
+    stats["bucket"] = k
+    stats["members"] = members_count
+    if estimate is not None:
+        stats["est_push_cost"] = estimate.push_cost
+        stats["est_pull_cost"] = estimate.pull_cost
+    ctx.metrics.note_bucket(stats)
+    if tr is not None:
+        tr.end(epoch_span, members=members_count, mode=mode)

@@ -13,14 +13,16 @@ current-bucket sources respond with the proposed distance. Self and
 backward arcs are pruned for free (their endpoints are settled, so they
 send no requests), at the price of request/response round trips.
 
-The record-gathering helpers are shared with the exact push/pull cost
-estimator (:mod:`repro.core.pushpull`), which prices both models without
-mutating any state.
+Both phase functions are written once over ``(ctx, views, transport)`` —
+a whole-graph view with a declaring transport, or rank views with a
+mailbox — and min-apply the delivered records to the views; relaxation
+counting follows the paper's fair-count convention (push: one per record;
+pull: requests *and* responses each count one).
 
-Both phase functions mutate the tentative-distance array and return the
-changed vertices; relaxation counting follows the paper's fair-count
-convention (push: one per record; pull: requests *and* responses each
-count one).
+The record-gathering helpers materialise one view's record sets without
+mutating any state. The phases send what they return; the exact push/pull
+cost estimator (:mod:`repro.core.pushpull`) and the census price and count
+the same sets on a whole-graph view.
 """
 
 from __future__ import annotations
@@ -28,7 +30,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.context import ExecutionContext
-from repro.core.relax import apply_relaxations
+from repro.core.views import (
+    VertexView,
+    charge_generated,
+    charge_received,
+    relax_round,
+)
 from repro.runtime.comm import RELAX_RECORD_BYTES, REQUEST_RECORD_BYTES
 from repro.runtime.metrics import ComputeKind
 from repro.util.ranges import concat_ranges
@@ -36,120 +43,97 @@ from repro.util.ranges import concat_ranges
 __all__ = [
     "gather_push_records",
     "gather_pull_requests",
+    "pull_responders",
     "long_phase_push",
     "long_phase_pull",
-    "member_mask",
-    "later_vertices",
     "bucket_census",
 ]
 
 
-def member_mask(ctx: ExecutionContext, members: np.ndarray) -> np.ndarray:
-    """Boolean mask over all vertices marking the current bucket members."""
-    mask = np.zeros(ctx.graph.num_vertices, dtype=bool)
-    mask[members] = True
-    return mask
-
-
-def later_vertices(
-    ctx: ExecutionContext, d: np.ndarray, settled: np.ndarray, k: int
-) -> np.ndarray:
-    """Unsettled vertices in buckets after ``k`` (including B-infinity)."""
-    hi = (k + 1) * ctx.config.delta
-    return np.nonzero(~settled & (d >= hi))[0].astype(np.int64)
-
-
 # ----------------------------------------------------------------------
-# Record gathering (shared by execution and exact cost estimation)
+# Record gathering (shared by execution, exact cost estimation and census)
 # ----------------------------------------------------------------------
 def gather_push_records(
     ctx: ExecutionContext,
-    d: np.ndarray,
+    view: VertexView,
     members: np.ndarray,
     k: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Materialise the push-model records for bucket ``k``.
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
+    """Materialise the push-model records of ``view``'s bucket-``k`` members.
 
-    Returns ``(src, dst, nd, scanned_units)`` where ``scanned_units`` is the
-    per-member count of arcs examined (long arcs, plus short arcs when IOS
-    must find the outer ones).
+    Returns ``(batches, scanned_units)``: each batch is ``(src, dst, nd)``
+    with ``src`` local and ``dst`` global ids — the long records, then under
+    IOS a second batch of outer-short records — and ``scanned_units`` is
+    the per-member count of arcs examined (long arcs, plus short arcs when
+    IOS must find the outer ones).
     """
-    graph = ctx.graph
-    delta = ctx.config.delta
-    hi = (k + 1) * delta
-    indptr, adj, weights = graph.indptr, graph.adj, graph.weights
-    members = np.asarray(members, dtype=np.int64)
-    if members.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, np.empty(0, dtype=np.float64)
-
-    long_starts = indptr[members] + ctx.short_offsets[members]
-    long_ends = indptr[members + 1]
+    hi = (k + 1) * ctx.config.delta
+    long_starts = view.indptr[members] + view.short_offsets[members]
+    long_ends = view.indptr[members + 1]
     arcs, owner_idx = concat_ranges(long_starts, long_ends)
     src = members[owner_idx]
-    dst = adj[arcs]
-    nd = d[src] + weights[arcs]
+    batches = [(src, view.adj[arcs], view.d[src] + view.weights[arcs])]
     scanned_units = (long_ends - long_starts).astype(np.float64)
-
     if ctx.config.use_ios:
         # Outer short arcs: proposed distance falls past the current bucket
         # (the inner ones were already relaxed during the short phases).
-        s_arcs, s_owner = concat_ranges(indptr[members], long_starts)
+        s_arcs, s_owner = concat_ranges(view.indptr[members], long_starts)
         s_src = members[s_owner]
-        s_dst = adj[s_arcs]
-        s_nd = d[s_src] + weights[s_arcs]
+        s_nd = view.d[s_src] + view.weights[s_arcs]
         outer = s_nd >= hi
         if ctx.guards is not None:
             ctx.guards.check_ios_coverage(int(s_arcs.size), int(s_nd.size))
             ctx.guards.check_ios_partition(s_nd, hi, ~outer)
-        src = np.concatenate([src, s_src[outer]])
-        dst = np.concatenate([dst, s_dst[outer]])
-        nd = np.concatenate([nd, s_nd[outer]])
-        scanned_units += ctx.short_offsets[members].astype(np.float64)
-    return src, dst, nd, scanned_units
+        batches.append((s_src[outer], view.adj[s_arcs][outer], s_nd[outer]))
+        scanned_units += view.short_offsets[members].astype(np.float64)
+    return batches, scanned_units
 
 
 def gather_pull_requests(
     ctx: ExecutionContext,
-    d: np.ndarray,
+    view: VertexView,
     later: np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Materialise the pull-model requests for bucket ``k``.
+    """Materialise the pull-model requests of ``view``'s ``later`` vertices.
 
     Returns ``(req_v, req_u, req_w, gen_units)``: one request per *incoming*
     arc of a later-bucket vertex passing the eq. (1) filter
-    ``w(e) < d(v) - kΔ``, and the per-later-vertex generation work
-    (matches + 1, the binary-search cost on weight-sorted adjacency). On
-    undirected graphs the symmetrized forward lists double as the in-edge
-    lists; on directed graphs the context's reverse graph supplies them.
-    Under IOS requests cover short arcs too (that is how outer short edges
-    are relaxed in the pull model); without IOS the short phases already
-    relaxed every short arc, so only long arcs participate.
+    ``w(e) < d(v) - kΔ`` (``req_v`` local, ``req_u`` global), and the
+    per-later-vertex generation work (matches + 1, the binary-search cost
+    on weight-sorted adjacency). On undirected graphs the symmetrized rows
+    double as the in-arc lists; a whole-graph view of a directed graph
+    carries the reverse graph's. Under IOS requests cover short arcs too
+    (that is how outer short edges are relaxed in the pull model); without
+    IOS the short phases already relaxed every short arc, so only long arcs
+    participate.
     """
-    graph = ctx.in_graph
     lo = k * ctx.config.delta
-    indptr, adj, weights = graph.indptr, graph.adj, graph.weights
-    later = np.asarray(later, dtype=np.int64)
-    if later.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, np.empty(0, dtype=np.float64)
-
-    if ctx.config.use_ios:
-        starts = indptr[later]
-    else:
-        starts = indptr[later] + ctx.in_short_offsets[later]
-    ends = indptr[later + 1]
-    arcs, owner_idx = concat_ranges(starts, ends)
-    req_v = later[owner_idx]
-    req_u = adj[arcs]
-    req_w = weights[arcs]
-    passes = req_w < d[req_v] - lo
-    gen_units = np.bincount(owner_idx[passes], minlength=later.size).astype(
-        np.float64
-    )
+    in_indptr, in_adj, in_weights, in_short = view.pull_rows()
+    starts = in_indptr[later]
+    if not ctx.config.use_ios:
+        starts = starts + in_short[later]
+    arcs, owner_idx = concat_ranges(starts, in_indptr[later + 1])
+    req_w = in_weights[arcs]
+    passes = req_w < view.d[later[owner_idx]] - lo
+    owner_idx = owner_idx[passes]
+    gen_units = np.bincount(owner_idx, minlength=later.size).astype(np.float64)
     gen_units += 1.0
-    return req_v[passes], req_u[passes], req_w[passes], gen_units
+    return later[owner_idx], in_adj[arcs][passes], req_w[passes], gen_units
+
+
+def pull_responders(
+    ctx: ExecutionContext, view: VertexView, u: np.ndarray, k: int
+) -> np.ndarray:
+    """Mask over requested sources ``u`` (local ids): the ones that answer.
+
+    The bucket members are settled before the long phase and everything
+    settled earlier lies below the bucket, so the responders are exactly
+    the settled vertices whose distance is in bucket ``k``'s range.
+    """
+    lo = k * ctx.config.delta
+    d_u = view.d[u]
+    return view.settled[u] & (d_u >= lo) & (d_u < lo + ctx.config.delta)
 
 
 # ----------------------------------------------------------------------
@@ -157,76 +141,81 @@ def gather_pull_requests(
 # ----------------------------------------------------------------------
 def long_phase_push(
     ctx: ExecutionContext,
-    d: np.ndarray,
-    members: np.ndarray,
+    views: list[VertexView],
+    transport,
+    members_per_view: list[np.ndarray],
     k: int,
-) -> tuple[np.ndarray, dict[str, int | str]]:
-    """Push-model long phase for bucket ``k``; returns changed vertices."""
-    members = np.asarray(members, dtype=np.int64)
-    src, dst, nd, scanned = gather_push_records(ctx, d, members, k)
-    if members.size == 0:
+) -> dict[str, int | str]:
+    """Push-model long phase for bucket ``k``; returns the phase stats.
+
+    ``members_per_view`` are the just-settled bucket members (local ids).
+    """
+    if not any(m.size for m in members_per_view):
         ctx.metrics.note_phase("long", 0)
-        return np.empty(0, dtype=np.int64), {"mode": "push", "relaxations": 0}
-    ctx.charge(ComputeKind.LONG_PUSH_RELAX, members, scanned, phase_kind="long")
-    ctx.comm.exchange_by_vertex(src, dst, RELAX_RECORD_BYTES, phase_kind="long")
-    ctx.charge(
-        ComputeKind.LONG_PUSH_RELAX, dst, None, phase_kind="long", count_as_relax=True
+        return {"mode": "push", "relaxations": 0}
+    gen = []
+    for v, members in zip(views, members_per_view):
+        batches, scanned = gather_push_records(ctx, v, members, k)
+        for batch in batches:
+            transport.send(v, *batch)
+        gen.append((v.to_global(members), scanned))
+    inboxes, relaxed = relax_round(
+        ctx, transport, ComputeKind.LONG_PUSH_RELAX, gen, RELAX_RECORD_BYTES,
+        phase_kind="long",
     )
-    ctx.metrics.note_phase("long", dst.size)
-    changed = apply_relaxations(d, dst, nd)
-    return changed, {"mode": "push", "relaxations": int(dst.size)}
+    for v, (dst, nd) in zip(views, inboxes):
+        v.apply(dst, nd)
+    return {"mode": "push", "relaxations": relaxed}
 
 
 def long_phase_pull(
     ctx: ExecutionContext,
-    d: np.ndarray,
-    settled: np.ndarray,
-    members: np.ndarray,
+    views: list[VertexView],
+    transport,
     k: int,
-) -> tuple[np.ndarray, dict[str, int | str]]:
-    """Pull-model long phase for bucket ``k``; returns changed vertices.
-
-    ``settled`` must already include the bucket members.
-    """
-    members = np.asarray(members, dtype=np.int64)
-    later = later_vertices(ctx, d, settled, k)
-    req_v, req_u, req_w, gen_units = gather_pull_requests(ctx, d, later, k)
-    if later.size == 0:
+) -> dict[str, int | str]:
+    """Pull-model long phase for bucket ``k``: a request round and a
+    response round; returns the phase stats. The bucket members must
+    already be settled."""
+    hi = (k + 1) * ctx.config.delta
+    laters = [v.later(hi) for v in views]
+    if not any(later.size for later in laters):
         ctx.metrics.note_phase("long", 0)
-        return np.empty(0, dtype=np.int64), {
-            "mode": "pull",
-            "relaxations": 0,
-            "requests": 0,
-            "responses": 0,
-        }
+        return {"mode": "pull", "relaxations": 0, "requests": 0, "responses": 0}
 
-    ctx.charge(ComputeKind.PULL_REQUEST, later, gen_units, phase_kind="long")
-    ctx.comm.exchange_by_vertex(
-        req_v, req_u, REQUEST_RECORD_BYTES, phase_kind="long"
+    # Round 1: later-bucket vertices issue requests along eq.-(1) arcs.
+    gen = []
+    for v, later in zip(views, laters):
+        req_v, req_u, req_w, gen_units = gather_pull_requests(ctx, v, later, k)
+        transport.send(v, req_v, req_u, v.to_global(req_v), req_w)
+        gen.append((v.to_global(later), gen_units))
+    charge_generated(ctx, ComputeKind.PULL_REQUEST, gen, phase_kind="long")
+    req_inboxes = transport.deliver(
+        REQUEST_RECORD_BYTES, phase_kind="long", num_columns=3
     )
     # Request service at the source owner: check bucket membership of u.
-    ctx.charge(
-        ComputeKind.PULL_REQUEST, req_u, None, phase_kind="long", count_as_relax=True
+    requests = charge_received(
+        ctx, ComputeKind.PULL_REQUEST, req_inboxes, phase_kind="long"
     )
 
-    in_current = member_mask(ctx, members)
-    respond = in_current[req_u]
-    resp_v = req_v[respond]
-    resp_u = req_u[respond]
-    nd = d[resp_u] + req_w[respond]
-    ctx.comm.exchange_by_vertex(
-        resp_u, resp_v, RELAX_RECORD_BYTES, phase_kind="long"
+    # Round 2: owners of current-bucket sources respond.
+    for v, (req_u, req_v, req_w) in zip(views, req_inboxes):
+        u = v.to_local(req_u)
+        respond = pull_responders(ctx, v, u, k)
+        u = u[respond]
+        transport.send(v, u, req_v[respond], v.d[u] + req_w[respond])
+    resp_inboxes = transport.deliver(RELAX_RECORD_BYTES, phase_kind="long")
+    responses = charge_received(
+        ctx, ComputeKind.PULL_RESPONSE, resp_inboxes, phase_kind="long"
     )
-    ctx.charge(
-        ComputeKind.PULL_RESPONSE, resp_v, None, phase_kind="long", count_as_relax=True
-    )
-    ctx.metrics.note_phase("long", req_v.size + resp_v.size)
-    changed = apply_relaxations(d, resp_v, nd)
-    return changed, {
+    ctx.metrics.note_phase("long", requests + responses)
+    for v, (dst, nd) in zip(views, resp_inboxes):
+        v.apply(dst, nd)
+    return {
         "mode": "pull",
-        "relaxations": int(req_v.size + resp_v.size),
-        "requests": int(req_v.size),
-        "responses": int(resp_v.size),
+        "relaxations": requests + responses,
+        "requests": requests,
+        "responses": responses,
     }
 
 
@@ -235,51 +224,40 @@ def long_phase_pull(
 # ----------------------------------------------------------------------
 def bucket_census(
     ctx: ExecutionContext,
-    d: np.ndarray,
-    settled: np.ndarray,
+    view: VertexView,
     members: np.ndarray,
     k: int,
 ) -> dict[str, int]:
-    """Exact per-bucket statistics of Fig. 7.
+    """Exact per-bucket statistics of Fig. 7, from a whole-graph view.
 
     Counts the long arcs of the current bucket's members split into self /
     backward / forward by the destination's bucket, and the exact number of
-    pull requests eq. (1) would generate. ``settled`` must already include
-    the members.
+    pull requests eq. (1) would generate. The members must already be
+    settled.
     """
-    graph = ctx.graph
     delta = ctx.config.delta
     lo = k * delta
     hi = lo + delta
-    indptr, adj = graph.indptr, graph.adj
-    members = np.asarray(members, dtype=np.int64)
+    d, settled = view.d, view.settled
     out: dict[str, int] = {"bucket": k, "members": int(members.size)}
 
-    if members.size:
-        starts = indptr[members] + ctx.short_offsets[members]
-        arcs, _ = concat_ranges(starts, indptr[members + 1])
-        dst = adj[arcs]
-        dd = d[dst]
-        in_cur = (dd >= lo) & (dd < hi)
-        # Destination classification: self = in current bucket range;
-        # backward = settled and strictly before it; forward = the rest.
-        self_ct = int((in_cur & settled[dst]).sum())
-        backward_ct = int((settled[dst] & (dd < lo)).sum())
-        forward_ct = int(dst.size - self_ct - backward_ct)
-        out.update(
-            self_edges=self_ct,
-            backward_edges=backward_ct,
-            forward_edges=forward_ct,
-            push_relaxations=int(dst.size),
-        )
-    else:
-        out.update(self_edges=0, backward_edges=0, forward_edges=0, push_relaxations=0)
+    starts = view.indptr[members] + view.short_offsets[members]
+    arcs, _ = concat_ranges(starts, view.indptr[members + 1])
+    dst = view.adj[arcs]
+    dd = d[dst]
+    in_cur = (dd >= lo) & (dd < hi)
+    # Destination classification: self = in current bucket range;
+    # backward = settled and strictly before it; forward = the rest.
+    self_ct = int((in_cur & settled[dst]).sum())
+    backward_ct = int((settled[dst] & (dd < lo)).sum())
+    out.update(
+        self_edges=self_ct,
+        backward_edges=backward_ct,
+        forward_edges=int(dst.size - self_ct - backward_ct),
+        push_relaxations=int(dst.size),
+    )
 
-    later = later_vertices(ctx, d, settled, k)
-    req_v, req_u, _, _ = gather_pull_requests(ctx, d, later, k)
-    out["pull_requests"] = int(req_v.size)
-    if members.size and req_u.size:
-        out["pull_responses"] = int(member_mask(ctx, members)[req_u].sum())
-    else:
-        out["pull_responses"] = 0
+    _, req_u, _, _ = gather_pull_requests(ctx, view, view.later(hi), k)
+    out["pull_requests"] = int(req_u.size)
+    out["pull_responses"] = int(pull_responders(ctx, view, req_u, k).sum())
     return out

@@ -33,6 +33,12 @@ import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.core.distances import INF
+from repro.core.pruning import (
+    gather_pull_requests,
+    gather_push_records,
+    pull_responders,
+)
+from repro.core.views import VertexView, rank_cuts
 from repro.runtime.comm import RELAX_RECORD_BYTES, REQUEST_RECORD_BYTES
 from repro.runtime.work import thread_work, thread_work_balanced
 from repro.util.ranges import sorted_unique_ids
@@ -80,12 +86,11 @@ def expectation_partials(
 ) -> tuple[float, float]:
     """One rank's (push, pull) partial sums of the expectation estimator.
 
-    This is the single source of truth for the per-vertex volume formulas:
-    the orchestrated estimator evaluates it per rank block and the SPMD
-    engine per rank slice, so both engines combine bit-identical partials
-    and can never drift apart. Push volume is the long-degree sum over the
-    rank's bucket members; pull volume is the uniform-weight expectation of
-    eq.-(1) requests over the rank's later vertices. Pass
+    The per-vertex volume formulas, evaluated per rank block whatever the
+    view layout (see :func:`estimate_models`). Push volume is the
+    long-degree sum over the rank's bucket members; pull volume is the
+    uniform-weight expectation of eq.-(1) requests over the rank's later
+    vertices. Pass
     ``later_total_in_degrees`` (all incoming arcs) under IOS and
     ``later_long_in_degrees`` (long incoming arcs) otherwise — the unused
     one may be ``None``.
@@ -117,7 +122,7 @@ def combine_expectation_costs(
 ) -> PushPullEstimate:
     """Fold per-rank partials into the two model costs (sum/max aggregate).
 
-    The combination is the allreduce pair both engines charge: totals by
+    The combination is the allreduce pair the decision charges: totals by
     sum, the imbalance terms by per-rank maximum.
     """
     p = machine.num_ranks
@@ -151,50 +156,51 @@ def combine_expectation_costs(
 
 def estimate_models(
     ctx: ExecutionContext,
-    d: np.ndarray,
-    settled: np.ndarray,
-    members: np.ndarray,
+    views: list[VertexView],
+    members_per_view: list[np.ndarray],
     k: int,
 ) -> PushPullEstimate:
     """Expectation-based push/pull estimate for bucket ``k`` (members settled).
 
-    Evaluates :func:`expectation_partials` per rank block (members and
-    later vertices are sorted, so the contiguous partition splits them with
-    one ``searchsorted`` over the boundaries) and folds the partials with
-    :func:`combine_expectation_costs` — the exact computation the SPMD
-    engine performs from its rank-local slices.
+    Evaluates :func:`expectation_partials` once per rank — a rank view's
+    own members and later vertices, or the chunks a whole-graph view cuts
+    at the partition boundaries — and folds the partials in rank order
+    with :func:`combine_expectation_costs`, so the estimate is the same
+    float for float whichever way the vertices are laid out.
     """
     cfg = ctx.config
-    machine = ctx.machine
-    delta = cfg.delta
-    lo = k * delta
-    hi = lo + delta
-    p = machine.num_ranks
-    members = np.asarray(members, dtype=np.int64)
-
-    later = np.nonzero(~settled & (d >= hi))[0].astype(np.int64)
+    lo = k * cfg.delta
+    hi = lo + cfg.delta
     w_max = max(ctx.graph.max_weight, 1)
-    in_graph = ctx.in_graph
-    bounds = ctx.partition.boundaries
-    m_cuts = np.searchsorted(members, bounds)
-    l_cuts = np.searchsorted(later, bounds)
     push_partials: list[float] = []
     pull_partials: list[float] = []
-    for r in range(p):
-        m_r = members[m_cuts[r] : m_cuts[r + 1]]
-        l_r = later[l_cuts[r] : l_cuts[r + 1]]
+    for v, members in zip(views, members_per_view):
+        later = v.later(hi)
+        in_indptr, _, _, in_short = v.pull_rows()
+        member_long = v.local_degrees(members) - v.short_offsets[members]
+        d_later = v.d[later]
+        total_in = long_in = None
         if cfg.use_ios:
-            total_in = in_graph.indptr[l_r + 1] - in_graph.indptr[l_r]
-            long_in = None
+            total_in = in_indptr[later + 1] - in_indptr[later]
         else:
-            total_in = None
-            long_in = ctx.in_long_degrees[l_r]
-        push_r, pull_r = expectation_partials(
-            cfg, w_max, lo, ctx.long_degrees[m_r], d[l_r], total_in, long_in
-        )
-        push_partials.append(push_r)
-        pull_partials.append(pull_r)
-    return combine_expectation_costs(cfg, machine, push_partials, pull_partials)
+            long_in = in_indptr[later + 1] - in_indptr[later] - in_short[later]
+        m_cuts = rank_cuts(ctx, views, members)
+        l_cuts = rank_cuts(ctx, views, later)
+        for r in range(m_cuts.size - 1):
+            m_r = slice(m_cuts[r], m_cuts[r + 1])
+            l_r = slice(l_cuts[r], l_cuts[r + 1])
+            push_r, pull_r = expectation_partials(
+                cfg,
+                w_max,
+                lo,
+                member_long[m_r],
+                d_later[l_r],
+                total_in[l_r] if total_in is not None else None,
+                long_in[l_r] if long_in is not None else None,
+            )
+            push_partials.append(push_r)
+            pull_partials.append(pull_r)
+    return combine_expectation_costs(cfg, ctx.machine, push_partials, pull_partials)
 
 
 # ----------------------------------------------------------------------
@@ -202,12 +208,11 @@ def estimate_models(
 # ----------------------------------------------------------------------
 def estimate_models_histogram(
     ctx: ExecutionContext,
-    d: np.ndarray,
-    settled: np.ndarray,
+    view: VertexView,
     members: np.ndarray,
     k: int,
 ) -> PushPullEstimate:
-    """Histogram-based push/pull estimate for bucket ``k``.
+    """Histogram-based push/pull estimate for bucket ``k`` (whole-graph view).
 
     Like :func:`estimate_models` but the per-vertex request counts come
     from precomputed weight histograms (``#{arcs with w < d(v) - kΔ}``
@@ -226,7 +231,7 @@ def estimate_models_histogram(
     lo = k * delta
     hi = lo + delta
     p = machine.num_ranks
-    members = np.asarray(members, dtype=np.int64)
+    d = view.d
 
     push_per_vertex = ctx.long_degrees[members].astype(np.float64)
     push_records = float(push_per_vertex.sum())
@@ -238,7 +243,7 @@ def estimate_models_histogram(
     else:
         push_max = 0.0
 
-    later = np.nonzero(~settled & (d >= hi))[0].astype(np.int64)
+    later = view.later(hi)
     if later.size:
         hist = ctx.weight_histogram
         w_max = max(ctx.graph.max_weight, 1)
@@ -332,37 +337,31 @@ def _exchange_cost(
 
 def estimate_models_exact(
     ctx: ExecutionContext,
-    d: np.ndarray,
-    settled: np.ndarray,
+    view: VertexView,
     members: np.ndarray,
     k: int,
 ) -> PushPullEstimate:
     """Price both long-phase models exactly with the machine cost model.
 
-    Materialises the push records and pull requests/responses (without
-    touching the distance array) and sums the same compute/exchange terms
-    the accounting runtime would record for each branch.
+    Materialises the push records and pull requests/responses of a
+    whole-graph view (without touching the distance array) and sums the
+    same compute/exchange terms the accounting runtime would record for
+    each branch.
     """
-    from repro.core.pruning import (
-        gather_pull_requests,
-        gather_push_records,
-        later_vertices,
-        member_mask,
-    )
-
     machine = ctx.machine
-    members = np.asarray(members, dtype=np.int64)
 
-    src, dst, _, scanned = gather_push_records(ctx, d, members, k)
+    batches, scanned = gather_push_records(ctx, view, members, k)
+    src = np.concatenate([batch[0] for batch in batches])
+    dst = np.concatenate([batch[1] for batch in batches])
     push_cost = (
         _compute_cost_max(ctx, members, scanned, machine.t_relax)
         + _exchange_cost(ctx, src, dst, RELAX_RECORD_BYTES)
         + _compute_cost_max(ctx, dst, None, machine.t_relax)
     )
 
-    later = later_vertices(ctx, d, settled, k)
-    req_v, req_u, _, gen_units = gather_pull_requests(ctx, d, later, k)
-    respond = member_mask(ctx, members)[req_u] if req_u.size else np.empty(0, bool)
+    later = view.later((k + 1) * ctx.config.delta)
+    req_v, req_u, _, gen_units = gather_pull_requests(ctx, view, later, k)
+    respond = pull_responders(ctx, view, req_u, k)
     resp_v = req_v[respond]
     resp_u = req_u[respond]
     pull_cost = (
@@ -410,16 +409,17 @@ def estimate_models_exact(
 # ----------------------------------------------------------------------
 def decide_mode(
     ctx: ExecutionContext,
-    d: np.ndarray,
-    settled: np.ndarray,
-    members: np.ndarray,
+    views: list[VertexView],
+    members_per_view: list[np.ndarray],
     k: int,
     bucket_ordinal: int,
 ) -> tuple[str, PushPullEstimate | None]:
     """Pick the long-phase model for this bucket.
 
     Honors forced modes and oracle replay sequences; in ``auto`` mode runs
-    the configured estimator (charging its two decision allreduces).
+    the configured estimator (charging its two decision allreduces). The
+    exact and histogram estimators price materialised record sets from
+    global arrays, so they need a whole-graph view.
     """
     cfg = ctx.config
     if not cfg.use_pruning:
@@ -432,12 +432,16 @@ def decide_mode(
         cfg.pushpull_sequence
     ):
         return cfg.pushpull_sequence[bucket_ordinal], None
-    if cfg.pushpull_estimator == "exact":
-        est = estimate_models_exact(ctx, d, settled, members, k)
-    elif cfg.pushpull_estimator == "histogram":
-        est = estimate_models_histogram(ctx, d, settled, members, k)
+    if cfg.pushpull_estimator == "expectation":
+        est = estimate_models(ctx, views, members_per_view, k)
     else:
-        est = estimate_models(ctx, d, settled, members, k)
+        (whole,), (members,) = views, members_per_view
+        estimator = (
+            estimate_models_exact
+            if cfg.pushpull_estimator == "exact"
+            else estimate_models_histogram
+        )
+        est = estimator(ctx, whole, members, k)
     # The decision aggregates are part of the pruning long-phase machinery,
     # not of bucket identification, so they bill to OtherTime.
     ctx.comm.allreduce(2, phase_kind="long")

@@ -37,6 +37,19 @@ def _validate_root(root: int, num_vertices: int) -> int:
     return root
 
 
+def _resolve_preset(
+    algorithm: str, delta: int, config: SolverConfig | None
+) -> tuple[SolverConfig, str]:
+    """(config, display name): an explicit ``config`` wins and keeps
+    ``algorithm`` as its label; a preset is named ``{algorithm}-{delta}``
+    unless Δ plays no role in it."""
+    if config is not None:
+        return config, algorithm
+    if algorithm not in DELTA_FREE_PRESETS:
+        return preset(algorithm, delta), f"{algorithm}-{delta}"
+    return preset(algorithm, delta), algorithm
+
+
 def run_validation(
     distances: np.ndarray,
     graph: CSRGraph,
@@ -190,15 +203,7 @@ def solve_sssp(
     :class:`SsspResult`
     """
     root = _validate_root(root, graph.num_vertices)
-    if config is None:
-        config = preset(algorithm, delta)
-        name = (
-            algorithm
-            if algorithm in DELTA_FREE_PRESETS
-            else f"{algorithm}-{delta}"
-        )
-    else:
-        name = algorithm
+    config, algorithm = _resolve_preset(algorithm, delta, config)
     if paranoid and not config.paranoid:
         config = config.evolve(paranoid=True)
     if trace is not None:
@@ -207,72 +212,33 @@ def solve_sssp(
         from repro.spmd.checkpoint import ensure_checkpoint_dir
 
         ensure_checkpoint_dir(checkpoint_dir)
-    if machine is None:
-        machine = MachineConfig(num_ranks=num_ranks, threads_per_rank=threads_per_rank)
-
-    work_graph = graph
-    mapping = None
-    num_proxies = 0
-    if config.inter_split and not graph.undirected:
-        raise ValueError("inter-node vertex splitting requires an undirected graph")
-    if config.inter_split:
-        mean_degree = float(graph.degrees.mean()) if graph.num_vertices else 0.0
-        threshold = config.derived_split_degree(mean_degree)
-        split = split_heavy_vertices(graph, threshold, seed=split_seed)
-        work_graph = split.graph
-        mapping = split
-        num_proxies = split.num_proxies
-
-    ctx = make_context(work_graph, machine, config)
-    start_root = (
-        int(mapping.new_id_of_original[root]) if mapping is not None else root
+    solver = BatchSolver(
+        graph,
+        algorithm=algorithm,
+        config=config,
+        machine=machine,
+        num_ranks=num_ranks,
+        threads_per_rank=threads_per_rank,
+        split_seed=split_seed,
     )
-    t0 = time.perf_counter()
-    engine = DeltaSteppingEngine(ctx)
-    d = engine.run(
-        start_root,
+    return solver._solve(
+        root,
+        validate=validate,
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval,
         resume=resume,
         deadline=deadline,
-    )
-    wall = time.perf_counter() - t0
-
-    distances = mapping.distances_for_original(d) if mapping is not None else d
-    run_validation(distances, graph, root, validate)
-
-    cost = evaluate_cost(ctx.metrics, machine)
-    gteps = simulated_gteps(graph.num_undirected_edges, ctx.metrics, machine)
-    if ctx.tracer is not None:
-        from repro.obs.export import finalize_trace
-
-        finalize_trace(ctx.tracer, metrics=ctx.metrics)
-    return SsspResult(
-        distances=distances,
-        metrics=ctx.metrics,
-        cost=cost,
-        gteps=gteps,
-        algorithm=name,
-        config=config,
-        machine=machine,
-        root=root,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_undirected_edges,
-        wall_time_s=wall,
-        num_proxies=num_proxies,
-        guards=ctx.guards,
-        trace=ctx.tracer,
     )
 
 
 class BatchSolver:
     """Multi-root solver that pays the preprocessing once.
 
-    ``solve_sssp`` rebuilds the execution context — weight-sorted adjacency,
-    short/long tables, partition, optional histograms and vertex splitting
-    — on every call. Multi-root workloads (Graph 500's 64 search keys,
-    centrality pipelines) share all of that across roots; this class builds
-    it once and takes a :meth:`~repro.core.context.ExecutionContext.fork`
+    ``solve_sssp`` is a one-shot ``BatchSolver``: it rebuilds the execution
+    context — weight-sorted adjacency, short/long tables, partition,
+    optional histograms and vertex splitting — on every call. Multi-root
+    workloads (Graph 500's 64 search keys, centrality pipelines) share all
+    of that across roots; this class builds it once and takes a :meth:`~repro.core.context.ExecutionContext.fork`
     per solve.
 
     Example::
@@ -299,10 +265,7 @@ class BatchSolver:
         threads_per_rank: int = 8,
         split_seed: int = 0,
     ) -> None:
-        if config is None:
-            config = preset(algorithm, delta)
-            if algorithm not in DELTA_FREE_PRESETS:
-                algorithm = f"{algorithm}-{delta}"
+        config, algorithm = _resolve_preset(algorithm, delta, config)
         if machine is None:
             machine = MachineConfig(
                 num_ranks=num_ranks, threads_per_rank=threads_per_rank
@@ -370,6 +333,13 @@ class BatchSolver:
         ``tracer`` attaches a caller-owned shared tracer (see
         :meth:`solve_many`); the caller then finalizes it.
         """
+        return self._solve(root, validate=validate, deadline=deadline, tracer=tracer)
+
+    def _solve(
+        self, root: int, *, validate: bool | str, tracer=None, **engine_options
+    ) -> SsspResult:
+        """One solve on a fork of the template context; ``engine_options``
+        (deadline, checkpointing) go to :meth:`DeltaSteppingEngine.run`."""
         root = _validate_root(root, self._original_graph.num_vertices)
         ctx = self._template_ctx.fork(tracer)
         start_root = (
@@ -378,7 +348,7 @@ class BatchSolver:
             else root
         )
         t0 = time.perf_counter()
-        d = DeltaSteppingEngine(ctx).run(start_root, deadline=deadline)
+        d = DeltaSteppingEngine(ctx).run(start_root, **engine_options)
         wall = time.perf_counter() - t0
         distances = (
             self._mapping.distances_for_original(d)

@@ -11,9 +11,9 @@ distance below ``hi``. A :class:`SteppingStrategy` owns exactly that
 choice of window plus the policies that hang off it:
 
 - **step selection** — which ``[lo, hi)`` window to drain next
-  (:meth:`~SteppingStrategy.next_step` for the orchestrated engine,
-  :meth:`~SteppingStrategy.next_step_spmd` for the rank-local one,
-  including the next-step collective's accounting charge);
+  (:meth:`~SteppingStrategy.next_step`, written once over vertex views
+  and a transport, including the next-step collective's accounting
+  charge);
 - **edge classification** — the weight threshold below which an edge is
   relaxed eagerly in the short phases
   (:meth:`~SteppingStrategy.classification_width`);
@@ -70,8 +70,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.buckets import NO_BUCKET, next_bucket
 from repro.core.distances import INF
+from repro.core.views import cat
 
 __all__ = [
     "Step",
@@ -100,13 +100,15 @@ class Step:
 
 
 class SteppingStrategy:
-    """Base class: the step-selection seam both engines consume.
+    """Base class: the step-selection seam the solve loop consumes.
 
-    Subclasses override the hooks below; the engines own everything else
-    (phases, settling, accounting, checkpoints, hybridization). The
-    ``next_step*`` hooks charge their own selection collective — the
-    engines charge the preceding unsettled scan — so a strategy with a
-    wider collective (ρ-stepping's candidate merge) prices it honestly.
+    Subclasses override the hooks below; the loop owns everything else
+    (phases, settling, accounting, hybridization) and the drivers the
+    checkpoints. ``next_step`` charges its own selection collective — the
+    loop charges the preceding unsettled scan — so a strategy with a wider
+    collective (ρ-stepping's candidate merge) prices it honestly. Every
+    view contributes only its own candidate; on a whole-graph view that
+    candidate is already the global one.
     """
 
     #: registry name, also the value of ``SolverConfig.strategy``
@@ -124,24 +126,13 @@ class SteppingStrategy:
         """Short-edge weight threshold for the context's split tables."""
         raise NotImplementedError
 
-    def prepare(self, ctx) -> None:
-        """Orchestrated precompute hook (runs once, before the loop)."""
+    def prepare(self, ctx, views) -> None:
+        """Precompute hook (runs once, before the loop)."""
 
-    def prepare_spmd(self, ctx, states) -> None:
-        """SPMD precompute hook (runs once, before the loop)."""
-
-    def next_step(self, ctx, d, settled, index, ordinal: int) -> Step | None:
-        """Select the next window from the global arrays (orchestrated).
+    def next_step(self, ctx, views, transport, ordinal: int) -> Step | None:
+        """Select the next window from the views' state.
 
         Charges the selection allreduce; returns ``None`` at termination.
-        """
-        raise NotImplementedError
-
-    def next_step_spmd(self, ctx, states, mailbox, ordinal: int) -> Step | None:
-        """Select the next window from rank-local state (SPMD).
-
-        Each rank contributes only its own candidate; the mailbox
-        collective combines them (and charges the allreduce).
         """
         raise NotImplementedError
 
@@ -149,10 +140,9 @@ class SteppingStrategy:
 class DeltaStepping(SteppingStrategy):
     """Fixed-width buckets ``[kΔ, (k+1)Δ)`` — the paper's algorithm.
 
-    ``next_step`` reproduces the historical next-bucket search exactly
-    (same allreduce charge, same ``BucketIndex``/scan split), which is
-    what keeps the orchestrated and SPMD engines bit-identical in
-    metrics and simulated cost across this refactor.
+    The next bucket is one scalar min-allreduce over the views' bucket
+    indices (the loop attaches a ``BucketIndex`` to every view of a
+    strategy with ``uses_bucket_index``).
     """
 
     name = "delta"
@@ -161,19 +151,9 @@ class DeltaStepping(SteppingStrategy):
     def classification_width(self) -> int:
         return self.config.delta
 
-    def next_step(self, ctx, d, settled, index, ordinal: int) -> Step | None:
+    def next_step(self, ctx, views, transport, ordinal: int) -> Step | None:
         delta = self.config.delta
-        ctx.comm.allreduce(1, phase_kind="bucket")
-        k = index.min_bucket() if index is not None else next_bucket(d, settled, delta)
-        if k == NO_BUCKET:
-            return None
-        return Step(key=int(k), lo=int(k) * delta, hi=(int(k) + 1) * delta)
-
-    def next_step_spmd(self, ctx, states, mailbox, ordinal: int) -> Step | None:
-        delta = self.config.delta
-        k = mailbox.allreduce_min(
-            [st.min_unsettled_bucket(delta) for st in states]
-        )
+        k = transport.allreduce_min([v.min_unsettled_bucket() for v in views])
         if k >= INF:
             return None
         return Step(key=int(k), lo=int(k) * delta, hi=(int(k) + 1) * delta)
@@ -218,12 +198,9 @@ class RadiusStepping(SteppingStrategy):
 
         return DELTA_INFINITY
 
-    def prepare(self, ctx) -> None:
-        self._r = vertex_radii(ctx.graph, self.config.radius_k)
-
-    def prepare_spmd(self, ctx, states) -> None:
+    def prepare(self, ctx, views) -> None:
         # The radius of an owned vertex derives from its own adjacency
-        # row, so the full-table compute is rank-local work; each rank
+        # row, so the full-table compute is rank-local work; each view
         # only ever reads its own slice.
         self._r = vertex_radii(ctx.graph, self.config.radius_k)
 
@@ -233,20 +210,11 @@ class RadiusStepping(SteppingStrategy):
             return int(INF)
         return int((d[mask] + r[mask]).min())
 
-    def next_step(self, ctx, d, settled, index, ordinal: int) -> Step | None:
-        ctx.comm.allreduce(1, phase_kind="bucket")
-        cand = self._local_candidate(d, settled, self._r)
-        if cand >= INF:
-            return None
-        return Step(key=ordinal, lo=0, hi=cand + 1)
-
-    def next_step_spmd(self, ctx, states, mailbox, ordinal: int) -> Step | None:
-        cand = mailbox.allreduce_min(
+    def next_step(self, ctx, views, transport, ordinal: int) -> Step | None:
+        cand = transport.allreduce_min(
             [
-                self._local_candidate(
-                    st.d, st.settled, self._r[st.lo : st.hi]
-                )
-                for st in states
+                self._local_candidate(v.d, v.settled, self._r[v.lo : v.hi])
+                for v in views
             ]
         )
         if cand >= INF:
@@ -286,20 +254,12 @@ class RhoStepping(SteppingStrategy):
             return int(merged.max()) + 1
         return int(np.partition(merged, rho - 1)[rho - 1]) + 1
 
-    def next_step(self, ctx, d, settled, index, ordinal: int) -> Step | None:
+    def next_step(self, ctx, views, transport, ordinal: int) -> Step | None:
+        # Per-view ρ-smallest candidate arrays, merged by a modeled
+        # ρ-vector min-allreduce: the ρ-th smallest of the union is the
+        # global ρ-th smallest however the vertices are split.
         ctx.comm.allreduce(self.config.rho, phase_kind="bucket")
-        cands = self._local_candidates(d, settled)
-        if cands.size == 0:
-            return None
-        return Step(key=ordinal, lo=0, hi=self._window_hi(cands))
-
-    def next_step_spmd(self, ctx, states, mailbox, ordinal: int) -> Step | None:
-        # Rank-local ρ-smallest candidate arrays, merged by a modeled
-        # ρ-vector min-allreduce (charged below, same as next_step).
-        ctx.comm.allreduce(self.config.rho, phase_kind="bucket")
-        merged = np.concatenate(
-            [self._local_candidates(st.d, st.settled) for st in states]
-        )
+        merged = cat([self._local_candidates(v.d, v.settled) for v in views])
         if merged.size == 0:
             return None
         return Step(key=ordinal, lo=0, hi=self._window_hi(merged))

@@ -54,11 +54,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bucket_index import BucketIndex
 from repro.core.distances import INF
 from repro.core.paths import build_parent_tree
 from repro.core.relax import apply_relaxations
 from repro.core.stepping import make_strategy
+from repro.core.transport import DeclaredTransport
+from repro.core.views import whole_graph_view
 from repro.util.ranges import concat_ranges, sorted_unique_ids
 
 __all__ = ["RepairResult", "repair_sssp"]
@@ -257,16 +258,20 @@ def repair_sssp(
     # ------------------------------------------------ phase 3: drain
     settled = np.ones(n, dtype=bool)
     settled[frontier] = False
+    # The strategies select over vertex views: wrap the repair state in a
+    # whole-graph one (the drain below relaxes on the arrays directly).
+    views = [whole_graph_view(ctx, d, settled)]
+    transport = DeclaredTransport(ctx.comm)
     strategy = make_strategy(ctx.config)
-    strategy.prepare(ctx)
-    index = None
     if strategy.uses_bucket_index:
-        index = BucketIndex(ctx.config.delta, d, settled)
+        views[0].attach_index(ctx.config.delta)
+    strategy.prepare(ctx, views)
+    index = views[0].index
     steps = 0
     relax_records = 0
     ordinal = 0
     while True:
-        step = strategy.next_step(ctx, d, settled, index, ordinal)
+        step = strategy.next_step(ctx, views, transport, ordinal)
         if step is None:
             break
         ordinal += 1

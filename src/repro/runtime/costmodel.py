@@ -81,9 +81,9 @@ def price_record(rec, machine: MachineConfig) -> float:
     The single authoritative pricing rule of the α–β model — an exchange is
     ``alpha * msgs_max + beta * bytes_max``, an allreduce is ``allreduces *
     allreduce_time()``, compute is ``comp_max * t_kind``. Both
-    :func:`evaluate_cost` and the analysis timeline
-    (:func:`repro.analysis.trace.timeline`) fold records through this
-    function, so their totals agree by construction.
+    :func:`evaluate_cost` and the tracer's simulated clock
+    (:class:`repro.obs.tracer.Tracer` record events) fold records through
+    this function, so their totals agree by construction.
     """
     if rec.kind == "exchange":
         return machine.alpha * rec.msgs_max + machine.beta * rec.bytes_max

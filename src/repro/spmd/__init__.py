@@ -1,25 +1,25 @@
 """True message-passing (SPMD) execution mode.
 
-The main engine (:mod:`repro.core.delta_stepping`) is *globally
-orchestrated*: it operates on whole-graph arrays and declares the traffic a
+The whole-graph driver (:mod:`repro.core.delta_stepping`) runs the phase
+kernels on one view of the entire graph and *declares* the traffic a
 distributed run would generate to the accounting communicator. That style
-is fast and debuggable, but its honesty rests on an argument, not a
-mechanism.
+is fast and debuggable, but on its own its honesty would rest on an
+argument, not a mechanism.
 
-This subpackage provides the mechanism: an SPMD engine where each simulated
-rank owns only its vertex slice (local distances, local adjacency rows) and
-*all* cross-rank information flows through explicit per-rank mailboxes —
-a rank physically cannot read another rank's state. The SPMD engine
-implements Bellman-Ford and Δ-stepping with edge classification; the test
-suite asserts it produces bit-identical distances *and identical
-relaxation/phase/bucket counters* to the orchestrated engine, which is the
-equivalence witness for the whole simulation approach (DESIGN.md §5).
+This subpackage provides the mechanism: a rank driver that runs the *same*
+kernels with each simulated rank owning only its vertex slice (local
+distances, local adjacency rows) and *all* cross-rank information flowing
+through explicit per-rank mailboxes — a rank physically cannot read another
+rank's state. The transport-parity test asserts bit-identical distances
+*and field-for-field identical accounting records* between the two, which
+is the equivalence witness for the whole simulation approach
+(DESIGN.md §5).
 
-Because every cross-rank byte goes through the mailbox, the SPMD engine is
+Because every cross-rank byte goes through the mailbox, the rank driver is
 also the natural host for the fault-injection and recovery layer
 (:mod:`repro.spmd.faults`, DESIGN.md §7): a :class:`FaultPlan` drives a
 :class:`FaultyMailbox` that loses, duplicates, reorders and delays records
-or crashes whole ranks, while :class:`ReliableMailbox` plus engine-side
+or crashes whole ranks, while :class:`ReliableMailbox` plus driver-side
 checkpointing and self-healing sweeps recover the exact fault-free answer.
 """
 

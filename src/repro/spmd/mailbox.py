@@ -90,6 +90,12 @@ class Mailbox:
                 (dst, tuple(c[s:e] for c in sorted_cols))
             )
 
+    def send(self, view, src_local: np.ndarray, dst: np.ndarray, *cols) -> None:
+        """The phase kernels' call shape: queue records from a rank view to
+        the owners of ``dst`` (global ids). A mailbox never needs the
+        per-record source vertices the declaring transport prices."""
+        self.post(view.rank, self.comm.partition.owner(dst), dst, *cols)
+
     def _check_columns(self, num_columns: int) -> None:
         """Reject malformed supersteps *before* any traffic is charged, so a
         failed delivery never leaves the metrics half-updated."""

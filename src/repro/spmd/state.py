@@ -1,126 +1,13 @@
-"""Rank-local state for the SPMD engine.
+"""Rank-local state for the SPMD driver.
 
-Each :class:`RankState` holds exactly what one node of the paper's machine
-holds: the adjacency rows of its owned vertex block (weight-sorted, with
-the short/long split offsets), its slice of the tentative-distance array,
-and its settled flags. Global vertex ids appear only as *addresses* (arc
-heads, message destinations) — a rank never reads another rank's distance.
+Each rank state is a :class:`~repro.core.views.VertexView` over the rank's
+owned vertex block — exactly what one node of the paper's machine holds.
+The type and its slicing constructor live in :mod:`repro.core.views`
+beside the whole-graph constructor; they are re-exported here under the
+names the SPMD API has always used.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.core.bucket_index import BucketIndex
-from repro.core.buckets import NO_BUCKET
-from repro.core.distances import INF
-from repro.graph.csr import CSRGraph
-from repro.graph.partition import ContiguousPartition
+from repro.core.views import VertexView as RankState
+from repro.core.views import build_rank_states
 
 __all__ = ["RankState", "build_rank_states"]
-
-
-@dataclass
-class RankState:
-    """Everything rank ``rank`` owns."""
-
-    rank: int
-    lo: int
-    hi: int
-    indptr: np.ndarray
-    """Local CSR offsets for the owned rows (length ``hi - lo + 1``)."""
-    adj: np.ndarray
-    """Arc heads as *global* vertex ids (addresses, not state)."""
-    weights: np.ndarray
-    short_offsets: np.ndarray
-    """Per-owned-vertex count of short arcs (weight-sorted prefix)."""
-    d: np.ndarray
-    """Local tentative distances (length ``hi - lo``)."""
-    settled: np.ndarray
-    active: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    """Local indices of currently active vertices."""
-    index: BucketIndex | None = None
-    """Incremental bucket index over the local slice (``attach_index``)."""
-    num_unsettled: int = -1
-    """Tracked unsettled count, valid while ``index`` is attached."""
-
-    @property
-    def num_local(self) -> int:
-        return self.hi - self.lo
-
-    def to_global(self, local: np.ndarray) -> np.ndarray:
-        return np.asarray(local, dtype=np.int64) + self.lo
-
-    def to_local(self, global_ids: np.ndarray) -> np.ndarray:
-        return np.asarray(global_ids, dtype=np.int64) - self.lo
-
-    def local_degrees(self, local: np.ndarray) -> np.ndarray:
-        return self.indptr[local + 1] - self.indptr[local]
-
-    # ------------------------------------------------------------------
-    def attach_index(self, delta: int) -> None:
-        """Build the incremental bucket index over the current local state."""
-        self.index = BucketIndex(delta, self.d, self.settled)
-        self.num_unsettled = int((~self.settled).sum())
-
-    def reindex(self) -> None:
-        """Rebuild after a state restore (distances may have risen)."""
-        if self.index is not None:
-            self.index.rebuild(self.d, self.settled)
-            self.num_unsettled = int((~self.settled).sum())
-
-    def unsettled_count(self) -> int:
-        if self.index is not None:
-            return self.num_unsettled
-        return int((~self.settled).sum())
-
-    def min_unsettled_bucket(self, delta: int) -> int:
-        """Local next-bucket candidate (INF marker when none)."""
-        if self.index is not None:
-            k = self.index.min_bucket()
-            return int(INF) if k == NO_BUCKET else int(k)
-        mask = (self.d < INF) & ~self.settled
-        if not mask.any():
-            return int(INF)
-        return int(self.d[mask].min() // delta)
-
-
-def build_rank_states(
-    graph: CSRGraph,
-    partition: ContiguousPartition,
-    delta: int,
-    root: int,
-) -> list[RankState]:
-    """Slice a weight-sorted graph into per-rank local states."""
-    short = graph.short_edge_offsets(delta)
-    states: list[RankState] = []
-    for rank in range(partition.num_ranks):
-        lo, hi = partition.rank_range(rank)
-        row_ptr = graph.indptr[lo : hi + 1]
-        base = row_ptr[0]
-        local_indptr = (row_ptr - base).astype(np.int64)
-        adj = graph.adj[base : row_ptr[-1]].copy()
-        weights = graph.weights[base : row_ptr[-1]].copy()
-        d = np.full(hi - lo, INF, dtype=np.int64)
-        settled = np.zeros(hi - lo, dtype=bool)
-        active = np.empty(0, dtype=np.int64)
-        if lo <= root < hi:
-            d[root - lo] = 0
-            active = np.array([root - lo], dtype=np.int64)
-        states.append(
-            RankState(
-                rank=rank,
-                lo=lo,
-                hi=hi,
-                indptr=local_indptr,
-                adj=adj,
-                weights=weights,
-                short_offsets=short[lo:hi].copy(),
-                d=d,
-                settled=settled,
-                active=active,
-            )
-        )
-    return states

@@ -8,12 +8,22 @@ from repro.core.config import DELTA_INFINITY, SolverConfig
 from repro.core.context import make_context
 from repro.core.distances import INF, init_distances
 from repro.core.reference import dijkstra_reference
+from repro.core.transport import DeclaredTransport
+from repro.core.views import whole_graph_view
 from repro.runtime.machine import MachineConfig
 
 
 def ctx_for(graph, ranks=2, threads=2):
     machine = MachineConfig(num_ranks=ranks, threads_per_rank=threads)
     return make_context(graph, machine, SolverConfig(delta=DELTA_INFINITY))
+
+
+def stage_from(ctx, d, active):
+    """Run the stage on a whole-graph view over ``d`` from ``active``."""
+    view = whole_graph_view(
+        ctx, d, np.zeros(d.size, dtype=bool), np.array(active, dtype=np.int64)
+    )
+    return bellman_ford_stage(ctx, [view], DeclaredTransport(ctx.comm))
 
 
 class TestCorrectness:
@@ -70,7 +80,7 @@ class TestPhaseSemantics:
         ctx = ctx_for(path_graph)
         d = init_distances(5, 0)
         d[1] = 5  # already settled by a previous stage
-        iters = bellman_ford_stage(ctx, d, np.array([1], dtype=np.int64))
+        iters = stage_from(ctx, d, [1])
         assert iters > 0
         assert np.array_equal(d, dijkstra_reference(path_graph, 0))
 
@@ -78,7 +88,7 @@ class TestPhaseSemantics:
         ctx = ctx_for(path_graph)
         d = init_distances(5, 0)
         before = d.copy()
-        iters = bellman_ford_stage(ctx, d, np.array([], dtype=np.int64))
+        iters = stage_from(ctx, d, [])
         assert iters == 0
         assert np.array_equal(d, before)
 

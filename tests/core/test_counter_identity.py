@@ -12,16 +12,25 @@ The digests below are literals. They were produced by
 :func:`record_digest` on the commit *before* the sort-free relax path and
 the fork-per-solve context landed, and must only ever be regenerated for a
 change that intends to alter what is counted — say so in CHANGES.md.
+
+The second block of literals (radius, ρ, forced pull, the hybrid tail,
+and the resumed runs) was produced the same way on commit ``ca4c952``,
+the last one with separate orchestrated and SPMD phase bodies, before
+both engines became drivers over one kernel set.
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
+import os
 
+import numpy as np
 import pytest
 
 from repro.core.config import preset
-from repro.core.solver import solve_sssp
+from repro.core.context import make_context
+from repro.core.delta_stepping import DeltaSteppingEngine
 from repro.graph.grid import grid_graph
 from repro.graph.rmat import RMAT1, rmat_graph
 from repro.runtime.machine import MachineConfig
@@ -45,6 +54,25 @@ EXPECTED = {
     ("grid24", "delta"): (1508, "9068599c59afea32e41d"),
     ("grid24", "opt"): (1022, "13fdae88fa5e3bed4b1e"),
     ("grid24", "lb-opt"): (1022, "13fdae88fa5e3bed4b1e"),
+    ("rmat10", "radius"): (88, "b3509cfdf0713859302b"),
+    ("rmat10", "rho"): (69, "50eb08ef54222b1eadfa"),
+    ("rmat10", "prune-pull"): (258, "fa79396066a5fe9f4899"),
+    ("rmat10", "delta-hybrid"): (100, "1e38fc3a7705e1bce3bc"),
+    ("grid24", "radius"): (705, "c30ce9d3d4901e9c9ebc"),
+    ("grid24", "rho"): (391, "ee51e9c32e16b024443c"),
+}
+
+#: names in ``EXPECTED`` that are a preset plus overrides
+VARIANTS = {
+    "prune-pull": ("prune", {"pushpull_mode": "pull"}),
+    "delta-hybrid": ("delta", {"use_hybrid": True}),
+}
+
+#: (graph, preset) -> the record stream of a run resumed from the epoch-2
+#: checkpoint of a full run; the same on both engines
+EXPECTED_RESUMED = {
+    ("rmat10", "opt"): (52, "5f78f9c1a1613e803e74"),
+    ("grid24", "opt"): (994, "60caafc8da9b31eca42a"),
 }
 
 
@@ -60,17 +88,36 @@ def record_digest(metrics) -> tuple[int, str]:
     return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()[:20]
 
 
-def solve_metrics(graph_name: str, algorithm: str, engine: str):
+def solve(graph_name: str, algorithm: str, engine: str, **defence):
+    """Distances and metrics of one solve; ``defence`` is the checkpoint
+    keywords both engines take."""
     graph = GRAPHS[graph_name]()
     root = ROOTS[graph_name]
-    config = preset(algorithm, DELTA)
+    base, overrides = VARIANTS.get(algorithm, (algorithm, {}))
+    config = preset(base, DELTA).evolve(**overrides)
     if engine == "core":
-        return solve_sssp(graph, root, config=config, machine=MACHINE).metrics
-    _, ctx = spmd_delta_stepping(graph, root, MACHINE, config=config)
-    return ctx.metrics
+        ctx = make_context(graph, MACHINE, config)
+        return DeltaSteppingEngine(ctx).run(root, **defence), ctx.metrics
+    d, ctx = spmd_delta_stepping(graph, root, MACHINE, config=config, **defence)
+    return d, ctx.metrics
 
 
 @pytest.mark.parametrize("engine", ["core", "spmd"])
 @pytest.mark.parametrize("case", sorted(EXPECTED), ids="-".join)
 def test_every_step_record_is_unchanged(case, engine):
-    assert record_digest(solve_metrics(*case, engine)) == EXPECTED[case]
+    assert record_digest(solve(*case, engine)[1]) == EXPECTED[case]
+
+
+@pytest.mark.parametrize("engine", ["core", "spmd"])
+@pytest.mark.parametrize("case", sorted(EXPECTED_RESUMED), ids="-".join)
+def test_resumed_run_records_are_unchanged(case, engine, tmp_path):
+    d_full, metrics = solve(
+        *case, engine, checkpoint_dir=tmp_path, checkpoint_keep=100
+    )
+    assert record_digest(metrics) == EXPECTED[case]
+    for path in glob.glob(str(tmp_path / "*.npz")):
+        if not path.endswith("ckpt-00000002.npz"):
+            os.unlink(path)
+    d, metrics = solve(*case, engine, checkpoint_dir=tmp_path, resume=True)
+    assert np.array_equal(d, d_full)
+    assert record_digest(metrics) == EXPECTED_RESUMED[case]

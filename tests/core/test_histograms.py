@@ -8,6 +8,7 @@ from repro.core.context import make_context
 from repro.core.histograms import build_weight_histogram
 from repro.core.reference import dijkstra_reference
 from repro.core.solver import solve_sssp
+from repro.core.views import whole_graph_view
 from repro.runtime.machine import MachineConfig
 
 
@@ -98,12 +99,13 @@ class TestHistogramEstimator:
         d = dijkstra_reference(rmat1_small, 3)
         with pytest.raises(ValueError, match="histogram"):
             estimate_models_histogram(
-                ctx, d, d < 25, np.array([], dtype=np.int64), 0
+                ctx, whole_graph_view(ctx, d, d < 25),
+                np.array([], dtype=np.int64), 0,
             )
 
     def test_histogram_close_to_exact_request_count(self, rmat1_small):
         """With enough bins the histogram estimate approaches the truth."""
-        from repro.core.pruning import gather_pull_requests, later_vertices
+        from repro.core.pruning import gather_pull_requests
         from repro.core.pushpull import estimate_models_histogram
 
         machine = MachineConfig(num_ranks=2, threads_per_rank=2)
@@ -113,8 +115,8 @@ class TestHistogramEstimator:
         d = dijkstra_reference(rmat1_small, 3).copy()
         settled = d < 50  # pretend buckets 0-1 settled, k = 1
         members = np.nonzero((d >= 25) & (d < 50))[0]
-        est = estimate_models_histogram(ctx, d, settled, members, 1)
-        later = later_vertices(ctx, d, settled, 1)
-        req_v, _, _, _ = gather_pull_requests(ctx, d, later, 1)
+        view = whole_graph_view(ctx, d, settled)
+        est = estimate_models_histogram(ctx, view, members, 1)
+        req_v, _, _, _ = gather_pull_requests(ctx, view, view.later(50), 1)
         exact = req_v.size
         assert est.pull_requests == pytest.approx(exact, rel=0.15)

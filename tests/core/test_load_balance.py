@@ -14,13 +14,12 @@ class TestHybridRule:
         assert DEFAULT_TAU == 0.4
 
     def test_switch_thresholds(self):
-        s = np.array([True, True, False, False, False])
-        assert should_switch(s, tau=0.3)
-        assert not should_switch(s, tau=0.4)  # strict inequality
-        assert not should_switch(s, tau=0.5)
+        assert should_switch(2, 5, tau=0.3)
+        assert not should_switch(2, 5, tau=0.4)  # strict inequality
+        assert not should_switch(2, 5, tau=0.5)
 
     def test_empty_always_switches(self):
-        assert should_switch(np.array([], dtype=bool), tau=0.9)
+        assert should_switch(0, 0, tau=0.9)
 
 
 class TestOccurrenceIndex:

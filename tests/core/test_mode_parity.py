@@ -24,6 +24,7 @@ from repro.core.pushpull import (
     expectation_partials,
 )
 from repro.core.solver import solve_sssp
+from repro.core.views import whole_graph_view
 from repro.runtime.machine import MachineConfig
 from repro.spmd.engine import spmd_delta_stepping
 
@@ -55,7 +56,9 @@ class TestSharedPartials:
         lo, hi = k * cfg.delta, (k + 1) * cfg.delta
         members = np.nonzero((d >= lo) & (d < hi) & ~settled)[0]
         later = np.nonzero((d >= hi) & ~settled)[0]
-        whole = estimate_models(ctx, d, settled, members, k)
+        whole = estimate_models(
+            ctx, [whole_graph_view(ctx, d, settled)], [members], k
+        )
 
         w_max = max(ctx.graph.max_weight, 1)
         push_parts, pull_parts = [], []

@@ -12,18 +12,43 @@ from repro.core.pruning import (
     bucket_census,
     gather_pull_requests,
     gather_push_records,
-    later_vertices,
     long_phase_pull,
     long_phase_push,
-    member_mask,
 )
 from repro.core.reference import dijkstra_reference
+from repro.core.transport import DeclaredTransport
+from repro.core.views import whole_graph_view
 from repro.runtime.machine import MachineConfig
 
 
 def ctx_for(graph, *, delta=5, ranks=2, threads=2, **cfg):
     machine = MachineConfig(num_ranks=ranks, threads_per_rank=threads)
     return make_context(graph, machine, SolverConfig(delta=delta, **cfg))
+
+
+def push_records(ctx, d, members, k):
+    """(src, dst, nd, scanned) of the push model, batches concatenated."""
+    view = whole_graph_view(ctx, d, np.zeros(d.size, dtype=bool))
+    batches, scanned = gather_push_records(ctx, view, members, k)
+    src, dst, nd = (np.concatenate(col) for col in zip(*batches))
+    return src, dst, nd, scanned
+
+
+def pull_requests(ctx, d, settled, k):
+    view = whole_graph_view(ctx, d, settled)
+    later = view.later((k + 1) * ctx.config.delta)
+    return gather_pull_requests(ctx, view, later, k)
+
+
+def push(ctx, d, settled, members, k):
+    """The push kernel on a whole-graph view over ``(d, settled)``."""
+    views = [whole_graph_view(ctx, d, settled)]
+    return long_phase_push(ctx, views, DeclaredTransport(ctx.comm), [members], k)
+
+
+def pull(ctx, d, settled, k):
+    views = [whole_graph_view(ctx, d, settled)]
+    return long_phase_pull(ctx, views, DeclaredTransport(ctx.comm), k)
 
 
 class TestFig6Example:
@@ -36,7 +61,7 @@ class TestFig6Example:
         # bucket 0 = {root}; no short edges; settle and long-phase push.
         members = bucket_members(d, settled, 0, 5)
         settled[members] = True
-        changed, stats = long_phase_push(ctx, d, members, 0)
+        stats = push(ctx, d, settled, members, 0)
         return d, settled, stats
 
     def test_first_long_phase_relaxes_root_edges(self, fig6_graph):
@@ -51,7 +76,7 @@ class TestFig6Example:
         d, settled, _ = self._state_after_bucket0(ctx, fig6_graph)
         members = bucket_members(d, settled, 2, 5)
         settled[members] = True
-        _, stats = long_phase_push(ctx, d, members, 2)
+        stats = push(ctx, d, settled, members, 2)
         # each clique vertex relaxes 4 clique arcs + 1 root arc + 1 pendant
         assert stats["relaxations"] == 30
 
@@ -60,7 +85,7 @@ class TestFig6Example:
         d, settled, _ = self._state_after_bucket0(ctx, fig6_graph)
         members = bucket_members(d, settled, 2, 5)
         settled[members] = True
-        _, stats = long_phase_pull(ctx, d, settled, members, 2)
+        stats = pull(ctx, d, settled, 2)
         # 5 pendant requests + 5 responses = 10 (the paper's count)
         assert stats["requests"] == 5
         assert stats["responses"] == 5
@@ -81,7 +106,7 @@ class TestGatherHelpers:
         ctx = ctx_for(rmat1_small, delta=25)
         d = dijkstra_reference(rmat1_small, 3)
         members = np.nonzero((d >= 0) & (d < 25))[0]
-        src, dst, nd, scanned = gather_push_records(ctx, d, members, 0)
+        src, dst, nd, scanned = push_records(ctx, d, members, 0)
         assert src.size == ctx.long_degrees[members].sum()
         assert np.all(nd == d[src] + 0 + (nd - d[src]))  # nd consistent
         assert scanned.sum() >= src.size
@@ -91,16 +116,15 @@ class TestGatherHelpers:
         ctx_ios = ctx_for(rmat1_small, delta=25, use_ios=True)
         d = dijkstra_reference(rmat1_small, 3)
         members = np.nonzero(d < 25)[0]
-        plain = gather_push_records(ctx_plain, d, members, 0)[0].size
-        ios = gather_push_records(ctx_ios, d, members, 0)[0].size
+        plain = push_records(ctx_plain, d, members, 0)[0].size
+        ios = push_records(ctx_ios, d, members, 0)[0].size
         assert ios >= plain
 
     def test_pull_requests_respect_eq1(self, rmat1_small):
         ctx = ctx_for(rmat1_small, delta=25)
         d = dijkstra_reference(rmat1_small, 3).copy()
         settled = d < 25
-        later = later_vertices(ctx, d, settled, 0)
-        req_v, req_u, req_w, gen = gather_pull_requests(ctx, d, later, 0)
+        req_v, req_u, req_w, gen = pull_requests(ctx, d, settled, 0)
         # every request satisfies w < d(v) - k*delta with k = 0
         assert np.all(req_w < d[req_v])
         # and all requests ride long arcs when IOS is off
@@ -110,22 +134,16 @@ class TestGatherHelpers:
         ctx = ctx_for(rmat1_small, delta=25, use_ios=True)
         d = dijkstra_reference(rmat1_small, 3).copy()
         settled = d < 25
-        later = later_vertices(ctx, d, settled, 0)
-        _, _, req_w, _ = gather_pull_requests(ctx, d, later, 0)
+        _, _, req_w, _ = pull_requests(ctx, d, settled, 0)
         assert req_w.size == 0 or req_w.min() < 25
 
     def test_empty_members(self, rmat1_small):
         ctx = ctx_for(rmat1_small)
         d = init_distances(rmat1_small.num_vertices, 3)
-        src, dst, nd, scanned = gather_push_records(
+        src, dst, nd, scanned = push_records(
             ctx, d, np.empty(0, dtype=np.int64), 0
         )
         assert src.size == 0 and scanned.size == 0
-
-    def test_member_mask(self, rmat1_small):
-        ctx = ctx_for(rmat1_small)
-        mask = member_mask(ctx, np.array([1, 5, 9]))
-        assert mask.sum() == 3 and mask[5]
 
 
 class TestPhaseAccounting:
@@ -135,11 +153,11 @@ class TestPhaseAccounting:
         settled = np.zeros(11, dtype=bool)
         members = bucket_members(d, settled, 0, 5)
         settled[members] = True
-        long_phase_push(ctx, d, members, 0)
+        push(ctx, d, settled, members, 0)
         before = ctx.metrics.total_relaxations
         members2 = bucket_members(d, settled, 2, 5)
         settled[members2] = True
-        _, stats = long_phase_pull(ctx, d, settled, members2, 2)
+        stats = pull(ctx, d, settled, 2)
         counted = ctx.metrics.total_relaxations - before
         assert counted == stats["requests"] + stats["responses"]
 
@@ -149,15 +167,16 @@ class TestPhaseAccounting:
         settled = np.zeros(11, dtype=bool)
         members = bucket_members(d, settled, 0, 5)
         settled[members] = True
-        long_phase_push(ctx, d, members, 0)
+        push(ctx, d, settled, members, 0)
         assert ctx.metrics.long_phases == 1
 
     def test_empty_pull_noop(self, path_graph):
         ctx = ctx_for(path_graph, delta=100)
         d = dijkstra_reference(path_graph, 0)
         settled = np.ones(5, dtype=bool)
-        changed, stats = long_phase_pull(ctx, d, settled, np.arange(5), 0)
-        assert changed.size == 0
+        before = d.copy()
+        stats = pull(ctx, d, settled, 0)
+        assert np.array_equal(d, before)
         assert stats["relaxations"] == 0
 
 
@@ -168,10 +187,10 @@ class TestBucketCensus:
         settled = np.zeros(11, dtype=bool)
         members0 = bucket_members(d, settled, 0, 5)
         settled[members0] = True
-        long_phase_push(ctx, d, members0, 0)
+        push(ctx, d, settled, members0, 0)
         members2 = bucket_members(d, settled, 2, 5)
         settled[members2] = True
-        census = bucket_census(ctx, d, settled, members2, 2)
+        census = bucket_census(ctx, whole_graph_view(ctx, d, settled), members2, 2)
         # clique vertices: 5*4 self arcs (clique), 5 backward (to root),
         # 5 forward (to pendants)
         assert census["self_edges"] == 20

@@ -1,0 +1,213 @@
+"""One kernel set, two transports: what is left to check.
+
+The orchestrated solve and the SPMD solve run the *same* phase kernels
+(:mod:`repro.core.phases`, ``pruning``, ``bellman_ford``); they differ only
+in the view constructor (one whole-graph view vs. one slice per rank) and
+the transport (exchanges declared vs. records moved). So the engines can no
+longer disagree about the algorithm, and the one differential worth running
+is over exactly that pair: the declaring transport on one view and the
+mailbox on P views must produce the same distances and, field for field,
+the same accounting records. The unit tests below pin the two seams
+themselves.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.config import SolverConfig, preset
+from repro.core.context import make_context
+from repro.core.delta_stepping import DeltaSteppingEngine
+from repro.core.distances import init_distances
+from repro.core.transport import DeclaredTransport
+from repro.core.views import (
+    active_per_rank,
+    build_rank_states,
+    rank_cuts,
+    whole_graph_view,
+)
+from repro.graph.builder import from_undirected_edges
+from repro.obs.tracer import TraceConfig
+from repro.runtime.machine import MachineConfig
+from repro.spmd.engine import spmd_delta_stepping
+
+CONFIGS = {
+    "delta": SolverConfig(delta=5),
+    "opt": preset("opt", 5),
+    "lb-opt": preset("lb-opt", 5),
+    "radius": preset("radius"),
+    "rho": SolverConfig(strategy="rho", rho=8),
+}
+#: flag overrides that only the delta strategy accepts
+DELTA_VARIANTS = (
+    {"use_ios": False},
+    {"use_ios": True},
+    {"use_pruning": True, "pushpull_mode": "push"},
+    {"use_pruning": True, "pushpull_mode": "pull"},
+)
+
+
+def random_graph(seed: int):
+    """Undirected graph with zero-weight edges and disconnected vertices."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    m = int(rng.integers(0, 4 * n))
+    tails = rng.integers(0, n, m)
+    heads = rng.integers(0, n, m)
+    keep = tails != heads
+    weights = rng.integers(0, 12, int(keep.sum()))
+    return from_undirected_edges(tails[keep], heads[keep], weights, n)
+
+
+def both_drivers(graph, root, machine, config):
+    ctx = make_context(graph, machine, config)
+    d_declared = DeltaSteppingEngine(ctx).run(root)
+    d_moved, ctx_moved = spmd_delta_stepping(graph, root, machine, config=config)
+    return (d_declared, ctx.metrics), (d_moved, ctx_moved.metrics)
+
+
+class TestTransportParity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(sorted(CONFIGS)),
+        st.sampled_from(DELTA_VARIANTS),
+        st.integers(1, 5),
+    )
+    def test_declared_equals_moved(self, seed, name, variant, ranks):
+        config = CONFIGS[name]
+        if config.strategy == "delta":
+            config = config.evolve(**variant)
+        graph = random_graph(seed)
+        machine = MachineConfig(num_ranks=ranks, threads_per_rank=2)
+        (d_a, m_a), (d_b, m_b) = both_drivers(
+            graph, seed % graph.num_vertices, machine, config
+        )
+        assert np.array_equal(d_a, d_b)
+        assert m_a.records == m_b.records
+        assert m_a.summary() == m_b.summary()
+
+
+class TestTelemetryParity:
+    def test_span_sequences_equal(self, rmat1_small):
+        """Both drivers emit the same spans and instants with the same
+        attribute keys; only the mailbox's ``superstep`` spans are extra."""
+        machine = MachineConfig(num_ranks=4, threads_per_rank=2)
+        config = preset("opt", 25).evolve(trace=TraceConfig())
+        (_, m_a), (_, m_b) = both_drivers(rmat1_small, 3, machine, config)
+
+        def shape(metrics):
+            return [
+                (e["type"], e["name"], e.get("cat"), sorted(e["args"]))
+                for e in metrics.tracer.events
+                if e["type"] != "record" and e.get("cat") != "superstep"
+            ]
+
+        declared, moved = shape(m_a), shape(m_b)
+        assert declared == moved
+        names = {name for _, name, _, _ in declared}
+        assert {"solve", "short", "long", "bf", "hybrid-check"} <= names
+
+
+class TestWholeGraphView:
+    @pytest.fixture()
+    def ctx(self, rmat1_small):
+        machine = MachineConfig(num_ranks=4, threads_per_rank=2)
+        return make_context(rmat1_small, machine, preset("opt", 25))
+
+    def test_shares_the_csr(self, ctx):
+        n = ctx.graph.num_vertices
+        d = init_distances(n, 0)
+        view = whole_graph_view(ctx, d, np.zeros(n, dtype=bool))
+        assert np.shares_memory(view.indptr, ctx.graph.indptr)
+        assert np.shares_memory(view.adj, ctx.graph.adj)
+        assert np.shares_memory(view.weights, ctx.graph.weights)
+        assert np.shares_memory(view.short_offsets, ctx.short_offsets)
+        assert view.d is d
+        assert (view.lo, view.hi) == (0, n)
+
+    def test_identity_addressing_allocates_nothing(self, ctx):
+        n = ctx.graph.num_vertices
+        view = whole_graph_view(ctx, init_distances(n, 0), np.zeros(n, dtype=bool))
+        ids = np.array([3, 1, 4], dtype=np.int64)
+        assert view.to_global(ids) is ids
+        assert view.to_local(ids) is ids
+
+    def test_per_rank_facts_match_rank_states(self, ctx):
+        n = ctx.graph.num_vertices
+        rng = np.random.default_rng(5)
+        active = np.flatnonzero(rng.random(n) < 0.3)
+        whole = whole_graph_view(ctx, init_distances(n, 0), np.zeros(n, dtype=bool))
+        whole.active = active
+        states = build_rank_states(ctx.graph, ctx.partition, 25, root=0)
+        for st_ in states:
+            mine = active[(active >= st_.lo) & (active < st_.hi)]
+            st_.active = st_.to_local(mine)
+        per_rank = active_per_rank(ctx, [whole])
+        assert per_rank.tolist() == [st_.active.size for st_ in states]
+        assert per_rank.tolist() == active_per_rank(ctx, states).tolist()
+        cuts = rank_cuts(ctx, [whole], active)
+        assert [active[a:b].tolist() for a, b in zip(cuts[:-1], cuts[1:])] == [
+            st_.to_global(st_.active).tolist() for st_ in states
+        ]
+        assert rank_cuts(ctx, states, states[1].active).tolist() == [
+            0, states[1].active.size
+        ]
+
+
+class TestDeclaredTransport:
+    def make(self, path_graph):
+        machine = MachineConfig(num_ranks=2, threads_per_rank=1)
+        ctx = make_context(path_graph, machine, SolverConfig(delta=5))
+        n = ctx.graph.num_vertices
+        view = whole_graph_view(ctx, init_distances(n, 0), np.zeros(n, dtype=bool))
+        return ctx, view, DeclaredTransport(ctx.comm)
+
+    def exchanges(self, ctx):
+        return [r for r in ctx.metrics.records if r.kind == "exchange"]
+
+    def test_one_exchange_per_deliver_columns_unreordered(self, path_graph):
+        ctx, view, transport = self.make(path_graph)
+        src = np.array([0, 4, 1], dtype=np.int64)
+        dst = np.array([4, 0, 3], dtype=np.int64)
+        nd = np.array([70, 10, 30], dtype=np.int64)
+        transport.send(view, src, dst, nd)
+        transport.send(view, src[:1], dst[:1], nd[:1] + 1)
+        (inbox,) = transport.deliver(16, phase_kind="short")
+        assert inbox[0].tolist() == [4, 0, 3, 4]
+        assert inbox[1].tolist() == [70, 10, 30, 71]
+        (exchange,) = self.exchanges(ctx)
+        assert exchange.phase_kind == "short"
+        # vertices 0-2 live on rank 0, 3-4 on rank 1: all four records cross
+        assert exchange.bytes_total == 4 * 16
+
+    def test_single_post_is_handed_back_uncopied(self, path_graph):
+        _, view, transport = self.make(path_graph)
+        dst = np.array([1], dtype=np.int64)
+        nd = np.array([9], dtype=np.int64)
+        transport.send(view, np.array([0], dtype=np.int64), dst, nd)
+        (inbox,) = transport.deliver(16)
+        assert inbox[0] is dst and inbox[1] is nd
+
+    def test_idle_deliver_still_declares_an_exchange(self, path_graph):
+        ctx, _, transport = self.make(path_graph)
+        (inbox,) = transport.deliver(24, num_columns=3)
+        assert [c.size for c in inbox] == [0, 0, 0]
+        assert len(self.exchanges(ctx)) == 1
+
+    def test_allreduces_return_the_single_value(self, path_graph):
+        ctx, _, transport = self.make(path_graph)
+        assert transport.allreduce_sum([7]) == 7
+        assert transport.allreduce_min([3]) == 3
+        assert ctx.metrics.total_allreduces == 2
+        with pytest.raises(ValueError):
+            transport.allreduce_sum([1, 2])
+
+    def test_column_count_mismatch_rejected(self, path_graph):
+        _, view, transport = self.make(path_graph)
+        ids = np.array([0], dtype=np.int64)
+        transport.send(view, ids, ids, ids)
+        with pytest.raises(ValueError, match="columns"):
+            transport.deliver(24, num_columns=3)

@@ -18,7 +18,7 @@ from repro.graph.rmat import RMAT1, rmat_graph
 from repro.runtime.guards import GuardViolation, InvariantGuards
 from repro.runtime.machine import MachineConfig
 from repro.runtime.metrics import Metrics
-from repro.spmd import engine as spmd_engine
+from repro.core import phases
 from repro.spmd.engine import spmd_bellman_ford, spmd_delta_stepping
 from repro.spmd.faults import FaultPlan, RankCrash, solve_with_faults
 
@@ -129,20 +129,19 @@ class TestEngineMutations:
     def test_distance_raise_mid_solve_caught(self, graph, machine, monkeypatch):
         """Seeded mutation: the solve silently *raises* the root's settled
         zero distance mid-epoch. Only the paranoid run notices."""
-        original = spmd_engine._decide_mode_spmd
+        original = phases.decide_mode
         fired = {"done": False}
         INF = 2**62
 
-        def corrupting(ctx, states, mailbox, members_per_rank, k, bucket_ordinal):
+        def corrupting(ctx, states, members_per_rank, k, bucket_ordinal):
             # Runs between the settle step and the long phase.
             if not fired["done"]:
                 owner = next(st for st in states if st.lo <= 0 < st.hi)
                 owner.d[0] = INF - 1  # root's distance rises from 0
                 fired["done"] = True
-            return original(ctx, states, mailbox, members_per_rank, k,
-                            bucket_ordinal)
+            return original(ctx, states, members_per_rank, k, bucket_ordinal)
 
-        monkeypatch.setattr(spmd_engine, "_decide_mode_spmd", corrupting)
+        monkeypatch.setattr(phases, "decide_mode", corrupting)
         cfg = preset("delta", 25).evolve(paranoid=True)
         with pytest.raises(GuardViolation, match="monotonicity|finality"):
             spmd_delta_stepping(graph, 0, machine, config=cfg)
@@ -151,10 +150,10 @@ class TestEngineMutations:
     def test_settled_lowering_mid_solve_caught(self, graph, machine, monkeypatch):
         """Seeded mutation: a settled vertex's distance is *lowered* after
         settling (never a monotonicity breach, only a finality one)."""
-        original = spmd_engine._decide_mode_spmd
+        original = phases.decide_mode
         fired = {"done": False}
 
-        def corrupting(ctx, states, mailbox, members_per_rank, k, bucket_ordinal):
+        def corrupting(ctx, states, members_per_rank, k, bucket_ordinal):
             # Runs right after the settle step of each epoch.
             if not fired["done"]:
                 for st in states:
@@ -163,10 +162,9 @@ class TestEngineMutations:
                         st.d[hit[0]] -= 1
                         fired["done"] = True
                         break
-            return original(ctx, states, mailbox, members_per_rank, k,
-                            bucket_ordinal)
+            return original(ctx, states, members_per_rank, k, bucket_ordinal)
 
-        monkeypatch.setattr(spmd_engine, "_decide_mode_spmd", corrupting)
+        monkeypatch.setattr(phases, "decide_mode", corrupting)
         cfg = preset("delta", 25).evolve(paranoid=True)
         with pytest.raises(GuardViolation, match="finality"):
             spmd_delta_stepping(graph, 0, machine, config=cfg)
