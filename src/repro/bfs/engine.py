@@ -235,7 +235,7 @@ def run_bfs(
 
     parent[root] = UNVISITED
     cost = evaluate_cost(ctx.metrics, machine)
-    gteps = simulated_gteps(graph.num_undirected_edges, ctx.metrics, machine)
+    gteps = simulated_gteps(graph.num_undirected_edges, ctx.metrics, machine, cost)
     return BfsResult(
         levels=levels,
         parent=parent,

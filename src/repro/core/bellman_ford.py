@@ -98,4 +98,5 @@ def run_bellman_ford(ctx: ExecutionContext, root: int) -> np.ndarray:
     """Full Bellman-Ford SSSP from ``root``. Returns the distance array."""
     view = rooted_whole_view(ctx, root)
     bellman_ford_stage(ctx, [view], DeclaredTransport(ctx.comm))
+    ctx.metrics.settle()
     return view.d

@@ -30,9 +30,11 @@ from repro.runtime.comm import Communicator
 from repro.runtime.guards import InvariantGuards
 from repro.runtime.machine import MachineConfig
 from repro.runtime.metrics import ComputeKind, Metrics
-from repro.runtime.work import thread_index, thread_work, thread_work_balanced
+from repro.runtime.work import thread_index, work_fact
 
 __all__ = ["ExecutionContext", "make_context"]
+
+_NO_VERTICES = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -137,22 +139,12 @@ class ExecutionContext:
         relaxation counters (used on the record-application side so each
         relaxation is counted exactly once).
         """
-        if self.config.intra_lb:
-            tw = thread_work_balanced(
-                vertices,
-                units,
-                self.partition,
-                self.machine,
-                self.heavy_threshold,
-                thread_map=self.thread_map,
-            )
-        else:
-            tw = thread_work(
-                vertices, units, self.partition, self.machine,
-                thread_map=self.thread_map,
-            )
-        self.metrics.add_compute(
-            kind, tw, phase_kind=phase_kind, count_as_relax=count_as_relax
+        fact = work_fact(
+            vertices, units, self.partition, self.machine,
+            self.heavy_threshold, thread_map=self.thread_map,
+        )
+        self.metrics.queue_compute(
+            kind, *fact, phase_kind=phase_kind, count_as_relax=count_as_relax
         )
 
     def charge_scan(self, num_local_vertices_scanned: np.ndarray) -> None:
@@ -162,12 +154,13 @@ class ExecutionContext:
         scans an equal slice of its rank's vertex block), so the work is
         spread uniformly within each rank.
         """
-        per_rank = np.asarray(num_local_vertices_scanned, dtype=np.float64)
+        per_rank = np.array(num_local_vertices_scanned, dtype=np.float64)
         if per_rank.size != self.machine.num_ranks:
             raise ValueError("need one scan count per rank")
-        tw = np.repeat(per_rank / self.machine.threads_per_rank,
-                       self.machine.threads_per_rank)
-        self.metrics.add_compute(ComputeKind.BUCKET_SCAN, tw, phase_kind="bucket")
+        self.metrics.queue_compute(
+            ComputeKind.BUCKET_SCAN, _NO_VERTICES, None, per_rank,
+            phase_kind="bucket",
+        )
 
     def scan_all_ranks(self, num_vertices_scanned_total: int | None = None) -> None:
         """Charge a full scan of every rank's vertex block (epoch boundary)."""

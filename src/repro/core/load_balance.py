@@ -11,7 +11,7 @@ neighbourhood work is spread over the ranks owning the proxies.
 
 (The *intra*-node tier of the strategy — threads of a rank cooperating on
 heavy vertices — does not change the graph and lives in
-:func:`repro.runtime.work.thread_work_balanced`.)
+:func:`repro.runtime.work.work_fact`.)
 """
 
 from __future__ import annotations

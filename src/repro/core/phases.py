@@ -64,7 +64,9 @@ def finish_solve(
     *,
     faults_injected: bool = False,
 ) -> None:
-    """End-of-solve guards and the close of the root span."""
+    """Settle the ledger (no result pins a frontier array), then the
+    end-of-solve guards and the close of the root span."""
+    ctx.metrics.settle()
     if ctx.guards is not None:
         ctx.guards.check_final(gathered(views, "d"), root)
         ctx.guards.check_recovery_separation(

@@ -40,8 +40,8 @@ from repro.core.pruning import (
 )
 from repro.core.views import VertexView, rank_cuts
 from repro.runtime.comm import RELAX_RECORD_BYTES, REQUEST_RECORD_BYTES
-from repro.runtime.work import thread_work, thread_work_balanced
-from repro.util.ranges import sorted_unique_ids
+from repro.runtime.metrics import fold_exchange
+from repro.runtime.work import thread_work
 
 __all__ = [
     "PushPullEstimate",
@@ -80,58 +80,50 @@ def expectation_partials(
     w_max: int,
     lo: int,
     member_long_degrees: np.ndarray,
+    member_cuts: np.ndarray,
     d_later: np.ndarray,
-    later_total_in_degrees: np.ndarray | None,
-    later_long_in_degrees: np.ndarray | None,
-) -> tuple[float, float]:
-    """One rank's (push, pull) partial sums of the expectation estimator.
+    later_in_degrees: np.ndarray,
+    later_cuts: np.ndarray,
+) -> tuple[list[float], list[float]]:
+    """Per-rank (push, pull) partial sums of the expectation estimator.
 
-    The per-vertex volume formulas, evaluated per rank block whatever the
-    view layout (see :func:`estimate_models`). Push volume is the
-    long-degree sum over the rank's bucket members; pull volume is the
-    uniform-weight expectation of eq.-(1) requests over the rank's later
-    vertices. Pass
-    ``later_total_in_degrees`` (all incoming arcs) under IOS and
-    ``later_long_in_degrees`` (long incoming arcs) otherwise — the unused
-    one may be ``None``.
+    Push volume is the long-degree sum over a rank's bucket members; pull
+    volume is the uniform-weight expectation of eq.-(1) requests over its
+    later vertices, whose in-degrees are all incoming arcs under IOS and
+    the long ones otherwise. The per-vertex terms are evaluated once; rank
+    ``r`` then sums its block ``[cuts[r], cuts[r+1])`` of each — a
+    contiguous slice, whose pairwise sum is the float a per-rank evaluation
+    gives whatever the view layout (``np.add.reduceat`` is not).
     """
-    push = float(np.asarray(member_long_degrees).astype(np.float64).sum())
-    d_later = np.asarray(d_later)
-    if d_later.size == 0:
-        return push, 0.0
+    push_terms = member_long_degrees.astype(np.float64)
     d_later_f = d_later.astype(np.float64)
     window = np.where(d_later_f >= INF, np.float64(w_max), d_later_f - lo)
     if cfg.use_ios:
         # Requests may ride any incoming arc with w < d(v) - kΔ.
-        deg = np.asarray(later_total_in_degrees).astype(np.float64)
         frac = np.clip(window / w_max, 0.0, 1.0)
     else:
         # Long arcs only: weight window [Δ, d(v) - kΔ).
-        deg = np.asarray(later_long_in_degrees).astype(np.float64)
         frac = np.clip(
             (window - cfg.delta) / max(w_max - cfg.delta + 1, 1), 0.0, 1.0
         )
-    return push, float((deg * frac).sum())
+    pull_terms = later_in_degrees.astype(np.float64) * frac
+    return _block_sums(push_terms, member_cuts), _block_sums(pull_terms, later_cuts)
 
 
-def combine_expectation_costs(
-    cfg,
-    machine,
-    push_partials: list[float],
-    pull_partials: list[float],
+def _block_sums(terms: np.ndarray, cuts: np.ndarray) -> list[float]:
+    cuts = cuts.tolist()
+    return [
+        float(terms[a:b].sum()) if a < b else 0.0 for a, b in zip(cuts, cuts[1:])
+    ]
+
+
+def _volume_estimate(
+    cfg, machine, push_records, push_max, pull_requests, pull_max, estimator: str
 ) -> PushPullEstimate:
-    """Fold per-rank partials into the two model costs (sum/max aggregate).
-
-    The combination is the allreduce pair the decision charges: totals by
-    sum, the imbalance terms by per-rank maximum.
-    """
+    """Price both models from their record volumes (totals) and per-rank
+    maxima (the imbalance terms)."""
     p = machine.num_ranks
-    push_records = sum(push_partials)
-    push_max = max(push_partials)
-    pull_requests = sum(pull_partials)
-    pull_max = max(pull_partials)
     pull_responses = pull_requests  # paper's upper bound, good in practice
-
     push_cost = (
         machine.beta * push_records * RELAX_RECORD_BYTES
         + machine.alpha * p
@@ -150,7 +142,24 @@ def combine_expectation_costs(
         pull_max_rank_requests=pull_max,
         push_cost=push_cost,
         pull_cost=pull_cost,
-        estimator="expectation",
+        estimator=estimator,
+    )
+
+
+def combine_expectation_costs(
+    cfg,
+    machine,
+    push_partials: list[float],
+    pull_partials: list[float],
+) -> PushPullEstimate:
+    """Fold per-rank partials into the two model costs (sum/max aggregate).
+
+    The combination is the allreduce pair the decision charges: totals by
+    sum, the imbalance terms by per-rank maximum.
+    """
+    return _volume_estimate(
+        cfg, machine, sum(push_partials), max(push_partials),
+        sum(pull_partials), max(pull_partials), "expectation",
     )
 
 
@@ -162,11 +171,11 @@ def estimate_models(
 ) -> PushPullEstimate:
     """Expectation-based push/pull estimate for bucket ``k`` (members settled).
 
-    Evaluates :func:`expectation_partials` once per rank — a rank view's
-    own members and later vertices, or the chunks a whole-graph view cuts
-    at the partition boundaries — and folds the partials in rank order
-    with :func:`combine_expectation_costs`, so the estimate is the same
-    float for float whichever way the vertices are laid out.
+    Evaluates :func:`expectation_partials` once per view — a rank view is
+    its own single block, a whole-graph view is cut at the partition
+    boundaries — and folds the partials in rank order with
+    :func:`combine_expectation_costs`, so the estimate is the same float
+    for float whichever way the vertices are laid out.
     """
     cfg = ctx.config
     lo = k * cfg.delta
@@ -177,30 +186,27 @@ def estimate_models(
     for v, members in zip(views, members_per_view):
         later = v.later(hi)
         in_indptr, _, _, in_short = v.pull_rows()
+        in_degrees = in_indptr[later + 1] - in_indptr[later]
+        if not cfg.use_ios:
+            in_degrees -= in_short[later]
         member_long = v.local_degrees(members) - v.short_offsets[members]
-        d_later = v.d[later]
-        total_in = long_in = None
-        if cfg.use_ios:
-            total_in = in_indptr[later + 1] - in_indptr[later]
-        else:
-            long_in = in_indptr[later + 1] - in_indptr[later] - in_short[later]
-        m_cuts = rank_cuts(ctx, views, members)
-        l_cuts = rank_cuts(ctx, views, later)
-        for r in range(m_cuts.size - 1):
-            m_r = slice(m_cuts[r], m_cuts[r + 1])
-            l_r = slice(l_cuts[r], l_cuts[r + 1])
-            push_r, pull_r = expectation_partials(
-                cfg,
-                w_max,
-                lo,
-                member_long[m_r],
-                d_later[l_r],
-                total_in[l_r] if total_in is not None else None,
-                long_in[l_r] if long_in is not None else None,
-            )
-            push_partials.append(push_r)
-            pull_partials.append(pull_r)
+        push, pull = expectation_partials(
+            cfg, w_max, lo, member_long, rank_cuts(ctx, views, members),
+            v.d[later], in_degrees, rank_cuts(ctx, views, later),
+        )
+        push_partials += push
+        pull_partials += pull
     return combine_expectation_costs(cfg, ctx.machine, push_partials, pull_partials)
+
+
+def _max_per_rank(ctx, vertices: np.ndarray, weights=None) -> float:
+    """Largest per-rank total of ``weights`` (one each when ``None``) over
+    the owners of ``vertices``."""
+    if not vertices.size:
+        return 0.0
+    owners = np.asarray(ctx.partition.owner(vertices), dtype=np.int64)
+    p = ctx.machine.num_ranks
+    return float(np.bincount(owners, weights=weights, minlength=p).max())
 
 
 # ----------------------------------------------------------------------
@@ -230,18 +236,11 @@ def estimate_models_histogram(
     delta = cfg.delta
     lo = k * delta
     hi = lo + delta
-    p = machine.num_ranks
     d = view.d
 
     push_per_vertex = ctx.long_degrees[members].astype(np.float64)
     push_records = float(push_per_vertex.sum())
-    if members.size:
-        owners = np.asarray(ctx.partition.owner(members), dtype=np.int64)
-        push_max = float(
-            np.bincount(owners, weights=push_per_vertex, minlength=p).max()
-        )
-    else:
-        push_max = 0.0
+    push_max = _max_per_rank(ctx, members, push_per_vertex)
 
     later = view.later(hi)
     if later.size:
@@ -256,34 +255,12 @@ def estimate_models_histogram(
                 req_per_vertex - ctx.in_short_offsets[later], 0.0
             )
         pull_requests = float(req_per_vertex.sum())
-        owners = np.asarray(ctx.partition.owner(later), dtype=np.int64)
-        pull_max = float(
-            np.bincount(owners, weights=req_per_vertex, minlength=p).max()
-        )
+        pull_max = _max_per_rank(ctx, later, req_per_vertex)
     else:
         pull_requests = 0.0
         pull_max = 0.0
-    pull_responses = pull_requests
-
-    push_cost = (
-        machine.beta * push_records * RELAX_RECORD_BYTES
-        + machine.alpha * p
-        + cfg.imbalance_weight * machine.t_relax * push_max
-    )
-    pull_cost = (
-        machine.beta
-        * (pull_requests * REQUEST_RECORD_BYTES + pull_responses * RELAX_RECORD_BYTES)
-        + machine.alpha * 2 * p
-        + cfg.imbalance_weight * machine.t_request * pull_max
-    )
-    return PushPullEstimate(
-        push_records=push_records,
-        push_max_rank_records=push_max,
-        pull_requests=pull_requests,
-        pull_max_rank_requests=pull_max,
-        push_cost=push_cost,
-        pull_cost=pull_cost,
-        estimator="histogram",
+    return _volume_estimate(
+        cfg, machine, push_records, push_max, pull_requests, pull_max, "histogram"
     )
 
 
@@ -296,21 +273,12 @@ def _compute_cost_max(
     units: np.ndarray | None,
     t_unit: float,
 ) -> float:
-    """Busiest-thread compute time, mirroring ``ExecutionContext.charge``."""
-    if ctx.config.intra_lb:
-        tw = thread_work_balanced(
-            vertices,
-            units,
-            ctx.partition,
-            ctx.machine,
-            ctx.heavy_threshold,
-            thread_map=ctx.thread_map,
-        )
-    else:
-        tw = thread_work(
-            vertices, units, ctx.partition, ctx.machine, thread_map=ctx.thread_map
-        )
-    return float(tw.max()) * t_unit if tw.size else 0.0
+    """Busiest-thread compute time of what ``ctx.charge`` would record."""
+    work = thread_work(
+        vertices, units, ctx.partition, ctx.machine, ctx.heavy_threshold,
+        thread_map=ctx.thread_map,
+    )
+    return float(work.max()) * t_unit
 
 
 def _exchange_cost(
@@ -319,20 +287,11 @@ def _exchange_cost(
     dst_vertices: np.ndarray,
     record_bytes: int,
 ) -> float:
-    """α–β price of an exchange, mirroring ``Communicator.exchange_by_vertex``."""
-    p = ctx.machine.num_ranks
-    src = np.asarray(ctx.partition.owner(src_vertices), dtype=np.int64)
-    dst = np.asarray(ctx.partition.owner(dst_vertices), dtype=np.int64)
-    off = src != dst
-    src, dst = src[off], dst[off]
-    if src.size == 0:
-        return 0.0
-    out_bytes = np.bincount(src, minlength=p) * record_bytes
-    in_bytes = np.bincount(dst, minlength=p) * record_bytes
-    bytes_max = int((out_bytes + in_bytes).max())
-    pairs = sorted_unique_ids(src * p + dst, p * p)
-    msgs_max = int(np.bincount(pairs // p, minlength=p).max())
-    return ctx.machine.alpha * msgs_max + ctx.machine.beta * bytes_max
+    """α–β price of what ``Communicator.exchange_by_vertex`` would record."""
+    owner = ctx.partition.owner
+    lanes = ctx.comm.lanes(owner(src_vertices), owner(dst_vertices))
+    msgs, byt = fold_exchange([(lanes, None, record_bytes)], ctx.machine.num_ranks)
+    return ctx.machine.alpha * int(msgs.max()) + ctx.machine.beta * int(byt.max())
 
 
 def estimate_models_exact(
@@ -372,32 +331,13 @@ def estimate_models_exact(
         + _compute_cost_max(ctx, resp_v, None, machine.t_relax)
     )
 
-    p = machine.num_ranks
-    push_max = (
-        float(
-            np.bincount(
-                np.asarray(ctx.partition.owner(members), dtype=np.int64),
-                weights=ctx.long_degrees[members].astype(np.float64),
-                minlength=p,
-            ).max()
-        )
-        if members.size
-        else 0.0
-    )
-    pull_max = (
-        float(
-            np.bincount(
-                np.asarray(ctx.partition.owner(req_v), dtype=np.int64), minlength=p
-            ).max()
-        )
-        if req_v.size
-        else 0.0
-    )
     return PushPullEstimate(
         push_records=float(dst.size),
-        push_max_rank_records=push_max,
+        push_max_rank_records=_max_per_rank(
+            ctx, members, ctx.long_degrees[members].astype(np.float64)
+        ),
         pull_requests=float(req_v.size),
-        pull_max_rank_requests=pull_max,
+        pull_max_rank_requests=_max_per_rank(ctx, req_v),
         push_cost=push_cost,
         pull_cost=pull_cost,
         estimator="exact",

@@ -358,7 +358,7 @@ class BatchSolver:
         run_validation(distances, self._original_graph, root, validate)
         cost = evaluate_cost(ctx.metrics, self.machine)
         gteps = simulated_gteps(
-            self._original_graph.num_undirected_edges, ctx.metrics, self.machine
+            self._original_graph.num_undirected_edges, ctx.metrics, self.machine, cost
         )
         if ctx.tracer is not None and tracer is None:
             from repro.obs.export import finalize_trace

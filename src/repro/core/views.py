@@ -158,9 +158,14 @@ def build_rank_states(
     partition: ContiguousPartition,
     delta: int,
     root: int,
+    *,
+    short_offsets: np.ndarray | None = None,
 ) -> list[VertexView]:
-    """Slice a weight-sorted graph into one view per rank."""
-    short = graph.short_edge_offsets(delta)
+    """Slice a weight-sorted graph into one view per rank.
+
+    ``short_offsets`` is ``graph.short_edge_offsets(delta)`` where the
+    caller holds it already (a context's ``short_offsets``)."""
+    short = graph.short_edge_offsets(delta) if short_offsets is None else short_offsets
     states: list[VertexView] = []
     for rank in range(partition.num_ranks):
         lo, hi = partition.rank_range(rank)

@@ -300,6 +300,7 @@ def repair_sssp(
                     index.on_relaxed(changed, d)
 
     parents = build_parent_tree(graph, d, root) if with_parents else None
+    ctx.metrics.settle()
     return RepairResult(
         distances=d,
         parents=parents,

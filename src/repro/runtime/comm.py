@@ -68,6 +68,15 @@ class Communicator:
         self.metrics = metrics
 
     # ------------------------------------------------------------------
+    def lanes(self, src_ranks: np.ndarray, dst_ranks: np.ndarray) -> np.ndarray:
+        """Lane id ``src * P + dst`` of every record: the array an exchange
+        fact is made of (a fresh one — the ledger keeps it)."""
+        src = np.asarray(src_ranks, dtype=np.int64)
+        dst = np.asarray(dst_ranks, dtype=np.int64)
+        if src.shape != dst.shape:
+            raise ValueError("src_ranks and dst_ranks must align")
+        return src * self.machine.num_ranks + dst
+
     def exchange_by_vertex(
         self,
         src_vertices: np.ndarray,
@@ -81,13 +90,12 @@ class Communicator:
         Each record travels from ``owner(src)`` to ``owner(dst)``;
         same-rank records are dropped from the network accounting.
         """
-        src = np.asarray(src_vertices, dtype=np.int64)
-        dst = np.asarray(dst_vertices, dtype=np.int64)
-        if src.shape != dst.shape:
-            raise ValueError("src_vertices and dst_vertices must align")
-        src_ranks = self.partition.owner(src)
-        dst_ranks = self.partition.owner(dst)
-        self.exchange_by_rank(src_ranks, dst_ranks, record_bytes, phase_kind=phase_kind)
+        self.exchange_by_rank(
+            self.partition.owner(src_vertices),
+            self.partition.owner(dst_vertices),
+            record_bytes,
+            phase_kind=phase_kind,
+        )
 
     def exchange_by_rank(
         self,
@@ -98,23 +106,8 @@ class Communicator:
         phase_kind: str = "other",
     ) -> None:
         """Account an exchange given explicit per-record rank endpoints."""
-        if record_bytes < 0:
-            raise ValueError("record_bytes must be non-negative")
-        p = self.machine.num_ranks
-        src = np.asarray(src_ranks, dtype=np.int64)
-        dst = np.asarray(dst_ranks, dtype=np.int64)
-        if src.shape != dst.shape:
-            raise ValueError("src_ranks and dst_ranks must align")
-        # One bincount over (src, dst) lane ids yields the full P×P
-        # traffic grid. Same-rank records are exactly its diagonal, so
-        # zeroing that drops them without compacting the record arrays;
-        # bytes and aggregated message counts (one per lane with traffic)
-        # are row/column reductions of what is left.
-        lanes = np.bincount(src * p + dst, minlength=p * p).reshape(p, p)
-        np.fill_diagonal(lanes, 0)
-        bytes_per_rank = (lanes.sum(axis=1) + lanes.sum(axis=0)) * record_bytes
-        msgs_per_rank = np.count_nonzero(lanes, axis=1).astype(np.int64)
-        self.metrics.add_exchange(msgs_per_rank, bytes_per_rank, phase_kind=phase_kind)
+        lanes = self.lanes(src_ranks, dst_ranks)
+        self.metrics.queue_exchange(lanes, None, record_bytes, phase_kind=phase_kind)
 
     def exchange_by_rank_counts(
         self,
@@ -134,32 +127,13 @@ class Communicator:
         count, exactly as repeated records are) and zero-count lanes are
         ignored.
         """
-        if record_bytes < 0:
-            raise ValueError("record_bytes must be non-negative")
-        p = self.machine.num_ranks
-        src = np.asarray(src_ranks, dtype=np.int64)
-        dst = np.asarray(dst_ranks, dtype=np.int64)
-        cnt = np.asarray(counts, dtype=np.int64)
-        if src.shape != dst.shape or src.shape != cnt.shape:
+        lanes = self.lanes(src_ranks, dst_ranks)
+        cnt = np.array(counts, dtype=np.float64)  # the fold's bincount weights
+        if cnt.shape != lanes.shape:
             raise ValueError("src_ranks, dst_ranks and counts must align")
-        if cnt.size and int(cnt.min()) < 0:
+        if cnt.size and cnt.min() < 0:
             raise ValueError("counts must be non-negative")
-        live = (src != dst) & (cnt > 0)
-        src, dst, cnt = src[live], dst[live], cnt[live]
-        bytes_per_rank = np.zeros(p, dtype=np.int64)
-        msgs_per_rank = np.zeros(p, dtype=np.int64)
-        if src.size:
-            # Accumulate the P×P traffic grid in pure int64 arithmetic
-            # (bincount-with-weights would round-trip through float64);
-            # identical values to exchange_by_rank over expanded arrays.
-            lanes = np.zeros(p * p, dtype=np.int64)
-            np.add.at(lanes, src * p + dst, cnt)
-            lanes = lanes.reshape(p, p)
-            out_counts = lanes.sum(axis=1)
-            in_counts = lanes.sum(axis=0)
-            bytes_per_rank = (out_counts + in_counts) * record_bytes
-            msgs_per_rank = np.count_nonzero(lanes, axis=1).astype(np.int64)
-        self.metrics.add_exchange(msgs_per_rank, bytes_per_rank, phase_kind=phase_kind)
+        self.metrics.queue_exchange(lanes, cnt, record_bytes, phase_kind=phase_kind)
 
     def retransmit(
         self,

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.runtime.machine import MachineConfig
 from repro.runtime.metrics import ComputeKind, Metrics
 
@@ -59,20 +61,23 @@ class CostBreakdown:
         }
 
 
+_UNIT_COST = {
+    ComputeKind.SHORT_RELAX.value: "t_relax",
+    ComputeKind.LONG_PUSH_RELAX.value: "t_relax",
+    ComputeKind.BF_RELAX.value: "t_relax",
+    ComputeKind.PULL_RESPONSE.value: "t_relax",
+    ComputeKind.PULL_REQUEST.value: "t_request",
+    ComputeKind.BUCKET_SCAN.value: "t_scan",
+}
+"""Compute kind -> the :class:`MachineConfig` field pricing one work unit."""
+
+
 def _compute_unit_cost(kind: str, machine: MachineConfig) -> float:
     """Per-work-unit compute cost for a record kind."""
-    if kind in (
-        ComputeKind.SHORT_RELAX.value,
-        ComputeKind.LONG_PUSH_RELAX.value,
-        ComputeKind.BF_RELAX.value,
-        ComputeKind.PULL_RESPONSE.value,
-    ):
-        return machine.t_relax
-    if kind == ComputeKind.PULL_REQUEST.value:
-        return machine.t_request
-    if kind == ComputeKind.BUCKET_SCAN.value:
-        return machine.t_scan
-    raise ValueError(f"unknown compute kind {kind!r}")
+    try:
+        return getattr(machine, _UNIT_COST[kind])
+    except KeyError:
+        raise ValueError(f"unknown compute kind {kind!r}") from None
 
 
 def price_record(rec, machine: MachineConfig) -> float:
@@ -92,36 +97,48 @@ def price_record(rec, machine: MachineConfig) -> float:
     return rec.comp_max * _compute_unit_cost(rec.kind, machine)
 
 
+def _sequential_sum(times: np.ndarray) -> float:
+    """Left-to-right float sum (``np.sum`` adds pairwise: another last bit)."""
+    return float(np.cumsum(times)[-1]) if times.size else 0.0
+
+
 def evaluate_cost(metrics: Metrics, machine: MachineConfig) -> CostBreakdown:
-    """Fold a run's records into a :class:`CostBreakdown`."""
-    compute = comm = sync = 0.0
-    bucket = other = 0.0
-    for rec in metrics.records:
-        t = price_record(rec, machine)
-        if rec.kind == "exchange":
-            comm += t
-        elif rec.kind == "allreduce":
-            sync += t
-        else:
-            compute += t
-        if rec.phase_kind == "bucket":
-            bucket += t
-        else:
-            other += t
+    """Fold a run's records into a :class:`CostBreakdown`.
+
+    One pass over the ledger's columns by the rule of :func:`price_record`:
+    a term that does not apply to a row's kind is an exact zero there, so
+    each term summed in record order is its category's time.
+    """
+    kinds, phases, rows = metrics.columns()
+    unit = {"exchange": 0.0, "allreduce": 0.0}
+    for kind in set(kinds) - unit.keys():
+        unit[kind] = _compute_unit_cost(kind, machine)
+    unit_cost = np.array([unit[kind] for kind in kinds], dtype=np.float64)
+    compute = rows["comp_max"] * unit_cost
+    comm = machine.alpha * rows["msgs_max"] + machine.beta * rows["bytes_max"]
+    sync = rows["allreduces"] * machine.allreduce_time()
+    times = compute + comm + sync
+    is_bucket = np.array([phase == "bucket" for phase in phases], dtype=bool)
     return CostBreakdown(
-        compute_time=compute,
-        comm_time=comm,
-        sync_time=sync,
-        bucket_time=bucket,
-        other_time=other,
+        compute_time=_sequential_sum(compute),
+        comm_time=_sequential_sum(comm),
+        sync_time=_sequential_sum(sync),
+        bucket_time=_sequential_sum(times[is_bucket]),
+        other_time=_sequential_sum(times[~is_bucket]),
     )
 
 
 def simulated_gteps(
-    num_undirected_edges: int, metrics: Metrics, machine: MachineConfig
+    num_undirected_edges: int,
+    metrics: Metrics,
+    machine: MachineConfig,
+    cost: CostBreakdown | None = None,
 ) -> float:
-    """Simulated traversal rate in GTEPS (Graph 500 convention ``m / t``)."""
-    cost = evaluate_cost(metrics, machine)
+    """Simulated traversal rate in GTEPS (Graph 500 convention ``m / t``);
+    ``cost`` is ``evaluate_cost(metrics, machine)`` where the caller holds
+    it already, so the records are not priced a second time."""
+    if cost is None:
+        cost = evaluate_cost(metrics, machine)
     if cost.total_time <= 0:
         return float("inf") if num_undirected_edges else 0.0
     return num_undirected_edges / cost.total_time / 1e9

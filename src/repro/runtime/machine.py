@@ -12,6 +12,7 @@ can sweep them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 __all__ = ["MachineConfig", "BGQ_LIKE"]
@@ -72,8 +73,6 @@ class MachineConfig:
 
     def allreduce_time(self) -> float:
         """Latency of one small allreduce across all ranks."""
-        import math
-
         return self.t_allreduce_base + self.t_allreduce_log * math.log2(
             max(2, self.num_ranks)
         )

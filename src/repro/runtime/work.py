@@ -14,8 +14,9 @@ import numpy as np
 
 from repro.graph.partition import BlockPartition
 from repro.runtime.machine import MachineConfig
+from repro.runtime.metrics import fold_compute
 
-__all__ = ["thread_index", "thread_work", "thread_work_balanced"]
+__all__ = ["thread_index", "work_fact", "thread_work"]
 
 
 def thread_index(
@@ -57,64 +58,47 @@ def thread_index(
     return ranks * t_per_rank + thread
 
 
-def thread_work(
+def work_fact(
     vertices: np.ndarray,
     units: np.ndarray | None,
     partition: BlockPartition,
     machine: MachineConfig,
+    heavy_threshold: float = float("inf"),
     *,
     thread_map: np.ndarray | None = None,
-) -> np.ndarray:
-    """Work-unit histogram over all hardware threads.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The compute fact ``(idx, units, spread)`` of per-vertex work (see
+    :func:`repro.runtime.metrics.fold_compute`), in arrays of its own.
 
-    ``units[i]`` work units are charged to the thread owning ``vertices[i]``
-    (1 unit each when ``units`` is None). Returns a flat ``float64`` array of
-    length ``num_ranks * threads_per_rank``.
+    ``units[i]`` work units (1 each when ``None``) go to the thread owning
+    ``vertices[i]``; work of a vertex whose unit count exceeds
+    ``heavy_threshold`` is instead spread evenly over all threads of its
+    owning rank (the paper's intra-node strategy: a heavy vertex's edges
+    are partitioned among the node's threads).
     """
-    total = machine.num_ranks * machine.threads_per_rank
     v = np.asarray(vertices, dtype=np.int64)
-    if v.size == 0:
-        return np.zeros(total, dtype=np.float64)
     idx = thread_index(v, partition, machine, thread_map=thread_map)
-    if units is None:
-        return np.bincount(idx, minlength=total).astype(np.float64)
-    u = np.asarray(units, dtype=np.float64)
-    return np.bincount(idx, weights=u, minlength=total)
-
-
-def thread_work_balanced(
-    vertices: np.ndarray,
-    units: np.ndarray | None,
-    partition: BlockPartition,
-    machine: MachineConfig,
-    heavy_threshold: float,
-    *,
-    thread_map: np.ndarray | None = None,
-) -> np.ndarray:
-    """Work histogram with intra-node balancing of heavy vertices.
-
-    Work of a vertex whose unit count exceeds ``heavy_threshold`` is spread
-    evenly over all threads of its owning rank (the paper's intra-node
-    strategy: the owner thread does not relax a heavy vertex's edges alone;
-    the edges are partitioned among the node's threads). Light vertices are
-    charged to their owner thread as usual.
-    """
-    total = machine.num_ranks * machine.threads_per_rank
-    t_per_rank = machine.threads_per_rank
-    v = np.asarray(vertices, dtype=np.int64)
-    if v.size == 0:
-        return np.zeros(total, dtype=np.float64)
-    u = (
-        np.ones(v.size, dtype=np.float64)
-        if units is None
-        else np.asarray(units, dtype=np.float64)
-    )
+    u = None if units is None else np.array(units, dtype=np.float64)
+    if heavy_threshold == float("inf"):
+        return idx, u, None
+    if u is None:
+        u = np.ones(v.size, dtype=np.float64)
     heavy = u > heavy_threshold
-    out = thread_work(
-        v[~heavy], u[~heavy], partition, machine, thread_map=thread_map
+    if not heavy.any():
+        return idx, u, None
+    ranks = np.asarray(partition.owner(v[heavy]), dtype=np.int64)
+    spread = np.bincount(ranks, weights=u[heavy], minlength=machine.num_ranks)
+    return idx[~heavy], u[~heavy], spread
+
+
+def thread_work(
+    vertices, units, partition, machine, heavy_threshold=float("inf"), *, thread_map=None
+) -> np.ndarray:
+    """Work-unit histogram over all hardware threads (flat ``float64`` of
+    length ``num_ranks * threads_per_rank``): the one-fact fold of
+    :func:`work_fact`, whose arguments it takes."""
+    fact = work_fact(
+        vertices, units, partition, machine, heavy_threshold, thread_map=thread_map
     )
-    if heavy.any():
-        ranks = np.asarray(partition.owner(v[heavy]), dtype=np.int64)
-        per_rank = np.bincount(ranks, weights=u[heavy], minlength=machine.num_ranks)
-        out += np.repeat(per_rank / t_per_rank, t_per_rank)
-    return out
+    return fold_compute([fact], machine.total_threads, machine.threads_per_rank)[0]
+

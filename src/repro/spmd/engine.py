@@ -206,9 +206,11 @@ def _solve(
         engine = "spmd-delta"
         solve_span = begin_solve(ctx, engine, root, delta=int(config.delta))
     # Rank states carry the short/long split of the strategy's
-    # classification width (Δ for delta, effectively ∞ for radius/ρ).
+    # classification width (Δ for delta, effectively ∞ for radius/ρ),
+    # which is the table the context was built with.
     states = build_rank_states(
-        ctx.graph, ctx.partition, min(config.classification_width, 2**60), root
+        ctx.graph, ctx.partition, min(config.classification_width, 2**60), root,
+        short_offsets=ctx.short_offsets,
     )
     mailbox, manager = _fault_setup(ctx, machine, states, faults)
     defence = Defence(

@@ -430,11 +430,12 @@ def solve_with_faults(
         from repro.obs.export import finalize_trace
 
         finalize_trace(ctx.tracer, metrics=ctx.metrics)
+    cost = evaluate_cost(ctx.metrics, machine)
     return SsspResult(
         distances=d,
         metrics=ctx.metrics,
-        cost=evaluate_cost(ctx.metrics, machine),
-        gteps=simulated_gteps(graph.num_undirected_edges, ctx.metrics, machine),
+        cost=cost,
+        gteps=simulated_gteps(graph.num_undirected_edges, ctx.metrics, machine, cost),
         algorithm=name + ("+faults" if plan.injects_anything else ""),
         config=ctx.config,
         machine=machine,

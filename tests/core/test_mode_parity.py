@@ -3,12 +3,12 @@
 The per-bucket push-vs-pull decision is computed from per-rank partial sums
 of the expectation estimator. Historically the SPMD engine carried its own
 copy of those formulas, which can drift from the orchestrated estimator one
-refactor at a time; both now call the shared
-:func:`~repro.core.pushpull.expectation_partials` /
-:func:`~repro.core.pushpull.combine_expectation_costs` pair. These are the
-regression tests: the shared helpers must compose to exactly
-:func:`~repro.core.pushpull.estimate_models`, and the two engines must make
-the same mode decision for every bucket of every preset.
+refactor at a time; both now run the one
+:func:`~repro.core.pushpull.estimate_models`, which evaluates the per-vertex
+terms once and sums them per rank block. These are the regression tests:
+that must equal, float for float, the estimator evaluated rank by rank (kept
+here as the oracle) on both view layouts, and the two engines must make the
+same mode decision for every bucket of every preset.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ import pytest
 
 from repro.core.config import preset
 from repro.core.context import make_context
-from repro.core.pushpull import (
-    combine_expectation_costs,
-    estimate_models,
-    expectation_partials,
-)
+from repro.core.distances import INF
+from repro.core.pushpull import combine_expectation_costs, estimate_models
 from repro.core.solver import solve_sssp
-from repro.core.views import whole_graph_view
+from repro.core.views import build_rank_states, whole_graph_view
 from repro.runtime.machine import MachineConfig
 from repro.spmd.engine import spmd_delta_stepping
 
@@ -40,49 +37,112 @@ def bucket_modes(metrics) -> list[tuple[int, str]]:
     ]
 
 
+def rank_partials_oracle(
+    cfg, w_max, lo, member_long_degrees, d_later, total_in_degrees, long_in_degrees
+):
+    """One rank's (push, pull) partials, evaluated on that rank's slices
+    alone — the formulation the estimator had before it evaluated the
+    per-vertex terms once; kept here as the oracle."""
+    push = float(np.asarray(member_long_degrees).astype(np.float64).sum())
+    d_later = np.asarray(d_later)
+    if d_later.size == 0:
+        return push, 0.0
+    d_later_f = d_later.astype(np.float64)
+    window = np.where(d_later_f >= INF, np.float64(w_max), d_later_f - lo)
+    if cfg.use_ios:
+        deg = np.asarray(total_in_degrees).astype(np.float64)
+        frac = np.clip(window / w_max, 0.0, 1.0)
+    else:
+        deg = np.asarray(long_in_degrees).astype(np.float64)
+        frac = np.clip(
+            (window - cfg.delta) / max(w_max - cfg.delta + 1, 1), 0.0, 1.0
+        )
+    return push, float((deg * frac).sum())
+
+
+def random_state(ctx, seed, *, reached=0.5, empty_ranks=()):
+    """(d, settled) with a ``reached`` share of finite distances, the rest
+    at INF; vertices of ``empty_ranks`` are all settled (no members, no
+    later vertices there)."""
+    n = ctx.graph.num_vertices
+    rng = np.random.default_rng(seed)
+    d = np.full(n, INF, dtype=np.int64)
+    hit = rng.random(n) < reached
+    d[hit] = rng.integers(0, 200, int(hit.sum()))
+    settled = rng.random(n) < 0.2
+    for r in empty_ranks:
+        lo, hi = ctx.partition.rank_range(r)
+        settled[lo:hi] = True
+    return d, settled
+
+
+def oracle_estimate(ctx, d, settled, k):
+    """Per-rank oracle partials folded in rank order."""
+    cfg = ctx.config
+    lo, hi = k * cfg.delta, (k + 1) * cfg.delta
+    members = np.nonzero((d >= lo) & (d < hi) & ~settled)[0]
+    later = np.nonzero((d >= hi) & ~settled)[0]
+    w_max = max(ctx.graph.max_weight, 1)
+    push_parts, pull_parts = [], []
+    for r in range(ctx.machine.num_ranks):
+        start, stop = ctx.partition.rank_range(r)
+        m = members[(members >= start) & (members < stop)]
+        lt = later[(later >= start) & (later < stop)]
+        total_in = ctx.in_graph.indptr[lt + 1] - ctx.in_graph.indptr[lt]
+        push, pull = rank_partials_oracle(
+            cfg, w_max, lo, ctx.long_degrees[m], d[lt],
+            total_in, ctx.in_long_degrees[lt],
+        )
+        push_parts.append(push)
+        pull_parts.append(pull)
+    return members, combine_expectation_costs(
+        cfg, ctx.machine, push_parts, pull_parts
+    )
+
+
 class TestSharedPartials:
     @pytest.mark.parametrize("use_ios", [False, True])
     def test_partials_compose_to_estimate_models(self, rmat1_small, use_ios):
-        """Summing per-rank partials of the shared helper must reproduce
-        the orchestrated estimator bit-for-bit."""
+        """Terms evaluated once and summed per rank block must reproduce,
+        bit for bit, the estimator evaluated rank by rank."""
         cfg = preset("opt", 25).evolve(use_ios=use_ios)
         ctx = make_context(rmat1_small, MACHINE, cfg)
-        d = np.full(ctx.graph.num_vertices, 2**62, dtype=np.int64)
-        rng = np.random.default_rng(0)
-        reached = rng.random(d.size) < 0.5
-        d[reached] = rng.integers(0, 200, int(reached.sum()))
-        settled = np.zeros(d.size, dtype=bool)
-        k = 1
-        lo, hi = k * cfg.delta, (k + 1) * cfg.delta
-        members = np.nonzero((d >= lo) & (d < hi) & ~settled)[0]
-        later = np.nonzero((d >= hi) & ~settled)[0]
+        d, settled = random_state(ctx, 0)
+        members, oracle = oracle_estimate(ctx, d, settled, 1)
         whole = estimate_models(
-            ctx, [whole_graph_view(ctx, d, settled)], [members], k
+            ctx, [whole_graph_view(ctx, d, settled)], [members], 1
         )
+        assert whole == oracle
 
-        w_max = max(ctx.graph.max_weight, 1)
-        push_parts, pull_parts = [], []
-        for r in range(MACHINE.num_ranks):
-            start = int(ctx.partition.boundaries[r])
-            stop = int(ctx.partition.boundaries[r + 1])
-            m = members[(members >= start) & (members < stop)]
-            lt = later[(later >= start) & (later < stop)]
-            if use_ios:
-                total_in = ctx.in_graph.indptr[lt + 1] - ctx.in_graph.indptr[lt]
-                long_in = None
+    @pytest.mark.parametrize("use_ios", [False, True])
+    @pytest.mark.parametrize("layout", ["whole", "ranks"])
+    @pytest.mark.parametrize(
+        "reached, empty_ranks", [(0.5, ()), (0.05, (1,)), (0.9, (0, 3)), (0.0, ())]
+    )
+    def test_both_layouts_match_the_per_rank_oracle(
+        self, rmat1_small, use_ios, layout, reached, empty_ranks
+    ):
+        """Whole-graph view cut at the boundaries and one view per rank give
+        the oracle's floats — with unreached (INF) vertices, ranks holding
+        no member and no later vertex, and nothing reached at all."""
+        cfg = preset("opt", 25).evolve(use_ios=use_ios)
+        ctx = make_context(rmat1_small, MACHINE, cfg)
+        d, settled = random_state(ctx, 7, reached=reached, empty_ranks=empty_ranks)
+        for k in (0, 1, 3):
+            members, oracle = oracle_estimate(ctx, d, settled, k)
+            if layout == "whole":
+                views = [whole_graph_view(ctx, d, settled)]
+                members_per_view = [members]
             else:
-                total_in = None
-                long_in = ctx.in_long_degrees[lt]
-            push, pull = expectation_partials(
-                ctx.config, w_max, lo, ctx.long_degrees[m], d[lt],
-                total_in, long_in,
-            )
-            push_parts.append(push)
-            pull_parts.append(pull)
-        combined = combine_expectation_costs(
-            ctx.config, ctx.machine, push_parts, pull_parts
-        )
-        assert combined == whole
+                views = build_rank_states(ctx.graph, ctx.partition, cfg.delta, 0)
+                members_per_view = []
+                for v in views:
+                    v.d[:] = d[v.lo : v.hi]
+                    v.settled[:] = settled[v.lo : v.hi]
+                    members_per_view.append(
+                        members[(members >= v.lo) & (members < v.hi)] - v.lo
+                    )
+            assert estimate_models(ctx, views, members_per_view, k) == oracle
 
 
 class TestEngineDecisionParity:

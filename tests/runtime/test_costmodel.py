@@ -89,12 +89,20 @@ class TestEvaluateCost:
         )
 
     def test_unknown_kind_rejected(self):
+        from types import SimpleNamespace
+
+        from repro.runtime.costmodel import price_record
         from repro.runtime.metrics import StepRecord
 
+        # The ledger takes whatever kind a compute fact names; pricing is
+        # where an unclassified one is refused, per record and per ledger.
         m = metrics()
-        m.records.append(StepRecord(kind="mystery", comp_max=1))
-        with pytest.raises(ValueError):
+        m.queue_compute(SimpleNamespace(value="mystery"), np.array([0]), None)
+        assert m.records[-1].kind == "mystery"
+        with pytest.raises(ValueError, match="mystery"):
             evaluate_cost(m, machine())
+        with pytest.raises(ValueError, match="mystery"):
+            price_record(StepRecord(kind="mystery", comp_max=1), machine())
 
     def test_as_row(self):
         cost = evaluate_cost(metrics(), machine())

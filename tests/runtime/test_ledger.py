@@ -1,0 +1,476 @@
+"""The step ledger: queued facts, one vectorised fold.
+
+``ctx.charge``/``charge_scan``, the communicator's exchanges and allreduces
+queue facts; :meth:`Metrics.settle` folds them. The contract is that nobody
+can tell: every :class:`StepRecord` field, the relaxation counters and the
+priced cost are, to the bit, what reducing each call on the spot gives. The
+eager reductions the ledger replaced live on here as the oracle.
+"""
+
+from __future__ import annotations
+
+import glob
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.runtime.metrics as ledger
+from repro.core.config import SolverConfig, preset
+from repro.core.context import make_context
+from repro.core.solver import BatchSolver, solve_sssp
+from repro.dynamic.repair import repair_sssp
+from repro.dynamic.updates import random_update_batch
+from repro.dynamic.versioner import GraphVersioner
+from repro.graph.grid import grid_graph
+from repro.graph.rmat import rmat_graph
+from repro.obs.tracer import TraceConfig
+from repro.runtime.comm import RECOVERY_PHASE
+from repro.runtime.costmodel import CostBreakdown, evaluate_cost, price_record
+from repro.runtime.machine import MachineConfig
+from repro.runtime.metrics import ComputeKind, StepRecord
+from repro.runtime.watchdog import DeadlineConfig
+from repro.runtime.work import thread_index
+from repro.spmd.engine import spmd_bellman_ford, spmd_delta_stepping
+
+N = 60  # vertices of the graph every synthetic fact is about
+
+
+def pending(metrics) -> int:
+    return sum(len(family) for family in metrics._pending)
+
+
+# ----------------------------------------------------------------------
+# The oracle: each accounting call reduced on the spot, as the parent did
+# ----------------------------------------------------------------------
+def eager_thread_work(ctx, vertices, units):
+    total = ctx.machine.total_threads
+    v = np.asarray(vertices, dtype=np.int64)
+    if v.size == 0:
+        return np.zeros(total, dtype=np.float64)
+    idx = thread_index(v, ctx.partition, ctx.machine)
+    if units is None:
+        return np.bincount(idx, minlength=total).astype(np.float64)
+    return np.bincount(idx, weights=np.asarray(units, np.float64), minlength=total)
+
+
+def eager_thread_work_balanced(ctx, vertices, units):
+    t = ctx.machine.threads_per_rank
+    v = np.asarray(vertices, dtype=np.int64)
+    if v.size == 0:
+        return np.zeros(ctx.machine.total_threads, dtype=np.float64)
+    u = np.ones(v.size) if units is None else np.asarray(units, np.float64)
+    heavy = u > ctx.heavy_threshold
+    out = eager_thread_work(ctx, v[~heavy], u[~heavy])
+    if heavy.any():
+        ranks = np.asarray(ctx.partition.owner(v[heavy]), dtype=np.int64)
+        per_rank = np.bincount(
+            ranks, weights=u[heavy], minlength=ctx.machine.num_ranks
+        )
+        out += np.repeat(per_rank / t, t)
+    return out
+
+
+def eager_compute(kind, thread_work, phase_kind, count_as_relax, relaxations):
+    total = float(thread_work.sum())
+    if count_as_relax:
+        relaxations[kind.value] = relaxations.get(kind.value, 0) + int(round(total))
+    rec = StepRecord(
+        kind=kind.value, comp_max=float(thread_work.max()), comp_total=total,
+        phase_kind=phase_kind,
+    )
+    return rec, thread_work
+
+
+def eager_exchange(msgs, byt, phase_kind):
+    rec = StepRecord(
+        kind="exchange", msgs_max=int(msgs.max()), bytes_max=int(byt.max()),
+        bytes_total=int(byt.sum()) // 2, phase_kind=phase_kind,
+    )
+    return rec, msgs, byt
+
+
+def eager_by_rank(p, src, dst, record_bytes, phase_kind):
+    lanes = np.bincount(src * p + dst, minlength=p * p).reshape(p, p)
+    np.fill_diagonal(lanes, 0)
+    byt = (lanes.sum(axis=1) + lanes.sum(axis=0)) * record_bytes
+    return eager_exchange(np.count_nonzero(lanes, axis=1), byt, phase_kind)
+
+
+def eager_by_counts(p, src, dst, cnt, record_bytes, phase_kind):
+    live = (src != dst) & (cnt > 0)
+    lanes = np.zeros(p * p, dtype=np.int64)
+    np.add.at(lanes, src[live] * p + dst[live], cnt[live])
+    lanes = lanes.reshape(p, p)
+    byt = (lanes.sum(axis=1) + lanes.sum(axis=0)) * record_bytes
+    return eager_exchange(np.count_nonzero(lanes, axis=1), byt, phase_kind)
+
+
+# ----------------------------------------------------------------------
+# Random programs of accounting calls
+# ----------------------------------------------------------------------
+KINDS = list(ComputeKind)
+PHASES = ["short", "long", "bf", "bucket", RECOVERY_PHASE, "other"]
+
+
+@st.composite
+def programs(draw):
+    """(P, T, intra_lb, ops): ops are drawn as plain data so one program
+    can be replayed on several contexts and on the oracle."""
+    p = draw(st.integers(1, 7))
+    t = draw(st.integers(1, 5))
+    ops = []
+    for _ in range(draw(st.integers(0, 14))):
+        op = draw(st.sampled_from(
+            ["charge", "scan", "by_rank", "by_counts", "allreduce", "ready"]
+        ))
+        phase = draw(st.sampled_from(PHASES))
+        size = draw(st.integers(0, 9))
+        if op == "charge":
+            vertices = draw(st.lists(st.integers(0, N - 1), min_size=size, max_size=size))
+            units = draw(st.one_of(
+                st.none(),
+                st.lists(st.integers(0, 40), min_size=size, max_size=size),
+            ))
+            ops.append((op, draw(st.sampled_from(KINDS)), phase, vertices, units,
+                        draw(st.booleans())))
+        elif op == "scan":
+            ops.append((op, draw(st.lists(st.integers(0, 500), min_size=p, max_size=p))))
+        elif op in ("by_rank", "by_counts"):
+            ranks = st.lists(st.integers(0, p - 1), min_size=size, max_size=size)
+            counts = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+            ops.append((op, phase, draw(ranks), draw(ranks), counts,
+                        draw(st.integers(0, 24))))
+        elif op == "allreduce":
+            ops.append((op, phase, draw(st.integers(1, 3))))
+        else:
+            work = draw(st.lists(st.integers(0, 30), min_size=p * t, max_size=p * t))
+            ops.append((op, draw(st.sampled_from(KINDS)), phase, work))
+    return p, t, draw(st.booleans()), ops
+
+
+def make_ctx(p, t, intra_lb):
+    graph = grid_graph(6, 10, seed=3)
+    assert graph.num_vertices == N
+    cfg = SolverConfig(delta=25, intra_lb=intra_lb, heavy_degree=5)
+    return make_context(graph, MachineConfig(num_ranks=p, threads_per_rank=t), cfg)
+
+
+def replay(ctx, ops, *, settle_each=False):
+    ints = lambda xs: np.array(xs, dtype=np.int64)  # noqa: E731
+    for op in ops:
+        if op[0] == "charge":
+            _, kind, phase, vertices, units, relax = op
+            units = None if units is None else np.array(units, dtype=np.float64)
+            ctx.charge(kind, ints(vertices), units, phase_kind=phase,
+                       count_as_relax=relax)
+        elif op[0] == "scan":
+            ctx.charge_scan(ints(op[1]))
+        elif op[0] == "by_rank":
+            ctx.comm.exchange_by_rank(ints(op[2]), ints(op[3]), op[5], phase_kind=op[1])
+        elif op[0] == "by_counts":
+            ctx.comm.exchange_by_rank_counts(
+                ints(op[2]), ints(op[3]), ints(op[4]), op[5], phase_kind=op[1]
+            )
+        elif op[0] == "allreduce":
+            ctx.comm.allreduce(op[2], phase_kind=op[1])
+        else:
+            ctx.metrics.add_compute(op[1], np.array(op[3], float), phase_kind=op[2])
+        if settle_each:
+            ctx.metrics.settle()
+
+
+def oracle(ctx, ops):
+    """(records, relaxations, per-record hook arrays) by eager reduction."""
+    p, t = ctx.machine.num_ranks, ctx.machine.threads_per_rank
+    ints = lambda xs: np.array(xs, dtype=np.int64)  # noqa: E731
+    out, relaxations = [], {}
+    work = eager_thread_work_balanced if ctx.config.intra_lb else eager_thread_work
+    for op in ops:
+        if op[0] == "charge":
+            _, kind, phase, vertices, units, relax = op
+            units = None if units is None else np.array(units, dtype=np.float64)
+            out.append(eager_compute(
+                kind, work(ctx, ints(vertices), units), phase, relax, relaxations
+            ))
+        elif op[0] == "scan":
+            tw = np.repeat(np.asarray(op[1], dtype=np.float64) / t, t)
+            out.append(eager_compute(
+                ComputeKind.BUCKET_SCAN, tw, "bucket", False, relaxations
+            ))
+        elif op[0] == "by_rank":
+            out.append(eager_by_rank(p, ints(op[2]), ints(op[3]), op[5], op[1]))
+        elif op[0] == "by_counts":
+            out.append(eager_by_counts(
+                p, ints(op[2]), ints(op[3]), ints(op[4]), op[5], op[1]
+            ))
+        elif op[0] == "allreduce":
+            out.append((StepRecord(kind="allreduce", allreduces=op[2], phase_kind=op[1]),))
+        else:
+            kind = op[1]
+            out.append(eager_compute(
+                kind, np.array(op[3], float), op[2],
+                kind is not ComputeKind.BUCKET_SCAN, relaxations,
+            ))
+    return [o[0] for o in out], relaxations, [o[1:] for o in out]
+
+
+class RecordingTracer:
+    """Duck-typed tracer keeping what each hook was handed."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_compute(self, rec, thread_work, relax_count):
+        self.calls.append((rec, (np.array(thread_work),), relax_count))
+
+    def on_exchange(self, rec, msgs, byt):
+        self.calls.append((rec, (np.array(msgs), np.array(byt)), None))
+
+    def on_allreduce(self, rec):
+        self.calls.append((rec, (), None))
+
+
+class TestFoldOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(program=programs())
+    def test_batched_equals_one_at_a_time_equals_eager(self, program):
+        p, t, intra_lb, ops = program
+        batched, single = make_ctx(p, t, intra_lb), make_ctx(p, t, intra_lb)
+        replay(batched, ops)
+        assert pending(batched.metrics) == len(ops)  # nothing folded yet
+        replay(single, ops, settle_each=True)
+        records, relaxations, _ = oracle(batched, ops)
+        for ctx in (batched, single):
+            assert ctx.metrics.records == records
+            assert ctx.metrics.relaxations == relaxations
+            assert list(ctx.metrics.relaxations) == list(relaxations)
+            assert pending(ctx.metrics) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(program=programs(), large=st.integers(0, 6), budget=st.integers(0, 200))
+    def test_size_rules_change_nothing(self, program, large, budget):
+        """Large facts folding alone and small ones flushing at any budget
+        leave the same ledger as one fold at the end."""
+        p, t, intra_lb, ops = program
+        ctx = make_ctx(p, t, intra_lb)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ledger, "LARGE_FACT", large)
+            patch.setattr(ledger, "FLUSH_BUDGET", budget)
+            replay(ctx, ops)
+        records, relaxations, _ = oracle(ctx, ops)
+        assert ctx.metrics.records == records
+        assert ctx.metrics.relaxations == relaxations
+
+    @settings(max_examples=60, deadline=None)
+    @given(program=programs())
+    def test_armed_tracer_sees_every_record_as_it_happens(self, program):
+        """With a tracer armed each fact settles on arrival: the hooks fire
+        in program order with the eager reduction's record, per-thread /
+        per-rank arrays and relaxation count."""
+        p, t, intra_lb, ops = program
+        ctx = make_ctx(p, t, intra_lb)
+        tracer = ctx.metrics.tracer = RecordingTracer()
+        records, _, arrays = oracle(ctx, ops)
+        for i, op in enumerate(ops):
+            replay(ctx, [op])
+            assert len(tracer.calls) == i + 1 and pending(ctx.metrics) == 0
+        assert [c[0] for c in tracer.calls] == records == ctx.metrics.records
+        for (rec, got, relaxed), want in zip(tracer.calls, arrays):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            if relaxed is not None:
+                counted = rec.kind in ctx.metrics.relaxations
+                assert relaxed in (0, int(round(rec.comp_total)))
+                assert counted or relaxed == 0
+
+    def test_ready_exchange_rows_keep_their_place(self):
+        ctx = make_ctx(3, 2, False)
+        m = ctx.metrics
+        ctx.comm.exchange_by_rank(np.array([0, 1]), np.array([2, 2]), 8)
+        m.add_exchange(np.array([2, 0, 1]), np.array([10, 30, 20]), phase_kind="bf")
+        ctx.comm.exchange_by_rank(np.array([2]), np.array([0]), 4)
+        first, ready, last = m.records
+        assert (first.msgs_max, first.bytes_max, first.bytes_total) == (1, 16, 16)
+        assert (ready.msgs_max, ready.bytes_max, ready.bytes_total) == (2, 30, 30)
+        assert ready.phase_kind == "bf"
+        assert (last.msgs_max, last.bytes_max, last.bytes_total) == (1, 4, 4)
+        with pytest.raises(ValueError):
+            m.add_exchange(np.array([1, 2]), np.array([1, 2]))
+
+    def test_tracer_armed_mid_run_sees_only_what_follows(self):
+        ctx = make_ctx(3, 2, False)
+        ctx.charge_scan(np.array([1, 2, 3]))
+        tracer = ctx.metrics.tracer = RecordingTracer()
+        ctx.comm.allreduce(2)
+        assert pending(ctx.metrics) == 1  # the scan keeps its row and its turn
+        assert [c[0] for c in tracer.calls] == ctx.metrics.records[1:]
+        assert [r.kind for r in ctx.metrics.records] == ["bucket_scan", "allreduce"]
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_id_out_of_range_raises_and_zeroes_no_row(self, bad, batch):
+        """A thread or lane id outside the grid raises at the fold whatever
+        the batch size — it never lands in a neighbouring fact's row — and
+        the facts stay queued, so no reader sees their rows at zero."""
+        for queue, good in (
+            (lambda m, ids: m.queue_compute(ComputeKind.BF_RELAX, ids, None), [0, 5]),
+            (lambda m, ids: m.queue_exchange(ids, None, 8), [1, 8]),
+        ):
+            m = make_ctx(3, 2, False).metrics  # 6 threads, 9 lanes
+            good = np.array(good)
+            for i in range(batch):
+                queue(m, np.array([bad + 3 * (bad > 0)]) if i == 0 else good)
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    m.records
+            assert pending(m) == batch
+
+
+class TestRecordsView:
+    def test_built_once_until_the_ledger_grows(self):
+        for tracer in (None, RecordingTracer()):
+            ctx = make_ctx(3, 2, False)
+            ctx.metrics.tracer = tracer
+            ctx.comm.allreduce(1)
+            view = ctx.metrics.records
+            assert ctx.metrics.records is view and len(view) == 1
+            ctx.comm.allreduce(2)
+            assert ctx.metrics.records is not view
+            assert [r.allreduces for r in ctx.metrics.records] == [1, 2]
+            assert len(view) == 1  # the old view is a plain list, left alone
+
+
+class TestFactsOwnTheirArrays:
+    def test_mutating_arguments_after_the_call_changes_nothing(self):
+        ctx = make_ctx(4, 2, True)
+        vertices = np.array([0, 5, 17, 17, 59])
+        units = np.array([1.0, 9.0, 2.0, 2.0, 3.0])
+        scan = np.array([4, 0, 7, 1])
+        src, dst = np.array([0, 1, 3]), np.array([2, 1, 0])
+        counts = np.array([2, 5, 1])
+        work = np.arange(8, dtype=np.float64)
+
+        def run(mutate):
+            ctx_i = make_ctx(4, 2, True)
+            args = [a.copy() for a in (vertices, units, scan, src, dst, counts, work)]
+            v, u, s, a, b, c, w = args
+            ctx_i.charge(ComputeKind.SHORT_RELAX, v, u, phase_kind="short",
+                         count_as_relax=True)
+            ctx_i.charge_scan(s)
+            ctx_i.comm.exchange_by_rank(a, b, 16)
+            ctx_i.comm.exchange_by_vertex(v[:3], v[2:], 16)
+            ctx_i.comm.exchange_by_rank_counts(a, b, c, 24)
+            ctx_i.metrics.add_compute(ComputeKind.BF_RELAX, w)
+            assert pending(ctx_i.metrics) == 6
+            if mutate:
+                for arr in args:
+                    arr[...] = 1
+            return ctx_i.metrics.records, dict(ctx_i.metrics.relaxations)
+
+        assert run(mutate=True) == run(mutate=False)
+        assert ctx.metrics.records == []
+
+
+# ----------------------------------------------------------------------
+# Whole solves
+# ----------------------------------------------------------------------
+MACHINE = MachineConfig(num_ranks=4, threads_per_rank=4)
+
+
+@pytest.fixture(scope="module")
+def rmat10():
+    return rmat_graph(10, seed=3)
+
+
+@pytest.fixture(scope="module")
+def grid24():
+    return grid_graph(24, 24, seed=2)
+
+
+class TestNothingEscapesUnsettled:
+    def test_solve_and_solve_many(self, rmat10):
+        solver = BatchSolver(rmat10, algorithm="opt", machine=MACHINE)
+        for result in [solver.solve(3), *solver.solve_many([0, 9])]:
+            assert pending(result.metrics) == 0
+        assert pending(solver._template_ctx.metrics) == 0
+
+    def test_spmd_drivers(self, rmat10):
+        _, ctx = spmd_delta_stepping(rmat10, 3, MACHINE, config=preset("opt", 25))
+        assert pending(ctx.metrics) == 0 and len(ctx.metrics.records) > 0
+        _, ctx = spmd_bellman_ford(rmat10, 3, MACHINE)
+        assert pending(ctx.metrics) == 0
+
+    def test_degraded_solve(self, grid24):
+        solver = BatchSolver(grid24, algorithm="opt", machine=MACHINE)
+        result = solver.solve(0, deadline=DeadlineConfig.degraded(3))
+        assert result.metrics.degraded_to_bf and pending(result.metrics) == 0
+
+    def test_resumed_solve(self, grid24, tmp_path):
+        first = solve_sssp(grid24, 0, algorithm="opt", machine=MACHINE,
+                           checkpoint_dir=tmp_path)
+        files = sorted(glob.glob(str(tmp_path / "*.npz")))
+        for stale in files[len(files) // 2 :]:
+            os.unlink(stale)
+        resumed = solve_sssp(grid24, 0, algorithm="opt", machine=MACHINE,
+                             checkpoint_dir=tmp_path, resume=True)
+        assert np.array_equal(first.distances, resumed.distances)
+        assert pending(first.metrics) == pending(resumed.metrics) == 0
+
+    def test_repair(self, rmat10):
+        root = int(np.flatnonzero(rmat10.degrees > 0)[0])
+        versioner = GraphVersioner(
+            rmat10, machine=MACHINE, config=preset("opt", 25), retention=4
+        )
+        d = solve_sssp(rmat10, root, algorithm="opt", machine=MACHINE).distances
+        rng = np.random.default_rng(5)
+        snap, _ = versioner.apply(
+            random_update_batch(versioner.current.graph, rng, churn_fraction=0.01)
+        )
+        ctx = versioner.context_for(snap.snapshot_id)
+        result = repair_sssp(ctx, root, d, snap.delta)
+        assert not result.fallback
+        assert pending(ctx.metrics) == 0 and ctx.metrics.total_allreduces > 0
+
+
+class TestTracerArmedSolve:
+    @pytest.mark.parametrize("algorithm", ["delta", "opt", "lb-opt"])
+    def test_armed_and_unarmed_solves_keep_the_same_ledger(self, rmat10, algorithm):
+        plain = solve_sssp(rmat10, 3, algorithm=algorithm, machine=MACHINE)
+        armed = solve_sssp(rmat10, 3, algorithm=algorithm, machine=MACHINE,
+                           trace=TraceConfig())
+        assert armed.metrics.records == plain.metrics.records
+        assert armed.metrics.relaxations == plain.metrics.relaxations
+        assert armed.cost == plain.cost and armed.gteps == plain.gteps
+        events = [e for e in armed.trace.events if e["type"] == "record"]
+        assert [e["kind"] for e in events] == [r.kind for r in plain.metrics.records]
+        assert [e["sim_dt"] for e in events] == [
+            price_record(r, MACHINE) for r in plain.metrics.records
+        ]
+
+
+class TestColumnPricing:
+    @pytest.mark.parametrize("algorithm", ["delta", "opt", "lb-opt"])
+    @pytest.mark.parametrize("family", ["rmat10", "grid24"])
+    def test_evaluate_cost_is_the_sequential_fold_of_price_record(
+        self, request, family, algorithm
+    ):
+        graph = request.getfixturevalue(family)
+        result = solve_sssp(graph, 1, algorithm=algorithm, machine=MACHINE)
+        compute = comm = sync = bucket = other = 0.0
+        for rec in result.metrics.records:
+            t = price_record(rec, MACHINE)
+            if rec.kind == "exchange":
+                comm += t
+            elif rec.kind == "allreduce":
+                sync += t
+            else:
+                compute += t
+            if rec.phase_kind == "bucket":
+                bucket += t
+            else:
+                other += t
+        folded = CostBreakdown(compute, comm, sync, bucket, other)
+        assert evaluate_cost(result.metrics, MACHINE) == folded == result.cost

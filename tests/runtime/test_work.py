@@ -5,7 +5,7 @@ import pytest
 
 from repro.graph.partition import BlockPartition
 from repro.runtime.machine import MachineConfig
-from repro.runtime.work import thread_index, thread_work, thread_work_balanced
+from repro.runtime.work import thread_index, thread_work
 
 
 def setup(n=16, ranks=2, threads=2):
@@ -65,14 +65,14 @@ class TestThreadWorkBalanced:
     def test_light_vertices_unchanged(self):
         part, machine = setup()
         a = thread_work(np.array([0, 8]), np.array([2.0, 3.0]), part, machine)
-        b = thread_work_balanced(
+        b = thread_work(
             np.array([0, 8]), np.array([2.0, 3.0]), part, machine, heavy_threshold=10
         )
         assert np.array_equal(a, b)
 
     def test_heavy_vertex_spread_over_rank_threads(self):
         part, machine = setup()
-        tw = thread_work_balanced(
+        tw = thread_work(
             np.array([0]), np.array([100.0]), part, machine, heavy_threshold=10
         )
         # spread evenly over rank 0's two threads, none on rank 1
@@ -85,7 +85,7 @@ class TestThreadWorkBalanced:
         v = rng.integers(0, 16, 40)
         u = rng.uniform(0, 50, 40)
         a = thread_work(v, u, part, machine)
-        b = thread_work_balanced(v, u, part, machine, heavy_threshold=20)
+        b = thread_work(v, u, part, machine, heavy_threshold=20)
         assert a.sum() == pytest.approx(b.sum())
 
     def test_balancing_reduces_max(self):
@@ -93,7 +93,7 @@ class TestThreadWorkBalanced:
         v = np.array([0, 1, 2])
         u = np.array([100.0, 1.0, 1.0])
         a = thread_work(v, u, part, machine)
-        b = thread_work_balanced(v, u, part, machine, heavy_threshold=10)
+        b = thread_work(v, u, part, machine, heavy_threshold=10)
         assert b.max() < a.max()
 
     def test_infinite_threshold_equals_plain(self):
@@ -101,5 +101,5 @@ class TestThreadWorkBalanced:
         v = np.array([0, 5, 9])
         u = np.array([1000.0, 2.0, 3.0])
         a = thread_work(v, u, part, machine)
-        b = thread_work_balanced(v, u, part, machine, heavy_threshold=float("inf"))
+        b = thread_work(v, u, part, machine, heavy_threshold=float("inf"))
         assert np.array_equal(a, b)

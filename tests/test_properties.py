@@ -20,7 +20,7 @@ from repro.core.solver import solve_sssp
 from repro.graph.builder import compact_edges, from_undirected_edges
 from repro.graph.partition import BlockPartition
 from repro.runtime.machine import MachineConfig
-from repro.runtime.work import thread_work, thread_work_balanced
+from repro.runtime.work import thread_work
 from repro.util.ranges import concat_ranges
 
 
@@ -236,7 +236,7 @@ class TestDataStructureInvariants:
         v = rng.integers(0, n, 30)
         u = rng.uniform(0, 20, 30)
         plain = thread_work(v, u, part, machine)
-        balanced = thread_work_balanced(v, u, part, machine, threshold)
+        balanced = thread_work(v, u, part, machine, threshold)
         # Work is conserved exactly; note that balancing may raise the max on
         # a thread that was already busy with light work (the spread share
         # lands on every thread of the rank), so only totals are invariant.
