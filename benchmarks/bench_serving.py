@@ -224,21 +224,28 @@ def _resilience_kwargs() -> dict:
     }
 
 
-def run_overhead_check(
-    scale_label: str,
+def paired_overhead(
+    off_kwargs,
+    on_kwargs,
     *,
+    scale_label: str,
     num_ranks: int,
     workers: int,
     requests: int | None,
-    max_overhead_pct: float,
-    trials: int = 5,
-) -> list[str]:
-    """Resilience-off vs armed-no-chaos, paired over ``trials`` rounds.
+    trials: int,
+    check_on=None,
+) -> tuple[list[float], list[float], list[float], float]:
+    """Throughput of two broker shapes over ``trials`` alternated rounds.
 
-    Throughput at tiny scale is noisy (sub-second runs), so the gate is
-    computed from *paired* trials: each round runs both shapes back to
-    back and contributes one on/off ratio; the median ratio is gated.
-    Machine drift between rounds cancels out of each pair.
+    ``off_kwargs()`` / ``on_kwargs()`` give the extra ``QueryBroker``
+    keywords of the baseline and of the armed shape. Throughput at tiny
+    scale is noisy (sub-second runs), so a gate is computed from *paired*
+    trials: each round runs both shapes back to back and contributes one
+    on/off ratio; machine drift between rounds cancels out of each pair.
+    Every armed trial must stay **bit-identical** to offline solves (the
+    armed system is the same system); ``check_on(broker, report, kwargs)``
+    adds a mode's own assertions. Returns ``(off_qps, on_qps, ratios,
+    median ratio)``.
     """
     from repro.core.solver import solve_sssp
     from repro.graph.roots import choose_roots
@@ -262,6 +269,7 @@ def run_overhead_check(
     )
 
     def one_trial(armed: bool) -> float:
+        kwargs = on_kwargs() if armed else off_kwargs()
         broker = QueryBroker(
             graph,
             algorithm="opt",
@@ -272,11 +280,13 @@ def run_overhead_check(
             flush_interval_s=0.002,
             num_workers=workers,
             cache_bytes=64 << 20,
-            **(_resilience_kwargs() if armed else {}),
+            **kwargs,
         )
         try:
             report = run_workload(broker, spec)
-            if armed:  # answers must be unchanged while armed
+            if armed:
+                if check_on is not None:
+                    check_on(broker, report, kwargs)
                 for root in choose_roots(graph, 3, seed=7):
                     served = broker.query(int(root))
                     offline = solve_sssp(
@@ -298,21 +308,42 @@ def run_overhead_check(
         off_qps.append(off)
         on_qps.append(on)
         ratios.append(on / off)
-    ratio = sorted(ratios)[len(ratios) // 2]
+    return off_qps, on_qps, ratios, sorted(ratios)[len(ratios) // 2]
+
+
+def _gate(ratio, off_qps, on_qps, max_overhead_pct, on_name, off_name) -> list[str]:
+    if ratio >= 1.0 - max_overhead_pct / 100.0:
+        return []
+    return [
+        f"{on_name} throughput is more than {max_overhead_pct:.1f}% "
+        f"below {off_name} (paired median ratio {ratio:.4f}; "
+        f"off {off_qps}, on {on_qps})"
+    ]
+
+
+def run_overhead_check(
+    scale_label: str,
+    *,
+    num_ranks: int,
+    workers: int,
+    requests: int | None,
+    max_overhead_pct: float,
+    trials: int = 5,
+) -> list[str]:
+    """Resilience-off vs armed-no-chaos (DESIGN.md §12), gated on the
+    paired median ratio of :func:`paired_overhead`."""
+    off_qps, on_qps, _, ratio = paired_overhead(
+        dict, _resilience_kwargs, scale_label=scale_label,
+        num_ranks=num_ranks, workers=workers, requests=requests, trials=trials,
+    )
     print(
         f"overhead check ({scale_label}): resilience-off {max(off_qps):.1f} "
         f"qps, armed-no-chaos {max(on_qps):.1f} qps; paired median ratio "
         f"{ratio:.4f} ({(1 - ratio) * 100:+.2f}% overhead over "
         f"{trials} rounds)"
     )
-    failures = []
-    if ratio < 1.0 - max_overhead_pct / 100.0:
-        failures.append(
-            f"armed-no-chaos throughput is more than {max_overhead_pct:.1f}% "
-            f"below resilience-off (paired median ratio {ratio:.4f}; "
-            f"off {off_qps}, on {on_qps})"
-        )
-    return failures
+    return _gate(ratio, off_qps, on_qps, max_overhead_pct,
+                 "armed-no-chaos", "resilience-off")
 
 
 def run_obs_overhead_check(
@@ -328,88 +359,33 @@ def run_obs_overhead_check(
     """Observability-off vs wide-events-armed, paired (DESIGN.md §14).
 
     The ISSUE 9 gate: arming request contexts + wide events + latency
-    exemplars must stay **bit-identical** (the observed system is the
-    same system) and within ``max_overhead_pct`` of the unobserved
-    throughput, measured as the paired median ratio like the resilience
-    gate above. Also asserts the structural wide-event invariant — one
-    event per offered request — on every armed trial. With ``out``, the
-    payload (ratios and per-trial qps) is written as the ``BENCH_PR9``
-    baseline.
+    exemplars must stay bit-identical and within ``max_overhead_pct`` of
+    the unobserved throughput (:func:`paired_overhead`). Also asserts the
+    structural wide-event invariant — one event per offered request — on
+    every armed trial. With ``out``, the payload (ratios and per-trial
+    qps) is written as the ``BENCH_PR9`` baseline.
     """
-    from repro.core.solver import solve_sssp
-    from repro.graph.roots import choose_roots
     from repro.serve.events import WideEventLog
 
-    import numpy as np
-
-    scale = SCALE_LABELS.get(scale_label)
-    if scale is None:
-        scale = int(scale_label)
-    if requests is None:
-        requests = REQUESTS.get(scale_label, 200)
-    graph = cached_rmat(scale, "rmat1")
-    machine = default_machine(num_ranks, threads_per_rank=8)
-    spec = WorkloadSpec(
-        num_requests=requests,
-        arrival="closed",
-        concurrency=4,
-        zipf_s=1.2,
-        root_universe=32,
-        seed=5,
-    )
-
-    def one_trial(armed: bool) -> float:
-        events = WideEventLog() if armed else None
-        broker = QueryBroker(
-            graph,
-            algorithm="opt",
-            delta=25,
-            machine=machine,
-            capacity=max(spec.num_requests, 256),
-            max_batch_size=8,
-            flush_interval_s=0.002,
-            num_workers=workers,
-            cache_bytes=64 << 20,
-            events=events,
+    def check_on(broker, report, kwargs) -> None:
+        # structural invariant: one wide event per offered request
+        emitted = kwargs["events"].emitted
+        assert emitted == report["offered"], (
+            f"{emitted} wide events for {report['offered']} offered requests"
         )
-        try:
-            report = run_workload(broker, spec)
-            if armed:
-                # structural invariant: one wide event per offered request
-                assert events.emitted == report["offered"], (
-                    f"{events.emitted} wide events for "
-                    f"{report['offered']} offered requests"
-                )
-                # exemplars must have landed on the latency histogram
-                assert any(
-                    broker.registry.exemplars(
-                        "serve_request_latency_seconds", source=source
-                    )
-                    for source in ("cache", "solve", "coalesced")
-                ), "armed run produced no latency exemplars"
-                # and the observed system must be the same system
-                for root in choose_roots(graph, 3, seed=7):
-                    served = broker.query(int(root))
-                    offline = solve_sssp(
-                        graph, int(root), algorithm="opt", delta=25,
-                        machine=machine,
-                    )
-                    assert np.array_equal(
-                        served.distances, offline.distances
-                    ), f"observed broker diverged from offline solve at {root}"
-        finally:
-            broker.shutdown(drain=True)
-        return report["throughput_qps"]
+        # exemplars must have landed on the latency histogram
+        assert any(
+            broker.registry.exemplars(
+                "serve_request_latency_seconds", source=source
+            )
+            for source in ("cache", "solve", "coalesced")
+        ), "armed run produced no latency exemplars"
 
-    one_trial(False)  # untimed warmup
-    ratios, off_qps, on_qps = [], [], []
-    for _ in range(trials):
-        off = one_trial(False)
-        on = one_trial(True)
-        off_qps.append(off)
-        on_qps.append(on)
-        ratios.append(on / off)
-    ratio = sorted(ratios)[len(ratios) // 2]
+    off_qps, on_qps, ratios, ratio = paired_overhead(
+        dict, lambda: {"events": WideEventLog()}, scale_label=scale_label,
+        num_ranks=num_ranks, workers=workers, requests=requests,
+        trials=trials, check_on=check_on,
+    )
     print(
         f"observability overhead ({scale_label}): disabled {max(off_qps):.1f} "
         f"qps, events+exemplars armed {max(on_qps):.1f} qps; paired median "
@@ -429,14 +405,8 @@ def run_obs_overhead_check(
             "ratios": ratios,
             "paired_median_ratio": ratio,
         })
-    failures = []
-    if ratio < 1.0 - max_overhead_pct / 100.0:
-        failures.append(
-            f"events-armed throughput is more than {max_overhead_pct:.1f}% "
-            f"below observability-off (paired median ratio {ratio:.4f}; "
-            f"off {off_qps}, on {on_qps})"
-        )
-    return failures
+    return _gate(ratio, off_qps, on_qps, max_overhead_pct,
+                 "events-armed", "observability-off")
 
 
 def run_rate_sweep(

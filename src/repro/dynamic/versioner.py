@@ -10,16 +10,23 @@ parent_id, delta)`` record. Snapshot ids are dense integers starting at
 ``(snapshot_id, root)`` distance-cache key and the ``snapshot_id``
 field on wide events.
 
-Two serving-plane needs shape the class:
+Three serving-plane needs shape the class:
 
 - **Structural digests** — a SHA-256 over the CSR arrays plus the
   directedness flag, computed lazily and memoised. Two snapshots with
   equal digests are byte-identical graphs, which is what replay
   verification and cross-process cache audits compare.
 - **Bounded retention** — only the newest ``retention`` snapshots stay
-  resident (graphs, contexts, digests). :meth:`apply` returns the ids it
-  retired so the caller (the broker's epoch handoff) can evict dependent
-  state; asking for a retired snapshot raises ``KeyError``.
+  resident (graphs, contexts, digests); asking for a retired snapshot
+  raises ``KeyError``.
+- **Pins** — a snapshot somebody still reads must outlive the window.
+  :meth:`pin` / :meth:`unpin` count readers per snapshot (the broker
+  pins once per in-flight request, and once for its serving pointer);
+  retention evicts only unpinned snapshots, and a pinned one keeps its
+  graph, memoised context and digest. Every retired id is reported
+  exactly once — by the :meth:`apply` that pushed it out of the window,
+  or by the :meth:`unpin` that released it — so the caller can evict
+  dependent state (cache entries, solvers).
 
 :meth:`context_for` memoises one preprocessed
 :class:`~repro.core.context.ExecutionContext` per resident snapshot —
@@ -31,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.dynamic.updates import EdgeDelta, UpdateBatch, apply_batch
@@ -85,8 +91,11 @@ class GraphVersioner:
     retention:
         How many snapshots (newest-first) stay resident. Must be >= 1.
 
-    Thread safety: all public methods take one internal lock; ``apply``
-    is serialized against concurrent readers, which only ever observe a
+    Thread safety: one state lock guards the tables (snapshots, pins,
+    memos) and is only ever held for a dictionary operation, so ``pin``
+    on the request path never waits for a rebuild; the slow work
+    (``apply``'s graph rebuild, a context build, a digest) runs under a
+    separate build lock, one at a time. Readers only ever observe a
     fully-minted snapshot.
     """
 
@@ -94,28 +103,51 @@ class GraphVersioner:
         if retention < 1:
             raise ValueError("retention must be >= 1")
         self._lock = threading.RLock()
+        self._build_lock = threading.Lock()
         self._machine = machine
         self._config = config
         self.retention = int(retention)
-        self._snapshots: OrderedDict[int, GraphSnapshot] = OrderedDict()
+        self._snapshots: dict[int, GraphSnapshot] = {}  # ascending ids
         self._contexts: dict[int, object] = {}
         self._digests: dict[int, str] = {}
-        self._next_id = 0
+        self._pins: dict[int, int] = {}
         self._current_id = 0
-        self._mint(GraphSnapshot(snapshot_id=0, graph=graph))
+        self._snapshots[0] = GraphSnapshot(snapshot_id=0, graph=graph)
 
     # ------------------------------------------------------------------
-    def _mint(self, snap: GraphSnapshot) -> list[int]:
-        self._snapshots[snap.snapshot_id] = snap
-        self._current_id = snap.snapshot_id
-        self._next_id = snap.snapshot_id + 1
-        retired: list[int] = []
-        while len(self._snapshots) > self.retention:
-            old_id, _ = self._snapshots.popitem(last=False)
-            self._contexts.pop(old_id, None)
-            self._digests.pop(old_id, None)
-            retired.append(old_id)
+    def _evict(self, candidates) -> list[int]:
+        """Drop every candidate that is outside the retention window (the
+        newest ``retention`` ids) and unpinned; returns the dropped ids."""
+        floor = self._current_id - self.retention
+        retired = [
+            sid for sid in candidates if sid <= floor and sid not in self._pins
+        ]
+        for sid in retired:
+            del self._snapshots[sid]
+            self._contexts.pop(sid, None)
+            self._digests.pop(sid, None)
         return retired
+
+    def pin(self, snapshot_id: int) -> None:
+        """Keep ``snapshot_id`` resident until the matching :meth:`unpin`."""
+        with self._lock:
+            if snapshot_id not in self._snapshots:
+                self.get(snapshot_id)  # raises: not resident
+            self._pins[snapshot_id] = self._pins.get(snapshot_id, 0) + 1
+
+    def unpin(self, snapshot_id: int) -> list[int]:
+        """Drop one pin. Returns the ids this retired: ``[snapshot_id]``
+        when it was the last pin of a snapshot already outside the
+        retention window, else ``[]``."""
+        with self._lock:
+            left = self._pins.get(snapshot_id, 0) - 1
+            if left < 0:
+                raise ValueError(f"snapshot {snapshot_id} is not pinned")
+            if left:
+                self._pins[snapshot_id] = left
+                return []
+            del self._pins[snapshot_id]
+            return self._evict((snapshot_id,))
 
     # ------------------------------------------------------------------
     @property
@@ -152,32 +184,44 @@ class GraphVersioner:
         """Apply ``batch`` to the current snapshot; mint and return the new one.
 
         Returns ``(snapshot, retired_ids)`` where ``retired_ids`` are the
-        snapshots evicted by retention (oldest first) — the caller owns
-        the cleanup of any state keyed on them.
+        unpinned snapshots evicted by retention (oldest first) — the
+        caller owns the cleanup of any state keyed on them.
         """
-        with self._lock:
-            parent = self._snapshots[self._current_id]
+        with self._build_lock:
+            parent = self.current
             new_graph, delta = apply_batch(parent.graph, batch)
             snap = GraphSnapshot(
-                snapshot_id=self._next_id,
-                graph=new_graph,
-                parent_id=parent.snapshot_id,
-                delta=delta,
-                batch=batch,
+                snapshot_id=parent.snapshot_id + 1, graph=new_graph,
+                parent_id=parent.snapshot_id, delta=delta, batch=batch,
             )
-            retired = self._mint(snap)
-            return snap, retired
+            with self._lock:
+                self._snapshots[snap.snapshot_id] = snap
+                self._current_id = snap.snapshot_id
+                return snap, self._evict(list(self._snapshots))
 
     # ------------------------------------------------------------------
-    def digest(self, snapshot_id: int | None = None) -> str:
-        """Structural digest of ``snapshot_id`` (default: current), memoised."""
+    def _memo(self, table: dict, snapshot_id: int | None, build):
+        """``table[snapshot_id]`` (default: current) and whether it was
+        already there; built from the snapshot's graph outside the state
+        lock on first use and kept for as long as the snapshot is resident."""
         with self._lock:
             sid = self._current_id if snapshot_id is None else snapshot_id
-            cached = self._digests.get(sid)
-            if cached is None:
-                cached = structural_digest(self.get(sid).graph)
-                self._digests[sid] = cached
-            return cached
+            graph = self.get(sid).graph
+            if sid in table:
+                return table[sid], True
+        with self._build_lock:
+            with self._lock:
+                if sid in table:  # built while this caller waited
+                    return table[sid], True
+            value = build(graph)
+            with self._lock:
+                if sid in self._snapshots:
+                    table[sid] = value
+            return value, False
+
+    def digest(self, snapshot_id: int | None = None) -> str:
+        """Structural digest of ``snapshot_id`` (default: current), memoised."""
+        return self._memo(self._digests, snapshot_id, structural_digest)[0]
 
     def context_for(self, snapshot_id: int | None = None, *, machine=None, config=None):
         """Memoised :func:`~repro.core.context.make_context` per snapshot.
@@ -189,24 +233,21 @@ class GraphVersioner:
         """
         from repro.core.context import make_context
 
-        with self._lock:
-            sid = self._current_id if snapshot_id is None else snapshot_id
-            ctx = self._contexts.get(sid)
-            if ctx is not None:
-                if (machine is not None and machine is not ctx.machine) or (
-                    config is not None and config != ctx.config
-                ):
-                    raise ValueError(
-                        f"snapshot {sid} context already built with different "
-                        "machine/config"
-                    )
-                return ctx
+        def build(graph):
             use_machine = machine if machine is not None else self._machine
             use_config = config if config is not None else self._config
             if use_machine is None or use_config is None:
                 raise ValueError(
                     "context_for needs machine and config (constructor defaults unset)"
                 )
-            ctx = make_context(self.get(sid).graph, use_machine, use_config)
-            self._contexts[sid] = ctx
-            return ctx
+            return make_context(graph, use_machine, use_config)
+
+        ctx, cached = self._memo(self._contexts, snapshot_id, build)
+        if cached and (
+            (machine is not None and machine is not ctx.machine)
+            or (config is not None and config != ctx.config)
+        ):
+            raise ValueError(
+                "snapshot context already built with different machine/config"
+            )
+        return ctx

@@ -5,9 +5,9 @@ The offline front-ends (:func:`~repro.core.solver.solve_sssp`,
 package turns them into a *service* with the same shapes as an inference
 stack — queueing, micro-batching, caching, backpressure:
 
-- :class:`~repro.serve.broker.QueryBroker` — bounded request queue with
-  admission control, per-request watchdog deadlines, a worker pool over
-  ``BatchSolver.solve_many``, and graceful drain on shutdown;
+- :class:`~repro.serve.broker.QueryBroker` — the request pipeline:
+  admission control on a bounded queue, per-request watchdog deadlines,
+  a worker pool, graceful drain on shutdown;
 - :class:`~repro.serve.batcher.MicroBatcher` — size- and
   latency-triggered batch flush (inference-style coalescing);
 - :class:`~repro.serve.cache.DistanceCache` — byte-budgeted LRU of

@@ -92,11 +92,6 @@ class MicroBatcher:
     def __len__(self) -> int:
         return self.depth
 
-    @property
-    def closed(self) -> bool:
-        with self._cond:
-            return self._closed
-
     # ------------------------------------------------------------------
     def _entry(
         self,
@@ -223,16 +218,3 @@ class MicroBatcher:
             pending, self._queue = self._queue, []
             self._cond.notify_all()
             return [e.request for e in pending]
-
-    def wait_empty(self, timeout: float | None = None) -> bool:
-        """Block until the queue is empty; True on success."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while self._queue:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                self._cond.wait(timeout=remaining)
-            return True

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .retry import FAILURE_CLASSES
 
-__all__ = ["BreakerConfig", "CircuitBreaker", "STATES"]
+__all__ = ["BreakerConfig", "CircuitBreaker", "STATES", "ladder_rung"]
 
 STATES = ("closed", "open", "half_open")
 _STATE_CODE = {"closed": 0, "open": 1, "half_open": 2}
@@ -74,6 +74,29 @@ class BreakerConfig:
                     f"unknown failure class {cls!r}; "
                     f"choose from {FAILURE_CLASSES}"
                 )
+
+
+def ladder_rung(
+    breaker, degraded: bool, *, cached: bool, num_vertices: int = 0
+) -> str | None:
+    """The degradation-ladder rung that answers one request, or None.
+
+    ``degraded`` is the caller's reading of ``breaker`` for this request:
+    :attr:`CircuitBreaker.degraded` ahead of a cache read,
+    ``acquire() == "degraded"`` ahead of a solve (a half-open probe is a
+    primary-path solve, not a ladder rung). From the top: a cached answer
+    is served flagged ``stale_cache``; a graph of at most
+    ``degrade_max_vertices`` vertices is solved ``bounded_exact`` (the
+    Bellman-Ford fallback); anything else is ``refused`` with a typed
+    :class:`~repro.serve.request.ServiceUnavailable`.
+    """
+    if not degraded:
+        return None
+    if cached:
+        return "stale_cache"
+    if num_vertices <= breaker.config.degrade_max_vertices:
+        return "bounded_exact"
+    return "refused"
 
 
 class _ClassState:

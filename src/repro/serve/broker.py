@@ -1,60 +1,54 @@
 """QueryBroker: the embeddable SSSP query service (DESIGN.md §11/§12).
 
-Request path::
+The broker is the request pipeline and nothing else::
 
-    submit ──▶ admission control ──▶ distance cache ──▶ micro-batcher
-                  │ (bounded queue)       │ (hit: done)      │ (EDF order)
-                  ▼                       ▼                  ▼
-           ServiceOverload          QueryFuture        worker pool
-                                                  (per-request isolation,
-                                                   retries, breaker ladder)
+    submit ──▶ cache ──▶ micro-batcher ──▶ coalesce ──▶ breaker ──▶ attempt
+      │ (admission:   │ (hit: done)  (EDF order)   (one solve   (ladder    │
+      ▼  bounded queue)                             per group)   rung?)    ▼
+    ServiceOverload                                      complete / fail / retry
+
+Every other fact has one owner it asks: *which snapshots are resident*
+— :class:`~repro.dynamic.versioner.GraphVersioner` (pins; the serving
+pointer is itself a pin); *one solve attempt* — chaos draw, hedge,
+verification, failure class — :class:`~repro.serve.attempt.AttemptRunner`;
+*what the service says about itself* — tallies, registry series, spans,
+wide events, ``report()`` —
+:class:`~repro.serve.accounting.ServeAccounting`; *which ladder rung
+answers while degraded* — :func:`~repro.serve.breaker.ladder_rung`.
 
 One broker serves one (graph, config, machine) triple — the coordinates
-the distance cache is keyed under; run one broker per graph/config pair
-you serve. Queries for the same root arriving in one batch window are
-*coalesced* into a single solve; different per-request deadlines are
-never coalesced (a strict budget must not fail a lax request). Answers
-are bit-identical to offline :func:`~repro.core.solver.solve_sssp` on
-every path — cache hit, cache miss, batched, retried and degraded —
-because the engine is deterministic and the cache stores engine output
-verbatim.
+the distance cache is keyed under. Queries for the same root arriving in
+one batch window are *coalesced* into a single solve; different
+per-request deadlines are never coalesced (a strict budget must not fail
+a lax request). Answers are bit-identical to offline
+:func:`~repro.core.solver.solve_sssp` on every path — cache hit, cache
+miss, batched, retried and degraded — because the engine is
+deterministic and the cache stores engine output verbatim.
 
 Live graphs (DESIGN.md §15): :meth:`QueryBroker.apply_updates` applies
-an :class:`~repro.dynamic.updates.UpdateBatch` through a
-:class:`~repro.dynamic.versioner.GraphVersioner` and swaps the current
-snapshot under a **drain-free epoch handoff** — no barrier, no paused
-traffic. Every request is pinned to the snapshot current at admission:
-its cache key is ``(snapshot_id, root)``, its solve runs a per-snapshot
-:class:`~repro.core.solver.BatchSolver`, its paths extract against its
-snapshot's graph, and its wide event carries the ``snapshot_id`` — so
-no request ever observes a mixed snapshot. Old snapshots stay resident
-while requests are pinned to them and are retired (solver, graph, cache
-entries) once the last pinned request completes and retention lapses.
-Hot cached roots can optionally be **repaired in place** across the
-handoff via :func:`~repro.dynamic.repair.repair_sssp` — incrementally
-fixed distances, bit-identical to a fresh solve on the new snapshot.
+an :class:`~repro.dynamic.updates.UpdateBatch` through the versioner and
+swaps the serving snapshot under a **drain-free epoch handoff** — no
+barrier, no paused traffic. Every request is pinned to the snapshot
+serving at admission: its cache key is ``(snapshot_id, root)``, its solve
+runs that snapshot's :class:`~repro.core.solver.BatchSolver`, its paths
+extract against that snapshot's graph and its wide event carries the
+``snapshot_id`` — no request ever observes a mixed snapshot. A
+superseded snapshot is retired (solver, cache entries) with its last
+pin. Hot cached roots can be **repaired in place** across the handoff
+(:func:`~repro.dynamic.repair.repair_sssp`), bit-identical to a fresh
+solve on the new snapshot.
 
 Resilience (DESIGN.md §12): a failing, stalling or corrupted root fails
-**only its own request** — batch-mates complete normally. Failed solve
-groups go through the :class:`~repro.serve.retry.RetryPolicy` (capped
-exponential backoff back into the batcher, budgeted hedged re-attempts
-for stragglers) before a typed terminal error. A per-failure-class
-:class:`~repro.serve.breaker.CircuitBreaker` trips on consecutive
-failures; while open the broker walks the degradation ladder — cache
-hits flagged ``stale_ok``, bounded-exact Bellman-Ford fallback on small
-graphs, typed :class:`~repro.serve.request.ServiceUnavailable` otherwise
-— and cache reads re-verify their checksums. Chaos
-(:class:`~repro.serve.chaos.ChaosPlan`) injects deterministic faults
-underneath all of it for replayable scenario tests.
-
+**only its own request**. Failed solve groups go through the
+:class:`~repro.serve.retry.RetryPolicy` (capped exponential backoff back
+into the batcher, budgeted hedges) before a typed terminal error; a
+per-failure-class :class:`~repro.serve.breaker.CircuitBreaker` trips on
+consecutive failures, and while it is open requests are answered from
+the degradation ladder and cache reads re-verify their checksums.
 Overload sheds at admission with a typed
 :class:`~repro.serve.request.ServiceOverload`; shutdown drains: admitted
 requests complete — including in-flight retries, which drain waits for
-and abort cancels — new ones are refused. Telemetry flows into a
-:class:`~repro.obs.registry.MetricsRegistry` (queue depth, batch size,
-latency histograms, cache/shed/retry/breaker counters) and — when a
-:class:`~repro.obs.tracer.TraceConfig` is given — into per-request,
-per-batch and resilience tracer spans written at shutdown.
+and abort cancels — new ones are refused.
 """
 
 from __future__ import annotations
@@ -62,19 +56,19 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
-
 from repro.core.paths import build_parent_tree, extract_path
-from repro.core.solver import BatchSolver, run_validation
+from repro.core.solver import BatchSolver
 from repro.dynamic.repair import repair_sssp
 from repro.dynamic.versioner import GraphVersioner
 from repro.obs.request import RequestContext, request_id
 from repro.runtime.watchdog import SolveTimeout
+from repro.serve.accounting import ServeAccounting
+from repro.serve.attempt import AttemptRunner, classify
 from repro.serve.batcher import MicroBatcher
-from repro.serve.events import WideEventLog
-from repro.serve.breaker import BreakerConfig, CircuitBreaker
+from repro.serve.breaker import BreakerConfig, CircuitBreaker, ladder_rung
 from repro.serve.cache import DistanceCache
-from repro.serve.chaos import ChaosPlan, ChaosSolver
+from repro.serve.chaos import ChaosPlan
+from repro.serve.events import WideEventLog
 from repro.serve.request import (
     QueryFuture,
     QueryRequest,
@@ -82,25 +76,12 @@ from repro.serve.request import (
     ServiceOverload,
     ServiceShutdown,
     ServiceUnavailable,
-    SolveCorrupted,
 )
 from repro.serve.retry import RetryPolicy
-from repro.serve.slo import LatencyWindow
 
 __all__ = ["QueryBroker"]
 
-_BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
 _UNSET = object()
-
-
-def _classify(exc: BaseException) -> str:
-    """Map an attempt failure onto the breaker/retry failure taxonomy."""
-    if isinstance(exc, SolveTimeout):
-        return "timeout"
-    if isinstance(exc, SolveCorrupted):
-        return "corrupt"
-    return "error"
 
 
 class QueryBroker:
@@ -141,9 +122,9 @@ class QueryBroker:
         with a fake clock). Enables cache checksums and the degradation
         ladder.
     chaos:
-        Optional :class:`~repro.serve.chaos.ChaosPlan`; solves then run
-        through a :class:`~repro.serve.chaos.ChaosSolver` (exposed as
-        ``broker.chaos``) injecting the plan's deterministic faults.
+        Optional :class:`~repro.serve.chaos.ChaosPlan`; solve attempts
+        then run through the chaos layer injecting the plan's faults
+        (exposed as ``broker.chaos``: its fault ``log`` and ``summary()``).
     verify:
         Post-solve result verification, as ``solve_sssp``'s ``validate``
         (``"structural"`` is the cheap production shape). A failed check
@@ -172,10 +153,9 @@ class QueryBroker:
         contexts so its spans can carry request ids.
     snapshot_retention:
         How many graph snapshots the live-graph versioner keeps resident
-        (see :meth:`apply_updates`). Requests pinned to an
-        out-of-retention snapshot still complete — retirement of their
-        solver, graph and cache entries is deferred until the last
-        pinned request resolves.
+        (see :meth:`apply_updates`). A snapshot some request is still
+        pinned to outlives the window: it is retired — graph, context,
+        solver, cache entries — when the last pinned request resolves.
     """
 
     def __init__(
@@ -207,115 +187,80 @@ class QueryBroker:
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0")
         self.graph = graph
+        # Snapshot 0 is the construction graph; its solver also resolves
+        # the (algorithm, config, machine) every later snapshot reuses.
         self._solver = BatchSolver(
-            graph,
-            algorithm=algorithm,
-            delta=delta,
-            config=config,
-            machine=machine,
-            num_ranks=num_ranks,
+            graph, algorithm=algorithm, delta=delta, config=config,
+            machine=machine, num_ranks=num_ranks,
             threads_per_rank=threads_per_rank,
         )
-        # Live-graph state: snapshot lineage, per-snapshot solvers/graphs,
-        # and pin counts for the drain-free epoch handoff. Snapshot 0 is
-        # the construction graph; a broker that never applies updates
-        # pays nothing beyond the (0, root) cache-key tuples.
+        self._solvers = {0: self._solver}
+        # Snapshot residency lives in the versioner. The serving pointer
+        # is itself a pin, so the snapshot new requests land on can never
+        # be retired under them; a broker that never applies updates pays
+        # nothing beyond the (0, root) cache-key tuples.
         self.versioner = GraphVersioner(
-            graph,
-            machine=self._solver.machine,
-            config=self._solver.config,
+            graph, machine=self._solver.machine, config=self._solver.config,
             retention=snapshot_retention,
         )
-        self._solver_kwargs = dict(
-            algorithm=self._solver.algorithm,
-            config=self._solver.config,
-            machine=self._solver.machine,
-        )
+        self.versioner.pin(0)
         self._snapshot_id = 0
-        self._graphs = {0: graph}
-        self._solvers = {0: self._solver}
-        self._snapshot_inflight: dict[int, int] = {}
-        self._retire_pending: set[int] = set()
         self._update_lock = threading.Lock()
-        self._updates = 0
-        self._repairs = 0
-        self._repair_fallbacks = 0
         self.default_deadline = default_deadline
-        self._tracer = None
+        #: the service tracer (None unless constructed with ``trace=``)
+        self.tracer = None
         if trace is not None and getattr(trace, "enabled", True):
             from repro.obs.tracer import Tracer
 
-            self._tracer = Tracer(self._solver.machine, trace)
+            self.tracer = Tracer(self._solver.machine, trace)
         if registry is not None:
             self.registry = registry
-        elif self._tracer is not None:
-            self.registry = self._tracer.registry
+        elif self.tracer is not None:
+            self.registry = self.tracer.registry
         else:
             from repro.obs.registry import MetricsRegistry
 
             self.registry = MetricsRegistry()
-        self._clock = (
-            self._tracer.wall_now if self._tracer is not None else time.perf_counter
-        )
-        self._retry = retry
-        self._verify = verify
-        if breaker is None:
-            self._breaker = None
-        elif isinstance(breaker, BreakerConfig):
-            self._breaker = CircuitBreaker(
-                breaker, clock=self._clock, registry=self.registry
-            )
-        else:
-            self._breaker = breaker
-        self.chaos = (
-            ChaosSolver(self._solver, chaos, registry=self.registry)
-            if chaos is not None
-            else None
-        )
-        self.cache = DistanceCache(
-            cache_bytes,
-            registry=self.registry,
-            checksum=self._breaker is not None,
-            negative_ttl_s=negative_ttl_s,
+        self._clock = time.perf_counter if self.tracer is None else self.tracer.wall_now
+        if events is not None and not isinstance(events, WideEventLog):
+            events = WideEventLog(None if events is True else str(events))
+        self.events = events
+        self._acct = ServeAccounting(
+            registry=self.registry, tracer=self.tracer, events=self.events,
             clock=self._clock,
+        )
+        self.latency = self._acct.latency
+        self._retry = retry
+        if isinstance(breaker, BreakerConfig):
+            breaker = CircuitBreaker(breaker, clock=self._clock, registry=self.registry)
+        #: the circuit breaker (None unless constructed with ``breaker=``)
+        self.breaker = breaker
+        self._attempts = AttemptRunner(
+            chaos=chaos, retry=retry, verify=verify, accounting=self._acct
+        )
+        self.chaos = self._attempts.chaos
+        self.cache = DistanceCache(
+            cache_bytes, registry=self.registry, clock=self._clock,
+            checksum=self.breaker is not None, negative_ttl_s=negative_ttl_s,
         )
         self._batcher = MicroBatcher(
-            capacity=capacity,
-            max_batch_size=max_batch_size,
-            flush_interval_s=flush_interval_s,
-            clock=self._clock,
+            capacity=capacity, max_batch_size=max_batch_size,
+            flush_interval_s=flush_interval_s, clock=self._clock,
         )
-        if events is None:
-            self.events = None
-        elif isinstance(events, WideEventLog):
-            self.events = events
-        elif events is True:
-            self.events = WideEventLog()
-        else:
-            self.events = WideEventLog(str(events))
         # Request contexts ride with events *or* spans; with neither
         # armed, no context is ever minted (the zero-cost path).
-        self._ctx_armed = self.events is not None or self._tracer is not None
-        self._next_request_seq = 0
-        self.latency = LatencyWindow(clock=self._clock)
+        self._ctx_armed = self.events is not None or self.tracer is not None
+        # One lock for the pipeline's own state: the serving pointer, the
+        # admission counters and the per-snapshot solvers. It is shared
+        # by submit's pin and apply_updates' swap.
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
-        self._trace_lock = threading.Lock()
         self._closed = False
         self._aborted = False
-        self._inflight = 0
-        self._uncompleted = 0  # admitted, not yet terminally resolved
-        self._next_batch_id = 0
         self._offered = 0
-        self._shed = 0
-        self._batches = 0
-        self._batched_requests = 0
-        self._solves = 0
-        self._retries = 0
-        self._hedges = 0
-        self._retried_ok = 0
-        self._outcomes: dict[str, int] = {}
-        self._t_start = self._clock()
+        self._uncompleted = 0  # admitted, not yet terminally resolved
+        self._next_request_seq = 0
+        self._next_batch_id = 0
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"sssp-serve-{i}", daemon=True
@@ -345,24 +290,16 @@ class QueryBroker:
         """True when no worker threads run (``num_workers=0``)."""
         return not self._workers
 
-    @property
-    def tracer(self):
-        """The service tracer (None unless constructed with ``trace=``)."""
-        return self._tracer
-
-    @property
-    def breaker(self) -> CircuitBreaker | None:
-        """The circuit breaker (None unless constructed with ``breaker=``)."""
-        return self._breaker
-
-    def _degraded_now(self) -> bool:
-        """Breaker-degraded state; also arms cache read verification
-        while degraded (checksummed entries re-verify on every read)."""
-        if self._breaker is None:
-            return False
-        degraded = self._breaker.degraded
-        self.cache.verify_get = degraded
-        return degraded
+    def report(self) -> dict:
+        """Flat service report: traffic, latency percentiles, cache, SLO
+        inputs (consumed by ``repro serve-bench`` and the benchmarks)."""
+        with self._lock:
+            offered, snapshot_id = self._offered, self._snapshot_id
+        return self._acct.report(
+            offered=offered, queue_depth=self._batcher.depth,
+            snapshot_id=snapshot_id, cache_stats=self.cache.stats,
+            snapshots_resident=len(self.versioner.ids()),
+        )
 
     # ------------------------------------------------------------------
     # Submission (the client-facing edge)
@@ -398,75 +335,55 @@ class QueryBroker:
         if deadline is _UNSET:
             deadline = self.default_deadline
         req = QueryRequest(
-            root,
-            targets,
-            deadline,
-            submitted_at=self._clock(),
+            root, targets, deadline, submitted_at=self._clock(),
             latency_budget_s=latency_budget_s,
         )
         with self._lock:
             self._offered += 1
             self._uncompleted += 1
-            # Pin the request to the snapshot current *now*; pin count and
-            # snapshot read share the lock with apply_updates' swap, so a
-            # request is never pinned to a half-installed snapshot.
+            # Pin the request to the snapshot serving *now*; the pointer
+            # read and the pin share the lock with apply_updates' swap,
+            # so a request is never pinned to a half-installed snapshot.
             req.snapshot_id = self._snapshot_id
-            self._snapshot_inflight[req.snapshot_id] = (
-                self._snapshot_inflight.get(req.snapshot_id, 0) + 1
-            )
+            self.versioner.pin(req.snapshot_id)
             if self._ctx_armed:
                 seq = self._next_request_seq
                 self._next_request_seq += 1
         if self._ctx_armed:
             req.ctx = RequestContext(
-                request_id(seq),
-                root,
-                submitted_at=req.submitted_at,
+                request_id(seq), root, submitted_at=req.submitted_at,
                 snapshot_id=req.snapshot_id,
             )
-        stale = self._degraded_now()
+        degraded = self._arm_degraded_reads()
         cached = self.cache.get((req.snapshot_id, root))
         if cached is not None:
-            if req.ctx is not None:
-                req.ctx.note_cache("stale_hit" if stale else "hit")
-                if stale:
-                    req.ctx.note_degraded(
-                        "stale_cache", self._breaker.open_classes()
-                    )
-            self._complete(
-                req, cached, source="cache", batch_id=None, stale_ok=stale
-            )
+            self._complete_hit(req, cached, None, degraded)
             return req.future
         try:
             depth = self._batcher.put(req)
-        except ServiceOverload:
-            with self._lock:
-                self._shed += 1
-                self._uncompleted -= 1
-                self._idle.notify_all()
-            self._snapshot_unpin(req.snapshot_id)
-            self.registry.inc(
-                "serve_shed_total", help="requests shed by admission control"
-            )
-            if req.ctx is not None and self.events is not None:
-                req.ctx.note_shed()
-                self.events.emit(
-                    req.ctx.wide_event(
-                        outcome="shed",
-                        source=None,
-                        latency_s=self._clock() - req.submitted_at,
-                        attempts_total=0,
-                    )
-                )
+        except BaseException as exc:
+            # Whatever put raised, the request is not queued: give back
+            # its count and its pin, or drain() waits for it forever. A
+            # full queue is the shed — offered load with its one event; a
+            # batcher closed by a racing shutdown never admitted it.
+            shed = isinstance(exc, ServiceOverload)
+            self._release(req, offered=shed)
+            if shed:
+                self._acct.terminal(req, "shed", self._clock() - req.submitted_at)
             raise
-        self.registry.set_gauge(
-            "serve_queue_depth", depth, help="queued requests awaiting a batch"
-        )
+        self._acct.gauge("serve_queue_depth", depth)
         return req.future
 
     def submit_many(self, roots, **kwargs) -> list[QueryFuture]:
         """Admit a k-root query; one future per root, in input order."""
         return [self.submit(int(r), **kwargs) for r in roots]
+
+    def _pump(self, futures: list) -> None:
+        """Manual mode: nobody else will run the batches (or their
+        retries) these futures wait for, so run them here."""
+        while any(not f.done() for f in futures):
+            if self.process_once(block=True) == 0:
+                break
 
     def query(
         self, root: int, *, targets=(), deadline=_UNSET,
@@ -478,19 +395,16 @@ class QueryBroker:
             root, targets=targets, deadline=deadline,
             latency_budget_s=latency_budget_s,
         )
-        # Manual mode: nobody else will run the batch (or its retries).
-        while not self._workers and not future.done():
-            if self.process_once(block=True) == 0:
-                break
+        if not self._workers:
+            self._pump([future])
         return future.result(timeout)
 
     def query_many(self, roots, **kwargs) -> list[QueryResult]:
         """Synchronous k-root query; results in input order."""
         timeout = kwargs.pop("timeout", None)
         futures = self.submit_many(roots, **kwargs)
-        while not self._workers and any(not f.done() for f in futures):
-            if self.process_once(block=True) == 0:
-                break
+        if not self._workers:
+            self._pump(futures)
         return [f.result(timeout) for f in futures]
 
     # ------------------------------------------------------------------
@@ -525,48 +439,43 @@ class QueryBroker:
         self._execute_batch(batch)
         return len(batch)
 
+    def _arm_degraded_reads(self) -> bool:
+        """Read the breaker ahead of a cache read and arm the cache for
+        it (while degraded, checksummed entries re-verify on every read);
+        returns the degraded flag the read is then served under."""
+        if self.breaker is None:
+            return False
+        degraded = self.breaker.degraded
+        self.cache.verify_get = degraded
+        return degraded
+
     def _execute_batch(self, batch: list) -> None:
         with self._lock:
-            self._inflight += len(batch)
             batch_id = self._next_batch_id
             self._next_batch_id += 1
         t0 = self._clock()
         stats = {"hits": 0, "solves": 0, "timeouts": 0, "retries": 0}
         try:
-            stale = self._degraded_now()
+            degraded = self._arm_degraded_reads()
             # Coalesce: requests sharing (root, deadline, snapshot) share
             # one solve — cross-snapshot coalescing would hand one
             # snapshot's distances to a request pinned to another.
             groups: dict[tuple, list[QueryRequest]] = {}
             for req in batch:
+                if req.ctx is not None:
+                    req.ctx.note_batch(batch_id)
                 groups.setdefault(req.coalesce_key, []).append(req)
             to_solve: list[tuple[tuple, list[QueryRequest]]] = []
             for key, reqs in groups.items():
                 # Re-check the cache at dispatch: an earlier batch may have
                 # populated this root after these requests were queued.
                 cached = self.cache.peek((key[2], key[0]))
-                if cached is not None:
-                    stats["hits"] += len(reqs)
-                    for req in reqs:
-                        if req.ctx is not None:
-                            req.ctx.note_batch(batch_id)
-                            req.ctx.note_cache(
-                                "stale_hit" if stale else "hit"
-                            )
-                            if stale:
-                                req.ctx.note_degraded(
-                                    "stale_cache",
-                                    self._breaker.open_classes(),
-                                )
-                        self._complete(
-                            req, cached, source="cache", batch_id=batch_id,
-                            stale_ok=stale,
-                        )
-                else:
-                    for req in reqs:
-                        if req.ctx is not None:
-                            req.ctx.note_batch(batch_id)
+                if cached is None:
                     to_solve.append((key, reqs))
+                    continue
+                stats["hits"] += len(reqs)
+                for req in reqs:
+                    self._complete_hit(req, cached, batch_id, degraded)
             for key, reqs in to_solve:
                 # Per-group isolation: one root's failure reaches only
                 # its own requests; the rest of the batch proceeds.
@@ -576,118 +485,49 @@ class QueryBroker:
                 if not req.future.done():
                     self._fail(req, exc, outcome="error")
         finally:
-            wall = self._clock() - t0
-            with self._lock:
-                self._inflight -= len(batch)
-                self._batches += 1
-                self._batched_requests += len(batch)
-                self._solves += stats["solves"]
-                self._idle.notify_all()
-            self.registry.inc("serve_batches_total", help="executed batches")
-            self.registry.inc(
-                "serve_solves_total", stats["solves"],
-                help="fresh engine solves",
-            )
-            self.registry.observe(
-                "serve_batch_size",
-                len(batch),
-                buckets=_BATCH_SIZE_BUCKETS,
-                help="requests per executed batch",
-            )
-            self.registry.observe(
-                "serve_batch_wall_seconds", wall,
-                help="wall-clock duration of batch execution",
-            )
-            self.registry.set_gauge("serve_queue_depth", self._batcher.depth)
-            self._trace_span(
-                f"batch-{batch_id}",
-                "batch",
-                t0,
-                wall,
-                requests=len(batch),
-                solves=stats["solves"],
-                cache_hits=stats["hits"],
-                timeouts=stats["timeouts"],
-                retries=stats["retries"],
-                request_ids=[
-                    req.ctx.request_id
-                    for req in batch
-                    if req.ctx is not None
-                ],
+            self._acct.batch_done(
+                batch_id, batch, t0, self._clock() - t0, stats,
+                self._batcher.depth,
             )
 
     # ------------------------------------------------------------------
     # Resilient solve path
     # ------------------------------------------------------------------
-    def _graph_for(self, snapshot_id: int):
-        """The pinned snapshot's graph (resident while any request pins it)."""
-        with self._lock:
-            return self._graphs[snapshot_id]
-
     def _solver_for(self, snapshot_id: int) -> BatchSolver:
-        """The pinned snapshot's solver, built lazily on first solve.
+        """The snapshot's solver, built lazily on first solve.
 
-        One preprocessing per snapshot: the solver is built over the
-        versioner's memoised context (the one hot-root repair already
-        uses), so the weight sort and the tables are paid once. A
-        vertex-splitting config solves on a different graph than the
-        snapshot's and a snapshot may have left the versioner's retention
-        window while still pinned here; both build from the graph.
-
-        Construction runs outside the broker lock; a concurrent builder
-        loses the ``setdefault`` race and its solver is discarded — both
-        are equivalent."""
+        One preprocessing per snapshot: the solver adopts the versioner's
+        memoised context (the one hot-root repair already uses; a pin
+        keeps it past the retention window). Only a vertex-splitting
+        config, which solves on a different graph than the snapshot's,
+        builds from the graph. Construction runs outside the broker lock;
+        a concurrent builder loses the ``setdefault`` race and its
+        equivalent solver is discarded."""
         with self._lock:
             solver = self._solvers.get(snapshot_id)
-            graph = self._graphs.get(snapshot_id)
         if solver is not None:
             return solver
-        if graph is None:
-            raise KeyError(f"snapshot {snapshot_id} is no longer resident")
-        ctx = None
-        if not self._solver.config.inter_split:
-            try:
-                ctx = self.versioner.context_for(snapshot_id)
-            except KeyError:  # out of the retention window, still pinned here
-                pass
-        if ctx is not None:
-            built = BatchSolver.from_context(ctx, algorithm=self._solver.algorithm)
+        base = self._solver
+        if base.config.inter_split:
+            built = BatchSolver(
+                self.versioner.get(snapshot_id).graph, algorithm=base.algorithm,
+                config=base.config, machine=base.machine,
+            )
         else:
-            built = BatchSolver(graph, **self._solver_kwargs)
+            built = BatchSolver.from_context(
+                self.versioner.context_for(snapshot_id), algorithm=base.algorithm
+            )
         with self._lock:
             return self._solvers.setdefault(snapshot_id, built)
 
-    def _snapshot_unpin(self, snapshot_id: int) -> None:
-        """Drop one pin; run any deferred retirement when the last pin
-        for an already-superseded snapshot drops."""
-        sid = int(snapshot_id)
-        retire = False
-        with self._lock:
-            left = self._snapshot_inflight.get(sid, 0) - 1
-            if left <= 0:
-                self._snapshot_inflight.pop(sid, None)
-                if sid in self._retire_pending:
-                    self._retire_pending.discard(sid)
-                    self._solvers.pop(sid, None)
-                    self._graphs.pop(sid, None)
-                    retire = True
-            else:
-                self._snapshot_inflight[sid] = left
-        if retire:
+    def _retire(self, retired: list) -> None:
+        """Evict what the broker keys on snapshots the versioner retired
+        (it reports each id once: from ``apply``, or from the ``unpin``
+        that released a snapshot already outside the window)."""
+        for sid in retired:
+            with self._lock:
+                self._solvers.pop(sid, None)
             self.cache.evict_snapshot(sid)
-
-    def _retire_snapshot(self, snapshot_id: int) -> None:
-        """Release a snapshot the versioner pruned. Deferred while any
-        in-flight request is still pinned to it (the request keeps its
-        graph and solver until terminal completion)."""
-        sid = int(snapshot_id)
-        with self._lock:
-            if self._snapshot_inflight.get(sid, 0) > 0:
-                self._retire_pending.add(sid)
-                return
-            self._solvers.pop(sid, None)
-            self._graphs.pop(sid, None)
-        self.cache.evict_snapshot(sid)
 
     def apply_updates(
         self,
@@ -703,9 +543,10 @@ class QueryBroker:
         repaired *before* the swap, so requests keep landing on the old
         snapshot until the new one is fully ready; the swap itself is one
         pointer update under the broker lock, shared with ``submit``'s
-        pin — no request ever observes a half-installed graph. Snapshots
-        pruned by the versioner's retention window are retired once their
-        last pinned request completes.
+        pin — no request ever observes a half-installed graph. The
+        pointer's own pin moves with it: taken on the new snapshot before
+        the swap, dropped on the old one after — the old snapshot retires
+        once it is outside the retention window and unpinned.
 
         With ``repair_hot_roots > 0`` the most-recently-used cached roots
         of the outgoing snapshot are carried over by incremental repair
@@ -715,8 +556,9 @@ class QueryBroker:
         not approximations. Roots whose dirty region exceeds
         ``max_dirty_fraction`` fall back to cold (counted, not repaired).
 
-        Returns a report dict; concurrent callers serialise on an update
-        lock (last writer's snapshot serves).
+        Returns a report dict (``retired``: what this call retired);
+        concurrent callers serialise on an update lock (last writer's
+        snapshot serves).
         """
         with self._lock:
             if self._closed:
@@ -724,10 +566,10 @@ class QueryBroker:
         with self._update_lock:
             old_id = self._snapshot_id
             snapshot, retired = self.versioner.apply(batch)
-            repaired = 0
-            fallbacks = 0
+            new_id = snapshot.snapshot_id
+            repaired = fallbacks = 0
             if repair_hot_roots > 0 and self.cache.byte_budget > 0:
-                ctx = self.versioner.context_for(snapshot.snapshot_id)
+                ctx = self.versioner.context_for(new_id)
                 hot = [
                     key
                     for key in reversed(self.cache.roots())
@@ -738,153 +580,37 @@ class QueryBroker:
                     if dist is None:
                         continue
                     rr = repair_sssp(
-                        ctx,
-                        key[1],
-                        dist,
-                        snapshot.delta,
+                        ctx, key[1], dist, snapshot.delta,
                         max_dirty_fraction=max_dirty_fraction,
                     )
                     if rr.fallback:
                         fallbacks += 1
                         continue
                     self.cache.put(
-                        (snapshot.snapshot_id, key[1]),
-                        rr.distances,
-                        cost_s=rr.wall_time_s,
+                        (new_id, key[1]), rr.distances, cost_s=rr.wall_time_s
                     )
                     repaired += 1
+            self.versioner.pin(new_id)
             with self._lock:
-                self._snapshot_id = snapshot.snapshot_id
+                self._snapshot_id = new_id
                 self.graph = snapshot.graph
-                self._graphs[snapshot.snapshot_id] = snapshot.graph
-                self._updates += 1
-                self._repairs += repaired
-                self._repair_fallbacks += fallbacks
-            for sid in retired:
-                self._retire_snapshot(sid)
-            self.registry.inc(
-                "serve_updates_total",
-                help="update batches applied to the serving graph",
-            )
+            retired = retired + self.versioner.unpin(old_id)
+            self._retire(retired)
+            self._acct.count("updates")
             if repaired:
-                self.registry.inc(
-                    "serve_repairs_total", repaired,
-                    help="hot cache roots carried across snapshots by "
-                    "incremental repair",
-                )
+                self._acct.count("repairs", repaired)
             if fallbacks:
-                self.registry.inc(
-                    "serve_repair_fallbacks_total", fallbacks,
-                    help="hot-root repairs that fell back to cold "
-                    "(dirty region too large)",
-                )
-            self.registry.set_gauge(
-                "serve_snapshot_id", snapshot.snapshot_id,
-                help="current serving snapshot",
-            )
+                self._acct.count("repair_fallbacks", fallbacks)
+            self._acct.gauge("serve_snapshot_id", new_id)
             return {
-                "snapshot_id": snapshot.snapshot_id,
+                "snapshot_id": new_id,
                 "parent_id": snapshot.parent_id,
                 "batch_size": batch.size,
                 "num_edges": snapshot.graph.num_undirected_edges,
                 "repaired": repaired,
                 "repair_fallbacks": fallbacks,
-                "retired": list(retired),
+                "retired": retired,
             }
-
-    def _raw_solve(self, root: int, deadline, attempt: int, snapshot_id: int):
-        """One solve attempt through the chaos layer (when configured)."""
-        solver = self._solver_for(snapshot_id)
-        if self.chaos is not None:
-            return self.chaos.solve(
-                root, deadline=deadline, attempt=attempt, solver=solver
-            )
-        return solver.solve(root, deadline=deadline)
-
-    def _attempt_solve(self, root: int, deadline, attempt: int, snapshot_id: int):
-        """One (possibly hedged) solve attempt, verified when configured.
-
-        Returns ``(result, used_attempt)`` — ``used_attempt`` differs
-        from ``attempt`` exactly when a hedged re-attempt won, so the
-        request context records the attempt whose chaos draw actually
-        produced the answer.
-
-        Hedging: with ``retry.hedge_after_s`` set, the primary attempt
-        runs in a side thread; if it straggles past the threshold and
-        hedge budget remains, a re-attempt (at ``attempt + 1``, so a
-        chaos ``slow``/fault draw does not repeat) runs inline and its
-        result is preferred. Raises the attempt's failure otherwise.
-        """
-        policy = self._retry
-        if policy is None or not policy.hedging:
-            return self._finish_attempt(
-                self._raw_solve(root, deadline, attempt, snapshot_id),
-                root,
-                attempt,
-                snapshot_id,
-            )
-        box: dict = {}
-        done = threading.Event()
-
-        def run_primary() -> None:
-            try:
-                box["res"] = self._raw_solve(root, deadline, attempt, snapshot_id)
-            except BaseException as exc:  # noqa: BLE001 — relayed below
-                box["exc"] = exc
-            finally:
-                done.set()
-
-        thread = threading.Thread(
-            target=run_primary, name=f"sssp-hedge-primary-{root}", daemon=True
-        )
-        thread.start()
-        if not done.wait(policy.hedge_after_s):
-            with self._lock:
-                hedge = self._hedges < policy.hedge_budget
-                if hedge:
-                    self._hedges += 1
-            if hedge:
-                self.registry.inc(
-                    "serve_hedges_total",
-                    help="hedged re-attempts launched for stragglers",
-                )
-                self._trace_span(
-                    "hedge", "resilience", self._clock(), 0.0,
-                    root=root, attempt=attempt,
-                )
-                try:
-                    res = self._raw_solve(root, deadline, attempt + 1, snapshot_id)
-                    return self._finish_attempt(res, root, attempt + 1, snapshot_id)
-                except BaseException:  # noqa: BLE001 — fall back to primary
-                    done.wait()
-                    if "res" in box:
-                        return self._finish_attempt(
-                            box["res"], root, attempt, snapshot_id
-                        )
-                    raise
-        done.wait()
-        if "exc" in box:
-            raise box["exc"]
-        return self._finish_attempt(box["res"], root, attempt, snapshot_id)
-
-    def _finish_attempt(self, res, root: int, attempt: int, snapshot_id: int):
-        """Post-attempt verification; a failed check is ``corrupt``.
-        Returns ``(res, attempt)`` so callers know which attempt won."""
-        if self._verify:
-            try:
-                run_validation(
-                    res.distances, self._graph_for(snapshot_id), root, self._verify
-                )
-            except Exception as exc:
-                raise SolveCorrupted(root, attempt, str(exc)) from exc
-        return res, attempt
-
-    def _chaos_draw(self, root: int, attempt: int) -> str | None:
-        """The chaos plan's draw for (root, attempt), None without chaos.
-        Pure and cheap — safe to re-query for the request context."""
-        if self.chaos is None:
-            return None
-        return self.chaos.plan.draw(root, attempt)
 
     def _note_attempt(
         self, reqs: list, attempt: int, decision: str, outcome: str
@@ -892,7 +618,7 @@ class QueryBroker:
         """Record one solve attempt on every coalesced request's context."""
         if reqs[0].ctx is None:
             return
-        draw = self._chaos_draw(reqs[0].root, attempt)
+        draw = self._attempts.draw(reqs[0].root, attempt)
         for req in reqs:
             req.ctx.note_attempt(attempt, decision, draw, outcome)
 
@@ -904,37 +630,34 @@ class QueryBroker:
         attempt = max(req.attempts for req in reqs)
         if self.cache.negative((snapshot_id, root), count=len(reqs)):
             stats["timeouts"] += len(reqs)
-            exc = SolveTimeout(
-                "negative-cached: root recently timed out", root=root
-            )
+            exc = SolveTimeout("negative-cached: root recently timed out", root=root)
             for req in reqs:
                 if req.ctx is not None:
                     req.ctx.note_negative()
                 self._fail(req, exc, outcome="timeout")
             return
         decision = (
-            self._breaker.acquire() if self._breaker is not None else "primary"
+            self.breaker.acquire() if self.breaker is not None else "primary"
         )
-        if decision == "degraded":
-            self._serve_degraded(root, reqs, batch_id, stats, snapshot_id)
+        graph = self.versioner.get(snapshot_id).graph
+        rung = ladder_rung(
+            self.breaker, decision == "degraded",
+            cached=False, num_vertices=graph.num_vertices,
+        )
+        if rung is not None:
+            self._serve_degraded(rung, key, reqs, batch_id, stats)
             return
         t0 = self._clock()
         try:
-            res, used_attempt = self._attempt_solve(
-                root, deadline, attempt, snapshot_id
+            res, used_attempt = self._attempts.run(
+                self._solver_for(snapshot_id), graph, root, deadline, attempt
             )
         except Exception as exc:
-            if isinstance(exc, SolveTimeout) and exc.root is None:
-                exc.root = root
-            failure_class = _classify(exc)
+            failure_class = classify(exc)
             self._note_attempt(reqs, attempt, decision, failure_class)
-            if self._breaker is not None:
-                self._breaker.on_result(decision, failure_class)
-            self.registry.inc(
-                "serve_solve_failures_total",
-                help="failed solve attempts by failure class",
-                **{"class": failure_class},
-            )
+            if self.breaker is not None:
+                self.breaker.on_result(decision, failure_class)
+            self._acct.solve_failed(failure_class)
             consumed = attempt + 1
             if (
                 self._retry is not None
@@ -950,27 +673,31 @@ class QueryBroker:
                 self._fail(req, exc, outcome=failure_class)
             return
         self._note_attempt(reqs, used_attempt, decision, "ok")
-        if self._breaker is not None:
-            self._breaker.on_result(decision, None)
+        if self.breaker is not None:
+            self.breaker.on_result(decision, None)
+        if self.tracer is not None:
+            self._acct.span(
+                "solve", "solve", t0, self._clock() - t0,
+                root=root, attempt=used_attempt, batch_id=batch_id,
+                request_ids=[
+                    req.ctx.request_id for req in reqs if req.ctx is not None
+                ],
+            )
+        self._answer_group(key, reqs, res, batch_id, stats)
+
+    def _answer_group(
+        self, key: tuple, reqs: list, res, batch_id: int, stats: dict,
+        *, degraded: bool = False,
+    ) -> None:
+        """A fresh answer for a whole group: count it, cache it, complete
+        every request — the first as the solve, the rest as coalesced."""
         stats["solves"] += 1
-        self._trace_span(
-            "solve", "solve", t0, self._clock() - t0,
-            root=root, attempt=used_attempt, batch_id=batch_id,
-            request_ids=[
-                req.ctx.request_id for req in reqs if req.ctx is not None
-            ],
-        )
-        self.cache.put(
-            (snapshot_id, root), res.distances, cost_s=res.wall_time_s
-        )
+        self.cache.put((key[2], key[0]), res.distances, cost_s=res.wall_time_s)
         for i, req in enumerate(reqs):
+            source = "degraded" if degraded else "coalesced" if i else "solve"
             self._complete(
-                req,
-                res.distances,
-                source="solve" if i == 0 else "coalesced",
-                batch_id=batch_id,
-                sssp=res,
-                attempts=req.attempts + 1,
+                req, res.distances, source=source, batch_id=batch_id,
+                sssp=res, attempts=req.attempts + 1, degraded=degraded,
             )
 
     def _requeue_group(
@@ -978,16 +705,11 @@ class QueryBroker:
     ) -> None:
         """Send a failed group back through the batcher with backoff."""
         delay = self._retry.backoff(consumed)
-        ready_at = self._clock() + delay
+        now = self._clock()
         stats["retries"] += len(reqs)
-        with self._lock:
-            self._retries += len(reqs)
-        self.registry.inc(
-            "serve_retries_total", len(reqs),
-            help="requests re-queued for another solve attempt",
-        )
-        self._trace_span(
-            "retry", "resilience", self._clock(), 0.0,
+        self._acct.count("retries", len(reqs))
+        self._acct.span(
+            "retry", "resilience", now, 0.0,
             root=reqs[0].root, attempt=consumed,
             failure_class=failure_class, backoff_s=delay,
         )
@@ -997,74 +719,64 @@ class QueryBroker:
             # enqueued_at keeps the latency flush anchored to when the
             # request first entered the system, not the retry instant.
             self._batcher.requeue(
-                req, ready_at=ready_at, enqueued_at=req.submitted_at
+                req, ready_at=now + delay, enqueued_at=req.submitted_at
             )
         with self._idle:
             self._idle.notify_all()
 
     def _serve_degraded(
-        self, root: int, reqs: list, batch_id: int, stats: dict,
-        snapshot_id: int,
+        self, rung: str, key: tuple, reqs: list, batch_id: int, stats: dict
     ) -> None:
         """The open-breaker ladder for a group with no cache entry:
         bounded-exact fallback on small graphs, typed refusal otherwise.
         Ladder outcomes never feed the breaker's state machine — they do
         not exercise the primary path it is protecting."""
-        cfg = self._breaker.config
-        open_classes = self._breaker.open_classes()
-        graph = self._graph_for(snapshot_id)
-        if graph.num_vertices <= cfg.degrade_max_vertices:
-            res = self._solver_for(snapshot_id).solve_degraded(
-                root, max_supersteps=cfg.degrade_supersteps
-            )
-            stats["solves"] += 1
-            self.cache.put(
-                (snapshot_id, root), res.distances, cost_s=res.wall_time_s
-            )
-            for req in reqs:
-                if req.ctx is not None:
-                    req.ctx.note_degraded("bounded_exact", open_classes)
-                self._complete(
-                    req,
-                    res.distances,
-                    source="degraded",
-                    batch_id=batch_id,
-                    sssp=res,
-                    attempts=req.attempts + 1,
-                    degraded=True,
-                )
-            return
-        exc = ServiceUnavailable(root, open_classes)
+        root, _, snapshot_id = key
+        open_classes = self.breaker.open_classes()
         for req in reqs:
             if req.ctx is not None:
-                req.ctx.note_degraded("refused", open_classes)
-            self._fail(req, exc, outcome="unavailable")
+                req.ctx.note_degraded(rung, open_classes)
+        if rung == "refused":
+            exc = ServiceUnavailable(root, open_classes)
+            for req in reqs:
+                self._fail(req, exc, outcome="unavailable")
+            return
+        res = self._solver_for(snapshot_id).solve_degraded(
+            root, max_supersteps=self.breaker.config.degrade_supersteps
+        )
+        self._answer_group(key, reqs, res, batch_id, stats, degraded=True)
 
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
-    def _paths(
-        self,
-        root: int,
-        distances: np.ndarray,
-        targets: tuple[int, ...],
-        snapshot_id: int,
-    ) -> dict[int, list[int] | None]:
-        if not targets:
-            return {}
+    def _paths(self, req: QueryRequest, distances) -> dict[int, list[int] | None]:
+        """Paths to the request's targets, on its pinned snapshot's graph."""
         parent = build_parent_tree(
-            self._graph_for(snapshot_id), distances, root
+            self.versioner.get(req.snapshot_id).graph, distances, req.root
         )
-        out: dict[int, list[int] | None] = {}
-        for t in targets:
-            path = extract_path(parent, root, t)
-            out[t] = path if path else None
-        return out
+        return {
+            t: extract_path(parent, req.root, t) or None for t in req.targets
+        }
+
+    def _complete_hit(
+        self, req: QueryRequest, cached, batch_id: int | None, degraded: bool
+    ) -> None:
+        """Complete one request from the cache — at submit or at dispatch;
+        while the breaker is degraded the hit is the ladder's top rung."""
+        rung = ladder_rung(self.breaker, degraded, cached=True)
+        if req.ctx is not None:
+            req.ctx.note_cache("stale_hit" if rung else "hit")
+            if rung:
+                req.ctx.note_degraded(rung, self.breaker.open_classes())
+        self._complete(
+            req, cached, source="cache", batch_id=batch_id,
+            stale_ok=rung is not None,
+        )
 
     def _complete(
         self,
         req: QueryRequest,
-        distances: np.ndarray,
+        distances,
         *,
         source: str,
         batch_id: int | None,
@@ -1075,113 +787,54 @@ class QueryBroker:
     ) -> None:
         latency = self._clock() - req.submitted_at
         result = QueryResult(
-            root=req.root,
-            distances=distances,
-            source=source,
-            latency_s=latency,
-            batch_id=batch_id,
-            paths=self._paths(
-                req.root, distances, req.targets, req.snapshot_id
-            ),
-            sssp=sssp,
-            attempts=attempts,
-            stale_ok=stale_ok,
-            degraded=degraded,
+            root=req.root, distances=distances, source=source,
+            latency_s=latency, batch_id=batch_id,
+            paths=self._paths(req, distances) if req.targets else {},
+            sssp=sssp, attempts=attempts, stale_ok=stale_ok, degraded=degraded,
             request_id=req.ctx.request_id if req.ctx is not None else None,
             snapshot_id=req.snapshot_id,
         )
-        if attempts > 1:
-            with self._lock:
-                self._retried_ok += 1
-            self.registry.inc(
-                "serve_retried_ok_total",
-                help="requests that succeeded after at least one retry",
-            )
-        self._account(
-            req, source, latency,
-            source=source, attempts=attempts,
+        self._acct.terminal(
+            req, source, latency, source=source, attempts=attempts,
             stale_ok=stale_ok, degraded=degraded,
         )
+        self._release(req)
         req.future.set_result(result)
 
     def _fail(self, req: QueryRequest, error: BaseException, *, outcome: str) -> None:
-        latency = self._clock() - req.submitted_at
-        self._account(req, outcome, latency, attempts=req.attempts)
+        self._acct.terminal(
+            req, outcome, self._clock() - req.submitted_at, attempts=req.attempts
+        )
+        self._release(req)
         req.future.set_error(error)
 
-    def _account(
-        self,
-        req: QueryRequest,
-        outcome: str,
-        latency: float,
-        *,
-        source: str | None = None,
-        attempts: int = 0,
-        stale_ok: bool = False,
-        degraded: bool = False,
-    ) -> None:
-        """Terminal accounting — the single point every completion and
-        failure passes through exactly once, which is what makes the
-        "one wide event per request" invariant structural."""
-        with self._lock:
-            self._outcomes[outcome] = self._outcomes.get(outcome, 0) + 1
+    def _release(self, req: QueryRequest, *, offered: bool = True) -> None:
+        """A counted request leaves the pipeline: off the unresolved
+        count drain waits on, off its snapshot (the last pin retires a
+        superseded one); ``offered=False``: and out of the offered load."""
+        with self._idle:
             self._uncompleted -= 1
+            if not offered:
+                self._offered -= 1
             self._idle.notify_all()
-        self._snapshot_unpin(req.snapshot_id)
-        self.latency.record(outcome, latency)
-        self.registry.inc(
-            "serve_requests_total", outcome=outcome,
-            help="completed requests by outcome",
-        )
-        self.registry.observe(
-            "serve_request_latency_seconds", latency, source=outcome,
-            help="end-to-end request latency",
-            exemplar=req.ctx.request_id if req.ctx is not None else None,
-        )
-        span_args = {"root": req.root, "outcome": outcome}
-        if req.ctx is not None:
-            span_args["request_id"] = req.ctx.request_id
-        self._trace_span(
-            "request", "request", req.submitted_at, latency, **span_args
-        )
-        if req.ctx is not None and self.events is not None:
-            self.events.emit(
-                req.ctx.wide_event(
-                    outcome=outcome,
-                    source=source,
-                    latency_s=latency,
-                    attempts_total=attempts,
-                    stale_ok=stale_ok,
-                    degraded=degraded,
-                )
-            )
-
-    def _trace_span(
-        self, name: str, cat: str, ts: float, dur: float, **args
-    ) -> None:
-        tracer = self._tracer
-        if tracer is None:
-            return
-        event = {
-            "type": "span",
-            "name": name,
-            "cat": cat,
-            "ts": ts,
-            "dur": max(dur, 0.0),
-            "sim_ts": tracer.sim_t,
-            "sim_dur": 0.0,
-            "depth": 0,
-            "args": dict(args),
-        }
-        with self._trace_lock:
-            tracer.events.append(event)
+        retired = self.versioner.unpin(req.snapshot_id)
+        if retired:
+            self._retire(retired)
 
     # ------------------------------------------------------------------
     # Drain and shutdown
     # ------------------------------------------------------------------
-    def _drain_manual(self, deadline: float | None) -> bool:
-        """Manual-mode drain: execute the backlog inline, riding out
-        retry backoffs, until nothing admitted remains unresolved."""
+    def drain(self, timeout: float | None = None) -> bool:
+        """Block until every admitted request has terminally completed —
+        including requests currently being retried or hedged; a future is
+        never leaked. In manual mode (``num_workers=0``) this *executes*
+        the backlog inline, riding out retry backoffs. Returns False if
+        ``timeout`` expired first.
+        """
+        if self._workers:
+            with self._idle:
+                return self._idle.wait_for(lambda: not self._uncompleted, timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             served = self.process_once(block=False)
             with self._idle:
@@ -1194,24 +847,12 @@ class QueryBroker:
             # A retry's ready_at lies in the future; yield briefly.
             time.sleep(0.0005)
 
-    def drain(self, timeout: float | None = None) -> bool:
-        """Block until every admitted request has terminally completed —
-        including requests currently being retried or hedged; a future is
-        never leaked. In manual mode (``num_workers=0``) this *executes*
-        the backlog inline. Returns False if ``timeout`` expired first.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        if not self._workers:
-            return self._drain_manual(deadline)
-        with self._idle:
-            while self._uncompleted:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                self._idle.wait(timeout=remaining)
-        return True
+    def _cancel_queued(self) -> None:
+        for req in self._batcher.cancel_pending():
+            self._fail(
+                req, ServiceShutdown("broker shut down before execution"),
+                outcome="cancelled",
+            )
 
     def shutdown(self, *, drain: bool = True, timeout: float | None = None) -> None:
         """Stop the service. Idempotent.
@@ -1231,87 +872,27 @@ class QueryBroker:
             if not drain:
                 self._aborted = True
         if not drain:
-            for req in self._batcher.cancel_pending():
-                self._fail(
-                    req,
-                    ServiceShutdown("broker shut down before execution"),
-                    outcome="cancelled",
-                )
+            self._cancel_queued()
         self._batcher.close()
-        if not self._workers:
-            if drain:
-                self._drain_manual(
-                    None if timeout is None else time.monotonic() + timeout
-                )
-        else:
-            for worker in self._workers:
-                worker.join(timeout)
+        for worker in self._workers:
+            worker.join(timeout)
+        if drain and not self._workers:
+            self.drain(timeout)
         if not drain:
             # A group that was mid-failure during the abort may have
-            # requeued a retry after cancel_pending ran; sweep again so
-            # no future is ever leaked.
-            for req in self._batcher.cancel_pending():
-                self._fail(
-                    req,
-                    ServiceShutdown("broker shut down before execution"),
-                    outcome="cancelled",
-                )
+            # requeued a retry after the first sweep ran; sweep again now
+            # that the workers are joined, so no future is ever leaked.
+            self._cancel_queued()
         if self.events is not None and self.events.path is not None:
             self.events.write()
-        if self._tracer is not None:
+        if self.tracer is not None:
             from repro.obs.export import finalize_trace
 
-            self.registry.set_gauge("serve_queue_depth", self._batcher.depth)
-            finalize_trace(self._tracer)
+            self._acct.gauge("serve_queue_depth", self._batcher.depth)
+            finalize_trace(self.tracer)
 
     def __enter__(self) -> "QueryBroker":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown(drain=True)
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def report(self) -> dict:
-        """Flat service report: traffic, latency percentiles, cache, SLO
-        inputs (consumed by ``repro serve-bench`` and the benchmarks)."""
-        with self._lock:
-            completed = sum(self._outcomes.values())
-            row = {
-                "offered": self._offered,
-                "completed": completed,
-                "shed": self._shed,
-                "batches": self._batches,
-                "solves": self._solves,
-                "retries": self._retries,
-                "hedges": self._hedges,
-                "retried_ok": self._retried_ok,
-                "mean_batch_size": (
-                    self._batched_requests / self._batches
-                    if self._batches
-                    else 0.0
-                ),
-                "queue_depth": self._batcher.depth,
-                "snapshot_id": self._snapshot_id,
-                "updates": self._updates,
-                "repairs": self._repairs,
-                "repair_fallbacks": self._repair_fallbacks,
-                "snapshots_resident": len(self._graphs),
-                **{
-                    f"outcome_{k}": v
-                    for k, v in sorted(self._outcomes.items())
-                },
-            }
-        row["cache_hit_rate"] = self.cache.stats.hit_rate
-        row["cache_bytes"] = self.cache.stats.bytes_in_use
-        row["cache_evictions"] = self.cache.stats.evictions
-        row["cache_quarantined"] = self.cache.stats.quarantined
-        row["negative_hits"] = self.cache.stats.negative_hits
-        row.update(self.latency.summary())
-        if self.events is not None:
-            row["wide_events"] = self.events.emitted
-        wall = self._clock() - self._t_start
-        row["wall_s"] = wall
-        row["throughput_qps"] = completed / wall if wall > 0 else 0.0
-        return row

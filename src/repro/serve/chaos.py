@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.distances import INF
 from repro.runtime.watchdog import SolveTimeout
+from repro.util.specs import parse_spec, split_event
 
 __all__ = ["ChaosEvent", "ChaosPlan", "ChaosSolver", "InjectedFault", "KINDS"]
 
@@ -185,54 +186,34 @@ class ChaosPlan:
         ``inject=KIND@ROOT[xATTEMPT]`` pinned events joined with ``+``
         (attempt defaults to 0).
         """
-        kwargs: dict = dict(overrides)
-        key_map = {
+        scalars = {
             "error": ("error_rate", float),
             "stall": ("stall_rate", float),
             "corrupt": ("corrupt_rate", float),
             "slow": ("slow_rate", float),
+            "slow-ms": ("slow_s", lambda v: float(v) / 1000.0),
             "seed": ("seed", int),
             "cells": ("corrupt_cells", int),
             "clean-after": ("max_faulty_attempts", int),
         }
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise ValueError(f"malformed chaos spec item {item!r}")
-            key, value = (part.strip() for part in item.split("=", 1))
-            if key == "inject":
-                events = []
-                for ev in value.split("+"):
-                    kind, _, rest = ev.partition("@")
-                    root, _, attempt = rest.partition("x")
-                    events.append(
-                        ChaosEvent(
-                            int(root), int(attempt) if attempt else 0, kind
-                        )
-                    )
-                kwargs["events"] = tuple(events)
-            elif key == "roots":
-                kwargs["roots"] = tuple(int(r) for r in value.split("+"))
-            elif key == "slow-ms":
-                kwargs["slow_s"] = float(value) / 1000.0
-            elif key in key_map:
-                field, cast = key_map[key]
-                kwargs[field] = cast(value)
-            else:
-                raise ValueError(f"unknown chaos spec key {key!r}")
-        return cls(**kwargs)
+
+        def inject(event: str) -> ChaosEvent:
+            kind, root, attempt = split_event(event)
+            return ChaosEvent(int(root), int(attempt or 0), kind)
+
+        events = {"inject": ("events", inject), "roots": ("roots", int)}
+        return cls(**parse_spec(spec, "chaos", scalars, events, overrides))
 
 
 class ChaosSolver:
     """A :class:`~repro.core.solver.BatchSolver` whose solves are
     perturbed by a :class:`ChaosPlan`.
 
-    Drop-in for the plain solver (same ``solve``/``solve_many`` shape,
-    delegated ``machine``/``config``/``algorithm``); the broker passes
-    each request's attempt number so retries advance the draw stream.
-    Every injected fault is appended to :attr:`log` as
+    Same ``solve`` shape as the plain solver; the serving plane's
+    :class:`~repro.serve.attempt.AttemptRunner` passes each request's
+    attempt number, so retries advance the draw stream, and the pinned
+    snapshot's solver (``solver=``; the constructor's delegate may then
+    be ``None``). Every injected fault is appended to :attr:`log` as
     ``(root, attempt, kind)`` — replaying the same plan over the same
     requests yields the identical log.
     """
@@ -245,19 +226,6 @@ class ChaosSolver:
         self.log: list[tuple[int, int, str]] = []
         self._auto_attempts: dict[int, int] = {}
 
-    @property
-    def machine(self):
-        return self.solver.machine
-
-    @property
-    def config(self):
-        return self.solver.config
-
-    @property
-    def algorithm(self):
-        return self.solver.algorithm
-
-    # ------------------------------------------------------------------
     def _note(self, root: int, attempt: int, kind: str) -> None:
         self.log.append((root, attempt, kind))
         if self._registry is not None:
@@ -282,9 +250,9 @@ class ChaosSolver:
         When ``attempt`` is None (direct use, outside the broker) an
         internal per-root counter advances it — the first chaos-free
         idiom-preserving default. ``solver`` overrides the delegate for
-        this call only — the live-graph broker routes each request to
-        its pinned snapshot's solver while keeping one chaos draw stream
-        and one fault log for the whole service.
+        this call only — the serving plane routes each request to its
+        pinned snapshot's solver while keeping one chaos draw stream and
+        one fault log for the whole service.
         """
         root = int(root)
         if solver is None:
@@ -321,9 +289,3 @@ class ChaosSolver:
         for _root, _attempt, kind in self.log:
             counts[kind] = counts.get(kind, 0) + 1
         return counts
-
-    def solve_many(self, roots, *, validate=False, deadline=None, trace=None):
-        return [
-            self.solve(int(r), validate=validate, deadline=deadline)
-            for r in roots
-        ]

@@ -36,7 +36,7 @@ def snapshot(broker, *, monitor=None, prev=None) -> dict:
     rate fields fall back to run-lifetime averages.
     """
     report = broker.report()
-    now = broker._clock()
+    now = report["wall_s"]  # seconds on the broker's clock since it started
     snap: dict = {"t": now, "report": report}
 
     completed = report.get("completed", 0)
@@ -71,7 +71,7 @@ def snapshot(broker, *, monitor=None, prev=None) -> dict:
     snap["chaos"] = (
         broker.chaos.summary() if broker.chaos is not None else {}
     )
-    snap["burn"] = monitor.summary(now=now) if monitor is not None else None
+    snap["burn"] = monitor.summary() if monitor is not None else None
     snap["recent"] = (
         broker.events.tail(5) if broker.events is not None else []
     )

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.runtime.machine import MachineConfig
 from repro.spmd.mailbox import ReliableMailbox
+from repro.util.specs import parse_spec, split_event
 
 __all__ = [
     "RankCrash",
@@ -154,53 +155,31 @@ class FaultPlan:
         ``crash=RANK@SUPERSTEP`` and ``stall=RANK@SUPERSTEP[xDURATION]``,
         multiple events joined with ``+``.
         """
-        kwargs: dict = dict(overrides)
-        key_map = {
-            "loss": "loss_rate",
-            "dup": "dup_rate",
-            "reorder": "reorder_rate",
-            "delay": "delay_rate",
-            "max-delay": "max_delay",
-            "seed": "seed",
-            "first": "first_superstep",
-            "last": "last_superstep",
-            "attempts": "max_attempts",
-            "backoff": "backoff_cap",
-            "ckpt": "checkpoint_interval",
-            "retry-faults": "faults_on_retry",
+        scalars = {
+            "loss": ("loss_rate", float),
+            "dup": ("dup_rate", float),
+            "reorder": ("reorder_rate", float),
+            "delay": ("delay_rate", float),
+            "max-delay": ("max_delay", int),
+            "seed": ("seed", int),
+            "first": ("first_superstep", int),
+            "last": ("last_superstep", int),
+            "attempts": ("max_attempts", int),
+            "backoff": ("backoff_cap", int),
+            "ckpt": ("checkpoint_interval", int),
+            "retry-faults": ("faults_on_retry", lambda v: bool(int(v))),
         }
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise ValueError(f"malformed fault spec item {item!r}")
-            key, value = (part.strip() for part in item.split("=", 1))
-            if key == "crash":
-                crashes = []
-                for ev in value.split("+"):
-                    rank, _, step = ev.partition("@")
-                    crashes.append(RankCrash(int(rank), int(step)))
-                kwargs["crashes"] = tuple(crashes)
-            elif key == "stall":
-                stalls = []
-                for ev in value.split("+"):
-                    rank, _, rest = ev.partition("@")
-                    step, _, duration = rest.partition("x")
-                    stalls.append(
-                        RankStall(int(rank), int(step),
-                                  int(duration) if duration else 2)
-                    )
-                kwargs["stalls"] = tuple(stalls)
-            elif key in ("loss", "dup", "reorder", "delay"):
-                kwargs[key_map[key]] = float(value)
-            elif key == "retry-faults":
-                kwargs[key_map[key]] = bool(int(value))
-            elif key in key_map:
-                kwargs[key_map[key]] = int(value)
-            else:
-                raise ValueError(f"unknown fault spec key {key!r}")
-        return cls(**kwargs)
+
+        def crash(event: str) -> RankCrash:
+            rank, _, step = event.partition("@")
+            return RankCrash(int(rank), int(step))
+
+        def stall(event: str) -> RankStall:
+            rank, step, duration = split_event(event)
+            return RankStall(int(rank), int(step), int(duration or 2))
+
+        events = {"crash": ("crashes", crash), "stall": ("stalls", stall)}
+        return cls(**parse_spec(spec, "fault", scalars, events, overrides))
 
 
 class FaultyMailbox(ReliableMailbox):

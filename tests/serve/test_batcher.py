@@ -218,11 +218,3 @@ class TestShutdown:
         batcher.put("b")
         assert batcher.cancel_pending() == ["a", "b"]
         assert batcher.depth == 0
-
-    def test_wait_empty(self):
-        batcher, _ = make(flush_interval_s=0.0)
-        assert batcher.wait_empty(timeout=0.01)
-        batcher.put("a")
-        assert not batcher.wait_empty(timeout=0.01)
-        batcher.take(block=False)
-        assert batcher.wait_empty(timeout=0.01)

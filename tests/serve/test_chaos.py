@@ -146,13 +146,6 @@ class TestChaosSolver:
         solver.solve(0)  # auto attempt 1: clean
         assert solver.log == [(0, 0, "error")]
 
-    def test_delegates_solver_coordinates(self, path_graph):
-        plain = make_solver(path_graph)
-        solver = ChaosSolver(plain, ChaosPlan())
-        assert solver.machine is plain.machine
-        assert solver.config is plain.config
-        assert solver.algorithm == plain.algorithm
-
 
 class TestFromSpec:
     def test_round_trip(self):

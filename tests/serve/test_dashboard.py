@@ -53,7 +53,7 @@ class StubBroker:
         }
 
     def report(self):
-        return dict(self._report)
+        return dict(self._report, wall_s=self._clock())
 
 
 class TestSnapshot:

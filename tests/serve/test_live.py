@@ -219,17 +219,25 @@ class TestOnePreprocessingPerSnapshot:
         )
         broker.shutdown()
 
-    def test_snapshot_out_of_retention_builds_from_its_graph(self, rmat1_small):
+    def test_pinned_snapshot_outlives_the_window(self, rmat1_small):
+        """A pinned snapshot outside the retention window stays in the
+        versioner, its solve shares the memoised context, and it retires
+        on the last unpin."""
         broker = manual_broker(rmat1_small, snapshot_retention=1)
         broker.apply_updates(churn(rmat1_small, 22))
         graph1 = broker.versioner.current.graph
+        ctx1 = broker.versioner.context_for(1)
         fut = broker.submit(int(choose_root(rmat1_small, seed=2)))  # pins 1
         broker.apply_updates(churn(graph1, 23))
-        assert 1 not in broker.versioner
+        assert broker.versioner.ids() == [1, 2]  # 1: out of window, pinned
+        assert broker.versioner.context_for(1) is ctx1
+        assert broker._solver_for(1)._template_ctx is ctx1
         broker.drain()
         res = fut.result()
         assert res.snapshot_id == 1
         np.testing.assert_array_equal(res.distances, offline(graph1, res.root))
+        assert broker.versioner.ids() == [2]  # the last unpin retired it
+        assert (1, res.root) not in broker.cache
         broker.shutdown()
 
     def test_vertex_splitting_builds_from_the_graph(self, rmat1_small):
