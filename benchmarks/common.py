@@ -33,7 +33,6 @@ __all__ = [
     "cached_rmat",
     "cached_grid",
     "default_machine",
-    "load_bench_json",
     "print_table",
     "run_algorithm",
     "format_table",
@@ -75,12 +74,6 @@ def cached_grid(scale: int, *, seed: int = 7) -> CSRGraph:
     rows = 2 ** (scale // 2)
     cols = 2 ** (scale - scale // 2)
     return grid_graph(rows, cols, seed=seed).sorted_by_weight()
-
-
-def load_bench_json(path: str) -> dict:
-    """Read a benchmark-results JSON file (as written by ``write_bench_json``)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def write_bench_json(path: str, payload: dict) -> None:

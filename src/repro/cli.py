@@ -6,7 +6,9 @@ Subcommands cover the common workflows::
     python -m repro compare      --scale 12 --delta 25
     python -m repro graph500     --scale 12 --roots 16
     python -m repro sweep        --scale 12 --deltas 1,10,25,40,100
+    python -m repro bfs          --scale 12
     python -m repro serve-bench  --scale 12 --requests 200 --zipf 1.1
+    python -m repro serve-top    --scale 12 --requests 200 --frames 5
     python -m repro trace-report run.trace.jsonl
 
 All graph and machine knobs are flags; output is the same plain-text
@@ -237,7 +239,7 @@ def _build_serve_broker(args: argparse.Namespace, *, events=None):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser with all four subcommands."""
+    """Construct the argument parser with all eight subcommands."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Scalable SSSP reproduction (IPDPS 2014) on a simulated "

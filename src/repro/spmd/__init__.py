@@ -23,6 +23,7 @@ or crashes whole ranks, while :class:`ReliableMailbox` plus driver-side
 checkpointing and self-healing sweeps recover the exact fault-free answer.
 """
 
+from repro.core.views import VertexView as RankState, build_rank_states
 from repro.spmd.checkpoint import (
     CheckpointError,
     CheckpointManager,
@@ -41,7 +42,6 @@ from repro.spmd.faults import (
     solve_with_faults,
 )
 from repro.spmd.mailbox import Mailbox, ReliableMailbox
-from repro.spmd.state import RankState, build_rank_states
 
 __all__ = [
     "CheckpointError",

@@ -38,13 +38,12 @@ from repro.core.context import ExecutionContext, make_context
 from repro.core.defence import Defence
 from repro.core.distances import INF
 from repro.core.phases import begin_solve, finish_solve, run_stepping
-from repro.core.views import gathered
+from repro.core.views import VertexView as RankState, build_rank_states, gathered
 from repro.graph.csr import CSRGraph
 from repro.runtime.comm import RECOVERY_PHASE
 from repro.runtime.machine import MachineConfig
 from repro.runtime.watchdog import DeadlineConfig, DeadlineExceeded
 from repro.spmd.mailbox import Mailbox
-from repro.spmd.state import RankState, build_rank_states
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.spmd.faults import FaultPlan

@@ -8,7 +8,8 @@ refactor at a time; both now run the one
 terms once and sums them per rank block. These are the regression tests:
 that must equal, float for float, the estimator evaluated rank by rank (kept
 here as the oracle) on both view layouts, and the two engines must make the
-same mode decision for every bucket of every preset.
+same mode decision for every bucket of every preset (rows of the one
+differential, ``test_transport_parity.assert_parity``).
 """
 
 from __future__ import annotations
@@ -20,21 +21,12 @@ from repro.core.config import preset
 from repro.core.context import make_context
 from repro.core.distances import INF
 from repro.core.pushpull import combine_expectation_costs, estimate_models
-from repro.core.solver import solve_sssp
 from repro.core.views import build_rank_states, whole_graph_view
 from repro.runtime.machine import MachineConfig
-from repro.spmd.engine import spmd_delta_stepping
+from tests.core.test_transport_parity import assert_parity
 
 MACHINE = MachineConfig(num_ranks=4, threads_per_rank=2)
 PRESETS = ["delta", "prune", "opt", "lb-opt"]
-
-
-def bucket_modes(metrics) -> list[tuple[int, str]]:
-    """(bucket id, chosen mode) sequence; '-' where no long phase ran."""
-    return [
-        (int(s.get("bucket", -1)), str(s.get("mode", "-")))
-        for s in metrics.per_bucket_stats
-    ]
 
 
 def rank_partials_oracle(
@@ -151,15 +143,7 @@ class TestEngineDecisionParity:
     def test_same_mode_every_bucket(
         self, algorithm, family, rmat1_small, rmat2_small
     ):
-        """Satellite 1: per-bucket push/pull decisions are identical."""
+        """Per-bucket push/pull decisions (and every other accounting
+        fact) are identical on both drivers."""
         graph = rmat1_small if family == "rmat1" else rmat2_small
-        cfg = preset(algorithm, 25)
-        res = solve_sssp(
-            graph, 0, config=cfg, machine=MACHINE,
-            num_ranks=MACHINE.num_ranks,
-            threads_per_rank=MACHINE.threads_per_rank,
-        )
-        d_spmd, ctx_spmd = spmd_delta_stepping(graph, 0, MACHINE, config=cfg)
-        assert np.array_equal(res.distances, d_spmd)
-        assert bucket_modes(res.metrics) == bucket_modes(ctx_spmd.metrics)
-        assert res.metrics.summary() == ctx_spmd.metrics.summary()
+        assert_parity(graph, 0, MACHINE, preset(algorithm, 25))

@@ -31,6 +31,7 @@ from repro.graph.rmat import rmat_graph
 from repro.graph.social import synthetic_social_graph
 from repro.runtime.machine import MachineConfig
 from repro.spmd.engine import spmd_delta_stepping
+from tests.core.test_transport_parity import assert_parity
 
 ALGORITHMS = ("delta", "radius", "rho")
 
@@ -168,28 +169,17 @@ class TestGeneratorConformance:
 
 
 class TestSpmdParity:
-    """Orchestrated vs SPMD: identical distances AND identical metrics."""
+    """Orchestrated vs SPMD: identical distances AND identical metrics
+    (rows of ``test_transport_parity.assert_parity``)."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_distances_and_metrics_parity(self, algorithm, rmat1_small):
-        cfg = config_for(algorithm)
-        res = solve_sssp(
-            rmat1_small, 0, algorithm="custom", config=cfg, machine=MACHINE
-        )
-        d_spmd, ctx_spmd = spmd_delta_stepping(
-            rmat1_small, 0, MACHINE, config=cfg
-        )
-        assert np.array_equal(res.distances, d_spmd)
-        assert res.metrics.summary() == ctx_spmd.metrics.summary()
+        assert_parity(rmat1_small, 0, MACHINE, config_for(algorithm))
 
     @pytest.mark.parametrize("algorithm", ("radius", "rho"))
     def test_parity_under_paranoid_guards(self, algorithm, rmat1_small):
         cfg = config_for(algorithm).evolve(paranoid=True)
-        res = solve_sssp(
-            rmat1_small, 0, algorithm="custom", config=cfg, machine=MACHINE
-        )
-        d_spmd, _ = spmd_delta_stepping(rmat1_small, 0, MACHINE, config=cfg)
-        assert np.array_equal(res.distances, d_spmd)
+        assert_parity(rmat1_small, 0, MACHINE, cfg)
 
 
 class TestHybridComposition:

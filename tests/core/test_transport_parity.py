@@ -7,11 +7,16 @@ the transport (exchanges declared vs. records moved). So the engines can no
 longer disagree about the algorithm, and the one differential worth running
 is over exactly that pair: the declaring transport on one view and the
 mailbox on P views must produce the same distances and, field for field,
-the same accounting records. The unit tests below pin the two seams
-themselves.
+the same accounting records. :func:`assert_parity` is that comparison,
+stated once; the fixed-graph rows of the older suites
+(``tests/core/test_mode_parity.py``, ``tests/core/test_stepping.py``,
+``tests/spmd/test_spmd.py``) call it under the ids they have always had.
+The unit tests below pin the two seams themselves.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -30,6 +35,7 @@ from repro.core.views import (
 )
 from repro.graph.builder import from_undirected_edges
 from repro.obs.tracer import TraceConfig
+from repro.runtime.costmodel import evaluate_cost
 from repro.runtime.machine import MachineConfig
 from repro.spmd.engine import spmd_delta_stepping
 
@@ -61,11 +67,31 @@ def random_graph(seed: int):
     return from_undirected_edges(tails[keep], heads[keep], weights, n)
 
 
-def both_drivers(graph, root, machine, config):
+def both_drivers(graph, root, machine, config, moved=None):
+    """``moved(graph, root, machine)`` replaces the rank driver's entry
+    point (``spmd_bellman_ford`` takes no config)."""
     ctx = make_context(graph, machine, config)
     d_declared = DeltaSteppingEngine(ctx).run(root)
-    d_moved, ctx_moved = spmd_delta_stepping(graph, root, machine, config=config)
+    if moved is None:
+        moved = functools.partial(spmd_delta_stepping, config=config)
+    d_moved, ctx_moved = moved(graph, root, machine)
     return (d_declared, ctx.metrics), (d_moved, ctx_moved.metrics)
+
+
+def assert_parity(graph, root, machine, config, moved=None):
+    """Both drivers agree on the distances and on every accounting fact:
+    the step records field for field — hence ``summary()`` and the priced
+    cost — the per-bucket stats (members, relaxations, chosen mode and its
+    estimates) and the per-phase relaxation series. Returns the declared
+    side's ``(distances, metrics)`` for a row's own assertions."""
+    (d_a, m_a), (d_b, m_b) = both_drivers(graph, root, machine, config, moved)
+    assert np.array_equal(d_a, d_b)
+    assert m_a.records == m_b.records
+    assert m_a.summary() == m_b.summary()
+    assert m_a.per_bucket_stats == m_b.per_bucket_stats
+    assert m_a.per_phase_relaxations == m_b.per_phase_relaxations
+    assert evaluate_cost(m_a, machine) == evaluate_cost(m_b, machine)
+    return d_a, m_a
 
 
 class TestTransportParity:
@@ -82,12 +108,17 @@ class TestTransportParity:
             config = config.evolve(**variant)
         graph = random_graph(seed)
         machine = MachineConfig(num_ranks=ranks, threads_per_rank=2)
-        (d_a, m_a), (d_b, m_b) = both_drivers(
-            graph, seed % graph.num_vertices, machine, config
+        assert_parity(graph, seed % graph.num_vertices, machine, config)
+
+    @pytest.mark.parametrize("ranks, use_ios", [(3, False), (4, True)])
+    def test_fixed_graphs(self, rmat2_small, ranks, use_ios):
+        """RMAT-2 at Δ=25: the rows that used to compare only the
+        per-bucket stats (3 ranks) and the phase series (4 ranks, IOS)."""
+        machine = MachineConfig(num_ranks=ranks, threads_per_rank=2)
+        _, metrics = assert_parity(
+            rmat2_small, 7, machine, SolverConfig(delta=25, use_ios=use_ios)
         )
-        assert np.array_equal(d_a, d_b)
-        assert m_a.records == m_b.records
-        assert m_a.summary() == m_b.summary()
+        assert metrics.per_bucket_stats and metrics.per_phase_relaxations
 
 
 class TestTelemetryParity:

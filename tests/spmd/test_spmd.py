@@ -11,10 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DELTA_INFINITY, SolverConfig
-from repro.core.context import make_context
-from repro.core.delta_stepping import DeltaSteppingEngine
 from repro.core.reference import dijkstra_reference
-from repro.runtime.costmodel import evaluate_cost
 from repro.runtime.machine import MachineConfig
 from repro.spmd import (
     Mailbox,
@@ -22,12 +19,7 @@ from repro.spmd import (
     spmd_bellman_ford,
     spmd_delta_stepping,
 )
-
-
-def orchestrated(graph, root, machine, **cfg_kwargs):
-    ctx = make_context(graph, machine, SolverConfig(**cfg_kwargs))
-    d = DeltaSteppingEngine(ctx).run(root)
-    return d, ctx
+from tests.core.test_transport_parity import assert_parity
 
 
 class TestMailbox:
@@ -113,16 +105,11 @@ class TestBellmanFordEquivalence:
     @pytest.mark.parametrize("ranks", [1, 2, 5])
     def test_distances_and_accounting_match(self, rmat1_small, ranks):
         machine = MachineConfig(num_ranks=ranks, threads_per_rank=3)
-        d_spmd, ctx_spmd = spmd_bellman_ford(rmat1_small, 3, machine)
-        d_orch, ctx_orch = orchestrated(rmat1_small, 3, machine,
-                                        delta=DELTA_INFINITY)
-        assert np.array_equal(d_spmd, d_orch)
-        assert np.array_equal(d_spmd, dijkstra_reference(rmat1_small, 3))
-        assert ctx_spmd.metrics.summary() == ctx_orch.metrics.summary()
-        a = evaluate_cost(ctx_spmd.metrics, machine)
-        b = evaluate_cost(ctx_orch.metrics, machine)
-        assert a.total_time == pytest.approx(b.total_time)
-        assert a.bucket_time == pytest.approx(b.bucket_time)
+        d, _ = assert_parity(
+            rmat1_small, 3, machine, SolverConfig(delta=DELTA_INFINITY),
+            moved=spmd_bellman_ford,
+        )
+        assert np.array_equal(d, dijkstra_reference(rmat1_small, 3))
 
 
 class TestDeltaSteppingEquivalence:
@@ -131,45 +118,8 @@ class TestDeltaSteppingEquivalence:
     @pytest.mark.parametrize("delta", [7, 25, 100])
     def test_distances_and_accounting_match(self, rmat1_small, ranks, ios, delta):
         machine = MachineConfig(num_ranks=ranks, threads_per_rank=2)
-        d_spmd, ctx_spmd = spmd_delta_stepping(
-            rmat1_small, 3, machine, delta=delta, use_ios=ios
-        )
-        d_orch, ctx_orch = orchestrated(
-            rmat1_small, 3, machine, delta=delta, use_ios=ios
-        )
-        assert np.array_equal(d_spmd, d_orch)
-        assert ctx_spmd.metrics.summary() == ctx_orch.metrics.summary()
-        a = evaluate_cost(ctx_spmd.metrics, machine)
-        b = evaluate_cost(ctx_orch.metrics, machine)
-        assert a.total_time == pytest.approx(b.total_time)
-        assert a.bucket_time == pytest.approx(b.bucket_time)
-        assert a.comm_time == pytest.approx(b.comm_time)
-
-    def test_per_bucket_stats_match(self, rmat2_small):
-        machine = MachineConfig(num_ranks=3, threads_per_rank=2)
-        _, ctx_spmd = spmd_delta_stepping(rmat2_small, 7, machine, delta=25)
-        _, ctx_orch = orchestrated(rmat2_small, 7, machine, delta=25)
-        spmd_buckets = [
-            (s["bucket"], s["members"], s["relaxations"])
-            for s in ctx_spmd.metrics.per_bucket_stats
-        ]
-        orch_buckets = [
-            (s["bucket"], s["members"], s["relaxations"])
-            for s in ctx_orch.metrics.per_bucket_stats
-        ]
-        assert spmd_buckets == orch_buckets
-
-    def test_phase_series_match(self, rmat2_small):
-        machine = MachineConfig(num_ranks=4, threads_per_rank=2)
-        _, ctx_spmd = spmd_delta_stepping(
-            rmat2_small, 7, machine, delta=25, use_ios=True
-        )
-        _, ctx_orch = orchestrated(
-            rmat2_small, 7, machine, delta=25, use_ios=True
-        )
-        assert (
-            ctx_spmd.metrics.per_phase_relaxations
-            == ctx_orch.metrics.per_phase_relaxations
+        assert_parity(
+            rmat1_small, 3, machine, SolverConfig(delta=delta, use_ios=ios)
         )
 
 
@@ -184,49 +134,15 @@ class TestFullOptEquivalence:
         machine = MachineConfig(num_ranks=ranks, threads_per_rank=2)
         cfg = SolverConfig(delta=25, use_ios=True, use_pruning=True,
                            use_hybrid=True)
-        d_spmd, ctx_spmd = spmd_delta_stepping(
-            rmat1_small, 3, machine, config=cfg
-        )
-        d_orch, ctx_orch = orchestrated(
-            rmat1_small, 3, machine, delta=25, use_ios=True,
-            use_pruning=True, use_hybrid=True,
-        )
-        assert np.array_equal(d_spmd, d_orch)
-        assert np.array_equal(d_spmd, dijkstra_reference(rmat1_small, 3))
-        assert ctx_spmd.metrics.summary() == ctx_orch.metrics.summary()
-        a = evaluate_cost(ctx_spmd.metrics, machine)
-        b = evaluate_cost(ctx_orch.metrics, machine)
-        assert a.total_time == pytest.approx(b.total_time)
-        assert a.comm_time == pytest.approx(b.comm_time)
-        assert a.bucket_time == pytest.approx(b.bucket_time)
+        d, _ = assert_parity(rmat1_small, 3, machine, cfg)
+        assert np.array_equal(d, dijkstra_reference(rmat1_small, 3))
 
     def test_forced_pull(self, rmat2_small):
         machine = MachineConfig(num_ranks=3, threads_per_rank=2)
         cfg = SolverConfig(delta=25, use_ios=True, use_pruning=True,
                            pushpull_mode="pull")
-        d_spmd, ctx_spmd = spmd_delta_stepping(
-            rmat2_small, 7, machine, config=cfg
-        )
-        d_orch, ctx_orch = orchestrated(
-            rmat2_small, 7, machine, delta=25, use_ios=True,
-            use_pruning=True, pushpull_mode="pull",
-        )
-        assert np.array_equal(d_spmd, d_orch)
-        assert ctx_spmd.metrics.summary() == ctx_orch.metrics.summary()
-        assert ctx_spmd.metrics.pull_buckets == ctx_spmd.metrics.buckets_processed
-
-    def test_decision_sequences_agree(self, rmat1_small):
-        machine = MachineConfig(num_ranks=4, threads_per_rank=2)
-        cfg = SolverConfig(delta=25, use_ios=True, use_pruning=True,
-                           use_hybrid=True)
-        _, ctx_spmd = spmd_delta_stepping(rmat1_small, 3, machine, config=cfg)
-        _, ctx_orch = orchestrated(
-            rmat1_small, 3, machine, delta=25, use_ios=True,
-            use_pruning=True, use_hybrid=True,
-        )
-        spmd_modes = [s["mode"] for s in ctx_spmd.metrics.per_bucket_stats]
-        orch_modes = [s["mode"] for s in ctx_orch.metrics.per_bucket_stats]
-        assert spmd_modes == orch_modes
+        _, metrics = assert_parity(rmat2_small, 7, machine, cfg)
+        assert metrics.pull_buckets == metrics.buckets_processed
 
     def test_exact_estimator_rejected(self, rmat1_small):
         machine = MachineConfig(num_ranks=2, threads_per_rank=2)
