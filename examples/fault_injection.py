@@ -1,11 +1,11 @@
 """Fault injection: break the wire, recover the exact answer.
 
-Runs the self-healing SPMD engine (DESIGN.md §7) under increasingly hostile
-fault plans — record loss, duplication, reordering, delayed delivery, and a
-whole-rank crash — and shows that the recovered distances are bit-identical
-to the fault-free run while the recovery overhead (retransmissions, extra
-supersteps, healing sweeps) is measured separately under the ``recovery``
-phase.
+Hands ``solve_sssp`` increasingly hostile fault plans — record loss,
+duplication, reordering, delayed delivery, and a whole-rank crash; a plan
+makes the same preset run on the self-healing rank driver (DESIGN.md §7) —
+and shows that the recovered distances are bit-identical to the fault-free
+run while the recovery overhead (retransmissions, extra supersteps, healing
+sweeps) is measured separately under the ``recovery`` phase.
 
 Run:  python examples/fault_injection.py
 """
@@ -17,7 +17,7 @@ import numpy as np
 from repro import rmat_graph
 from repro.core.solver import solve_sssp
 from repro.graph.roots import choose_root
-from repro.spmd.faults import FaultPlan, RankCrash, solve_with_faults
+from repro.spmd.faults import FaultPlan, RankCrash
 from repro.util import format_table
 
 
@@ -50,8 +50,9 @@ def main() -> None:
     #    result in O(m + n) without a reference solve.
     rows = []
     for label, plan in plans:
-        res = solve_with_faults(
-            graph, root, plan, num_ranks=8, validate="structural"
+        res = solve_sssp(
+            graph, root, algorithm="delta", delta=25, num_ranks=8,
+            faults=plan, validate="structural",
         )
         identical = bool(np.array_equal(res.distances, clean.distances))
         rec = res.metrics.recovery

@@ -56,6 +56,22 @@ def _add_machine_args(p: argparse.ArgumentParser) -> None:
                    help="threads per node (default 16)")
 
 
+def _add_solver_args(p: argparse.ArgumentParser, algorithm: str = "opt") -> None:
+    """Graph, machine and algorithm-preset flags of every solving command."""
+    _add_graph_args(p)
+    _add_machine_args(p)
+    p.add_argument("--algorithm", choices=sorted(PRESETS), default=algorithm,
+                   help="algorithm preset: the paper's Δ-stepping family "
+                        "(dijkstra/bellman-ford/delta/prune/opt/lb-opt*), or "
+                        "a windowed stepping strategy — 'radius' (per-vertex "
+                        "window widths, arXiv 1602.03881) / 'rho' (settle the "
+                        "ρ closest unsettled vertices per step, arXiv "
+                        f"2105.06145); default {algorithm}")
+    p.add_argument("--delta", type=int, default=25,
+                   help="bucket width Δ for the Δ-stepping presets "
+                        "(ignored by radius/rho; default 25)")
+
+
 def _make_graph(args: argparse.Namespace):
     params = RMAT1 if args.family == "rmat1" else RMAT2
     return rmat_graph(args.scale, args.edge_factor, params,
@@ -68,10 +84,7 @@ def _machine(args: argparse.Namespace) -> MachineConfig:
 
 def _add_serve_args(p: argparse.ArgumentParser) -> None:
     """Workload + broker knobs shared by ``serve-bench`` and ``serve-top``."""
-    _add_graph_args(p)
-    _add_machine_args(p)
-    p.add_argument("--algorithm", choices=sorted(PRESETS), default="opt")
-    p.add_argument("--delta", type=int, default=25)
+    _add_solver_args(p)
     p.add_argument("--requests", type=int, default=200,
                    help="queries in the stream (default 200)")
     p.add_argument("--arrival", choices=["open", "closed"],
@@ -248,18 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run one SSSP solve")
-    _add_graph_args(p_solve)
-    _add_machine_args(p_solve)
-    p_solve.add_argument("--algorithm", choices=sorted(PRESETS), default="opt",
-                         help="algorithm preset: the paper's Δ-stepping "
-                              "family (dijkstra/bellman-ford/delta/prune/"
-                              "opt/lb-opt*), or a windowed stepping strategy "
-                              "— 'radius' (per-vertex window widths, arXiv "
-                              "1602.03881) / 'rho' (settle the ρ closest "
-                              "unsettled vertices per step, arXiv "
-                              "2105.06145); --delta is ignored for those")
-    p_solve.add_argument("--delta", type=int, default=25,
-                         help="bucket width Δ for the Δ-stepping presets")
+    _add_solver_args(p_solve)
     p_solve.add_argument("--root", type=int, default=None,
                          help="source vertex (default: sampled non-isolated)")
     p_solve.add_argument("--validate", action="store_true",
@@ -268,9 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the O(m+n) Graph 500-style structural "
                               "validator instead of a reference solve")
     p_solve.add_argument("--faults", metavar="SPEC", default=None,
-                         help="inject faults and run the self-healing SPMD "
-                              "engine (Δ-stepping, or Bellman-Ford with "
-                              "--algorithm bellman-ford); SPEC is e.g. "
+                         help="run --algorithm on the self-healing rank "
+                              "driver under injected faults; SPEC is e.g. "
                               "'loss=0.05,dup=0.02,seed=3,crash=1@4'")
     p_solve.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                          help="write durable epoch checkpoints to DIR "
@@ -315,23 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print live per-epoch progress to stderr "
                               "(enables the tracer)")
 
-    p_cmp = sub.add_parser("compare", help="compare the algorithm family")
-    _add_graph_args(p_cmp)
-    _add_machine_args(p_cmp)
-    p_cmp.add_argument("--delta", type=int, default=25)
+    p_cmp = sub.add_parser(
+        "compare", help="compare the algorithm family (at --delta)"
+    )
+    _add_solver_args(p_cmp)
 
     p_g500 = sub.add_parser("graph500", help="run the Graph 500 SSSP protocol")
-    _add_graph_args(p_g500)
-    _add_machine_args(p_g500)
-    p_g500.add_argument("--algorithm", choices=sorted(PRESETS), default="opt")
-    p_g500.add_argument("--delta", type=int, default=25)
+    _add_solver_args(p_g500)
     p_g500.add_argument("--roots", type=int, default=16,
                         help="number of search keys (official: 64)")
 
     p_sweep = sub.add_parser("sweep", help="sweep the bucket width Δ")
-    _add_graph_args(p_sweep)
-    _add_machine_args(p_sweep)
-    p_sweep.add_argument("--algorithm", choices=sorted(PRESETS), default="delta")
+    _add_solver_args(p_sweep, algorithm="delta")
     p_sweep.add_argument("--deltas", default="1,10,25,40,100",
                          help="comma-separated Δ values")
 
@@ -420,27 +416,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             metrics_path=args.metrics_out,
             progress=args.progress,
         )
-    defense_kwargs = dict(
-        paranoid=args.paranoid,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_interval=args.checkpoint_interval,
-        resume=args.resume,
-        deadline=deadline,
-        trace=trace_cfg,
-    )
-    try:
-        if args.faults is not None:
-            from repro.spmd.faults import FaultPlan, solve_with_faults
+    faults = None
+    if args.faults is not None:
+        from repro.spmd.faults import FaultPlan
 
-            plan = FaultPlan.from_spec(args.faults)
-            algo = "bellman-ford" if args.algorithm == "bellman-ford" else "delta"
-            res = solve_with_faults(graph, root, plan, algorithm=algo,
-                                    delta=args.delta, machine=_machine(args),
-                                    validate=validate, **defense_kwargs)
-        else:
-            res = solve_sssp(graph, root, algorithm=args.algorithm,
-                             delta=args.delta, machine=_machine(args),
-                             validate=validate, **defense_kwargs)
+        faults = FaultPlan.from_spec(args.faults)
+    try:
+        res = solve_sssp(
+            graph, root, algorithm=args.algorithm, delta=args.delta,
+            machine=_machine(args), validate=validate, faults=faults,
+            paranoid=args.paranoid, trace=trace_cfg, deadline=deadline,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_interval=args.checkpoint_interval, resume=args.resume,
+        )
     except SolveTimeout as exc:
         print(f"solve timed out: {exc}", file=sys.stderr)
         return 3
@@ -448,7 +436,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"root:  {root}")
     print(format_table([res.summary()], "result"))
     print(format_table([res.cost.as_row()], "simulated time breakdown"))
-    if args.faults is not None:
+    if faults is not None:
         rec = res.metrics.recovery
         row = {
             **rec.summary(),

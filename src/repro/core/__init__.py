@@ -9,11 +9,11 @@ Key entry points:
 - :func:`repro.core.reference.dijkstra_reference` — sequential ground truth.
 """
 
-from repro.core.bellman_ford import bellman_ford_stage, run_bellman_ford
+from repro.core.bellman_ford import bellman_ford_stage
 from repro.core.buckets import bucket_index, bucket_members, next_bucket
 from repro.core.config import DELTA_INFINITY, PRESETS, SolverConfig, preset
 from repro.core.context import ExecutionContext, make_context
-from repro.core.delta_stepping import DeltaSteppingEngine, run_delta_stepping
+from repro.core.delta_stepping import DeltaSteppingEngine
 from repro.core.distances import INF, init_distances
 from repro.core.histograms import WeightHistogram, build_weight_histogram
 from repro.core.hybrid import DEFAULT_TAU, should_switch
@@ -85,8 +85,6 @@ __all__ = [
     "make_context",
     "next_bucket",
     "preset",
-    "run_bellman_ford",
-    "run_delta_stepping",
     "scipy_reference",
     "should_switch",
     "solve_sssp",

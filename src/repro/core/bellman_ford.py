@@ -1,10 +1,11 @@
 """Distributed Bellman-Ford (Section II-A).
 
-Used in three places: standalone as the Δ = ∞ baseline, as the tail stage
-of the hybridization strategy (Section III-D), which collapses all buckets
-past the switch point into one and finishes with Bellman-Ford iterations,
-and — charged to the recovery phase — as the fixpoint pass of the
-watchdog's ``degrade`` policy and of the SPMD self-healing sweep.
+Used in three places: as the whole solve of the Δ = ∞ baseline
+(``config.is_bellman_ford``), as the tail stage of the hybridization
+strategy (Section III-D), which collapses all buckets past the switch point
+into one and finishes with Bellman-Ford iterations, and — charged to the
+recovery phase — as the fixpoint pass of the watchdog's ``degrade`` policy
+and of the SPMD self-healing sweep.
 
 Each iteration relaxes *all* incident arcs of every active vertex (a vertex
 is active when its tentative distance changed in the previous iteration);
@@ -16,19 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.context import ExecutionContext
-from repro.core.transport import DeclaredTransport
-from repro.core.views import (
-    VertexView,
-    active_per_rank,
-    gathered,
-    relax_round,
-    rooted_whole_view,
-)
+from repro.core.views import VertexView, active_per_rank, gathered, relax_round
 from repro.runtime.comm import RECOVERY_PHASE, RELAX_RECORD_BYTES
 from repro.runtime.metrics import ComputeKind
 from repro.util.ranges import concat_ranges
 
-__all__ = ["run_bellman_ford", "bellman_ford_stage"]
+__all__ = ["bellman_ford_stage"]
 
 
 def bellman_ford_stage(
@@ -93,10 +87,3 @@ def bellman_ford_stage(
             tr.end(span, relaxed=relaxed)
     return iteration
 
-
-def run_bellman_ford(ctx: ExecutionContext, root: int) -> np.ndarray:
-    """Full Bellman-Ford SSSP from ``root``. Returns the distance array."""
-    view = rooted_whole_view(ctx, root)
-    bellman_ford_stage(ctx, [view], DeclaredTransport(ctx.comm))
-    ctx.metrics.settle()
-    return view.d

@@ -46,11 +46,37 @@ def chain_hooks(*hooks):
 class Defence:
     """Durable checkpoints + deadline watchdog wiring for one solve.
 
+    The keyword options below are *the* defence options: every entry point
+    above this class (:func:`~repro.core.solver.solve_sssp`,
+    :meth:`BatchSolver.solve <repro.core.solver.BatchSolver.solve>`,
+    :meth:`DeltaSteppingEngine.run
+    <repro.core.delta_stepping.DeltaSteppingEngine.run>`,
+    :func:`~repro.spmd.engine.run_ranks`,
+    :func:`~repro.spmd.engine.spmd_delta_stepping`) passes them through
+    unchanged.
+
+    ``checkpoint_dir``
+        Directory for durable epoch checkpoints (atomic write-rename,
+        integrity digests; created and write-probed before the solve
+        starts). ``None`` disables checkpointing.
+    ``checkpoint_interval``, ``checkpoint_keep``
+        Save every this many epochs; keep the newest this many files.
+    ``resume``
+        Load the newest valid checkpoint of the same graph/run instead of
+        starting over: it is scattered back into the views and the bucket
+        ordinal, hybrid marker and — for a transport that counts
+        supersteps — the superstep are restored with it. The resumed run
+        is distance-identical.
+    ``deadline``
+        A :class:`~repro.runtime.watchdog.DeadlineConfig` arming the
+        superstep-budget/stall watchdog. On a trip the ``raise`` policy
+        writes a final resumable checkpoint and raises
+        :class:`~repro.runtime.watchdog.SolveTimeout`; the ``degrade``
+        policy collapses the remaining buckets into one Bellman-Ford pass
+        (charged to the recovery phase) and returns exact distances.
+
     ``engine`` tags the checkpoints (``"core-delta"``, ``"spmd-delta"``,
-    ``"spmd-bf"``): a run only resumes from its own driver's files. On
-    ``resume`` the newest valid checkpoint is scattered back into the
-    views and the bucket ordinal, hybrid marker and — for a transport that
-    counts supersteps — the superstep are restored with it.
+    ``"spmd-bf"``): a run only resumes from its own driver's files.
     """
 
     def __init__(
@@ -93,6 +119,9 @@ class Defence:
         self.watchdog = (
             Watchdog(deadline) if deadline is not None and deadline.enabled else None
         )
+        if hasattr(transport, "watchdog"):
+            # Recovery rounds of a reliable delivery burn deadline budget too.
+            transport.watchdog = self.watchdog
         self.start = (
             self.mgr.load_resume() if (self.mgr is not None and resume) else None
         )

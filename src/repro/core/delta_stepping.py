@@ -29,13 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.context import ExecutionContext
-from repro.core.defence import Defence
-from repro.core.phases import begin_solve, finish_solve, run_stepping
+from repro.core.phases import drive
 from repro.core.transport import DeclaredTransport
 from repro.core.views import rooted_whole_view
-from repro.runtime.watchdog import DeadlineConfig, DeadlineExceeded
 
-__all__ = ["DeltaSteppingEngine", "run_delta_stepping"]
+__all__ = ["DeltaSteppingEngine"]
 
 
 class DeltaSteppingEngine:
@@ -44,58 +42,19 @@ class DeltaSteppingEngine:
     def __init__(self, ctx: ExecutionContext) -> None:
         self.ctx = ctx
 
-    def run(
-        self,
-        root: int,
-        *,
-        checkpoint_dir=None,
-        checkpoint_interval: int = 1,
-        checkpoint_keep: int = 3,
-        resume: bool = False,
-        deadline: DeadlineConfig | None = None,
-    ) -> np.ndarray:
+    def run(self, root: int, **defence) -> np.ndarray:
         """Solve SSSP from ``root``; returns the distance array.
 
-        ``checkpoint_dir`` enables durable epoch checkpoints (every
-        ``checkpoint_interval`` epochs, newest ``checkpoint_keep`` kept);
-        with ``resume`` the newest valid checkpoint of the same graph/run
-        is loaded and the solve continues from it. ``deadline`` bounds the
-        solve (see :class:`~repro.runtime.watchdog.DeadlineConfig`): on a
-        trip the ``raise`` policy writes a final resumable checkpoint and
-        raises :class:`~repro.runtime.watchdog.SolveTimeout`; the
-        ``degrade`` policy collapses the remaining buckets into one
-        Bellman-Ford pass (charged to the recovery phase) and returns
-        correct distances.
+        ``defence`` — durable checkpoints, resume, the deadline — is
+        documented once, on :class:`~repro.core.defence.Defence`.
         """
         ctx = self.ctx
-        cfg = ctx.config
-        solve_span = begin_solve(ctx, "core-delta", root, delta=int(cfg.delta))
-        view = rooted_whole_view(ctx, root)
-        views = [view]
-        transport = DeclaredTransport(ctx.comm)
-        defence = Defence(
+        return drive(
             ctx,
-            views,
-            transport,
+            [rooted_whole_view(ctx, root)],
+            DeclaredTransport(ctx.comm),
             root,
             "core-delta",
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_keep=checkpoint_keep,
-            resume=resume,
-            deadline=deadline,
+            perfect=lambda: DeclaredTransport(ctx.comm),
+            **defence,
         )
-        if cfg.is_bellman_ford:
-            # Δ = ∞: the whole solve is the Bellman-Ford stage.
-            defence.stage = "bf"
-        try:
-            run_stepping(ctx, views, transport, defence)
-        except DeadlineExceeded as exc:
-            defence.resolve_deadline(exc, DeclaredTransport(ctx.comm))
-        finish_solve(ctx, views, root, solve_span)
-        return view.d
-
-
-def run_delta_stepping(ctx: ExecutionContext, root: int) -> np.ndarray:
-    """Convenience wrapper: build the engine and solve from ``root``."""
-    return DeltaSteppingEngine(ctx).run(root)

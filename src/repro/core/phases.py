@@ -1,6 +1,8 @@
-"""The stepping loop and the epoch body, written once for both drivers.
+"""One solve, the stepping loop and the epoch body, written once for both
+drivers.
 
-Execution is bulk-synchronous. The loop asks the
+:func:`drive` is a solve from root span to final guards; inside it
+execution is bulk-synchronous. The loop asks the
 :class:`~repro.core.stepping.SteppingStrategy` for the next window; every
 epoch then runs a first stage of iterative *short phases* (relaxing short —
 under IOS only inner short — arcs of active vertices) until the window
@@ -41,42 +43,77 @@ from repro.core.views import (
 )
 from repro.runtime.comm import RELAX_RECORD_BYTES
 from repro.runtime.metrics import ComputeKind
+from repro.runtime.watchdog import DeadlineExceeded
 from repro.util.ranges import concat_ranges
 
-__all__ = ["begin_solve", "finish_solve", "run_stepping", "process_epoch"]
+__all__ = ["drive", "run_stepping", "process_epoch"]
 
 
-def begin_solve(ctx: ExecutionContext, engine: str, root: int, **attrs):
-    """Open the solve's root span (``None`` without a tracer)."""
-    if ctx.tracer is None:
-        return None
-    return ctx.tracer.begin(
-        "solve", cat="solve", engine=engine, root=int(root),
-        n=int(ctx.graph.num_vertices), **attrs,
-    )
-
-
-def finish_solve(
+def drive(
     ctx: ExecutionContext,
     views: list[VertexView],
+    transport,
     root: int,
-    solve_span,
+    engine: str,
     *,
-    faults_injected: bool = False,
-) -> None:
-    """Settle the ledger (no result pins a frontier array), then the
-    end-of-solve guards and the close of the root span."""
+    perfect,
+    recovery=None,
+    **defence_options,
+) -> np.ndarray:
+    """One solve from ``root``, start to finish; returns the global distances.
+
+    The body both drivers share: the whole-graph driver hands in one view
+    and a :class:`~repro.core.transport.DeclaredTransport`, the rank driver
+    one view per rank and its mailbox. ``engine`` tags the root span and
+    the checkpoints; ``defence_options`` are :class:`Defence`'s.
+    ``perfect()`` makes a fresh fault-free transport for the pass that
+    resolves a tripped deadline. ``recovery`` is the rank driver's crash
+    manager when a fault plan is armed: its in-memory snapshots ride the
+    epoch boundaries and its self-healing sweep closes an undisturbed run.
+    """
+    cfg = ctx.config
+    tr = ctx.tracer
+    solve_span = (
+        tr.begin(
+            "solve", cat="solve", engine=engine, root=int(root),
+            n=int(ctx.graph.num_vertices), delta=int(cfg.delta),
+        )
+        if tr is not None
+        else None
+    )
+    defence = Defence(ctx, views, transport, root, engine, **defence_options)
+    if cfg.is_bellman_ford:
+        # Δ = ∞: the whole solve is the Bellman-Ford stage.
+        defence.stage = "bf"
+    if recovery is not None and defence.start is not None:
+        # Re-snapshot: the in-memory crash checkpoint must cover the
+        # *restored* state, not the pre-resume initial one.
+        recovery.checkpoint()
+    try:
+        run_stepping(
+            ctx, views, transport, defence,
+            recovery_hook=recovery.on_epoch if recovery is not None else None,
+        )
+    except DeadlineExceeded as exc:
+        defence.resolve_deadline(exc, perfect())
+    else:
+        if recovery is not None:
+            recovery.heal(transport, root)
+    # Settle the ledger (no result pins a frontier array), then the
+    # end-of-solve guards and the close of the root span.
     ctx.metrics.settle()
+    d = gathered(views, "d")
     if ctx.guards is not None:
-        ctx.guards.check_final(gathered(views, "d"), root)
+        ctx.guards.check_final(d, root)
         ctx.guards.check_recovery_separation(
-            ctx.metrics, allowed=faults_injected or ctx.metrics.degraded_to_bf
+            ctx.metrics,
+            allowed=ctx.metrics.degraded_to_bf
+            or (recovery is not None and recovery.plan.injects_anything),
         )
-    if ctx.tracer is not None:
-        ctx.tracer.end(
-            solve_span, settled=sum(int(v.settled.sum()) for v in views)
-        )
-        ctx.tracer.finish(metrics=ctx.metrics)
+    if tr is not None:
+        tr.end(solve_span, settled=sum(int(v.settled.sum()) for v in views))
+        tr.finish(metrics=ctx.metrics)
+    return d
 
 
 def _settle_reached(views: list[VertexView]) -> None:

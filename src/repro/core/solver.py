@@ -143,12 +143,10 @@ def solve_sssp(
     threads_per_rank: int = 8,
     validate: bool | str = False,
     split_seed: int = 0,
+    faults=None,
     paranoid: bool = False,
-    checkpoint_dir=None,
-    checkpoint_interval: int = 1,
-    resume: bool = False,
-    deadline=None,
     trace=None,
+    **defence,
 ) -> SsspResult:
     """Solve single-source shortest paths on the simulated machine.
 
@@ -179,24 +177,25 @@ def solve_sssp(
         validator instead, which needs no reference solve.
     split_seed:
         Seed for the proxy-relabelling permutation of vertex splitting.
+    faults:
+        Optional :class:`~repro.spmd.faults.FaultPlan`. A plan needs a wire
+        to break, so the same preset then runs on the rank driver
+        (:func:`repro.spmd.engine.run_ranks`) through the fault-injecting
+        reliable mailbox; recovery overhead lands in the ``recovery_*``
+        counters and the recovered distances are bit-identical to the
+        fault-free run's.
     paranoid:
         Enable the runtime invariant guards
         (:class:`~repro.runtime.guards.InvariantGuards`) for this solve.
-    checkpoint_dir:
-        Directory for durable epoch checkpoints (created and write-probed
-        up front); ``None`` disables checkpointing.
-    checkpoint_interval:
-        Save a checkpoint every this many epochs.
-    resume:
-        Restart from the newest valid checkpoint in ``checkpoint_dir``
-        instead of from scratch; the resumed run is distance-identical.
-    deadline:
-        Optional :class:`~repro.runtime.watchdog.DeadlineConfig` arming
-        the superstep-budget/stall watchdog.
     trace:
         Optional :class:`~repro.obs.tracer.TraceConfig` enabling the
         telemetry layer; artifacts are written at solve end and the
         finalized tracer is returned as ``result.trace``.
+    defence:
+        Durable checkpoints, resume and the deadline watchdog
+        (``checkpoint_dir``, ``checkpoint_interval``, ``checkpoint_keep``,
+        ``resume``, ``deadline``), documented on
+        :class:`~repro.core.defence.Defence`.
 
     Returns
     -------
@@ -208,10 +207,6 @@ def solve_sssp(
         config = config.evolve(paranoid=True)
     if trace is not None:
         config = config.evolve(trace=trace)
-    if checkpoint_dir is not None:
-        from repro.spmd.checkpoint import ensure_checkpoint_dir
-
-        ensure_checkpoint_dir(checkpoint_dir)
     solver = BatchSolver(
         graph,
         algorithm=algorithm,
@@ -221,14 +216,7 @@ def solve_sssp(
         threads_per_rank=threads_per_rank,
         split_seed=split_seed,
     )
-    return solver._solve(
-        root,
-        validate=validate,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
-        resume=resume,
-        deadline=deadline,
-    )
+    return solver._solve(root, validate=validate, faults=faults, **defence)
 
 
 class BatchSolver:
@@ -322,24 +310,30 @@ class BatchSolver:
         root: int,
         *,
         validate: bool | str = False,
-        deadline=None,
         tracer=None,
+        faults=None,
+        **defence,
     ) -> SsspResult:
         """Solve from one root; metrics and accounting are per-call.
 
-        ``deadline`` arms the superstep-budget/stall watchdog
-        (:class:`~repro.runtime.watchdog.DeadlineConfig`) for this solve
-        only — the serving layer uses it for per-request timeouts.
-        ``tracer`` attaches a caller-owned shared tracer (see
-        :meth:`solve_many`); the caller then finalizes it.
+        ``faults`` (a :class:`~repro.spmd.faults.FaultPlan`) runs this
+        solve on the rank driver under the plan, as in :func:`solve_sssp`.
+        ``defence`` holds :class:`~repro.core.defence.Defence`'s options
+        for this solve only — the serving layer passes ``deadline`` for
+        per-request timeouts. ``tracer`` attaches a caller-owned shared
+        tracer (see :meth:`solve_many`); the caller then finalizes it.
         """
-        return self._solve(root, validate=validate, deadline=deadline, tracer=tracer)
+        return self._solve(
+            root, validate=validate, tracer=tracer, faults=faults, **defence
+        )
 
     def _solve(
-        self, root: int, *, validate: bool | str, tracer=None, **engine_options
+        self, root: int, *, validate: bool | str, tracer=None, faults=None,
+        **defence,
     ) -> SsspResult:
-        """One solve on a fork of the template context; ``engine_options``
-        (deadline, checkpointing) go to :meth:`DeltaSteppingEngine.run`."""
+        """The one place a solve is configured and its result assembled:
+        a fork of the template context, run by the rank driver when a
+        fault plan is given and by the whole-graph driver otherwise."""
         root = _validate_root(root, self._original_graph.num_vertices)
         ctx = self._template_ctx.fork(tracer)
         start_root = (
@@ -348,7 +342,13 @@ class BatchSolver:
             else root
         )
         t0 = time.perf_counter()
-        d = DeltaSteppingEngine(ctx).run(start_root, **engine_options)
+        if faults is None:
+            d = DeltaSteppingEngine(ctx).run(start_root, **defence)
+        else:
+            # Lazy import: the spmd package imports core at module scope.
+            from repro.spmd.engine import run_ranks
+
+            d = run_ranks(ctx, start_root, faults=faults, **defence)
         wall = time.perf_counter() - t0
         distances = (
             self._mapping.distances_for_original(d)
@@ -364,12 +364,13 @@ class BatchSolver:
             from repro.obs.export import finalize_trace
 
             finalize_trace(ctx.tracer, metrics=ctx.metrics)
+        injected = faults is not None and faults.injects_anything
         return SsspResult(
             distances=distances,
             metrics=ctx.metrics,
             cost=cost,
             gteps=gteps,
-            algorithm=self.algorithm,
+            algorithm=self.algorithm + ("+faults" if injected else ""),
             config=self.config,
             machine=self.machine,
             root=root,

@@ -26,6 +26,10 @@ only validating the final distance array:
   from-scratch scan after every epoch: same per-vertex bucket assignment,
   same minimum non-empty bucket, same membership set.
 
+The first three describe an undisturbed run: a crash rollback re-baselines
+distance monotonicity and suspends bucket monotonicity and settled finality
+for the rest of that solve (:meth:`InvariantGuards.on_rollback`).
+
 Guards are built only when ``SolverConfig.paranoid`` is set (CLI
 ``--paranoid``); every hook site in the engines is gated on
 ``ctx.guards is not None``, so a disabled run executes not one extra
@@ -66,6 +70,7 @@ class InvariantGuards:
         self._d_prev: np.ndarray | None = None
         self._settled_prev: np.ndarray | None = None
         self._d_at_settle: np.ndarray | None = None
+        self._rolled_back = False
         self.checks = 0
         self.violations = 0
 
@@ -77,6 +82,8 @@ class InvariantGuards:
     # -- bucket monotonicity -------------------------------------------
     def on_bucket_start(self, k: int) -> None:
         """The bucket loop is about to process bucket index ``k``."""
+        if self._rolled_back:
+            return
         self.checks += 1
         if self._last_bucket is not None and k <= self._last_bucket:
             self._fail(
@@ -102,16 +109,23 @@ class InvariantGuards:
 
     def on_rollback(self) -> None:
         """A legitimate state rollback happened (rank restart from a
-        recovery checkpoint); distances may lawfully rise once. Clears the
-        monotonicity and finality baselines so the next superstep
-        re-snapshots from the restored state."""
+        recovery checkpoint); distances may lawfully rise once, so the
+        distance-monotonicity baseline is re-taken from the restored state.
+
+        Bucket monotonicity and settled finality are suspended for the rest
+        of the solve: the restarted rank lawfully re-opens the bucket it
+        lost, and vertices other ranks settled on a path the crash cut are
+        lowered later. What vouches for a crashed run is the self-healing
+        sweep (DESIGN.md §7) and the end-of-solve checks, which keep
+        running."""
         self._d_prev = None
-        self._settled_prev = None
-        self._d_at_settle = None
+        self._rolled_back = True
 
     # -- settled finality ----------------------------------------------
     def check_settled(self, d: np.ndarray, settled: np.ndarray) -> None:
         """The settle step finished for this epoch."""
+        if self._rolled_back:
+            return
         self.checks += 1
         if self._settled_prev is not None:
             unsettled = self._settled_prev & ~settled

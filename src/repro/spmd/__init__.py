@@ -21,6 +21,7 @@ also the natural host for the fault-injection and recovery layer
 :class:`FaultyMailbox` that loses, duplicates, reorders and delays records
 or crashes whole ranks, while :class:`ReliableMailbox` plus driver-side
 checkpointing and self-healing sweeps recover the exact fault-free answer.
+A plan is handed to the front door: ``solve_sssp(..., faults=plan)``.
 """
 
 from repro.core.views import VertexView as RankState, build_rank_states
@@ -33,14 +34,8 @@ from repro.spmd.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.spmd.engine import RecoveryError, spmd_bellman_ford, spmd_delta_stepping
-from repro.spmd.faults import (
-    FaultPlan,
-    FaultyMailbox,
-    RankCrash,
-    RankStall,
-    solve_with_faults,
-)
+from repro.spmd.engine import RecoveryError, run_ranks, spmd_delta_stepping
+from repro.spmd.faults import FaultPlan, FaultyMailbox, RankCrash, RankStall
 from repro.spmd.mailbox import Mailbox, ReliableMailbox
 
 __all__ = [
@@ -59,8 +54,7 @@ __all__ = [
     "ensure_checkpoint_dir",
     "latest_checkpoint",
     "load_checkpoint",
+    "run_ranks",
     "save_checkpoint",
-    "solve_with_faults",
-    "spmd_bellman_ford",
     "spmd_delta_stepping",
 ]

@@ -1,6 +1,6 @@
-"""The rank driver: Bellman-Ford and Δ-stepping over rank-local state.
+"""The rank driver: the Δ-stepping family over rank-local state.
 
-The entry points here run the one kernel set of :mod:`repro.core`
+:func:`run_ranks` runs the one kernel set of :mod:`repro.core`
 (:mod:`~repro.core.phases`, :mod:`~repro.core.pruning`,
 :mod:`~repro.core.bellman_ford`) on one
 :class:`~repro.core.views.VertexView` per rank, with a
@@ -12,18 +12,22 @@ transport-parity test asserts the two produce bit-identical distances and
 field-for-field identical accounting records, which is the mechanical
 proof that declared traffic equals a true message-passing execution's.
 
-What is the rank driver's own: building the rank states, the fault stack,
-and the gather of the result. Both entry points accept a
-:class:`~repro.spmd.faults.FaultPlan`: records then travel through a
+What is the rank driver's own: building the rank states and the fault
+stack. :func:`run_ranks` works on a prepared context — it is what
+:meth:`BatchSolver.solve(root, faults=plan)
+<repro.core.solver.BatchSolver.solve>` runs on a fork of its template —
+and :func:`spmd_delta_stepping` is ``make_context`` + ``run_ranks`` for
+callers that want the context back. With a
+:class:`~repro.spmd.faults.FaultPlan` records travel through a
 :class:`~repro.spmd.faults.FaultyMailbox` (reliable sequence/ack/retry
 transport over a faulty wire), rank state is checkpointed in memory at
 epoch boundaries so a crashed rank can restart, and a post-solve
 self-healing sweep re-runs Bellman-Ford iterations until the structural
 validator accepts — sound because min-apply relaxation is idempotent,
-monotone and therefore self-stabilizing.  With ``faults=None`` the driver
-byte-for-byte matches its historical fault-free behaviour. Census
-collection, the exact/histogram estimators and the pull phase on directed
-graphs need global arrays and stay with the whole-graph driver.
+monotone and therefore self-stabilizing. Census collection, the
+exact/histogram estimators and the pull phase on directed graphs need
+global arrays and stay with the whole-graph driver; :func:`run_ranks`
+rejects them.
 """
 
 from __future__ import annotations
@@ -35,20 +39,18 @@ import numpy as np
 from repro.core.bellman_ford import bellman_ford_stage
 from repro.core.config import SolverConfig
 from repro.core.context import ExecutionContext, make_context
-from repro.core.defence import Defence
 from repro.core.distances import INF
-from repro.core.phases import begin_solve, finish_solve, run_stepping
+from repro.core.phases import drive
 from repro.core.views import VertexView as RankState, build_rank_states, gathered
 from repro.graph.csr import CSRGraph
 from repro.runtime.comm import RECOVERY_PHASE
 from repro.runtime.machine import MachineConfig
-from repro.runtime.watchdog import DeadlineConfig, DeadlineExceeded
 from repro.spmd.mailbox import Mailbox
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.spmd.faults import FaultPlan
 
-__all__ = ["spmd_bellman_ford", "spmd_delta_stepping", "RecoveryError"]
+__all__ = ["run_ranks", "spmd_delta_stepping", "RecoveryError"]
 
 
 class RecoveryError(RuntimeError):
@@ -156,25 +158,23 @@ class _RecoveryManager:
 
 
 def _fault_setup(
-    ctx: ExecutionContext,
-    machine: MachineConfig,
-    states: list[RankState],
-    faults: "FaultPlan | None",
+    ctx: ExecutionContext, states: list[RankState], faults: "FaultPlan | None"
 ) -> tuple[Mailbox, _RecoveryManager | None]:
     """Build the (mailbox, recovery manager) pair for a run."""
+    num_ranks = ctx.machine.num_ranks
     if faults is None:
-        return Mailbox(machine.num_ranks, ctx.comm), None
+        return Mailbox(num_ranks, ctx.comm), None
     from repro.spmd.faults import FaultyMailbox
 
     # The plan is machine-agnostic; rank references only resolve here.
     for event in (*faults.crashes, *faults.stalls):
-        if event.rank >= machine.num_ranks:
+        if event.rank >= num_ranks:
             raise ValueError(
                 f"fault plan references rank {event.rank} but the machine "
-                f"has only {machine.num_ranks} ranks"
+                f"has only {num_ranks} ranks"
             )
 
-    mailbox = FaultyMailbox(machine.num_ranks, ctx.comm, faults)
+    mailbox = FaultyMailbox(num_ranks, ctx.comm, faults)
     manager = _RecoveryManager(ctx, states, faults)
     mailbox.on_restart = manager.restore
     return mailbox, manager
@@ -183,99 +183,63 @@ def _fault_setup(
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-def _solve(
-    graph: CSRGraph,
-    root: int,
-    machine: MachineConfig,
-    config: SolverConfig,
-    *,
-    bf_only: bool,
-    faults: "FaultPlan | None",
-    deadline: DeadlineConfig | None,
-    **checkpointing,
-) -> tuple[np.ndarray, ExecutionContext]:
-    """Build rank states, mailbox and defence, run the shared loop, heal.
+def _check_rank_local(ctx: ExecutionContext) -> None:
+    """Reject what rank views cannot compute from their own slice."""
+    cfg = ctx.config
+    if cfg.collect_census:
+        raise ValueError("census collection is not implemented in SPMD mode")
+    if not cfg.use_pruning or cfg.pushpull_mode == "push":
+        return
+    if cfg.pushpull_mode == "auto" and cfg.pushpull_estimator != "expectation":
+        raise ValueError(
+            "the SPMD engine implements the expectation decision "
+            "heuristic (rank-local partial sums); use "
+            "pushpull_estimator='expectation' or a forced mode"
+        )
+    if not ctx.graph.undirected:
+        raise ValueError(
+            "the pull phase on a directed graph scans the reverse rows, "
+            "which rank views do not hold; use pushpull_mode='push' or the "
+            "whole-graph driver"
+        )
 
-    ``bf_only`` runs the whole solve as the Bellman-Ford stage."""
-    ctx = make_context(graph, machine, config)
-    if bf_only:
-        engine = "spmd-bf"
-        solve_span = begin_solve(ctx, engine, root)
-    else:
-        engine = "spmd-delta"
-        solve_span = begin_solve(ctx, engine, root, delta=int(config.delta))
+
+def run_ranks(
+    ctx: ExecutionContext,
+    root: int,
+    *,
+    faults: "FaultPlan | None" = None,
+    **defence,
+) -> np.ndarray:
+    """Solve from ``root`` on ``ctx``, one view per rank; returns distances.
+
+    Δ = ∞ (``config.is_bellman_ford``) runs the whole solve as the
+    Bellman-Ford stage, under its own checkpoint tag. With ``faults``,
+    records travel through the fault-injecting reliable mailbox, rank
+    state is snapshotted at epoch boundaries for crash restart, and the
+    post-solve self-healing sweep makes the distances bit-identical to the
+    fault-free run's. ``defence`` is documented on
+    :class:`~repro.core.defence.Defence`.
+    """
+    _check_rank_local(ctx)
+    cfg = ctx.config
     # Rank states carry the short/long split of the strategy's
     # classification width (Δ for delta, effectively ∞ for radius/ρ),
     # which is the table the context was built with.
     states = build_rank_states(
-        ctx.graph, ctx.partition, min(config.classification_width, 2**60), root,
+        ctx.graph, ctx.partition, min(cfg.classification_width, 2**60), root,
         short_offsets=ctx.short_offsets,
     )
-    mailbox, manager = _fault_setup(ctx, machine, states, faults)
-    defence = Defence(
-        ctx, states, mailbox, root, engine, deadline=deadline, **checkpointing
-    )
-    # Recovery rounds of a reliable delivery burn deadline budget too.
-    mailbox.watchdog = defence.watchdog
-    if bf_only:
-        defence.stage = "bf"
-    if defence.start is not None and manager is not None:
-        # Re-snapshot: the in-memory crash checkpoint must cover the
-        # *restored* state, not the pre-resume initial one.
-        manager.checkpoint()
-    try:
-        run_stepping(
-            ctx, states, mailbox, defence,
-            recovery_hook=manager.on_epoch if manager is not None else None,
-        )
-    except DeadlineExceeded as exc:
-        defence.resolve_deadline(exc, Mailbox(machine.num_ranks, ctx.comm))
-    else:
-        if manager is not None:
-            manager.heal(mailbox, root)
-    finish_solve(
-        ctx, states, root, solve_span,
-        faults_injected=faults is not None and faults.injects_anything,
-    )
-    return gathered(states, "d"), ctx
-
-
-def spmd_bellman_ford(
-    graph: CSRGraph,
-    root: int,
-    machine: MachineConfig,
-    *,
-    faults: "FaultPlan | None" = None,
-    paranoid: bool = False,
-    checkpoint_dir=None,
-    checkpoint_interval: int = 1,
-    checkpoint_keep: int = 3,
-    resume: bool = False,
-    deadline: DeadlineConfig | None = None,
-    trace=None,
-) -> tuple[np.ndarray, ExecutionContext]:
-    """Rank-local Bellman-Ford; returns (distances, context-with-metrics).
-
-    With a :class:`~repro.spmd.faults.FaultPlan`, records travel through
-    the fault-injecting reliable mailbox, per-iteration checkpoints enable
-    crash restart, and the run ends with the self-healing sweep.
-    ``checkpoint_dir``/``resume``/``deadline`` enable the durable defense
-    layer (see :func:`spmd_delta_stepping`); ``paranoid`` turns on the
-    runtime invariant guards; ``trace`` (a
-    :class:`~repro.obs.tracer.TraceConfig`) attaches the telemetry layer.
-    """
-    return _solve(
-        graph,
+    mailbox, manager = _fault_setup(ctx, states, faults)
+    return drive(
+        ctx,
+        states,
+        mailbox,
         root,
-        machine,
-        SolverConfig(delta=2**60, paranoid=paranoid, trace=trace),
-        bf_only=True,
-        faults=faults,
-        deadline=deadline,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
-        checkpoint_keep=checkpoint_keep,
-        resume=resume,
+        "spmd-bf" if cfg.is_bellman_ford else "spmd-delta",
+        perfect=lambda: Mailbox(ctx.machine.num_ranks, ctx.comm),
+        recovery=manager,
+        **defence,
     )
 
 
@@ -288,59 +252,22 @@ def spmd_delta_stepping(
     use_ios: bool = False,
     config: SolverConfig | None = None,
     faults: "FaultPlan | None" = None,
-    checkpoint_dir=None,
-    checkpoint_interval: int = 1,
-    checkpoint_keep: int = 3,
-    resume: bool = False,
-    deadline: DeadlineConfig | None = None,
     trace=None,
+    **defence,
 ) -> tuple[np.ndarray, ExecutionContext]:
-    """Rank-local Δ-stepping; returns (distances, context-with-metrics).
+    """Rank-local solve on a fresh context; returns (distances,
+    context-with-metrics).
 
-    Pass an explicit ``config`` to enable the full composition (pruning
-    with the expectation decision heuristic, forced push/pull modes, and
-    hybridization). The simple ``delta``/``use_ios`` keywords cover the
-    baseline variants.
-
-    With a :class:`~repro.spmd.faults.FaultPlan`, records travel through
-    the fault-injecting reliable mailbox, rank state is checkpointed at
-    bucket-epoch boundaries for crash restart, and a post-solve
-    self-healing sweep guarantees the returned distances are bit-identical
-    to the fault-free run's.
-
-    ``checkpoint_dir`` enables *durable* epoch checkpoints on disk (atomic
-    write-rename, integrity digests); ``resume=True`` restarts from the
-    newest valid one — the resumed run produces bit-identical distances.
-    ``deadline`` arms the superstep watchdog: on budget exhaustion or a
-    detected stall, the solve either raises a structured
-    :class:`~repro.runtime.watchdog.SolveTimeout` (policy ``"raise"``) or
-    collapses the remaining buckets into a Bellman-Ford fixpoint pass
-    (policy ``"degrade"``). Set ``config.paranoid`` for runtime invariant
-    guards.
+    ``config`` selects any member of the family (pruning with the
+    expectation decision heuristic, forced push/pull modes, hybridization,
+    Δ = ∞, the windowed strategies); the ``delta``/``use_ios`` keywords
+    cover the baseline variants. ``faults`` and ``defence`` are
+    :func:`run_ranks`'s; ``trace`` (a
+    :class:`~repro.obs.tracer.TraceConfig`) attaches the telemetry layer.
     """
     if config is None:
         config = SolverConfig(delta=delta, use_ios=use_ios)
     if trace is not None:
         config = config.evolve(trace=trace)
-    if config.pushpull_estimator not in ("expectation",):
-        if config.use_pruning and config.pushpull_mode == "auto":
-            raise ValueError(
-                "the SPMD engine implements the expectation decision "
-                "heuristic (rank-local partial sums); use "
-                "pushpull_estimator='expectation' or a forced mode"
-            )
-    if config.collect_census:
-        raise ValueError("census collection is not implemented in SPMD mode")
-    return _solve(
-        graph,
-        root,
-        machine,
-        config,
-        bf_only=False,
-        faults=faults,
-        deadline=deadline,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
-        checkpoint_keep=checkpoint_keep,
-        resume=resume,
-    )
+    ctx = make_context(graph, machine, config)
+    return run_ranks(ctx, root, faults=faults, **defence), ctx

@@ -17,8 +17,11 @@ can only *raise* its tentative distances — so the post-solve self-healing
 sweep (extra Bellman-Ford iterations until the structural validator
 accepts) always converges back to the exact fault-free distances.
 
-:func:`solve_with_faults` is the high-level entry point mirroring
-:func:`repro.core.solver.solve_sssp` for fault-injected SPMD runs.
+A plan is run through the front door —
+``solve_sssp(graph, root, algorithm=..., faults=plan)`` or
+``BatchSolver.solve(root, faults=plan)`` — which runs the resolved preset
+on the rank driver (:func:`repro.spmd.engine.run_ranks`): a plan needs a
+wire to break.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.runtime.machine import MachineConfig
 from repro.spmd.mailbox import ReliableMailbox
 from repro.util.specs import parse_spec, split_event
 
@@ -36,7 +38,6 @@ __all__ = [
     "RankStall",
     "FaultPlan",
     "FaultyMailbox",
-    "solve_with_faults",
 ]
 
 
@@ -320,109 +321,4 @@ class FaultyMailbox(ReliableMailbox):
                 else guaranteed
             )
         return delivered
-
-
-def solve_with_faults(
-    graph,
-    root: int,
-    plan: FaultPlan,
-    *,
-    algorithm: str = "delta",
-    delta: int = 25,
-    config=None,
-    machine: MachineConfig | None = None,
-    num_ranks: int = 8,
-    threads_per_rank: int = 8,
-    validate: bool | str = False,
-    paranoid: bool = False,
-    checkpoint_dir=None,
-    checkpoint_interval: int = 1,
-    resume: bool = False,
-    deadline=None,
-    trace=None,
-):
-    """Run the self-healing SPMD engine under a fault plan.
-
-    ``algorithm`` is ``"delta"`` (Δ-stepping, honoring ``delta``/``config``)
-    or ``"bellman-ford"``.  Returns a
-    :class:`~repro.core.solver.SsspResult` whose metrics include the
-    recovery overhead (``recovery_*`` counters, ``recovery`` phase traffic).
-    ``validate`` works as in :func:`~repro.core.solver.solve_sssp`:
-    ``True`` cross-checks against the Dijkstra reference,
-    ``"structural"`` runs the O(m + n) Graph 500-style validator.
-
-    The defense-layer knobs compose with the fault plan:
-    ``checkpoint_dir``/``resume`` persist/restore durable epoch
-    checkpoints (a crash *during* recovery is itself recoverable),
-    ``deadline`` arms the superstep watchdog
-    (:class:`~repro.runtime.watchdog.DeadlineConfig`), and ``paranoid``
-    turns on the runtime invariant guards.  ``trace`` is an optional
-    :class:`~repro.obs.tracer.TraceConfig` enabling the telemetry layer —
-    crash/retransmit/healing events show up as instants in the trace.
-    """
-    import time
-
-    from repro.core.solver import SsspResult, _validate_root, run_validation
-    from repro.runtime.costmodel import evaluate_cost, simulated_gteps
-    from repro.spmd.engine import spmd_bellman_ford, spmd_delta_stepping
-
-    root = _validate_root(root, graph.num_vertices)
-    if machine is None:
-        machine = MachineConfig(
-            num_ranks=num_ranks, threads_per_rank=threads_per_rank
-        )
-    if checkpoint_dir is not None:
-        from repro.spmd.checkpoint import ensure_checkpoint_dir
-
-        ensure_checkpoint_dir(checkpoint_dir)
-    defense_kwargs = dict(
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
-        resume=resume,
-        deadline=deadline,
-        trace=trace,
-    )
-    t0 = time.perf_counter()
-    if algorithm in ("bellman-ford", "bf"):
-        d, ctx = spmd_bellman_ford(
-            graph, root, machine, faults=plan, paranoid=paranoid,
-            **defense_kwargs,
-        )
-        name = "spmd-bellman-ford"
-    else:
-        if paranoid:
-            from repro.core.config import SolverConfig
-
-            config = (
-                SolverConfig(delta=delta, paranoid=True)
-                if config is None
-                else config.evolve(paranoid=True)
-            )
-        d, ctx = spmd_delta_stepping(
-            graph, root, machine, delta=delta, config=config, faults=plan,
-            **defense_kwargs,
-        )
-        name = f"spmd-delta-{ctx.config.delta}"
-    wall = time.perf_counter() - t0
-    run_validation(d, graph, root, validate)
-    if ctx.tracer is not None:
-        from repro.obs.export import finalize_trace
-
-        finalize_trace(ctx.tracer, metrics=ctx.metrics)
-    cost = evaluate_cost(ctx.metrics, machine)
-    return SsspResult(
-        distances=d,
-        metrics=ctx.metrics,
-        cost=cost,
-        gteps=simulated_gteps(graph.num_undirected_edges, ctx.metrics, machine, cost),
-        algorithm=name + ("+faults" if plan.injects_anything else ""),
-        config=ctx.config,
-        machine=machine,
-        root=root,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_undirected_edges,
-        wall_time_s=wall,
-        guards=ctx.guards,
-        trace=ctx.tracer,
-    )
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.bellman_ford import bellman_ford_stage, run_bellman_ford
+from repro.core.bellman_ford import bellman_ford_stage
 from repro.core.config import DELTA_INFINITY, SolverConfig
 from repro.core.context import make_context
+from repro.core.delta_stepping import DeltaSteppingEngine
 from repro.core.distances import INF, init_distances
 from repro.core.reference import dijkstra_reference
 from repro.core.transport import DeclaredTransport
@@ -16,6 +17,11 @@ from repro.runtime.machine import MachineConfig
 def ctx_for(graph, ranks=2, threads=2):
     machine = MachineConfig(num_ranks=ranks, threads_per_rank=threads)
     return make_context(graph, machine, SolverConfig(delta=DELTA_INFINITY))
+
+
+def solve_bf(ctx, root):
+    """Δ = ∞ through the whole-graph driver: the whole solve is the stage."""
+    return DeltaSteppingEngine(ctx).run(root)
 
 
 def stage_from(ctx, d, active):
@@ -29,22 +35,22 @@ def stage_from(ctx, d, active):
 class TestCorrectness:
     def test_path_graph(self, path_graph):
         ctx = ctx_for(path_graph)
-        d = run_bellman_ford(ctx, 0)
+        d = solve_bf(ctx, 0)
         assert np.array_equal(d, dijkstra_reference(path_graph, 0))
 
     def test_diamond(self, diamond_graph):
         ctx = ctx_for(diamond_graph)
-        d = run_bellman_ford(ctx, 0)
+        d = solve_bf(ctx, 0)
         assert list(d) == [0, 1, 2, 2]
 
     def test_disconnected_leaves_inf(self, disconnected_graph):
         ctx = ctx_for(disconnected_graph)
-        d = run_bellman_ford(ctx, 0)
+        d = solve_bf(ctx, 0)
         assert d[2] == INF and d[4] == INF
 
     def test_rmat(self, rmat1_small):
         ctx = ctx_for(rmat1_small, ranks=4)
-        d = run_bellman_ford(ctx, 5)
+        d = solve_bf(ctx, 5)
         assert np.array_equal(d, dijkstra_reference(rmat1_small, 5))
 
     def test_single_vertex(self):
@@ -52,26 +58,26 @@ class TestCorrectness:
 
         g = CSRGraph(np.array([0, 0]), np.array([]), np.array([]))
         ctx = ctx_for(g, ranks=1, threads=1)
-        d = run_bellman_ford(ctx, 0)
+        d = solve_bf(ctx, 0)
         assert list(d) == [0]
 
 
 class TestPhaseSemantics:
     def test_phase_count_bounded_by_tree_depth(self, path_graph):
         ctx = ctx_for(path_graph)
-        run_bellman_ford(ctx, 0)
+        solve_bf(ctx, 0)
         # path of 5 vertices: 4 productive iterations + 1 empty check
         assert ctx.metrics.bf_phases == 5
 
     def test_relaxation_count(self, star_graph):
         ctx = ctx_for(star_graph)
-        run_bellman_ford(ctx, 0)
+        solve_bf(ctx, 0)
         # root relaxes 8 arcs; each leaf relaxes its single arc back: 16 total
         assert ctx.metrics.total_relaxations == 16
 
     def test_termination_allreduce_per_iteration(self, path_graph):
         ctx = ctx_for(path_graph)
-        run_bellman_ford(ctx, 0)
+        solve_bf(ctx, 0)
         # one allreduce per while-loop pass, including the final empty one
         assert ctx.metrics.total_allreduces == ctx.metrics.bf_phases + 1
 
@@ -95,10 +101,8 @@ class TestPhaseSemantics:
 
 class TestViaEngine:
     def test_engine_dispatches_bf_for_delta_infinity(self, rmat1_small):
-        from repro.core.delta_stepping import DeltaSteppingEngine
-
         ctx = ctx_for(rmat1_small)
-        d = DeltaSteppingEngine(ctx).run(3)
+        d = solve_bf(ctx, 3)
         assert np.array_equal(d, dijkstra_reference(rmat1_small, 3))
         assert ctx.metrics.buckets_processed == 0
         assert ctx.metrics.short_phases == 0

@@ -69,7 +69,7 @@ def random_graph(seed: int):
 
 def both_drivers(graph, root, machine, config, moved=None):
     """``moved(graph, root, machine)`` replaces the rank driver's entry
-    point (``spmd_bellman_ford`` takes no config)."""
+    point."""
     ctx = make_context(graph, machine, config)
     d_declared = DeltaSteppingEngine(ctx).run(root)
     if moved is None:

@@ -140,8 +140,9 @@ class TestRootValidation:
             solver.solve(4)
 
     def test_solve_with_faults_rejects_out_of_range_root(self, small_graph):
-        from repro.spmd.faults import FaultPlan, solve_with_faults
+        from repro.core.solver import solve_sssp
+        from repro.spmd.faults import FaultPlan
 
         with pytest.raises(ValueError, match="out of range"):
-            solve_with_faults(small_graph, 99, FaultPlan(), num_ranks=2,
-                              threads_per_rank=2)
+            solve_sssp(small_graph, 99, faults=FaultPlan(), num_ranks=2,
+                       threads_per_rank=2)

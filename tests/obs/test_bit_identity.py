@@ -5,12 +5,13 @@ fault injection."""
 import numpy as np
 import pytest
 
+from repro.core.config import preset
 from repro.core.solver import solve_sssp
 from repro.obs.tracer import TraceConfig
 from repro.runtime.costmodel import evaluate_cost
 from repro.runtime.machine import MachineConfig
-from repro.spmd.engine import spmd_bellman_ford, spmd_delta_stepping
-from repro.spmd.faults import FaultPlan, solve_with_faults
+from repro.spmd.engine import spmd_delta_stepping
+from repro.spmd.faults import FaultPlan
 
 
 @pytest.fixture()
@@ -56,9 +57,10 @@ class TestSpmdEngine:
         assert c1.tracer is not None and c1.tracer.num_records > 0
 
     def test_bellman_ford_bit_identical(self, rmat1_small, machine):
-        d0, c0 = spmd_bellman_ford(rmat1_small, 3, machine)
-        d1, c1 = spmd_bellman_ford(
-            rmat1_small, 3, machine, trace=TraceConfig(path=None)
+        bf = preset("bellman-ford")
+        d0, c0 = spmd_delta_stepping(rmat1_small, 3, machine, config=bf)
+        d1, c1 = spmd_delta_stepping(
+            rmat1_small, 3, machine, config=bf, trace=TraceConfig(path=None)
         )
         _assert_identical(
             d0, c0.metrics, evaluate_cost(c0.metrics, machine),
@@ -69,12 +71,13 @@ class TestSpmdEngine:
 class TestFaultedEngine:
     def test_faulted_solve_bit_identical(self, rmat1_small, machine):
         plan = FaultPlan.from_spec("loss=0.05,dup=0.02,seed=3")
-        f0 = solve_with_faults(
-            rmat1_small, 3, plan, algorithm="delta", delta=25, machine=machine
+        f0 = solve_sssp(
+            rmat1_small, 3, faults=plan, algorithm="delta", delta=25,
+            machine=machine,
         )
-        f1 = solve_with_faults(
-            rmat1_small, 3, plan, algorithm="delta", delta=25, machine=machine,
-            trace=TraceConfig(path=None),
+        f1 = solve_sssp(
+            rmat1_small, 3, faults=plan, algorithm="delta", delta=25,
+            machine=machine, trace=TraceConfig(path=None),
         )
         _assert_identical(
             f0.distances, f0.metrics, f0.cost,
@@ -88,12 +91,13 @@ class TestFaultedEngine:
 
     def test_crash_recovery_traced(self, rmat1_small, machine):
         plan = FaultPlan.from_spec("crash=1@2,seed=5")
-        f0 = solve_with_faults(
-            rmat1_small, 3, plan, algorithm="delta", delta=25, machine=machine
+        f0 = solve_sssp(
+            rmat1_small, 3, faults=plan, algorithm="delta", delta=25,
+            machine=machine,
         )
-        f1 = solve_with_faults(
-            rmat1_small, 3, plan, algorithm="delta", delta=25, machine=machine,
-            trace=TraceConfig(path=None),
+        f1 = solve_sssp(
+            rmat1_small, 3, faults=plan, algorithm="delta", delta=25,
+            machine=machine, trace=TraceConfig(path=None),
         )
         _assert_identical(
             f0.distances, f0.metrics, f0.cost,

@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 from repro.core.config import SolverConfig, preset
+from repro.core.reference import dijkstra_reference
 from repro.core.solver import solve_sssp
 from repro.graph.rmat import RMAT1, rmat_graph
+from repro.graph.roots import choose_root
 from repro.runtime.guards import GuardViolation, InvariantGuards
 from repro.runtime.machine import MachineConfig
 from repro.runtime.metrics import Metrics
 from repro.core import phases
-from repro.spmd.engine import spmd_bellman_ford, spmd_delta_stepping
-from repro.spmd.faults import FaultPlan, RankCrash, solve_with_faults
+from repro.spmd.engine import spmd_delta_stepping
+from repro.spmd.faults import FaultPlan, RankCrash
 
 
 @pytest.fixture(scope="module")
@@ -239,8 +241,11 @@ class TestCleanSolves:
         assert ctx1.guards.violations == 0
 
     def test_paranoid_spmd_bf(self, graph, machine):
-        d0, _ = spmd_bellman_ford(graph, 0, machine)
-        d1, ctx1 = spmd_bellman_ford(graph, 0, machine, paranoid=True)
+        cfg = preset("bellman-ford")
+        d0, _ = spmd_delta_stepping(graph, 0, machine, config=cfg)
+        d1, ctx1 = spmd_delta_stepping(
+            graph, 0, machine, config=cfg.evolve(paranoid=True)
+        )
         assert np.array_equal(d0, d1)
         assert ctx1.guards.violations == 0
 
@@ -248,11 +253,9 @@ class TestCleanSolves:
         """A rank restart lawfully raises distances; on_rollback keeps the
         guards from flagging it, and recovery traffic is allowed."""
         plan = FaultPlan(seed=3, loss_rate=0.05, crashes=(RankCrash(1, 4),))
-        ref = solve_with_faults(graph, 0, FaultPlan(), machine=machine,
-                                config=preset("opt", 25))
-        res = solve_with_faults(graph, 0, plan, machine=machine,
-                                config=preset("opt", 25), paranoid=True,
-                                validate=True)
+        ref = solve_sssp(graph, 0, faults=FaultPlan(), machine=machine)
+        res = solve_sssp(graph, 0, faults=plan, machine=machine,
+                         paranoid=True, validate=True)
         assert np.array_equal(ref.distances, res.distances)
 
     def test_degrade_pass_is_allowed_recovery_traffic(self, graph, machine):
@@ -267,3 +270,42 @@ class TestCleanSolves:
         )
         assert np.array_equal(d_ref, d)
         assert ctx.guards.violations == 0
+
+    # guards.checks of a fault-free paranoid solve at 5edab80, before
+    # on_rollback learnt to suspend two of the checks: nothing rolled back,
+    # so every check still runs, the two suspendable ones included.
+    CHECKS = {
+        "dijkstra": 692, "bellman-ford": 10, "delta": 95, "prune": 179,
+        "opt": 82, "lb-opt": 82, "lb-opt-split": 82, "radius": 46, "rho": 20,
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(CHECKS))
+    def test_every_check_armed_without_rollback(self, graph, machine, algorithm):
+        res = solve_sssp(graph, 0, algorithm=algorithm, machine=machine,
+                         paranoid=True)
+        assert res.guards.checks == self.CHECKS[algorithm]
+
+
+class TestCrashSweep:
+    """A crash at any superstep of any member of the family recovers the
+    reference distances with the guards on: the restarted rank re-opens the
+    bucket it lost and vertices settled over the cut path are lowered
+    later, neither of which the guards may flag after a rollback."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        g = rmat_graph(scale=12, seed=0)
+        root = choose_root(g, seed=0)
+        return g, root, dijkstra_reference(g, root)
+
+    @pytest.mark.parametrize("algorithm", ["delta", "opt", "lb-opt-split"])
+    def test_paranoid_crash_at_every_superstep(self, case, algorithm):
+        g, root, ref = case
+        machine = MachineConfig(num_ranks=8, threads_per_rank=4)
+        for s in range(1, 12):
+            plan = FaultPlan.from_spec(f"loss=0.05,crash=1@{s},seed=3")
+            res = solve_sssp(g, root, algorithm=algorithm, machine=machine,
+                             faults=plan, paranoid=True)
+            assert np.array_equal(res.distances, ref), s
+            assert res.metrics.recovery.rank_restarts == 1, s
+            assert res.guards.violations == 0

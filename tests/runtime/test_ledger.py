@@ -32,7 +32,7 @@ from repro.runtime.machine import MachineConfig
 from repro.runtime.metrics import ComputeKind, StepRecord
 from repro.runtime.watchdog import DeadlineConfig
 from repro.runtime.work import thread_index
-from repro.spmd.engine import spmd_bellman_ford, spmd_delta_stepping
+from repro.spmd.engine import spmd_delta_stepping
 
 N = 60  # vertices of the graph every synthetic fact is about
 
@@ -400,7 +400,7 @@ class TestNothingEscapesUnsettled:
     def test_spmd_drivers(self, rmat10):
         _, ctx = spmd_delta_stepping(rmat10, 3, MACHINE, config=preset("opt", 25))
         assert pending(ctx.metrics) == 0 and len(ctx.metrics.records) > 0
-        _, ctx = spmd_bellman_ford(rmat10, 3, MACHINE)
+        _, ctx = spmd_delta_stepping(rmat10, 3, MACHINE, config=preset("bellman-ford"))
         assert pending(ctx.metrics) == 0
 
     def test_degraded_solve(self, grid24):

@@ -16,7 +16,7 @@ from repro.runtime.watchdog import (
     Watchdog,
 )
 from repro.spmd.engine import spmd_delta_stepping
-from repro.spmd.faults import FaultPlan, RankStall, solve_with_faults
+from repro.spmd.faults import FaultPlan, RankStall
 
 
 @pytest.fixture(scope="module")
@@ -160,14 +160,14 @@ class TestRetryStorm:
     STORM = FaultPlan(seed=0, stalls=(RankStall(1, 3, 4000),))
 
     def test_storm_spins_without_watchdog(self, graph, machine):
-        res = solve_with_faults(graph, 0, self.STORM, machine=machine,
-                                config=preset("opt", 25))
+        res = solve_sssp(graph, 0, faults=self.STORM, machine=machine,
+                         config=preset("opt", 25))
         assert res.metrics.recovery.recovery_supersteps >= 4000
 
     def test_storm_raises_structured_timeout(self, graph, machine, tmp_path):
         with pytest.raises(SolveTimeout) as info:
-            solve_with_faults(
-                graph, 0, self.STORM, machine=machine,
+            solve_sssp(
+                graph, 0, faults=self.STORM, machine=machine,
                 config=preset("opt", 25), checkpoint_dir=tmp_path,
                 deadline=DeadlineConfig(max_supersteps=60, policy="raise"),
             )
@@ -180,14 +180,14 @@ class TestRetryStorm:
         cfg = preset("opt", 25)
         d_ref, _ = spmd_delta_stepping(graph, 0, machine, config=cfg)
         with pytest.raises(SolveTimeout):
-            solve_with_faults(
-                graph, 0, self.STORM, machine=machine, config=cfg,
+            solve_sssp(
+                graph, 0, faults=self.STORM, machine=machine, config=cfg,
                 checkpoint_dir=tmp_path,
                 deadline=DeadlineConfig(max_supersteps=60, policy="raise"),
             )
         # the operator clears the fault and resumes
-        res = solve_with_faults(
-            graph, 0, FaultPlan(), machine=machine, config=cfg,
+        res = solve_sssp(
+            graph, 0, faults=FaultPlan(), machine=machine, config=cfg,
             checkpoint_dir=tmp_path, resume=True, validate=True,
         )
         assert np.array_equal(d_ref, res.distances)
@@ -195,8 +195,8 @@ class TestRetryStorm:
     def test_storm_degrades_to_exact_distances(self, graph, machine):
         cfg = preset("opt", 25)
         d_ref, _ = spmd_delta_stepping(graph, 0, machine, config=cfg)
-        res = solve_with_faults(
-            graph, 0, self.STORM, machine=machine, config=cfg,
+        res = solve_sssp(
+            graph, 0, faults=self.STORM, machine=machine, config=cfg,
             deadline=DeadlineConfig(max_supersteps=60, policy="degrade"),
         )
         assert np.array_equal(d_ref, res.distances)

@@ -22,8 +22,8 @@ from repro.spmd.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.spmd.engine import spmd_bellman_ford, spmd_delta_stepping
-from repro.spmd.faults import FaultPlan, RankCrash, RankStall, solve_with_faults
+from repro.spmd.engine import spmd_delta_stepping
+from repro.spmd.faults import FaultPlan, RankCrash, RankStall
 
 
 @pytest.fixture(scope="module")
@@ -241,14 +241,16 @@ class TestKillResume:
             )
 
     def test_spmd_bf_kill_resume(self, tmp_path, graph, machine):
-        d_ref, _ = spmd_bellman_ford(graph, 0, machine)
-        d_ck, _ = spmd_bellman_ford(
-            graph, 0, machine, checkpoint_dir=tmp_path, checkpoint_keep=100,
+        bf = preset("bellman-ford")
+        d_ref, _ = spmd_delta_stepping(graph, 0, machine, config=bf)
+        d_ck, _ = spmd_delta_stepping(
+            graph, 0, machine, config=bf,
+            checkpoint_dir=tmp_path, checkpoint_keep=100,
         )
         assert np.array_equal(d_ref, d_ck)
         self._kill_after(tmp_path, 1)
-        d_res, _ = spmd_bellman_ford(
-            graph, 0, machine, checkpoint_dir=tmp_path, resume=True,
+        d_res, _ = spmd_delta_stepping(
+            graph, 0, machine, config=bf, checkpoint_dir=tmp_path, resume=True,
         )
         assert np.array_equal(d_ref, d_res)
 
@@ -276,16 +278,16 @@ class TestKillResume:
         plan = FaultPlan(seed=5, loss_rate=0.05, dup_rate=0.03,
                          crashes=(RankCrash(1, 4),),
                          stalls=(RankStall(2, 6, 2),))
-        res = solve_with_faults(
-            graph, 0, plan, config=cfg, machine=machine,
+        res = solve_sssp(
+            graph, 0, faults=plan, config=cfg, machine=machine,
             checkpoint_dir=tmp_path, validate=True,
         )
         assert np.array_equal(d_ref, res.distances)
         files = sorted(glob.glob(str(tmp_path / "*.npz")))
         for stale in files[1:]:
             os.unlink(stale)
-        resumed = solve_with_faults(
-            graph, 0, plan, config=cfg, machine=machine,
+        resumed = solve_sssp(
+            graph, 0, faults=plan, config=cfg, machine=machine,
             checkpoint_dir=tmp_path, resume=True, validate=True,
         )
         assert np.array_equal(d_ref, resumed.distances)

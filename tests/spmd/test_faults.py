@@ -10,7 +10,9 @@ no fault is injected.
 import numpy as np
 import pytest
 
+from repro.core.config import preset
 from repro.core.reference import dijkstra_reference
+from repro.core.solver import solve_sssp
 from repro.core.validation import validate_sssp_structure
 from repro.graph.partition import BlockPartition
 from repro.runtime.comm import Communicator
@@ -23,8 +25,6 @@ from repro.spmd import (
     RankCrash,
     RankStall,
     ReliableMailbox,
-    solve_with_faults,
-    spmd_bellman_ford,
     spmd_delta_stepping,
 )
 
@@ -197,8 +197,9 @@ class TestFaultPlan:
             spmd_delta_stepping(rmat1_small, 0, machine4, delta=25,
                                 faults=plan)
         with pytest.raises(ValueError, match="rank 7"):
-            spmd_bellman_ford(rmat1_small, 0, machine4,
-                              faults=FaultPlan(stalls=(RankStall(7, 2),)))
+            solve_sssp(rmat1_small, 0, algorithm="bellman-ford",
+                       machine=machine4,
+                       faults=FaultPlan(stalls=(RankStall(7, 2),)))
 
     def test_superstep_window(self):
         plan = FaultPlan(loss_rate=0.1, first_superstep=2, last_superstep=5)
@@ -271,7 +272,9 @@ class TestRecoveryEquivalence:
         self, rmat1_small, machine4, plan
     ):
         ref = dijkstra_reference(rmat1_small, 0)
-        faulty, _ = spmd_bellman_ford(rmat1_small, 0, machine4, faults=plan)
+        faulty, _ = spmd_delta_stepping(
+            rmat1_small, 0, machine4, config=preset("bellman-ford"), faults=plan
+        )
         assert np.array_equal(faulty, ref)
 
     def test_full_composition_under_faults(self, rmat1_small, machine4):
@@ -330,17 +333,23 @@ class TestFaultFreeTransparency:
 class TestSolveWithFaults:
     def test_solve_with_faults_result(self, rmat1_small):
         plan = FaultPlan(seed=2, loss_rate=0.05)
-        res = solve_with_faults(rmat1_small, 0, plan, num_ranks=4,
-                                threads_per_rank=4, validate="structural")
+        res = solve_sssp(rmat1_small, 0, faults=plan, algorithm="delta",
+                         num_ranks=4, threads_per_rank=4,
+                         validate="structural")
         ref = dijkstra_reference(rmat1_small, 0)
         assert np.array_equal(res.distances, ref)
-        assert res.algorithm.endswith("+faults")
+        # The preset's own label, "+faults" iff the plan injects anything.
+        assert res.algorithm == "delta-25+faults"
+        clean = solve_sssp(rmat1_small, 0, faults=FaultPlan(),
+                           algorithm="delta", num_ranks=4, threads_per_rank=4)
+        assert clean.algorithm == "delta-25"
         assert res.metrics.summary()["resent_bytes"] > 0
 
     def test_bellman_ford_entry(self, rmat1_small):
         plan = FaultPlan(seed=2, loss_rate=0.05)
-        res = solve_with_faults(rmat1_small, 0, plan, algorithm="bellman-ford",
-                                num_ranks=4, threads_per_rank=4)
+        res = solve_sssp(rmat1_small, 0, faults=plan, algorithm="bellman-ford",
+                         num_ranks=4, threads_per_rank=4)
         assert np.array_equal(res.distances,
                               dijkstra_reference(rmat1_small, 0))
-        assert res.algorithm.startswith("spmd-bellman-ford")
+        assert res.algorithm == "bellman-ford+faults"
+        assert res.metrics.buckets_processed == 0 and res.metrics.bf_phases > 0

@@ -16,7 +16,6 @@ from repro.runtime.machine import MachineConfig
 from repro.spmd import (
     Mailbox,
     build_rank_states,
-    spmd_bellman_ford,
     spmd_delta_stepping,
 )
 from tests.core.test_transport_parity import assert_parity
@@ -106,8 +105,7 @@ class TestBellmanFordEquivalence:
     def test_distances_and_accounting_match(self, rmat1_small, ranks):
         machine = MachineConfig(num_ranks=ranks, threads_per_rank=3)
         d, _ = assert_parity(
-            rmat1_small, 3, machine, SolverConfig(delta=DELTA_INFINITY),
-            moved=spmd_bellman_ford,
+            rmat1_small, 3, machine, SolverConfig(delta=DELTA_INFINITY)
         )
         assert np.array_equal(d, dijkstra_reference(rmat1_small, 3))
 

@@ -57,6 +57,26 @@ class TestCommands:
         assert "recovery overhead" in out
         assert "resent_bytes" in out
 
+    def _faulted_report(self, tmp_path, algorithm):
+        import json
+
+        path = tmp_path / f"{algorithm}.json"
+        rc = main(["solve", "--scale", "10", "--ranks", "4", "--threads", "4",
+                   "--algorithm", algorithm, "--faults", "seed=3",
+                   "--validate", "--json", str(path)])
+        assert rc == 0
+        return json.loads(path.read_text())
+
+    def test_faults_run_the_algorithm_asked_for(self, capsys, tmp_path):
+        """--faults used to map every preset but bellman-ford to Del-Δ."""
+        opt = self._faulted_report(tmp_path, "opt")
+        assert opt["algorithm"].startswith("opt-25")
+        assert opt["metrics"]["pull_buckets"] > 0
+        assert opt["metrics"]["hybrid_switch_bucket"] >= 0
+        rho = self._faulted_report(tmp_path, "rho")
+        assert rho["algorithm"] == "rho"
+        assert rho["metrics"]["long_phases"] == 0
+
     def test_compare_runs(self, capsys):
         rc = main(["compare", "--scale", "9", "--ranks", "2", "--threads", "2"])
         assert rc == 0
