@@ -115,24 +115,37 @@ def _paranoid() -> dict:
 @dataclass(frozen=True)
 class DocumentGate:
     """``metric`` of ``workload``'s traced run — over the same metric of
-    ``over``'s when given — may not exceed (``strict``: nor reach)
-    ``ceiling``; None records the number without judging it."""
+    ``over``'s, or over ``over_metric`` of the same run, when given — may
+    not exceed (``strict``: nor reach) ``ceiling``; None records the
+    number without judging it."""
 
     metric: str
     workload: str
     ceiling: float | None
     ci_job: str
     over: str | None = None
+    over_metric: str | None = None
     strict: bool = False
     kind = "from_document"
 
     @property
+    def sides(self) -> tuple[tuple[str, str, str], ...]:
+        """``(name in the record's samples, metric, workload)`` of the
+        numerator and, for a ratio, of the denominator."""
+        top = (self.workload, self.metric, self.workload)
+        if self.over:
+            return top, (self.over, self.metric, self.over)
+        if self.over_metric:
+            return top, (self.over_metric, self.over_metric, self.workload)
+        return (top,)
+
+    @property
     def workloads(self) -> tuple[str, ...]:
-        return (self.workload, self.over) if self.over else (self.workload,)
+        return tuple(dict.fromkeys(w for _, _, w in self.sides))
 
     @property
     def source(self) -> str:
-        return " / ".join(f"{self.metric}@{w}" for w in self.workloads)
+        return " / ".join(f"{metric}@{w}" for _, metric, w in self.sides)
 
 
 @dataclass(frozen=True)
@@ -165,6 +178,9 @@ GATES: dict[str, DocumentGate | PairedGate] = {
     "repair-vs-fresh": DocumentGate(
         "dynamic.repair_vs_fresh_ratio", "serve_churn", 0.30, "dynamic-smoke",
         strict=True),
+    "update-vs-fresh": DocumentGate(
+        "dynamic.update_ms_p50", "serve_churn", None, "dynamic-smoke",
+        over_metric="serve.engine_ms_p50"),
     "batching-cache": PairedGate(
         _standard, "serve-smoke", off=_unbatched, against=1.10),
     "resilience-armed": PairedGate(_resilience, "chaos-smoke", ceiling=0.02),
@@ -264,19 +280,18 @@ def run_paired(gate: PairedGate) -> dict:
 def read_document(gate: DocumentGate, doc: dict) -> dict:
     """The gate's record from a stack result document."""
     sides = {}
-    for workload in gate.workloads:
+    for name, metric, workload in gate.sides:
         records = [r for r in doc["runs"] if r["workload"] == workload and r["traced"]]
         if not records or any(
-            gate.metric in r["not_executed"] or not r["samples"].get(gate.metric)
+            metric in r["not_executed"] or not r["samples"].get(metric)
             for r in records
         ):
             return {"samples": sides, "value": None, "ceiling": gate.ceiling,
                     "verdict": "missing",
-                    "why": f"no traced run of {workload} measured {gate.metric}"}
-        sides[workload] = [
-            r["result"]["metrics"][gate.metric]["value"] for r in records]
-    medians = [statistics.median(sides[w]) for w in gate.workloads]
-    value = medians[0] / medians[1] if gate.over else medians[0]
+                    "why": f"no traced run of {workload} measured {metric}"}
+        sides[name] = [r["result"]["metrics"][metric]["value"] for r in records]
+    medians = [statistics.median(values) for values in sides.values()]
+    value = medians[0] / medians[1] if len(medians) == 2 else medians[0]
     if gate.ceiling is None:
         verdict = "recorded"
     elif value > gate.ceiling or (gate.strict and value == gate.ceiling):

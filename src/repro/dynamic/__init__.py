@@ -4,7 +4,7 @@ The subsystem has three layers, consumed bottom-up by the serving plane:
 
 - :mod:`repro.dynamic.updates` — :class:`UpdateBatch` (typed
   insert/delete/reweight batches with validation), :func:`apply_batch`
-  (immutable rebuild + arc-level :class:`EdgeDelta`) and
+  (a new immutable CSR by sorted-key splice + arc-level :class:`EdgeDelta`) and
   :func:`random_update_batch` (seeded churn for benchmarks and CI);
 - :mod:`repro.dynamic.versioner` — :class:`GraphVersioner` minting
   immutable :class:`GraphSnapshot` lineages with structural digests,

@@ -16,15 +16,21 @@ the ROADMAP called out.
 
 Three phases:
 
-1. **Damage closure** (deletes / weight increases). A vertex ``v`` is
+1. **Damage closure** (any arc that stopped certifying). A vertex ``v`` is
    *dirty* when every certificate of its old distance died: no in-arc
    ``(u, v, w)`` in the *new* graph with ``u`` clean, ``w > 0`` and
-   ``d_old[u] + w == d_old[v]``. The worklist starts from the heads of
-   worsened arcs that were tight and closes over shortest-path children
-   (``d_old[x] == d_old[v] + w(v, x)``) of every vertex it dirties —
-   the bounded re-anchoring of orphaned subtrees. Requiring strictly
-   positive certificate weights is deliberately conservative: a
-   zero-weight cycle of orphans could otherwise certify itself. Extra
+   ``d_old[u] + w == d_old[v]``. The worklist starts only where a
+   certificate actually died — the heads of changed arcs that were
+   tight *under their old weight* (``d_old[u] + w_old == d_old[v]``),
+   whether the arc got worse or better; an inserted arc never was — and
+   closes over shortest-path children (``d_old[x] == d_old[v] + w(v,
+   x)``) of every vertex it dirties: the bounded re-anchoring of
+   orphaned subtrees. A head none of whose changed in-arcs was tight
+   still holds the certificate it had (that arc is in the new graph
+   unchanged), so scanning it first could only confirm it clean; it is
+   reached as a child if its certificate's tail goes dirty. Requiring
+   strictly positive certificate weights is deliberately conservative:
+   a zero-weight cycle of orphans could otherwise certify itself. Extra
    dirtying is always safe (those vertices are re-anchored below); a
    missed dirty vertex never happens because a vertex is skipped only
    while it holds a live certificate chain that lexicographically
@@ -90,11 +96,12 @@ class RepairResult:
     strategy: str
 
 
-def _gather_arcs(graph, vertices: np.ndarray):
-    """All out-arcs of ``vertices``: ``(tails_repeated, heads, weights)``."""
+def _out_arcs(graph, vertices: np.ndarray):
+    """All out-arcs of ``vertices`` as ``(owner, heads, weights)``, where
+    ``owner[i]`` is the position in ``vertices`` of arc ``i``'s tail."""
     indptr = graph.indptr
     flat, owner = concat_ranges(indptr[vertices], indptr[vertices + 1])
-    return vertices[owner], graph.adj[flat], graph.weights[flat]
+    return owner, graph.adj[flat], graph.weights[flat]
 
 
 def _damage_closure(graph, d: np.ndarray, delta, root: int) -> np.ndarray:
@@ -106,50 +113,38 @@ def _damage_closure(graph, d: np.ndarray, delta, root: int) -> np.ndarray:
     """
     n = graph.num_vertices
     dirty = np.zeros(n, dtype=bool)
-    wt, wh, ww = delta.worsened_tails, delta.worsened_heads, delta.worsened_weights
-    # Heads of worsened arcs that were tight under the old distances lost
+    # Heads of changed arcs that were tight under their old weight lost
     # *a* certificate; whether they lost every certificate is decided by
-    # the worklist scan below.
-    was_tight = (d[wt] < INF) & (d[wh] < INF) & (d[wt] + ww == d[wh])
-    seeds = [wh[was_tight]]
-    # Heads of *improved* arcs can lose their certificate too: the delta
-    # carries only new weights, so the old-tightness of a reweighted-down
-    # arc cannot be tested — seed its head unconditionally (a head whose
-    # certificates all survive just stays clean in the first scan).
-    ih = delta.improved_heads
-    if ih.size:
-        seeds.append(ih)
-    work = sorted_unique_ids(np.concatenate(seeds), n)
-    work = work[(work != root) & (d[work] < INF)]
-    if work.size == 0:
-        return dirty
+    # the worklist scan below. (An inserted arc has old weight INF.)
+    t, h, w_old = delta.tails, delta.heads, delta.old_weights
+    was_tight = (
+        (w_old != delta.new_weights)
+        & (w_old < INF)
+        & (d[t] < INF)
+        & (d[h] < INF)
+        & (d[t] + w_old == d[h])
+    )
+    work = sorted_unique_ids(h[was_tight], n)
+    work = work[work != root]
     while work.size:
         # Certificate scan: v keeps its distance iff some in-arc (u, v, w)
         # of the NEW graph has u clean, w > 0 and d[u] + w == d[v]. The
         # graph is symmetrized, so in-arcs of v are its out-arcs reversed.
-        tails, nbrs, w = _gather_arcs(graph, work)
-        cert = (
-            (w > 0)
-            & ~dirty[nbrs]
-            & (d[nbrs] < INF)
-            & (d[nbrs] + w == d[tails])
-        )
+        owner, nbrs, w = _out_arcs(graph, work)
+        d_tail = d[work][owner]
+        cert = (w > 0) & ~dirty[nbrs] & (d[nbrs] < INF) & (d[nbrs] + w == d_tail)
         has_cert = np.zeros(work.size, dtype=bool)
-        if cert.any():
-            # Map each arc back to its position in `work` (work is sorted
-            # unique, tails repeats its entries in order).
-            has_cert[np.searchsorted(work, tails[cert])] = True
-        newly = work[~has_cert]
-        if newly.size == 0:
+        has_cert[owner[cert]] = True
+        if has_cert.all():
             break
-        dirty[newly] = True
-        # Re-examine shortest-path children of the newly dirty vertices:
-        # their certificate through the dead parent just died too.
-        tails, nbrs, w = _gather_arcs(graph, newly)
+        dirty[work[~has_cert]] = True
+        # Re-examine shortest-path children of the newly dirty vertices —
+        # their certificate through the dead parent just died too — read
+        # off the arcs the scan just gathered.
         child = (
-            (d[tails] < INF)
+            ~has_cert[owner]
             & (d[nbrs] < INF)
-            & (d[tails] + w == d[nbrs])
+            & (d_tail + w == d[nbrs])
             & ~dirty[nbrs]
             & (nbrs != root)
         )
@@ -230,9 +225,10 @@ def repair_sssp(
         # Re-anchor orphans: best one-hop bound from the clean region.
         # In-arcs of dirty vertices via symmetry (out-arc (v, u, w) of a
         # dirty v mirrors in-arc (u, v, w)).
-        dv, du, dw = _gather_arcs(graph, np.nonzero(dirty)[0])
+        orphans = np.flatnonzero(dirty)
+        owner, du, dw = _out_arcs(graph, orphans)
         anchor = ~dirty[du] & (d[du] < INF)
-        seed_dst.append(dv[anchor])
+        seed_dst.append(orphans[owner[anchor]])
         seed_nd.append(d[du][anchor] + dw[anchor])
     it, ih, iw = delta.improved_tails, delta.improved_heads, delta.improved_weights
     if it.size:
@@ -287,8 +283,8 @@ def repair_sssp(
             # the repair frontier is small, a second phase buys nothing),
             # then settle them; any vertex improved back into the window
             # — including an active one — is re-activated next round.
-            tails, dst, w = _gather_arcs(graph, active)
-            nd = d[tails] + w
+            owner, dst, w = _out_arcs(graph, active)
+            nd = d[active][owner] + w
             settled[active] = True
             if index is not None:
                 index.on_settled(active)

@@ -7,10 +7,24 @@ Applying a batch (:func:`apply_batch`) produces a brand-new immutable
 plus an :class:`EdgeDelta`, the arc-level diff the incremental repair
 (:mod:`repro.dynamic.repair`) seeds its changed-vertex frontier from.
 
-The delta is computed by *key lookup*, not by diffing the full arc sets:
-only the ``(tail, head)`` keys the batch names can change, so the old and
-new weights of exactly those keys are gathered (O(batch · log m)) and
-classified into
+An update costs what it touches. A snapshot's arcs are strictly
+increasing under the packed key ``tail * n + head`` (:class:`ArcIndex`;
+a graph that is not — the weight-sorted seed — is put in that order
+once, by the builder's own :func:`~repro.graph.builder.compact_edges`),
+so everything a batch needs is a ``searchsorted`` of the keys it names:
+
+- validation and the delta read the old weight of exactly the touched
+  keys (O(batch · log m));
+- the new CSR is a *splice* (:func:`splice_arcs`): keep-mask at the
+  removal keys, ``np.insert`` of the key-sorted additions, ``indptr``
+  from the per-row degree change — no edge list, no membership test
+  over all arcs, no sort of anything but the batch. The same function
+  carries the versioner's weight-sorted context graph forward under the
+  key ``(tail, weight, head)``.
+
+The delta states each touched arc once, as ``(tail, head, old_weight,
+new_weight)`` with ``INF`` for *absent*, and offers the two views repair
+reads:
 
 - **improved** arcs — present in the new graph with a strictly smaller
   weight than before (or newly present): direct relaxation seeds;
@@ -35,12 +49,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.distances import INF
-from repro.graph.builder import from_edges
+from repro.graph.builder import compact_edges
 from repro.graph.csr import CSRGraph
 
 __all__ = [
     "UpdateBatch",
     "EdgeDelta",
+    "ArcIndex",
+    "splice_arcs",
     "apply_batch",
     "random_update_batch",
 ]
@@ -170,7 +186,11 @@ class UpdateBatch:
         operation kinds, counting both orientations for undirected graphs),
         deletes and reweights name existing edges, inserts name vacant pairs.
         """
-        n = graph.num_vertices
+        self._validate(ArcIndex(graph))
+
+    def _validate(self, arcs: "ArcIndex") -> None:
+        """:meth:`validate_against` on the key view the caller already built."""
+        n = arcs.num_vertices
         for name, arr in (
             ("insert", self.insert_tails),
             ("insert", self.insert_heads),
@@ -181,75 +201,155 @@ class UpdateBatch:
         ):
             if arr.size and (arr.min() < 0 or arr.max() >= n):
                 raise ValueError(f"{name} vertex ids out of range [0, {n})")
-        keys = self._keys(n, graph.undirected)
+        keys = self._keys(n, arcs.undirected)
         combined = np.concatenate([keys["insert"], keys["delete"], keys["reweight"]])
         if combined.size != np.unique(combined).size:
             raise ValueError("batch names the same edge more than once")
-        existing = _arc_weights(graph, np.concatenate([keys["delete"], keys["reweight"]]))
+        existing = arcs.weights_of(np.concatenate([keys["delete"], keys["reweight"]]))
         if np.any(existing >= INF):
             raise ValueError("delete/reweight names an edge absent from the graph")
-        inserted = _arc_weights(graph, keys["insert"])
+        inserted = arcs.weights_of(keys["insert"])
         if np.any(inserted < INF):
             raise ValueError(
                 "insert names an edge already present (use a reweight instead)"
             )
 
 
-def _arc_weights(graph: CSRGraph, keys: np.ndarray) -> np.ndarray:
-    """Weight of the arc with packed key ``tail * n + head`` per entry.
+class ArcIndex:
+    """A graph's arcs under the strictly increasing key ``tail * n + head``.
 
-    Absent arcs report ``INF``. For undirected graphs keys may be
-    canonicalised ``(min, max)`` pairs — the symmetrized arc set contains
-    both orientations, so the canonical one always exists when the edge
-    does. Duplicate ``(tail, head)`` arcs would make the lookup pick the
-    first of the sorted run; every graph built through
-    :func:`repro.graph.builder.from_edges` with dedup has unique arcs.
+    The one view of the old graph an update reads: :meth:`weights_of` is
+    a ``searchsorted``, and ``indptr``/``keys``/``adj``/``weights`` are
+    what :func:`splice_arcs` edits. A snapshot minted by
+    :func:`apply_batch` is already in this order and its arrays are used
+    as they are; any other graph (the weight-sorted seed, hand-made
+    arrays with parallel arcs or self-loops) goes once through
+    :func:`~repro.graph.builder.compact_edges`, the canonical form every
+    freshly built graph has.
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    if keys.size == 0:
-        return np.empty(0, dtype=np.int64)
-    n = graph.num_vertices
-    graph_keys = graph.arc_tails() * n + graph.adj
-    order = np.argsort(graph_keys, kind="stable")
-    sorted_keys = graph_keys[order]
-    sorted_weights = graph.weights[order]
-    pos = np.searchsorted(sorted_keys, keys)
-    out = np.full(keys.size, INF, dtype=np.int64)
-    in_range = pos < sorted_keys.size
-    hit = in_range.copy()
-    hit[in_range] = sorted_keys[pos[in_range]] == keys[in_range]
-    out[hit] = sorted_weights[pos[hit]]
-    return out
+
+    __slots__ = ("num_vertices", "undirected", "indptr", "keys", "adj", "weights")
+
+    def __init__(self, graph: CSRGraph) -> None:
+        n = graph.num_vertices
+        tails, adj, weights, indptr = (
+            graph.arc_tails(), graph.adj, graph.weights, graph.indptr
+        )
+        keys = tails * n + adj
+        if np.any(keys[1:] <= keys[:-1]) or np.any(tails == adj):
+            tails, adj, weights = compact_edges(tails, adj, weights)
+            keys = tails * n + adj
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+        self.num_vertices = n
+        self.undirected = graph.undirected
+        self.indptr, self.keys, self.adj, self.weights = indptr, keys, adj, weights
+
+    def weights_of(self, keys: np.ndarray) -> np.ndarray:
+        """Weight of the arc with key ``tail * n + head`` per entry, ``INF``
+        where the graph has no such arc. For undirected graphs a
+        canonicalised ``(min, max)`` key finds the edge whenever it exists:
+        the symmetrized arc set holds both orientations."""
+        out = np.full(keys.size, INF, dtype=np.int64)
+        if self.keys.size:
+            pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+            hit = self.keys[pos] == keys
+            out[hit] = self.weights[pos[hit]]
+        return out
+
+
+def splice_arcs(indptr, keys, columns, remove_keys, add_keys, add_columns, row_stride):
+    """Remove and insert arcs of a CSR whose arcs strictly increase under
+    the packed integer ``keys`` (row = ``key // row_stride``).
+
+    ``columns`` are the per-arc arrays to carry along (``adj``,
+    ``weights``); every entry of ``remove_keys`` must be present in
+    ``keys``, ``add_keys`` must be distinct and absent from what is
+    kept, ``add_columns`` aligned with it. Returns ``(indptr, columns)``
+    of the spliced CSR, in the same key order. Work beyond the two array
+    copies is O(batch · log m): nothing is sorted or searched but the
+    batch.
+    """
+    n = indptr.size - 1
+    gone = np.sort(np.searchsorted(keys, remove_keys))
+    keep = np.ones(keys.size, dtype=bool)
+    keep[gone] = False
+    # Insertion points among the kept arcs: the position in the old
+    # array less the removed arcs before it.
+    order = np.argsort(add_keys)
+    at = np.searchsorted(keys, add_keys[order])
+    at -= np.searchsorted(gone, at)
+    degrees = np.diff(indptr)
+    degrees += np.bincount(add_keys // row_stride, minlength=n)
+    degrees -= np.bincount(remove_keys // row_stride, minlength=n)
+    new_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=new_indptr[1:])
+    return new_indptr, tuple(
+        np.insert(col[keep], at, new[order]) for col, new in zip(columns, add_columns)
+    )
 
 
 @dataclass(frozen=True)
 class EdgeDelta:
-    """Arc-level diff between two consecutive snapshots.
+    """Arc-level diff between two consecutive snapshots, one row per arc
+    the batch touched: ``(tail, head, old_weight, new_weight)`` with
+    ``INF`` for *absent* (``old`` of an insert, ``new`` of a delete). For
+    undirected graphs both orientations of every touched edge are
+    present, each with its own old weight.
 
-    ``improved_*`` arcs exist in the new graph with a weight strictly
-    below their old weight (``INF`` when newly inserted) and carry the
-    *new* weight — they are direct relaxation seeds. ``worsened_*`` arcs
-    existed in the old graph with a weight strictly below their new one
-    (``INF`` when deleted) and carry the *old* weight — they are the
+    Two views are what repair reads. ``improved_*`` arcs exist in the new
+    graph with a weight strictly below their old one and carry the *new*
+    weight — they are direct relaxation seeds.
+    ``worsened_*`` arcs existed in the old graph with a weight strictly
+    below their new one and carry the *old* weight — they are the
     candidate dead shortest-path certificates the damage pass starts
-    from. For undirected graphs both orientations of every touched edge
-    are present.
+    from. A reweight to the same weight is in neither.
     """
 
-    improved_tails: np.ndarray
-    improved_heads: np.ndarray
-    improved_weights: np.ndarray
-    worsened_tails: np.ndarray
-    worsened_heads: np.ndarray
-    worsened_weights: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
+    old_weights: np.ndarray
+    new_weights: np.ndarray
+
+    @property
+    def _improved(self) -> np.ndarray:
+        return self.new_weights < self.old_weights
+
+    @property
+    def _worsened(self) -> np.ndarray:
+        return self.old_weights < self.new_weights
+
+    @property
+    def improved_tails(self) -> np.ndarray:
+        return self.tails[self._improved]
+
+    @property
+    def improved_heads(self) -> np.ndarray:
+        return self.heads[self._improved]
+
+    @property
+    def improved_weights(self) -> np.ndarray:
+        return self.new_weights[self._improved]
+
+    @property
+    def worsened_tails(self) -> np.ndarray:
+        return self.tails[self._worsened]
+
+    @property
+    def worsened_heads(self) -> np.ndarray:
+        return self.heads[self._worsened]
+
+    @property
+    def worsened_weights(self) -> np.ndarray:
+        return self.old_weights[self._worsened]
 
     @property
     def num_improved(self) -> int:
-        return int(self.improved_tails.size)
+        return int(np.count_nonzero(self._improved))
 
     @property
     def num_worsened(self) -> int:
-        return int(self.worsened_tails.size)
+        return int(np.count_nonzero(self._worsened))
 
     @property
     def is_empty(self) -> bool:
@@ -259,66 +359,37 @@ class EdgeDelta:
 def apply_batch(graph: CSRGraph, batch: UpdateBatch) -> tuple[CSRGraph, EdgeDelta]:
     """Apply ``batch`` to ``graph``; return ``(new_graph, delta)``.
 
-    The new graph is rebuilt through the standard edge-list pipeline
-    (same dedup/sort invariants as any freshly constructed graph) and is
-    **not** weight-sorted — snapshot consumers sort on context creation
-    exactly like cold starts do. The vertex universe is fixed: updates
-    never add or remove vertices.
+    The new graph is the old one's key-sorted arcs (:class:`ArcIndex`)
+    with the delta's removals (``old < INF``) cut out and its additions
+    (``new < INF``) spliced in (:func:`splice_arcs`) — array for array
+    what rebuilding the edge list through
+    :func:`~repro.graph.builder.from_edges` gives, at the cost of the
+    batch plus two array copies. It is **not** weight-sorted — snapshot
+    consumers sort on context creation exactly like cold starts do, or
+    carry the parent's sorted graph forward (the versioner). The vertex
+    universe is fixed: updates never add or remove vertices.
     """
-    batch.validate_against(graph)
-    n = graph.num_vertices
-    tails, heads, weights = graph.to_edge_list()
-
-    def arcs(t: np.ndarray, h: np.ndarray, w: np.ndarray | None):
-        """Both orientations for undirected graphs, as-given otherwise."""
-        if graph.undirected:
-            at = np.concatenate([t, h])
-            ah = np.concatenate([h, t])
-            aw = None if w is None else np.concatenate([w, w])
-            return at, ah, aw
-        return t, h, w
-
-    rem_t, rem_h, _ = arcs(
-        np.concatenate([batch.delete_tails, batch.reweight_tails]),
-        np.concatenate([batch.delete_heads, batch.reweight_heads]),
-        None,
+    arcs = ArcIndex(graph)
+    batch._validate(arcs)
+    n = arcs.num_vertices
+    tails = np.concatenate([batch.insert_tails, batch.delete_tails, batch.reweight_tails])
+    heads = np.concatenate([batch.insert_heads, batch.delete_heads, batch.reweight_heads])
+    new_w = np.concatenate([
+        batch.insert_weights,
+        np.full(batch.num_deletes, INF, dtype=np.int64),
+        batch.reweight_weights,
+    ])
+    if graph.undirected:  # both orientations of every named edge
+        tails, heads = np.concatenate([tails, heads]), np.concatenate([heads, tails])
+        new_w = np.concatenate([new_w, new_w])
+    keys = tails * n + heads
+    delta = EdgeDelta(tails, heads, arcs.weights_of(keys), new_w)
+    removed, added = delta.old_weights < INF, new_w < INF
+    indptr, (adj, weights) = splice_arcs(
+        arcs.indptr, arcs.keys, (arcs.adj, arcs.weights),
+        keys[removed], keys[added], (heads[added], new_w[added]), n,
     )
-    removal_keys = rem_t * n + rem_h
-    keep = ~np.isin(tails * n + heads, removal_keys)
-    add_t, add_h, add_w = arcs(
-        np.concatenate([batch.insert_tails, batch.reweight_tails]),
-        np.concatenate([batch.insert_heads, batch.reweight_heads]),
-        np.concatenate([batch.insert_weights, batch.reweight_weights]),
-    )
-    new_graph = from_edges(
-        np.concatenate([tails[keep], add_t]),
-        np.concatenate([heads[keep], add_h]),
-        np.concatenate([weights[keep], add_w]),
-        n,
-        undirected=graph.undirected,
-        dedup=True,
-    )
-
-    # Arc-level delta over exactly the touched keys.
-    touch_t, touch_h, _ = arcs(
-        np.concatenate([batch.insert_tails, batch.delete_tails, batch.reweight_tails]),
-        np.concatenate([batch.insert_heads, batch.delete_heads, batch.reweight_heads]),
-        None,
-    )
-    touched_keys = touch_t * n + touch_h
-    old_w = _arc_weights(graph, touched_keys)
-    new_w = _arc_weights(new_graph, touched_keys)
-    improved = new_w < old_w
-    worsened = old_w < new_w
-    delta = EdgeDelta(
-        improved_tails=touch_t[improved],
-        improved_heads=touch_h[improved],
-        improved_weights=new_w[improved],
-        worsened_tails=touch_t[worsened],
-        worsened_heads=touch_h[worsened],
-        worsened_weights=old_w[worsened],
-    )
-    return new_graph, delta
+    return CSRGraph(indptr, adj, weights, undirected=graph.undirected), delta
 
 
 def random_update_batch(
@@ -355,11 +426,11 @@ def random_update_batch(
     want_reweight = max(ops - want_insert - want_delete, 0)
 
     # --- existing-edge sample (deletes + reweights), distinct edges ----
-    tails, heads, weights = graph.to_edge_list()
+    tails, heads = graph.arc_tails(), graph.adj
     if graph.undirected:
         fwd = tails < heads
         tails, heads = tails[fwd], heads[fwd]
-    existing = np.sort(tails * n + heads)
+    existing = np.sort(tails * n + heads)  # the vacancy test of every insert
     take = min(want_delete + want_reweight, tails.size)
     picked = (
         rng.choice(tails.size, size=take, replace=False)
@@ -390,11 +461,8 @@ def random_update_batch(
         key = min(u, v) * n + max(u, v) if graph.undirected else u * n + v
         if key in chosen:
             continue
-        pos = np.searchsorted(existing, key) if graph.undirected else None
-        if graph.undirected:
-            if pos < existing.size and existing[pos] == key:
-                continue
-        elif _arc_weights(graph, np.array([key]))[0] < INF:
+        pos = np.searchsorted(existing, key)
+        if pos < existing.size and existing[pos] == key:
             continue
         chosen.add(key)
         ins_t.append(u)

@@ -30,8 +30,12 @@ Three serving-plane needs shape the class:
 
 :meth:`context_for` memoises one preprocessed
 :class:`~repro.core.context.ExecutionContext` per resident snapshot —
-the weight-sort / short-long split / partition work is paid once per
-snapshot, not per repair.
+the short-long split / partition work is paid once per snapshot, not per
+repair — and the weight sort once per *lineage*: while the parent's
+context is resident, a snapshot's weight-sorted graph is the parent's
+with the snapshot's delta spliced in under the key ``(tail, weight,
+head)`` (:func:`~repro.dynamic.updates.splice_arcs`), which is the order
+the stable weight sort gives head-sorted rows.
 """
 
 from __future__ import annotations
@@ -40,7 +44,10 @@ import hashlib
 import threading
 from dataclasses import dataclass
 
-from repro.dynamic.updates import EdgeDelta, UpdateBatch, apply_batch
+import numpy as np
+
+from repro.core.distances import INF
+from repro.dynamic.updates import EdgeDelta, UpdateBatch, apply_batch, splice_arcs
 from repro.graph.csr import CSRGraph
 
 __all__ = ["GraphSnapshot", "GraphVersioner", "structural_digest"]
@@ -61,6 +68,40 @@ def structural_digest(graph: CSRGraph) -> str:
     for arr in (graph.indptr, graph.adj, graph.weights):
         h.update(arr.tobytes())
     return h.hexdigest()
+
+
+def _sorted_from_parent(parent_sorted: CSRGraph, snapshot: "GraphSnapshot") -> CSRGraph | None:
+    """``snapshot.graph.sorted_by_weight()`` made from the parent's by
+    splicing ``snapshot.delta``, or None when that cannot be done exactly.
+
+    A canonical (head-sorted, duplicate-free) graph weight-sorted by the
+    stable sort has its arcs strictly increasing under ``(tail, weight,
+    head)``; the delta's removals are found and its additions placed
+    under that packed key. None when the key does not fit 62 bits, the
+    parent's arcs do not strictly increase under it, or the spliced rows
+    are not the snapshot's (a parent holding arcs the canonical form
+    drops) — the caller sorts from scratch then.
+    """
+    delta = snapshot.delta
+    n = parent_sorted.num_vertices
+    removed, added = delta.old_weights < INF, delta.new_weights < INF
+    span = max(parent_sorted.max_weight, int(delta.new_weights[added].max(initial=0))) + 1
+    if 2 * n.bit_length() + span.bit_length() > 62:
+        return None
+    stride = span * n
+    keys = parent_sorted.arc_tails() * stride + parent_sorted.weights * n + parent_sorted.adj
+    if np.any(keys[1:] <= keys[:-1]):
+        return None
+    touched = delta.tails * stride + delta.heads
+    indptr, (adj, weights) = splice_arcs(
+        parent_sorted.indptr, keys, (parent_sorted.adj, parent_sorted.weights),
+        touched[removed] + delta.old_weights[removed] * n,
+        touched[added] + delta.new_weights[added] * n,
+        (delta.heads[added], delta.new_weights[added]), stride,
+    )
+    if not np.array_equal(indptr, snapshot.graph.indptr):
+        return None
+    return CSRGraph(indptr, adj, weights, parent_sorted.undirected, _sorted_by_weight=True)
 
 
 @dataclass(frozen=True)
@@ -93,8 +134,8 @@ class GraphVersioner:
 
     Thread safety: one state lock guards the tables (snapshots, pins,
     memos) and is only ever held for a dictionary operation, so ``pin``
-    on the request path never waits for a rebuild; the slow work
-    (``apply``'s graph rebuild, a context build, a digest) runs under a
+    on the request path never waits for an update; the slow work
+    (``apply``'s graph splice, a context build, a digest) runs under a
     separate build lock, one at a time. Readers only ever observe a
     fully-minted snapshot.
     """
@@ -202,18 +243,18 @@ class GraphVersioner:
     # ------------------------------------------------------------------
     def _memo(self, table: dict, snapshot_id: int | None, build):
         """``table[snapshot_id]`` (default: current) and whether it was
-        already there; built from the snapshot's graph outside the state
-        lock on first use and kept for as long as the snapshot is resident."""
+        already there; built from the snapshot outside the state lock on
+        first use and kept for as long as the snapshot is resident."""
         with self._lock:
             sid = self._current_id if snapshot_id is None else snapshot_id
-            graph = self.get(sid).graph
+            snapshot = self.get(sid)
             if sid in table:
                 return table[sid], True
         with self._build_lock:
             with self._lock:
                 if sid in table:  # built while this caller waited
                     return table[sid], True
-            value = build(graph)
+            value = build(snapshot)
             with self._lock:
                 if sid in self._snapshots:
                     table[sid] = value
@@ -221,7 +262,9 @@ class GraphVersioner:
 
     def digest(self, snapshot_id: int | None = None) -> str:
         """Structural digest of ``snapshot_id`` (default: current), memoised."""
-        return self._memo(self._digests, snapshot_id, structural_digest)[0]
+        return self._memo(
+            self._digests, snapshot_id, lambda snap: structural_digest(snap.graph)
+        )[0]
 
     def context_for(self, snapshot_id: int | None = None, *, machine=None, config=None):
         """Memoised :func:`~repro.core.context.make_context` per snapshot.
@@ -230,16 +273,34 @@ class GraphVersioner:
         call for a snapshot fixes the context, later calls with
         different overrides raise rather than silently returning a
         context built for other parameters.
+
+        While the parent's context (same machine and config) is resident
+        the snapshot's weight-sorted graph is spliced from the parent's
+        (:func:`_sorted_from_parent`) and ``make_context`` skips its
+        sort; otherwise — the seed, an evicted parent — it sorts
+        ``snapshot.graph`` as a cold start does. Either way the context
+        is field for field the same.
         """
         from repro.core.context import make_context
 
-        def build(graph):
+        def build(snapshot):
             use_machine = machine if machine is not None else self._machine
             use_config = config if config is not None else self._config
             if use_machine is None or use_config is None:
                 raise ValueError(
                     "context_for needs machine and config (constructor defaults unset)"
                 )
+            with self._lock:
+                parent = self._contexts.get(snapshot.parent_id)
+            graph = None
+            if (
+                parent is not None
+                and parent.machine is use_machine
+                and parent.config == use_config
+            ):
+                graph = _sorted_from_parent(parent.graph, snapshot)
+            if graph is None:
+                graph = snapshot.graph
             return make_context(graph, use_machine, use_config)
 
         ctx, cached = self._memo(self._contexts, snapshot_id, build)

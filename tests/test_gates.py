@@ -159,6 +159,21 @@ class TestReadDocument:
         assert result["verdict"] == "within-bound"
         assert result["samples"] == {"serve_hot": [0.04, 0.06], "serve_cold": [10.0]}
 
+    def test_ratio_of_two_metrics_of_one_run_is_recorded(self):
+        gate = GATES["update-vs-fresh"]
+        assert gate.source == "dynamic.update_ms_p50@serve_churn / serve.engine_ms_p50@serve_churn"
+        assert gate.workloads == ("serve_churn",)
+        run = record("serve_churn", gate.metric, 12.0)
+        run["samples"][gate.over_metric] = 8
+        run["result"]["metrics"][gate.over_metric] = {"value": 3.0, "unit": "ms"}
+        result = read_document(gate, stack_document(run))
+        assert (result["value"], result["verdict"]) == (4.0, "recorded")
+        assert result["samples"] == {"serve_churn": [12.0], gate.over_metric: [3.0]}
+        run["samples"][gate.over_metric] = 0  # a denominator nobody sampled
+        result = read_document(gate, stack_document(run))
+        assert (result["value"], result["verdict"]) == (None, "missing")
+        assert gate.over_metric in result["why"]
+
     def test_no_ceiling_is_recorded(self):
         gate = GATES["checkpoint-overhead"]
         doc = stack_document(record("cold_spmd", gate.metric, 4.3))
@@ -175,6 +190,7 @@ class TestGateTable:
             "checkpoint-overhead": (None, None),
             "hit-vs-cold": (None, 0.5),
             "repair-vs-fresh": (None, 0.30),
+            "update-vs-fresh": (None, None),
             "batching-cache": (1.10, 0.0),
             "resilience-armed": (1.0, 0.02),
             "paranoid-guards": (1.0, None),
