@@ -171,8 +171,12 @@ class PairedGate:
 GATES: dict[str, DocumentGate | PairedGate] = {
     "trace-overhead": DocumentGate(
         "obs.trace_solve_overhead_ratio", "cold_rmat", 3.0, "obs-smoke"),
+    # (solve + ~25 ms of checkpoint writes) / solve: a faster rank driver
+    # raises it while the checkpointed solve itself gets faster too.
     "checkpoint-overhead": DocumentGate(
         "spmd.checkpoint_overhead_ratio", "cold_spmd", None, "obs-smoke"),
+    "spmd-vs-orchestrated": DocumentGate(
+        "spmd.vs_orchestrated_ratio", "cold_spmd", None, "obs-smoke"),
     "hit-vs-cold": DocumentGate(
         "bench.op_ms_p50", "serve_hot", 0.5, "serve-smoke", over="serve_cold"),
     "repair-vs-fresh": DocumentGate(

@@ -9,9 +9,11 @@ never reads a distance outside its block.
 
 Two constructors make the two execution modes out of the one type:
 
-- :func:`build_rank_states` slices the graph into one view per rank (own
-  copies of the rows, ``lo``/``hi`` the rank's block) — the SPMD driver's
-  state, which talks through a :class:`~repro.spmd.mailbox.Mailbox`;
+- :func:`build_rank_states` slices the graph into one view per rank
+  (``lo``/``hi`` the rank's block; the rows are read-only slices of the
+  graph's arrays, what a rank owns and writes is ``d``, ``settled`` and
+  ``active``) — the SPMD driver's state, which talks through a
+  :class:`~repro.spmd.mailbox.Mailbox`;
 - :func:`whole_graph_view` is a single view spanning ``[0, n)`` that
   *shares* the context's CSR arrays and split table — the orchestrated
   driver's state, which declares its traffic through a
@@ -163,8 +165,12 @@ def build_rank_states(
 ) -> list[VertexView]:
     """Slice a weight-sorted graph into one view per rank.
 
-    ``short_offsets`` is ``graph.short_edge_offsets(delta)`` where the
-    caller holds it already (a context's ``short_offsets``)."""
+    The rows (``adj``, ``weights``, ``short_offsets``) are slices of the
+    graph's arrays, not copies: no kernel writes them, and a solve does not
+    duplicate the graph. Only ``indptr`` is rebased; ``d``, ``settled`` and
+    ``active`` are the rank's own. ``short_offsets`` is
+    ``graph.short_edge_offsets(delta)`` where the caller holds it already
+    (a context's ``short_offsets``)."""
     short = graph.short_edge_offsets(delta) if short_offsets is None else short_offsets
     states: list[VertexView] = []
     for rank in range(partition.num_ranks):
@@ -172,8 +178,6 @@ def build_rank_states(
         row_ptr = graph.indptr[lo : hi + 1]
         base = row_ptr[0]
         local_indptr = (row_ptr - base).astype(np.int64)
-        adj = graph.adj[base : row_ptr[-1]].copy()
-        weights = graph.weights[base : row_ptr[-1]].copy()
         d = np.full(hi - lo, INF, dtype=np.int64)
         settled = np.zeros(hi - lo, dtype=bool)
         active = np.empty(0, dtype=np.int64)
@@ -186,9 +190,9 @@ def build_rank_states(
                 lo=lo,
                 hi=hi,
                 indptr=local_indptr,
-                adj=adj,
-                weights=weights,
-                short_offsets=short[lo:hi].copy(),
+                adj=graph.adj[base : row_ptr[-1]],
+                weights=graph.weights[base : row_ptr[-1]],
+                short_offsets=short[lo:hi],
                 d=d,
                 settled=settled,
                 active=active,

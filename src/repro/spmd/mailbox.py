@@ -7,6 +7,17 @@ moves them to the receivers (counting the traffic through the accounting
 communicator) and hands each rank exactly the records addressed to it.
 Nothing else crosses rank boundaries.
 
+A superstep is one routed stream. :meth:`Mailbox.post` validates a batch
+and appends it to the sender's outbox — no sort, no gather, no slice.
+:meth:`Mailbox.deliver` drains the outbox into one record stream in posting
+order (sender ascending, then post, then position), routes it with a single
+stable sort on the destination rank (:func:`_stable_order`: the key is cast
+to the narrowest integer type that holds it, which makes NumPy's stable
+sort a radix sort), and hands every receiver a *slice* of the routed
+columns; the (src, dst) lane counts the accounting wants are the run
+boundaries of the routed stream. The cost of an exchange is one pass over
+its records, whatever the rank count.
+
 :class:`ReliableMailbox` layers a recovery protocol on top: every record of
 a superstep carries an implicit per-channel ``(src_rank, dst_rank)``
 sequence number, receivers acknowledge what arrived, and senders retransmit
@@ -32,6 +43,47 @@ from repro.runtime.comm import RECOVERY_PHASE, Communicator
 __all__ = ["Mailbox", "ReliableMailbox"]
 
 
+def _stable_order(keys: np.ndarray, max_key: int) -> np.ndarray:
+    """Stable sorting permutation of non-negative ``keys`` no larger than
+    ``max_key``: the one routing sort of the module.
+
+    The keys are cast to the narrowest unsigned type that holds
+    ``max_key`` first, because NumPy's stable sort is a radix sort — one
+    counting pass per key byte — for keys of at most 16 bits and a
+    comparison sort beyond. Destination ranks fit a byte on any machine of
+    up to 256 ranks; wider keys take the comparison sort, same result.
+    """
+    narrow = keys.astype(np.min_scalar_type(max_key), copy=False)
+    return np.argsort(narrow, kind="stable")
+
+
+def _route(dst_ranks: np.ndarray, num_ranks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Route records to their destination ranks: ``(order, cuts)`` where
+    ``order`` is the stable permutation that groups the records by
+    destination and receiver ``r`` owns positions ``cuts[r]:cuts[r + 1]``
+    of the routed stream, in the order the records had before."""
+    cuts = np.zeros(num_ranks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst_ranks, minlength=num_ranks), out=cuts[1:])
+    return _stable_order(dst_ranks, num_ranks - 1), cuts
+
+
+def _inboxes(
+    routed: tuple[np.ndarray, ...], cuts: np.ndarray
+) -> list[tuple[np.ndarray, ...]]:
+    """Per-receiver slices (views, no copies) of the routed columns."""
+    bounds = cuts.tolist()
+    return [
+        tuple(col[lo:hi] for col in routed)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _no_records(num_ranks: int, num_columns: int) -> list[tuple[np.ndarray, ...]]:
+    """What every receiver gets from a superstep nobody posted to."""
+    empty = np.empty(0, dtype=np.int64)
+    return [(empty,) * num_columns for _ in range(num_ranks)]
+
+
 class Mailbox:
     """Bulk-synchronous record exchange between ``num_ranks`` ranks."""
 
@@ -44,9 +96,11 @@ class Mailbox:
         """Optional :class:`~repro.runtime.watchdog.Watchdog`; the reliable
         layer reports every recovery round to it so retry storms burn
         deadline budget even though the epoch counter stands still."""
-        self._outbox: list[list[tuple[int, tuple[np.ndarray, ...]]]] = [
+        self._outbox: list[list[tuple[np.ndarray, tuple[np.ndarray, ...]]]] = [
             [] for _ in range(num_ranks)
         ]
+        """Per sender, its posts of the open superstep in insertion order:
+        ``(dst_ranks, columns)`` exactly as posted."""
 
     def post(
         self,
@@ -55,14 +109,19 @@ class Mailbox:
         *columns: np.ndarray,
     ) -> None:
         """Queue records from ``src_rank``; ``columns`` are parallel arrays
-        (first column must be the destination vertex ids)."""
+        (first column must be the destination vertex ids).
+
+        The batch is validated and appended, nothing more — routing is
+        :meth:`deliver`'s, once per superstep. The mailbox keeps the arrays
+        it was handed until then."""
         if not 0 <= src_rank < self.num_ranks:
             raise IndexError(f"rank {src_rank} out of range")
         if not columns:
             raise ValueError("at least one record column required")
         dst_ranks = np.asarray(dst_ranks, dtype=np.int64)
+        columns = tuple(np.asarray(col) for col in columns)
         for col in columns:
-            if np.asarray(col).shape != dst_ranks.shape:
+            if col.shape != dst_ranks.shape:
                 raise ValueError("record columns must align with dst_ranks")
         if dst_ranks.size == 0:
             return
@@ -72,23 +131,7 @@ class Mailbox:
             raise ValueError(
                 f"destination rank {bad} out of range [0, {self.num_ranks})"
             )
-        if lo == hi:
-            # Single-destination batch: no segmentation sort needed.
-            self._outbox[src_rank].append(
-                (lo, tuple(np.asarray(c) for c in columns))
-            )
-            return
-        order = np.argsort(dst_ranks, kind="stable")
-        sorted_dst = dst_ranks[order]
-        sorted_cols = [np.asarray(c)[order] for c in columns]
-        bounds = np.nonzero(np.diff(sorted_dst))[0] + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [sorted_dst.size]))
-        for s, e in zip(starts, ends):
-            dst = int(sorted_dst[s])
-            self._outbox[src_rank].append(
-                (dst, tuple(c[s:e] for c in sorted_cols))
-            )
+        self._outbox[src_rank].append((dst_ranks, columns))
 
     def send(self, view, src_local: np.ndarray, dst: np.ndarray, *cols) -> None:
         """The phase kernels' call shape: queue records from a rank view to
@@ -99,13 +142,37 @@ class Mailbox:
     def _check_columns(self, num_columns: int) -> None:
         """Reject malformed supersteps *before* any traffic is charged, so a
         failed delivery never leaves the metrics half-updated."""
-        for src in range(self.num_ranks):
-            for _dst, cols in self._outbox[src]:
+        for queued in self._outbox:
+            for _dst, cols in queued:
                 if len(cols) != num_columns:
                     raise ValueError(
                         f"posted {len(cols)} columns, deliver expects "
                         f"{num_columns}"
                     )
+
+    def _drain(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray] | None:
+        """Empty the (column-checked) outbox into the superstep's record
+        stream, in posting order: sender ascending, each sender's posts in
+        insertion order, each post's records as posted. Returns ``(src,
+        dst, columns, post_sizes)`` — per-record source and destination
+        ranks, the columns concatenated once, the record count of every
+        post — or ``None`` when nothing was posted (an idle superstep
+        allocates nothing)."""
+        posts = [
+            (src, dst, cols)
+            for src, queued in enumerate(self._outbox)
+            for dst, cols in queued
+        ]
+        if not posts:
+            return None
+        self._outbox = [[] for _ in range(self.num_ranks)]
+        srcs, dsts, cols = zip(*posts)
+        sizes = np.array([dst.size for dst in dsts], dtype=np.int64)
+        src = np.repeat(np.array(srcs, dtype=np.int64), sizes)
+        columns = tuple(np.concatenate(col) for col in zip(*cols))
+        return src, np.concatenate(dsts), columns, sizes
 
     def deliver(
         self,
@@ -115,13 +182,15 @@ class Mailbox:
         num_columns: int = 2,
     ) -> list[tuple[np.ndarray, ...]]:
         """Close the superstep: account the traffic and return, per receiving
-        rank, the concatenated record columns addressed to it.
+        rank, the record columns addressed to it — ordered by sender, then
+        by post, then by position in the post.
 
-        The hot path is batched by (src, dst) *lane*: traffic is accounted
-        from per-lane record counts (no per-record src/dst rank columns are
-        ever materialised — historically an O(P²) ``np.full`` allocation
-        pattern per superstep), empty lanes are skipped entirely, and an
-        idle superstep allocates no per-lane arrays at all.
+        The superstep's stream is routed once: one stable sort on the
+        destination rank, one gather per column, and every receiver gets a
+        slice of the routed columns. Traffic is accounted from per-lane
+        record counts read off the routed stream — inside a destination
+        group the sender is non-decreasing, so the (src, dst) lanes are its
+        run boundaries; no per-lane table is ever built.
         """
         p = self.num_ranks
         self._check_columns(num_columns)
@@ -131,47 +200,26 @@ class Mailbox:
             if tr is not None
             else None
         )
-        lane_src: list[int] = []
-        lane_dst: list[int] = []
-        lane_cnt: list[int] = []
-        inbox: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(p)]
-        for src in range(p):
-            for dst, cols in self._outbox[src]:
-                count = cols[0].size
-                if count == 0:
-                    continue
-                lane_src.append(src)
-                lane_dst.append(dst)
-                lane_cnt.append(count)
-                inbox[dst].append(cols)
-        self._outbox = [[] for _ in range(p)]
+        stream = self._drain()
+        if stream is None:
+            lane_src = lane_dst = lane_cnt = np.empty(0, dtype=np.int64)
+            out = _no_records(p, num_columns)
+        else:
+            src, dst, columns, _sizes = stream
+            order, cuts = _route(dst, p)
+            # Routed, the lane id ``dst * P + src`` is non-decreasing (the
+            # sender ascends inside a destination group): lanes are its runs.
+            lane = (dst * p + src)[order]
+            first = np.concatenate(([0], np.flatnonzero(lane[1:] != lane[:-1]) + 1))
+            lane_dst, lane_src = np.divmod(lane[first], p)
+            lane_cnt = np.diff(first, append=lane.size)
+            out = _inboxes(tuple(col[order] for col in columns), cuts)
         self.comm.exchange_by_rank_counts(
-            np.asarray(lane_src, dtype=np.int64),
-            np.asarray(lane_dst, dtype=np.int64),
-            np.asarray(lane_cnt, dtype=np.int64),
-            record_bytes,
-            phase_kind=phase_kind,
+            lane_src, lane_dst, lane_cnt, record_bytes, phase_kind=phase_kind
         )
-        out: list[tuple[np.ndarray, ...]] = []
-        for dst in range(p):
-            batches = inbox[dst]
-            if not batches:
-                out.append(
-                    tuple(np.empty(0, dtype=np.int64) for _ in range(num_columns))
-                )
-            elif len(batches) == 1:
-                # Single-lane receiver: hand the posted columns through
-                # without a concatenate copy.
-                out.append(batches[0])
-            else:
-                out.append(
-                    tuple(
-                        np.concatenate([batch[i] for batch in batches])
-                        for i in range(num_columns)
-                    )
-                )
         if tr is not None:
-            tr.end(span, lanes=len(lane_cnt), records=int(sum(lane_cnt)))
+            # ``lanes``: distinct (src, dst) pairs with traffic this superstep.
+            tr.end(span, lanes=int(lane_cnt.size), records=int(lane_cnt.sum()))
         return out
 
     def allreduce_sum(
@@ -196,10 +244,10 @@ class Mailbox:
 class ReliableMailbox(Mailbox):
     """Mailbox with a sequence/ack/retry reliable-transport layer.
 
-    Every :meth:`deliver` flattens the superstep's outbox into one record
-    stream; a record's index in that stream is its global id, and its rank
-    within its ``(src_rank, dst_rank)`` channel is its sequence number.  The
-    protocol then runs:
+    Every :meth:`deliver` orders the superstep's record stream by (post,
+    destination rank) (:meth:`_wire_stream`); a record's index in that
+    stream is its global id, and its rank within its ``(src_rank,
+    dst_rank)`` channel is its sequence number.  The protocol then runs:
 
     1. **First attempt** — the whole stream is handed to the wire
        (:meth:`_transmit`) and charged exactly like a plain
@@ -302,6 +350,28 @@ class ReliableMailbox(Mailbox):
         return np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
+    def _wire_stream(
+        self, num_columns: int
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """Drain the outbox into the stream the wire sees: ``(src, dst,
+        columns)`` ordered by (post, destination rank) — each post goes out
+        destination by destination, records of one destination in posted
+        order — with one stable sort on ``post ordinal * P + dst``.
+
+        The order is load-bearing: a record's position in this stream is
+        its global id, its rank within its ``(src, dst)`` channel is its
+        sequence number, and fault plans draw their victims by position, so
+        every seeded replay depends on it."""
+        stream = self._drain()
+        if stream is None:
+            none = np.empty(0, dtype=np.int64)
+            return none, none, (none,) * num_columns
+        src, dst, cols, sizes = stream
+        p = self.num_ranks
+        post_key = np.arange(sizes.size, dtype=np.int64) * p
+        order = _stable_order(np.repeat(post_key, sizes) + dst, sizes.size * p - 1)
+        return src[order], dst[order], tuple(c[order] for c in cols)
+
     def deliver(
         self,
         record_bytes: int,
@@ -335,36 +405,7 @@ class ReliableMailbox(Mailbox):
             if self.on_restart is not None:
                 self.on_restart(rank)
 
-        # Flatten the outbox into one record stream (same order as the
-        # plain Mailbox concatenates batches: src ascending, per-src post
-        # insertion order — fault-plan events key off stream positions, so
-        # this order is load-bearing). Lane endpoints expand via a single
-        # ``np.repeat`` over per-batch values instead of one ``np.full``
-        # pair per batch; empty batches are dropped up front.
-        batch_src: list[int] = []
-        batch_dst: list[int] = []
-        batch_cnt: list[int] = []
-        col_parts: list[list[np.ndarray]] = [[] for _ in range(num_columns)]
-        for src in range(p):
-            for dst, cols in self._outbox[src]:
-                count = cols[0].size
-                if count == 0:
-                    continue
-                batch_src.append(src)
-                batch_dst.append(dst)
-                batch_cnt.append(count)
-                for i in range(num_columns):
-                    col_parts[i].append(cols[i])
-        self._outbox = [[] for _ in range(p)]
-        if batch_cnt:
-            cnt_arr = np.asarray(batch_cnt, dtype=np.int64)
-            src_arr = np.repeat(np.asarray(batch_src, dtype=np.int64), cnt_arr)
-            dst_arr = np.repeat(np.asarray(batch_dst, dtype=np.int64), cnt_arr)
-            cols = tuple(np.concatenate(c) for c in col_parts)
-        else:
-            src_arr = np.empty(0, dtype=np.int64)
-            dst_arr = np.empty(0, dtype=np.int64)
-            cols = tuple(np.empty(0, dtype=np.int64) for _ in range(num_columns))
+        src_arr, dst_arr, cols = self._wire_stream(num_columns)
 
         # A crashed sender loses the records it had not sent yet.
         mask = self._pre_send_mask(superstep, src_arr)
@@ -434,16 +475,15 @@ class ReliableMailbox(Mailbox):
             round_ += 1
         self._fl_src = self._fl_dst = None
 
-        got = np.concatenate(arrival) if arrival else np.empty(0, dtype=np.int64)
-        out: list[tuple[np.ndarray, ...]] = []
-        for dst in range(p):
-            sel = got[dst_arr[got] == dst]
-            if sel.size:
-                out.append(tuple(c[sel] for c in cols))
-            else:
-                out.append(
-                    tuple(np.empty(0, dtype=np.int64) for _ in range(num_columns))
-                )
+        # Hand the arrivals out with the same router: stable on the
+        # destination, so every receiver sees its records in arrival order.
+        if arrival:
+            got = np.concatenate(arrival)
+            order, cuts = _route(dst_arr[got], p)
+            got = got[order]
+            out = _inboxes(tuple(c[got] for c in cols), cuts)
+        else:
+            out = _no_records(p, num_columns)
         if tr is not None:
             tr.end(span, records=int(n), recovery_rounds=round_ - 1)
         return out

@@ -179,6 +179,13 @@ class TestReadDocument:
         doc = stack_document(record("cold_spmd", gate.metric, 4.3))
         assert read_document(gate, doc)["verdict"] == "recorded"
 
+    def test_rank_driver_ratio_is_recorded_beside_it(self):
+        gate = GATES["spmd-vs-orchestrated"]
+        assert gate.source == "spmd.vs_orchestrated_ratio@cold_spmd"
+        assert gate.ci_job == GATES["checkpoint-overhead"].ci_job == "obs-smoke"
+        result = read_document(gate, stack_document(record("cold_spmd", gate.metric, 1.9)))
+        assert (result["value"], result["verdict"]) == (1.9, "recorded")
+
 
 class TestGateTable:
     def test_each_ceiling_stated_once_and_unchanged(self):
@@ -188,6 +195,7 @@ class TestGateTable:
         assert held_to == {
             "trace-overhead": (None, 3.0),
             "checkpoint-overhead": (None, None),
+            "spmd-vs-orchestrated": (None, None),
             "hit-vs-cold": (None, 0.5),
             "repair-vs-fresh": (None, 0.30),
             "update-vs-fresh": (None, None),
