@@ -117,7 +117,9 @@ class DocumentGate:
     """``metric`` of ``workload``'s traced run — over the same metric of
     ``over``'s, or over ``over_metric`` of the same run, when given — may
     not exceed (``strict``: nor reach) ``ceiling``; None records the
-    number without judging it."""
+    number without judging it. ``sampled=False`` says the benchmark
+    publishes ``metric`` without a sample count (a quotient of its exact
+    per-solve counts): only ``not_executed`` can then make it missing."""
 
     metric: str
     workload: str
@@ -126,6 +128,7 @@ class DocumentGate:
     over: str | None = None
     over_metric: str | None = None
     strict: bool = False
+    sampled: bool = True
     kind = "from_document"
 
     @property
@@ -177,6 +180,11 @@ GATES: dict[str, DocumentGate | PairedGate] = {
         "spmd.checkpoint_overhead_ratio", "cold_spmd", None, "obs-smoke"),
     "spmd-vs-orchestrated": DocumentGate(
         "spmd.vs_orchestrated_ratio", "cold_spmd", None, "obs-smoke"),
+    # What one epoch of the many-bucket regime costs, in SciPy solves of
+    # the same graph: the number the per-epoch work of core/ moves.
+    "grid-epoch-cost": DocumentGate(
+        "core.ms_per_bucket", "cold_grid", None, "obs-smoke",
+        over_metric="bench.scipy_ms_p50", sampled=False),
     "hit-vs-cold": DocumentGate(
         "bench.op_ms_p50", "serve_hot", 0.5, "serve-smoke", over="serve_cold"),
     "repair-vs-fresh": DocumentGate(
@@ -286,8 +294,10 @@ def read_document(gate: DocumentGate, doc: dict) -> dict:
     sides = {}
     for name, metric, workload in gate.sides:
         records = [r for r in doc["runs"] if r["workload"] == workload and r["traced"]]
+        counted = gate.sampled or metric != gate.metric
         if not records or any(
-            metric in r["not_executed"] or not r["samples"].get(metric)
+            metric in r["not_executed"]
+            or (counted and not r["samples"].get(metric))
             for r in records
         ):
             return {"samples": sides, "value": None, "ceiling": gate.ceiling,

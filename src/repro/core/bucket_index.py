@@ -27,6 +27,13 @@ Laziness, in both senses used here:
   to zero) on read. Distances are monotone non-increasing between
   rebuilds, so the amortised heap traffic is O(#distinct buckets).
 
+**Grouping a batch.** Most batches enter or leave one bucket and take the
+single-bucket exits. A long phase's movers scatter over ``max_weight / Δ``
+buckets; they are grouped by one stable sort of their bucket keys, whose
+runs (:func:`_runs`) are the per-bucket groups and counts — no second
+sort to count them, and nothing sized by the key *range*, which at Δ = 1
+with 40-bit weights is 2**40 wide: every allocation here is O(batch).
+
 The index is exact: :meth:`members` returns byte-identical output to
 :func:`repro.core.buckets.bucket_members` and :meth:`min_bucket` to
 :func:`repro.core.buckets.next_bucket` — the paranoid guard
@@ -47,6 +54,19 @@ from repro.core.distances import INF
 from repro.util.ranges import sorted_unique_ids
 
 __all__ = ["BucketIndex"]
+
+
+def _runs(sorted_keys: np.ndarray) -> tuple[list[int], list[int]]:
+    """Runs of equal values in a sorted, non-empty key array: the distinct
+    keys and the run bounds (run ``i`` is ``[bounds[i], bounds[i + 1])``).
+
+    Everything allocated is O(batch): the keys are bucket ids as far apart
+    as ``max_weight / Δ``, so nothing here may be sized by their range (a
+    ``bincount`` over ``key - key.min()`` would be)."""
+    cuts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1])
+    cuts += 1
+    bounds = [0, *cuts.tolist(), sorted_keys.size]
+    return sorted_keys[bounds[:-1]].tolist(), bounds
 
 
 class BucketIndex:
@@ -124,44 +144,61 @@ class BucketIndex:
             self._pending.pop(b, None)
             self._clean.discard(b)
 
-    def _decrement(self, buckets: np.ndarray) -> None:
-        """Retire one membership per entry of ``buckets`` (NO_BUCKET-free)."""
-        if buckets.size == 1 or (buckets[0] == buckets).all():
-            # Common case: the whole batch leaves one bucket.
-            self._retire(int(buckets[0]), int(buckets.size))
+    def _decrement(self, old_b: np.ndarray) -> None:
+        """Retire one membership per entry of ``old_b`` (non-empty) that
+        names a bucket; ``NO_BUCKET`` entries held none."""
+        was_indexed = old_b != NO_BUCKET
+        indexed = np.count_nonzero(was_indexed)
+        if not indexed:
             return
-        uniq, counts = np.unique(buckets, return_counts=True)
-        for b, c in zip(uniq.tolist(), counts.tolist()):
-            self._retire(b, c)
+        ordered = np.sort(old_b if indexed == old_b.size else old_b[was_indexed])
+        if ordered[0] == ordered[-1]:
+            # Common case: the whole batch leaves one bucket.
+            self._retire(int(ordered[0]), indexed)
+            return
+        keys, bounds = _runs(ordered)
+        for b, start, end in zip(keys, bounds, bounds[1:]):
+            self._retire(b, end - start)
 
-    def on_relaxed(self, changed: np.ndarray, d: np.ndarray) -> None:
-        """Distances of ``changed`` (unique, unsettled) vertices dropped."""
+    def on_relaxed(
+        self, changed: np.ndarray, d: np.ndarray, d_changed: np.ndarray | None = None
+    ) -> None:
+        """Distances of ``changed`` (sorted unique, unsettled) vertices
+        dropped.
+
+        ``d_changed`` is ``d[changed]`` where the caller has gathered it
+        already (:meth:`~repro.core.views.VertexView.apply`). When every
+        vertex moved, ``changed`` itself becomes a candidate batch: like
+        the arrays :meth:`members` hands out, it is shared, not copied, and
+        must not be written to afterwards."""
         changed = np.asarray(changed, dtype=np.int64)
         if changed.size == 0:
             return
-        new_b = d[changed] // self.delta
+        new_b = (d[changed] if d_changed is None else d_changed) // self.delta
         old_b = self._bucket_of[changed]
         moved = new_b != old_b
-        if not moved.any():
+        movers = np.count_nonzero(moved)
+        if not movers:
             # Vertices stayed in their bucket — already indexed; nothing to do.
             return
-        mv = changed[moved]
-        mb = new_b[moved]
+        if movers == changed.size:
+            mv, mb = changed, new_b
+        else:
+            mv, mb, old_b = changed[moved], new_b[moved], old_b[moved]
         self._bucket_of[mv] = mb
-        was_indexed = old_b[moved] != NO_BUCKET
-        if was_indexed.any():
-            self._decrement(old_b[moved][was_indexed])
-        if mv.size == 1 or (mb[0] == mb).all():
+        self._decrement(old_b)
+        if not np.count_nonzero(mb != mb[0]):
             # Common case: every mover lands in one target bucket.
-            self._insert(int(mb[0]), int(mv.size), mv)
+            self._insert(int(mb[0]), movers, mv)
             return
+        # Movers scatter over several buckets: one stable sort of the
+        # bucket keys groups them (each group keeps its ascending vertex
+        # order) and the runs of the sorted keys are the groups.
         order = np.argsort(mb, kind="stable")
-        uniq, counts = np.unique(mb, return_counts=True)
+        keys, bounds = _runs(mb[order])
         grouped = mv[order]
-        start = 0
-        for b, end in zip(uniq.tolist(), np.cumsum(counts).tolist()):
+        for b, start, end in zip(keys, bounds, bounds[1:]):
             self._insert(b, end - start, grouped[start:end])
-            start = end
 
     def _insert(self, b: int, c: int, chunk: np.ndarray) -> None:
         """Admit ``c`` new members (``chunk``, sorted unique) to bucket ``b``."""
@@ -181,10 +218,8 @@ class BucketIndex:
         if vertices.size == 0:
             return
         old_b = self._bucket_of[vertices]
-        indexed = old_b != NO_BUCKET
         self._bucket_of[vertices] = NO_BUCKET
-        if indexed.any():
-            self._decrement(old_b[indexed])
+        self._decrement(old_b)
 
     # ------------------------------------------------------------------
     def min_bucket(self) -> int:

@@ -236,8 +236,8 @@ def process_epoch(
         for v in views:
             active = v.active
             starts = v.indptr[active]
-            ends = starts + v.short_offsets[active]
-            arcs, owner_idx = concat_ranges(starts, ends)
+            short = v.short_offsets[active]
+            arcs, owner_idx = concat_ranges(starts, starts + short)
             src = active[owner_idx]
             dst = v.adj[arcs]
             nd = v.d[src] + v.weights[arcs]
@@ -251,17 +251,13 @@ def process_epoch(
                     guards.check_ios_partition(nd, hi, inner)
                 src, dst, nd = src[inner], dst[inner], nd[inner]
             transport.send(v, src, dst, nd)
-            gen.append((v.to_global(active), (ends - starts).astype(np.float64)))
+            gen.append((v.to_global(active), short.astype(np.float64)))
         inboxes, relaxed = relax_round(
             ctx, transport, ComputeKind.SHORT_RELAX, gen, RELAX_RECORD_BYTES,
             phase_kind="short",
         )
         for v, (dst, nd) in zip(views, inboxes):
-            changed = v.apply(dst, nd)
-            if changed.size:
-                d_changed = v.d[changed]
-                changed = changed[(d_changed >= lo) & (d_changed < hi)]
-            v.active = changed
+            v.active = v.apply(dst, nd, window=(lo, hi))
         if guards is not None:
             guards.after_relaxations(gathered(views, "d"))
         if tr is not None:

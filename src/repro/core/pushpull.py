@@ -23,6 +23,19 @@ cases).
 
 Either way the decision consumes two small allreduces (sum and max
 aggregates), which are charged against the run.
+
+The expectation estimate runs once per bucket, over every *later* vertex,
+to price a phase that may move a few dozen records, so it is kept to the
+passes the formula needs (DESIGN.md §9, rule 5). Its per-vertex degrees —
+long out-arcs for push, the in-arcs a request may ride for pull — are one
+gather each of a table that already exists (the context's
+``long_degrees`` / ``in_long_degrees``, the in-graph's ``degrees``), not
+differences of ``indptr`` gathered per epoch; the request share is
+computed in place on the one array the later distances are converted
+into. Each rank's partial stays the pairwise sum of its own contiguous
+block, in rank order: that, not the arithmetic before it, is what makes
+the estimate the same float on one whole-graph view and on one view per
+rank.
 """
 
 from __future__ import annotations
@@ -90,30 +103,38 @@ def expectation_partials(
     Push volume is the long-degree sum over a rank's bucket members; pull
     volume is the uniform-weight expectation of eq.-(1) requests over its
     later vertices, whose in-degrees are all incoming arcs under IOS and
-    the long ones otherwise. The per-vertex terms are evaluated once; rank
-    ``r`` then sums its block ``[cuts[r], cuts[r+1])`` of each — a
-    contiguous slice, whose pairwise sum is the float a per-rank evaluation
-    gives whatever the view layout (``np.add.reduceat`` is not).
+    the long ones otherwise (integer counts or their floats: the terms
+    are the same). The per-vertex terms are evaluated once, in place on
+    the one array ``d_later`` is converted into; rank ``r`` then
+    sums its block ``[cuts[r], cuts[r+1])`` of each — a contiguous slice,
+    whose pairwise sum is the float a per-rank evaluation gives whatever
+    the view layout (``np.add.reduceat`` is not).
     """
-    push_terms = member_long_degrees.astype(np.float64)
-    d_later_f = d_later.astype(np.float64)
-    window = np.where(d_later_f >= INF, np.float64(w_max), d_later_f - lo)
+    push_terms = member_long_degrees.astype(np.float64, copy=False)
+    frac = d_later.astype(np.float64)
     if cfg.use_ios:
-        # Requests may ride any incoming arc with w < d(v) - kΔ.
-        frac = np.clip(window / w_max, 0.0, 1.0)
+        # Requests may ride any incoming arc with w < d(v) - kΔ. A later
+        # vertex has d >= (k+1)Δ > lo, so the share is positive, and an
+        # unreached one saturates: (INF - lo) / w_max >= 1.
+        frac -= lo
+        frac /= w_max
     else:
-        # Long arcs only: weight window [Δ, d(v) - kΔ).
-        frac = np.clip(
-            (window - cfg.delta) / max(w_max - cfg.delta + 1, 1), 0.0, 1.0
-        )
-    pull_terms = later_in_degrees.astype(np.float64) * frac
-    return _block_sums(push_terms, member_cuts), _block_sums(pull_terms, later_cuts)
+        # Long arcs only: weight window [Δ, d(v) - kΔ), which an unreached
+        # vertex fills only up to (w_max - Δ) / (w_max - Δ + 1).
+        frac = np.where(frac >= INF, np.float64(w_max), frac - lo)
+        frac -= cfg.delta
+        frac /= max(w_max - cfg.delta + 1, 1)
+        np.maximum(frac, 0.0, out=frac)
+    np.minimum(frac, 1.0, out=frac)
+    frac *= later_in_degrees
+    return _block_sums(push_terms, member_cuts), _block_sums(frac, later_cuts)
 
 
 def _block_sums(terms: np.ndarray, cuts: np.ndarray) -> list[float]:
     cuts = cuts.tolist()
+    reduce = np.add.reduce  # what ``ndarray.sum`` calls, minus its wrapper
     return [
-        float(terms[a:b].sum()) if a < b else 0.0 for a, b in zip(cuts, cuts[1:])
+        float(reduce(terms[a:b])) if a < b else 0.0 for a, b in zip(cuts, cuts[1:])
     ]
 
 
@@ -181,18 +202,18 @@ def estimate_models(
     lo = k * cfg.delta
     hi = lo + cfg.delta
     w_max = max(ctx.graph.max_weight, 1)
+    # Incoming arcs a request may ride: all of them under IOS, the long ones
+    # otherwise. A view reads its own block of either table.
+    in_degrees = ctx.in_graph.degrees if cfg.use_ios else ctx.in_long_degrees
     push_partials: list[float] = []
     pull_partials: list[float] = []
     for v, members in zip(views, members_per_view):
         later = v.later(hi)
-        in_indptr, _, _, in_short = v.pull_rows()
-        in_degrees = in_indptr[later + 1] - in_indptr[later]
-        if not cfg.use_ios:
-            in_degrees -= in_short[later]
-        member_long = v.local_degrees(members) - v.short_offsets[members]
+        block = slice(v.lo, v.hi)
         push, pull = expectation_partials(
-            cfg, w_max, lo, member_long, rank_cuts(ctx, views, members),
-            v.d[later], in_degrees, rank_cuts(ctx, views, later),
+            cfg, w_max, lo,
+            ctx.long_degrees[block][members], rank_cuts(ctx, views, members),
+            v.d[later], in_degrees[block][later], rank_cuts(ctx, views, later),
         )
         push_partials += push
         pull_partials += pull

@@ -50,7 +50,7 @@ def apply_relaxations(
     # cannot improve. Duplicate destinations are still resolved by the
     # grouped minimum below.
     improving = nd < d[dst]
-    if not improving.any():
+    if not np.count_nonzero(improving):
         return np.empty(0, dtype=np.int64)
     dst = dst[improving]
     np.minimum.at(d, dst, nd[improving])

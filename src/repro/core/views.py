@@ -145,13 +145,24 @@ class VertexView:
         if self.index is not None:
             self.index.on_settled(members)
 
-    def apply(self, dst: np.ndarray, nd: np.ndarray) -> np.ndarray:
-        """Min-apply received records to the local slice; returns changed
-        locals. Every relaxation site ends here, so the bucket index follows
-        the changed set instead of per-epoch rescans."""
+    def apply(
+        self, dst: np.ndarray, nd: np.ndarray, window: tuple[int, int] | None = None
+    ) -> np.ndarray:
+        """Min-apply received records to the local slice; returns the
+        changed locals — with ``window=(lo, hi)`` only those whose new
+        distance lies inside it (the short phase's next active set). Every
+        relaxation site ends here, so the bucket index follows the changed
+        set instead of per-epoch rescans; the new distances are gathered
+        once for the index and the window both."""
         changed = apply_relaxations(self.d, self.to_local(dst), nd)
-        if self.index is not None and changed.size:
-            self.index.on_relaxed(changed, self.d)
+        if not changed.size or (self.index is None and window is None):
+            return changed
+        d_changed = self.d[changed]
+        if self.index is not None:
+            self.index.on_relaxed(changed, self.d, d_changed)
+        if window is not None:
+            lo, hi = window
+            changed = changed[(d_changed >= lo) & (d_changed < hi)]
         return changed
 
 

@@ -92,10 +92,15 @@ class CSRGraph:
         """Number of input edges as counted by TEPS (``m``)."""
         return self.num_arcs // 2 if self.undirected else self.num_arcs
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        """Out-degree of every vertex (``int64[n]``)."""
-        return np.diff(self.indptr)
+        """Out-degree of every vertex (``int64[n]``, read-only).
+
+        Differenced once per graph: the push/pull estimator gathers from it
+        per bucket, and every context of a graph shares the one table."""
+        degrees = np.diff(self.indptr)
+        degrees.flags.writeable = False
+        return degrees
 
     def degree(self, u: int) -> int:
         """Out-degree of vertex ``u``."""

@@ -14,29 +14,40 @@ import numpy as np
 
 __all__ = ["concat_ranges", "sorted_unique_ids"]
 
-_DENSE_SHARE = 256
+_DENSE_SHARE = 16
 """``sorted_unique_ids`` scatters into an ``n``-byte mask once the batch holds
 at least ``n / _DENSE_SHARE`` ids, and sorts below that. From a sweep over
-uniform and skewed ids at n = 2^12 … 2^20 (the RMAT scale 12–16 and 64×64
-grid range and beyond; DESIGN.md, "Hot-path kernels"): the mask costs about
-2 µs + 0.18 ns per vertex + 1–2 ns per id, ``np.unique`` about 2 µs + 75 ns
-per id, and the two cross between ``size = n/512`` and ``n/256`` at every
-``n`` measured. At ``n/8`` the sort is already 6–18× slower."""
+uniform, skewed and 8×-duplicated ids at n = 2^12 … 2^20 (the RMAT scale
+12–16 and 64×64 grid range and beyond; DESIGN.md, "Hot-path kernels"): the
+mask costs about 2 µs + 0.2–2 ns per vertex (the scatter misses cache on
+large ``n``) + 1–2 ns per id, ``np.sort`` plus a neighbour comparison about
+2 µs + 7–10 ns per id. Duplicate-heavy batches — what a relaxation round's
+destinations are — cross between ``size = n/32`` and ``n/16`` at every ``n``
+measured, uniform ones between ``n/8`` and ``n/6``; at ``n/2`` the sort is
+2–4× slower, at ``n/256`` the mask up to 10×."""
 
 
 def sorted_unique_ids(ids: np.ndarray, n: int) -> np.ndarray:
     """Sorted unique values of ``ids``, every one of which lies in ``[0, n)``.
 
-    Same output as ``np.unique(ids)``. A batch that is a sizeable share of
-    ``n`` is marked in a length-``n`` bool mask and read back with
-    ``flatnonzero`` (no sort, O(n + size)); a small batch is sorted (O(size
-    log size), independent of ``n``). The choice depends only on
+    What NumPy's ``unique`` returns for ``ids``, always in a fresh array
+    (callers keep their argument and the result side by side). A batch that
+    is a sizeable share of ``n`` is marked in a length-``n`` bool mask and
+    read back with ``flatnonzero`` (no sort, O(n + size)); a small batch is
+    sorted and keeps every element that differs from its left neighbour
+    (O(size log size), independent of ``n``). The choice depends only on
     ``ids.size`` and ``n``. The range is a precondition, not checked: the
     callers index a length-``n`` array with the same ids first.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size * _DENSE_SHARE < n:
-        return np.unique(ids)
+        ordered = np.sort(ids)
+        if ordered.size < 2:
+            return ordered
+        keep = np.empty(ordered.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+        return ordered[keep]
     mask = np.zeros(n, dtype=bool)
     mask[ids] = True
     return np.flatnonzero(mask)
@@ -62,15 +73,18 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.
     if starts.shape != ends.shape:
         raise ValueError("starts and ends must have equal shape")
     counts = ends - starts
-    if np.any(counts < 0):
-        raise ValueError("ranges must have non-negative length")
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    owners = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
+    try:
+        owners = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
+    except ValueError:
+        # ``np.repeat`` checks every count on its way to the total, so
+        # there is no validation pass of our own.
+        raise ValueError("ranges must have non-negative length") from None
+    if owners.size == 0:
+        return np.empty(0, dtype=np.int64), owners
     # Output position p of range i holds starts[i] + (p - first position of
-    # range i): one per-range shift, gathered through `owners`.
-    shift = starts - (np.cumsum(counts) - counts)
-    indices = np.arange(total, dtype=np.int64)
+    # range i) = p + (ends[i] - one past range i's last position): one
+    # per-range shift off the running total, gathered through `owners`.
+    shift = ends - np.add.accumulate(counts)
+    indices = np.arange(owners.size, dtype=np.int64)
     indices += shift[owners]
     return indices, owners

@@ -188,6 +188,95 @@ class TestBucketIndexRandomized:
             assert_matches_scans(idx, d, settled)
 
 
+class TestWideKeyRange:
+    """Bucket keys span ``max_weight / Δ``: grouping a batch by key must
+    allocate by the batch, never by the key range (a ``bincount`` over
+    ``b - b.min()`` at Δ = 1 with weights up to 2**40 would ask for 8 TiB)."""
+
+    def test_movers_2_40_buckets_apart_allocate_by_batch(self):
+        import tracemalloc
+
+        n = 64
+        d = np.full(n, INF, dtype=np.int64)
+        d[0] = 0
+        settled = np.zeros(n, dtype=bool)
+        idx = BucketIndex(1, d, settled)
+        tracemalloc.start()
+        try:
+            # Insert side: unreached movers scatter over keys 2**40 apart.
+            first = np.arange(1, 33, dtype=np.int64)
+            d[first] = (first % 4) * 2**38 + first
+            d[32] = 2**40
+            idx.on_relaxed(first, d)
+            assert_matches_scans(idx, d, settled)
+            # Decrement side: indexed movers leave buckets 2**40 apart.
+            again = np.arange(1, 33, 3, dtype=np.int64)
+            d[again] = again
+            idx.on_relaxed(again, d)
+            assert_matches_scans(idx, d, settled)
+            gone = np.array([2, 3, 32], dtype=np.int64)
+            settled[gone] = True
+            idx.on_settled(gone)
+            assert_matches_scans(idx, d, settled)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{peak} bytes traced for a 32-vertex batch"
+        assert idx.min_bucket() == 0
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        delta=st.sampled_from([1, 25, 2**20]),
+        steps=st.integers(1, 14),
+    )
+    def test_wide_weights_relax_settle_rebuild(self, seed, delta, steps):
+        """Random relax / settle / rebuild histories with weights 1…2**40:
+        every bucket's members and the minimum equal the from-scratch scan
+        of ``core/buckets.py`` after every step."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        d = np.full(n, INF, dtype=np.int64)
+        reached = rng.random(n) < 0.5
+        d[reached] = rng.integers(0, 2**41, int(reached.sum()))
+        settled = np.zeros(n, dtype=bool)
+        idx = BucketIndex(delta, d, settled)
+        assert_matches_scans(idx, d, settled)
+        for _ in range(steps):
+            op = rng.random()
+            cand = np.nonzero(~settled)[0]
+            if op < 0.6 and cand.size:
+                pick = np.unique(rng.choice(cand, int(rng.integers(1, 12))))
+                old = np.where(d[pick] < INF, d[pick], 2**41)
+                # Drops of one weight (1…2**40), or a few units so that
+                # some movers stay inside their bucket.
+                drop = np.where(
+                    rng.random(pick.size) < 0.5,
+                    rng.integers(1, 2**40 + 1, pick.size),
+                    rng.integers(1, 30, pick.size),
+                )
+                d[pick] = np.maximum(old - drop, 0)
+                idx.on_relaxed(pick, d)
+            elif op < 0.9:
+                k = next_bucket(d, settled, delta)
+                if k == NO_BUCKET:
+                    break
+                members = bucket_members(d, settled, k, delta)
+                settled[members] = True
+                idx.on_settled(members)
+            else:
+                # A restore: distances rise, settled flags roll back.
+                back = rng.random(n) < 0.3
+                d[back] = np.where(
+                    rng.random(int(back.sum())) < 0.3,
+                    INF,
+                    rng.integers(0, 2**41, int(back.sum())),
+                )
+                settled[back] = False
+                idx.rebuild(d, settled)
+            assert_matches_scans(idx, d, settled)
+
+
 class TestBucketIndexGuard:
     def test_clean_index_passes(self):
         d = np.array([0, 7, 60], dtype=np.int64)

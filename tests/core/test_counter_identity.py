@@ -75,6 +75,18 @@ EXPECTED_RESUMED = {
     ("grid24", "opt"): (994, "60caafc8da9b31eca42a"),
 }
 
+#: (graph, preset) -> (buckets, SHA-256 of their published statistics):
+#: bucket, members, mode, relaxations and both push/pull cost estimates by
+#: ``float.hex``. Produced by :func:`bucket_stats_digest` on commit
+#: ``5df3031``, the last one whose expectation estimator gathered its
+#: degrees from ``indptr`` per epoch; the same on both engines.
+EXPECTED_BUCKET_STATS = {
+    ("grid24", "opt"): (59, "e24efeba28b881af6134"),
+    ("rmat10", "opt"): (3, "2af65d0a1249189e79cf"),
+    ("rmat10", "prune"): (14, "8ab4db24941a0abd979d"),
+    ("rmat10", "lb-opt"): (3, "2af65d0a1249189e79cf"),
+}
+
 
 def record_digest(metrics) -> tuple[int, str]:
     rows = [
@@ -84,6 +96,20 @@ def record_digest(metrics) -> tuple[int, str]:
             int(r.allreduces),
         )
         for r in metrics.records
+    ]
+    return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()[:20]
+
+
+def bucket_stats_digest(metrics) -> tuple[int, str]:
+    rows = [
+        (
+            int(s["bucket"]), int(s["members"]), s["mode"], int(s["relaxations"]),
+            *(
+                float(s[key]).hex() if key in s else None
+                for key in ("est_push_cost", "est_pull_cost")
+            ),
+        )
+        for s in metrics.per_bucket_stats
     ]
     return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()[:20]
 
@@ -106,6 +132,14 @@ def solve(graph_name: str, algorithm: str, engine: str, **defence):
 @pytest.mark.parametrize("case", sorted(EXPECTED), ids="-".join)
 def test_every_step_record_is_unchanged(case, engine):
     assert record_digest(solve(*case, engine)[1]) == EXPECTED[case]
+
+
+@pytest.mark.parametrize("engine", ["core", "spmd"])
+@pytest.mark.parametrize("case", sorted(EXPECTED_BUCKET_STATS), ids="-".join)
+def test_every_bucket_estimate_is_unchanged(case, engine):
+    metrics = solve(*case, engine)[1]
+    assert all("est_push_cost" in s for s in metrics.per_bucket_stats)
+    assert bucket_stats_digest(metrics) == EXPECTED_BUCKET_STATS[case]
 
 
 @pytest.mark.parametrize("engine", ["core", "spmd"])

@@ -78,6 +78,15 @@ class TestAccessors:
         g = make_simple()
         assert list(g.degrees) == [2, 1, 0]
 
+    def test_degrees_differenced_once_and_read_only(self):
+        """One table per graph, shared by every context built on it: it
+        must not be written through."""
+        g = make_simple()
+        assert g.degrees is g.degrees
+        with pytest.raises(ValueError, match="read-only"):
+            g.degrees[0] = 5
+        assert list(g.sorted_by_weight().degrees) == [2, 1, 0]
+
     def test_degree_scalar(self):
         g = make_simple()
         assert g.degree(0) == 2

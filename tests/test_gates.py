@@ -186,6 +186,24 @@ class TestReadDocument:
         result = read_document(gate, stack_document(record("cold_spmd", gate.metric, 1.9)))
         assert (result["value"], result["verdict"]) == (1.9, "recorded")
 
+    def test_grid_epoch_cost_is_recorded_in_scipy_solves(self):
+        gate = GATES["grid-epoch-cost"]
+        assert gate.source == "core.ms_per_bucket@cold_grid / bench.scipy_ms_p50@cold_grid"
+        assert (gate.workloads, gate.ci_job) == (("cold_grid",), "obs-smoke")
+        # The benchmark publishes ms_per_bucket without a sample count (a
+        # quotient of exact counts); the SciPy time it is divided by has one.
+        run = record("cold_grid", gate.metric, 0.45, samples=None)
+        run["samples"][gate.over_metric] = 13
+        run["result"]["metrics"][gate.over_metric] = {"value": 0.9, "unit": "ms"}
+        result = read_document(gate, stack_document(run))
+        assert (result["value"], result["verdict"]) == (0.5, "recorded")
+        assert result["samples"] == {"cold_grid": [0.45], gate.over_metric: [0.9]}
+        run["samples"][gate.over_metric] = 0
+        assert read_document(gate, stack_document(run))["verdict"] == "missing"
+        run["samples"][gate.over_metric] = 13
+        run["not_executed"] = [gate.metric]
+        assert read_document(gate, stack_document(run))["verdict"] == "missing"
+
 
 class TestGateTable:
     def test_each_ceiling_stated_once_and_unchanged(self):
@@ -196,6 +214,7 @@ class TestGateTable:
             "trace-overhead": (None, 3.0),
             "checkpoint-overhead": (None, None),
             "spmd-vs-orchestrated": (None, None),
+            "grid-epoch-cost": (None, None),
             "hit-vs-cold": (None, 0.5),
             "repair-vs-fresh": (None, 0.30),
             "update-vs-fresh": (None, None),

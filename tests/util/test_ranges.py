@@ -108,6 +108,99 @@ class TestSortedUniqueIds:
             assert np.array_equal(sorted_unique_ids(ids, n), np.unique(ids))
 
 
+class TestKernelEquivalences:
+    """The two index kernels against their plain oracles (DESIGN.md §9,
+    rules 1 and 2): whatever branch runs, the caller cannot tell."""
+
+    @staticmethod
+    def switch_sizes(n):
+        """0, 1, 2 and either side of the sort/mask switch for ``n``."""
+        edge = -(-n // ranges._DENSE_SHARE)  # first masked size
+        return sorted({0, 1, 2, max(edge - 1, 0), edge, edge + 1})
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("n", [1, 16, 4096, 2**20])
+    def test_sorted_unique_ids_either_side_of_the_switch(self, n, dtype):
+        rng = np.random.default_rng(n)
+        for size in self.switch_sizes(n):
+            ids = rng.integers(0, n, size).astype(dtype)
+            out = sorted_unique_ids(ids, n)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, np.unique(ids)), (n, size)
+            assert not np.shares_memory(out, ids)
+
+    @pytest.mark.parametrize("n", [1, 16, 4096, 2**20])
+    def test_duplicates_only_and_already_sorted_inputs_are_not_aliased(self, n):
+        for size in self.switch_sizes(n)[1:]:
+            same = np.full(size, n - 1, dtype=np.int64)
+            out = sorted_unique_ids(same, n)
+            assert out.tolist() == [n - 1]
+            assert not np.shares_memory(out, same)
+            # Sorted and duplicate-free already: the result equals the
+            # argument and must still be a fresh array.
+            ids = np.arange(min(size, n), dtype=np.int64)
+            out = sorted_unique_ids(ids, n)
+            assert np.array_equal(out, ids)
+            assert not np.shares_memory(out, ids)
+
+    @staticmethod
+    def loop_ranges(starts, ends):
+        pairs = [
+            (x, i) for i, (s, e) in enumerate(zip(starts, ends)) for x in range(s, e)
+        ]
+        return [x for x, _ in pairs], [i for _, i in pairs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10**12), st.integers(0, 12)), max_size=12
+        ),
+        st.sampled_from(["as drawn", "all empty"]),
+    )
+    def test_concat_ranges_equals_the_loop(self, pairs, shape):
+        starts = [s for s, _ in pairs]
+        ends = [s if shape == "all empty" else s + c for s, c in pairs]
+        idx, owners = concat_ranges(
+            np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+        )
+        assert idx.dtype == owners.dtype == np.int64
+        assert (idx.tolist(), owners.tolist()) == self.loop_ranges(starts, ends)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 10**12), st.integers(0, 12)), min_size=1, max_size=12),
+        st.data(),
+    )
+    def test_one_negative_length_anywhere_is_rejected(self, pairs, data):
+        """Also where the lengths cancel (total 0) or sum below zero, which
+        ``np.repeat`` never gets to see."""
+        starts = [s + 20 for s, _ in pairs]
+        ends = [s + c for s, c in zip(starts, (c for _, c in pairs))]
+        bad = data.draw(st.integers(0, len(pairs) - 1))
+        ends[bad] = starts[bad] - data.draw(st.integers(1, 20))
+        with pytest.raises(ValueError, match="^ranges must have non-negative length$"):
+            concat_ranges(np.array(starts), np.array(ends))
+
+    @pytest.mark.parametrize(
+        "starts, ends",
+        [
+            ([5, 0], [3, 2]),      # lengths cancel: total 0
+            ([5, 0], [1, 2]),      # total below zero
+            ([0, 5, 9], [4, 3, 9]),  # total positive: np.repeat's rejection
+        ],
+    )
+    def test_negative_length_at_every_total(self, starts, ends):
+        with pytest.raises(ValueError, match="^ranges must have non-negative length$"):
+            concat_ranges(np.array(starts), np.array(ends))
+
+    @pytest.mark.parametrize(
+        "starts, ends", [([1, 2], [3]), ([], [0]), ([[0, 1]], [1, 2])]
+    )
+    def test_mismatched_shapes_are_rejected(self, starts, ends):
+        with pytest.raises(ValueError, match="^starts and ends must have equal shape$"):
+            concat_ranges(np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64))
+
+
 class TestFormatTable:
     def test_alignment_and_title(self):
         from repro.util.tables import format_table

@@ -1,0 +1,127 @@
+#!/usr/bin/env python
+"""Wall-clock time per *region* of a `cold_grid`-shaped solve.
+
+A cProfile self-time view of the many-bucket regime looks flat: the cost
+is hundreds of small NumPy dispatches, none of which stands out. Timed by
+region instead — an accumulator around every call of a named function,
+children included — the per-epoch residues show. Regions nest
+(`concat_ranges` runs inside `gather_push_records` and the short phase,
+`on_relaxed` beside `apply_relaxations` inside `VertexView.apply`), so the
+rows do not add up to the solve.
+
+    PYTHONPATH=src python tools/region_timer.py [--side 64] [--solves 10] [--seed 1]
+
+Prints, per region, calls and milliseconds per solve (the per-root minimum
+over ``--repeats`` passes, summed over calls), and the solve total. Same
+graph, preset and machine shape as `benchmarks/stack`'s `cold_grid`
+(`opt`, Δ = 25, 8 × 8).
+"""
+
+from __future__ import annotations
+
+import argparse
+import time
+
+import numpy as np
+
+import repro.core.phases as phases
+import repro.core.pruning as pruning
+import repro.core.pushpull as pushpull
+import repro.core.views as views
+from repro.core.bucket_index import BucketIndex
+from repro.core.solver import BatchSolver
+from repro.graph import grid_graph
+from repro.runtime.metrics import Metrics
+
+#: (owner, attribute) sites per region; a function imported by name into
+#: several modules is patched in each
+REGIONS = {
+    "estimate_models": [(pushpull, "estimate_models")],
+    "on_relaxed": [(BucketIndex, "on_relaxed")],
+    "apply_relaxations": [(views, "apply_relaxations")],
+    "concat_ranges": [(phases, "concat_ranges"), (pruning, "concat_ranges")],
+    "gather_push_records": [(pruning, "gather_push_records")],
+    "relax_round": [(phases, "relax_round"), (pruning, "relax_round")],
+    "Metrics.settle": [(Metrics, "settle")],
+}
+
+
+class Accumulator:
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self.seconds = dict.fromkeys(REGIONS, 0.0)
+        self.calls = dict.fromkeys(REGIONS, 0)
+
+    def wrap(self, region: str, fn):
+        clock = time.perf_counter
+
+        def timed(*args, **kwargs):
+            t0 = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.seconds[region] += clock() - t0
+                self.calls[region] += 1
+
+        return timed
+
+    def arm(self) -> None:
+        for region, sites in REGIONS.items():
+            for owner, name in sites:
+                setattr(owner, name, self.wrap(region, getattr(owner, name)))
+
+    def take(self) -> tuple[dict, dict]:
+        """What accumulated since the last call; starts over."""
+        out = self.seconds, self.calls
+        self.reset()
+        return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--side", type=int, default=64)
+    ap.add_argument("--solves", type=int, default=10)
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+
+    graph = grid_graph(args.side, args.side, seed=args.seed).sorted_by_weight()
+    solver = BatchSolver(
+        graph, algorithm="opt", delta=25, num_ranks=8, threads_per_rank=8
+    )
+    rng = np.random.default_rng(args.seed)
+    roots = rng.choice(graph.num_vertices, size=args.solves, replace=False)
+    solver.solve(int(roots[0]))  # warm-up
+
+    acc = Accumulator()
+    acc.arm()
+    best: dict[int, tuple[float, dict, dict]] = {}
+    epochs = applies = 0
+    for _ in range(args.repeats):
+        for root in (int(r) for r in roots):
+            t0 = time.perf_counter()
+            result = solver.solve(root)
+            wall = time.perf_counter() - t0
+            seconds, calls = acc.take()
+            if root not in best or wall < best[root][0]:
+                best[root] = (wall, seconds, calls)
+            epochs, applies = result.metrics.buckets_processed, calls["on_relaxed"]
+
+    n = len(best)
+    solve_ms = sum(w for w, _, _ in best.values()) / n * 1e3
+    print(
+        f"{args.side}x{args.side} grid, opt/Δ=25, 8x8, {n} roots x {args.repeats} "
+        f"passes (per-root minimum); last root: {epochs} epochs, {applies} index updates"
+    )
+    print(f"{'region':<22}{'calls/solve':>12}{'ms/solve':>10}{'share':>8}")
+    for region in REGIONS:
+        ms = sum(s[region] for _, s, _ in best.values()) / n * 1e3
+        calls = sum(c[region] for _, _, c in best.values()) / n
+        print(f"{region:<22}{calls:>12.0f}{ms:>10.2f}{ms / solve_ms:>8.1%}")
+    print(f"{'solve':<22}{'':>12}{solve_ms:>10.2f}")
+
+
+if __name__ == "__main__":
+    main()
