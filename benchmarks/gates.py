@@ -178,12 +178,14 @@ GATES: dict[str, DocumentGate | PairedGate] = {
     # raises it while the checkpointed solve itself gets faster too.
     "checkpoint-overhead": DocumentGate(
         "spmd.checkpoint_overhead_ratio", "cold_spmd", None, "obs-smoke"),
+    # What routing the records for real costs over declaring them: both
+    # drivers make the same kernel pass, so this is the mailbox's price.
     "spmd-vs-orchestrated": DocumentGate(
-        "spmd.vs_orchestrated_ratio", "cold_spmd", None, "obs-smoke"),
+        "spmd.vs_orchestrated_ratio", "cold_spmd", 2.5, "obs-smoke"),
     # What one epoch of the many-bucket regime costs, in SciPy solves of
     # the same graph: the number the per-epoch work of core/ moves.
     "grid-epoch-cost": DocumentGate(
-        "core.ms_per_bucket", "cold_grid", None, "obs-smoke",
+        "core.ms_per_bucket", "cold_grid", 2.0, "obs-smoke",
         over_metric="bench.scipy_ms_p50", sampled=False),
     "hit-vs-cold": DocumentGate(
         "bench.op_ms_p50", "serve_hot", 0.5, "serve-smoke", over="serve_cold"),
@@ -191,7 +193,7 @@ GATES: dict[str, DocumentGate | PairedGate] = {
         "dynamic.repair_vs_fresh_ratio", "serve_churn", 0.30, "dynamic-smoke",
         strict=True),
     "update-vs-fresh": DocumentGate(
-        "dynamic.update_ms_p50", "serve_churn", None, "dynamic-smoke",
+        "dynamic.update_ms_p50", "serve_churn", 6.3, "dynamic-smoke",
         over_metric="serve.engine_ms_p50"),
     "batching-cache": PairedGate(
         _standard, "serve-smoke", off=_unbatched, against=1.10),

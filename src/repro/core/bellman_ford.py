@@ -17,23 +17,32 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.context import ExecutionContext
-from repro.core.views import VertexView, active_per_rank, gathered, relax_round
-from repro.runtime.comm import RECOVERY_PHASE, RELAX_RECORD_BYTES
+from repro.core.views import VertexView, active_per_rank, relax_round
+from repro.runtime.comm import RECOVERY_PHASE
 from repro.runtime.metrics import ComputeKind
 from repro.util.ranges import concat_ranges
 
 __all__ = ["bellman_ford_stage"]
 
 
+def _all_arc_records(
+    view: VertexView, active: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One record ``(src, dst, nd)`` per incident arc of ``active``."""
+    arcs, owner_idx = concat_ranges(view.indptr[active], view.indptr[active + 1])
+    src = active[owner_idx]
+    return src, view.adj[arcs], view.d[src] + view.weights[arcs]
+
+
 def bellman_ford_stage(
     ctx: ExecutionContext,
-    views: list[VertexView],
+    view: VertexView,
     transport,
     *,
     phase_kind: str = "bf",
     epoch_hook=None,
 ) -> int:
-    """Bellman-Ford iterations from the views' current active sets.
+    """Bellman-Ford iterations from the view's current active set.
 
     ``phase_kind`` is ``"bf"`` for the algorithm's own stage and
     ``"recovery"`` for degradation passes and self-healing sweeps (their
@@ -48,9 +57,7 @@ def bellman_ford_stage(
     iteration = 0
     while True:
         # Global check whether any rank still has active vertices.
-        total_active = transport.allreduce_sum(
-            [v.active.size for v in views], phase_kind=sync_kind
-        )
+        total_active = transport.allreduce_sum(view.active.size, phase_kind=sync_kind)
         if total_active == 0:
             break
         if epoch_hook is not None:
@@ -65,24 +72,15 @@ def bellman_ford_stage(
             else None
         )
         # Building the active list is a scan over last phase's changed set.
-        ctx.charge_scan(active_per_rank(ctx, views))
-        gen = []
-        for v in views:
-            active = v.active
-            arcs, owner_idx = concat_ranges(v.indptr[active], v.indptr[active + 1])
-            src = active[owner_idx]
-            transport.send(v, src, v.adj[arcs], v.d[src] + v.weights[arcs])
-            gen.append(
-                (v.to_global(active), v.local_degrees(active).astype(np.float64))
-            )
-        inboxes, relaxed = relax_round(
-            ctx, transport, ComputeKind.BF_RELAX, gen, RELAX_RECORD_BYTES,
-            phase_kind=phase_kind,
+        ctx.charge_scan(active_per_rank(ctx, view))
+        active = view.active
+        transport.send(*_all_arc_records(view, active))
+        view.active, relaxed = relax_round(
+            ctx, view, transport, ComputeKind.BF_RELAX, active,
+            ctx.graph.degrees[active].astype(np.float64), phase_kind=phase_kind,
         )
-        for v, (dst, nd) in zip(views, inboxes):
-            v.active = v.apply(dst, nd)
         if ctx.guards is not None:
-            ctx.guards.after_relaxations(gathered(views, "d"))
+            ctx.guards.after_relaxations(view.d)
         if tr is not None:
             tr.end(span, relaxed=relaxed)
     return iteration

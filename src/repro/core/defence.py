@@ -5,8 +5,8 @@ loop in the same :class:`Defence` object. It owns the
 :class:`~repro.spmd.checkpoint.CheckpointManager` (when a directory was
 given), the :class:`~repro.runtime.watchdog.Watchdog` (when a deadline was
 given), the epoch counter and the loop-stage marker, the restoration of a
-resumed run, and the resolution of a tripped deadline. Gathering the
-global arrays a checkpoint stores is the identity on a whole-graph view.
+resumed run, and the resolution of a tripped deadline. A checkpoint stores
+the view's own arrays and a resume writes them back.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.bellman_ford import bellman_ford_stage
 from repro.core.context import ExecutionContext
 from repro.core.distances import INF
-from repro.core.views import VertexView, cat, gathered
+from repro.core.views import VertexView
 from repro.runtime.comm import RECOVERY_PHASE
 from repro.runtime.watchdog import (
     DeadlineConfig,
@@ -63,7 +63,7 @@ class Defence:
         Save every this many epochs; keep the newest this many files.
     ``resume``
         Load the newest valid checkpoint of the same graph/run instead of
-        starting over: it is scattered back into the views and the bucket
+        starting over: it is written back into the view and the bucket
         ordinal, hybrid marker and — for a transport that counts
         supersteps — the superstep are restored with it. The resumed run
         is distance-identical.
@@ -82,7 +82,7 @@ class Defence:
     def __init__(
         self,
         ctx: ExecutionContext,
-        views: list[VertexView],
+        view: VertexView,
         transport,
         root: int,
         engine: str,
@@ -94,7 +94,7 @@ class Defence:
         deadline: DeadlineConfig | None = None,
     ) -> None:
         self.ctx = ctx
-        self.views = views
+        self.view = view
         self.transport = transport
         self.deadline = deadline
         self.epoch = 0
@@ -129,13 +129,7 @@ class Defence:
             self._restore(self.start)
 
     def _restore(self, ckpt) -> None:
-        for v in self.views:
-            sel = (ckpt.active >= v.lo) & (ckpt.active < v.hi)
-            v.restore(
-                ckpt.d[v.lo : v.hi],
-                ckpt.settled[v.lo : v.hi],
-                v.to_local(ckpt.active[sel]),
-            )
+        self.view.restore(ckpt.d, ckpt.settled, ckpt.active)
         self.epoch = ckpt.epoch
         self.stage = ckpt.stage
         self.bucket_ordinal = ckpt.bucket_ordinal
@@ -159,15 +153,15 @@ class Defence:
     def checkpoint(self, *, force: bool = False):
         if self.mgr is None:
             return None
-        views = self.views
+        view = self.view
         kwargs = dict(
             epoch=self.epoch,
             stage=self.stage,
             bucket_ordinal=self.bucket_ordinal,
             superstep=getattr(self.transport, "superstep", 0),
-            d=gathered(views, "d"),
-            settled=gathered(views, "settled"),
-            active=cat([v.to_global(v.active) for v in views]),
+            d=view.d,
+            settled=view.settled,
+            active=view.active,
             hybrid_switch_bucket=self.ctx.metrics.hybrid_switch_bucket,
         )
         path = self.mgr.save(**kwargs) if force else self.mgr.maybe_save(**kwargs)
@@ -181,7 +175,7 @@ class Defence:
     def tick(self) -> None:
         if self.watchdog is not None:
             self.watchdog.note_epoch(
-                settled_total=sum(v.num_local - v.num_unsettled for v in self.views),
+                settled_total=self.view.d.size - self.view.num_unsettled,
                 relaxations=self.ctx.metrics.total_relaxations,
             )
 
@@ -213,23 +207,21 @@ class Defence:
         :class:`~repro.runtime.watchdog.SolveTimeout`.
         """
         ctx = self.ctx
-        views = self.views
-        for v in views:
-            v.active = np.nonzero(v.d < INF)[0]
+        view = self.view
+        view.active = np.nonzero(view.d < INF)[0]
         if self.deadline.policy == "degrade":
             ctx.metrics.degraded_to_bf = True
             if ctx.tracer is not None:
                 ctx.tracer.instant("degrade-to-bf", reason=str(exc.reason))
-            bellman_ford_stage(ctx, views, transport, phase_kind=RECOVERY_PHASE)
-            for v in views:
-                v.settled = v.d < INF
+            bellman_ford_stage(ctx, view, transport, phase_kind=RECOVERY_PHASE)
+            view.settle_reached()
             return
         self.stage = "bf"
         path = self.checkpoint(force=True)
         wd = self.watchdog
         raise SolveTimeout(
             exc.reason,
-            distances=gathered(views, "d").copy(),
+            distances=view.d.copy(),
             epochs_completed=wd.epochs if wd is not None else 0,
             supersteps=wd.supersteps if wd is not None else 0,
             checkpoint_path=path,

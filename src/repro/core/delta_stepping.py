@@ -14,14 +14,14 @@ One kernel set executes the whole algorithm family
 - ``config.strategy`` picks the window rule: the paper's Δ-buckets
   (``"delta"``), radius stepping (``"radius"``) or ρ-stepping (``"rho"``).
 
-:class:`DeltaSteppingEngine` runs those kernels on a single
-:class:`~repro.core.views.VertexView` spanning the whole graph, through a
+:class:`DeltaSteppingEngine` runs those kernels on the whole-graph
+:class:`~repro.core.views.VertexView` through a
 :class:`~repro.core.transport.DeclaredTransport`: nothing moves, and every
 exchange and per-thread compute charge a distributed run would incur is
 declared to the accounting runtime, which is what the cost model and the
 paper-figure benches consume. The rank driver
-(:mod:`repro.spmd.engine`) runs the same kernels on one view per rank
-through a mailbox.
+(:mod:`repro.spmd.engine`) makes the same call with a mailbox for the
+transport.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class DeltaSteppingEngine:
         ctx = self.ctx
         return drive(
             ctx,
-            [rooted_whole_view(ctx, root)],
+            rooted_whole_view(ctx, root),
             DeclaredTransport(ctx.comm),
             root,
             "core-delta",

@@ -13,14 +13,17 @@ With hybridization the loop hands over to the Bellman-Ford tail
 (:func:`~repro.core.bellman_ford.bellman_ford_stage`) once the settled
 fraction passes τ.
 
-Everything here takes ``(ctx, views, transport)``: one whole-graph
-:class:`~repro.core.views.VertexView` with a
-:class:`~repro.core.transport.DeclaredTransport`, or one view per rank with
-a :class:`~repro.spmd.mailbox.Mailbox`. The scans, allreduces, exchanges
-and compute charges are the same calls in the same order either way — the
-two drivers cannot disagree about the algorithm because there is one copy
-of it. Census collection and the exact/histogram estimators read global
-arrays and therefore need the whole-graph view.
+Everything here takes ``(ctx, view, transport)``: the one whole-graph
+:class:`~repro.core.views.VertexView` and either a
+:class:`~repro.core.transport.DeclaredTransport` (the whole-graph driver:
+traffic declared) or a :class:`~repro.spmd.mailbox.Mailbox` (the rank
+driver: records routed rank to rank, faults and all). Nothing in here asks
+which: a phase is one kernel pass over the sorted frontier, its records go
+out in one ``send``, and what the pass learns about other vertices is what
+``exchange`` returns. The functions that build a frontier's records are
+separate (:func:`short_records`, :mod:`repro.core.pruning`'s gatherers) so
+that their frontier-sized temporaries are gone before the exchange
+allocates its own.
 """
 
 from __future__ import annotations
@@ -35,23 +38,17 @@ from repro.core.hybrid import should_switch
 from repro.core.pruning import bucket_census, long_phase_pull, long_phase_push
 from repro.core.pushpull import decide_mode
 from repro.core.stepping import Step, make_strategy
-from repro.core.views import (
-    VertexView,
-    active_per_rank,
-    gathered,
-    relax_round,
-)
-from repro.runtime.comm import RELAX_RECORD_BYTES
+from repro.core.views import VertexView, active_per_rank, relax_round
 from repro.runtime.metrics import ComputeKind
 from repro.runtime.watchdog import DeadlineExceeded
 from repro.util.ranges import concat_ranges
 
-__all__ = ["drive", "run_stepping", "process_epoch"]
+__all__ = ["drive", "run_stepping", "process_epoch", "short_records"]
 
 
 def drive(
     ctx: ExecutionContext,
-    views: list[VertexView],
+    view: VertexView,
     transport,
     root: int,
     engine: str,
@@ -60,12 +57,11 @@ def drive(
     recovery=None,
     **defence_options,
 ) -> np.ndarray:
-    """One solve from ``root``, start to finish; returns the global distances.
+    """One solve from ``root``, start to finish; returns the distances.
 
-    The body both drivers share: the whole-graph driver hands in one view
-    and a :class:`~repro.core.transport.DeclaredTransport`, the rank driver
-    one view per rank and its mailbox. ``engine`` tags the root span and
-    the checkpoints; ``defence_options`` are :class:`Defence`'s.
+    The body both drivers share: each hands in a fresh view rooted at
+    ``root`` and its transport. ``engine`` tags the root span and the
+    checkpoints; ``defence_options`` are :class:`Defence`'s.
     ``perfect()`` makes a fresh fault-free transport for the pass that
     resolves a tripped deadline. ``recovery`` is the rank driver's crash
     manager when a fault plan is armed: its in-memory snapshots ride the
@@ -81,7 +77,7 @@ def drive(
         if tr is not None
         else None
     )
-    defence = Defence(ctx, views, transport, root, engine, **defence_options)
+    defence = Defence(ctx, view, transport, root, engine, **defence_options)
     if cfg.is_bellman_ford:
         # Δ = ∞: the whole solve is the Bellman-Ford stage.
         defence.stage = "bf"
@@ -91,7 +87,7 @@ def drive(
         recovery.checkpoint()
     try:
         run_stepping(
-            ctx, views, transport, defence,
+            ctx, view, transport, defence,
             recovery_hook=recovery.on_epoch if recovery is not None else None,
         )
     except DeadlineExceeded as exc:
@@ -102,7 +98,7 @@ def drive(
     # Settle the ledger (no result pins a frontier array), then the
     # end-of-solve guards and the close of the root span.
     ctx.metrics.settle()
-    d = gathered(views, "d")
+    d = view.d
     if ctx.guards is not None:
         ctx.guards.check_final(d, root)
         ctx.guards.check_recovery_separation(
@@ -111,19 +107,14 @@ def drive(
             or (recovery is not None and recovery.plan.injects_anything),
         )
     if tr is not None:
-        tr.end(solve_span, settled=sum(int(v.settled.sum()) for v in views))
+        tr.end(solve_span, settled=int(view.settled.sum()))
         tr.finish(metrics=ctx.metrics)
     return d
 
 
-def _settle_reached(views: list[VertexView]) -> None:
-    for v in views:
-        v.settled |= v.d < INF
-
-
 def run_stepping(
     ctx: ExecutionContext,
-    views: list[VertexView],
+    view: VertexView,
     transport,
     defence: Defence,
     *,
@@ -142,59 +133,78 @@ def run_stepping(
     if defence.stage == "bf":
         # Resuming past the hybrid switch (or from a forced timeout
         # checkpoint): run the Bellman-Ford tail directly.
-        bellman_ford_stage(ctx, views, transport, epoch_hook=bf_hook)
-        _settle_reached(views)
+        bellman_ford_stage(ctx, view, transport, epoch_hook=bf_hook)
+        view.settle_reached()
         return
     strategy = make_strategy(cfg)
     if strategy.uses_bucket_index:
         # The incremental index replaces the per-epoch full scans; built
         # after a potential resume so it covers the restored state. Only
         # the delta strategy can use it — it is keyed on the fixed width.
-        for v in views:
-            v.attach_index(cfg.delta)
-    strategy.prepare(ctx, views)
+        view.attach_index(cfg.delta)
+    strategy.prepare(ctx, view)
     ordinal = defence.bucket_ordinal
     n = ctx.graph.num_vertices
     while True:
         # Next step: every rank scans its unsettled vertices for its
         # window candidate, then the strategy's selection collective
         # combines them.
-        ctx.scan_all_ranks(sum(v.num_unsettled for v in views))
-        step = strategy.next_step(ctx, views, transport, ordinal)
+        ctx.scan_all_ranks(view.num_unsettled)
+        step = strategy.next_step(ctx, view, transport, ordinal)
         if step is None:
             break
         if ctx.guards is not None:
             ctx.guards.on_bucket_start(step.key)
         if recovery_hook is not None:
             recovery_hook()
-        process_epoch(ctx, views, transport, step, ordinal, strategy)
+        process_epoch(ctx, view, transport, step, ordinal, strategy)
         ordinal += 1
         defence.bucket_ordinal = ordinal
         if cfg.use_hybrid:
             # Settled-fraction aggregate for the switch decision.
-            settled_total = transport.allreduce_sum(
-                [v.num_local - v.num_unsettled for v in views]
-            )
+            settled_total = transport.allreduce_sum(n - view.num_unsettled)
             if should_switch(settled_total, n, cfg.tau, tracer=ctx.tracer):
                 ctx.metrics.hybrid_switch_bucket = step.key
-                for v in views:
-                    v.active = np.nonzero(~v.settled & (v.d < INF))[0]
-                    # No bucket is read again: the Bellman-Ford tail need
-                    # not keep the index current.
-                    v.index = None
+                view.active = np.nonzero(~view.settled & (view.d < INF))[0]
+                # No bucket is read again: the Bellman-Ford tail need not
+                # keep the index current.
+                view.index = None
                 defence.stage = "bf"
                 if defence.enabled:
                     defence.on_epoch()
-                bellman_ford_stage(ctx, views, transport, epoch_hook=bf_hook)
-                _settle_reached(views)
+                bellman_ford_stage(ctx, view, transport, epoch_hook=bf_hook)
+                view.settle_reached()
                 break
         if defence.enabled:
             defence.on_epoch()
 
 
+def short_records(
+    ctx: ExecutionContext, view: VertexView, active: np.ndarray, short: np.ndarray,
+    hi: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The short-phase records ``(src, dst, nd)`` of the ``active``
+    vertices, whose short-arc counts are ``short``: one per short arc —
+    under IOS only per *inner* short arc, whose proposed distance lands
+    inside the window ending at ``hi``; outer short arcs wait for the long
+    phase."""
+    starts = view.indptr[active]
+    arcs, owner_idx = concat_ranges(starts, starts + short)
+    src = active[owner_idx]
+    dst = view.adj[arcs]
+    nd = view.d[src] + view.weights[arcs]
+    if not ctx.config.use_ios:
+        return src, dst, nd
+    inner = nd < hi
+    if ctx.guards is not None:
+        ctx.guards.check_ios_coverage(int(arcs.size), int(nd.size))
+        ctx.guards.check_ios_partition(nd, hi, inner)
+    return src[inner], dst[inner], nd[inner]
+
+
 def process_epoch(
     ctx: ExecutionContext,
-    views: list[VertexView],
+    view: VertexView,
     transport,
     step: Step,
     bucket_ordinal: int,
@@ -217,13 +227,12 @@ def process_epoch(
     # Epoch start: identify the window members. Each rank owns a pass over
     # its unsettled block in the accounting model, though the bucket index
     # answers from the changed set instead of touching all n vertices.
-    ctx.scan_all_ranks(sum(v.num_unsettled for v in views))
-    for v in views:
-        v.active = v.members(step)
+    ctx.scan_all_ranks(view.num_unsettled)
+    view.active = view.members(step)
 
     # --- Stage 1: iterative short phases until the window drains.
     while True:
-        total_active = transport.allreduce_sum([v.active.size for v in views])
+        total_active = transport.allreduce_sum(view.active.size)
         if total_active == 0:
             break
         short_span = (
@@ -231,50 +240,29 @@ def process_epoch(
             if tr is not None
             else None
         )
-        ctx.charge_scan(active_per_rank(ctx, views))
-        gen = []
-        for v in views:
-            active = v.active
-            starts = v.indptr[active]
-            short = v.short_offsets[active]
-            arcs, owner_idx = concat_ranges(starts, starts + short)
-            src = active[owner_idx]
-            dst = v.adj[arcs]
-            nd = v.d[src] + v.weights[arcs]
-            if cfg.use_ios:
-                # Inner-short filter: relax only when the proposed distance
-                # lands inside the current bucket; outer short arcs wait
-                # for the long phase.
-                inner = nd < hi
-                if guards is not None:
-                    guards.check_ios_coverage(int(arcs.size), int(nd.size))
-                    guards.check_ios_partition(nd, hi, inner)
-                src, dst, nd = src[inner], dst[inner], nd[inner]
-            transport.send(v, src, dst, nd)
-            gen.append((v.to_global(active), short.astype(np.float64)))
-        inboxes, relaxed = relax_round(
-            ctx, transport, ComputeKind.SHORT_RELAX, gen, RELAX_RECORD_BYTES,
-            phase_kind="short",
+        ctx.charge_scan(active_per_rank(ctx, view))
+        active = view.active
+        short = view.short_offsets[active]
+        transport.send(*short_records(ctx, view, active, short, hi))
+        view.active, relaxed = relax_round(
+            ctx, view, transport, ComputeKind.SHORT_RELAX, active,
+            short.astype(np.float64), phase_kind="short", window=(lo, hi),
         )
-        for v, (dst, nd) in zip(views, inboxes):
-            v.active = v.apply(dst, nd, window=(lo, hi))
         if guards is not None:
-            guards.after_relaxations(gathered(views, "d"))
+            guards.after_relaxations(view.d)
         if tr is not None:
             tr.end(short_span, relaxed=relaxed)
 
     # --- Settle the window.
-    members_per_view = [v.members(step) for v in views]
-    for v, members in zip(views, members_per_view):
-        v.settle(members)
-    members_count = sum(int(m.size) for m in members_per_view)
+    members = view.members(step)
+    view.settle(members)
+    members_count = int(members.size)
     if guards is not None:
-        guards.check_settled(gathered(views, "d"), gathered(views, "settled"))
+        guards.check_settled(view.d, view.settled)
 
     stats: dict[str, int | str] = {}
     if cfg.collect_census:
-        (whole,), (members,) = views, members_per_view
-        stats.update(bucket_census(ctx, whole, members, k))
+        stats.update(bucket_census(ctx, view, members, k))
 
     # --- Stage 2: one long phase, push or pull. The windowed strategies
     # classify every edge short, so their long phase is structurally empty
@@ -289,22 +277,18 @@ def process_epoch(
             if tr is not None
             else None
         )
-        mode, estimate = decide_mode(
-            ctx, views, members_per_view, k, bucket_ordinal
-        )
+        mode, estimate = decide_mode(ctx, view, members, k, bucket_ordinal)
         if mode == "push":
-            phase_stats = long_phase_push(ctx, views, transport, members_per_view, k)
+            phase_stats = long_phase_push(ctx, view, transport, members, k)
         else:
-            phase_stats = long_phase_pull(ctx, views, transport, k)
+            phase_stats = long_phase_pull(ctx, view, transport, k)
         if tr is not None:
             tr.end(long_span, mode=mode, relaxed=int(phase_stats["relaxations"]))
         if guards is not None:
-            guards.after_relaxations(gathered(views, "d"))
+            guards.after_relaxations(view.d)
         stats.update(phase_stats)
-    if guards is not None:
-        for v in views:
-            if v.index is not None:
-                guards.check_bucket_index(v.index, v.d, v.settled)
+    if guards is not None and view.index is not None:
+        guards.check_bucket_index(view.index, view.d, view.settled)
     stats["bucket"] = k
     stats["members"] = members_count
     if estimate is not None:

@@ -13,16 +13,16 @@ current-bucket sources respond with the proposed distance. Self and
 backward arcs are pruned for free (their endpoints are settled, so they
 send no requests), at the price of request/response round trips.
 
-Both phase functions are written once over ``(ctx, views, transport)`` —
-a whole-graph view with a declaring transport, or rank views with a
-mailbox — and min-apply the delivered records to the views; relaxation
-counting follows the paper's fair-count convention (push: one per record;
-pull: requests *and* responses each count one).
+Both phase functions are written once over ``(ctx, view, transport)`` and
+min-apply the exchanged records to the view; relaxation counting follows
+the paper's fair-count convention (push: one per record; pull: requests
+*and* responses each count one).
 
-The record-gathering helpers materialise one view's record sets without
-mutating any state. The phases send what they return; the exact push/pull
-cost estimator (:mod:`repro.core.pushpull`) and the census price and count
-the same sets on a whole-graph view.
+The record-gathering helpers materialise the record sets without mutating
+any state (and let go of their frontier-sized temporaries before the
+exchange allocates its own). The phases send what they return; the exact
+push/pull cost estimator (:mod:`repro.core.pushpull`) and the census price
+and count the same sets.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.context import ExecutionContext
-from repro.core.views import (
-    VertexView,
-    charge_generated,
-    charge_received,
-    relax_round,
-)
+from repro.core.views import VertexView, relax_round
 from repro.runtime.comm import RELAX_RECORD_BYTES, REQUEST_RECORD_BYTES
 from repro.runtime.metrics import ComputeKind
 from repro.util.ranges import concat_ranges
@@ -59,11 +54,11 @@ def gather_push_records(
     members: np.ndarray,
     k: int,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
-    """Materialise the push-model records of ``view``'s bucket-``k`` members.
+    """Materialise the push-model records of the bucket-``k`` members.
 
     Returns ``(batches, scanned_units)``: each batch is ``(src, dst, nd)``
-    with ``src`` local and ``dst`` global ids — the long records, then under
-    IOS a second batch of outer-short records — and ``scanned_units`` is
+    — the long records, then under IOS a second batch of outer-short
+    records — and ``scanned_units`` is
     the per-member count of arcs examined (long arcs, plus short arcs when
     IOS must find the outer ones).
     """
@@ -95,15 +90,15 @@ def gather_pull_requests(
     later: np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Materialise the pull-model requests of ``view``'s ``later`` vertices.
+    """Materialise the pull-model requests of the ``later`` vertices.
 
     Returns ``(req_v, req_u, req_w, gen_units)``: one request per *incoming*
     arc of a later-bucket vertex passing the eq. (1) filter
-    ``w(e) < d(v) - kΔ`` (``req_v`` local, ``req_u`` global), and the
-    per-later-vertex generation work (matches + 1, the binary-search cost
-    on weight-sorted adjacency). On undirected graphs the symmetrized rows
-    double as the in-arc lists; a whole-graph view of a directed graph
-    carries the reverse graph's. Under IOS requests cover short arcs too
+    ``w(e) < d(v) - kΔ``, and the per-later-vertex generation work
+    (matches + 1, the binary-search cost on weight-sorted adjacency). On
+    undirected graphs the symmetrized rows double as the in-arc lists; the
+    view of a directed graph carries the reverse graph's. Under IOS
+    requests cover short arcs too
     (that is how outer short edges are relaxed in the pull model); without
     IOS the short phases already relaxed every short arc, so only long arcs
     participate.
@@ -125,7 +120,7 @@ def gather_pull_requests(
 def pull_responders(
     ctx: ExecutionContext, view: VertexView, u: np.ndarray, k: int
 ) -> np.ndarray:
-    """Mask over requested sources ``u`` (local ids): the ones that answer.
+    """Mask over requested sources ``u``: the ones that answer.
 
     The bucket members are settled before the long phase and everything
     settled earlier lies below the bucket, so the responders are exactly
@@ -141,76 +136,70 @@ def pull_responders(
 # ----------------------------------------------------------------------
 def long_phase_push(
     ctx: ExecutionContext,
-    views: list[VertexView],
+    view: VertexView,
     transport,
-    members_per_view: list[np.ndarray],
+    members: np.ndarray,
     k: int,
 ) -> dict[str, int | str]:
     """Push-model long phase for bucket ``k``; returns the phase stats.
 
-    ``members_per_view`` are the just-settled bucket members (local ids).
+    ``members`` are the just-settled bucket members.
     """
-    if not any(m.size for m in members_per_view):
+    if not members.size:
         ctx.metrics.note_phase("long", 0)
         return {"mode": "push", "relaxations": 0}
-    gen = []
-    for v, members in zip(views, members_per_view):
-        batches, scanned = gather_push_records(ctx, v, members, k)
-        for batch in batches:
-            transport.send(v, *batch)
-        gen.append((v.to_global(members), scanned))
-    inboxes, relaxed = relax_round(
-        ctx, transport, ComputeKind.LONG_PUSH_RELAX, gen, RELAX_RECORD_BYTES,
+    batches, scanned = gather_push_records(ctx, view, members, k)
+    for batch in batches:
+        transport.send(*batch)
+    del batch, batches  # the transport keeps what it needs of them
+    _, relaxed = relax_round(
+        ctx, view, transport, ComputeKind.LONG_PUSH_RELAX, members, scanned,
         phase_kind="long",
     )
-    for v, (dst, nd) in zip(views, inboxes):
-        v.apply(dst, nd)
     return {"mode": "push", "relaxations": relaxed}
 
 
 def long_phase_pull(
     ctx: ExecutionContext,
-    views: list[VertexView],
+    view: VertexView,
     transport,
     k: int,
 ) -> dict[str, int | str]:
     """Pull-model long phase for bucket ``k``: a request round and a
     response round; returns the phase stats. The bucket members must
     already be settled."""
-    hi = (k + 1) * ctx.config.delta
-    laters = [v.later(hi) for v in views]
-    if not any(later.size for later in laters):
+    later = view.later((k + 1) * ctx.config.delta)
+    if not later.size:
         ctx.metrics.note_phase("long", 0)
         return {"mode": "pull", "relaxations": 0, "requests": 0, "responses": 0}
 
-    # Round 1: later-bucket vertices issue requests along eq.-(1) arcs.
-    gen = []
-    for v, later in zip(views, laters):
-        req_v, req_u, req_w, gen_units = gather_pull_requests(ctx, v, later, k)
-        transport.send(v, req_v, req_u, v.to_global(req_v), req_w)
-        gen.append((v.to_global(later), gen_units))
-    charge_generated(ctx, ComputeKind.PULL_REQUEST, gen, phase_kind="long")
-    req_inboxes = transport.deliver(
+    # Round 1: later-bucket vertices issue requests along eq.-(1) arcs, as
+    # ``(u, v, w)`` records addressed to ``u``.
+    req_v, req_u, req_w, gen_units = gather_pull_requests(ctx, view, later, k)
+    transport.send(req_v, req_u, req_v, req_w)
+    del req_v, req_u, req_w  # the transport keeps what it needs of them
+    ctx.charge(ComputeKind.PULL_REQUEST, later, gen_units, phase_kind="long")
+    req_u, req_v, req_w = transport.exchange(
         REQUEST_RECORD_BYTES, phase_kind="long", num_columns=3
     )
     # Request service at the source owner: check bucket membership of u.
-    requests = charge_received(
-        ctx, ComputeKind.PULL_REQUEST, req_inboxes, phase_kind="long"
+    ctx.charge(
+        ComputeKind.PULL_REQUEST, req_u, None, phase_kind="long", count_as_relax=True
     )
+    requests = int(req_u.size)
 
     # Round 2: owners of current-bucket sources respond.
-    for v, (req_u, req_v, req_w) in zip(views, req_inboxes):
-        u = v.to_local(req_u)
-        respond = pull_responders(ctx, v, u, k)
-        u = u[respond]
-        transport.send(v, u, req_v[respond], v.d[u] + req_w[respond])
-    resp_inboxes = transport.deliver(RELAX_RECORD_BYTES, phase_kind="long")
-    responses = charge_received(
-        ctx, ComputeKind.PULL_RESPONSE, resp_inboxes, phase_kind="long"
+    respond = pull_responders(ctx, view, req_u, k)
+    u = req_u[respond]
+    transport.send(u, req_v[respond], view.d[u] + req_w[respond])
+    del req_u, req_v, req_w, respond, u  # gone before the response exchange
+    dst, nd = transport.exchange(RELAX_RECORD_BYTES, phase_kind="long")
+    ctx.charge(
+        ComputeKind.PULL_RESPONSE, dst, None, phase_kind="long", count_as_relax=True
     )
+    responses = int(dst.size)
     ctx.metrics.note_phase("long", requests + responses)
-    for v, (dst, nd) in zip(views, resp_inboxes):
-        v.apply(dst, nd)
+    view.apply(dst, nd)
     return {
         "mode": "pull",
         "relaxations": requests + responses,
@@ -228,7 +217,7 @@ def bucket_census(
     members: np.ndarray,
     k: int,
 ) -> dict[str, int]:
-    """Exact per-bucket statistics of Fig. 7, from a whole-graph view.
+    """Exact per-bucket statistics of Fig. 7.
 
     Counts the long arcs of the current bucket's members split into self /
     backward / forward by the destination's bucket, and the exact number of

@@ -33,9 +33,9 @@ gather each of a table that already exists (the context's
 differences of ``indptr`` gathered per epoch; the request share is
 computed in place on the one array the later distances are converted
 into. Each rank's partial stays the pairwise sum of its own contiguous
-block, in rank order: that, not the arithmetic before it, is what makes
-the estimate the same float on one whole-graph view and on one view per
-rank.
+block, in rank order — what a rank of a distributed run adds up before the
+allreduce: that, not the arithmetic before it, is what pins the estimate's
+floats (``tests/core/test_counter_identity.py`` holds them by literal).
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ def expectation_partials(
     are the same). The per-vertex terms are evaluated once, in place on
     the one array ``d_later`` is converted into; rank ``r`` then
     sums its block ``[cuts[r], cuts[r+1])`` of each — a contiguous slice,
-    whose pairwise sum is the float a per-rank evaluation gives whatever
-    the view layout (``np.add.reduceat`` is not).
+    whose pairwise sum is the float a per-rank evaluation gives
+    (``np.add.reduceat`` is not).
     """
     push_terms = member_long_degrees.astype(np.float64, copy=False)
     frac = d_later.astype(np.float64)
@@ -186,38 +186,29 @@ def combine_expectation_costs(
 
 def estimate_models(
     ctx: ExecutionContext,
-    views: list[VertexView],
-    members_per_view: list[np.ndarray],
+    view: VertexView,
+    members: np.ndarray,
     k: int,
 ) -> PushPullEstimate:
     """Expectation-based push/pull estimate for bucket ``k`` (members settled).
 
-    Evaluates :func:`expectation_partials` once per view — a rank view is
-    its own single block, a whole-graph view is cut at the partition
-    boundaries — and folds the partials in rank order with
-    :func:`combine_expectation_costs`, so the estimate is the same float
-    for float whichever way the vertices are laid out.
+    Evaluates :func:`expectation_partials` over the members and the later
+    vertices, cut at the partition boundaries, and folds the per-rank
+    partials in rank order with :func:`combine_expectation_costs`.
     """
     cfg = ctx.config
     lo = k * cfg.delta
-    hi = lo + cfg.delta
     w_max = max(ctx.graph.max_weight, 1)
     # Incoming arcs a request may ride: all of them under IOS, the long ones
-    # otherwise. A view reads its own block of either table.
+    # otherwise.
     in_degrees = ctx.in_graph.degrees if cfg.use_ios else ctx.in_long_degrees
-    push_partials: list[float] = []
-    pull_partials: list[float] = []
-    for v, members in zip(views, members_per_view):
-        later = v.later(hi)
-        block = slice(v.lo, v.hi)
-        push, pull = expectation_partials(
-            cfg, w_max, lo,
-            ctx.long_degrees[block][members], rank_cuts(ctx, views, members),
-            v.d[later], in_degrees[block][later], rank_cuts(ctx, views, later),
-        )
-        push_partials += push
-        pull_partials += pull
-    return combine_expectation_costs(cfg, ctx.machine, push_partials, pull_partials)
+    later = view.later(lo + cfg.delta)
+    push, pull = expectation_partials(
+        cfg, w_max, lo,
+        ctx.long_degrees[members], rank_cuts(ctx, members),
+        view.d[later], in_degrees[later], rank_cuts(ctx, later),
+    )
+    return combine_expectation_costs(cfg, ctx.machine, push, pull)
 
 
 def _max_per_rank(ctx, vertices: np.ndarray, weights=None) -> float:
@@ -239,7 +230,7 @@ def estimate_models_histogram(
     members: np.ndarray,
     k: int,
 ) -> PushPullEstimate:
-    """Histogram-based push/pull estimate for bucket ``k`` (whole-graph view).
+    """Histogram-based push/pull estimate for bucket ``k``.
 
     Like :func:`estimate_models` but the per-vertex request counts come
     from precomputed weight histograms (``#{arcs with w < d(v) - kΔ}``
@@ -323,8 +314,8 @@ def estimate_models_exact(
 ) -> PushPullEstimate:
     """Price both long-phase models exactly with the machine cost model.
 
-    Materialises the push records and pull requests/responses of a
-    whole-graph view (without touching the distance array) and sums the
+    Materialises the push records and pull requests/responses (without
+    touching the distance array) and sums the
     same compute/exchange terms the accounting runtime would record for
     each branch.
     """
@@ -370,17 +361,15 @@ def estimate_models_exact(
 # ----------------------------------------------------------------------
 def decide_mode(
     ctx: ExecutionContext,
-    views: list[VertexView],
-    members_per_view: list[np.ndarray],
+    view: VertexView,
+    members: np.ndarray,
     k: int,
     bucket_ordinal: int,
 ) -> tuple[str, PushPullEstimate | None]:
     """Pick the long-phase model for this bucket.
 
     Honors forced modes and oracle replay sequences; in ``auto`` mode runs
-    the configured estimator (charging its two decision allreduces). The
-    exact and histogram estimators price materialised record sets from
-    global arrays, so they need a whole-graph view.
+    the configured estimator (charging its two decision allreduces).
     """
     cfg = ctx.config
     if not cfg.use_pruning:
@@ -393,16 +382,12 @@ def decide_mode(
         cfg.pushpull_sequence
     ):
         return cfg.pushpull_sequence[bucket_ordinal], None
-    if cfg.pushpull_estimator == "expectation":
-        est = estimate_models(ctx, views, members_per_view, k)
-    else:
-        (whole,), (members,) = views, members_per_view
-        estimator = (
-            estimate_models_exact
-            if cfg.pushpull_estimator == "exact"
-            else estimate_models_histogram
-        )
-        est = estimator(ctx, whole, members, k)
+    estimator = {
+        "expectation": estimate_models,
+        "exact": estimate_models_exact,
+        "histogram": estimate_models_histogram,
+    }[cfg.pushpull_estimator]
+    est = estimator(ctx, view, members, k)
     # The decision aggregates are part of the pruning long-phase machinery,
     # not of bucket identification, so they bill to OtherTime.
     ctx.comm.allreduce(2, phase_kind="long")

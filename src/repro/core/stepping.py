@@ -11,8 +11,8 @@ distance below ``hi``. A :class:`SteppingStrategy` owns exactly that
 choice of window plus the policies that hang off it:
 
 - **step selection** — which ``[lo, hi)`` window to drain next
-  (:meth:`~SteppingStrategy.next_step`, written once over vertex views
-  and a transport, including the next-step collective's accounting
+  (:meth:`~SteppingStrategy.next_step`, written once over the vertex
+  view and a transport, including the next-step collective's accounting
   charge);
 - **edge classification** — the weight threshold below which an edge is
   relaxed eagerly in the short phases
@@ -71,7 +71,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.distances import INF
-from repro.core.views import cat
 
 __all__ = [
     "Step",
@@ -106,9 +105,10 @@ class SteppingStrategy:
     (phases, settling, accounting, hybridization) and the drivers the
     checkpoints. ``next_step`` charges its own selection collective — the
     loop charges the preceding unsettled scan — so a strategy with a wider
-    collective (ρ-stepping's candidate merge) prices it honestly. Every
-    view contributes only its own candidate; on a whole-graph view that
-    candidate is already the global one.
+    collective (ρ-stepping's candidate merge) prices it honestly. The
+    candidate is computed over the whole view — the minimum (or the ρ
+    smallest) of the ranks' own candidates, which is what the collective
+    would return.
     """
 
     #: registry name, also the value of ``SolverConfig.strategy``
@@ -126,11 +126,11 @@ class SteppingStrategy:
         """Short-edge weight threshold for the context's split tables."""
         raise NotImplementedError
 
-    def prepare(self, ctx, views) -> None:
+    def prepare(self, ctx, view) -> None:
         """Precompute hook (runs once, before the loop)."""
 
-    def next_step(self, ctx, views, transport, ordinal: int) -> Step | None:
-        """Select the next window from the views' state.
+    def next_step(self, ctx, view, transport, ordinal: int) -> Step | None:
+        """Select the next window from the view's state.
 
         Charges the selection allreduce; returns ``None`` at termination.
         """
@@ -140,9 +140,9 @@ class SteppingStrategy:
 class DeltaStepping(SteppingStrategy):
     """Fixed-width buckets ``[kΔ, (k+1)Δ)`` — the paper's algorithm.
 
-    The next bucket is one scalar min-allreduce over the views' bucket
-    indices (the loop attaches a ``BucketIndex`` to every view of a
-    strategy with ``uses_bucket_index``).
+    The next bucket is one scalar min-allreduce over the bucket index
+    (the loop attaches a ``BucketIndex`` to the view of a strategy with
+    ``uses_bucket_index``).
     """
 
     name = "delta"
@@ -151,9 +151,9 @@ class DeltaStepping(SteppingStrategy):
     def classification_width(self) -> int:
         return self.config.delta
 
-    def next_step(self, ctx, views, transport, ordinal: int) -> Step | None:
+    def next_step(self, ctx, view, transport, ordinal: int) -> Step | None:
         delta = self.config.delta
-        k = transport.allreduce_min([v.min_unsettled_bucket() for v in views])
+        k = transport.allreduce_min(view.min_unsettled_bucket())
         if k >= INF:
             return None
         return Step(key=int(k), lo=int(k) * delta, hi=(int(k) + 1) * delta)
@@ -198,25 +198,19 @@ class RadiusStepping(SteppingStrategy):
 
         return DELTA_INFINITY
 
-    def prepare(self, ctx, views) -> None:
-        # The radius of an owned vertex derives from its own adjacency
-        # row, so the full-table compute is rank-local work; each view
-        # only ever reads its own slice.
+    def prepare(self, ctx, view) -> None:
+        # The radius of a vertex derives from its own adjacency row, so
+        # the table is rank-local work.
         self._r = vertex_radii(ctx.graph, self.config.radius_k)
 
-    def _local_candidate(self, d, settled, r) -> int:
+    def _candidate(self, d, settled) -> int:
         mask = ~settled & (d < INF)
         if not mask.any():
             return int(INF)
-        return int((d[mask] + r[mask]).min())
+        return int((d[mask] + self._r[mask]).min())
 
-    def next_step(self, ctx, views, transport, ordinal: int) -> Step | None:
-        cand = transport.allreduce_min(
-            [
-                self._local_candidate(v.d, v.settled, self._r[v.lo : v.hi])
-                for v in views
-            ]
-        )
+    def next_step(self, ctx, view, transport, ordinal: int) -> Step | None:
+        cand = transport.allreduce_min(self._candidate(view.d, view.settled))
         if cand >= INF:
             return None
         return Step(key=ordinal, lo=0, hi=int(cand) + 1)
@@ -241,28 +235,23 @@ class RhoStepping(SteppingStrategy):
 
         return DELTA_INFINITY
 
-    def _local_candidates(self, d, settled) -> np.ndarray:
+    def _candidates(self, d, settled) -> np.ndarray:
         rho = self.config.rho
         u = d[~settled & (d < INF)]
         if u.size > rho:
             u = np.partition(u, rho - 1)[:rho]
         return u
 
-    def _window_hi(self, merged: np.ndarray) -> int:
-        rho = self.config.rho
-        if merged.size <= rho:
-            return int(merged.max()) + 1
-        return int(np.partition(merged, rho - 1)[rho - 1]) + 1
-
-    def next_step(self, ctx, views, transport, ordinal: int) -> Step | None:
-        # Per-view ρ-smallest candidate arrays, merged by a modeled
-        # ρ-vector min-allreduce: the ρ-th smallest of the union is the
-        # global ρ-th smallest however the vertices are split.
+    def next_step(self, ctx, view, transport, ordinal: int) -> Step | None:
+        # The ρ smallest unsettled distances: what a modeled ρ-vector
+        # min-allreduce merges out of every rank's own ρ smallest — the
+        # ρ-th smallest of that union is the global ρ-th smallest however
+        # the vertices are split.
         ctx.comm.allreduce(self.config.rho, phase_kind="bucket")
-        merged = cat([self._local_candidates(v.d, v.settled) for v in views])
+        merged = self._candidates(view.d, view.settled)
         if merged.size == 0:
             return None
-        return Step(key=ordinal, lo=0, hi=self._window_hi(merged))
+        return Step(key=ordinal, lo=0, hi=int(merged.max()) + 1)
 
 
 STRATEGIES: dict[str, type[SteppingStrategy]] = {

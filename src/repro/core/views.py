@@ -1,29 +1,22 @@
 """The vertex view every phase kernel runs over.
 
-A :class:`VertexView` is what one participant of the bulk-synchronous
-algorithm holds: the adjacency rows of a contiguous vertex block
-(weight-sorted, with the short/long split offsets), that block's slice of
-the tentative-distance array and its settled flags. Global vertex ids
-appear only as *addresses* (arc heads, message destinations) — a view
-never reads a distance outside its block.
+There is one :class:`VertexView` per solve and it spans the whole graph: it
+*shares* the context's weight-sorted CSR arrays and short/long split table
+(no copies) and owns the tentative-distance array, the settled flags, the
+sorted active set and, for the Δ strategy, the incremental bucket index.
+The paper distributes vertices in contiguous blocks, so a rank is nothing
+but a range ``[lo, hi)`` of these arrays
+(``ctx.partition.boundaries``): the per-rank facts the accounting wants
+(:func:`active_per_rank`, :func:`rank_cuts`) are ``searchsorted`` cuts of
+sorted vertex ids at the boundaries, and rolling one rank back to a
+snapshot (:meth:`VertexView.restore`) is a slice assignment.
 
-Two constructors make the two execution modes out of the one type:
-
-- :func:`build_rank_states` slices the graph into one view per rank
-  (``lo``/``hi`` the rank's block; the rows are read-only slices of the
-  graph's arrays, what a rank owns and writes is ``d``, ``settled`` and
-  ``active``) — the SPMD driver's state, which talks through a
-  :class:`~repro.spmd.mailbox.Mailbox`;
-- :func:`whole_graph_view` is a single view spanning ``[0, n)`` that
-  *shares* the context's CSR arrays and split table — the orchestrated
-  driver's state, which declares its traffic through a
-  :class:`~repro.core.transport.DeclaredTransport`.
-
-A list of views handed to a kernel is therefore either one view per rank,
-in rank order, or one view spanning every rank; the few per-rank facts a
-whole-graph view must still produce (:func:`active_per_rank`,
-:func:`rank_cuts`) come from cutting its sorted ids at the partition
-boundaries.
+What makes a solve *distributed* is therefore not the state but the
+transport (:mod:`repro.core.transport`): a kernel computes a record from
+the state of the record's source vertex alone, addresses it by destination
+vertex, and learns about any other vertex only from what the transport's
+``exchange`` hands back. ``tests/spmd/test_locality.py`` holds the kernels
+to that rule with a mailbox that drops every cross-rank record.
 """
 
 from __future__ import annotations
@@ -36,107 +29,97 @@ from repro.core.bucket_index import BucketIndex
 from repro.core.buckets import NO_BUCKET
 from repro.core.distances import INF, init_distances
 from repro.core.relax import apply_relaxations
-from repro.graph.csr import CSRGraph
-from repro.graph.partition import ContiguousPartition
+from repro.runtime.comm import RELAX_RECORD_BYTES
 
 __all__ = [
     "VertexView",
-    "build_rank_states",
     "whole_graph_view",
     "rooted_whole_view",
     "active_per_rank",
     "rank_cuts",
-    "cat",
-    "gathered",
-    "charge_generated",
-    "charge_received",
     "relax_round",
 ]
 
 
 @dataclass
 class VertexView:
-    """Everything the owner of vertex block ``[lo, hi)`` holds."""
+    """The state of one solve over all of a context's graph."""
 
-    rank: int
-    lo: int
-    hi: int
     indptr: np.ndarray
-    """Local CSR offsets for the owned rows (length ``hi - lo + 1``)."""
     adj: np.ndarray
-    """Arc heads as *global* vertex ids (addresses, not state)."""
     weights: np.ndarray
     short_offsets: np.ndarray
-    """Per-owned-vertex count of short arcs (weight-sorted prefix)."""
+    """Per-vertex count of short arcs (weight-sorted prefix)."""
     d: np.ndarray
-    """Local tentative distances (length ``hi - lo``)."""
+    """Tentative distances."""
     settled: np.ndarray
     active: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    """Local indices of currently active vertices."""
+    """Currently active vertices, sorted (hence grouped by rank)."""
     index: BucketIndex | None = None
-    """Incremental bucket index over the local slice (``attach_index``)."""
+    """Incremental bucket index over ``d``/``settled`` (``attach_index``)."""
     in_rows: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
     """``(indptr, adj, weights, short_offsets)`` of the *incoming* arcs
-    when they differ from the owned rows: the reverse graph of a directed
-    input, which only a whole-graph view can hold. ``None`` on undirected
-    graphs, where the symmetrized rows double as the in-arc lists."""
+    when they differ from the rows above: the reverse graph of a directed
+    input. ``None`` on undirected graphs, where the symmetrized rows double
+    as the in-arc lists."""
     num_unsettled: int = field(init=False)
-    """Unsettled vertices of the block, kept current by :meth:`settle`."""
+    """Unsettled vertices, kept current by every method that settles."""
 
     def __post_init__(self) -> None:
         self._count_unsettled()
 
     def _count_unsettled(self) -> None:
-        self.num_unsettled = self.num_local - int(np.count_nonzero(self.settled))
-
-    @property
-    def num_local(self) -> int:
-        return self.hi - self.lo
-
-    def to_global(self, local: np.ndarray) -> np.ndarray:
-        return local + self.lo if self.lo else local
-
-    def to_local(self, global_ids: np.ndarray) -> np.ndarray:
-        return global_ids - self.lo if self.lo else global_ids
-
-    def local_degrees(self, local: np.ndarray) -> np.ndarray:
-        return self.indptr[local + 1] - self.indptr[local]
+        self.num_unsettled = self.d.size - int(np.count_nonzero(self.settled))
 
     def pull_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The rows the pull model scans: incoming arcs per owned vertex."""
+        """The rows the pull model scans: incoming arcs per vertex."""
         if self.in_rows is not None:
             return self.in_rows
         return self.indptr, self.adj, self.weights, self.short_offsets
 
     # ------------------------------------------------------------------
     def attach_index(self, delta: int) -> None:
-        """Build the incremental bucket index over the current local state."""
+        """Build the incremental bucket index over the current state."""
         self.index = BucketIndex(delta, self.d, self.settled)
 
-    def restore(self, d: np.ndarray, settled: np.ndarray, active: np.ndarray) -> None:
-        """Overwrite the state from a checkpoint (distances may rise, so
-        the index is rebuilt and the unsettled count retaken)."""
-        self.d[:] = d
-        self.settled[:] = settled
-        self.active = active
+    def restore(
+        self,
+        d: np.ndarray,
+        settled: np.ndarray,
+        active: np.ndarray,
+        lo: int = 0,
+        hi: int | None = None,
+    ) -> None:
+        """Overwrite the vertex range ``[lo, hi)`` — everything by default,
+        one rank's block on a crash restart — from whole-graph snapshot
+        arrays: a slice assignment of ``d`` and ``settled`` and a splice of
+        the range's part of the sorted ``active``. Nothing outside the
+        range is written. Distances may rise, so the index is rebuilt and
+        the unsettled count retaken."""
+        hi = self.d.size if hi is None else hi
+        self.d[lo:hi] = d[lo:hi]
+        self.settled[lo:hi] = settled[lo:hi]
+        mine, theirs = self.active, active
+        (a, b), (c, e) = mine.searchsorted((lo, hi)), theirs.searchsorted((lo, hi))
+        self.active = np.concatenate((mine[:a], theirs[c:e], mine[b:]))
         if self.index is not None:
             self.index.rebuild(self.d, self.settled)
         self._count_unsettled()
 
     def min_unsettled_bucket(self) -> int:
-        """Local next-bucket candidate of the index (INF marker when none)."""
+        """Next-bucket candidate of the index (INF marker when none)."""
         k = self.index.min_bucket()
         return int(INF) if k == NO_BUCKET else int(k)
 
     def members(self, step) -> np.ndarray:
-        """Unsettled local vertices inside the step's window (sorted)."""
+        """Unsettled vertices inside the step's window (sorted)."""
         if self.index is not None:
             return self.index.members(step.key)
         mask = (self.d >= step.lo) & (self.d < step.hi) & ~self.settled
         return np.nonzero(mask)[0]
 
     def later(self, hi: int) -> np.ndarray:
-        """Unsettled local vertices at or past ``hi`` (B-infinity included)."""
+        """Unsettled vertices at or past ``hi`` (B-infinity included)."""
         return np.nonzero(~self.settled & (self.d >= hi))[0]
 
     def settle(self, members: np.ndarray) -> None:
@@ -145,16 +128,25 @@ class VertexView:
         if self.index is not None:
             self.index.on_settled(members)
 
+    def settle_reached(self) -> None:
+        """Everything reached is settled — the close of a Bellman-Ford
+        fixpoint, whoever ran it (the hybrid tail, a degraded deadline, the
+        healing sweep). Written in place, so whatever shares ``settled``
+        sees it; no bucket is read after a fixpoint, so the index goes."""
+        np.less(self.d, INF, out=self.settled)
+        self.index = None
+        self._count_unsettled()
+
     def apply(
         self, dst: np.ndarray, nd: np.ndarray, window: tuple[int, int] | None = None
     ) -> np.ndarray:
-        """Min-apply received records to the local slice; returns the
-        changed locals — with ``window=(lo, hi)`` only those whose new
-        distance lies inside it (the short phase's next active set). Every
-        relaxation site ends here, so the bucket index follows the changed
-        set instead of per-epoch rescans; the new distances are gathered
-        once for the index and the window both."""
-        changed = apply_relaxations(self.d, self.to_local(dst), nd)
+        """Min-apply received records; returns the changed vertices — with
+        ``window=(lo, hi)`` only those whose new distance lies inside it
+        (the short phase's next active set). Every relaxation site ends
+        here, so the bucket index follows the changed set instead of
+        per-epoch rescans; the new distances are gathered once for the
+        index and the window both."""
+        changed = apply_relaxations(self.d, dst, nd)
         if not changed.size or (self.index is None and window is None):
             return changed
         d_changed = self.d[changed]
@@ -166,60 +158,14 @@ class VertexView:
         return changed
 
 
-def build_rank_states(
-    graph: CSRGraph,
-    partition: ContiguousPartition,
-    delta: int,
-    root: int,
-    *,
-    short_offsets: np.ndarray | None = None,
-) -> list[VertexView]:
-    """Slice a weight-sorted graph into one view per rank.
-
-    The rows (``adj``, ``weights``, ``short_offsets``) are slices of the
-    graph's arrays, not copies: no kernel writes them, and a solve does not
-    duplicate the graph. Only ``indptr`` is rebased; ``d``, ``settled`` and
-    ``active`` are the rank's own. ``short_offsets`` is
-    ``graph.short_edge_offsets(delta)`` where the caller holds it already
-    (a context's ``short_offsets``)."""
-    short = graph.short_edge_offsets(delta) if short_offsets is None else short_offsets
-    states: list[VertexView] = []
-    for rank in range(partition.num_ranks):
-        lo, hi = partition.rank_range(rank)
-        row_ptr = graph.indptr[lo : hi + 1]
-        base = row_ptr[0]
-        local_indptr = (row_ptr - base).astype(np.int64)
-        d = np.full(hi - lo, INF, dtype=np.int64)
-        settled = np.zeros(hi - lo, dtype=bool)
-        active = np.empty(0, dtype=np.int64)
-        if lo <= root < hi:
-            d[root - lo] = 0
-            active = np.array([root - lo], dtype=np.int64)
-        states.append(
-            VertexView(
-                rank=rank,
-                lo=lo,
-                hi=hi,
-                indptr=local_indptr,
-                adj=graph.adj[base : row_ptr[-1]],
-                weights=graph.weights[base : row_ptr[-1]],
-                short_offsets=short[lo:hi],
-                d=d,
-                settled=settled,
-                active=active,
-            )
-        )
-    return states
-
-
 def whole_graph_view(
     ctx, d: np.ndarray, settled: np.ndarray, active: np.ndarray | None = None
 ) -> VertexView:
-    """One view over all of ``ctx.graph``, sharing its arrays (no copies).
+    """The view over ``ctx.graph``, sharing its arrays (no copies).
 
-    ``d`` and ``settled`` are the caller's global arrays and are updated in
-    place. On a directed graph the view also carries the reverse graph's
-    rows for the pull phase.
+    ``d`` and ``settled`` are the caller's arrays and are updated in place.
+    On a directed graph the view also carries the reverse graph's rows for
+    the pull phase.
     """
     graph = ctx.graph
     in_rows = None
@@ -227,9 +173,6 @@ def whole_graph_view(
         rev = ctx.reverse_graph
         in_rows = (rev.indptr, rev.adj, rev.weights, ctx.reverse_short_offsets)
     return VertexView(
-        rank=0,
-        lo=0,
-        hi=graph.num_vertices,
         indptr=graph.indptr,
         adj=graph.adj,
         weights=graph.weights,
@@ -242,7 +185,8 @@ def whole_graph_view(
 
 
 def rooted_whole_view(ctx, root: int) -> VertexView:
-    """A fresh whole-graph view at the start of a solve from ``root``."""
+    """A fresh view at the start of a solve from ``root``: what both
+    drivers hand to :func:`~repro.core.phases.drive`."""
     n = ctx.graph.num_vertices
     return whole_graph_view(
         ctx,
@@ -253,76 +197,37 @@ def rooted_whole_view(ctx, root: int) -> VertexView:
 
 
 # ----------------------------------------------------------------------
-# Folding per-view facts into the global ones the accounting wants
+# Per-rank facts, read off the partition boundaries
 # ----------------------------------------------------------------------
-def active_per_rank(ctx, views: list[VertexView]) -> np.ndarray:
-    """Active-vertex count of every rank, in rank order."""
-    if len(views) == 1:
-        cuts = views[0].active.searchsorted(ctx.partition.boundaries)
-        return cuts[1:] - cuts[:-1]
-    return np.array([v.active.size for v in views], dtype=np.int64)
+def rank_cuts(ctx, ids: np.ndarray) -> np.ndarray:
+    """Cut positions of sorted vertex ``ids`` at the rank boundaries: rank
+    ``r``'s ids are ``ids[cuts[r]:cuts[r + 1]]``.
 
-
-def rank_cuts(ctx, views: list[VertexView], ids: np.ndarray) -> np.ndarray:
-    """Cut positions of one view's sorted local ``ids`` at the boundaries
-    of the ranks it spans: rank ``r``'s ids are ``ids[cuts[r]:cuts[r+1]]``.
-
-    Float partial sums must be folded per rank block in rank order whatever
-    the view layout — that is what keeps the push/pull choice bit-identical
-    between the drivers — so a whole-graph view cuts at the partition
-    boundaries here, and a rank view is its own single block.
+    Float partial sums are folded per rank block in rank order — what a
+    rank of a distributed run would add up before the allreduce — and that
+    is what keeps the push/pull estimate the float it has always been.
     """
-    if len(views) > 1:
-        return np.array([0, ids.size])
     return ids.searchsorted(ctx.partition.boundaries)
 
 
-def cat(parts: list[np.ndarray]) -> np.ndarray:
-    """Per-view arrays as one, in view order; a whole-graph view's single
-    array is handed through uncopied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def gathered(views: list[VertexView], name: str) -> np.ndarray:
-    """The global ``d`` or ``settled`` array: a whole-graph view's own
-    array, the concatenated slices otherwise."""
-    return cat([getattr(v, name) for v in views])
-
-
-def charge_generated(
-    ctx,
-    kind,
-    per_view: list[tuple[np.ndarray, np.ndarray]],
-    *,
-    phase_kind: str,
-) -> None:
-    """Record-generation charge: fold per-view (global vertex ids, units)
-    into one compute record."""
-    ctx.charge(
-        kind,
-        cat([vertices for vertices, _ in per_view]),
-        cat([units for _, units in per_view]),
-        phase_kind=phase_kind,
-    )
-
-
-def charge_received(ctx, kind, inboxes, *, phase_kind: str) -> int:
-    """Record-application charge: one unit per delivered record at its
-    destination's thread, counted as relaxations. Returns the record count."""
-    dst = cat([box[0] for box in inboxes])
-    ctx.charge(kind, dst, None, phase_kind=phase_kind, count_as_relax=True)
-    return int(dst.size)
+def active_per_rank(ctx, view: VertexView) -> np.ndarray:
+    """Active-vertex count of every rank, in rank order."""
+    return np.diff(rank_cuts(ctx, view.active))
 
 
 def relax_round(
-    ctx, transport, kind, per_view, record_bytes: int, *, phase_kind: str
-) -> tuple[list[tuple[np.ndarray, ...]], int]:
-    """Close one relaxation superstep whose records the views have sent:
-    generation charge, exchange, application charge, phase note — the
-    accounting sequence every relaxing phase shares. Returns the per-view
-    inboxes and the record count."""
-    charge_generated(ctx, kind, per_view, phase_kind=phase_kind)
-    inboxes = transport.deliver(record_bytes, phase_kind=phase_kind)
-    relaxed = charge_received(ctx, kind, inboxes, phase_kind=phase_kind)
+    ctx, view: VertexView, transport, kind, vertices, units, *,
+    phase_kind: str, window: tuple[int, int] | None = None,
+) -> tuple[np.ndarray, int]:
+    """Close one relaxation superstep whose records have been sent:
+    generation charge (``units[i]`` arcs examined at ``vertices[i]``),
+    exchange, application charge (one unit per delivered record at its
+    destination's thread, counted as relaxations), phase note, min-apply —
+    the sequence every relaxing phase shares. Returns the changed vertices
+    (see :meth:`VertexView.apply` for ``window``) and the record count."""
+    ctx.charge(kind, vertices, units, phase_kind=phase_kind)
+    dst, nd = transport.exchange(RELAX_RECORD_BYTES, phase_kind=phase_kind)
+    ctx.charge(kind, dst, None, phase_kind=phase_kind, count_as_relax=True)
+    relaxed = int(dst.size)
     ctx.metrics.note_phase(phase_kind, relaxed)
-    return inboxes, relaxed
+    return view.apply(dst, nd, window), relaxed

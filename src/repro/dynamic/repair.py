@@ -254,20 +254,20 @@ def repair_sssp(
     # ------------------------------------------------ phase 3: drain
     settled = np.ones(n, dtype=bool)
     settled[frontier] = False
-    # The strategies select over vertex views: wrap the repair state in a
-    # whole-graph one (the drain below relaxes on the arrays directly).
-    views = [whole_graph_view(ctx, d, settled)]
+    # The strategies select over a vertex view: wrap the repair state in
+    # one (the drain below relaxes on the arrays directly).
+    view = whole_graph_view(ctx, d, settled)
     transport = DeclaredTransport(ctx.comm)
     strategy = make_strategy(ctx.config)
     if strategy.uses_bucket_index:
-        views[0].attach_index(ctx.config.delta)
-    strategy.prepare(ctx, views)
-    index = views[0].index
+        view.attach_index(ctx.config.delta)
+    strategy.prepare(ctx, view)
+    index = view.index
     steps = 0
     relax_records = 0
     ordinal = 0
     while True:
-        step = strategy.next_step(ctx, views, transport, ordinal)
+        step = strategy.next_step(ctx, view, transport, ordinal)
         if step is None:
             break
         ordinal += 1

@@ -6,14 +6,15 @@ distributed run would generate to the accounting communicator. That style
 is fast and debuggable, but on its own its honesty would rest on an
 argument, not a mechanism.
 
-This subpackage provides the mechanism: a rank driver that runs the *same*
-kernels with each simulated rank owning only its vertex slice (local
-distances, local adjacency rows) and *all* cross-rank information flowing
-through explicit per-rank mailboxes — a rank physically cannot read another
-rank's state. The transport-parity test asserts bit-identical distances
-*and field-for-field identical accounting records* between the two, which
-is the equivalence witness for the whole simulation approach
-(DESIGN.md §5).
+This subpackage provides the mechanism: a rank driver that makes the *same*
+kernel pass with a mailbox for the transport, so that *all* cross-rank
+information flows through explicit per-rank mailboxes — a rank's block of
+the state is a range of the whole-graph arrays, written only from records
+that arrived addressed to it (``tests/spmd/test_locality.py`` drops every
+cross-rank record and checks nothing leaks). The transport-parity test
+asserts bit-identical distances *and field-for-field identical accounting
+records* between the two, which is the equivalence witness for the whole
+simulation approach (DESIGN.md §5).
 
 Because every cross-rank byte goes through the mailbox, the rank driver is
 also the natural host for the fault-injection and recovery layer
@@ -24,7 +25,6 @@ checkpointing and self-healing sweeps recover the exact fault-free answer.
 A plan is handed to the front door: ``solve_sssp(..., faults=plan)``.
 """
 
-from repro.core.views import VertexView as RankState, build_rank_states
 from repro.spmd.checkpoint import (
     CheckpointError,
     CheckpointManager,
@@ -46,11 +46,9 @@ __all__ = [
     "Mailbox",
     "RankCrash",
     "RankStall",
-    "RankState",
     "RecoveryError",
     "ReliableMailbox",
     "SolveCheckpoint",
-    "build_rank_states",
     "ensure_checkpoint_dir",
     "latest_checkpoint",
     "load_checkpoint",

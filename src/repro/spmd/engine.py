@@ -1,33 +1,33 @@
-"""The rank driver: the Δ-stepping family over rank-local state.
+"""The rank driver: the whole-graph pass plus routing.
 
-:func:`run_ranks` runs the one kernel set of :mod:`repro.core`
-(:mod:`~repro.core.phases`, :mod:`~repro.core.pruning`,
-:mod:`~repro.core.bellman_ford`) on one
-:class:`~repro.core.views.VertexView` per rank, with a
-:class:`~repro.spmd.mailbox.Mailbox` as the transport: every rank computes
-from its own slice only and cross-rank data moves exclusively through the
-mailbox. The whole-graph driver (:mod:`repro.core.delta_stepping`) runs the
-same kernels on a single view and merely *declares* that traffic; the
+:func:`run_ranks` makes the call the whole-graph driver makes —
+:func:`~repro.core.phases.drive` over the one
+:class:`~repro.core.views.VertexView` — with a
+:class:`~repro.spmd.mailbox.Mailbox` for the transport: every record a
+kernel sends is routed rank to rank for real, and a rank's block of the
+state is written only from records that arrived addressed to it (the
+locality rule of :mod:`repro.core.transport`, held by
+``tests/spmd/test_locality.py``). The whole-graph driver
+(:mod:`repro.core.delta_stepping`) merely *declares* that traffic; the
 transport-parity test asserts the two produce bit-identical distances and
-field-for-field identical accounting records, which is the mechanical
-proof that declared traffic equals a true message-passing execution's.
+field-for-field identical accounting records, which is the mechanical proof
+that declared traffic equals a true message-passing execution's. The rank
+driver accepts every configuration the whole-graph driver accepts, by
+construction: there is no second copy to keep up.
 
-What is the rank driver's own: building the rank states and the fault
-stack. :func:`run_ranks` works on a prepared context — it is what
-:meth:`BatchSolver.solve(root, faults=plan)
-<repro.core.solver.BatchSolver.solve>` runs on a fork of its template —
-and :func:`spmd_delta_stepping` is ``make_context`` + ``run_ranks`` for
-callers that want the context back. With a
+What is the rank driver's own is the fault stack. :func:`run_ranks` works
+on a prepared context — it is what :meth:`BatchSolver.solve(root,
+faults=plan) <repro.core.solver.BatchSolver.solve>` runs on a fork of its
+template — and :func:`spmd_delta_stepping` is ``make_context`` +
+``run_ranks`` for callers that want the context back. With a
 :class:`~repro.spmd.faults.FaultPlan` records travel through a
 :class:`~repro.spmd.faults.FaultyMailbox` (reliable sequence/ack/retry
-transport over a faulty wire), rank state is checkpointed in memory at
-epoch boundaries so a crashed rank can restart, and a post-solve
-self-healing sweep re-runs Bellman-Ford iterations until the structural
-validator accepts — sound because min-apply relaxation is idempotent,
-monotone and therefore self-stabilizing. Census collection, the
-exact/histogram estimators and the pull phase on directed graphs need
-global arrays and stay with the whole-graph driver; :func:`run_ranks`
-rejects them.
+transport over a faulty wire), the state is snapshotted in memory at epoch
+boundaries so a crashed rank can restart — its range of the arrays is
+assigned back from the snapshot, nobody else's is touched — and a
+post-solve self-healing sweep re-runs Bellman-Ford iterations until the
+structural validator accepts: sound because min-apply relaxation is
+idempotent, monotone and therefore self-stabilizing.
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ from repro.core.config import SolverConfig
 from repro.core.context import ExecutionContext, make_context
 from repro.core.distances import INF
 from repro.core.phases import drive
-from repro.core.views import VertexView as RankState, build_rank_states, gathered
+
+# The one view constructor, under the name the stack benchmark's span
+# recorder wraps on this module (``spmd.rank_state_build_ms``).
+from repro.core.views import VertexView, rooted_whole_view as build_rank_states
 from repro.graph.csr import CSRGraph
 from repro.runtime.comm import RECOVERY_PHASE
 from repro.runtime.machine import MachineConfig
@@ -64,33 +67,29 @@ class RecoveryError(RuntimeError):
 class _RecoveryManager:
     """Engine-side half of the recovery protocol.
 
-    Holds epoch-level checkpoints of every rank's :class:`RankState`
-    (distances, settled flags, active set), restores a rank from the last
-    checkpoint when the mailbox reports its crash, and runs the post-solve
-    self-healing sweep: Bellman-Ford iterations, charged to the
-    ``recovery`` phase, repeated until the structural validator accepts.
-    Restoring a checkpoint can only *raise* tentative distances (they are
-    monotone non-increasing over time), so every tentative distance remains
-    the length of a real path and the sweep's fixpoint is exactly the true
-    shortest-distance array.
+    Holds an epoch-level snapshot of the view's state (distances, settled
+    flags, active set), restores a rank's range of it when the mailbox
+    reports that rank's crash, and runs the post-solve self-healing sweep:
+    Bellman-Ford iterations, charged to the ``recovery`` phase, repeated
+    until the structural validator accepts. Restoring a checkpoint can only
+    *raise* tentative distances (they are monotone non-increasing over
+    time), so every tentative distance remains the length of a real path
+    and the sweep's fixpoint is exactly the true shortest-distance array.
     """
 
     def __init__(
-        self, ctx: ExecutionContext, states: list[RankState], plan: "FaultPlan"
+        self, ctx: ExecutionContext, view: VertexView, plan: "FaultPlan"
     ) -> None:
         self.ctx = ctx
-        self.states = states
+        self.view = view
         self.plan = plan
         self._epoch = 0
-        self._snap: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.checkpoint()
 
     def checkpoint(self) -> None:
-        """Snapshot every rank's (d, settled, active)."""
-        self._snap = [
-            (st.d.copy(), st.settled.copy(), st.active.copy())
-            for st in self.states
-        ]
+        """Snapshot (d, settled, active)."""
+        view = self.view
+        self._snap = (view.d.copy(), view.settled.copy(), view.active.copy())
         self.ctx.metrics.recovery.checkpoints_taken += 1
 
     def on_epoch(self) -> None:
@@ -100,11 +99,11 @@ class _RecoveryManager:
         self._epoch += 1
 
     def restore(self, rank: int) -> None:
-        """Roll ``rank`` back to the last checkpoint (crash restart)."""
-        d, settled, active = self._snap[rank]
-        # Distances lawfully rise: the view rebuilds its incremental index
-        # from the restored state before the next epoch reads it.
-        self.states[rank].restore(d, settled, active.copy())
+        """Roll ``rank`` back to the last checkpoint (crash restart): its
+        vertex range of the snapshot is assigned back, and the view
+        rebuilds its incremental index — distances lawfully rise — before
+        the next epoch reads it."""
+        self.view.restore(*self._snap, *self.ctx.partition.rank_range(rank))
         self.ctx.metrics.recovery.rank_restarts += 1
         if self.ctx.tracer is not None:
             self.ctx.tracer.instant("rank-restart", rank=int(rank))
@@ -120,14 +119,12 @@ class _RecoveryManager:
         """
         from repro.core.validation import validate_sssp_structure
 
-        ctx = self.ctx
+        ctx, view = self.ctx, self.view
 
         def accepted() -> bool:
             # One allreduce models the global validity vote.
             ctx.comm.allreduce(1, phase_kind=RECOVERY_PHASE)
-            return validate_sssp_structure(
-                ctx.graph, root, gathered(self.states, "d")
-            ).valid
+            return validate_sssp_structure(ctx.graph, root, view.d).valid
 
         for _ in range(self.plan.max_healing_sweeps):
             if accepted():
@@ -138,27 +135,21 @@ class _RecoveryManager:
                     "healing-sweep",
                     sweep=int(ctx.metrics.recovery.healing_sweeps),
                 )
-            for st in self.states:
-                st.active = np.nonzero(st.d < INF)[0]
-            bellman_ford_stage(
-                ctx, self.states, mailbox, phase_kind=RECOVERY_PHASE
-            )
+            view.active = np.nonzero(view.d < INF)[0]
+            bellman_ford_stage(ctx, view, mailbox, phase_kind=RECOVERY_PHASE)
         else:
-            report = validate_sssp_structure(
-                ctx.graph, root, gathered(self.states, "d")
-            )
+            report = validate_sssp_structure(ctx.graph, root, view.d)
             if not report.valid:
                 raise RecoveryError(
                     "self-healing did not converge after "
                     f"{self.plan.max_healing_sweeps} sweeps: "
                     + "; ".join(report.failures)
                 )
-        for st in self.states:
-            st.settled = st.d < INF
+        view.settle_reached()
 
 
 def _fault_setup(
-    ctx: ExecutionContext, states: list[RankState], faults: "FaultPlan | None"
+    ctx: ExecutionContext, view: VertexView, faults: "FaultPlan | None"
 ) -> tuple[Mailbox, _RecoveryManager | None]:
     """Build the (mailbox, recovery manager) pair for a run."""
     num_ranks = ctx.machine.num_ranks
@@ -175,7 +166,7 @@ def _fault_setup(
             )
 
     mailbox = FaultyMailbox(num_ranks, ctx.comm, faults)
-    manager = _RecoveryManager(ctx, states, faults)
+    manager = _RecoveryManager(ctx, view, faults)
     mailbox.on_restart = manager.restore
     return mailbox, manager
 
@@ -183,27 +174,6 @@ def _fault_setup(
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-def _check_rank_local(ctx: ExecutionContext) -> None:
-    """Reject what rank views cannot compute from their own slice."""
-    cfg = ctx.config
-    if cfg.collect_census:
-        raise ValueError("census collection is not implemented in SPMD mode")
-    if not cfg.use_pruning or cfg.pushpull_mode == "push":
-        return
-    if cfg.pushpull_mode == "auto" and cfg.pushpull_estimator != "expectation":
-        raise ValueError(
-            "the SPMD engine implements the expectation decision "
-            "heuristic (rank-local partial sums); use "
-            "pushpull_estimator='expectation' or a forced mode"
-        )
-    if not ctx.graph.undirected:
-        raise ValueError(
-            "the pull phase on a directed graph scans the reverse rows, "
-            "which rank views do not hold; use pushpull_mode='push' or the "
-            "whole-graph driver"
-        )
-
-
 def run_ranks(
     ctx: ExecutionContext,
     root: int,
@@ -211,32 +181,24 @@ def run_ranks(
     faults: "FaultPlan | None" = None,
     **defence,
 ) -> np.ndarray:
-    """Solve from ``root`` on ``ctx``, one view per rank; returns distances.
+    """Solve from ``root`` on ``ctx`` through a mailbox; returns distances.
 
     Δ = ∞ (``config.is_bellman_ford``) runs the whole solve as the
     Bellman-Ford stage, under its own checkpoint tag. With ``faults``,
-    records travel through the fault-injecting reliable mailbox, rank
+    records travel through the fault-injecting reliable mailbox, the
     state is snapshotted at epoch boundaries for crash restart, and the
     post-solve self-healing sweep makes the distances bit-identical to the
     fault-free run's. ``defence`` is documented on
     :class:`~repro.core.defence.Defence`.
     """
-    _check_rank_local(ctx)
-    cfg = ctx.config
-    # Rank states carry the short/long split of the strategy's
-    # classification width (Δ for delta, effectively ∞ for radius/ρ),
-    # which is the table the context was built with.
-    states = build_rank_states(
-        ctx.graph, ctx.partition, min(cfg.classification_width, 2**60), root,
-        short_offsets=ctx.short_offsets,
-    )
-    mailbox, manager = _fault_setup(ctx, states, faults)
+    view = build_rank_states(ctx, root)
+    mailbox, manager = _fault_setup(ctx, view, faults)
     return drive(
         ctx,
-        states,
+        view,
         mailbox,
         root,
-        "spmd-bf" if cfg.is_bellman_ford else "spmd-delta",
+        "spmd-bf" if ctx.config.is_bellman_ford else "spmd-delta",
         perfect=lambda: Mailbox(ctx.machine.num_ranks, ctx.comm),
         recovery=manager,
         **defence,
@@ -258,10 +220,8 @@ def spmd_delta_stepping(
     """Rank-local solve on a fresh context; returns (distances,
     context-with-metrics).
 
-    ``config`` selects any member of the family (pruning with the
-    expectation decision heuristic, forced push/pull modes, hybridization,
-    Δ = ∞, the windowed strategies); the ``delta``/``use_ios`` keywords
-    cover the baseline variants. ``faults`` and ``defence`` are
+    ``config`` selects any member of the family; the ``delta``/``use_ios``
+    keywords cover the baseline variants. ``faults`` and ``defence`` are
     :func:`run_ranks`'s; ``trace`` (a
     :class:`~repro.obs.tracer.TraceConfig`) attaches the telemetry layer.
     """

@@ -1,22 +1,30 @@
 """Per-rank mailboxes: the only channel between SPMD ranks.
 
 A :class:`Mailbox` models one bulk-synchronous exchange round: during a
-superstep every rank posts ``(dst_vertex, payload...)`` record batches
-addressed by destination rank; at the superstep boundary :meth:`deliver`
-moves them to the receivers (counting the traffic through the accounting
-communicator) and hands each rank exactly the records addressed to it.
-Nothing else crosses rank boundaries.
+superstep records ``(dst_vertex, payload...)`` are queued, addressed by
+destination rank; at the superstep boundary they move to the receivers
+(counting the traffic through the accounting communicator) and every rank
+gets exactly the records addressed to it. Nothing else crosses rank
+boundaries.
 
-A superstep is one routed stream. :meth:`Mailbox.post` validates a batch
-and appends it to the sender's outbox — no sort, no gather, no slice.
-:meth:`Mailbox.deliver` drains the outbox into one record stream in posting
-order (sender ascending, then post, then position), routes it with a single
-stable sort on the destination rank (:func:`_stable_order`: the key is cast
-to the narrowest integer type that holds it, which makes NumPy's stable
-sort a radix sort), and hands every receiver a *slice* of the routed
-columns; the (src, dst) lane counts the accounting wants are the run
-boundaries of the routed stream. The cost of an exchange is one pass over
-its records, whatever the rank count.
+Records are queued in one of two shapes. :meth:`Mailbox.post` is one rank
+posting a batch — the per-rank API, which validates and appends.
+:meth:`Mailbox.send` is the kernels' call (:class:`~repro.core.transport.
+Transport`): the records of *every* rank's share of a frontier at once,
+grouped by sending rank — exactly the posts the ranks would have made one
+by one, a post per sending rank with records. Either way a superstep is
+one routed stream: the queue drains into a single record stream in posting
+order (sender ascending, then that sender's posts in insertion order, then
+position — :meth:`Mailbox._drain`; one whole-frontier batch *is* that
+stream, uncopied), which is routed with a single stable sort on the
+destination rank (:func:`_stable_order`: the key is cast to the narrowest
+integer type that holds it, which makes NumPy's stable sort a radix sort).
+:meth:`Mailbox.exchange` returns the routed columns, :meth:`Mailbox.
+deliver` slices them per receiver; the (src, dst) lane counts the
+accounting wants are the run boundaries of the routed stream. The cost of
+an exchange is one pass over its records, whatever the rank count. The
+per-record rank columns a queued batch carries are of the narrowest type
+that holds a rank: they live until the exchange, beside the payload.
 
 :class:`ReliableMailbox` layers a recovery protocol on top: every record of
 a superstep carries an implicit per-channel ``(src_rank, dst_rank)``
@@ -34,10 +42,13 @@ overhead of fault tolerance stays measurable.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
 
+from repro.core.transport import Transport
 from repro.runtime.comm import RECOVERY_PHASE, Communicator
 
 __all__ = ["Mailbox", "ReliableMailbox"]
@@ -78,13 +89,15 @@ def _inboxes(
     ]
 
 
-def _no_records(num_ranks: int, num_columns: int) -> list[tuple[np.ndarray, ...]]:
-    """What every receiver gets from a superstep nobody posted to."""
+def _no_records(
+    num_ranks: int, num_columns: int
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """``(routed, cuts)`` of a superstep nobody sent anything in."""
     empty = np.empty(0, dtype=np.int64)
-    return [(empty,) * num_columns for _ in range(num_ranks)]
+    return (empty,) * num_columns, np.zeros(num_ranks + 1, dtype=np.int64)
 
 
-class Mailbox:
+class Mailbox(Transport):
     """Bulk-synchronous record exchange between ``num_ranks`` ranks."""
 
     def __init__(self, num_ranks: int, comm: Communicator) -> None:
@@ -96,11 +109,14 @@ class Mailbox:
         """Optional :class:`~repro.runtime.watchdog.Watchdog`; the reliable
         layer reports every recovery round to it so retry storms burn
         deadline budget even though the epoch counter stands still."""
-        self._outbox: list[list[tuple[np.ndarray, tuple[np.ndarray, ...]]]] = [
-            [] for _ in range(num_ranks)
-        ]
-        """Per sender, its posts of the open superstep in insertion order:
-        ``(dst_ranks, columns)`` exactly as posted."""
+        self._rank_dtype = np.min_scalar_type(num_ranks - 1)
+        self._outbox: list[
+            tuple[list[int], list[int], np.ndarray, tuple[np.ndarray, ...]]
+        ] = []
+        """The batches of the open superstep in insertion order:
+        ``(senders, sizes, dst_ranks, columns)`` — the ranks with records
+        in the batch, ascending, the record count of each, and the records
+        themselves grouped accordingly."""
 
     def post(
         self,
@@ -112,8 +128,8 @@ class Mailbox:
         (first column must be the destination vertex ids).
 
         The batch is validated and appended, nothing more — routing is
-        :meth:`deliver`'s, once per superstep. The mailbox keeps the arrays
-        it was handed until then."""
+        done once per superstep. The mailbox keeps the columns it was
+        handed until then."""
         if not 0 <= src_rank < self.num_ranks:
             raise IndexError(f"rank {src_rank} out of range")
         if not columns:
@@ -131,24 +147,33 @@ class Mailbox:
             raise ValueError(
                 f"destination rank {bad} out of range [0, {self.num_ranks})"
             )
-        self._outbox[src_rank].append((dst_ranks, columns))
+        self._outbox.append(
+            ([src_rank], [dst_ranks.size], dst_ranks.astype(self._rank_dtype), columns)
+        )
 
-    def send(self, view, src_local: np.ndarray, dst: np.ndarray, *cols) -> None:
-        """The phase kernels' call shape: queue records from a rank view to
-        the owners of ``dst`` (global ids). A mailbox never needs the
-        per-record source vertices the declaring transport prices."""
-        self.post(view.rank, self.comm.partition.owner(dst), dst, *cols)
+    def send(self, src: np.ndarray, dst: np.ndarray, *cols: np.ndarray) -> None:
+        """The phase kernels' call shape: one batch holding every rank's
+        records, grouped by the rank owning ``src`` (ranks ascending; any
+        order inside a rank) — what the ranks would have posted one by
+        one, a post per sending rank with records. Only the per-rank record
+        counts of ``src`` are kept: grouped, they say who sent what."""
+        owner = self.comm.partition.owner
+        sizes = np.bincount(owner(src), minlength=self.num_ranks)
+        senders = np.flatnonzero(sizes)
+        if senders.size:
+            self._outbox.append((
+                senders.tolist(), sizes[senders].tolist(),
+                owner(dst).astype(self._rank_dtype), (dst, *cols),
+            ))
 
     def _check_columns(self, num_columns: int) -> None:
         """Reject malformed supersteps *before* any traffic is charged, so a
         failed delivery never leaves the metrics half-updated."""
-        for queued in self._outbox:
-            for _dst, cols in queued:
-                if len(cols) != num_columns:
-                    raise ValueError(
-                        f"posted {len(cols)} columns, deliver expects "
-                        f"{num_columns}"
-                    )
+        for *_, cols in self._outbox:
+            if len(cols) != num_columns:
+                raise ValueError(
+                    f"posted {len(cols)} columns, deliver expects {num_columns}"
+                )
 
     def _drain(
         self,
@@ -157,42 +182,49 @@ class Mailbox:
         stream, in posting order: sender ascending, each sender's posts in
         insertion order, each post's records as posted. Returns ``(src,
         dst, columns, post_sizes)`` — per-record source and destination
-        ranks, the columns concatenated once, the record count of every
-        post — or ``None`` when nothing was posted (an idle superstep
-        allocates nothing)."""
-        posts = [
-            (src, dst, cols)
-            for src, queued in enumerate(self._outbox)
-            for dst, cols in queued
-        ]
-        if not posts:
-            return None
-        self._outbox = [[] for _ in range(self.num_ranks)]
-        srcs, dsts, cols = zip(*posts)
-        sizes = np.array([dst.size for dst in dsts], dtype=np.int64)
-        src = np.repeat(np.array(srcs, dtype=np.int64), sizes)
-        columns = tuple(np.concatenate(col) for col in zip(*cols))
-        return src, np.concatenate(dsts), columns, sizes
+        ranks, the columns, the record count of every post — or ``None``
+        when nothing was queued (an idle superstep allocates nothing).
 
-    def deliver(
-        self,
-        record_bytes: int,
-        *,
-        phase_kind: str = "other",
-        num_columns: int = 2,
-    ) -> list[tuple[np.ndarray, ...]]:
-        """Close the superstep: account the traffic and return, per receiving
-        rank, the record columns addressed to it — ordered by sender, then
-        by post, then by position in the post.
+        One batch — a whole frontier, or a single post — is that stream as
+        it stands and is handed on uncopied. Several (the IOS push phase's
+        long and outer-short records, ranks posting one by one) are cut at
+        their sender boundaries and the pieces ordered by sender, which
+        interleaves two whole-frontier batches A and B as r0·A, r0·B,
+        r1·A, … — the outboxes P ranks would have filled."""
+        queued, self._outbox = self._outbox, []
+        if not queued:
+            return None
+        if len(queued) == 1:
+            ((senders, sizes, dst, columns),) = queued
+        else:
+            pieces = [
+                (sender, size, dst[stop - size : stop],
+                 tuple(col[stop - size : stop] for col in columns))
+                for senders, sizes, dst, columns in queued
+                for sender, size, stop in zip(senders, sizes, accumulate(sizes))
+            ]
+            pieces.sort(key=itemgetter(0))  # stable: insertion order inside a sender
+            senders, sizes, dsts, cols = zip(*pieces)
+            dst = np.concatenate(dsts)
+            columns = tuple(np.concatenate(col) for col in zip(*cols))
+        sizes = np.array(sizes, dtype=np.int64)
+        src = np.repeat(np.array(senders, dtype=self._rank_dtype), sizes)
+        return src, dst, columns, sizes
+
+    def _close(
+        self, record_bytes: int, phase_kind: str, num_columns: int
+    ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Close the superstep: account the traffic and return ``(routed,
+        cuts)`` — the record columns grouped by receiving rank, receiver
+        ``r`` owning positions ``cuts[r]:cuts[r + 1]``, ordered there by
+        sender, then by post, then by position in the post.
 
         The superstep's stream is routed once: one stable sort on the
-        destination rank, one gather per column, and every receiver gets a
-        slice of the routed columns. Traffic is accounted from per-lane
-        record counts read off the routed stream — inside a destination
-        group the sender is non-decreasing, so the (src, dst) lanes are its
-        run boundaries; no per-lane table is ever built.
+        destination rank, one gather per column. Traffic is accounted from
+        per-lane record counts read off the routed stream — inside a
+        destination group the sender is non-decreasing, so the (src, dst)
+        lanes are its runs; no per-lane table is ever built.
         """
-        p = self.num_ranks
         self._check_columns(num_columns)
         tr = self.comm.metrics.tracer
         span = (
@@ -203,48 +235,48 @@ class Mailbox:
         stream = self._drain()
         if stream is None:
             lane_src = lane_dst = lane_cnt = np.empty(0, dtype=np.int64)
-            out = _no_records(p, num_columns)
+            routed, cuts = _no_records(self.num_ranks, num_columns)
         else:
             src, dst, columns, _sizes = stream
-            order, cuts = _route(dst, p)
-            # Routed, the lane id ``dst * P + src`` is non-decreasing (the
-            # sender ascends inside a destination group): lanes are its runs.
-            lane = (dst * p + src)[order]
-            first = np.concatenate(([0], np.flatnonzero(lane[1:] != lane[:-1]) + 1))
-            lane_dst, lane_src = np.divmod(lane[first], p)
-            lane_cnt = np.diff(first, append=lane.size)
-            out = _inboxes(tuple(col[order] for col in columns), cuts)
+            order, cuts = _route(dst, self.num_ranks)
+            src, dst = src[order], dst[order]
+            first = np.concatenate(
+                ([0], np.flatnonzero((dst[1:] != dst[:-1]) | (src[1:] != src[:-1])) + 1)
+            )
+            lane_src, lane_dst = src[first], dst[first]
+            lane_cnt = np.diff(first, append=src.size)
+            routed = tuple(col[order] for col in columns)
         self.comm.exchange_by_rank_counts(
             lane_src, lane_dst, lane_cnt, record_bytes, phase_kind=phase_kind
         )
         if tr is not None:
             # ``lanes``: distinct (src, dst) pairs with traffic this superstep.
             tr.end(span, lanes=int(lane_cnt.size), records=int(lane_cnt.sum()))
-        return out
+        return routed, cuts
 
-    def allreduce_sum(
-        self, values: list[int | float], *, phase_kind: str = "bucket"
-    ) -> int | float:
-        """Sum a per-rank scalar (counted as one allreduce)."""
-        if len(values) != self.num_ranks:
-            raise ValueError("need one value per rank")
-        self.comm.allreduce(1, phase_kind=phase_kind)
-        return sum(values)
+    def exchange(
+        self, record_bytes: int, *, phase_kind: str = "other", num_columns: int = 2
+    ) -> tuple[np.ndarray, ...]:
+        """Close the superstep and return the routed record columns: what
+        the ranks receive, receiver ascending (see :meth:`_close`)."""
+        return self._close(record_bytes, phase_kind, num_columns)[0]
 
-    def allreduce_min(
-        self, values: list[int | float], *, phase_kind: str = "bucket"
-    ) -> int | float:
-        """Minimum of a per-rank scalar (counted as one allreduce)."""
-        if len(values) != self.num_ranks:
-            raise ValueError("need one value per rank")
-        self.comm.allreduce(1, phase_kind=phase_kind)
-        return min(values)
+    def deliver(
+        self,
+        record_bytes: int,
+        *,
+        phase_kind: str = "other",
+        num_columns: int = 2,
+    ) -> list[tuple[np.ndarray, ...]]:
+        """Close the superstep and return, per receiving rank, the record
+        columns addressed to it: slices of the routed columns."""
+        return _inboxes(*self._close(record_bytes, phase_kind, num_columns))
 
 
 class ReliableMailbox(Mailbox):
     """Mailbox with a sequence/ack/retry reliable-transport layer.
 
-    Every :meth:`deliver` orders the superstep's record stream by (post,
+    Every superstep close orders the record stream by (post,
     destination rank) (:meth:`_wire_stream`); a record's index in that
     stream is its global id, and its rank within its ``(src_rank,
     dst_rank)`` channel is its sequence number.  The protocol then runs:
@@ -370,15 +402,13 @@ class ReliableMailbox(Mailbox):
         p = self.num_ranks
         post_key = np.arange(sizes.size, dtype=np.int64) * p
         order = _stable_order(np.repeat(post_key, sizes) + dst, sizes.size * p - 1)
-        return src[order], dst[order], tuple(c[order] for c in cols)
+        # Full width: the protocol indexes its channel tables by src * P + dst.
+        src, dst = src[order].astype(np.int64), dst[order].astype(np.int64)
+        return src, dst, tuple(c[order] for c in cols)
 
-    def deliver(
-        self,
-        record_bytes: int,
-        *,
-        phase_kind: str = "other",
-        num_columns: int = 2,
-    ) -> list[tuple[np.ndarray, ...]]:
+    def _close(
+        self, record_bytes: int, phase_kind: str, num_columns: int
+    ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """Reliable superstep close: retries until every surviving record
         of the exchange has been delivered exactly once."""
         p = self.num_ranks
@@ -481,9 +511,9 @@ class ReliableMailbox(Mailbox):
             got = np.concatenate(arrival)
             order, cuts = _route(dst_arr[got], p)
             got = got[order]
-            out = _inboxes(tuple(c[got] for c in cols), cuts)
+            routed = tuple(c[got] for c in cols)
         else:
-            out = _no_records(p, num_columns)
+            routed, cuts = _no_records(p, num_columns)
         if tr is not None:
             tr.end(span, records=int(n), recovery_rounds=round_ - 1)
-        return out
+        return routed, cuts

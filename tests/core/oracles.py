@@ -4,7 +4,9 @@ was trimmed, kept as the reference the trimmed path is held equal to.
 - :func:`estimate_models_oracle` — the expectation estimator as it stood
   before it read its degrees off tables: in-degrees from two ``indptr``
   gathers and a short-offset subtraction per epoch, the explicit ``INF``
-  branch and both ``np.clip`` calls, out of place.
+  branch and both ``np.clip`` calls, out of place — and evaluated rank by
+  rank, each on its own block of the arrays alone, the way one view per
+  rank did before a rank became a range of the one view.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numpy as np
 
 from repro.core.distances import INF
 from repro.core.pushpull import PushPullEstimate, combine_expectation_costs
-from repro.core.views import rank_cuts
 
 
 def expectation_partials_oracle(
@@ -40,23 +41,26 @@ def _block_sums(terms, cuts) -> list[float]:
     ]
 
 
-def estimate_models_oracle(ctx, views, members_per_view, k) -> PushPullEstimate:
+def estimate_models_oracle(ctx, view, members, k) -> PushPullEstimate:
     cfg = ctx.config
     lo = k * cfg.delta
     hi = lo + cfg.delta
     w_max = max(ctx.graph.max_weight, 1)
+    in_indptr, _, _, in_short = view.pull_rows()
     push_partials: list[float] = []
     pull_partials: list[float] = []
-    for v, members in zip(views, members_per_view):
-        later = v.later(hi)
-        in_indptr, _, _, in_short = v.pull_rows()
+    for rank in range(ctx.machine.num_ranks):
+        start, stop = ctx.partition.rank_range(rank)
+        d, settled = view.d[start:stop], view.settled[start:stop]
+        later = np.nonzero(~settled & (d >= hi))[0] + start
+        mine = members[(members >= start) & (members < stop)]
         in_degrees = in_indptr[later + 1] - in_indptr[later]
         if not cfg.use_ios:
             in_degrees -= in_short[later]
-        member_long = v.local_degrees(members) - v.short_offsets[members]
+        member_long = view.indptr[mine + 1] - view.indptr[mine] - view.short_offsets[mine]
         push, pull = expectation_partials_oracle(
-            cfg, w_max, lo, member_long, rank_cuts(ctx, views, members),
-            v.d[later], in_degrees, rank_cuts(ctx, views, later),
+            cfg, w_max, lo, member_long, np.array([0, mine.size]),
+            view.d[later], in_degrees, np.array([0, later.size]),
         )
         push_partials += push
         pull_partials += pull

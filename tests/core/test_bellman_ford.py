@@ -25,11 +25,11 @@ def solve_bf(ctx, root):
 
 
 def stage_from(ctx, d, active):
-    """Run the stage on a whole-graph view over ``d`` from ``active``."""
+    """Run the stage on the view over ``d`` from ``active``."""
     view = whole_graph_view(
         ctx, d, np.zeros(d.size, dtype=bool), np.array(active, dtype=np.int64)
     )
-    return bellman_ford_stage(ctx, [view], DeclaredTransport(ctx.comm))
+    return bellman_ford_stage(ctx, view, DeclaredTransport(ctx.comm))
 
 
 class TestCorrectness:

@@ -7,8 +7,9 @@ not move a bit. The parent's body lives on as
 :func:`tests.core.oracles.estimate_models_oracle`; the property below holds
 every field of :class:`~repro.core.pushpull.PushPullEstimate` equal between
 the two on random states — IOS on and off, undirected and directed inputs
-(reverse rows), a whole-graph view and one view per rank, ``later`` empty,
-all unreached and mixed, ``w_max = 1``, ``Δ > w_max``, no members.
+(reverse rows), one, two and eight ranks (the oracle evaluates each rank on
+its own block alone), ``later`` empty, all unreached and mixed,
+``w_max = 1``, ``Δ > w_max``, no members.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.core.config import preset
 from repro.core.context import make_context
 from repro.core.distances import INF
 from repro.core.pushpull import estimate_models, expectation_partials
-from repro.core.views import build_rank_states, whole_graph_view
+from repro.core.views import whole_graph_view
 from repro.graph.builder import from_edges
 from repro.runtime.machine import MachineConfig
 from tests.core.oracles import estimate_models_oracle, expectation_partials_oracle
@@ -53,16 +54,6 @@ def random_state(rng, n, delta, later_kind):
     return d, settled
 
 
-def views_for(ctx, layout, d, settled):
-    if layout == "whole":
-        return [whole_graph_view(ctx, d, settled)]
-    views = build_rank_states(ctx.graph, ctx.partition, ctx.config.delta, 0)
-    for v in views:
-        v.d[:] = d[v.lo : v.hi]
-        v.settled[:] = settled[v.lo : v.hi]
-    return views
-
-
 def assert_same_estimate(got, want):
     assert got == want
     # ``==`` calls -0.0 and 0.0 equal; the published floats must not differ
@@ -79,36 +70,30 @@ def assert_same_estimate(got, want):
     use_ios=st.booleans(),
     undirected=st.booleans(),
     ranks=st.sampled_from([1, 2, 8]),
-    layout=st.sampled_from(["whole", "ranks"]),
     w_max=st.sampled_from([1, 7, 255, 2**40]),
     delta=st.sampled_from([1, 5, 25, 300]),
     later_kind=st.sampled_from(["mixed", "mixed", "unreached", "empty"]),
     no_members=st.booleans(),
 )
 def test_estimate_equals_the_parent_body(
-    seed, use_ios, undirected, ranks, layout, w_max, delta, later_kind, no_members
+    seed, use_ios, undirected, ranks, w_max, delta, later_kind, no_members
 ):
-    if not undirected:
-        layout = "whole"  # only a whole-graph view holds the reverse rows
     rng = np.random.default_rng(seed)
     n = int(rng.integers(ranks, 90))
     graph = random_graph(rng, n, w_max, undirected)
     cfg = preset("opt", delta).evolve(use_ios=use_ios)
     ctx = make_context(graph, MachineConfig(num_ranks=ranks, threads_per_rank=2), cfg)
     d, settled = random_state(rng, n, delta, later_kind)
-    views = views_for(ctx, layout, d, settled)
+    view = whole_graph_view(ctx, d, settled)
     for k in (0, 1, 4):
-        members_per_view = [
+        members = (
             np.empty(0, dtype=np.int64)
             if no_members
-            else np.nonzero(
-                (v.d >= k * delta) & (v.d < (k + 1) * delta) & ~v.settled
-            )[0]
-            for v in views
-        ]
+            else np.nonzero((d >= k * delta) & (d < (k + 1) * delta) & ~settled)[0]
+        )
         assert_same_estimate(
-            estimate_models(ctx, views, members_per_view, k),
-            estimate_models_oracle(ctx, views, members_per_view, k),
+            estimate_models(ctx, view, members, k),
+            estimate_models_oracle(ctx, view, members, k),
         )
 
 

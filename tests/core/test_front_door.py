@@ -3,7 +3,10 @@
 ``solve_sssp(..., faults=plan)`` / ``BatchSolver.solve(root, faults=plan)``
 run the *resolved preset* on the rank driver — same distances, counters and
 priced cost as entering the rank driver directly with that preset — and the
-rank driver rejects, at its one entry, what rank views cannot compute.
+rank driver accepts what the whole-graph driver accepts: census collection,
+the exact and histogram estimators and the pull phase on directed graphs
+were rejected at its entry while it ran one view per rank; they now equal
+the whole-graph driver's answer and accounting.
 """
 
 import numpy as np
@@ -20,9 +23,11 @@ from repro.runtime.costmodel import evaluate_cost
 from repro.runtime.machine import MachineConfig
 from repro.spmd.engine import spmd_delta_stepping
 from repro.spmd.faults import FaultPlan, RankCrash
+from tests.core.test_transport_parity import assert_parity
 
 MACHINE = MachineConfig(num_ranks=4, threads_per_rank=2)
 LOSSY = FaultPlan(seed=3, loss_rate=0.05, crashes=(RankCrash(1, 4),))
+CRASHING = FaultPlan.from_spec("loss=0.05,crash=1@4,seed=3")
 NON_SPLITTING = sorted(a for a in PRESETS if not preset(a).inter_split)
 GRAPHS = {
     "rmat10": (lambda: rmat_graph(10, seed=3), 3),
@@ -99,26 +104,42 @@ class TestSameErrors:
             solver.solve(root, faults=FaultPlan(crashes=(RankCrash(9, 4),)))
 
     @pytest.mark.parametrize(
-        "config, message",
+        "config",
         [
-            (preset("delta", 25).evolve(collect_census=True), "census"),
-            (preset("prune", 25).evolve(pushpull_estimator="exact"), "expectation"),
+            preset("delta", 25).evolve(collect_census=True),
+            preset("prune", 25).evolve(pushpull_estimator="exact"),
+            preset("prune", 25).evolve(pushpull_estimator="histogram"),
         ],
+        ids=["census", "exact", "histogram"],
     )
-    def test_whole_graph_only_configs_rejected_at_rank_entry(
-        self, case, config, message
-    ):
-        graph, root, _ = case
-        with pytest.raises(ValueError, match=message):
-            solve_sssp(graph, root, config=config, machine=MACHINE,
-                       faults=FaultPlan())
-        with pytest.raises(ValueError, match=message):
-            spmd_delta_stepping(graph, root, MACHINE, config=config)
+    def test_whole_graph_only_configs_rejected_at_rank_entry(self, case, config):
+        """Was: ``ValueError`` at the rank driver's entry. No config is
+        whole-graph-only any more: both drivers give the reference
+        distances, the same records, ``summary()`` and per-bucket stats
+        (census columns and estimates included), and the crash plan
+        recovers the same answer."""
+        graph, root, ref = case
+        d, metrics = assert_parity(graph, root, MACHINE, config)
+        assert np.array_equal(d, ref)
+        assert metrics.per_bucket_stats
+        if config.collect_census:
+            assert all("pull_requests" in s for s in metrics.per_bucket_stats)
+        else:
+            assert any(
+                "est_push_cost" in s and s["mode"] in ("push", "pull")
+                for s in metrics.per_bucket_stats
+            )
+        res = solve_sssp(graph, root, config=config, machine=MACHINE,
+                         faults=CRASHING, validate="structural")
+        assert np.array_equal(res.distances, ref)
+        assert res.metrics.recovery.rank_restarts == 1
 
 
 class TestDirectedGraphs:
-    """Rank views hold no reverse rows, so the pull phase on a directed
-    graph silently read the wrong arcs; it is rejected, push mode is exact."""
+    """The pull phase on a directed graph scans the reverse rows. Rank views
+    held none and silently read the wrong arcs (wrong distances in 29 of 40
+    runs before PR 17 rejected the combination); the one view carries them,
+    so every mode is exact on both drivers."""
 
     @staticmethod
     def directed(seed):
@@ -131,22 +152,22 @@ class TestDirectedGraphs:
 
     @pytest.mark.parametrize("algorithm", ["prune", "opt"])
     def test_pull_rejected_push_exact(self, algorithm):
-        machine, config = MACHINE, preset(algorithm, 25)
+        """Was: pull and auto rejected, push exact. Now: all three modes
+        equal the reference and the whole-graph driver's accounting, fault
+        free and under the crash plan, on 20 seeded directed graphs."""
+        config = preset(algorithm, 25)
+        pulled = 0
         for seed in range(20):
             graph = self.directed(seed)
             ref = dijkstra_reference(graph, 0)
-            for mode in ("auto", "pull"):
-                with pytest.raises(ValueError, match="directed"):
-                    spmd_delta_stepping(
-                        graph, 0, machine, config=config.evolve(pushpull_mode=mode)
-                    )
-            with pytest.raises(ValueError, match="directed"):
-                solve_sssp(graph, 0, config=config, machine=machine,
-                           faults=FaultPlan())
-            push = config.evolve(pushpull_mode="push")
-            d, _ = spmd_delta_stepping(graph, 0, machine, config=push)
-            assert np.array_equal(d, ref), seed
-            # The whole-graph driver holds the reverse rows: any mode is exact.
-            assert np.array_equal(
-                solve_sssp(graph, 0, config=config, machine=machine).distances, ref
-            )
+            for mode in ("auto", "pull", "push"):
+                cfg = config.evolve(pushpull_mode=mode)
+                d, metrics = assert_parity(graph, 0, MACHINE, cfg)
+                assert np.array_equal(d, ref), (seed, mode)
+                pulled += metrics.pull_buckets
+                if mode == "pull":
+                    assert metrics.pull_buckets == metrics.buckets_processed
+            res = solve_sssp(graph, 0, config=config, machine=MACHINE,
+                             faults=CRASHING)
+            assert np.array_equal(res.distances, ref), seed
+        assert pulled  # the reverse rows were really read

@@ -6,10 +6,13 @@ copy of those formulas, which can drift from the orchestrated estimator one
 refactor at a time; both now run the one
 :func:`~repro.core.pushpull.estimate_models`, which evaluates the per-vertex
 terms once and sums them per rank block. These are the regression tests:
-that must equal, float for float, the estimator evaluated rank by rank (kept
-here as the oracle) on both view layouts, and the two engines must make the
-same mode decision for every bucket of every preset (rows of the one
-differential, ``test_transport_parity.assert_parity``).
+that must equal, float for float, the estimator evaluated rank by rank on
+each rank's own slices (kept here as the oracle), and the two engines must
+make the same mode decision for every bucket of every preset (rows of the
+one differential, ``test_transport_parity.assert_parity``). Until PR 21 the
+oracle was compared against two view layouts — one whole-graph view and one
+view per rank; a rank is now a range of the one view, and the ``layout``
+parameter is gone with the second layout.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.core.config import preset
 from repro.core.context import make_context
 from repro.core.distances import INF
 from repro.core.pushpull import combine_expectation_costs, estimate_models
-from repro.core.views import build_rank_states, whole_graph_view
+from repro.core.views import whole_graph_view
 from repro.runtime.machine import MachineConfig
 from tests.core.test_transport_parity import assert_parity
 
@@ -101,40 +104,32 @@ class TestSharedPartials:
         ctx = make_context(rmat1_small, MACHINE, cfg)
         d, settled = random_state(ctx, 0)
         members, oracle = oracle_estimate(ctx, d, settled, 1)
-        whole = estimate_models(
-            ctx, [whole_graph_view(ctx, d, settled)], [members], 1
-        )
+        whole = estimate_models(ctx, whole_graph_view(ctx, d, settled), members, 1)
         assert whole == oracle
 
     @pytest.mark.parametrize("use_ios", [False, True])
-    @pytest.mark.parametrize("layout", ["whole", "ranks"])
+    @pytest.mark.parametrize(
+        "machine", [MACHINE, MachineConfig(num_ranks=7)], ids="P{0.num_ranks}".format
+    )
     @pytest.mark.parametrize(
         "reached, empty_ranks", [(0.5, ()), (0.05, (1,)), (0.9, (0, 3)), (0.0, ())]
     )
     def test_both_layouts_match_the_per_rank_oracle(
-        self, rmat1_small, use_ios, layout, reached, empty_ranks
+        self, rmat1_small, use_ios, machine, reached, empty_ranks
     ):
-        """Whole-graph view cut at the boundaries and one view per rank give
-        the oracle's floats — with unreached (INF) vertices, ranks holding
-        no member and no later vertex, and nothing reached at all."""
+        """The view cut at the rank boundaries gives the floats of the
+        oracle, which evaluates every rank on its own slices — with
+        unreached (INF) vertices, ranks holding no member and no later
+        vertex, nothing reached at all, and a rank count that does not
+        divide n. (The name dates from when a second, per-rank view layout
+        was held to the same oracle.)"""
         cfg = preset("opt", 25).evolve(use_ios=use_ios)
-        ctx = make_context(rmat1_small, MACHINE, cfg)
+        ctx = make_context(rmat1_small, machine, cfg)
         d, settled = random_state(ctx, 7, reached=reached, empty_ranks=empty_ranks)
+        view = whole_graph_view(ctx, d, settled)
         for k in (0, 1, 3):
             members, oracle = oracle_estimate(ctx, d, settled, k)
-            if layout == "whole":
-                views = [whole_graph_view(ctx, d, settled)]
-                members_per_view = [members]
-            else:
-                views = build_rank_states(ctx.graph, ctx.partition, cfg.delta, 0)
-                members_per_view = []
-                for v in views:
-                    v.d[:] = d[v.lo : v.hi]
-                    v.settled[:] = settled[v.lo : v.hi]
-                    members_per_view.append(
-                        members[(members >= v.lo) & (members < v.hi)] - v.lo
-                    )
-            assert estimate_models(ctx, views, members_per_view, k) == oracle
+            assert estimate_models(ctx, view, members, k) == oracle
 
 
 class TestEngineDecisionParity:

@@ -41,14 +41,14 @@ def pull_requests(ctx, d, settled, k):
 
 
 def push(ctx, d, settled, members, k):
-    """The push kernel on a whole-graph view over ``(d, settled)``."""
-    views = [whole_graph_view(ctx, d, settled)]
-    return long_phase_push(ctx, views, DeclaredTransport(ctx.comm), [members], k)
+    """The push kernel on the view over ``(d, settled)``."""
+    view = whole_graph_view(ctx, d, settled)
+    return long_phase_push(ctx, view, DeclaredTransport(ctx.comm), members, k)
 
 
 def pull(ctx, d, settled, k):
-    views = [whole_graph_view(ctx, d, settled)]
-    return long_phase_pull(ctx, views, DeclaredTransport(ctx.comm), k)
+    view = whole_graph_view(ctx, d, settled)
+    return long_phase_pull(ctx, view, DeclaredTransport(ctx.comm), k)
 
 
 class TestFig6Example:

@@ -35,22 +35,20 @@ def fig6_state_bucket2(ctx, graph):
     settled = np.zeros(graph.num_vertices, dtype=bool)
     members0 = bucket_members(d, settled, 0, 5)
     settled[members0] = True
-    views = [whole_graph_view(ctx, d, settled)]
-    long_phase_push(ctx, views, DeclaredTransport(ctx.comm), [members0], 0)
+    view = whole_graph_view(ctx, d, settled)
+    long_phase_push(ctx, view, DeclaredTransport(ctx.comm), members0, 0)
     members2 = bucket_members(d, settled, 2, 5)
     settled[members2] = True
     return d, settled, members2
 
 
 def estimate(ctx, d, settled, members, k):
-    """The expectation estimator on a whole-graph view."""
-    return estimate_models(ctx, [whole_graph_view(ctx, d, settled)], [members], k)
+    """The expectation estimator on the view over ``(d, settled)``."""
+    return estimate_models(ctx, whole_graph_view(ctx, d, settled), members, k)
 
 
 def decide(ctx, d, settled, members, k, ordinal):
-    return decide_mode(
-        ctx, [whole_graph_view(ctx, d, settled)], [members], k, ordinal
-    )
+    return decide_mode(ctx, whole_graph_view(ctx, d, settled), members, k, ordinal)
 
 
 class TestExpectationEstimator:

@@ -1,13 +1,12 @@
 """One kernel set, two transports: what is left to check.
 
-The orchestrated solve and the SPMD solve run the *same* phase kernels
-(:mod:`repro.core.phases`, ``pruning``, ``bellman_ford``); they differ only
-in the view constructor (one whole-graph view vs. one slice per rank) and
-the transport (exchanges declared vs. records moved). So the engines can no
-longer disagree about the algorithm, and the one differential worth running
-is over exactly that pair: the declaring transport on one view and the
-mailbox on P views must produce the same distances and, field for field,
-the same accounting records. :func:`assert_parity` is that comparison,
+The orchestrated solve and the SPMD solve make the *same* kernel pass
+(:mod:`repro.core.phases`, ``pruning``, ``bellman_ford``) over the same
+whole-graph view; they differ only in the transport (exchanges declared vs.
+records moved). So the engines cannot disagree about the algorithm, and the
+one differential worth running is over exactly that pair: the declaring
+transport and the mailbox must produce the same distances and, field for
+field, the same accounting records. :func:`assert_parity` is that comparison,
 stated once; the fixed-graph rows of the older suites
 (``tests/core/test_mode_parity.py``, ``tests/core/test_stepping.py``,
 ``tests/spmd/test_spmd.py``) call it under the ids they have always had.
@@ -27,12 +26,7 @@ from repro.core.context import make_context
 from repro.core.delta_stepping import DeltaSteppingEngine
 from repro.core.distances import init_distances
 from repro.core.transport import DeclaredTransport
-from repro.core.views import (
-    active_per_rank,
-    build_rank_states,
-    rank_cuts,
-    whole_graph_view,
-)
+from repro.core.views import active_per_rank, rank_cuts, whole_graph_view
 from repro.graph.builder import from_undirected_edges
 from repro.obs.tracer import TraceConfig
 from repro.runtime.costmodel import evaluate_cost
@@ -157,34 +151,34 @@ class TestWholeGraphView:
         assert np.shares_memory(view.weights, ctx.graph.weights)
         assert np.shares_memory(view.short_offsets, ctx.short_offsets)
         assert view.d is d
-        assert (view.lo, view.hi) == (0, n)
+        assert view.num_unsettled == n
 
     def test_identity_addressing_allocates_nothing(self, ctx):
+        """Vertex ids are global everywhere: the view has no rank, no range
+        and no id translation to apply."""
         n = ctx.graph.num_vertices
         view = whole_graph_view(ctx, init_distances(n, 0), np.zeros(n, dtype=bool))
+        for gone in ("rank", "lo", "hi", "to_global", "to_local", "num_local"):
+            assert not hasattr(view, gone)
         ids = np.array([3, 1, 4], dtype=np.int64)
-        assert view.to_global(ids) is ids
-        assert view.to_local(ids) is ids
+        nd = np.array([5, 6, 7], dtype=np.int64)
+        assert view.apply(ids, nd).tolist() == [1, 3, 4]
+        assert view.d[ids].tolist() == nd.tolist()
 
     def test_per_rank_facts_match_rank_states(self, ctx):
+        """The per-rank facts are cuts of sorted ids at the partition
+        boundaries: equal to what each rank would count over its own block."""
         n = ctx.graph.num_vertices
         rng = np.random.default_rng(5)
         active = np.flatnonzero(rng.random(n) < 0.3)
         whole = whole_graph_view(ctx, init_distances(n, 0), np.zeros(n, dtype=bool))
         whole.active = active
-        states = build_rank_states(ctx.graph, ctx.partition, 25, root=0)
-        for st_ in states:
-            mine = active[(active >= st_.lo) & (active < st_.hi)]
-            st_.active = st_.to_local(mine)
-        per_rank = active_per_rank(ctx, [whole])
-        assert per_rank.tolist() == [st_.active.size for st_ in states]
-        assert per_rank.tolist() == active_per_rank(ctx, states).tolist()
-        cuts = rank_cuts(ctx, [whole], active)
+        ranges = [ctx.partition.rank_range(r) for r in range(ctx.machine.num_ranks)]
+        mine = [active[(active >= lo) & (active < hi)] for lo, hi in ranges]
+        assert active_per_rank(ctx, whole).tolist() == [m.size for m in mine]
+        cuts = rank_cuts(ctx, active)
         assert [active[a:b].tolist() for a, b in zip(cuts[:-1], cuts[1:])] == [
-            st_.to_global(st_.active).tolist() for st_ in states
-        ]
-        assert rank_cuts(ctx, states, states[1].active).tolist() == [
-            0, states[1].active.size
+            m.tolist() for m in mine
         ]
 
 
@@ -192,53 +186,53 @@ class TestDeclaredTransport:
     def make(self, path_graph):
         machine = MachineConfig(num_ranks=2, threads_per_rank=1)
         ctx = make_context(path_graph, machine, SolverConfig(delta=5))
-        n = ctx.graph.num_vertices
-        view = whole_graph_view(ctx, init_distances(n, 0), np.zeros(n, dtype=bool))
-        return ctx, view, DeclaredTransport(ctx.comm)
+        return ctx, DeclaredTransport(ctx.comm)
 
     def exchanges(self, ctx):
         return [r for r in ctx.metrics.records if r.kind == "exchange"]
 
     def test_one_exchange_per_deliver_columns_unreordered(self, path_graph):
-        ctx, view, transport = self.make(path_graph)
+        ctx, transport = self.make(path_graph)
         src = np.array([0, 4, 1], dtype=np.int64)
         dst = np.array([4, 0, 3], dtype=np.int64)
         nd = np.array([70, 10, 30], dtype=np.int64)
-        transport.send(view, src, dst, nd)
-        transport.send(view, src[:1], dst[:1], nd[:1] + 1)
-        (inbox,) = transport.deliver(16, phase_kind="short")
-        assert inbox[0].tolist() == [4, 0, 3, 4]
-        assert inbox[1].tolist() == [70, 10, 30, 71]
+        transport.send(src, dst, nd)
+        transport.send(src[:1], dst[:1], nd[:1] + 1)
+        got_dst, got_nd = transport.exchange(16, phase_kind="short")
+        assert got_dst.tolist() == [4, 0, 3, 4]
+        assert got_nd.tolist() == [70, 10, 30, 71]
         (exchange,) = self.exchanges(ctx)
         assert exchange.phase_kind == "short"
         # vertices 0-2 live on rank 0, 3-4 on rank 1: all four records cross
         assert exchange.bytes_total == 4 * 16
 
     def test_single_post_is_handed_back_uncopied(self, path_graph):
-        _, view, transport = self.make(path_graph)
+        _, transport = self.make(path_graph)
         dst = np.array([1], dtype=np.int64)
         nd = np.array([9], dtype=np.int64)
-        transport.send(view, np.array([0], dtype=np.int64), dst, nd)
-        (inbox,) = transport.deliver(16)
-        assert inbox[0] is dst and inbox[1] is nd
+        transport.send(np.array([0], dtype=np.int64), dst, nd)
+        got_dst, got_nd = transport.exchange(16)
+        assert got_dst is dst and got_nd is nd
 
     def test_idle_deliver_still_declares_an_exchange(self, path_graph):
-        ctx, _, transport = self.make(path_graph)
-        (inbox,) = transport.deliver(24, num_columns=3)
-        assert [c.size for c in inbox] == [0, 0, 0]
+        ctx, transport = self.make(path_graph)
+        columns = transport.exchange(24, num_columns=3)
+        assert [c.size for c in columns] == [0, 0, 0]
         assert len(self.exchanges(ctx)) == 1
 
     def test_allreduces_return_the_single_value(self, path_graph):
-        ctx, _, transport = self.make(path_graph)
-        assert transport.allreduce_sum([7]) == 7
-        assert transport.allreduce_min([3]) == 3
-        assert ctx.metrics.total_allreduces == 2
-        with pytest.raises(ValueError):
-            transport.allreduce_sum([1, 2])
+        ctx, transport = self.make(path_graph)
+        assert transport.allreduce_sum(7) == 7
+        assert transport.allreduce_min(3) == 3
+        assert transport.allreduce_sum(5, phase_kind="recovery") == 5
+        assert ctx.metrics.total_allreduces == 3
+        assert [r.phase_kind for r in ctx.metrics.records] == [
+            "bucket", "bucket", "recovery"
+        ]
 
     def test_column_count_mismatch_rejected(self, path_graph):
-        _, view, transport = self.make(path_graph)
+        _, transport = self.make(path_graph)
         ids = np.array([0], dtype=np.int64)
-        transport.send(view, ids, ids, ids)
+        transport.send(ids, ids, ids)
         with pytest.raises(ValueError, match="columns"):
-            transport.deliver(24, num_columns=3)
+            transport.exchange(24, num_columns=3)

@@ -135,13 +135,12 @@ class TestEngineMutations:
         fired = {"done": False}
         INF = 2**62
 
-        def corrupting(ctx, states, members_per_rank, k, bucket_ordinal):
+        def corrupting(ctx, view, members, k, bucket_ordinal):
             # Runs between the settle step and the long phase.
             if not fired["done"]:
-                owner = next(st for st in states if st.lo <= 0 < st.hi)
-                owner.d[0] = INF - 1  # root's distance rises from 0
+                view.d[0] = INF - 1  # root's distance rises from 0
                 fired["done"] = True
-            return original(ctx, states, members_per_rank, k, bucket_ordinal)
+            return original(ctx, view, members, k, bucket_ordinal)
 
         monkeypatch.setattr(phases, "decide_mode", corrupting)
         cfg = preset("delta", 25).evolve(paranoid=True)
@@ -155,16 +154,14 @@ class TestEngineMutations:
         original = phases.decide_mode
         fired = {"done": False}
 
-        def corrupting(ctx, states, members_per_rank, k, bucket_ordinal):
+        def corrupting(ctx, view, members, k, bucket_ordinal):
             # Runs right after the settle step of each epoch.
             if not fired["done"]:
-                for st in states:
-                    hit = np.nonzero(st.settled & (st.d > 0))[0]
-                    if hit.size:
-                        st.d[hit[0]] -= 1
-                        fired["done"] = True
-                        break
-            return original(ctx, states, members_per_rank, k, bucket_ordinal)
+                hit = np.nonzero(view.settled & (view.d > 0))[0]
+                if hit.size:
+                    view.d[hit[0]] -= 1
+                    fired["done"] = True
+            return original(ctx, view, members, k, bucket_ordinal)
 
         monkeypatch.setattr(phases, "decide_mode", corrupting)
         cfg = preset("delta", 25).evolve(paranoid=True)

@@ -1,4 +1,4 @@
-"""Fault replays did not move; rank views share the graph's rows.
+"""Fault replays did not move; the view shares the graph's rows.
 
 A fault plan draws its victims by *position* in the reliable mailbox's
 wire stream and numbers records by rank within their channel, so every
@@ -24,7 +24,7 @@ import pytest
 from repro.core.config import preset
 from repro.core.context import make_context
 from repro.core.solver import solve_sssp
-from repro.core.views import build_rank_states
+from repro.spmd.engine import build_rank_states
 from repro.graph.rmat import RMAT1, rmat_graph
 from repro.runtime.machine import MachineConfig
 from repro.spmd import FaultPlan
@@ -174,26 +174,24 @@ def test_replay_equals_the_parent_commit(case, graph):
 # Shared rows
 # ----------------------------------------------------------------------
 def test_rank_views_slice_the_graph(graph):
+    """A rank is a range: the rank driver's one view *is* the graph's rows
+    (every rank's slice of them at once), and owns only its state."""
     ctx = make_context(graph, MACHINE, preset("opt", 25))
-    views = build_rank_states(
-        ctx.graph, ctx.partition, 25, ROOT, short_offsets=ctx.short_offsets
-    )
-    assert len(views) == MACHINE.num_ranks
-    for view in views:
-        if view.adj.size:
-            assert np.shares_memory(view.adj, ctx.graph.adj)
-            assert np.shares_memory(view.weights, ctx.graph.weights)
-        assert np.shares_memory(view.short_offsets, ctx.short_offsets)
-        base = ctx.graph.indptr[view.lo]
-        np.testing.assert_array_equal(
-            view.adj, ctx.graph.adj[base : base + view.indptr[-1]]
+    view = build_rank_states(ctx, ROOT)
+    for mine, shared in [
+        (view.indptr, ctx.graph.indptr), (view.adj, ctx.graph.adj),
+        (view.weights, ctx.graph.weights), (view.short_offsets, ctx.short_offsets),
+    ]:
+        assert mine is shared
+    assert view.in_rows is None  # undirected: the rows are the in-arc lists too
+    for own in (view.d, view.settled, view.active):
+        assert own.flags.writeable and own.base is None
+        assert not any(
+            np.shares_memory(own, a)
+            for a in (ctx.graph.indptr, ctx.graph.adj, ctx.graph.weights)
         )
-        # What a rank owns is its own.
-        assert view.indptr[0] == 0 and not np.shares_memory(view.indptr, ctx.graph.indptr)
-        assert view.d.flags.writeable and view.settled.flags.writeable
-    for a, b in zip(views, views[1:]):
-        assert not np.shares_memory(a.d, b.d)
-        assert not np.shares_memory(a.settled, b.settled)
+    assert view.d[ROOT] == 0 and view.active.tolist() == [ROOT]
+    assert view.num_unsettled == ctx.graph.num_vertices
 
 
 def test_kill_resume_under_a_crash_plan_leaves_the_rows_alone(graph, tmp_path):

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import DELTA_INFINITY, SolverConfig
+from repro.core.context import make_context
 from repro.core.reference import dijkstra_reference
+from repro.core.views import active_per_rank
 from repro.runtime.machine import MachineConfig
-from repro.spmd import (
-    Mailbox,
-    build_rank_states,
-    spmd_delta_stepping,
-)
+from repro.spmd import Mailbox
+from repro.spmd.engine import build_rank_states
 from tests.core.test_transport_parity import assert_parity
 
 
@@ -58,9 +57,12 @@ class TestMailbox:
 
     def test_allreduce_counted(self):
         mailbox, metrics = self.make()
-        assert mailbox.allreduce_sum([1, 2, 3]) == 6
-        assert mailbox.allreduce_min([4, 2, 9]) == 2
-        assert metrics.total_allreduces == 2
+        # The kernel folds the ranks' contributions over the one view; the
+        # transport counts the collective and hands the value back.
+        assert mailbox.allreduce_sum(6) == 6
+        assert mailbox.allreduce_min(2) == 2
+        assert mailbox.allreduce_sum(0, phase_kind="recovery") == 0
+        assert metrics.total_allreduces == 3
 
     def test_misuse_rejected(self):
         mailbox, _ = self.make()
@@ -68,36 +70,44 @@ class TestMailbox:
             mailbox.post(9, np.array([0]), np.array([1]))
         with pytest.raises(ValueError):
             mailbox.post(0, np.array([0, 1]), np.array([1]))
-        with pytest.raises(ValueError):
-            mailbox.allreduce_sum([1])
+        with pytest.raises(ValueError, match="at least one record column"):
+            mailbox.post(0, np.array([0]))
+        with pytest.raises(ValueError, match="destination rank 3 out of range"):
+            mailbox.post(0, np.array([3]), np.array([1]))
+        mailbox.post(0, np.array([1]), np.array([5]))
+        with pytest.raises(ValueError, match="posted 1 columns"):
+            mailbox.deliver(16)
 
 
 class TestBuildRankStates:
-    def test_slices_cover_graph(self, rmat1_small):
-        from repro.graph.partition import BlockPartition
+    """``build_rank_states`` is the one view constructor; a rank's state is
+    a range of it."""
 
-        g = rmat1_small.sorted_by_weight()
-        part = BlockPartition(g.num_vertices, 4)
-        states = build_rank_states(g, part, 25, root=3)
-        assert sum(st.num_local for st in states) == g.num_vertices
-        total_arcs = sum(int(st.indptr[-1]) for st in states)
-        assert total_arcs == g.num_arcs
+    @staticmethod
+    def context(graph):
+        machine = MachineConfig(num_ranks=4, threads_per_rank=2)
+        return make_context(graph, machine, SolverConfig(delta=25))
+
+    def test_slices_cover_graph(self, rmat1_small):
+        ctx = self.context(rmat1_small)
+        view = build_rank_states(ctx, root=3)
+        ranges = [ctx.partition.rank_range(r) for r in range(4)]
+        assert ranges[0][0] == 0 and ranges[-1][1] == ctx.graph.num_vertices
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert view.d.size == view.settled.size == ctx.graph.num_vertices
+        total_arcs = sum(int(view.indptr[hi] - view.indptr[lo]) for lo, hi in ranges)
+        assert total_arcs == ctx.graph.num_arcs == view.adj.size
 
     def test_root_initialised_on_owner_only(self, rmat1_small):
-        from repro.graph.partition import BlockPartition
-
-        g = rmat1_small.sorted_by_weight()
-        part = BlockPartition(g.num_vertices, 4)
+        ctx = self.context(rmat1_small)
         root = 200
-        states = build_rank_states(g, part, 25, root=root)
-        owner = part.owner(root)
-        for st in states:
-            if st.rank == owner:
-                assert st.d[root - st.lo] == 0
-                assert st.active.size == 1
-            else:
-                assert st.active.size == 0
-                assert np.all(st.d == st.d.max())
+        view = build_rank_states(ctx, root=root)
+        owner = ctx.partition.owner(root)
+        assert view.active.tolist() == [root]
+        assert active_per_rank(ctx, view).tolist() == [int(r == owner) for r in range(4)]
+        assert view.d[root] == 0
+        assert np.all(np.delete(view.d, root) == view.d.max())
+        assert not view.settled.any() and view.num_unsettled == view.d.size
 
 
 class TestBellmanFordEquivalence:
@@ -143,14 +153,23 @@ class TestFullOptEquivalence:
         assert metrics.pull_buckets == metrics.buckets_processed
 
     def test_exact_estimator_rejected(self, rmat1_small):
+        """Was: rejected, because rank views held no global arrays. The
+        exact and histogram estimators now run on the rank driver and
+        decide every bucket as the whole-graph driver does."""
         machine = MachineConfig(num_ranks=2, threads_per_rank=2)
-        cfg = SolverConfig(delta=25, use_pruning=True,
-                           pushpull_estimator="exact")
-        with pytest.raises(ValueError, match="expectation"):
-            spmd_delta_stepping(rmat1_small, 3, machine, config=cfg)
+        for estimator in ("exact", "histogram"):
+            cfg = SolverConfig(delta=25, use_pruning=True,
+                               pushpull_estimator=estimator)
+            d, metrics = assert_parity(rmat1_small, 3, machine, cfg)
+            assert np.array_equal(d, dijkstra_reference(rmat1_small, 3))
+            assert {s["mode"] for s in metrics.per_bucket_stats} <= {"push", "pull"}
+            assert any("est_push_cost" in s for s in metrics.per_bucket_stats)
 
     def test_census_rejected(self, rmat1_small):
+        """Was: rejected. The census reads the same arrays on either
+        driver: same per-bucket edge classification, same distances."""
         machine = MachineConfig(num_ranks=2, threads_per_rank=2)
         cfg = SolverConfig(delta=25, collect_census=True)
-        with pytest.raises(ValueError, match="census"):
-            spmd_delta_stepping(rmat1_small, 3, machine, config=cfg)
+        d, metrics = assert_parity(rmat1_small, 3, machine, cfg)
+        assert np.array_equal(d, dijkstra_reference(rmat1_small, 3))
+        assert all("forward_edges" in s for s in metrics.per_bucket_stats)

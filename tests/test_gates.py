@@ -4,6 +4,7 @@ Stub shapes stand in for brokers and a canned stack result document for a
 benchmark run, so every case here is a function of its literals.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -160,6 +161,7 @@ class TestReadDocument:
         assert result["samples"] == {"serve_hot": [0.04, 0.06], "serve_cold": [10.0]}
 
     def test_ratio_of_two_metrics_of_one_run_is_recorded(self):
+        """...and, since the PR 20 re-anchor gave it a ceiling, judged."""
         gate = GATES["update-vs-fresh"]
         assert gate.source == "dynamic.update_ms_p50@serve_churn / serve.engine_ms_p50@serve_churn"
         assert gate.workloads == ("serve_churn",)
@@ -167,8 +169,13 @@ class TestReadDocument:
         run["samples"][gate.over_metric] = 8
         run["result"]["metrics"][gate.over_metric] = {"value": 3.0, "unit": "ms"}
         result = read_document(gate, stack_document(run))
-        assert (result["value"], result["verdict"]) == (4.0, "recorded")
+        assert (result["value"], result["verdict"]) == (4.0, "within-bound")
         assert result["samples"] == {"serve_churn": [12.0], gate.over_metric: [3.0]}
+        unjudged = dataclasses.replace(gate, ceiling=None)
+        assert read_document(unjudged, stack_document(run))["verdict"] == "recorded"
+        run["result"]["metrics"][gate.metric]["value"] = 19.5  # 6.5 fresh solves
+        assert read_document(gate, stack_document(run))["verdict"] == "regression"
+        run["result"]["metrics"][gate.metric]["value"] = 12.0
         run["samples"][gate.over_metric] = 0  # a denominator nobody sampled
         result = read_document(gate, stack_document(run))
         assert (result["value"], result["verdict"]) == (None, "missing")
@@ -180,11 +187,16 @@ class TestReadDocument:
         assert read_document(gate, doc)["verdict"] == "recorded"
 
     def test_rank_driver_ratio_is_recorded_beside_it(self):
+        """...and held to the ceiling the one-view rank driver earned: every
+        smoke reading before it (2.93–3.70) is a regression now."""
         gate = GATES["spmd-vs-orchestrated"]
         assert gate.source == "spmd.vs_orchestrated_ratio@cold_spmd"
         assert gate.ci_job == GATES["checkpoint-overhead"].ci_job == "obs-smoke"
-        result = read_document(gate, stack_document(record("cold_spmd", gate.metric, 1.9)))
-        assert (result["value"], result["verdict"]) == (1.9, "recorded")
+        for value, verdict in [(1.9, "within-bound"), (2.5, "within-bound"),
+                               (2.93, "regression")]:
+            doc = stack_document(record("cold_spmd", gate.metric, value))
+            result = read_document(gate, doc)
+            assert (result["value"], result["verdict"]) == (value, verdict)
 
     def test_grid_epoch_cost_is_recorded_in_scipy_solves(self):
         gate = GATES["grid-epoch-cost"]
@@ -196,8 +208,13 @@ class TestReadDocument:
         run["samples"][gate.over_metric] = 13
         run["result"]["metrics"][gate.over_metric] = {"value": 0.9, "unit": "ms"}
         result = read_document(gate, stack_document(run))
-        assert (result["value"], result["verdict"]) == (0.5, "recorded")
+        assert (result["value"], result["verdict"]) == (0.5, "within-bound")
         assert result["samples"] == {"cold_grid": [0.45], gate.over_metric: [0.9]}
+        unjudged = dataclasses.replace(gate, ceiling=None)
+        assert read_document(unjudged, stack_document(run))["verdict"] == "recorded"
+        run["result"]["metrics"][gate.metric]["value"] = 1.89  # 2.1 SciPy solves
+        assert read_document(gate, stack_document(run))["verdict"] == "regression"
+        run["result"]["metrics"][gate.metric]["value"] = 0.45
         run["samples"][gate.over_metric] = 0
         assert read_document(gate, stack_document(run))["verdict"] == "missing"
         run["samples"][gate.over_metric] = 13
@@ -213,11 +230,11 @@ class TestGateTable:
         assert held_to == {
             "trace-overhead": (None, 3.0),
             "checkpoint-overhead": (None, None),
-            "spmd-vs-orchestrated": (None, None),
-            "grid-epoch-cost": (None, None),
+            "spmd-vs-orchestrated": (None, 2.5),
+            "grid-epoch-cost": (None, 2.0),
             "hit-vs-cold": (None, 0.5),
             "repair-vs-fresh": (None, 0.30),
-            "update-vs-fresh": (None, None),
+            "update-vs-fresh": (None, 6.3),
             "batching-cache": (1.10, 0.0),
             "resilience-armed": (1.0, 0.02),
             "paranoid-guards": (1.0, None),
