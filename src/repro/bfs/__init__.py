@@ -7,7 +7,7 @@ in the context of BFS". This subpackage implements that BFS — top-down and
 bottom-up steps with Beamer's switching heuristic — on the same simulated
 runtime, so the paper's "SSSP is only two to five times slower than BFS on
 the same machine configuration" claim can be measured rather than quoted
-(`benchmarks/bench_bfs_vs_sssp.py`).
+(figure `bfs-vs-sssp` of `benchmarks/figures`).
 """
 
 from repro.bfs.engine import BfsResult, run_bfs

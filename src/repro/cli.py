@@ -45,8 +45,6 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=["rmat1", "rmat2"], default="rmat1",
                    help="R-MAT parameter set (default rmat1)")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--max-weight", type=int, default=255,
-                   help="maximum edge weight (default 255)")
 
 
 def _add_machine_args(p: argparse.ArgumentParser) -> None:
@@ -74,8 +72,7 @@ def _add_solver_args(p: argparse.ArgumentParser, algorithm: str = "opt") -> None
 
 def _make_graph(args: argparse.Namespace):
     params = RMAT1 if args.family == "rmat1" else RMAT2
-    return rmat_graph(args.scale, args.edge_factor, params,
-                      seed=args.seed, max_weight=args.max_weight)
+    return rmat_graph(args.scale, args.edge_factor, params, seed=args.seed)
 
 
 def _machine(args: argparse.Namespace) -> MachineConfig:
@@ -104,9 +101,6 @@ def _add_serve_args(p: argparse.ArgumentParser) -> None:
                    help="micro-batcher size trigger (default 16)")
     p.add_argument("--flush-ms", type=float, default=2.0,
                    help="micro-batcher latency trigger in ms")
-    p.add_argument("--capacity", type=int, default=256,
-                   help="request queue bound; beyond it requests are "
-                        "shed with ServiceOverload")
     p.add_argument("--workers", type=int, default=1,
                    help="batch worker threads (default 1)")
     p.add_argument("--cache-mb", type=float, default=64.0,
@@ -122,19 +116,10 @@ def _add_serve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--retry-backoff-ms", type=float, default=1.0,
                    help="base retry backoff in ms (doubles per "
                         "attempt, capped; default 1)")
-    p.add_argument("--hedge-ms", type=float, default=None,
-                   help="launch a hedged attempt when the primary "
-                        "straggles past this many ms")
     p.add_argument("--breaker-threshold", type=int, metavar="N",
                    default=None,
                    help="open the circuit breaker after N consecutive "
                         "failures of one class")
-    p.add_argument("--breaker-recovery-ms", type=float, default=250.0,
-                   help="open→half-open recovery window in ms "
-                        "(default 250)")
-    p.add_argument("--negative-ttl-ms", type=float, default=0.0,
-                   help="fast-fail repeat queries for a timed-out "
-                        "root for this long (default off)")
     p.add_argument("--verify-structural", action="store_true",
                    help="structurally validate every solve before "
                         "serving it (detects corruption)")
@@ -155,9 +140,6 @@ def _add_burn_args(p: argparse.ArgumentParser) -> None:
                    help="arm the multi-window SLO burn-rate monitor with "
                         "this availability objective (e.g. 0.99); alerts "
                         "are printed with the report")
-    p.add_argument("--burn-latency-slo-ms", type=float, default=None,
-                   help="also count good-but-slower-than-this requests "
-                        "as error-budget spend")
     p.add_argument("--burn-fast-s", type=float, default=60.0,
                    help="fast (page) burn window in seconds (default 60)")
     p.add_argument("--burn-slow-s", type=float, default=300.0,
@@ -179,10 +161,6 @@ def _burn_monitor(args: argparse.Namespace, broker, *, default_objective=None):
 
     config = BurnRateConfig(
         objective=objective,
-        latency_slo_s=(
-            None if args.burn_latency_slo_ms is None
-            else args.burn_latency_slo_ms / 1e3
-        ),
         fast_window_s=args.burn_fast_s,
         slow_window_s=args.burn_slow_s,
         min_samples=args.burn_min_samples,
@@ -204,27 +182,21 @@ def _build_serve_broker(args: argparse.Namespace, *, events=None):
         from repro.serve.chaos import ChaosPlan
 
         resilience["chaos"] = ChaosPlan.from_spec(args.chaos)
-    if args.retries is not None or args.hedge_ms is not None:
+    if args.retries is not None:
         from repro.serve.retry import RetryPolicy
 
         resilience["retry"] = RetryPolicy(
-            max_attempts=args.retries if args.retries is not None else 3,
+            max_attempts=args.retries,
             backoff_base_s=args.retry_backoff_ms / 1e3,
-            hedge_after_s=(
-                None if args.hedge_ms is None else args.hedge_ms / 1e3
-            ),
         )
     if args.breaker_threshold is not None:
         from repro.serve.breaker import BreakerConfig
 
         resilience["breaker"] = BreakerConfig(
-            failure_threshold=args.breaker_threshold,
-            recovery_time_s=args.breaker_recovery_ms / 1e3,
+            failure_threshold=args.breaker_threshold
         )
     if args.verify_structural:
         resilience["verify"] = "structural"
-    if args.negative_ttl_ms:
-        resilience["negative_ttl_s"] = args.negative_ttl_ms / 1e3
     spec = WorkloadSpec(
         num_requests=args.requests,
         arrival=args.arrival,
@@ -239,7 +211,6 @@ def _build_serve_broker(args: argparse.Namespace, *, events=None):
         algorithm=args.algorithm,
         delta=args.delta,
         machine=_machine(args),
-        capacity=args.capacity,
         max_batch_size=args.batch_size,
         flush_interval_s=args.flush_ms / 1e3,
         num_workers=args.workers,
@@ -277,18 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write durable epoch checkpoints to DIR "
                               "(atomic, digest-protected); a killed solve "
                               "can be continued with --resume")
-    p_solve.add_argument("--checkpoint-interval", type=int, default=1,
-                         help="epochs between checkpoints (default 1)")
     p_solve.add_argument("--resume", action="store_true",
                          help="resume from the newest valid checkpoint in "
                               "--checkpoint-dir instead of starting over")
     p_solve.add_argument("--deadline", type=int, metavar="N", default=None,
                          help="superstep budget; the watchdog stops the "
-                              "solve when it is exhausted or stalled")
-    p_solve.add_argument("--stall-patience", type=int, metavar="K",
-                         default=None,
-                         help="trip the watchdog after K consecutive "
-                              "supersteps without progress")
+                              "solve when it is exhausted")
     p_solve.add_argument("--deadline-policy", choices=["raise", "degrade"],
                          default="raise",
                          help="on deadline: 'raise' a structured timeout "
@@ -343,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a synthetic query workload against the serving layer",
     )
     _add_serve_args(p_serve)
-    p_serve.add_argument("--slo-p99-ms", type=float, default=None,
-                         help="fail (exit 1) when p99 latency exceeds this")
     p_serve.add_argument("--slo-min-hit-rate", type=float, default=None,
                          help="fail (exit 1) when the cache hit rate is lower")
     p_serve.add_argument("--metrics-out", metavar="PATH", default=None,
@@ -400,11 +363,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     root = args.root if args.root is not None else choose_root(graph, seed=args.seed)
     validate: bool | str = "structural" if args.validate_structural else args.validate
     deadline = None
-    if args.deadline is not None or args.stall_patience is not None:
+    if args.deadline is not None:
         deadline = DeadlineConfig(
-            max_supersteps=args.deadline,
-            stall_patience=args.stall_patience,
-            policy=args.deadline_policy,
+            max_supersteps=args.deadline, policy=args.deadline_policy
         )
     trace_cfg = None
     if args.trace is not None or args.metrics_out is not None or args.progress:
@@ -426,8 +387,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             graph, root, algorithm=args.algorithm, delta=args.delta,
             machine=_machine(args), validate=validate, faults=faults,
             paranoid=args.paranoid, trace=trace_cfg, deadline=deadline,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_interval=args.checkpoint_interval, resume=args.resume,
+            checkpoint_dir=args.checkpoint_dir, resume=args.resume,
         )
     except SolveTimeout as exc:
         print(f"solve timed out: {exc}", file=sys.stderr)
@@ -496,8 +456,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                        "latency (ms)"))
     print(format_table([broker.cache.stats.as_row()], "distance cache"))
     resilient = any(
-        (args.chaos, args.retries, args.hedge_ms, args.breaker_threshold,
-         args.verify_structural, args.negative_ttl_ms)
+        (args.chaos, args.retries, args.breaker_threshold,
+         args.verify_structural)
     )
     if resilient:
         row = {
@@ -540,10 +500,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         text = dump_json(report, None if args.json == "-" else args.json)
         if args.json == "-":
             print(text)
-    policy = SloPolicy(
-        p99_s=None if args.slo_p99_ms is None else args.slo_p99_ms / 1e3,
-        min_hit_rate=args.slo_min_hit_rate,
-    )
+    policy = SloPolicy(min_hit_rate=args.slo_min_hit_rate)
     violations = policy.check(report)
     for violation in violations:
         print(f"SLO VIOLATION: {violation}", file=sys.stderr)

@@ -166,8 +166,10 @@ def repair_sssp(
     Parameters
     ----------
     ctx:
-        Execution context of the **new** snapshot (its graph, config and
-        accounting). The strategy is taken from ``ctx.config.strategy``.
+        Execution context of the **new** snapshot (its graph and config).
+        It is only read: the drain runs on ``ctx.fork()``, so a memoised
+        per-snapshot template (``GraphVersioner.context_for``) keeps an
+        empty ledger. The strategy is taken from ``ctx.config.strategy``.
     root:
         The SSSP root ``old_distances`` solves.
     old_distances:
@@ -255,7 +257,10 @@ def repair_sssp(
     settled = np.ones(n, dtype=bool)
     settled[frontier] = False
     # The strategies select over a vertex view: wrap the repair state in
-    # one (the drain below relaxes on the arrays directly).
+    # one (the drain below relaxes on the arrays directly). They charge
+    # their selection collectives to the context they are given — a fork,
+    # dropped with this call, never the caller's template.
+    ctx = ctx.fork()
     view = whole_graph_view(ctx, d, settled)
     transport = DeclaredTransport(ctx.comm)
     strategy = make_strategy(ctx.config)
@@ -296,7 +301,6 @@ def repair_sssp(
                     index.on_relaxed(changed, d)
 
     parents = build_parent_tree(graph, d, root) if with_parents else None
-    ctx.metrics.settle()
     return RepairResult(
         distances=d,
         parents=parents,

@@ -142,7 +142,7 @@ class DegreeBalancedPartition(ContiguousPartition):
     endpoints regardless of where the hubs sit. With scrambled vertex ids
     (Graph 500) the difference to :class:`BlockPartition` is modest; on
     unscrambled R-MAT graphs (hubs concentrated at low ids) it is dramatic
-    — the ablation `bench_ablation_partition.py` quantifies both.
+    — figure `ablation-partition` of `benchmarks/figures` quantifies both.
     """
 
     def __init__(self, degrees: np.ndarray, num_ranks: int) -> None:

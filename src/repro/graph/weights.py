@@ -9,7 +9,7 @@ relies on (Section III-C) is unaffected.
 Alternative distributions (exponential, bimodal, constant) are provided for
 the weight-sensitivity ablations: the paper's expectation estimator *assumes*
 uniform weights, and these generators probe what happens when that
-assumption breaks (``benchmarks/bench_ablation_weights.py``).
+assumption breaks (figure ``ablation-weights`` of ``benchmarks/figures``).
 """
 
 from __future__ import annotations

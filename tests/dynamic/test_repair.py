@@ -269,3 +269,45 @@ def test_repair_matches_fresh_on_random_batches(seed, churn, algorithm):
     np.testing.assert_array_equal(
         result.distances, fresh_spmd(new_graph, root)
     )
+
+
+def test_repair_leaves_the_snapshot_template_ledger_empty():
+    """``context_for`` memoises the context ``BatchSolver.from_context`` uses
+    as a template and never runs on; a repair — the broker's hot-root carry
+    or a bare call — charges its selection allreduces to a fork, not to it."""
+    from repro.serve import QueryBroker
+
+    graph = rmat_graph(8, seed=11)
+    roots = [int(r) for r in np.flatnonzero(graph.degrees > 0)[:3]]
+    broker = QueryBroker(graph, num_workers=0, flush_interval_s=0.0,
+                         num_ranks=4, threads_per_rank=4)
+    try:
+        for root in roots:
+            broker.query(root)
+        batch = random_update_batch(graph, np.random.default_rng(3),
+                                    churn_fraction=0.02)
+        report = broker.apply_updates(batch, repair_hot_roots=len(roots))
+        assert report["repaired"] > 0
+        template = broker.versioner.context_for(report["snapshot_id"])
+        assert template.metrics.records == []
+        new_graph = broker.versioner.current.graph
+        for root in roots:
+            np.testing.assert_array_equal(
+                broker.query(root).distances, fresh_orchestrated(new_graph, root, "opt")
+            )
+        assert template.metrics.records == []
+    finally:
+        broker.shutdown()
+
+    versioner = GraphVersioner(graph, machine=MACHINE, config=preset("opt", 25))
+    d = fresh_orchestrated(graph, roots[0], "opt")
+    snap, _ = versioner.apply(
+        random_update_batch(graph, np.random.default_rng(5), churn_fraction=0.02)
+    )
+    ctx = versioner.context_for(snap.snapshot_id)
+    result = repair_sssp(ctx, roots[0], d, snap.delta, max_dirty_fraction=1.0)
+    assert not result.fallback and result.steps > 0
+    assert versioner.context_for(snap.snapshot_id).metrics.records == []
+    np.testing.assert_array_equal(
+        result.distances, fresh_orchestrated(snap.graph, roots[0], "opt")
+    )

@@ -173,7 +173,7 @@ def test_replay_equals_the_parent_commit(case, graph):
 # ----------------------------------------------------------------------
 # Shared rows
 # ----------------------------------------------------------------------
-def test_rank_views_slice_the_graph(graph):
+def test_the_rank_view_is_the_graph_rows(graph):
     """A rank is a range: the rank driver's one view *is* the graph's rows
     (every rank's slice of them at once), and owns only its state."""
     ctx = make_context(graph, MACHINE, preset("opt", 25))

@@ -152,7 +152,7 @@ class TestFullOptEquivalence:
         _, metrics = assert_parity(rmat2_small, 7, machine, cfg)
         assert metrics.pull_buckets == metrics.buckets_processed
 
-    def test_exact_estimator_rejected(self, rmat1_small):
+    def test_exact_and_histogram_estimators_run_on_the_rank_driver(self, rmat1_small):
         """Was: rejected, because rank views held no global arrays. The
         exact and histogram estimators now run on the rank driver and
         decide every bucket as the whole-graph driver does."""
@@ -165,7 +165,7 @@ class TestFullOptEquivalence:
             assert {s["mode"] for s in metrics.per_bucket_stats} <= {"push", "pull"}
             assert any("est_push_cost" in s for s in metrics.per_bucket_stats)
 
-    def test_census_rejected(self, rmat1_small):
+    def test_census_runs_on_the_rank_driver(self, rmat1_small):
         """Was: rejected. The census reads the same arrays on either
         driver: same per-bucket edge classification, same distances."""
         machine = MachineConfig(num_ranks=2, threads_per_rank=2)
