@@ -195,6 +195,11 @@ GATES: dict[str, DocumentGate | PairedGate] = {
     "update-vs-fresh": DocumentGate(
         "dynamic.update_ms_p50", "serve_churn", 6.3, "dynamic-smoke",
         over_metric="serve.engine_ms_p50"),
+    # What a read that misses on a live graph costs, in fresh solves: the
+    # number the lineage tier moves (a repaired miss is a fraction of one).
+    "churn-miss-vs-fresh": DocumentGate(
+        "bench.op_ms_p50", "serve_churn", None, "dynamic-smoke",
+        over_metric="serve.engine_ms_p50"),
     "batching-cache": PairedGate(
         _standard, "serve-smoke", off=_unbatched, against=1.10),
     "resilience-armed": PairedGate(_resilience, "chaos-smoke", ceiling=0.02),

@@ -476,6 +476,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             for k in ("snapshot_id", "churn_updates", "churn_fraction",
                       "repairs", "repair_fallbacks", "snapshots_resident")
         }
+        # reads answered by the lineage tier, beside the fresh solves
+        live["outcome_solve"] = report.get("outcome_solve", 0)
+        live["outcome_repair"] = report.get("outcome_repair", 0)
         print(format_table([live], "live graph"))
     if monitor is not None:
         burn = monitor.summary()

@@ -50,7 +50,11 @@ The **cost model** falls back before the drain: when the disturbed
 region (dirty + frontier) exceeds ``max_dirty_fraction`` of the graph, a
 fresh solve is cheaper and the caller is told to run one
 (``RepairResult.fallback``), mirroring the broker's degradation ladder
-style of explicit, observable decisions.
+style of explicit, observable decisions. The bound is tested as early as
+it can be decided: the damage closure stops at the first wave that takes
+its dirty count past it (the full touched region can only be larger), so
+a repair that will not happen costs a prefix of phase 1 and none of
+phase 2.
 """
 
 from __future__ import annotations
@@ -77,10 +81,13 @@ class RepairResult:
 
     ``distances`` is ``None`` exactly when ``fallback`` is True — the
     caller must run a fresh solve. ``dirty`` counts vertices orphaned by
-    the damage pass, ``seeds`` the relaxation records applied in the
-    seeding phase, ``frontier`` the vertices the drain started from,
-    ``steps`` the strategy windows drained and ``relax_records`` the
-    total relaxation records the drain generated.
+    the damage pass — of a fallback a **lower bound**: the closure stops
+    at the wave that crosses the gate, and ``seeds``/``frontier`` are 0
+    when it was the closure that crossed it. ``seeds`` counts the
+    relaxation records applied in the seeding phase, ``frontier`` the
+    vertices the drain started from, ``steps`` the strategy windows
+    drained and ``relax_records`` the total relaxation records the drain
+    generated.
     """
 
     distances: np.ndarray | None
@@ -104,15 +111,20 @@ def _out_arcs(graph, vertices: np.ndarray):
     return owner, graph.adj[flat], graph.weights[flat]
 
 
-def _damage_closure(graph, d: np.ndarray, delta, root: int) -> np.ndarray:
+def _damage_closure(
+    graph, d: np.ndarray, delta, root: int, bound: float = float("inf")
+) -> np.ndarray:
     """Boolean dirty mask: vertices whose old distance lost every certificate.
 
     Works entirely on the *old* distances and the *new* graph, per the
     classic delta-propagation formulation. The root and unreached
-    vertices are never dirty.
+    vertices are never dirty. The closure returns after the first wave
+    that takes its dirty count past ``bound`` — the mask is then a subset
+    of the full closure, which is all a caller that gives up there needs.
     """
     n = graph.num_vertices
     dirty = np.zeros(n, dtype=bool)
+    count = 0
     # Heads of changed arcs that were tight under their old weight lost
     # *a* certificate; whether they lost every certificate is decided by
     # the worklist scan below. (An inserted arc has old weight INF.)
@@ -135,9 +147,11 @@ def _damage_closure(graph, d: np.ndarray, delta, root: int) -> np.ndarray:
         cert = (w > 0) & ~dirty[nbrs] & (d[nbrs] < INF) & (d[nbrs] + w == d_tail)
         has_cert = np.zeros(work.size, dtype=bool)
         has_cert[owner[cert]] = True
-        if has_cert.all():
+        lost = work[~has_cert]  # duplicate-free, clean going in
+        dirty[lost] = True
+        count += lost.size
+        if not lost.size or count > bound:
             break
-        dirty[work[~has_cert]] = True
         # Re-examine shortest-path children of the newly dirty vertices —
         # their certificate through the dead parent just died too — read
         # off the arcs the scan just gathered.
@@ -216,8 +230,13 @@ def repair_sssp(
         )
 
     # ------------------------------------------------ phase 1: damage
-    dirty = _damage_closure(graph, d, delta, root)
-    dirty_count = int(dirty.sum())
+    # Partial dirty > bound implies full touched > bound: the gate below
+    # would trip too, so give up before paying for the rest and the seeds.
+    bound = max_dirty_fraction * n
+    dirty = _damage_closure(graph, d, delta, root, bound)
+    dirty_count = int(np.count_nonzero(dirty))
+    if dirty_count > bound:
+        return bail("dirty-region", dirty_count, 0, 0)
     d[dirty] = INF
 
     # ------------------------------------------------ phase 2: seeds
@@ -250,7 +269,7 @@ def repair_sssp(
     # Touched region = dirty ∪ frontier (re-anchored orphans are in both;
     # count them once so max_dirty_fraction=1.0 can never trip the gate).
     touched = dirty_count + int(np.count_nonzero(~dirty[frontier]))
-    if n and touched / n > max_dirty_fraction:
+    if touched > bound:
         return bail("dirty-region", dirty_count, seeds, int(frontier.size))
 
     # ------------------------------------------------ phase 3: drain

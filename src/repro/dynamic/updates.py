@@ -355,6 +355,33 @@ class EdgeDelta:
     def is_empty(self) -> bool:
         return self.num_improved + self.num_worsened == 0
 
+    @classmethod
+    def composed(cls, deltas) -> "EdgeDelta":
+        """The net diff across consecutive snapshots' ``deltas`` (oldest
+        first): one row per arc any of them touched, carrying the first
+        row's old weight and the last row's new weight — what
+        :func:`apply_batch` would have reported had one batch made every
+        change. An arc back at its first weight (inserted then deleted,
+        reweighted there and back) keeps a row with ``old == new``, which
+        like a same-weight reweight is neither improved nor worsened."""
+        if len(deltas) == 1:
+            return deltas[0]
+        tails, heads, old, new = (
+            np.concatenate([getattr(d, name) for d in deltas])
+            for name in ("tails", "heads", "old_weights", "new_weights")
+        )
+        # Arc and delta ordinal in one key: a delta names an arc once, so
+        # the keys are unique and any sort leaves an arc's rows oldest first.
+        stride = int(max(tails.max(initial=0), heads.max(initial=0))) + 1
+        ordinal = np.repeat(np.arange(len(deltas)), [d.tails.size for d in deltas])
+        key = (tails * stride + heads) * len(deltas) + ordinal
+        order = np.argsort(key)
+        arc = key[order] // len(deltas)
+        first = np.flatnonzero(np.r_[True, arc[1:] != arc[:-1]][: arc.size])
+        last = np.r_[first[1:] - 1, arc.size - 1][: first.size]
+        rows = order[first]
+        return cls(tails[rows], heads[rows], old[rows], new[order[last]])
+
 
 def apply_batch(graph: CSRGraph, batch: UpdateBatch) -> tuple[CSRGraph, EdgeDelta]:
     """Apply ``batch`` to ``graph``; return ``(new_graph, delta)``.

@@ -18,7 +18,12 @@ Three serving-plane needs shape the class:
   verification and cross-process cache audits compare.
 - **Bounded retention** — only the newest ``retention`` snapshots stay
   resident (graphs, contexts, digests); asking for a retired snapshot
-  raises ``KeyError``.
+  raises ``KeyError``. A snapshot's *delta* outlives it: the newest
+  :attr:`~GraphVersioner.reach` deltas are kept (four integers per
+  touched arc, no graph), and :meth:`~GraphVersioner.delta_between`
+  composes them into the net diff from an ancestor up to ``reach``
+  updates back — what lets an answer cached under a snapshot that has
+  since retired still be repaired onto a resident one.
 - **Pins** — a snapshot somebody still reads must outlive the window.
   :meth:`pin` / :meth:`unpin` count readers per snapshot (the broker
   pins once per in-flight request, and once for its serving pointer);
@@ -148,9 +153,14 @@ class GraphVersioner:
         self._machine = machine
         self._config = config
         self.retention = int(retention)
+        #: how many updates back :meth:`delta_between` can start from the
+        #: current snapshot: the ``retention - 1`` hops of the residency
+        #: window, and as many again on deltas alone (0 at ``retention=1``)
+        self.reach = 2 * (self.retention - 1)
         self._snapshots: dict[int, GraphSnapshot] = {}  # ascending ids
         self._contexts: dict[int, object] = {}
         self._digests: dict[int, str] = {}
+        self._deltas: dict[int, EdgeDelta] = {}  # the newest ``reach`` ids
         self._pins: dict[int, int] = {}
         self._current_id = 0
         self._snapshots[0] = GraphSnapshot(snapshot_id=0, graph=graph)
@@ -191,6 +201,14 @@ class GraphVersioner:
             return self._evict((snapshot_id,))
 
     # ------------------------------------------------------------------
+    def delta_between(self, ancestor_id: int, snapshot_id: int) -> EdgeDelta:
+        """The net :class:`EdgeDelta` from ``ancestor_id`` to its
+        descendant ``snapshot_id``; ``KeyError`` when a delta on the way
+        is no longer (or was never) kept."""
+        with self._lock:
+            links = [self._deltas[s] for s in range(ancestor_id + 1, snapshot_id + 1)]
+        return EdgeDelta.composed(links)
+
     @property
     def current_id(self) -> int:
         with self._lock:
@@ -238,6 +256,8 @@ class GraphVersioner:
             with self._lock:
                 self._snapshots[snap.snapshot_id] = snap
                 self._current_id = snap.snapshot_id
+                self._deltas[snap.snapshot_id] = delta
+                self._deltas.pop(snap.snapshot_id - self.reach, None)
                 return snap, self._evict(list(self._snapshots))
 
     # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ __all__ = ["BurnAlert", "BurnRateConfig", "BurnRateMonitor", "OK_SOURCES"]
 
 #: Outcome sources that do not burn error budget. Everything else
 #: (timeout, error, corrupt, unavailable, cancelled, ...) is budget spend.
-OK_SOURCES: tuple[str, ...] = ("cache", "solve", "coalesced", "degraded")
+OK_SOURCES: tuple[str, ...] = ("cache", "solve", "repair", "coalesced", "degraded")
 
 #: Companion window = window / COMPANION_DIVISOR (the SRE-workbook 1/12).
 COMPANION_DIVISOR = 12.0

@@ -41,8 +41,11 @@ class RequestContext:
 
     - **broker admission**: ``request_id``, ``root``, ``submitted_at``,
       ``admission`` (``"admitted"`` / ``"shed"``), ``cache_tier`` — the
-      submit-time cache verdict (``"hit"``, ``"stale_hit"`` while the
-      breaker is degraded, or ``"miss"``);
+      cache verdict (``"hit"``, ``"stale_hit"`` while the breaker is
+      degraded, ``"miss"``, or ``"lineage"``: a miss answered by
+      repairing a cached ancestor snapshot's entry, with ``lineage`` —
+      the ancestor's snapshot id, the hops repaired across and the
+      vertices they dirtied);
     - **micro-batcher**: ``queue_waits_s`` — one entry per dispatch
       (retries re-enter the queue, so a retried request has several),
       measured from the entry's enqueue time (the *original* admission
@@ -77,6 +80,7 @@ class RequestContext:
     attempts: list[dict[str, Any]] = field(default_factory=list)
     breaker_open: tuple[str, ...] = ()
     degraded_tier: str | None = None
+    lineage: dict[str, int] | None = None
 
     # ------------------------------------------------------------------
     # Note sites, one per layer
@@ -88,6 +92,12 @@ class RequestContext:
     def note_cache(self, tier: str) -> None:
         """Submit-time cache verdict: ``hit`` / ``stale_hit`` / ``miss``."""
         self.cache_tier = tier
+
+    def note_lineage(self, ancestor: int, hops: int, dirty: int) -> None:
+        """The lineage tier answered: ``ancestor``'s cached entry repaired
+        across ``hops`` snapshots, dirtying ``dirty`` vertices in all."""
+        self.cache_tier = "lineage"
+        self.lineage = {"ancestor": ancestor, "hops": hops, "dirty": dirty}
 
     def note_dequeue(self, wait_s: float) -> None:
         """The micro-batcher took this request after ``wait_s`` queued
@@ -144,7 +154,7 @@ class RequestContext:
         :func:`repro.serve.events.canonical_event` strips for the
         replay-identity comparison.
         """
-        return {
+        event = {
             "schema": 1,
             "request_id": self.request_id,
             "root": int(self.root),
@@ -167,3 +177,6 @@ class RequestContext:
                 "queue_waits_s": [float(w) for w in self.queue_waits_s],
             },
         }
+        if self.lineage is not None:  # on lineage-served events only
+            event["lineage"] = dict(self.lineage)
+        return event

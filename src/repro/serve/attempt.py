@@ -75,7 +75,7 @@ class AttemptRunner:
                 exc.root = root
             raise
 
-    def _verified(self, res, graph, root: int, attempt: int):
+    def verified(self, res, graph, root: int, attempt: int):
         """Post-attempt verification; a failed check is ``corrupt``.
         Returns ``(res, attempt)`` so callers know which attempt won."""
         if self._verify:
@@ -113,7 +113,7 @@ class AttemptRunner:
         """
         policy = self._policy
         if policy is None or not policy.hedging:
-            return self._verified(
+            return self.verified(
                 self._solve(solver, root, deadline, attempt),
                 graph, root, attempt,
             )
@@ -135,16 +135,16 @@ class AttemptRunner:
             root, attempt
         ):
             try:
-                return self._verified(
+                return self.verified(
                     self._solve(solver, root, deadline, attempt + 1),
                     graph, root, attempt + 1,
                 )
             except BaseException:  # noqa: BLE001 — fall back to primary
                 done.wait()
                 if "res" in box:
-                    return self._verified(box["res"], graph, root, attempt)
+                    return self.verified(box["res"], graph, root, attempt)
                 raise
         done.wait()
         if "exc" in box:
             raise box["exc"]
-        return self._verified(box["res"], graph, root, attempt)
+        return self.verified(box["res"], graph, root, attempt)

@@ -2,10 +2,10 @@
 
 The broker is the request pipeline and nothing else::
 
-    submit ──▶ cache ──▶ micro-batcher ──▶ coalesce ──▶ breaker ──▶ attempt
-      │ (admission:   │ (hit: done)  (EDF order)   (one solve   (ladder    │
-      ▼  bounded queue)                             per group)   rung?)    ▼
-    ServiceOverload                                      complete / fail / retry
+    submit ──▶ cache ──▶ micro-batcher ──▶ coalesce ──▶ breaker ──▶ lineage ──▶ attempt
+      │ (admission:   │ (hit: done)  (EDF order)   (one solve   (ladder    (cached      │
+      ▼  bounded queue)                             per group)   rung?)    ancestor?)   ▼
+    ServiceOverload                                                   complete / fail / retry
 
 Every other fact has one owner it asks: *which snapshots are resident*
 — :class:`~repro.dynamic.versioner.GraphVersioner` (pins; the serving
@@ -33,10 +33,16 @@ serving at admission: its cache key is ``(snapshot_id, root)``, its solve
 runs that snapshot's :class:`~repro.core.solver.BatchSolver`, its paths
 extract against that snapshot's graph and its wide event carries the
 ``snapshot_id`` — no request ever observes a mixed snapshot. A
-superseded snapshot is retired (solver, cache entries) with its last
-pin. Hot cached roots can be **repaired in place** across the handoff
+superseded snapshot is retired (graph, context, solver) with its last
+pin; its cache entries and its delta outlive it by ``retention - 1``
+updates, as seeds nobody can be served from. Hot cached roots can be
+**repaired in place** across the handoff
 (:func:`~repro.dynamic.repair.repair_sssp`), bit-identical to a fresh
-solve on the new snapshot.
+solve on the new snapshot; any other root is repaired on first read —
+the **lineage tier** of the miss path takes the root's entry under the
+nearest ancestor snapshot within ``versioner.reach`` updates, resident
+or retired, and repairs it onto the pinned snapshot under the composed
+delta, before a solve is considered.
 
 Resilience (DESIGN.md §12): a failing, stalling or corrupted root fails
 **only its own request**. Failed solve groups go through the
@@ -76,6 +82,7 @@ from repro.serve.request import (
     ServiceOverload,
     ServiceShutdown,
     ServiceUnavailable,
+    SolveCorrupted,
 )
 from repro.serve.retry import RetryPolicy
 
@@ -155,7 +162,10 @@ class QueryBroker:
         How many graph snapshots the live-graph versioner keeps resident
         (see :meth:`apply_updates`). A snapshot some request is still
         pinned to outlives the window: it is retired — graph, context,
-        solver, cache entries — when the last pinned request resolves.
+        solver — when the last pinned request resolves. Cache entries
+        of a retired snapshot stay ``snapshot_retention - 1`` further
+        updates (under the same byte budget, least recently used) for
+        the lineage tier to repair from; they are never served.
     """
 
     def __init__(
@@ -523,11 +533,21 @@ class QueryBroker:
     def _retire(self, retired: list) -> None:
         """Evict what the broker keys on snapshots the versioner retired
         (it reports each id once: from ``apply``, or from the ``unpin``
-        that released a snapshot already outside the window)."""
-        for sid in retired:
-            with self._lock:
+        that released a snapshot already outside the window). Solvers go
+        at once. Cache entries stay for as long as the versioner's deltas
+        reach their snapshot — nothing can pin a retired snapshot, so
+        they are never served, only read by the lineage tier as seeds —
+        and are swept once it is more than ``versioner.reach`` updates
+        old (at once when ``snapshot_retention=1``)."""
+        floor = self.versioner.current_id - self.versioner.reach
+        with self._lock:
+            for sid in retired:
                 self._solvers.pop(sid, None)
-            self.cache.evict_snapshot(sid)
+        # ``floor - 1`` aged out with this update; a late unpin may
+        # release a snapshot that aged out long ago.
+        for sid in (floor - 1, *retired):
+            if sid < floor and sid not in self.versioner:
+                self.cache.evict_snapshot(sid)
 
     def apply_updates(
         self,
@@ -569,7 +589,6 @@ class QueryBroker:
             new_id = snapshot.snapshot_id
             repaired = fallbacks = 0
             if repair_hot_roots > 0 and self.cache.byte_budget > 0:
-                ctx = self.versioner.context_for(new_id)
                 hot = [
                     key
                     for key in reversed(self.cache.roots())
@@ -579,8 +598,8 @@ class QueryBroker:
                     dist = self.cache.peek(key)
                     if dist is None:
                         continue
-                    rr = repair_sssp(
-                        ctx, key[1], dist, snapshot.delta,
+                    rr = self._repair(
+                        snapshot, key[1], dist, snapshot.delta,
                         max_dirty_fraction=max_dirty_fraction,
                     )
                     if rr.fallback:
@@ -599,8 +618,6 @@ class QueryBroker:
             self._acct.count("updates")
             if repaired:
                 self._acct.count("repairs", repaired)
-            if fallbacks:
-                self._acct.count("repair_fallbacks", fallbacks)
             self._acct.gauge("serve_snapshot_id", new_id)
             return {
                 "snapshot_id": new_id,
@@ -611,6 +628,65 @@ class QueryBroker:
                 "repair_fallbacks": fallbacks,
                 "retired": retired,
             }
+
+    def _repair(self, snapshot, root: int, dist, delta, **gate):
+        """``dist`` — exact for ``root`` on the ancestor ``delta`` starts
+        from — repaired onto ``snapshot``. Both repair sites, the hot-root
+        loop of an update and the lineage tier of a read, come through
+        here: one place counts a fallback, and the call goes through this
+        module's ``repair_sssp`` attribute, the one a span recorder
+        wraps."""
+        ctx = self.versioner.context_for(snapshot.snapshot_id)
+        rr = repair_sssp(ctx, root, dist, delta, **gate)
+        if rr.fallback:
+            self._acct.count("repair_fallbacks")
+        return rr
+
+    def _serve_lineage(
+        self, snap, key: tuple, reqs: list, batch_id: int
+    ) -> bool:
+        """The lineage tier (DESIGN.md §15): answer a miss by repairing
+        the nearest cached ancestor, and say whether that happened.
+
+        Look back from ``snap`` (the group's pinned snapshot) at most
+        ``versioner.reach`` updates for the newest snapshot — resident or
+        retired — that still holds ``root``'s exact distances, and repair
+        them onto ``snap`` in one call under the net delta between the
+        two: the tested primitive, so the answer is bit-identical to a
+        solve. Nothing is pinned: a delta on the way may have aged out
+        (``KeyError``), the repair may trip the dirty gate, the
+        ``verify=`` check may reject the result — each returns False and
+        the caller solves as if the tier were not there. The answer is
+        cached under the pinned (hence resident) snapshot. Like the
+        degradation ladder, the tier never feeds the breaker, draws no
+        chaos and notes no attempt."""
+        root, _, snapshot_id = key
+        t0 = self._clock()
+        oldest = max(snapshot_id - self.versioner.reach, 0)
+        for ancestor in range(snapshot_id - 1, oldest - 1, -1):
+            dist = self.cache.peek((ancestor, root))
+            if dist is not None:
+                break
+        else:
+            return False  # nobody solved this root within reach
+        try:
+            delta = self.versioner.delta_between(ancestor, snapshot_id)
+            rr = self._repair(snap, root, dist, delta)
+            if rr.fallback:
+                return False
+            self._attempts.verified(rr, snap.graph, root, 0)
+        except (KeyError, SolveCorrupted):
+            return False
+        dist = rr.distances
+        self.cache.put((snapshot_id, root), dist, cost_s=self._clock() - t0)
+        for i, req in enumerate(reqs):
+            if req.ctx is not None:
+                req.ctx.note_lineage(ancestor, snapshot_id - ancestor, rr.dirty)
+            self._complete(
+                req, dist, source="coalesced" if i else "repair",
+                batch_id=batch_id,
+            )
+        return True
 
     def _note_attempt(
         self, reqs: list, attempt: int, decision: str, outcome: str
@@ -639,13 +715,19 @@ class QueryBroker:
         decision = (
             self.breaker.acquire() if self.breaker is not None else "primary"
         )
-        graph = self.versioner.get(snapshot_id).graph
+        snap = self.versioner.get(snapshot_id)
+        graph = snap.graph
         rung = ladder_rung(
             self.breaker, decision == "degraded",
             cached=False, num_vertices=graph.num_vertices,
         )
         if rung is not None:
             self._serve_degraded(rung, key, reqs, batch_id, stats)
+            return
+        if (
+            decision == "primary" and deadline is None and graph.undirected
+            and self._serve_lineage(snap, key, reqs, batch_id)
+        ):
             return
         t0 = self._clock()
         try:

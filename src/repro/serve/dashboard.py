@@ -18,6 +18,7 @@ from __future__ import annotations
 import sys
 import time
 
+from repro.obs.burnrate import OK_SOURCES
 from repro.serve.slo import percentile
 
 __all__ = ["snapshot", "render", "run"]
@@ -55,7 +56,7 @@ def snapshot(broker, *, monitor=None, prev=None) -> dict:
     snap["retry_rate"] = retries / offered if offered else 0.0
 
     by_source: dict[str, dict[str, float]] = {}
-    for source in ("cache", "solve", "coalesced", "degraded"):
+    for source in OK_SOURCES:
         samples = broker.latency.samples(source)
         if samples:
             by_source[source] = {

@@ -6,7 +6,10 @@ broker folds the :class:`~repro.obs.request.RequestContext` it threaded
 through every layer into **one** JSON object at terminal completion —
 admission verdict, cache tier, batch ids and queue waits, every solve
 attempt with its breaker decision and chaos draw, the degradation tier,
-the final outcome/source and wall latency. The journey harness
+the final outcome/source and wall latency; a request the lineage tier
+answered (``cache_tier="lineage"``, ``source="repair"``) also carries
+``lineage``: the ancestor snapshot id, hop count and dirtied vertices.
+The journey harness
 reconciles these against tracer spans, registry counters and the SLO
 window; ``serve-top`` tails them for its "recent requests" pane.
 
@@ -157,11 +160,14 @@ def main(argv: list[str] | None = None) -> int:
         attempts = ev.get("attempts", [])
         draws = [a.get("draw") for a in attempts if a.get("draw")]
         lat = ev.get(TIMING_KEY, {}).get("latency_s", 0.0)
+        lineage = ev.get("lineage")  # lineage-served requests only
         print(
             f"  {ev.get('request_id')} root={ev.get('root')} "
             f"outcome={ev.get('outcome')} source={ev.get('source')} "
             f"cache={ev.get('cache_tier')} attempts={len(attempts)} "
             f"draws={draws or '-'} latency={lat * 1e3:.2f}ms"
+            + (" ancestor={ancestor} hops={hops} dirty={dirty}".format(**lineage)
+               if lineage else "")
         )
     return 0
 

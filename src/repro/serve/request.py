@@ -149,10 +149,13 @@ class QueryResult:
     (root..target inclusive; ``None`` for unreachable targets), extracted
     deterministically from the distances. ``source`` records how the
     answer was produced: ``"cache"``, ``"solve"`` (fresh member of a
-    batch) or ``"coalesced"`` (shared another request's solve in the same
-    batch). ``sssp`` is the full :class:`~repro.core.solver.SsspResult`
-    for fresh solves, ``None`` for cache hits (the cache stores only
-    distances, by byte budget).
+    batch), ``"repair"`` (a miss on a live graph answered by repairing the
+    nearest cached ancestor snapshot's entry forward — the lineage tier,
+    DESIGN.md §15) or ``"coalesced"`` (shared another request's solve or
+    repair in the same batch). ``sssp`` is the full
+    :class:`~repro.core.solver.SsspResult` for fresh solves, ``None`` for
+    cache hits (the cache stores only distances, by byte budget) and for
+    repairs (no engine ran: there are no step records to report).
     """
 
     root: int

@@ -76,6 +76,32 @@ class TestRepairStream:
             np.testing.assert_array_equal(d, fresh_spmd(snap.graph, root))
         assert fallbacks <= 1  # 2% churn should almost never trip the gate
 
+    def test_repair_across_a_composed_delta_bit_identity(self, algorithm):
+        """One repair under the net delta of k batches — the lineage
+        tier's call — equals a fresh solve of the k-th snapshot."""
+        graph = rmat_graph(9, seed=19)
+        versioner = GraphVersioner(
+            graph, machine=MACHINE, config=preset(algorithm, 25), retention=4
+        )
+        roots = [int(r) for r in np.flatnonzero(graph.degrees > 0)[:4]]
+        seeds = {r: fresh_orchestrated(graph, r, algorithm) for r in roots}
+        rng = np.random.default_rng(37)
+        repaired = 0
+        for k in range(1, versioner.reach + 1):
+            snap, _ = versioner.apply(random_update_batch(
+                versioner.current.graph, rng, churn_fraction=0.01
+            ))
+            delta = versioner.delta_between(0, k)  # snapshot 0 retires at k=4
+            ctx = versioner.context_for(k)
+            for r in roots:
+                result = repair_sssp(ctx, r, seeds[r], delta)
+                if not result.fallback:
+                    repaired += 1
+                    np.testing.assert_array_equal(
+                        result.distances, fresh_orchestrated(snap.graph, r, algorithm)
+                    )
+        assert 0 not in versioner and repaired >= 2 * versioner.reach  # of 24
+
     def test_parent_trees_match_fresh_extraction(self, algorithm):
         graph = rmat_graph(7, seed=13)
         root = int(np.flatnonzero(graph.degrees > 0)[0])

@@ -96,6 +96,63 @@ class TestRetention:
             GraphVersioner(graph, retention=0)
 
 
+class TestDeltaRetention:
+    """Deltas outlive their snapshots by ``retention - 1`` updates, and
+    compose into the diff of two graphs."""
+
+    def churned(self, versioner, updates, seed=7, fraction=0.2):
+        rng = np.random.default_rng(seed)
+        for _ in range(updates):  # 20 % churn: arcs are touched again and again
+            versioner.apply(random_update_batch(
+                versioner.current.graph, rng, churn_fraction=fraction
+            ))
+
+    @pytest.mark.parametrize("hops", [1, 2, 4])
+    def test_composed_delta_is_the_diff_of_the_two_graphs(self, graph, versioner, hops):
+        from tests.dynamic.oracles import arc_weights
+
+        self.churned(versioner, 2)
+        old = versioner.current
+        self.churned(versioner, hops, seed=8)
+        new = versioner.current
+        delta = versioner.delta_between(old.snapshot_id, new.snapshot_id)
+        n = graph.num_vertices
+        keys = delta.tails * n + delta.heads
+        assert np.unique(keys).size == keys.size  # one row per arc
+        np.testing.assert_array_equal(delta.old_weights, arc_weights(old.graph, keys))
+        np.testing.assert_array_equal(delta.new_weights, arc_weights(new.graph, keys))
+        # ... and every arc whose weight differs has a row.
+        every = np.union1d(
+            old.graph.arc_tails() * n + old.graph.adj,
+            new.graph.arc_tails() * n + new.graph.adj,
+        )
+        differs = every[arc_weights(old.graph, every) != arc_weights(new.graph, every)]
+        changed = keys[delta.old_weights != delta.new_weights]
+        np.testing.assert_array_equal(np.sort(changed), differs)
+        if hops > 1:  # some arc did go there and back
+            assert changed.size < keys.size
+
+    def test_one_hop_is_the_snapshots_own_delta(self, versioner):
+        self.churned(versioner, 1)
+        assert versioner.delta_between(0, 1) is versioner.current.delta
+
+    def test_empty_batches_compose(self, versioner):
+        versioner.apply(UpdateBatch.build())
+        versioner.apply(UpdateBatch.build())
+        assert versioner.delta_between(0, 2).tails.size == 0
+
+    def test_reach_is_twice_the_window_and_older_deltas_are_gone(self, graph, versioner):
+        assert versioner.reach == 4  # retention=3
+        self.churned(versioner, 6, fraction=0.02)
+        assert versioner.ids() == [4, 5, 6]
+        versioner.delta_between(2, 6)  # snapshot 2 retired two updates ago
+        with pytest.raises(KeyError):
+            versioner.delta_between(1, 6)
+        with pytest.raises(KeyError):
+            versioner.delta_between(1, 3)  # an old target's chain ages out too
+        assert GraphVersioner(graph, retention=1).reach == 0
+
+
 class TestContexts:
     def test_context_memoised_per_snapshot(self, versioner):
         ctx_a = versioner.context_for(0)

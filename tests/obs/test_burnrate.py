@@ -49,7 +49,9 @@ class TestConfig:
 
     def test_ok_sources_cover_serving_outcomes(self):
         # every way the broker can successfully serve must not burn budget
-        assert set(OK_SOURCES) == {"cache", "solve", "coalesced", "degraded"}
+        assert set(OK_SOURCES) == {
+            "cache", "solve", "repair", "coalesced", "degraded"
+        }
 
 
 class TestBurnRate:

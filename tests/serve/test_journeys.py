@@ -414,6 +414,13 @@ class TestLiveJourneyInvariants:
         assert checked > 0
         # The journey genuinely crossed snapshots with live answers.
         assert len({sid for sid, _ in ref}) > 1
+        # Some of them came from the lineage tier (a cached ancestor
+        # repaired forward), and were held to the same offline solve.
+        assert any(
+            f.exception() is None and f.result().source == "repair"
+            for _, f in record["journeys"]
+        )
+        assert any(e["cache_tier"] == "lineage" for e in record["events"])
 
     def test_requests_straddle_swaps(self, rmat1_small, seed):
         record = run_live_journey(rmat1_small, seed)

@@ -105,8 +105,16 @@ class TestPinning:
         broker.drain()
         r0, r1 = f0.result(), f1.result()
         assert (r0.snapshot_id, r1.snapshot_id) == (0, 1)
-        # Different snapshots => different solves, even for one root.
-        assert r0.source == "solve" and r1.source == "solve"
+        # Different snapshots => different answers, even for one root in
+        # one batch: the old one is solved on the old graph; the new one
+        # is never *served* the old entry — the lineage tier repairs it
+        # onto the new snapshot, which equals an offline solve there.
+        assert (r0.source, r1.source) == ("solve", "repair")
+        np.testing.assert_array_equal(r0.distances, offline(rmat1_small, root))
+        np.testing.assert_array_equal(
+            r1.distances, offline(broker.versioner.current.graph, root)
+        )
+        assert not np.array_equal(r0.distances, r1.distances)
         broker.shutdown()
 
     def test_paths_extracted_on_pinned_snapshot(self, path_graph):
@@ -125,10 +133,16 @@ class TestSnapshotCache:
     def test_cache_keys_are_snapshot_scoped(self, rmat1_small):
         broker = manual_broker(rmat1_small)
         root = int(choose_root(rmat1_small, seed=3))
-        broker.query(root)
+        old = broker.query(root).distances
         broker.apply_updates(churn(rmat1_small, 7))
         res = broker.query(root)
-        assert res.source == "solve"  # old entry must not serve new snapshot
+        # The old entry must not serve the new snapshot: it is repaired
+        # forward, and the batch changed a tight arc of this root's tree.
+        assert res.source == "repair" and res.snapshot_id == 1
+        np.testing.assert_array_equal(
+            res.distances, offline(broker.versioner.current.graph, root)
+        )
+        assert not np.array_equal(res.distances, old)
         assert (0, root) in broker.cache
         assert (1, root) in broker.cache
         hit = broker.query(root)

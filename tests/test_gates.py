@@ -181,6 +181,19 @@ class TestReadDocument:
         assert (result["value"], result["verdict"]) == (None, "missing")
         assert gate.over_metric in result["why"]
 
+    def test_churn_miss_cost_is_recorded_in_fresh_solves(self):
+        gate = GATES["churn-miss-vs-fresh"]
+        assert gate.source == "bench.op_ms_p50@serve_churn / serve.engine_ms_p50@serve_churn"
+        assert (gate.workloads, gate.ci_job) == (("serve_churn",), "dynamic-smoke")
+        run = record("serve_churn", gate.metric, 6.0)
+        run["samples"][gate.over_metric] = 8
+        run["result"]["metrics"][gate.over_metric] = {"value": 12.0, "unit": "ms"}
+        result = read_document(gate, stack_document(run))
+        assert (result["value"], result["verdict"]) == (0.5, "recorded")
+        assert result["samples"] == {"serve_churn": [6.0], gate.over_metric: [12.0]}
+        run["samples"][gate.over_metric] = 0  # every miss repaired: no fresh solve
+        assert read_document(gate, stack_document(run))["verdict"] == "missing"
+
     def test_no_ceiling_is_recorded(self):
         gate = GATES["checkpoint-overhead"]
         doc = stack_document(record("cold_spmd", gate.metric, 4.3))
@@ -235,6 +248,7 @@ class TestGateTable:
             "hit-vs-cold": (None, 0.5),
             "repair-vs-fresh": (None, 0.30),
             "update-vs-fresh": (None, 6.3),
+            "churn-miss-vs-fresh": (None, None),
             "batching-cache": (1.10, 0.0),
             "resilience-armed": (1.0, 0.02),
             "paranoid-guards": (1.0, None),
