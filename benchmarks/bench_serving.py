@@ -65,13 +65,12 @@ def stream(scale_label: str, requests: int | None = None, **arrival) -> tuple:
 @contextlib.contextmanager
 def serve(graph, spec: WorkloadSpec, *, num_ranks: int = 8, **broker_kwargs):
     """Drive ``spec`` through one broker of the bench's standard shape
-    (``opt``/Δ=25, batches of 8, 2 ms flush, one worker, 64 MiB cache;
+    (``opt``/Δ=25, takes of at most 8, one worker, 64 MiB cache;
     ``broker_kwargs`` override) and yield ``(broker, report)`` with the
     broker still up; it is drained and shut down on exit."""
     shape = {
         "capacity": max(spec.num_requests, 256),
         "max_batch_size": 8,
-        "flush_interval_s": 0.002,
         "num_workers": 1,
         "cache_bytes": 64 << 20,
         **broker_kwargs,

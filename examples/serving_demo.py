@@ -33,7 +33,6 @@ def main() -> None:
         num_ranks=8,
         threads_per_rank=16,
         max_batch_size=8,
-        flush_interval_s=0.002,
         cache_bytes=32 << 20,
     ) as broker:
         # 2. A single-root distance query, then the same root again: the

@@ -97,10 +97,6 @@ def _add_serve_args(p: argparse.ArgumentParser) -> None:
                         "(0 = uniform; default 1.1)")
     p.add_argument("--root-universe", type=int, default=64,
                    help="distinct candidate roots (default 64)")
-    p.add_argument("--batch-size", type=int, default=16,
-                   help="micro-batcher size trigger (default 16)")
-    p.add_argument("--flush-ms", type=float, default=2.0,
-                   help="micro-batcher latency trigger in ms")
     p.add_argument("--workers", type=int, default=1,
                    help="batch worker threads (default 1)")
     p.add_argument("--cache-mb", type=float, default=64.0,
@@ -211,8 +207,6 @@ def _build_serve_broker(args: argparse.Namespace, *, events=None):
         algorithm=args.algorithm,
         delta=args.delta,
         machine=_machine(args),
-        max_batch_size=args.batch_size,
-        flush_interval_s=args.flush_ms / 1e3,
         num_workers=args.workers,
         cache_bytes=int(args.cache_mb * (1 << 20)),
         default_deadline=deadline,

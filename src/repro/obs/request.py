@@ -48,8 +48,7 @@ class RequestContext:
       vertices they dirtied);
     - **micro-batcher**: ``queue_waits_s`` — one entry per dispatch
       (retries re-enter the queue, so a retried request has several),
-      measured from the entry's enqueue time (the *original* admission
-      time survives retries, matching the batcher's latency trigger);
+      measured from that dispatch's own ``put`` or ``requeue``;
     - **batch execution**: ``batches`` — the batch ids that served this
       request, ``negative`` — failed fast on a negative-cache tombstone;
     - **solve attempts**: ``attempts`` — one record per attempt with the

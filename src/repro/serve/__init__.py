@@ -8,8 +8,8 @@ stack — queueing, micro-batching, caching, backpressure:
 - :class:`~repro.serve.broker.QueryBroker` — the request pipeline:
   admission control on a bounded queue, per-request watchdog deadlines,
   a worker pool, graceful drain on shutdown;
-- :class:`~repro.serve.batcher.MicroBatcher` — size- and
-  latency-triggered batch flush (inference-style coalescing);
+- :class:`~repro.serve.batcher.MicroBatcher` — bounded EDF queue; a
+  free worker takes every ready request (no batch-formation window);
 - :class:`~repro.serve.cache.DistanceCache` — byte-budgeted LRU of
   distance arrays whose hits are bit-identical to fresh solves;
 - :class:`~repro.serve.workload.WorkloadSpec` /

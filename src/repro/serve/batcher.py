@@ -1,21 +1,20 @@
-"""Micro-batcher: bounded queue with size/latency flush and EDF take order.
+"""Micro-batcher: bounded queue with EDF take order.
 
-The same shape as an inference server's request batcher: admitted
-requests accumulate in a bounded queue; a worker takes a *batch* when
-either the batch-size trigger fires (``max_batch_size`` requests are
-waiting — solve them together and amortize the per-batch overhead) or
-the latency trigger fires (the oldest waiting request has been queued
-for ``flush_interval_s`` — never hold a lonely request hostage to batch
-economics). A closed batcher flushes whatever remains immediately, which
-is what makes graceful drain prompt.
+Admitted requests wait in a bounded queue; a free worker takes **every
+ready request at once**, up to ``max_batch_size``. There is no batch
+formation window: a batch shares no solver work (each coalesce group is
+solved on its own), so holding a lonely request for company would only
+add latency. Requests that queue behind a busy worker are taken
+together, which is where coalescing of identical roots comes from.
+``max_batch_size`` bounds one take, so a second worker and a
+tight-deadline request arriving mid-take still see the queue.
 
-Within a flush the batch is ordered **earliest-deadline-first**: requests
+Within a take the batch is ordered **earliest-deadline-first**: requests
 exposing a ``deadline_at`` (``submitted_at + latency_budget_s``, see
 :class:`~repro.serve.request.QueryRequest`) are served tightest-deadline
 first, so a late-arriving tight-SLO request jumps older slack ones.
 Requests without a budget sort as ``deadline_at = inf`` and keep FIFO
-order among themselves — with no budgets anywhere the batcher is exactly
-the old FIFO.
+order among themselves — with no budgets anywhere the batcher is FIFO.
 
 Admission control lives here too: :meth:`put` on a full queue raises
 :class:`~repro.serve.request.ServiceOverload` instead of growing the
@@ -25,7 +24,7 @@ request was already admitted once) and the closed check (a draining
 broker must still finish its retries); a ``ready_at`` in the future holds
 the entry back until its backoff expires.
 
-The clock is injectable (``clock=``) so the flush and EDF policies are
+The clock is injectable (``clock=``) so the backoff and EDF policies are
 unit-testable without sleeping.
 """
 
@@ -55,8 +54,7 @@ class MicroBatcher:
     """Bounded queue of requests with EDF-ordered coalescing take-off.
 
     ``capacity`` bounds the number of *queued* (not yet taken) requests;
-    ``max_batch_size`` bounds one take; ``flush_interval_s`` is the
-    longest a request may wait for its batch to fill.
+    ``max_batch_size`` bounds one take.
     """
 
     def __init__(
@@ -64,18 +62,14 @@ class MicroBatcher:
         *,
         capacity: int,
         max_batch_size: int,
-        flush_interval_s: float,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if flush_interval_s < 0:
-            raise ValueError("flush_interval_s must be >= 0")
         self.capacity = int(capacity)
         self.max_batch_size = int(max_batch_size)
-        self.flush_interval_s = float(flush_interval_s)
         self.clock = clock
         self._queue: list[_Entry] = []
         self._seq = itertools.count()
@@ -93,17 +87,11 @@ class MicroBatcher:
         return self.depth
 
     # ------------------------------------------------------------------
-    def _entry(
-        self,
-        request,
-        now: float,
-        ready_at: float | None,
-        enqueued_at: float | None = None,
-    ) -> _Entry:
+    def _entry(self, request, now: float, ready_at: float | None) -> _Entry:
         return _Entry(
             request=request,
             seq=next(self._seq),
-            enqueued_at=now if enqueued_at is None else float(enqueued_at),
+            enqueued_at=now,
             ready_at=now if ready_at is None else float(ready_at),
             deadline_at=float(getattr(request, "deadline_at", float("inf"))),
         )
@@ -124,26 +112,14 @@ class MicroBatcher:
             self._cond.notify_all()
             return len(self._queue)
 
-    def requeue(
-        self,
-        request,
-        *,
-        ready_at: float | None = None,
-        enqueued_at: float | None = None,
-    ) -> int:
+    def requeue(self, request, *, ready_at: float | None = None) -> int:
         """Re-admit a retried request, bypassing capacity *and* closed
         state: it was admitted once already (shedding it again would
         double-count the overload) and a draining broker must still
         finish its retries. ``ready_at`` (batcher-clock time) holds the
-        entry back until its backoff expires. ``enqueued_at`` preserves
-        the request's *original* enqueue time across the retry — without
-        it the latency trigger would restart its full
-        ``flush_interval_s`` wait from the retry instant, letting each
-        retry push an already-late request further past its budget."""
+        entry back until its backoff expires."""
         with self._cond:
-            self._queue.append(
-                self._entry(request, self.clock(), ready_at, enqueued_at)
-            )
+            self._queue.append(self._entry(request, self.clock(), ready_at))
             self._cond.notify_all()
             return len(self._queue)
 
@@ -152,58 +128,36 @@ class MicroBatcher:
         return [e for e in self._queue if e.ready_at <= now]
 
     def take(self, *, block: bool = True) -> list | None:
-        """Take the next batch (1..max_batch_size requests, EDF order).
+        """Take every ready request (1..max_batch_size, EDF order).
 
-        Blocks until a flush trigger fires; returns ``None`` when the
-        batcher is closed and empty (the worker's exit signal). With
-        ``block=False``, returns an immediately-ready batch or ``None``.
+        Blocks only while nothing is ready — an empty queue or retries
+        still in backoff; returns ``None`` when the batcher is closed and
+        empty (the worker's exit signal). With ``block=False``, returns
+        the ready batch or ``None`` when nothing is ready.
         """
         with self._cond:
             while True:
                 now = self.clock()
                 ready = self._ready(now)
                 if ready:
-                    wait = 0.0
-                    if not self._closed and len(ready) < self.max_batch_size:
-                        # Latency trigger runs off the oldest ready entry.
-                        # Append order does NOT imply enqueue order: a
-                        # requeued retry re-enters at the tail carrying
-                        # its original enqueued_at, so take the min.
-                        oldest = min(e.enqueued_at for e in ready)
-                        wait = self.flush_interval_s - (now - oldest)
-                    if wait <= 0:
-                        ready.sort(key=lambda e: (e.deadline_at, e.seq))
-                        batch = ready[: self.max_batch_size]
-                        taken = {id(e) for e in batch}
-                        self._queue = [
-                            e for e in self._queue if id(e) not in taken
-                        ]
-                        self._cond.notify_all()
-                        for e in batch:
-                            # Queue wait is measured per dispatch from the
-                            # entry's enqueue anchor — the same anchor the
-                            # latency trigger flushes on (original
-                            # admission time for requeued retries).
-                            ctx = getattr(e.request, "ctx", None)
-                            if ctx is not None:
-                                ctx.note_dequeue(now - e.enqueued_at)
-                        return [e.request for e in batch]
-                elif not self._queue and (self._closed or not block):
+                    ready.sort(key=lambda e: (e.deadline_at, e.seq))
+                    batch = ready[: self.max_batch_size]
+                    taken = {id(e) for e in batch}
+                    self._queue = [e for e in self._queue if id(e) not in taken]
+                    self._cond.notify_all()
+                    for e in batch:
+                        # Queue wait is measured per dispatch, from this
+                        # entry's own put or requeue.
+                        ctx = getattr(e.request, "ctx", None)
+                        if ctx is not None:
+                            ctx.note_dequeue(now - e.enqueued_at)
+                    return [e.request for e in batch]
+                if not block or (self._closed and not self._queue):
                     return None
-                if not block:
-                    return None
-                # Sleep until the earliest of: latency flush of the oldest
-                # ready entry, or the next held-back entry becoming ready.
-                timeout = wait if ready else None
-                pending = [e.ready_at for e in self._queue if e.ready_at > now]
-                if pending:
-                    until_ready = min(pending) - now
-                    timeout = (
-                        until_ready
-                        if timeout is None
-                        else min(timeout, until_ready)
-                    )
-                self._cond.wait(timeout=timeout)
+                # Sleep until the next held-back entry becomes ready (or
+                # a put/requeue/close notifies).
+                pending = [e.ready_at for e in self._queue]
+                self._cond.wait(timeout=min(pending) - now if pending else None)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

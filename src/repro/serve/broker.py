@@ -17,11 +17,11 @@ wide events, ``report()`` —
 answers while degraded* — :func:`~repro.serve.breaker.ladder_rung`.
 
 One broker serves one (graph, config, machine) triple — the coordinates
-the distance cache is keyed under. Queries for the same root arriving in
-one batch window are *coalesced* into a single solve; different
-per-request deadlines are never coalesced (a strict budget must not fail
-a lax request). Answers are bit-identical to offline
-:func:`~repro.core.solver.solve_sssp` on every path — cache hit, cache
+the distance cache is keyed under. Queries for the same root taken in
+one batch (they queued behind a busy worker) are *coalesced* into a
+single solve; different per-request deadlines are never coalesced (a
+strict budget must not fail a lax request). Answers are bit-identical to
+offline :func:`~repro.core.solver.solve_sssp` on every path — cache hit, cache
 miss, batched, retried and degraded — because the engine is
 deterministic and the cache stores engine output verbatim.
 
@@ -105,10 +105,8 @@ class QueryBroker:
         Bound on queued requests; submits beyond it shed with
         :class:`ServiceOverload`.
     max_batch_size:
-        Size trigger of the micro-batcher.
-    flush_interval_s:
-        Latency trigger: the longest a queued request waits for its
-        batch to fill.
+        Bound on one micro-batcher take: a free worker takes every ready
+        request, up to this many.
     num_workers:
         Worker threads executing batches. ``0`` is manual mode — nothing
         runs until :meth:`process_once` is called — which tests and
@@ -144,9 +142,6 @@ class QueryBroker:
         Optional :class:`~repro.obs.tracer.TraceConfig`; per-request,
         per-batch and resilience spans are recorded and artifacts
         written at shutdown.
-    registry:
-        Optional external :class:`~repro.obs.registry.MetricsRegistry`;
-        defaults to the tracer's (when tracing) or a fresh one.
     events:
         Optional wide-event sink: a
         :class:`~repro.serve.events.WideEventLog`, a path (a log writing
@@ -180,7 +175,6 @@ class QueryBroker:
         threads_per_rank: int = 8,
         capacity: int = 256,
         max_batch_size: int = 16,
-        flush_interval_s: float = 0.002,
         num_workers: int = 1,
         cache_bytes: int = 64 << 20,
         default_deadline=None,
@@ -190,7 +184,6 @@ class QueryBroker:
         verify: bool | str = False,
         negative_ttl_s: float = 0.0,
         trace=None,
-        registry=None,
         events=None,
         snapshot_retention: int = 4,
     ) -> None:
@@ -223,9 +216,6 @@ class QueryBroker:
             from repro.obs.tracer import Tracer
 
             self.tracer = Tracer(self._solver.machine, trace)
-        if registry is not None:
-            self.registry = registry
-        elif self.tracer is not None:
             self.registry = self.tracer.registry
         else:
             from repro.obs.registry import MetricsRegistry
@@ -254,8 +244,7 @@ class QueryBroker:
             checksum=self.breaker is not None, negative_ttl_s=negative_ttl_s,
         )
         self._batcher = MicroBatcher(
-            capacity=capacity, max_batch_size=max_batch_size,
-            flush_interval_s=flush_interval_s, clock=self._clock,
+            capacity=capacity, max_batch_size=max_batch_size, clock=self._clock,
         )
         # Request contexts ride with events *or* spans; with neither
         # armed, no context is ever minted (the zero-cost path).
@@ -797,12 +786,7 @@ class QueryBroker:
         )
         for req in reqs:
             req.attempts = consumed
-            # submitted_at shares the batcher's clock, so passing it as
-            # enqueued_at keeps the latency flush anchored to when the
-            # request first entered the system, not the retry instant.
-            self._batcher.requeue(
-                req, ready_at=now + delay, enqueued_at=req.submitted_at
-            )
+            self._batcher.requeue(req, ready_at=now + delay)
         with self._idle:
             self._idle.notify_all()
 

@@ -112,12 +112,10 @@ class TestSameErrors:
         ],
         ids=["census", "exact", "histogram"],
     )
-    def test_whole_graph_only_configs_rejected_at_rank_entry(self, case, config):
-        """Was: ``ValueError`` at the rank driver's entry. No config is
-        whole-graph-only any more: both drivers give the reference
-        distances, the same records, ``summary()`` and per-bucket stats
-        (census columns and estimates included), and the crash plan
-        recovers the same answer."""
+    def test_census_and_estimator_configs_match_on_both_drivers(self, case, config):
+        """Both drivers give the reference distances, the same records,
+        ``summary()`` and per-bucket stats (census columns and estimates
+        included), and the crash plan recovers the same answer."""
         graph, root, ref = case
         d, metrics = assert_parity(graph, root, MACHINE, config)
         assert np.array_equal(d, ref)
@@ -151,10 +149,10 @@ class TestDirectedGraphs:
         )
 
     @pytest.mark.parametrize("algorithm", ["prune", "opt"])
-    def test_pull_rejected_push_exact(self, algorithm):
-        """Was: pull and auto rejected, push exact. Now: all three modes
-        equal the reference and the whole-graph driver's accounting, fault
-        free and under the crash plan, on 20 seeded directed graphs."""
+    def test_every_pushpull_mode_exact_on_directed_graphs(self, algorithm):
+        """All three push/pull modes equal the reference and the
+        whole-graph driver's accounting, fault free and under the crash
+        plan, on 20 seeded directed graphs."""
         config = preset(algorithm, 25)
         pulled = 0
         for seed in range(20):

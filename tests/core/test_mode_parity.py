@@ -114,15 +114,14 @@ class TestSharedPartials:
     @pytest.mark.parametrize(
         "reached, empty_ranks", [(0.5, ()), (0.05, (1,)), (0.9, (0, 3)), (0.0, ())]
     )
-    def test_both_layouts_match_the_per_rank_oracle(
+    def test_rank_cut_view_matches_the_per_rank_oracle(
         self, rmat1_small, use_ios, machine, reached, empty_ranks
     ):
         """The view cut at the rank boundaries gives the floats of the
         oracle, which evaluates every rank on its own slices — with
         unreached (INF) vertices, ranks holding no member and no later
         vertex, nothing reached at all, and a rank count that does not
-        divide n. (The name dates from when a second, per-rank view layout
-        was held to the same oracle.)"""
+        divide n."""
         cfg = preset("opt", 25).evolve(use_ios=use_ios)
         ctx = make_context(rmat1_small, machine, cfg)
         d, settled = random_state(ctx, 7, reached=reached, empty_ranks=empty_ranks)

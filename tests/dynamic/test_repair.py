@@ -305,8 +305,7 @@ def test_repair_leaves_the_snapshot_template_ledger_empty():
 
     graph = rmat_graph(8, seed=11)
     roots = [int(r) for r in np.flatnonzero(graph.degrees > 0)[:3]]
-    broker = QueryBroker(graph, num_workers=0, flush_interval_s=0.0,
-                         num_ranks=4, threads_per_rank=4)
+    broker = QueryBroker(graph, num_workers=0, num_ranks=4, threads_per_rank=4)
     try:
         for root in roots:
             broker.query(root)

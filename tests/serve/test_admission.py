@@ -44,7 +44,7 @@ def test_submitters_racing_a_draining_shutdown(path_graph):
     shutdown returns, and every future a submit returned is resolved."""
     for round_ in range(50):
         broker = QueryBroker(
-            path_graph, num_workers=2, cache_bytes=0, flush_interval_s=0.0,
+            path_graph, num_workers=2, cache_bytes=0,
             num_ranks=2, threads_per_rank=2,
             retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
         )

@@ -58,7 +58,7 @@ class TestBitIdentityProperty:
         broker = QueryBroker(
             graph, algorithm="opt", delta=delta,
             num_ranks=2, threads_per_rank=2,
-            num_workers=0, flush_interval_s=0.0, max_batch_size=8,
+            num_workers=0, max_batch_size=8,
         )
         try:
             # batched phase: the whole stream in as few batches as possible
@@ -91,7 +91,7 @@ class TestBitIdentityPresets:
         broker = QueryBroker(
             rmat1_small, algorithm=algorithm, delta=25,
             num_ranks=4, threads_per_rank=2,
-            num_workers=0, flush_interval_s=0.0, max_batch_size=8,
+            num_workers=0, max_batch_size=8,
         )
         try:
             spec = WorkloadSpec(

@@ -25,7 +25,6 @@ from repro.serve.retry import RetryPolicy
 
 def manual_broker(graph, **kwargs):
     kwargs.setdefault("num_workers", 0)
-    kwargs.setdefault("flush_interval_s", 0.0)
     kwargs.setdefault("num_ranks", 2)
     kwargs.setdefault("threads_per_rank", 2)
     return QueryBroker(graph, **kwargs)
@@ -131,9 +130,7 @@ class TestCoalescing:
 
 class TestOverloadAndShutdown:
     def test_overload_sheds_typed(self, rmat1_small):
-        broker = manual_broker(
-            rmat1_small, capacity=2, flush_interval_s=60.0
-        )
+        broker = manual_broker(rmat1_small, capacity=2)
         roots = [int(r) for r in choose_roots(rmat1_small, 3, seed=5)]
         broker.submit(roots[0])
         broker.submit(roots[1])
@@ -149,7 +146,7 @@ class TestOverloadAndShutdown:
         assert broker.report()["completed"] == 2
 
     def test_shutdown_drains_queued_work(self, rmat1_small):
-        broker = manual_broker(rmat1_small, flush_interval_s=60.0)
+        broker = manual_broker(rmat1_small)
         roots = [int(r) for r in choose_roots(rmat1_small, 3, seed=6)]
         futures = broker.submit_many(roots)
         assert not any(f.done() for f in futures)
@@ -166,7 +163,7 @@ class TestOverloadAndShutdown:
             broker.query(0)
 
     def test_shutdown_without_drain_cancels_queued(self, rmat1_small):
-        broker = manual_broker(rmat1_small, flush_interval_s=60.0)
+        broker = manual_broker(rmat1_small)
         futures = broker.submit_many(
             [int(r) for r in choose_roots(rmat1_small, 2, seed=7)]
         )
@@ -182,7 +179,7 @@ class TestOverloadAndShutdown:
         broker.shutdown()
 
     def test_context_manager_drains(self, rmat1_small):
-        with manual_broker(rmat1_small, flush_interval_s=60.0) as broker:
+        with manual_broker(rmat1_small) as broker:
             future = broker.submit(int(choose_root(rmat1_small, seed=8)))
         assert future.done()
         assert broker.closed
@@ -229,7 +226,7 @@ class TestWorkersAndTelemetry:
     def test_worker_pool_serves(self, rmat1_small):
         broker = QueryBroker(
             rmat1_small, num_ranks=2, threads_per_rank=2,
-            num_workers=2, max_batch_size=4, flush_interval_s=0.001,
+            num_workers=2, max_batch_size=4,
         )
         roots = [int(r) for r in choose_roots(rmat1_small, 6, seed=9)]
         futures = broker.submit_many(roots + roots)  # half should hit/coalesce
@@ -377,7 +374,7 @@ class TestRetries:
         root = int(choose_root(rmat1_small, seed=3))
         broker = QueryBroker(
             rmat1_small, num_ranks=2, threads_per_rank=2,
-            num_workers=1, flush_interval_s=0.001,
+            num_workers=1,
             chaos=ChaosPlan(error_rate=1.0, roots=(root,),
                             max_faulty_attempts=1),
             retry=RetryPolicy(max_attempts=3, backoff_base_s=0.05),

@@ -144,7 +144,7 @@ def chaos_journey(graph, *, degrade_max_vertices: int) -> dict:
     broker = QueryBroker(
         graph,
         algorithm="opt", delta=25, num_ranks=2, threads_per_rank=2,
-        num_workers=0, flush_interval_s=0.0, max_batch_size=2,
+        num_workers=0, max_batch_size=2,
         chaos=ChaosPlan(
             seed=SEED, error_rate=0.15, corrupt_rate=0.10,
             max_faulty_attempts=2,
@@ -202,7 +202,7 @@ def live_journey(graph) -> dict:
     broker = QueryBroker(
         graph,
         algorithm="opt", delta=25, num_ranks=2, threads_per_rank=2,
-        num_workers=0, flush_interval_s=0.0, capacity=3,
+        num_workers=0, capacity=3,
         snapshot_retention=1,
         chaos=ChaosPlan(seed=SEED, error_rate=0.15, corrupt_rate=0.10,
                         max_faulty_attempts=2),

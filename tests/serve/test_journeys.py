@@ -79,7 +79,7 @@ def run_journey(graph, seed: int) -> dict:
     broker = QueryBroker(
         graph,
         algorithm="opt", delta=25, num_ranks=2, threads_per_rank=2,
-        num_workers=0, flush_interval_s=0.0,
+        num_workers=0,
         chaos=ChaosPlan(seed=seed, error_rate=0.15, stall_rate=0.05,
                         corrupt_rate=0.10, max_faulty_attempts=2,
                         events=(ChaosEvent(transient, 0, "error"),)
@@ -343,7 +343,7 @@ def run_live_journey(graph, seed: int, *, steps: int = 18,
     broker = QueryBroker(
         graph,
         algorithm="opt", delta=25, num_ranks=2, threads_per_rank=2,
-        num_workers=0, flush_interval_s=0.0,
+        num_workers=0,
         snapshot_retention=updates + 1,
         chaos=ChaosPlan(seed=seed, error_rate=0.15, corrupt_rate=0.10,
                         max_faulty_attempts=2),
@@ -486,7 +486,7 @@ class TestChaosBitIdentityProperty:
         broker = QueryBroker(
             _TINY,
             algorithm="opt", delta=25, num_ranks=2, threads_per_rank=2,
-            num_workers=0, flush_interval_s=0.0,
+            num_workers=0,
             chaos=ChaosPlan(seed=seed, error_rate=error, stall_rate=stall,
                             corrupt_rate=corrupt,
                             max_faulty_attempts=clean_after),

@@ -26,7 +26,7 @@ from tests.serve.test_journeys import FakeClock
 def manual_broker(graph, **kwargs):
     kwargs.setdefault("algorithm", "opt")
     return QueryBroker(
-        graph, num_workers=0, flush_interval_s=0.0, num_ranks=2,
+        graph, num_workers=0, num_ranks=2,
         threads_per_rank=2, events=True, **kwargs,
     )
 

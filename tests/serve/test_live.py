@@ -20,7 +20,6 @@ from repro.serve.retry import RetryPolicy
 
 def manual_broker(graph, **kwargs):
     kwargs.setdefault("num_workers", 0)
-    kwargs.setdefault("flush_interval_s", 0.0)
     kwargs.setdefault("num_ranks", 2)
     kwargs.setdefault("threads_per_rank", 2)
     return QueryBroker(graph, **kwargs)

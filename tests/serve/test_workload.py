@@ -121,7 +121,7 @@ class TestRunWorkload:
     def test_closed_loop_manual_broker(self, rmat1_small):
         broker = QueryBroker(
             rmat1_small, num_ranks=2, threads_per_rank=2,
-            num_workers=0, flush_interval_s=0.0,
+            num_workers=0,
         )
         spec = WorkloadSpec(
             num_requests=20, arrival="closed", concurrency=1,
@@ -140,7 +140,7 @@ class TestRunWorkload:
     def test_closed_loop_threaded_clients(self, rmat1_small):
         broker = QueryBroker(
             rmat1_small, num_ranks=2, threads_per_rank=2,
-            num_workers=1, max_batch_size=4, flush_interval_s=0.001,
+            num_workers=1, max_batch_size=4,
         )
         spec = WorkloadSpec(
             num_requests=24, arrival="closed", concurrency=3,
@@ -155,7 +155,7 @@ class TestRunWorkload:
     def test_open_loop(self, rmat1_small):
         broker = QueryBroker(
             rmat1_small, num_ranks=2, threads_per_rank=2,
-            num_workers=1, max_batch_size=8, flush_interval_s=0.001,
+            num_workers=1, max_batch_size=8,
         )
         spec = WorkloadSpec(
             num_requests=15, arrival="open", rate_qps=5000.0,
@@ -170,7 +170,7 @@ class TestRunWorkload:
         # two runs over one broker: the second report counts only its own
         broker = QueryBroker(
             rmat1_small, num_ranks=2, threads_per_rank=2,
-            num_workers=0, flush_interval_s=0.0,
+            num_workers=0,
         )
         spec = WorkloadSpec(
             num_requests=10, arrival="closed", concurrency=1,

@@ -121,7 +121,7 @@ class TestCommands:
         metrics = tmp_path / "serve.prom"
         rc = main(["serve-bench", "--scale", "9", "--ranks", "2",
                    "--threads", "2", "--requests", "20", "--workers", "0",
-                   "--flush-ms", "0", "--root-universe", "4",
+                   "--root-universe", "4",
                    "--concurrency", "1", "--metrics-out", str(metrics),
                    "--json", "-"])
         assert rc == 0
@@ -138,7 +138,7 @@ class TestCommands:
         # a hit rate above 1.0 is unreachable: the SLO gate must trip
         rc = main(["serve-bench", "--scale", "9", "--ranks", "2",
                    "--threads", "2", "--requests", "10", "--workers", "0",
-                   "--flush-ms", "0", "--root-universe", "4",
+                   "--root-universe", "4",
                    "--concurrency", "1", "--slo-min-hit-rate", "1.5"])
         assert rc == 1
         assert "SLO VIOLATION" in capsys.readouterr().err
@@ -146,7 +146,6 @@ class TestCommands:
     def test_serve_bench_parser_defaults(self):
         args = build_parser().parse_args(["serve-bench"])
         assert args.arrival == "closed"
-        assert args.batch_size == 16
         assert args.cache_mb == 64.0
         assert args.events is None
         # burn monitoring is opt-in for serve-bench
@@ -158,7 +157,7 @@ class TestCommands:
         events = tmp_path / "events.jsonl"
         rc = main(["serve-bench", "--scale", "9", "--ranks", "2",
                    "--threads", "2", "--requests", "20", "--workers", "0",
-                   "--flush-ms", "0", "--root-universe", "4",
+                   "--root-universe", "4",
                    "--concurrency", "1", "--events", str(events),
                    "--burn-objective", "0.99", "--burn-min-samples", "1"])
         assert rc == 0
@@ -179,7 +178,7 @@ class TestCommands:
             events = tmp_path / f"events-{run}.jsonl"
             rc = main(["serve-bench", "--scale", "9", "--ranks", "2",
                        "--threads", "2", "--requests", "15", "--workers", "0",
-                       "--flush-ms", "0", "--root-universe", "4",
+                       "--root-universe", "4",
                        "--concurrency", "1", "--retries", "3",
                        "--retry-backoff-ms", "0",
                        "--chaos", "error=0.2,clean-after=2,seed=3",
