@@ -185,7 +185,7 @@ GATES: dict[str, DocumentGate | PairedGate] = {
     # What one epoch of the many-bucket regime costs, in SciPy solves of
     # the same graph: the number the per-epoch work of core/ moves.
     "grid-epoch-cost": DocumentGate(
-        "core.ms_per_bucket", "cold_grid", 2.0, "obs-smoke",
+        "core.ms_per_bucket", "cold_grid", 1.49, "obs-smoke",
         over_metric="bench.scipy_ms_p50", sampled=False),
     "hit-vs-cold": DocumentGate(
         "bench.op_ms_p50", "serve_hot", 0.5, "serve-smoke", over="serve_cold"),

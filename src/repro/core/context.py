@@ -29,12 +29,10 @@ from repro.graph.partition import (
 from repro.runtime.comm import Communicator
 from repro.runtime.guards import InvariantGuards
 from repro.runtime.machine import MachineConfig
-from repro.runtime.metrics import ComputeKind, Metrics
-from repro.runtime.work import thread_index, work_fact
+from repro.runtime.metrics import ComputeKind, Metrics, VertexMaps
+from repro.runtime.work import thread_index
 
 __all__ = ["ExecutionContext", "make_context"]
-
-_NO_VERTICES = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -66,8 +64,8 @@ class ExecutionContext:
     disabled path costs nothing and perturbs no accounting."""
     thread_map: np.ndarray | None = None
     """Precomputed per-vertex hardware-thread table
-    (``thread_index(np.arange(n), partition, machine)``): turns every
-    per-record work charge into a single gather."""
+    (``thread_index(np.arange(n), partition, machine)``): the ledger maps
+    every queued charge's vertices through it in one gather per fold."""
     tracer: object | None = None
     """Span tracer (:class:`repro.obs.tracer.Tracer`), present only when
     ``config.trace`` asks for telemetry. Every engine hook site is gated on
@@ -107,7 +105,8 @@ class ExecutionContext:
 
         Shares every per-graph table with ``self`` by identity (sorted
         graph, partition and its ``owner_map``, short/long tables,
-        ``thread_map``, reverse tables, histogram, thresholds) and carries
+        ``thread_map``, reverse tables, histogram, thresholds, and the
+        ledger's :class:`~repro.runtime.metrics.VertexMaps` over them) and carries
         fresh per-run state, made exactly as :func:`make_context` makes it.
         ``self`` is only read, so one template may be forked from several
         threads. ``tracer`` is as for :func:`make_context`.
@@ -115,7 +114,8 @@ class ExecutionContext:
         return dataclasses.replace(
             self,
             **_run_state(
-                self.graph, self.partition, self.machine, self.config, tracer
+                self.graph, self.partition, self.machine, self.config, tracer,
+                self.metrics.maps,
             ),
         )
 
@@ -137,15 +137,11 @@ class ExecutionContext:
         vertex exceeding the heaviness threshold is spread across its rank's
         threads. ``count_as_relax`` feeds the units into the paper's
         relaxation counters (used on the record-application side so each
-        relaxation is counted exactly once).
+        relaxation is counted exactly once). The ledger queues copies of
+        ``vertices`` and ``units``; they meet the thread and rank tables
+        when it folds (:func:`~repro.runtime.metrics.fold_charges`).
         """
-        fact = work_fact(
-            vertices, units, self.partition, self.machine,
-            self.heavy_threshold, thread_map=self.thread_map,
-        )
-        self.metrics.queue_compute(
-            kind, *fact, phase_kind=phase_kind, count_as_relax=count_as_relax
-        )
+        self.metrics.queue_charge(kind, vertices, units, phase_kind, count_as_relax)
 
     def charge_scan(self, num_local_vertices_scanned: np.ndarray) -> None:
         """Charge an even bucket-scan over ranks (``int[P]`` vertices each).
@@ -154,24 +150,20 @@ class ExecutionContext:
         scans an equal slice of its rank's vertex block), so the work is
         spread uniformly within each rank.
         """
-        per_rank = np.array(num_local_vertices_scanned, dtype=np.float64)
+        per_rank = np.array(num_local_vertices_scanned)
         if per_rank.size != self.machine.num_ranks:
             raise ValueError("need one scan count per rank")
-        self.metrics.queue_compute(
-            ComputeKind.BUCKET_SCAN, _NO_VERTICES, None, per_rank,
-            phase_kind="bucket",
-        )
+        self.metrics.queue_scan(per_rank)
 
     def scan_all_ranks(self, num_vertices_scanned_total: int | None = None) -> None:
-        """Charge a full scan of every rank's vertex block (epoch boundary)."""
-        p = self.machine.num_ranks
+        """Charge a full scan of every rank's vertex block (epoch boundary):
+        ``n / P`` vertices on every rank, one number for all of them."""
         n = (
             self.graph.num_vertices
             if num_vertices_scanned_total is None
             else num_vertices_scanned_total
         )
-        per_rank = np.full(p, n / p)
-        self.charge_scan(per_rank)
+        self.metrics.queue_scan(n / self.machine.num_ranks)
 
 
 def _classification_delta(config: SolverConfig) -> int:
@@ -181,15 +173,17 @@ def _classification_delta(config: SolverConfig) -> int:
     return min(config.classification_width, 2**60)
 
 
-def _run_state(graph, partition, machine, config, tracer) -> dict:
-    """The per-run fields of an :class:`ExecutionContext`: fresh metrics,
-    communicator, guards (under ``config.paranoid``) and tracer wiring.
+def _run_state(graph, partition, machine, config, tracer, maps: VertexMaps) -> dict:
+    """The per-run fields of an :class:`ExecutionContext`: fresh metrics
+    (folding vertex facts through the per-graph ``maps``), communicator,
+    guards (under ``config.paranoid``) and tracer wiring.
 
     The one place per-run state is made; :func:`make_context` and
     :meth:`ExecutionContext.fork` both end here.
     """
     metrics = Metrics(
-        num_ranks=machine.num_ranks, threads_per_rank=machine.threads_per_rank
+        num_ranks=machine.num_ranks, threads_per_rank=machine.threads_per_rank,
+        maps=maps,
     )
     if tracer is None:
         if config.trace is not None and config.trace.enabled:
@@ -279,5 +273,8 @@ def make_context(
         reverse_short_offsets=rev_short,
         reverse_long_degrees=rev_long,
         thread_map=thread_map,
-        **_run_state(sorted_graph, partition, machine, config, tracer),
+        **_run_state(
+            sorted_graph, partition, machine, config, tracer,
+            VertexMaps(thread_map, partition.owner_map, heavy),
+        ),
     )

@@ -10,8 +10,8 @@ through ``u`` now detours through a zero-weight proxy hop), but the
 neighbourhood work is spread over the ranks owning the proxies.
 
 (The *intra*-node tier of the strategy — threads of a rank cooperating on
-heavy vertices — does not change the graph and lives in
-:func:`repro.runtime.work.work_fact`.)
+heavy vertices — does not change the graph and lives in the step ledger's
+fold of a charge, :func:`repro.runtime.metrics.fold_charges`.)
 """
 
 from __future__ import annotations

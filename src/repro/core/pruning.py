@@ -62,26 +62,30 @@ def gather_push_records(
     the per-member count of arcs examined (long arcs, plus short arcs when
     IOS must find the outer ones).
     """
+    starts, ends = view.indptr[members], view.indptr[members + 1]
+    long_starts = starts + view.short_offsets[members]
+    if not ctx.config.use_ios:
+        arcs, owner_idx = concat_ranges(long_starts, ends)
+        src = members[owner_idx]
+        batch = (src, view.adj[arcs], view.d[src] + view.weights[arcs])
+        return [batch], (ends - long_starts).astype(np.float64)
+    # Under IOS every arc of a member is examined: its whole row is expanded
+    # once and split by position into the long arcs and the short prefix,
+    # of which the outer arcs — proposed distance past the current bucket —
+    # are the second batch (the inner ones were relaxed in the short phases).
     hi = (k + 1) * ctx.config.delta
-    long_starts = view.indptr[members] + view.short_offsets[members]
-    long_ends = view.indptr[members + 1]
-    arcs, owner_idx = concat_ranges(long_starts, long_ends)
+    arcs, owner_idx = concat_ranges(starts, ends)
     src = members[owner_idx]
-    batches = [(src, view.adj[arcs], view.d[src] + view.weights[arcs])]
-    scanned_units = (long_ends - long_starts).astype(np.float64)
-    if ctx.config.use_ios:
-        # Outer short arcs: proposed distance falls past the current bucket
-        # (the inner ones were already relaxed during the short phases).
-        s_arcs, s_owner = concat_ranges(view.indptr[members], long_starts)
-        s_src = members[s_owner]
-        s_nd = view.d[s_src] + view.weights[s_arcs]
-        outer = s_nd >= hi
-        if ctx.guards is not None:
-            ctx.guards.check_ios_coverage(int(s_arcs.size), int(s_nd.size))
-            ctx.guards.check_ios_partition(s_nd, hi, ~outer)
-        batches.append((s_src[outer], view.adj[s_arcs][outer], s_nd[outer]))
-        scanned_units += view.short_offsets[members].astype(np.float64)
-    return batches, scanned_units
+    dst, nd = view.adj[arcs], view.d[src] + view.weights[arcs]
+    long = arcs >= long_starts[owner_idx]
+    outer = nd >= hi
+    if ctx.guards is not None:
+        s_nd = nd[~long]
+        ctx.guards.check_ios_coverage(int(view.short_offsets[members].sum()), s_nd.size)
+        ctx.guards.check_ios_partition(s_nd, hi, s_nd < hi)
+    outer &= ~long
+    batches = [(src[long], dst[long], nd[long]), (src[outer], dst[outer], nd[outer])]
+    return batches, ctx.graph.degrees[members].astype(np.float64)
 
 
 def gather_pull_requests(

@@ -32,10 +32,12 @@ gather each of a table that already exists (the context's
 ``long_degrees`` / ``in_long_degrees``, the in-graph's ``degrees``), not
 differences of ``indptr`` gathered per epoch; the request share is
 computed in place on the one array the later distances are converted
-into. Each rank's partial stays the pairwise sum of its own contiguous
-block, in rank order — what a rank of a distributed run adds up before the
-allreduce: that, not the arithmetic before it, is what pins the estimate's
-floats (``tests/core/test_counter_identity.py`` holds them by literal).
+into. Each rank's pull partial stays the pairwise sum of its own
+contiguous block, in rank order — what a rank of a distributed run adds up
+before the allreduce: that, not the arithmetic before it, is what pins the
+estimate's floats (``tests/core/test_counter_identity.py`` holds them by
+literal). The push partials are sums of whole numbers, exact in any order,
+so they come off one running sum.
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ from repro.core.pruning import (
 )
 from repro.core.views import VertexView, rank_cuts
 from repro.runtime.comm import RELAX_RECORD_BYTES, REQUEST_RECORD_BYTES
-from repro.runtime.metrics import fold_exchange
-from repro.runtime.work import thread_work
+from repro.runtime.metrics import fold_charges, fold_exchange
 
 __all__ = [
     "PushPullEstimate",
@@ -104,13 +105,13 @@ def expectation_partials(
     volume is the uniform-weight expectation of eq.-(1) requests over its
     later vertices, whose in-degrees are all incoming arcs under IOS and
     the long ones otherwise (integer counts or their floats: the terms
-    are the same). The per-vertex terms are evaluated once, in place on
-    the one array ``d_later`` is converted into; rank ``r`` then
-    sums its block ``[cuts[r], cuts[r+1])`` of each — a contiguous slice,
-    whose pairwise sum is the float a per-rank evaluation gives
-    (``np.add.reduceat`` is not).
+    are the same). The pull terms are evaluated once, in place on the one
+    array ``d_later`` is converted into; rank ``r`` then sums its block
+    ``[cuts[r], cuts[r+1])`` — a contiguous slice, whose pairwise sum is the
+    float a per-rank evaluation gives (``np.add.reduceat`` is not). The push
+    terms are whole numbers, so their block sums are exact in any order:
+    one running sum, differenced at the cuts.
     """
-    push_terms = member_long_degrees.astype(np.float64, copy=False)
     frac = d_later.astype(np.float64)
     if cfg.use_ios:
         # Requests may ride any incoming arc with w < d(v) - kΔ. A later
@@ -127,7 +128,17 @@ def expectation_partials(
         np.maximum(frac, 0.0, out=frac)
     np.minimum(frac, 1.0, out=frac)
     frac *= later_in_degrees
-    return _block_sums(push_terms, member_cuts), _block_sums(frac, later_cuts)
+    return _count_sums(member_long_degrees, member_cuts), _block_sums(frac, later_cuts)
+
+
+def _count_sums(counts: np.ndarray, cuts: np.ndarray) -> list[float]:
+    """Block sums of whole-number ``counts`` (integers or their floats, all
+    partial sums below 2**53): exact, hence the floats a pairwise slice sum
+    of their floats gives."""
+    running = np.zeros(counts.size + 1, dtype=counts.dtype)
+    np.cumsum(counts, out=running[1:])
+    ends = running[cuts]
+    return (ends[1:] - ends[:-1]).astype(np.float64).tolist()
 
 
 def _block_sums(terms: np.ndarray, cuts: np.ndarray) -> list[float]:
@@ -285,10 +296,12 @@ def _compute_cost_max(
     units: np.ndarray | None,
     t_unit: float,
 ) -> float:
-    """Busiest-thread compute time of what ``ctx.charge`` would record."""
-    work = thread_work(
-        vertices, units, ctx.partition, ctx.machine, ctx.heavy_threshold,
-        thread_map=ctx.thread_map,
+    """Busiest-thread compute time of what ``ctx.charge`` would record:
+    the fold of that one charge."""
+    machine = ctx.machine
+    work = fold_charges(
+        [(vertices, units)], machine.total_threads, machine.threads_per_rank,
+        ctx.metrics.maps,
     )
     return float(work.max()) * t_unit
 
@@ -299,10 +312,10 @@ def _exchange_cost(
     dst_vertices: np.ndarray,
     record_bytes: int,
 ) -> float:
-    """α–β price of what ``Communicator.exchange_by_vertex`` would record."""
-    owner = ctx.partition.owner
-    lanes = ctx.comm.lanes(owner(src_vertices), owner(dst_vertices))
-    msgs, byt = fold_exchange([(lanes, None, record_bytes)], ctx.machine.num_ranks)
+    """α–β price of what ``Communicator.exchange_by_vertex`` would record:
+    the fold of that one route."""
+    route = (src_vertices, dst_vertices, record_bytes)
+    msgs, byt = fold_exchange([route], [], ctx.machine.num_ranks, ctx.metrics.maps)
     return ctx.machine.alpha * int(msgs.max()) + ctx.machine.beta * int(byt.max())
 
 

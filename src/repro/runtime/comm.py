@@ -66,6 +66,8 @@ class Communicator:
         self.machine = machine
         self.partition = partition
         self.metrics = metrics
+        if metrics.maps.rank is None:  # a ledger of its own: route through this partition
+            metrics.maps = metrics.maps._replace(rank=partition.owner_map)
 
     # ------------------------------------------------------------------
     def lanes(self, src_ranks: np.ndarray, dst_ranks: np.ndarray) -> np.ndarray:
@@ -88,14 +90,11 @@ class Communicator:
         """Account an exchange of per-vertex records.
 
         Each record travels from ``owner(src)`` to ``owner(dst)``;
-        same-rank records are dropped from the network accounting.
+        same-rank records are dropped from the network accounting. The
+        ledger queues copies of both vertex arrays and resolves their
+        owners when it folds (:func:`~repro.runtime.metrics.fold_exchange`).
         """
-        self.exchange_by_rank(
-            self.partition.owner(src_vertices),
-            self.partition.owner(dst_vertices),
-            record_bytes,
-            phase_kind=phase_kind,
-        )
+        self.metrics.queue_route(src_vertices, dst_vertices, record_bytes, phase_kind)
 
     def exchange_by_rank(
         self,

@@ -9,21 +9,27 @@ consumes the aggregates — these are exactly the statistics the paper plots
 (number of relaxations, number of phases and buckets, communication
 volume, load balance).
 
-Accounting calls reduce nothing on the spot. They queue a *fact* — the
-arrays a row is reduced from — and :meth:`Metrics.settle` folds all queued
-facts of a family in one vectorised pass (:func:`fold_compute`,
-:func:`fold_exchange`). Every reader settles first (DESIGN.md §9 rule 4).
+Accounting calls reduce nothing on the spot: each appends a *fact* — a
+copy of the ids it was handed — and :meth:`Metrics.settle` folds all queued
+facts of a family in one vectorised pass (:func:`fold_charges`,
+:func:`fold_compute`, :func:`fold_exchange`). A charge names vertices and a
+routed exchange vertex pairs; the fold maps every queued id at once, through
+the tables of
+:class:`VertexMaps`, to its hardware thread, its rank and its lane. Facts
+already in rank space (lanes, per-thread rows, per-rank counts) fold as
+they are. Every reader settles first (DESIGN.md §9 rule 4).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["ComputeKind", "StepRecord", "RecoveryStats", "Metrics"]
-__all__ += ["fold_compute", "fold_exchange"]
+__all__ = ["ComputeKind", "StepRecord", "RecoveryStats", "Metrics", "VertexMaps"]
+__all__ += ["fold_charges", "fold_compute", "fold_exchange"]
 
 
 class ComputeKind(str, enum.Enum):
@@ -39,6 +45,7 @@ class ComputeKind(str, enum.Enum):
 
 #: Compute kinds that count as relaxations for the paper's work-done metric.
 RELAX_KINDS = set(ComputeKind) - {ComputeKind.BUCKET_SCAN}
+_BUCKET_SCAN = ComputeKind.BUCKET_SCAN.value
 
 
 @dataclass
@@ -134,63 +141,157 @@ FLUSH_BUDGET = 1 << 18
 will fold into exceed this. Both constants: sweep in DESIGN.md §9."""
 
 
-def _rows_bincount(ids: list, weights: list, width: int) -> np.ndarray:
-    """Grid whose row ``i`` is ``bincount(ids[i], weights[i], minlength=
-    width)`` (``None`` weights: one per id), from one ``bincount`` over
-    row-offset ids. Within a cell, weights add in input order either way.
-    An id outside ``[0, width)`` raises, as it does for a row on its own."""
-    k = len(ids)
-    if k == 0:
-        return np.zeros((0, width), dtype=np.int64)
-    flat, w = ids[0], weights[0]
+class VertexMaps(NamedTuple):
+    """Where a vertex sits on the simulated machine: the per-graph tables
+    a vertex-id fact is mapped through when it folds."""
+
+    thread: np.ndarray | None = None
+    """Global hardware thread of each vertex (``ExecutionContext.thread_map``)."""
+    rank: np.ndarray | None = None
+    """Owning rank of each vertex (``ContiguousPartition.owner_map``)."""
+    heavy_threshold: float = float("inf")
+    """Intra-node balancing (Section III-E): a vertex charged more units than
+    this has them spread evenly over its rank's threads instead."""
+
+
+def _cat(arrays: list) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _weights(units: list, sizes: np.ndarray) -> np.ndarray | None:
+    """The ``bincount`` weights of runs of ids (``sizes[i]`` ids each) in
+    one buffer: ``None`` when every run counts one per id, else ones filled
+    once, the weighted runs' ``units`` written over their places."""
+    if len(units) == 1:
+        return units[0]
+    weighted = [u is not None for u in units]
+    if not any(weighted):
+        return None
+    w = np.ones(sizes.sum())
+    w[np.repeat(weighted, sizes)] = np.concatenate([u for u in units if u is not None])
+    return w
+
+
+def _spread(grid: np.ndarray, scans: list, t: int) -> None:
+    """Write per-rank work, divided evenly over each rank's ``t`` threads,
+    into the grid rows of ``scans``: ``(row, spread)`` pairs, a spread being
+    ``[P]`` counts or one number for every rank. The rows are those of facts
+    without ids, zero until now (and ``0 + x`` is ``x``), so the shares are
+    written in place, broadcast — no row-sized temporary."""
+    by_rank = grid.reshape(len(grid), -1, t)
+    for counts in (True, False):
+        part = [(i, s) for i, s in scans if isinstance(s, np.ndarray) is counts]
+        if part:
+            rows, spreads = zip(*part)
+            share = np.array(spreads) / t
+            by_rank[list(rows)] = share[:, :, None] if counts else share[:, None, None]
+
+
+def _grid(ids, at, sizes, weights, k: int, width: int) -> np.ndarray:
+    """``(k, width)`` grid: run ``i`` of ``ids`` (``sizes[i]`` of them)
+    binned into row ``at[i]`` with its ``weights`` (one each when
+    ``None``), by one ``bincount`` over row-offset ids — so within a cell
+    weights add in input order, as a row's own ``bincount`` adds them. An
+    id outside ``[0, width)`` raises rather than land in a neighbour row."""
     if k > 1:
-        sizes = [a.size for a in ids]
-        flat = np.concatenate(ids)
-        if flat.size and not 0 <= flat.min() <= flat.max() < width:
+        if ids.size and not 0 <= ids.min() <= ids.max() < width:
             raise ValueError(f"fact ids must lie in [0, {width})")
-        flat += np.repeat(np.arange(0, k * width, width), sizes)
-        if any(x is not None for x in weights):
-            w = np.concatenate(
-                [np.ones(n) if x is None else x for x, n in zip(weights, sizes)]
+        offset = np.repeat(np.asarray(at) * width, sizes)
+        offset += ids
+        ids = offset
+    return np.bincount(ids, weights, minlength=k * width).reshape(k, width)
+
+
+def fold_charges(
+    charges: list, width: int, threads_per_rank: int, maps: VertexMaps
+) -> np.ndarray:
+    """Per-thread work of charges, one ``float64[width]`` row each.
+
+    A charge starts ``(vertices, units)``: ``units[i]`` work units (one
+    each when ``None``) on the thread of vertex ``vertices[i]``
+    (``maps.thread``), except that units above ``maps.heavy_threshold`` are
+    spread evenly over the threads of the vertex's rank instead
+    (``maps.rank``; the paper's intra-node strategy: a heavy vertex's edges
+    are partitioned among the node's threads).
+    """
+    t, k = threads_per_rank, len(charges)
+    if not k:
+        return np.zeros((0, width))
+    sizes = np.array([c[0].size for c in charges])
+    w = _weights([c[1] for c in charges], sizes)
+    v = _cat([c[0] for c in charges])
+    per_rank = None
+    if maps.heavy_threshold < float("inf"):
+        u = np.ones(v.size) if w is None else w
+        heavy = u > maps.heavy_threshold
+        if heavy.any():
+            heavy_sizes = np.bincount(np.repeat(np.arange(k), sizes)[heavy], minlength=k)
+            per_rank = _grid(
+                maps.rank[v[heavy]], range(k), heavy_sizes, u[heavy], k, width // t
             )
-    return np.bincount(flat, weights=w, minlength=k * width).reshape(k, width)
+            v, w, sizes = v[~heavy], u[~heavy], sizes - heavy_sizes
+    grid = _grid(maps.thread[v], range(k), sizes, w, k, width)
+    grid = grid.astype(np.float64, copy=False)
+    if per_rank is not None:
+        by_rank = grid.reshape(k, -1, t)
+        by_rank += (per_rank / t)[:, :, None]
+    return grid
 
 
 def fold_compute(facts: list, width: int, threads_per_rank: int) -> np.ndarray:
     """Per-thread work of compute facts, one ``float64[width]`` row each.
 
     A fact starts ``(idx, units, spread)``: ``units[i]`` work units (one
-    each when ``None``) on hardware thread ``idx[i]``, plus per-rank work
-    ``spread`` (``float64[P]`` or ``None``) divided evenly over each rank's
-    threads — a bucket scan, or the heavy vertices of intra-node balancing.
+    each when ``None``) on hardware thread ``idx[i]``, or, with ``idx``
+    ``None``, per-rank work ``spread`` (``[P]`` counts or one number for
+    every rank) divided evenly over each rank's threads — a bucket scan.
     """
-    grid = _rows_bincount([f[0] for f in facts], [f[1] for f in facts], width)
-    grid = grid.astype(np.float64, copy=False)
-    spread = [i for i, f in enumerate(facts) if f[2] is not None]
-    if spread:
-        per_rank = np.zeros((len(facts), width // threads_per_rank))
-        for i in spread:
-            per_rank[i] = facts[i][2]
-        by_rank = grid.reshape(len(facts), -1, threads_per_rank)
-        by_rank += (per_rank / threads_per_rank)[:, :, None]
+    k = len(facts)
+    at = [i for i, f in enumerate(facts) if f[0] is not None]
+    if at:
+        sizes = np.array([facts[i][0].size for i in at])
+        w = _weights([facts[i][1] for i in at], sizes)
+        grid = _grid(_cat([facts[i][0] for i in at]), at, sizes, w, k, width)
+        grid = grid.astype(np.float64, copy=False)
+    else:
+        grid = np.zeros((k, width))
+    scans = [(i, f[2]) for i, f in enumerate(facts) if f[2] is not None]
+    if scans:
+        _spread(grid, scans, threads_per_rank)
     return grid
 
 
-def fold_exchange(facts: list, num_ranks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-rank ``(messages, bytes)`` of exchange facts, ``int64[P]`` rows.
+def fold_exchange(
+    routes: list, facts: list, num_ranks: int, maps: VertexMaps = VertexMaps()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-rank ``(messages, bytes)``, ``int64[P]`` rows: one per route,
+    then one per fact.
 
+    A route starts ``(src, dst, record_bytes)``: one record from the owner
+    of vertex ``src[i]`` to the owner of vertex ``dst[i]`` (``maps.rank``).
     A fact starts ``(lanes, counts, record_bytes)``: ``counts[i]`` records
     (one each when ``None``; exact below 2**53) on lane ``lanes[i] = src *
     P + dst``. Same-rank lanes — the diagonal of the ``P×P`` traffic grid —
     are free; a rank's bytes are its row plus its column, its messages one
     per lane with traffic (SPI aggregation).
     """
-    p = num_ranks
-    grid = _rows_bincount([f[0] for f in facts], [f[1] for f in facts], p * p)
+    p, every = num_ranks, routes + facts
+    k = len(every)
+    if not k:
+        return np.zeros((2, 0, p), dtype=np.int64)
+    sizes = np.array([f[0].size for f in every])
+    lanes = [f[0] for f in facts]
+    if routes:
+        lane = maps.rank[_cat([r[0] for r in routes])]
+        lane *= p
+        lane += maps.rank[_cat([r[1] for r in routes])]
+        lanes.insert(0, lane)
+    w = _weights([None] * len(routes) + [f[1] for f in facts], sizes)
+    grid = _grid(_cat(lanes), range(k), sizes, w, k, p * p)
     grid = grid.astype(np.int64, copy=False)
     grid[:, :: p + 1] = 0
     grid = grid.reshape(-1, p, p)
-    record_bytes = np.array([f[2] for f in facts], dtype=np.int64)
+    record_bytes = np.array([f[2] for f in every], dtype=np.int64)
     msgs = (grid != 0).sum(axis=2)
     return msgs, (grid.sum(axis=2) + grid.sum(axis=1)) * record_bytes[:, None]
 
@@ -202,7 +303,9 @@ _ROW = np.dtype(
 """The numeric columns of a ledger row — :class:`StepRecord`'s, in order."""
 
 
-_COMPUTE, _EXCHANGE, _ALLREDUCE = range(3)  # fact families: slots of Metrics._pending
+# Fact families, the slots of Metrics._pending: charges and routes name
+# vertices, the other compute and exchange facts threads and lanes.
+_CHARGE, _COMPUTE, _ROUTE, _EXCHANGE, _ALLREDUCE = range(5)
 
 
 def _records(kinds, phases, rows) -> list[StepRecord]:
@@ -243,6 +346,10 @@ class Metrics:
     runtime never imports :mod:`repro.obs`). While one is armed every fact
     folds as it is queued, so the hooks fire at the moments, and with the
     per-thread/per-rank arrays, of an eager reduction."""
+    maps: VertexMaps = field(default_factory=VertexMaps, repr=False, compare=False)
+    """The tables vertex-id facts fold through (set by ``make_context``; a
+    :class:`~repro.runtime.comm.Communicator` supplies its partition's
+    owner table when none is set)."""
 
     def __post_init__(self) -> None:
         # The ledger. A row's kind and phase kind are known when its fact
@@ -253,14 +360,21 @@ class Metrics:
         self._relaxations: dict[str, int] = {}
         # Pending facts by family, each ending in its ledger row; what
         # folding them costs; grid cells per fact of each family.
-        self._pending: tuple[list, list, list] = ([], [], [])
+        self._pending: tuple[list, ...] = ([], [], [], [], [])
         self._queued = 0
-        self._cells = (self.num_ranks * self.threads_per_rank, self.num_ranks**2, 1)
+        threads, lanes = self.num_ranks * self.threads_per_rank, self.num_ranks**2
+        self._cells = (threads, threads, lanes, lanes, 1)
         self._view: list[StepRecord] | None = None  # `records`, until the next fact
 
     # ------------------------------------------------------------------
     # Recording API (called by algorithms and the communicator)
     # ------------------------------------------------------------------
+    def _waits(self, size: int) -> bool:
+        """Whether a fact of ``size`` elements is queued — the rule
+        :meth:`_queue` applies; one that is not folds at once and keeps no
+        array, so its caller need not copy."""
+        return size <= LARGE_FACT and self.tracer is None
+
     def _queue(self, family: int, kind: str, phase_kind: str, size: int, *fact):
         if size > LARGE_FACT or self.tracer is not None:
             return self._fold_now(family, kind, phase_kind, fact)
@@ -278,17 +392,18 @@ class Metrics:
         the per-thread / per-rank arrays it came from, as from an eager
         reduction, at that moment."""
         tr = self.tracer
-        if family == _COMPUTE:
-            work = fold_compute([fact], self._cells[_COMPUTE], self.threads_per_rank)[0]
+        if family in (_CHARGE, _COMPUTE):
+            work = self._fold_work(family, [fact])[0]
             total = float(work.sum())
             row = (float(work.max()), total, 0, 0, 0, 0)
-            relaxed = self._relaxed(kind, total) if fact[3] else 0
+            relaxed = self._relaxed(kind, total) if fact[-1] else 0
             hook = tr and (tr.on_compute, work, relaxed)
-        elif family == _EXCHANGE:
+        elif family in (_ROUTE, _EXCHANGE):
             if fact[0] is None:  # add_exchange: the per-rank arrays, ready
                 msgs, byt = fact[1:]
             else:
-                msgs, byt = (a[0] for a in fold_exchange([fact], self.num_ranks))
+                one = ([fact], []) if family == _ROUTE else ([], [fact])
+                msgs, byt = (a[0] for a in fold_exchange(*one, self.num_ranks, self.maps))
             row = (0.0, 0.0, int(msgs.max()), int(byt.max()), int(byt.sum()) // 2, 0)
             hook = tr and (tr.on_exchange, msgs, byt)
         else:
@@ -301,6 +416,18 @@ class Metrics:
         if hook:
             (rec,) = _records((kind,), (phase_kind,), (row,))
             hook[0](rec, *hook[1:])
+
+    def _fold_work(self, family: int, facts: list) -> np.ndarray:
+        """The per-thread work rows of charges or of compute facts."""
+        width = self._cells[_COMPUTE]
+        if family == _CHARGE:
+            return fold_charges(facts, width, self.threads_per_rank, self.maps)
+        return fold_compute(facts, width, self.threads_per_rank)
+
+    def _reduced(self, family: int, facts: list) -> tuple[np.ndarray, np.ndarray]:
+        """Max and total of every per-thread work row of ``facts``."""
+        grid = self._fold_work(family, facts)
+        return grid.max(axis=1), grid.sum(axis=1)
 
     def _room(self, end: int) -> np.ndarray:
         """The row store, grown (doubling) to hold ``end`` rows."""
@@ -315,20 +442,60 @@ class Metrics:
         self._relaxations[kind] += count
         return count
 
+    def queue_charge(
+        self, kind, vertices, units, phase_kind="other", count_as_relax=False
+    ) -> None:
+        """Queue the charge ``(vertices, units)`` of :func:`fold_charges`:
+        ``units[i]`` work units (one each when ``None``) at vertex
+        ``vertices[i]``. The ledger keeps copies of both and maps the
+        vertices to threads and ranks when it folds, so an id outside the
+        graph raises there. ``count_as_relax`` as for :meth:`queue_compute`."""
+        name = kind._value_  # ``kind.value``, without the enum property's call
+        if count_as_relax:
+            self._relaxations.setdefault(name, 0)
+        v, u = np.asarray(vertices), None if units is None else np.asarray(units)
+        if self._waits(v.size):
+            v, u = v.copy(), None if u is None else u.copy()
+        self._queue(_CHARGE, name, phase_kind, v.size, v, u, count_as_relax)
+
+    def queue_scan(self, spread) -> None:
+        """Queue a bucket scan: per-rank vertex counts (``[P]``, the
+        ledger's to keep, or one number for every rank) spread evenly over
+        each rank's threads — the compute fact ``(None, None, spread)``."""
+        self._queue(_COMPUTE, _BUCKET_SCAN, "bucket", 0, None, None, spread, False)
+
     def queue_compute(
         self, kind, idx, units, spread=None, *, phase_kind="other", count_as_relax=False
     ) -> None:
         """Queue the compute fact ``(idx, units, spread)`` of
-        :func:`fold_compute`. The ledger keeps the arrays until they fold,
-        so they must be the caller's to give away — fresh gathers or
-        copies. ``count_as_relax`` feeds the row's total work into the
-        relaxation counter of ``kind`` (which takes its place among the
-        counters now: rows may fold out of program order)."""
+        :func:`fold_compute` (``idx`` hardware threads, ``None`` for a
+        spread alone). The ledger keeps the arrays until they fold, so they
+        must be the caller's to give away — fresh gathers or copies.
+        ``count_as_relax`` feeds the row's total work into the relaxation
+        counter of ``kind`` (which takes its place among the counters now:
+        rows may fold out of program order)."""
+        if idx is not None and spread is not None:
+            raise ValueError("a compute fact has thread ids or a spread, not both")
         if count_as_relax:
             self._relaxations.setdefault(kind.value, 0)
+        size = 0 if idx is None else idx.size
         self._queue(
-            _COMPUTE, kind.value, phase_kind, idx.size, idx, units, spread, count_as_relax
+            _COMPUTE, kind.value, phase_kind, size, idx, units, spread, count_as_relax
         )
+
+    def queue_route(self, src, dst, record_bytes: int, phase_kind="other") -> None:
+        """Queue the route ``(src, dst, record_bytes)`` of
+        :func:`fold_exchange`: one record from the owner of vertex
+        ``src[i]`` to the owner of vertex ``dst[i]``. The ledger keeps
+        copies of both and resolves the owners when it folds."""
+        src, dst = np.asarray(src), np.asarray(dst)
+        if src.shape != dst.shape:
+            raise ValueError("source and destination vertices must align")
+        if record_bytes < 0:
+            raise ValueError("record_bytes must be non-negative")
+        if self._waits(src.size):
+            src, dst = src.copy(), dst.copy()
+        self._queue(_ROUTE, "exchange", phase_kind, src.size, src, dst, record_bytes)
 
     def queue_exchange(
         self, lanes, counts, record_bytes: int, *, phase_kind: str = "other"
@@ -384,19 +551,23 @@ class Metrics:
         later reader raises too, rather than see rows left at zero."""
         if not self._queued:
             return
-        compute, exchange, allreduce = self._pending
-        grid = fold_compute(compute, self._cells[_COMPUTE], self.threads_per_rank)
-        msgs, byt = fold_exchange(exchange, self.num_ranks)
-        self._pending, self._queued = ([], [], []), 0
+        charges, computes, routes, exchanges, allreduce = self._pending
+        # Each grid is reduced to its rows' max and total and let go before
+        # the next fold allocates: what a fold holds at once stays small.
+        reduced = self._reduced(_CHARGE, charges), self._reduced(_COMPUTE, computes)
+        most, totals = (np.concatenate(column) for column in zip(*reduced))
+        msgs, byt = fold_exchange(routes, exchanges, self.num_ranks, self.maps)
+        self._pending, self._queued = ([], [], [], [], []), 0
         rows = self._room(len(self._kinds))
+        compute = charges + computes
         at = [f[-1] for f in compute]
-        totals = grid.sum(axis=1)
-        rows["comp_max"][at] = grid.max(axis=1)
+        rows["comp_max"][at] = most
         rows["comp_total"][at] = totals
-        for f, total in zip(compute, totals.tolist()):
-            if f[3]:
-                self._relaxed(self._kinds[f[-1]], total)
-        at = [f[-1] for f in exchange]
+        relax = [i for i, f in enumerate(compute) if f[-2]]
+        counts = np.rint(totals[relax]).astype(np.int64).tolist()  # round() each
+        for i, count in zip(relax, counts):
+            self._relaxations[self._kinds[at[i]]] += count
+        at = np.array([f[-1] for f in routes + exchanges], dtype=np.intp)
         rows["msgs_max"][at] = msgs.max(axis=1)
         rows["bytes_max"][at] = byt.max(axis=1)
         # Each byte is counted at its source and at its destination.

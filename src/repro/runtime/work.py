@@ -5,7 +5,9 @@ algorithms must say *which thread* performs each unit of work. Vertices are
 block-distributed over the threads of their owning rank (Section III-E), so
 a vertex maps to a global thread index; heavy vertices can instead have
 their work spread across all threads of the rank (intra-node load
-balancing).
+balancing). A solve charges vertices and the step ledger maps them when it
+folds (:func:`repro.runtime.metrics.fold_compute`); :func:`thread_work` is
+that fold for one charge on its own.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import numpy as np
 
 from repro.graph.partition import BlockPartition
 from repro.runtime.machine import MachineConfig
-from repro.runtime.metrics import fold_compute
+from repro.runtime.metrics import VertexMaps, fold_charges
 
-__all__ = ["thread_index", "work_fact", "thread_work"]
+__all__ = ["thread_index", "thread_work"]
 
 
 def thread_index(
@@ -31,9 +33,8 @@ def thread_index(
     Thread ``t`` of rank ``r`` has global index ``r * T + t``. Within a
     rank, vertices are block-distributed over the rank's threads.
     ``thread_map`` is an optional precomputed per-vertex thread table
-    (``thread_index(np.arange(n), ...)``): charging is on the per-record
-    hot path, and a one-time O(n) table turns each charge into a single
-    gather.
+    (``thread_index(np.arange(n), ...)``), which turns the lookup into a
+    single gather.
     """
     v = np.asarray(vertices, dtype=np.int64)
     if thread_map is not None:
@@ -58,17 +59,11 @@ def thread_index(
     return ranks * t_per_rank + thread
 
 
-def work_fact(
-    vertices: np.ndarray,
-    units: np.ndarray | None,
-    partition: BlockPartition,
-    machine: MachineConfig,
-    heavy_threshold: float = float("inf"),
-    *,
-    thread_map: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The compute fact ``(idx, units, spread)`` of per-vertex work (see
-    :func:`repro.runtime.metrics.fold_compute`), in arrays of its own.
+def thread_work(
+    vertices, units, partition, machine, heavy_threshold=float("inf"), *, thread_map=None
+) -> np.ndarray:
+    """Work-unit histogram over all hardware threads (flat ``float64`` of
+    length ``num_ranks * threads_per_rank``): the fold of one charge.
 
     ``units[i]`` work units (1 each when ``None``) go to the thread owning
     ``vertices[i]``; work of a vertex whose unit count exceeds
@@ -76,29 +71,9 @@ def work_fact(
     owning rank (the paper's intra-node strategy: a heavy vertex's edges
     are partitioned among the node's threads).
     """
+    if thread_map is None:
+        thread_map = thread_index(np.arange(partition.num_vertices), partition, machine)
     v = np.asarray(vertices, dtype=np.int64)
-    idx = thread_index(v, partition, machine, thread_map=thread_map)
-    u = None if units is None else np.array(units, dtype=np.float64)
-    if heavy_threshold == float("inf"):
-        return idx, u, None
-    if u is None:
-        u = np.ones(v.size, dtype=np.float64)
-    heavy = u > heavy_threshold
-    if not heavy.any():
-        return idx, u, None
-    ranks = np.asarray(partition.owner(v[heavy]), dtype=np.int64)
-    spread = np.bincount(ranks, weights=u[heavy], minlength=machine.num_ranks)
-    return idx[~heavy], u[~heavy], spread
-
-
-def thread_work(
-    vertices, units, partition, machine, heavy_threshold=float("inf"), *, thread_map=None
-) -> np.ndarray:
-    """Work-unit histogram over all hardware threads (flat ``float64`` of
-    length ``num_ranks * threads_per_rank``): the one-fact fold of
-    :func:`work_fact`, whose arguments it takes."""
-    fact = work_fact(
-        vertices, units, partition, machine, heavy_threshold, thread_map=thread_map
-    )
-    return fold_compute([fact], machine.total_threads, machine.threads_per_rank)[0]
-
+    u = None if units is None else np.asarray(units, dtype=np.float64)
+    maps = VertexMaps(thread_map, partition.owner_map, heavy_threshold)
+    return fold_charges([(v, u)], machine.total_threads, machine.threads_per_rank, maps)[0]

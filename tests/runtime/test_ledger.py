@@ -4,7 +4,9 @@
 queue facts; :meth:`Metrics.settle` folds them. The contract is that nobody
 can tell: every :class:`StepRecord` field, the relaxation counters and the
 priced cost are, to the bit, what reducing each call on the spot gives. The
-eager reductions the ledger replaced live on here as the oracle.
+eager reductions the ledger replaced live on here as the oracle — among
+them :func:`work_fact`, which mapped a charge's vertices to threads and
+heavy-vertex spreads at the call, before the fold took that over.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.core.solver import BatchSolver, solve_sssp
 from repro.dynamic.repair import repair_sssp
 from repro.dynamic.updates import random_update_batch
 from repro.dynamic.versioner import GraphVersioner
+from repro.graph.builder import from_undirected_edges
 from repro.graph.grid import grid_graph
 from repro.graph.rmat import rmat_graph
 from repro.obs.tracer import TraceConfig
@@ -44,31 +47,30 @@ def pending(metrics) -> int:
 # ----------------------------------------------------------------------
 # The oracle: each accounting call reduced on the spot, as the parent did
 # ----------------------------------------------------------------------
+def work_fact(vertices, units, partition, machine, heavy_threshold=float("inf")):
+    """A charge's ``(thread ids, units, per-rank spread)``, computed at the
+    call: what ``runtime/work.py`` did before the ledger mapped vertices."""
+    v = np.asarray(vertices, dtype=np.int64)
+    idx = thread_index(v, partition, machine)
+    u = None if units is None else np.array(units, dtype=np.float64)
+    if heavy_threshold == float("inf"):
+        return idx, u, None
+    if u is None:
+        u = np.ones(v.size, dtype=np.float64)
+    heavy = u > heavy_threshold
+    if not heavy.any():
+        return idx, u, None
+    ranks = np.asarray(partition.owner(v[heavy]), dtype=np.int64)
+    spread = np.bincount(ranks, weights=u[heavy], minlength=machine.num_ranks)
+    return idx[~heavy], u[~heavy], spread
+
+
 def eager_thread_work(ctx, vertices, units):
-    total = ctx.machine.total_threads
-    v = np.asarray(vertices, dtype=np.int64)
-    if v.size == 0:
-        return np.zeros(total, dtype=np.float64)
-    idx = thread_index(v, ctx.partition, ctx.machine)
-    if units is None:
-        return np.bincount(idx, minlength=total).astype(np.float64)
-    return np.bincount(idx, weights=np.asarray(units, np.float64), minlength=total)
-
-
-def eager_thread_work_balanced(ctx, vertices, units):
-    t = ctx.machine.threads_per_rank
-    v = np.asarray(vertices, dtype=np.int64)
-    if v.size == 0:
-        return np.zeros(ctx.machine.total_threads, dtype=np.float64)
-    u = np.ones(v.size) if units is None else np.asarray(units, np.float64)
-    heavy = u > ctx.heavy_threshold
-    out = eager_thread_work(ctx, v[~heavy], u[~heavy])
-    if heavy.any():
-        ranks = np.asarray(ctx.partition.owner(v[heavy]), dtype=np.int64)
-        per_rank = np.bincount(
-            ranks, weights=u[heavy], minlength=ctx.machine.num_ranks
-        )
-        out += np.repeat(per_rank / t, t)
+    m = ctx.machine
+    idx, u, spread = work_fact(vertices, units, ctx.partition, m, ctx.heavy_threshold)
+    out = np.bincount(idx, weights=u, minlength=m.total_threads).astype(np.float64)
+    if spread is not None:
+        out += np.repeat(spread / m.threads_per_rank, m.threads_per_rank)
     return out
 
 
@@ -116,19 +118,21 @@ PHASES = ["short", "long", "bf", "bucket", RECOVERY_PHASE, "other"]
 
 @st.composite
 def programs(draw):
-    """(P, T, intra_lb, ops): ops are drawn as plain data so one program
-    can be replayed on several contexts and on the oracle."""
+    """((P, T, intra_lb, skewed), ops): ops are drawn as plain data so one
+    program can be replayed on several contexts and on the oracle."""
     p = draw(st.integers(1, 7))
     t = draw(st.integers(1, 5))
+    vertex_ids = st.integers(0, N - 1)
     ops = []
     for _ in range(draw(st.integers(0, 14))):
         op = draw(st.sampled_from(
-            ["charge", "scan", "by_rank", "by_counts", "allreduce", "ready"]
+            ["charge", "scan", "scan_all", "by_vertex", "by_rank", "by_counts",
+             "allreduce", "ready"]
         ))
         phase = draw(st.sampled_from(PHASES))
         size = draw(st.integers(0, 9))
         if op == "charge":
-            vertices = draw(st.lists(st.integers(0, N - 1), min_size=size, max_size=size))
+            vertices = draw(st.lists(vertex_ids, min_size=size, max_size=size))
             units = draw(st.one_of(
                 st.none(),
                 st.lists(st.integers(0, 40), min_size=size, max_size=size),
@@ -137,6 +141,11 @@ def programs(draw):
                         draw(st.booleans())))
         elif op == "scan":
             ops.append((op, draw(st.lists(st.integers(0, 500), min_size=p, max_size=p))))
+        elif op == "scan_all":
+            ops.append((op, draw(st.one_of(st.none(), st.integers(0, N)))))
+        elif op == "by_vertex":
+            ends = st.lists(vertex_ids, min_size=size, max_size=size)
+            ops.append((op, phase, draw(ends), draw(ends), draw(st.integers(0, 24))))
         elif op in ("by_rank", "by_counts"):
             ranks = st.lists(st.integers(0, p - 1), min_size=size, max_size=size)
             counts = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
@@ -147,13 +156,27 @@ def programs(draw):
         else:
             work = draw(st.lists(st.integers(0, 30), min_size=p * t, max_size=p * t))
             ops.append((op, draw(st.sampled_from(KINDS)), phase, work))
-    return p, t, draw(st.booleans()), ops
+    return (p, t, draw(st.booleans()), draw(st.booleans())), ops
 
 
-def make_ctx(p, t, intra_lb):
-    graph = grid_graph(6, 10, seed=3)
+def skewed_graph():
+    """N vertices: a hub adjacent to all others (59 of the 138 arc ends)
+    plus ten chords. Balancing the degree puts the hub alone in a block and
+    leaves blocks empty once P ≥ 5."""
+    rng = np.random.default_rng(4)
+    ring = np.arange(1, N)
+    tails = np.concatenate([np.zeros(N - 1, np.int64), ring[::6]])
+    heads = np.concatenate([ring, np.roll(ring, -1)[::6]])
+    return from_undirected_edges(tails, heads, rng.integers(1, 60, tails.size), N)
+
+
+def make_ctx(p, t, intra_lb, skewed=False):
+    """A context on the 6×10 grid with block ranks, or on the skewed graph
+    with degree-balanced ranks (uneven and empty blocks)."""
+    graph = skewed_graph() if skewed else grid_graph(6, 10, seed=3)
     assert graph.num_vertices == N
-    cfg = SolverConfig(delta=25, intra_lb=intra_lb, heavy_degree=5)
+    cfg = SolverConfig(delta=25, intra_lb=intra_lb, heavy_degree=5,
+                       partition="degree" if skewed else "block")
     return make_context(graph, MachineConfig(num_ranks=p, threads_per_rank=t), cfg)
 
 
@@ -167,6 +190,10 @@ def replay(ctx, ops, *, settle_each=False):
                        count_as_relax=relax)
         elif op[0] == "scan":
             ctx.charge_scan(ints(op[1]))
+        elif op[0] == "scan_all":
+            ctx.scan_all_ranks(op[1])
+        elif op[0] == "by_vertex":
+            ctx.comm.exchange_by_vertex(ints(op[2]), ints(op[3]), op[4], phase_kind=op[1])
         elif op[0] == "by_rank":
             ctx.comm.exchange_by_rank(ints(op[2]), ints(op[3]), op[5], phase_kind=op[1])
         elif op[0] == "by_counts":
@@ -186,19 +213,28 @@ def oracle(ctx, ops):
     p, t = ctx.machine.num_ranks, ctx.machine.threads_per_rank
     ints = lambda xs: np.array(xs, dtype=np.int64)  # noqa: E731
     out, relaxations = [], {}
-    work = eager_thread_work_balanced if ctx.config.intra_lb else eager_thread_work
+    owner = ctx.partition.owner
     for op in ops:
         if op[0] == "charge":
             _, kind, phase, vertices, units, relax = op
             units = None if units is None else np.array(units, dtype=np.float64)
             out.append(eager_compute(
-                kind, work(ctx, ints(vertices), units), phase, relax, relaxations
+                kind, eager_thread_work(ctx, ints(vertices), units), phase, relax,
+                relaxations,
             ))
-        elif op[0] == "scan":
-            tw = np.repeat(np.asarray(op[1], dtype=np.float64) / t, t)
+        elif op[0] in ("scan", "scan_all"):
+            if op[0] == "scan":
+                per_rank = np.asarray(op[1], dtype=np.float64)
+            else:
+                n = ctx.graph.num_vertices if op[1] is None else op[1]
+                per_rank = np.full(p, n / p)
             out.append(eager_compute(
-                ComputeKind.BUCKET_SCAN, tw, "bucket", False, relaxations
+                ComputeKind.BUCKET_SCAN, np.repeat(per_rank / t, t), "bucket", False,
+                relaxations,
             ))
+        elif op[0] == "by_vertex":
+            src, dst = owner(ints(op[2])), owner(ints(op[3]))
+            out.append(eager_by_rank(p, src, dst, op[4], op[1]))
         elif op[0] == "by_rank":
             out.append(eager_by_rank(p, ints(op[2]), ints(op[3]), op[5], op[1]))
         elif op[0] == "by_counts":
@@ -236,8 +272,8 @@ class TestFoldOracle:
     @settings(max_examples=150, deadline=None)
     @given(program=programs())
     def test_batched_equals_one_at_a_time_equals_eager(self, program):
-        p, t, intra_lb, ops = program
-        batched, single = make_ctx(p, t, intra_lb), make_ctx(p, t, intra_lb)
+        shape, ops = program
+        batched, single = make_ctx(*shape), make_ctx(*shape)
         replay(batched, ops)
         assert pending(batched.metrics) == len(ops)  # nothing folded yet
         replay(single, ops, settle_each=True)
@@ -253,8 +289,8 @@ class TestFoldOracle:
     def test_size_rules_change_nothing(self, program, large, budget):
         """Large facts folding alone and small ones flushing at any budget
         leave the same ledger as one fold at the end."""
-        p, t, intra_lb, ops = program
-        ctx = make_ctx(p, t, intra_lb)
+        shape, ops = program
+        ctx = make_ctx(*shape)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ledger, "LARGE_FACT", large)
             patch.setattr(ledger, "FLUSH_BUDGET", budget)
@@ -269,8 +305,8 @@ class TestFoldOracle:
         """With a tracer armed each fact settles on arrival: the hooks fire
         in program order with the eager reduction's record, per-thread /
         per-rank arrays and relaxation count."""
-        p, t, intra_lb, ops = program
-        ctx = make_ctx(p, t, intra_lb)
+        shape, ops = program
+        ctx = make_ctx(*shape)
         tracer = ctx.metrics.tracer = RecordingTracer()
         records, _, arrays = oracle(ctx, ops)
         for i, op in enumerate(ops):
@@ -314,17 +350,25 @@ class TestFoldOracle:
     def test_id_out_of_range_raises_and_zeroes_no_row(self, bad, batch):
         """A thread or lane id outside the grid raises at the fold whatever
         the batch size — it never lands in a neighbouring fact's row — and
-        the facts stay queued, so no reader sees their rows at zero."""
-        for queue, good in (
-            (lambda m, ids: m.queue_compute(ComputeKind.BF_RELAX, ids, None), [0, 5]),
-            (lambda m, ids: m.queue_exchange(ids, None, 8), [1, 8]),
+        the facts stay queued, so no reader sees their rows at zero. So does
+        a vertex id past the graph in a charge or a route, which meets the
+        thread and owner tables only at the fold (a negative one counts from
+        the end, as in any gather)."""
+        outside_grid, outside_graph = bad + 3 * (bad > 0), N + abs(bad)
+        for queue, good, wrong in (
+            (lambda m, ids: m.queue_compute(ComputeKind.BF_RELAX, ids, None), [0, 5],
+             outside_grid),
+            (lambda m, ids: m.queue_exchange(ids, None, 8), [1, 8], outside_grid),
+            (lambda m, ids: m.queue_charge(ComputeKind.BF_RELAX, ids, None), [0, N - 1],
+             outside_graph),
+            (lambda m, ids: m.queue_route(ids, ids[::-1], 8), [0, N - 1], outside_graph),
         ):
-            m = make_ctx(3, 2, False).metrics  # 6 threads, 9 lanes
+            m = make_ctx(3, 2, False).metrics  # 6 threads, 9 lanes, N vertices
             good = np.array(good)
             for i in range(batch):
-                queue(m, np.array([bad + 3 * (bad > 0)]) if i == 0 else good)
+                queue(m, np.array([wrong]) if i == 0 else good)
             for _ in range(2):
-                with pytest.raises(ValueError):
+                with pytest.raises((ValueError, IndexError)):
                     m.records
             assert pending(m) == batch
 

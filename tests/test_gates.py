@@ -244,7 +244,7 @@ class TestGateTable:
             "trace-overhead": (None, 3.0),
             "checkpoint-overhead": (None, None),
             "spmd-vs-orchestrated": (None, 2.5),
-            "grid-epoch-cost": (None, 2.0),
+            "grid-epoch-cost": (None, 1.49),
             "hit-vs-cold": (None, 0.5),
             "repair-vs-fresh": (None, 0.30),
             "update-vs-fresh": (None, 6.3),

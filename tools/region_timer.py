@@ -6,15 +6,18 @@ is hundreds of small NumPy dispatches, none of which stands out. Timed by
 region instead — an accumulator around every call of a named function,
 children included — the per-epoch residues show. Regions nest
 (`concat_ranges` runs inside `gather_push_records` and the short phase,
-`on_relaxed` beside `apply_relaxations` inside `VertexView.apply`), so the
-rows do not add up to the solve.
+`on_relaxed` beside `apply_relaxations` inside `VertexView.apply`, the
+accounting calls inside `relax_round`), so the rows do not add up to the
+solve; a region counts only its outermost call (`scan_all_ranks` may call
+`charge_scan`, both sites of one region).
 
     PYTHONPATH=src python tools/region_timer.py [--side 64] [--solves 10] [--seed 1]
 
 Prints, per region, calls and milliseconds per solve (the per-root minimum
 over ``--repeats`` passes, summed over calls), and the solve total. Same
 graph, preset and machine shape as `benchmarks/stack`'s `cold_grid`
-(`opt`, Δ = 25, 8 × 8).
+(`opt`, Δ = 25, 8 × 8). Sites are patched by name, so a renamed function
+fails the run instead of dropping out of the table.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ import repro.core.pruning as pruning
 import repro.core.pushpull as pushpull
 import repro.core.views as views
 from repro.core.bucket_index import BucketIndex
+from repro.core.context import ExecutionContext
 from repro.core.solver import BatchSolver
 from repro.graph import grid_graph
+from repro.runtime.comm import Communicator
 from repro.runtime.metrics import Metrics
 
 #: (owner, attribute) sites per region; a function imported by name into
@@ -42,6 +47,12 @@ REGIONS = {
     "concat_ranges": [(phases, "concat_ranges"), (pruning, "concat_ranges")],
     "gather_push_records": [(pruning, "gather_push_records")],
     "relax_round": [(phases, "relax_round"), (pruning, "relax_round")],
+    "ExecutionContext.charge": [(ExecutionContext, "charge")],
+    "charge_scan": [
+        (ExecutionContext, "charge_scan"), (ExecutionContext, "scan_all_ranks")
+    ],
+    "exchange_by_vertex": [(Communicator, "exchange_by_vertex")],
+    "allreduce": [(Communicator, "allreduce")],
     "Metrics.settle": [(Metrics, "settle")],
 }
 
@@ -49,6 +60,7 @@ REGIONS = {
 class Accumulator:
     def __init__(self) -> None:
         self.reset()
+        self.depth = dict.fromkeys(REGIONS, 0)
 
     def reset(self) -> None:
         self.seconds = dict.fromkeys(REGIONS, 0.0)
@@ -58,12 +70,16 @@ class Accumulator:
         clock = time.perf_counter
 
         def timed(*args, **kwargs):
+            if self.depth[region]:
+                return fn(*args, **kwargs)
+            self.depth[region] += 1
             t0 = clock()
             try:
                 return fn(*args, **kwargs)
             finally:
                 self.seconds[region] += clock() - t0
                 self.calls[region] += 1
+                self.depth[region] -= 1
 
         return timed
 
@@ -115,12 +131,12 @@ def main() -> None:
         f"{args.side}x{args.side} grid, opt/Δ=25, 8x8, {n} roots x {args.repeats} "
         f"passes (per-root minimum); last root: {epochs} epochs, {applies} index updates"
     )
-    print(f"{'region':<22}{'calls/solve':>12}{'ms/solve':>10}{'share':>8}")
+    print(f"{'region':<25}{'calls/solve':>12}{'ms/solve':>10}{'share':>8}")
     for region in REGIONS:
         ms = sum(s[region] for _, s, _ in best.values()) / n * 1e3
         calls = sum(c[region] for _, _, c in best.values()) / n
-        print(f"{region:<22}{calls:>12.0f}{ms:>10.2f}{ms / solve_ms:>8.1%}")
-    print(f"{'solve':<22}{'':>12}{solve_ms:>10.2f}")
+        print(f"{region:<25}{calls:>12.0f}{ms:>10.2f}{ms / solve_ms:>8.1%}")
+    print(f"{'solve':<25}{'':>12}{solve_ms:>10.2f}")
 
 
 if __name__ == "__main__":
