@@ -6,9 +6,10 @@ derived per-vertex edge-classification tables the paper computes in its
 preprocessing stage (short-edge offsets and long-edge degrees used by the
 push/pull volume estimator). *Per-run state*: the metrics sink, the
 accounting communicator, the paranoid guards and the tracer.
-:func:`make_context` builds both; :meth:`ExecutionContext.fork` keeps the
-tables and renews only the per-run state, which is what a further solve on
-the same prepared graph needs.
+:func:`make_context` builds both, reading the tables off the weight-sorted
+graph's memo (:meth:`~repro.graph.csr.CSRGraph.memo`), so every context of
+one graph shares them; :meth:`ExecutionContext.fork` keeps a context's
+tables and renews only the per-run state.
 """
 
 from __future__ import annotations
@@ -173,6 +174,22 @@ def _classification_delta(config: SolverConfig) -> int:
     return min(config.classification_width, 2**60)
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+def _split(graph: CSRGraph, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(short_offsets, long_degrees)`` of a weight-sorted graph at split
+    width ``delta``: read-only, made once per graph and Δ."""
+
+    def build() -> tuple[np.ndarray, np.ndarray]:
+        short = _read_only(graph.short_edge_offsets(delta))
+        return short, _read_only(graph.degrees - short)
+
+    return graph.memo(("split", delta), build)
+
+
 def _run_state(graph, partition, machine, config, tracer, maps: VertexMaps) -> dict:
     """The per-run fields of an :class:`ExecutionContext`: fresh metrics
     (folding vertex facts through the per-graph ``maps``), communicator,
@@ -213,11 +230,14 @@ def make_context(
 ) -> ExecutionContext:
     """Prepare an :class:`ExecutionContext` (the preprocessing stage).
 
-    Sorts adjacency lists by weight, computes the short/long split tables for
-    the configured Δ, resolves the load-balancing thresholds, and wires up
-    metrics + communicator. Everything but the last step depends only on
-    (graph, machine, config): a further run on the same three should
-    :meth:`~ExecutionContext.fork` the result instead of calling this again.
+    Sorts adjacency lists by weight, resolves the load-balancing thresholds
+    and wires up fresh metrics + communicator. The per-graph tables come
+    from the sorted graph's memo, built by the first call that needs them:
+    the short/long split keyed by Δ, the partition keyed by (kind, P), the
+    thread map keyed by (kind, P, T), a directed graph's sorted reverse.
+    They are read-only and shared by every context of the graph; a caller
+    holding an unsorted graph pays the sort on every call, and the tables
+    once per sort.
 
     ``tracer`` attaches an existing :class:`~repro.obs.tracer.Tracer`
     instead of building one from ``config.trace`` — multi-root front-ends
@@ -226,15 +246,15 @@ def make_context(
     finalization.
     """
     sorted_graph = graph.sorted_by_weight()
-    if config.partition == "degree":
-        partition: ContiguousPartition = DegreeBalancedPartition(
-            sorted_graph.degrees, machine.num_ranks
-        )
-    else:
-        partition = BlockPartition(sorted_graph.num_vertices, machine.num_ranks)
+    kind, num_ranks = config.partition, machine.num_ranks
+    partition = sorted_graph.memo(
+        ("partition", kind, num_ranks),
+        lambda: DegreeBalancedPartition(sorted_graph.degrees, num_ranks)
+        if kind == "degree"
+        else BlockPartition(sorted_graph.num_vertices, num_ranks),
+    )
     delta = _classification_delta(config)
-    short_offsets = sorted_graph.short_edge_offsets(delta)
-    long_degrees = sorted_graph.degrees - short_offsets
+    short_offsets, long_degrees = _split(sorted_graph, delta)
     mean_degree = (
         float(sorted_graph.degrees.mean()) if sorted_graph.num_vertices else 0.0
     )
@@ -250,15 +270,19 @@ def make_context(
         # Directed input: the pull model scans *incoming* arcs, which on an
         # undirected (symmetrized) graph coincide with the forward lists but
         # here need the explicit reverse graph.
-        reverse_graph = sorted_graph.reverse().sorted_by_weight()
-        rev_short = reverse_graph.short_edge_offsets(delta)
-        rev_long = reverse_graph.degrees - rev_short
+        reverse_graph = sorted_graph.memo(
+            ("reverse",), lambda: sorted_graph.reverse().sorted_by_weight()
+        )
+        rev_short, rev_long = _split(reverse_graph, delta)
     histogram = None
     if config.use_pruning and config.pushpull_estimator == "histogram":
         hist_source = reverse_graph if reverse_graph is not None else sorted_graph
         histogram = build_weight_histogram(hist_source, config.histogram_bins)
-    thread_map = thread_index(
-        np.arange(sorted_graph.num_vertices, dtype=np.int64), partition, machine
+    thread_map = sorted_graph.memo(
+        ("thread_map", kind, num_ranks, machine.threads_per_rank),
+        lambda: _read_only(thread_index(
+            np.arange(sorted_graph.num_vertices, dtype=np.int64), partition, machine
+        )),
     )
     return ExecutionContext(
         graph=sorted_graph,

@@ -19,10 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, TypeVar
 
 import numpy as np
 
 __all__ = ["CSRGraph"]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,22 @@ class CSRGraph:
             raise ValueError("adjacency entries out of range")
         if weights.size and weights.min() < 0:
             raise ValueError("edge weights must be non-negative")
+        object.__setattr__(self, "_tables", {})
+
+    def memo(self, key: tuple, build: Callable[[], T]) -> T:
+        """``build()``, made once per graph and ``key`` and kept for the
+        graph's life: the per-graph tables every context of the graph
+        shares (short/long splits by Δ, partitions, thread maps).
+
+        What ``build`` returns must not point back at the graph. The memo
+        lives in the graph, so a back-reference is a cycle, and a dropped
+        graph would then stay resident until the cyclic collector runs
+        instead of going at its last reference. Racing builders agree on
+        the first value stored."""
+        try:
+            return self._tables[key]
+        except KeyError:
+            return self._tables.setdefault(key, build())
 
     # ------------------------------------------------------------------
     # Shape accessors

@@ -3,8 +3,9 @@
 The paper distributes vertices over processors with a block distribution
 (Section II, "Distributed Implementation"): rank ``r`` owns the contiguous
 range ``[start[r], start[r+1])``. Owner lookup goes through a one-time
-per-vertex rank table (:attr:`ContiguousPartition.owner_map`) — a single
-gather per query batch, fully vectorisable for message routing.
+per-vertex rank table (:attr:`ContiguousPartition.owner_map`, and its
+narrow copy :attr:`~ContiguousPartition.narrow_owner_map` for message
+routing) — a single gather per query batch.
 
 Two strategies are provided:
 
@@ -41,7 +42,7 @@ class ContiguousPartition:
     # ------------------------------------------------------------------
     @cached_property
     def owner_map(self) -> np.ndarray:
-        """Per-vertex owning rank (``int64[n]``).
+        """Per-vertex owning rank (``int64[n]``, read-only).
 
         Message routing resolves owners for every record of every exchange;
         a one-time O(n) table turns each query into a single gather instead
@@ -50,9 +51,24 @@ class ContiguousPartition:
         (a vertex at an empty block's boundary belongs to the block that
         actually contains it).
         """
-        return np.repeat(
+        table = np.repeat(
             np.arange(self.num_ranks, dtype=np.int64), np.diff(self.boundaries)
         )
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def narrow_owner_map(self) -> np.ndarray:
+        """:attr:`owner_map` in the narrowest unsigned type that holds
+        ``P − 1`` (read-only): a byte per vertex up to 256 ranks.
+
+        The mailbox reads both rank columns of every record it queues from
+        it; a gather from an n-byte table stays in cache where the n-word
+        one does not, and the columns it yields live until the exchange.
+        """
+        table = self.owner_map.astype(np.min_scalar_type(self.num_ranks - 1))
+        table.flags.writeable = False
+        return table
 
     def owner(self, vertices: np.ndarray | int) -> np.ndarray | int:
         """Rank owning each vertex (vectorised; ids must be in range)."""

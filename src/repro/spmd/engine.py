@@ -19,7 +19,9 @@ What is the rank driver's own is the fault stack. :func:`run_ranks` works
 on a prepared context — it is what :meth:`BatchSolver.solve(root,
 faults=plan) <repro.core.solver.BatchSolver.solve>` runs on a fork of its
 template — and :func:`spmd_delta_stepping` is ``make_context`` +
-``run_ranks`` for callers that want the context back. With a
+``run_ranks`` for callers that want the context back (``make_context``
+reads its per-graph tables off the graph's memo, so the per-solve cost is
+the per-run state). With a
 :class:`~repro.spmd.faults.FaultPlan` records travel through a
 :class:`~repro.spmd.faults.FaultyMailbox` (reliable sequence/ack/retry
 transport over a faulty wire), the state is snapshotted in memory at epoch
@@ -217,8 +219,10 @@ def spmd_delta_stepping(
     trace=None,
     **defence,
 ) -> tuple[np.ndarray, ExecutionContext]:
-    """Rank-local solve on a fresh context; returns (distances,
-    context-with-metrics).
+    """Rank-local solve on a context of its own; returns (distances,
+    context-with-metrics). The context's per-run state is fresh, its
+    per-graph tables are the graph's memoised ones (:func:`make_context`),
+    so a solve builds no table a previous solve on the graph built.
 
     ``config`` selects any member of the family; the ``delta``/``use_ios``
     keywords cover the baseline variants. ``faults`` and ``defence`` are

@@ -11,20 +11,24 @@ Records are queued in one of two shapes. :meth:`Mailbox.post` is one rank
 posting a batch — the per-rank API, which validates and appends.
 :meth:`Mailbox.send` is the kernels' call (:class:`~repro.core.transport.
 Transport`): the records of *every* rank's share of a frontier at once,
-grouped by sending rank — exactly the posts the ranks would have made one
-by one, a post per sending rank with records. Either way a superstep is
-one routed stream: the queue drains into a single record stream in posting
-order (sender ascending, then that sender's posts in insertion order, then
-position — :meth:`Mailbox._drain`; one whole-frontier batch *is* that
-stream, uncopied), which is routed with a single stable sort on the
-destination rank (:func:`_stable_order`: the key is cast to the narrowest
-integer type that holds it, which makes NumPy's stable sort a radix sort).
-:meth:`Mailbox.exchange` returns the routed columns, :meth:`Mailbox.
-deliver` slices them per receiver; the (src, dst) lane counts the
-accounting wants are the run boundaries of the routed stream. The cost of
-an exchange is one pass over its records, whatever the rank count. The
-per-record rank columns a queued batch carries are of the narrowest type
-that holds a rank: they live until the exchange, beside the payload.
+grouped by sending rank — the posts the ranks would have made one by one.
+Either way the outbox holds ``(src_ranks, dst_ranks, columns)``: the
+sending and the receiving rank of every record, in the narrowest unsigned
+type that holds a rank (``send`` reads both off the partition's
+:attr:`~repro.graph.partition.ContiguousPartition.narrow_owner_map`),
+beside the records. They live until the exchange.
+
+A superstep is one key. The queued batches are concatenated in insertion
+order (one batch is handed on uncopied) and every record gets the key
+``dst·P + src``: one ``bincount`` of it gives the (src, dst) lane counts
+the accounting wants and the per-receiver cuts, one stable sort on it
+routes the records (:func:`_stable_order`: the key is cast to the
+narrowest unsigned type that holds it, which makes NumPy's stable sort a
+radix sort), one gather per column moves them. A receiver sees its records
+by sender, then batch, then position in the batch — what P ranks posting
+one by one would have sent. :meth:`Mailbox.exchange` returns the routed
+columns, :meth:`Mailbox.deliver` slices them per receiver. The cost of an
+exchange is a few passes over its records, whatever the rank count.
 
 :class:`ReliableMailbox` layers a recovery protocol on top: every record of
 a superstep carries an implicit per-channel ``(src_rank, dst_rank)``
@@ -42,8 +46,6 @@ overhead of fault tolerance stays measurable.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -61,21 +63,54 @@ def _stable_order(keys: np.ndarray, max_key: int) -> np.ndarray:
     The keys are cast to the narrowest unsigned type that holds
     ``max_key`` first, because NumPy's stable sort is a radix sort — one
     counting pass per key byte — for keys of at most 16 bits and a
-    comparison sort beyond. Destination ranks fit a byte on any machine of
-    up to 256 ranks; wider keys take the comparison sort, same result.
+    comparison sort beyond. A superstep's key ``dst·P + src`` fits a byte
+    up to 16 ranks and two up to 256; wider keys take the comparison sort,
+    same result.
     """
     narrow = keys.astype(np.min_scalar_type(max_key), copy=False)
     return np.argsort(narrow, kind="stable")
 
 
+def _cuts(counts: np.ndarray) -> np.ndarray:
+    """Receiver ``r`` owns positions ``cuts[r]:cuts[r + 1]`` of a routed
+    stream holding ``counts[r]`` records for it."""
+    cuts = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=cuts[1:])
+    return cuts
+
+
 def _route(dst_ranks: np.ndarray, num_ranks: int) -> tuple[np.ndarray, np.ndarray]:
     """Route records to their destination ranks: ``(order, cuts)`` where
     ``order`` is the stable permutation that groups the records by
-    destination and receiver ``r`` owns positions ``cuts[r]:cuts[r + 1]``
-    of the routed stream, in the order the records had before."""
-    cuts = np.zeros(num_ranks + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst_ranks, minlength=num_ranks), out=cuts[1:])
+    destination, each receiver's in the order they had before."""
+    cuts = _cuts(np.bincount(dst_ranks, minlength=num_ranks))
     return _stable_order(dst_ranks, num_ranks - 1), cuts
+
+
+def _stream(
+    queued: list[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]],
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The queued batches as one record stream ``(src_ranks, dst_ranks,
+    columns)``, in insertion order; one batch is handed on uncopied."""
+    if len(queued) == 1:
+        return queued[0]
+    src, dst, columns = zip(*queued)
+    return (
+        np.concatenate(src), np.concatenate(dst),
+        tuple(np.concatenate(col) for col in zip(*columns)),
+    )
+
+
+def _in_sender_order(
+    queued: list[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]],
+) -> bool:
+    """Whether the queued stream is already ordered by sender. A batch is
+    (a ``send``'s records are grouped by sending rank, ascending; a
+    ``post`` has one sender), so the stream is when no batch starts below
+    the sender its predecessor ended with — one batch always is."""
+    return all(
+        a[-1] <= b[0] for (a, _, _), (b, _, _) in zip(queued, queued[1:])
+    )
 
 
 def _inboxes(
@@ -110,13 +145,11 @@ class Mailbox(Transport):
         layer reports every recovery round to it so retry storms burn
         deadline budget even though the epoch counter stands still."""
         self._rank_dtype = np.min_scalar_type(num_ranks - 1)
-        self._outbox: list[
-            tuple[list[int], list[int], np.ndarray, tuple[np.ndarray, ...]]
-        ] = []
+        self._key_dtype = np.min_scalar_type(num_ranks * num_ranks - 1)
+        self._outbox: list[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]] = []
         """The batches of the open superstep in insertion order:
-        ``(senders, sizes, dst_ranks, columns)`` — the ranks with records
-        in the batch, ascending, the record count of each, and the records
-        themselves grouped accordingly."""
+        ``(src_ranks, dst_ranks, columns)`` — the sending and the receiving
+        rank of every record (``_rank_dtype``), and the records."""
 
     def post(
         self,
@@ -147,24 +180,21 @@ class Mailbox(Transport):
             raise ValueError(
                 f"destination rank {bad} out of range [0, {self.num_ranks})"
             )
-        self._outbox.append(
-            ([src_rank], [dst_ranks.size], dst_ranks.astype(self._rank_dtype), columns)
-        )
+        self._outbox.append((
+            np.full(dst_ranks.size, src_rank, dtype=self._rank_dtype),
+            dst_ranks.astype(self._rank_dtype), columns,
+        ))
 
     def send(self, src: np.ndarray, dst: np.ndarray, *cols: np.ndarray) -> None:
         """The phase kernels' call shape: one batch holding every rank's
         records, grouped by the rank owning ``src`` (ranks ascending; any
         order inside a rank) — what the ranks would have posted one by
-        one, a post per sending rank with records. Only the per-rank record
-        counts of ``src`` are kept: grouped, they say who sent what."""
-        owner = self.comm.partition.owner
-        sizes = np.bincount(owner(src), minlength=self.num_ranks)
-        senders = np.flatnonzero(sizes)
-        if senders.size:
-            self._outbox.append((
-                senders.tolist(), sizes[senders].tolist(),
-                owner(dst).astype(self._rank_dtype), (dst, *cols),
-            ))
+        one. ``src`` itself is let go: two gathers from the partition's
+        narrow owner table give the rank columns, a byte per record up to
+        256 ranks, and the records keep ``dst`` as their first column."""
+        if len(src):
+            owner = self.comm.partition.narrow_owner_map
+            self._outbox.append((owner[src], owner[dst], (dst, *cols)))
 
     def _check_columns(self, num_columns: int) -> None:
         """Reject malformed supersteps *before* any traffic is charged, so a
@@ -175,55 +205,22 @@ class Mailbox(Transport):
                     f"posted {len(cols)} columns, deliver expects {num_columns}"
                 )
 
-    def _drain(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray] | None:
-        """Empty the (column-checked) outbox into the superstep's record
-        stream, in posting order: sender ascending, each sender's posts in
-        insertion order, each post's records as posted. Returns ``(src,
-        dst, columns, post_sizes)`` — per-record source and destination
-        ranks, the columns, the record count of every post — or ``None``
-        when nothing was queued (an idle superstep allocates nothing).
-
-        One batch — a whole frontier, or a single post — is that stream as
-        it stands and is handed on uncopied. Several (the IOS push phase's
-        long and outer-short records, ranks posting one by one) are cut at
-        their sender boundaries and the pieces ordered by sender, which
-        interleaves two whole-frontier batches A and B as r0·A, r0·B,
-        r1·A, … — the outboxes P ranks would have filled."""
-        queued, self._outbox = self._outbox, []
-        if not queued:
-            return None
-        if len(queued) == 1:
-            ((senders, sizes, dst, columns),) = queued
-        else:
-            pieces = [
-                (sender, size, dst[stop - size : stop],
-                 tuple(col[stop - size : stop] for col in columns))
-                for senders, sizes, dst, columns in queued
-                for sender, size, stop in zip(senders, sizes, accumulate(sizes))
-            ]
-            pieces.sort(key=itemgetter(0))  # stable: insertion order inside a sender
-            senders, sizes, dsts, cols = zip(*pieces)
-            dst = np.concatenate(dsts)
-            columns = tuple(np.concatenate(col) for col in zip(*cols))
-        sizes = np.array(sizes, dtype=np.int64)
-        src = np.repeat(np.array(senders, dtype=self._rank_dtype), sizes)
-        return src, dst, columns, sizes
-
     def _close(
         self, record_bytes: int, phase_kind: str, num_columns: int
     ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """Close the superstep: account the traffic and return ``(routed,
         cuts)`` — the record columns grouped by receiving rank, receiver
         ``r`` owning positions ``cuts[r]:cuts[r + 1]``, ordered there by
-        sender, then by post, then by position in the post.
+        sender, then by batch, then by position in the batch.
 
-        The superstep's stream is routed once: one stable sort on the
-        destination rank, one gather per column. Traffic is accounted from
-        per-lane record counts read off the routed stream — inside a
-        destination group the sender is non-decreasing, so the (src, dst)
-        lanes are its runs; no per-lane table is ever built.
+        Everything comes off one key per record, ``dst·P + src``: its
+        ``bincount`` is the (src, dst) lane counts in dst-major order, whose
+        row sums are the cuts; its stable sort is the routing order, and
+        each column is gathered once. When the queued stream is already in
+        sender order (one batch always is) stability keeps that order, so
+        the sort reads the ``dst`` half alone — the same permutation, one
+        radix pass fewer past 16 ranks. An idle superstep allocates
+        nothing.
         """
         self._check_columns(num_columns)
         tr = self.comm.metrics.tracer
@@ -232,19 +229,25 @@ class Mailbox(Transport):
             if tr is not None
             else None
         )
-        stream = self._drain()
-        if stream is None:
+        queued, self._outbox = self._outbox, []
+        p = self.num_ranks
+        if not queued:
             lane_src = lane_dst = lane_cnt = np.empty(0, dtype=np.int64)
-            routed, cuts = _no_records(self.num_ranks, num_columns)
+            routed, cuts = _no_records(p, num_columns)
         else:
-            src, dst, columns, _sizes = stream
-            order, cuts = _route(dst, self.num_ranks)
-            src, dst = src[order], dst[order]
-            first = np.concatenate(
-                ([0], np.flatnonzero((dst[1:] != dst[:-1]) | (src[1:] != src[:-1])) + 1)
-            )
-            lane_src, lane_dst = src[first], dst[first]
-            lane_cnt = np.diff(first, append=src.size)
+            src, dst, columns = _stream(queued)
+            key = dst.astype(self._key_dtype)
+            key *= p
+            key += src
+            counts = np.bincount(key, minlength=p * p)
+            cuts = _cuts(counts.reshape(p, p).sum(axis=1))
+            if _in_sender_order(queued):
+                order = _stable_order(dst, p - 1)
+            else:
+                order = _stable_order(key, p * p - 1)
+            lanes = np.flatnonzero(counts)
+            lane_dst, lane_src = np.divmod(lanes, p)
+            lane_cnt = counts[lanes]
             routed = tuple(col[order] for col in columns)
         self.comm.exchange_by_rank_counts(
             lane_src, lane_dst, lane_cnt, record_bytes, phase_kind=phase_kind
@@ -385,23 +388,29 @@ class ReliableMailbox(Mailbox):
     def _wire_stream(
         self, num_columns: int
     ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-        """Drain the outbox into the stream the wire sees: ``(src, dst,
+        """Empty the outbox into the stream the wire sees: ``(src, dst,
         columns)`` ordered by (post, destination rank) — each post goes out
         destination by destination, records of one destination in posted
-        order — with one stable sort on ``post ordinal * P + dst``.
+        order — with one stable sort on ``post ordinal·P + dst``.
 
-        The order is load-bearing: a record's position in this stream is
-        its global id, its rank within its ``(src, dst)`` channel is its
-        sequence number, and fault plans draw their victims by position, so
-        every seeded replay depends on it."""
-        stream = self._drain()
-        if stream is None:
+        A post is a (sender, batch) pair with records, and its ordinal is
+        its rank in (sender, batch) order: the dense rank of ``src·B +
+        batch`` over the B queued batches, so the key is no wider than
+        ``posts·P``. The order is load-bearing: a record's position in this
+        stream is its global id, its rank within its ``(src, dst)`` channel
+        is its sequence number, and fault plans draw their victims by
+        position, so every seeded replay depends on it."""
+        queued, self._outbox = self._outbox, []
+        if not queued:
             none = np.empty(0, dtype=np.int64)
             return none, none, (none,) * num_columns
-        src, dst, cols, sizes = stream
-        p = self.num_ranks
-        post_key = np.arange(sizes.size, dtype=np.int64) * p
-        order = _stable_order(np.repeat(post_key, sizes) + dst, sizes.size * p - 1)
+        src, dst, cols = _stream(queued)
+        p, batches = self.num_ranks, len(queued)
+        pair = np.concatenate([
+            s.astype(np.int64) * batches + b for b, (s, _, _) in enumerate(queued)
+        ])
+        posts, ordinal = np.unique(pair, return_inverse=True)
+        order = _stable_order(ordinal * p + dst, posts.size * p - 1)
         # Full width: the protocol indexes its channel tables by src * P + dst.
         src, dst = src[order].astype(np.int64), dst[order].astype(np.int64)
         return src, dst, tuple(c[order] for c in cols)

@@ -168,3 +168,110 @@ class TestCharging:
         )
         rec = ctx.metrics.records[-1]
         assert rec.comp_max == pytest.approx(2.0)  # 8 units over 4 threads
+
+
+def fresh_copy(graph):
+    """The same graph as a new object: nothing memoised on it yet."""
+    from repro.graph.csr import CSRGraph
+
+    return CSRGraph(graph.indptr.copy(), graph.adj.copy(), graph.weights.copy(),
+                    graph.undirected)
+
+
+def assert_tables_equal(got, want):
+    for name in ("short_offsets", "long_degrees", "thread_map",
+                 "reverse_short_offsets", "reverse_long_degrees"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
+    np.testing.assert_array_equal(got.partition.boundaries, want.partition.boundaries)
+    assert type(got.partition) is type(want.partition)
+    for name in ("indptr", "adj", "weights"):
+        np.testing.assert_array_equal(getattr(got.graph, name), getattr(want.graph, name))
+        if want.reverse_graph is not None:
+            np.testing.assert_array_equal(
+                getattr(got.reverse_graph, name), getattr(want.reverse_graph, name)
+            )
+    assert (got.reverse_graph is None) == (want.reverse_graph is None)
+    assert got.heavy_threshold == want.heavy_threshold
+
+
+#: one enumerated grid of every key of the memo: Δ × P × T × partition kind
+GRID = [
+    dict(delta=delta, ranks=ranks, threads=threads, partition=kind)
+    for delta in (10, 25) for ranks in (2, 4) for threads in (1, 3)
+    for kind in ("block", "degree")
+]
+
+
+class TestMemo:
+    """The per-graph tables hang off the weight-sorted graph: made once per
+    key, shared by every context of the graph, read-only, and holding no
+    reference back to the graph."""
+
+    def test_contexts_of_one_graph_share_the_tables(self, rmat1_small):
+        graph = rmat1_small.sorted_by_weight()
+        a, b = ctx_for(graph, ranks=4), ctx_for(graph, ranks=4)
+        for name in ("short_offsets", "long_degrees", "partition", "thread_map"):
+            assert getattr(a, name) is getattr(b, name), name
+        assert a.metrics is not b.metrics and a.comm is not b.comm
+        shared = (a.short_offsets, a.long_degrees, a.thread_map,
+                  a.partition.owner_map, a.partition.narrow_owner_map)
+        for table in shared:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+    def test_every_key_gets_its_own_tables(self, rmat1_small):
+        graph = rmat1_small.sorted_by_weight()
+        made = [(key, ctx_for(graph, **key)) for key in GRID]
+        for key, ctx in made:
+            assert_tables_equal(ctx, ctx_for(fresh_copy(graph), **key))
+            for other_key, other in made:
+                same_split = key["delta"] == other_key["delta"]
+                same_partition = (key["partition"], key["ranks"]) == (
+                    other_key["partition"], other_key["ranks"]
+                )
+                same_threads = same_partition and key["threads"] == other_key["threads"]
+                assert (ctx.short_offsets is other.short_offsets) == same_split
+                assert (ctx.long_degrees is other.long_degrees) == same_split
+                assert (ctx.partition is other.partition) == same_partition
+                assert (ctx.thread_map is other.thread_map) == same_threads
+
+    def test_directed_and_histogram_contexts_equal_a_fresh_build(self):
+        from repro.graph.builder import from_edges
+
+        rng = np.random.default_rng(4)
+        g = from_edges(rng.integers(0, 40, 200), rng.integers(0, 40, 200),
+                       rng.integers(1, 60, 200), 40, undirected=False)
+        graph = g.sorted_by_weight()
+        cfg = dict(use_pruning=True, pushpull_estimator="histogram")
+        first, again = ctx_for(graph, **cfg), ctx_for(graph, **cfg)
+        assert again.reverse_graph is first.reverse_graph
+        assert again.reverse_short_offsets is first.reverse_short_offsets
+        want = ctx_for(fresh_copy(graph), **cfg)
+        assert_tables_equal(again, want)
+        for name in ("cumulative", "bin_width", "num_bins"):
+            np.testing.assert_array_equal(
+                getattr(again.weight_histogram, name),
+                getattr(want.weight_histogram, name),
+            )
+
+    def test_a_dropped_graph_goes_without_the_cycle_collector(self, rmat1_small):
+        import gc
+        import weakref
+
+        from repro.graph.builder import from_edges
+
+        directed = from_edges(np.array([0, 1, 2]), np.array([1, 2, 0]),
+                              np.array([4, 30, 2]), 3, undirected=False)
+        gc.collect()
+        gc.disable()
+        try:
+            for source in (rmat1_small, directed):
+                graph = fresh_copy(source).sorted_by_weight()
+                for key in GRID[:4]:
+                    ctx = ctx_for(graph, **key)
+                ref = weakref.ref(graph)
+                del ctx, graph
+                assert ref() is None
+        finally:
+            gc.enable()

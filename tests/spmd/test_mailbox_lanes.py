@@ -1,8 +1,11 @@
 """Batched mailbox lanes: allocation discipline and accounting equivalence.
 
 The deliver hot path is lane-batched (DESIGN.md §9): empty (src, dst) lanes
-are skipped, traffic is accounted from per-lane counts, and no per-record
-src/dst rank columns are materialised. These tests pin down the three
+are skipped and traffic is accounted from per-lane counts — the non-zero
+entries of one ``bincount`` of the routing key. The per-record src/dst rank
+columns the key is made of are materialised, one narrow entry per record
+(a byte up to 256 ranks), and never handed to the accounting; no per-lane
+table is built for an idle superstep. These tests pin down the three
 contracts that refactor must keep: an idle superstep allocates no per-lane
 arrays at all, the lane-count accounting is metrics-identical to the
 per-record accounting it replaced, and delivered record content (including

@@ -200,13 +200,14 @@ class TestReadDocument:
         assert read_document(gate, doc)["verdict"] == "recorded"
 
     def test_rank_driver_ratio_is_recorded_beside_it(self):
-        """...and held to the ceiling the one-view rank driver earned: every
-        smoke reading before it (2.93–3.70) is a regression now."""
+        """...and held to the ceiling the one-key mailbox earned: its smoke
+        readings (1.23–1.33) pass, every reading of the drain-and-route
+        mailbox before it (1.35–1.64) is a regression now."""
         gate = GATES["spmd-vs-orchestrated"]
         assert gate.source == "spmd.vs_orchestrated_ratio@cold_spmd"
         assert gate.ci_job == GATES["checkpoint-overhead"].ci_job == "obs-smoke"
-        for value, verdict in [(1.9, "within-bound"), (2.5, "within-bound"),
-                               (2.93, "regression")]:
+        for value, verdict in [(1.23, "within-bound"), (1.34, "within-bound"),
+                               (1.35, "regression"), (2.5, "regression")]:
             doc = stack_document(record("cold_spmd", gate.metric, value))
             result = read_document(gate, doc)
             assert (result["value"], result["verdict"]) == (value, verdict)
@@ -243,7 +244,7 @@ class TestGateTable:
         assert held_to == {
             "trace-overhead": (None, 3.0),
             "checkpoint-overhead": (None, None),
-            "spmd-vs-orchestrated": (None, 2.5),
+            "spmd-vs-orchestrated": (None, 1.34),
             "grid-epoch-cost": (None, 1.49),
             "hit-vs-cold": (None, 0.5),
             "repair-vs-fresh": (None, 0.30),

@@ -11,13 +11,17 @@ accounting calls inside `relax_round`), so the rows do not add up to the
 solve; a region counts only its outermost call (`scan_all_ranks` may call
 `charge_scan`, both sites of one region).
 
-    PYTHONPATH=src python tools/region_timer.py [--side 64] [--solves 10] [--seed 1]
+    PYTHONPATH=src python tools/region_timer.py [--side 64] [--solves 10] [--seed 1] [--driver rank]
 
 Prints, per region, calls and milliseconds per solve (the per-root minimum
 over ``--repeats`` passes, summed over calls), and the solve total. Same
 graph, preset and machine shape as `benchmarks/stack`'s `cold_grid`
-(`opt`, Δ = 25, 8 × 8). Sites are patched by name, so a renamed function
-fails the run instead of dropping out of the table.
+(`opt`, Δ = 25, 8 × 8). ``--driver rank`` runs the same solves through
+`spmd_delta_stepping` (the rank driver, as `cold_spmd` calls it: a
+context per solve, records routed through a mailbox) and adds the regions
+only that driver has: `make_context`, `Mailbox.send`, `Mailbox.exchange`.
+Sites are patched by name, so a renamed function fails the run instead of
+dropping out of the table.
 """
 
 from __future__ import annotations
@@ -31,12 +35,16 @@ import repro.core.phases as phases
 import repro.core.pruning as pruning
 import repro.core.pushpull as pushpull
 import repro.core.views as views
+import repro.spmd.engine as spmd_engine
 from repro.core.bucket_index import BucketIndex
+from repro.core.config import preset
 from repro.core.context import ExecutionContext
 from repro.core.solver import BatchSolver
 from repro.graph import grid_graph
 from repro.runtime.comm import Communicator
+from repro.runtime.machine import MachineConfig
 from repro.runtime.metrics import Metrics
+from repro.spmd.mailbox import Mailbox
 
 #: (owner, attribute) sites per region; a function imported by name into
 #: several modules is patched in each
@@ -55,16 +63,23 @@ REGIONS = {
     "allreduce": [(Communicator, "allreduce")],
     "Metrics.settle": [(Metrics, "settle")],
 }
+#: regions of the rank driver alone (``--driver rank``)
+RANK_REGIONS = {
+    "make_context": [(spmd_engine, "make_context")],
+    "Mailbox.send": [(Mailbox, "send")],
+    "Mailbox.exchange": [(Mailbox, "exchange")],
+}
 
 
 class Accumulator:
-    def __init__(self) -> None:
+    def __init__(self, regions: dict) -> None:
+        self.regions = regions
         self.reset()
-        self.depth = dict.fromkeys(REGIONS, 0)
+        self.depth = dict.fromkeys(regions, 0)
 
     def reset(self) -> None:
-        self.seconds = dict.fromkeys(REGIONS, 0.0)
-        self.calls = dict.fromkeys(REGIONS, 0)
+        self.seconds = dict.fromkeys(self.regions, 0.0)
+        self.calls = dict.fromkeys(self.regions, 0)
 
     def wrap(self, region: str, fn):
         clock = time.perf_counter
@@ -84,7 +99,7 @@ class Accumulator:
         return timed
 
     def arm(self) -> None:
-        for region, sites in REGIONS.items():
+        for region, sites in self.regions.items():
             for owner, name in sites:
                 setattr(owner, name, self.wrap(region, getattr(owner, name)))
 
@@ -101,24 +116,35 @@ def main() -> None:
     ap.add_argument("--solves", type=int, default=10)
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--driver", choices=("whole", "rank"), default="whole")
     args = ap.parse_args()
 
     graph = grid_graph(args.side, args.side, seed=args.seed).sorted_by_weight()
-    solver = BatchSolver(
-        graph, algorithm="opt", delta=25, num_ranks=8, threads_per_rank=8
-    )
+    regions = dict(REGIONS)
+    if args.driver == "rank":
+        regions.update(RANK_REGIONS)
+        machine = MachineConfig(num_ranks=8, threads_per_rank=8)
+        config = preset("opt", 25)
+
+        def solve(root):
+            return spmd_engine.spmd_delta_stepping(graph, root, machine, config=config)[1]
+    else:
+        solve = BatchSolver(
+            graph, algorithm="opt", delta=25, num_ranks=8, threads_per_rank=8
+        ).solve
+
     rng = np.random.default_rng(args.seed)
     roots = rng.choice(graph.num_vertices, size=args.solves, replace=False)
-    solver.solve(int(roots[0]))  # warm-up
+    solve(int(roots[0]))  # warm-up
 
-    acc = Accumulator()
+    acc = Accumulator(regions)
     acc.arm()
     best: dict[int, tuple[float, dict, dict]] = {}
     epochs = applies = 0
     for _ in range(args.repeats):
         for root in (int(r) for r in roots):
             t0 = time.perf_counter()
-            result = solver.solve(root)
+            result = solve(root)
             wall = time.perf_counter() - t0
             seconds, calls = acc.take()
             if root not in best or wall < best[root][0]:
@@ -128,11 +154,12 @@ def main() -> None:
     n = len(best)
     solve_ms = sum(w for w, _, _ in best.values()) / n * 1e3
     print(
-        f"{args.side}x{args.side} grid, opt/Δ=25, 8x8, {n} roots x {args.repeats} "
+        f"{args.side}x{args.side} grid, opt/Δ=25, 8x8, {args.driver} driver, "
+        f"{n} roots x {args.repeats} "
         f"passes (per-root minimum); last root: {epochs} epochs, {applies} index updates"
     )
     print(f"{'region':<25}{'calls/solve':>12}{'ms/solve':>10}{'share':>8}")
-    for region in REGIONS:
+    for region in regions:
         ms = sum(s[region] for _, s, _ in best.values()) / n * 1e3
         calls = sum(c[region] for _, _, c in best.values()) / n
         print(f"{region:<25}{calls:>12.0f}{ms:>10.2f}{ms / solve_ms:>8.1%}")
