@@ -76,16 +76,6 @@ def closeness_centrality(
     return out
 
 
-def _level_order(d: np.ndarray, vertices: np.ndarray) -> list[np.ndarray]:
-    """Group ``vertices`` by distance value, ascending."""
-    dv = d[vertices]
-    order = np.argsort(dv, kind="stable")
-    sorted_v = vertices[order]
-    sorted_d = dv[order]
-    boundaries = np.nonzero(np.diff(sorted_d))[0] + 1
-    return np.split(sorted_v, boundaries)
-
-
 def betweenness_centrality(
     graph: CSRGraph,
     sources: np.ndarray | None = None,

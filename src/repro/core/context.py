@@ -240,10 +240,9 @@ def make_context(
     once per sort.
 
     ``tracer`` attaches an existing :class:`~repro.obs.tracer.Tracer`
-    instead of building one from ``config.trace`` — multi-root front-ends
-    (:meth:`~repro.core.solver.BatchSolver.solve_many`, the serving layer)
-    use it to share one trace across several contexts; the caller then owns
-    finalization.
+    instead of building one from ``config.trace`` —
+    :meth:`~repro.core.solver.BatchSolver.solve_many` uses it to share one
+    trace across several contexts; the caller then owns finalization.
     """
     sorted_graph = graph.sorted_by_weight()
     kind, num_ranks = config.partition, machine.num_ranks

@@ -237,8 +237,9 @@ class BatchSolver:
     Each solve still gets fresh metrics and accounting (runs are
     independent), but graph preprocessing is shared. :meth:`solve_many`
     can additionally share one trace across the whole batch
-    (``solve_many(roots, trace=TraceConfig(...))``), which is how the
-    serving layer (:mod:`repro.serve`) captures per-batch telemetry.
+    (``solve_many(roots, trace=TraceConfig(...))``). The serving layer
+    (:mod:`repro.serve`) does not: it solves one root per :meth:`solve`
+    and records its request and batch spans on its own service tracer.
     """
 
     def __init__(

@@ -132,8 +132,7 @@ class GraphVersioner:
     graph:
         The seed graph; becomes snapshot 0.
     machine, config:
-        Defaults for :meth:`context_for`. Optional — required only when
-        contexts are requested without explicit overrides.
+        What every :meth:`context_for` context is built for.
     retention:
         How many snapshots (newest-first) stay resident. Must be >= 1.
 
@@ -145,7 +144,7 @@ class GraphVersioner:
     fully-minted snapshot.
     """
 
-    def __init__(self, graph: CSRGraph, *, machine=None, config=None, retention: int = 4):
+    def __init__(self, graph: CSRGraph, *, machine, config, retention: int = 4):
         if retention < 1:
             raise ValueError("retention must be >= 1")
         self._lock = threading.RLock()
@@ -262,40 +261,36 @@ class GraphVersioner:
 
     # ------------------------------------------------------------------
     def _memo(self, table: dict, snapshot_id: int | None, build):
-        """``table[snapshot_id]`` (default: current) and whether it was
-        already there; built from the snapshot outside the state lock on
-        first use and kept for as long as the snapshot is resident."""
+        """``table[snapshot_id]`` (default: current), built from the
+        snapshot outside the state lock on first use and kept for as long
+        as the snapshot is resident."""
         with self._lock:
             sid = self._current_id if snapshot_id is None else snapshot_id
             snapshot = self.get(sid)
             if sid in table:
-                return table[sid], True
+                return table[sid]
         with self._build_lock:
             with self._lock:
                 if sid in table:  # built while this caller waited
-                    return table[sid], True
+                    return table[sid]
             value = build(snapshot)
             with self._lock:
                 if sid in self._snapshots:
                     table[sid] = value
-            return value, False
+            return value
 
     def digest(self, snapshot_id: int | None = None) -> str:
         """Structural digest of ``snapshot_id`` (default: current), memoised."""
         return self._memo(
             self._digests, snapshot_id, lambda snap: structural_digest(snap.graph)
-        )[0]
+        )
 
-    def context_for(self, snapshot_id: int | None = None, *, machine=None, config=None):
-        """Memoised :func:`~repro.core.context.make_context` per snapshot.
+    def context_for(self, snapshot_id: int | None = None):
+        """Memoised :func:`~repro.core.context.make_context` per snapshot,
+        for the versioner's machine and config.
 
-        ``machine``/``config`` default to the constructor's; the first
-        call for a snapshot fixes the context, later calls with
-        different overrides raise rather than silently returning a
-        context built for other parameters.
-
-        While the parent's context (same machine and config) is resident
-        the snapshot's weight-sorted graph is spliced from the parent's
+        While the parent's context is resident the snapshot's
+        weight-sorted graph is spliced from the parent's
         (:func:`_sorted_from_parent`) and ``make_context`` skips its
         sort; otherwise — the seed, an evicted parent — it sorts
         ``snapshot.graph`` as a cold start does. Either way the context
@@ -304,31 +299,13 @@ class GraphVersioner:
         from repro.core.context import make_context
 
         def build(snapshot):
-            use_machine = machine if machine is not None else self._machine
-            use_config = config if config is not None else self._config
-            if use_machine is None or use_config is None:
-                raise ValueError(
-                    "context_for needs machine and config (constructor defaults unset)"
-                )
             with self._lock:
                 parent = self._contexts.get(snapshot.parent_id)
             graph = None
-            if (
-                parent is not None
-                and parent.machine is use_machine
-                and parent.config == use_config
-            ):
+            if parent is not None:
                 graph = _sorted_from_parent(parent.graph, snapshot)
             if graph is None:
                 graph = snapshot.graph
-            return make_context(graph, use_machine, use_config)
+            return make_context(graph, self._machine, self._config)
 
-        ctx, cached = self._memo(self._contexts, snapshot_id, build)
-        if cached and (
-            (machine is not None and machine is not ctx.machine)
-            or (config is not None and config != ctx.config)
-        ):
-            raise ValueError(
-                "snapshot context already built with different machine/config"
-            )
-        return ctx
+        return self._memo(self._contexts, snapshot_id, build)

@@ -1,14 +1,15 @@
 """Solve deadlines and livelock detection (DESIGN.md §8).
 
-PR 1's ReliableMailbox bounds a retry storm only by the blunt
-``max_recovery_rounds`` cap, and an adversarial fault plan (e.g. a rank
-stalled for longer than the retry budget) either spins to that cap and
-dies with a bare ``RuntimeError`` or makes no forward progress at all.
+The reliable mailbox (:class:`~repro.spmd.faults.FaultyMailbox`) bounds a
+retry storm only by the blunt ``MAX_RECOVERY_ROUNDS`` cap, and an
+adversarial fault plan (e.g. a rank stalled for longer than the retry
+budget) either spins to that cap and dies with a bare ``RuntimeError`` or
+makes no forward progress at all.
 This module gives every solve a *superstep-granular* budget and a
 progress watchdog:
 
 - The **budget** (``max_supersteps``) counts every global synchronisation:
-  engine epochs plus every ReliableMailbox recovery round. Retry storms
+  engine epochs plus every reliable-mailbox recovery round. Retry storms
   burn budget even though the epoch counter stands still, so they hit the
   deadline instead of spinning.
 - The **stall detector** (``stall_patience``) watches a progress signature
@@ -135,7 +136,7 @@ class Watchdog:
     """Tracks supersteps and progress for one solve.
 
     The engine calls :meth:`note_epoch` once per epoch with the current
-    progress signature; the ReliableMailbox calls
+    progress signature; the reliable mailbox calls
     :meth:`note_recovery_round` once per retransmission round. Both raise
     :class:`DeadlineExceeded` the moment a bound is crossed, so even a
     solve livelocked *inside* a single delivery (a retry storm) is

@@ -45,7 +45,7 @@ class AttemptRunner:
 
     def __init__(self, *, chaos, retry, verify, accounting) -> None:
         self.chaos = (
-            ChaosSolver(None, chaos, registry=accounting.registry)
+            ChaosSolver(chaos, registry=accounting.registry)
             if chaos is not None
             else None
         )

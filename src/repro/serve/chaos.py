@@ -7,8 +7,8 @@ which solve attempts are hit by which per-root faults: raised
 **errors**, injected **stalls** past the deadline (surfacing as
 :class:`~repro.runtime.watchdog.SolveTimeout`), **corrupted** distance
 arrays, and **slow** solves (real sleep, for straggler/hedging tests).
-:class:`ChaosSolver` wraps a :class:`~repro.core.solver.BatchSolver` and
-applies the plan.
+:class:`ChaosSolver` applies the plan to the solve of the
+:class:`~repro.core.solver.BatchSolver` each attempt hands it.
 
 Determinism does not rely on call order: each draw is a pure function of
 ``(seed, root, attempt)`` via its own ``np.random.default_rng`` stream,
@@ -206,25 +206,21 @@ class ChaosPlan:
 
 
 class ChaosSolver:
-    """A :class:`~repro.core.solver.BatchSolver` whose solves are
-    perturbed by a :class:`ChaosPlan`.
+    """One chaos draw stream and one fault log over every solver a
+    service runs, perturbing solves by a :class:`ChaosPlan`.
 
-    Same ``solve`` shape as the plain solver; the serving plane's
-    :class:`~repro.serve.attempt.AttemptRunner` passes each request's
-    attempt number, so retries advance the draw stream, and the pinned
-    snapshot's solver (``solver=``; the constructor's delegate may then
-    be ``None``). Every injected fault is appended to :attr:`log` as
-    ``(root, attempt, kind)`` — replaying the same plan over the same
-    requests yields the identical log.
+    The serving plane's :class:`~repro.serve.attempt.AttemptRunner`
+    passes each request's attempt number, so retries advance the draw
+    stream, and the pinned snapshot's solver. Every injected fault is
+    appended to :attr:`log` as ``(root, attempt, kind)`` — replaying the
+    same plan over the same requests yields the identical log.
     """
 
-    def __init__(self, solver, plan: ChaosPlan, *, registry=None) -> None:
-        self.solver = solver
+    def __init__(self, plan: ChaosPlan, *, registry=None) -> None:
         self.plan = plan
         self._registry = registry
         #: chronological ``(root, attempt, kind)`` fault records.
         self.log: list[tuple[int, int, str]] = []
-        self._auto_attempts: dict[int, int] = {}
 
     def _note(self, root: int, attempt: int, kind: str) -> None:
         self.log.append((root, attempt, kind))
@@ -235,31 +231,10 @@ class ChaosSolver:
                 kind=kind,
             )
 
-    def solve(
-        self,
-        root: int,
-        *,
-        validate=False,
-        deadline=None,
-        tracer=None,
-        attempt: int | None = None,
-        solver=None,
-    ):
-        """Solve from ``root``, applying the plan's draw for ``attempt``.
-
-        When ``attempt`` is None (direct use, outside the broker) an
-        internal per-root counter advances it — the first chaos-free
-        idiom-preserving default. ``solver`` overrides the delegate for
-        this call only — the serving plane routes each request to its
-        pinned snapshot's solver while keeping one chaos draw stream and
-        one fault log for the whole service.
-        """
+    def solve(self, root: int, *, deadline, attempt: int, solver):
+        """``solver.solve(root, deadline=deadline)`` under the plan's draw
+        for (``root``, ``attempt``)."""
         root = int(root)
-        if solver is None:
-            solver = self.solver
-        if attempt is None:
-            attempt = self._auto_attempts.get(root, 0)
-            self._auto_attempts[root] = attempt + 1
         kind = self.plan.draw(root, attempt)
         if kind == "error":
             self._note(root, attempt, kind)
@@ -273,9 +248,7 @@ class ChaosSolver:
             self._note(root, attempt, kind)
             if self.plan.slow_s:
                 time.sleep(self.plan.slow_s)
-        res = solver.solve(
-            root, validate=validate, deadline=deadline, tracer=tracer
-        )
+        res = solver.solve(root, deadline=deadline)
         if kind == "corrupt":
             self._note(root, attempt, kind)
             res.distances = self.plan.corrupt_distances(

@@ -8,7 +8,7 @@ argument, not a mechanism.
 
 This subpackage provides the mechanism: a rank driver that makes the *same*
 kernel pass with a mailbox for the transport, so that *all* cross-rank
-information flows through explicit per-rank mailboxes — a rank's block of
+information flows through one bulk exchange per superstep — a rank's block of
 the state is a range of the whole-graph arrays, written only from records
 that arrived addressed to it (``tests/spmd/test_locality.py`` drops every
 cross-rank record and checks nothing leaks). The transport-parity test
@@ -19,10 +19,12 @@ simulation approach (DESIGN.md §5).
 Because every cross-rank byte goes through the mailbox, the rank driver is
 also the natural host for the fault-injection and recovery layer
 (:mod:`repro.spmd.faults`, DESIGN.md §7): a :class:`FaultPlan` drives a
-:class:`FaultyMailbox` that loses, duplicates, reorders and delays records
-or crashes whole ranks, while :class:`ReliableMailbox` plus driver-side
-checkpointing and self-healing sweeps recover the exact fault-free answer.
-A plan is handed to the front door: ``solve_sssp(..., faults=plan)``.
+:class:`FaultyMailbox` — the :class:`Mailbox` with a sequence/ack/retry
+protocol over a wire that loses, duplicates, reorders and delays records or
+crashes whole ranks — while driver-side checkpointing and self-healing
+sweeps recover the exact fault-free answer. Both mailboxes take records
+one way, the kernels' ``send``/``exchange``. A plan is handed to the
+front door: ``solve_sssp(..., faults=plan)``.
 """
 
 from repro.spmd.checkpoint import (
@@ -36,7 +38,7 @@ from repro.spmd.checkpoint import (
 )
 from repro.spmd.engine import RecoveryError, run_ranks, spmd_delta_stepping
 from repro.spmd.faults import FaultPlan, FaultyMailbox, RankCrash, RankStall
-from repro.spmd.mailbox import Mailbox, ReliableMailbox
+from repro.spmd.mailbox import Mailbox
 
 __all__ = [
     "CheckpointError",
@@ -47,7 +49,6 @@ __all__ = [
     "RankCrash",
     "RankStall",
     "RecoveryError",
-    "ReliableMailbox",
     "SolveCheckpoint",
     "ensure_checkpoint_dir",
     "latest_checkpoint",

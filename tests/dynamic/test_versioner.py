@@ -17,14 +17,12 @@ def graph():
     return rmat_graph(7, seed=4)
 
 
+MACHINE = MachineConfig(num_ranks=4, threads_per_rank=4)
+
+
 @pytest.fixture
 def versioner(graph):
-    return GraphVersioner(
-        graph,
-        machine=MachineConfig(num_ranks=4, threads_per_rank=4),
-        config=preset("opt", 25),
-        retention=3,
-    )
+    return GraphVersioner(graph, machine=MACHINE, config=preset("opt", 25), retention=3)
 
 
 class TestStructuralDigest:
@@ -93,7 +91,7 @@ class TestRetention:
 
     def test_retention_validated(self, graph):
         with pytest.raises(ValueError):
-            GraphVersioner(graph, retention=0)
+            GraphVersioner(graph, machine=MACHINE, config=preset("opt"), retention=0)
 
 
 class TestDeltaRetention:
@@ -150,7 +148,8 @@ class TestDeltaRetention:
             versioner.delta_between(1, 6)
         with pytest.raises(KeyError):
             versioner.delta_between(1, 3)  # an old target's chain ages out too
-        assert GraphVersioner(graph, retention=1).reach == 0
+        one = GraphVersioner(graph, machine=MACHINE, config=preset("opt"), retention=1)
+        assert one.reach == 0
 
 
 class TestContexts:
@@ -166,12 +165,8 @@ class TestContexts:
         assert ctx_b is not ctx_a
         assert ctx_b.graph is not ctx_a.graph
 
-    def test_conflicting_override_raises(self, versioner):
-        versioner.context_for(0)
-        with pytest.raises(ValueError, match="different"):
-            versioner.context_for(0, config=preset("rho"))
-
     def test_needs_machine_and_config(self, graph):
-        bare = GraphVersioner(graph)
-        with pytest.raises(ValueError, match="machine and config"):
-            bare.context_for(0)
+        with pytest.raises(TypeError, match="machine"):
+            GraphVersioner(graph)
+        with pytest.raises(TypeError, match="config"):
+            GraphVersioner(graph, machine=MACHINE)

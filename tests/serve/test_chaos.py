@@ -103,16 +103,16 @@ class TestCorruption:
 
 class TestChaosSolver:
     def test_error_and_stall_raise_typed(self, path_graph):
+        plain = make_solver(path_graph)
         solver = ChaosSolver(
-            make_solver(path_graph),
             ChaosPlan(events=(ChaosEvent(0, 0, "error"),
                               ChaosEvent(0, 1, "stall"))),
         )
         with pytest.raises(InjectedFault) as info:
-            solver.solve(0, attempt=0)
+            solver.solve(0, deadline=None, attempt=0, solver=plain)
         assert (info.value.root, info.value.attempt) == (0, 0)
         with pytest.raises(SolveTimeout) as info:
-            solver.solve(0, attempt=1)
+            solver.solve(0, deadline=None, attempt=1, solver=plain)
         assert info.value.root == 0
         assert solver.log == [(0, 0, "error"), (0, 1, "stall")]
 
@@ -120,31 +120,18 @@ class TestChaosSolver:
         root = int(choose_roots(rmat1_small, 1, seed=0)[0])
         plain = make_solver(rmat1_small)
         clean = plain.solve(root).distances
-        solver = ChaosSolver(
-            plain, ChaosPlan(events=(ChaosEvent(root, 0, "corrupt"),))
-        )
-        res = solver.solve(root, attempt=0)
+        solver = ChaosSolver(ChaosPlan(events=(ChaosEvent(root, 0, "corrupt"),)))
+        res = solver.solve(root, deadline=None, attempt=0, solver=plain)
         assert not np.array_equal(res.distances, clean)
 
     def test_clean_attempt_is_bit_identical(self, rmat1_small):
         root = int(choose_roots(rmat1_small, 1, seed=0)[0])
         plain = make_solver(rmat1_small)
-        solver = ChaosSolver(plain, ChaosPlan(error_rate=1.0,
-                                              max_faulty_attempts=1))
+        solver = ChaosSolver(ChaosPlan(error_rate=1.0, max_faulty_attempts=1))
         with pytest.raises(InjectedFault):
-            solver.solve(root, attempt=0)
-        res = solver.solve(root, attempt=1)
+            solver.solve(root, deadline=None, attempt=0, solver=plain)
+        res = solver.solve(root, deadline=None, attempt=1, solver=plain)
         assert np.array_equal(res.distances, plain.solve(root).distances)
-
-    def test_auto_attempt_counter_advances(self, path_graph):
-        solver = ChaosSolver(
-            make_solver(path_graph),
-            ChaosPlan(events=(ChaosEvent(0, 0, "error"),)),
-        )
-        with pytest.raises(InjectedFault):
-            solver.solve(0)  # auto attempt 0
-        solver.solve(0)  # auto attempt 1: clean
-        assert solver.log == [(0, 0, "error")]
 
 
 class TestFromSpec:

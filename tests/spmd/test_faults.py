@@ -24,9 +24,9 @@ from repro.spmd import (
     Mailbox,
     RankCrash,
     RankStall,
-    ReliableMailbox,
     spmd_delta_stepping,
 )
+from tests.spmd.ranks import deliver, perfect_wire, post
 
 
 def make_comm(p=3, n=12):
@@ -36,38 +36,30 @@ def make_comm(p=3, n=12):
 
 
 # ----------------------------------------------------------------------
-# Mailbox edge cases (post-time validation, pre-charge column check)
+# Mailbox edge cases (empty batches, pre-charge column check)
 # ----------------------------------------------------------------------
 class TestMailboxValidation:
-    def test_post_rejects_out_of_range_destination(self):
-        comm, _ = make_comm()
-        mailbox = Mailbox(3, comm)
-        with pytest.raises(ValueError, match="destination rank 3"):
-            mailbox.post(0, np.array([1, 3]), np.array([5, 6]))
-        with pytest.raises(ValueError, match="destination rank -1"):
-            mailbox.post(0, np.array([-1]), np.array([5]))
-
     def test_post_empty_batch_is_noop(self):
         comm, metrics = make_comm()
         mailbox = Mailbox(3, comm)
-        mailbox.post(0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        inboxes = mailbox.deliver(16)
+        post(mailbox, 0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        inboxes = deliver(mailbox, 16)
         assert all(box[0].size == 0 for box in inboxes)
 
     def test_column_mismatch_detected_before_any_charge(self):
         comm, metrics = make_comm()
         mailbox = Mailbox(3, comm)
-        mailbox.post(0, np.array([1]), np.array([5]), np.array([50]))
+        post(mailbox, 0, np.array([1]), np.array([5]), np.array([50]))
         with pytest.raises(ValueError, match="columns"):
-            mailbox.deliver(16, num_columns=3)
-        # The failed deliver must not have half-updated the metrics.
+            deliver(mailbox, 16, num_columns=3)
+        # The failed exchange must not have half-updated the metrics.
         assert metrics.total_bytes == 0
         assert len(metrics.records) == 0
 
     def test_empty_superstep_delivers_empty_inboxes(self):
         comm, metrics = make_comm()
         mailbox = Mailbox(3, comm)
-        inboxes = mailbox.deliver(16)
+        inboxes = deliver(mailbox, 16)
         assert len(inboxes) == 3
         assert all(box[0].size == 0 for box in inboxes)
         assert metrics.total_bytes == 0
@@ -78,11 +70,11 @@ class TestMailboxValidation:
 # ----------------------------------------------------------------------
 def run_exchange(mailbox):
     """Post a fixed cross-rank workload and deliver it."""
-    mailbox.post(0, np.array([1, 2, 1]), np.array([5, 9, 6]),
-                 np.array([50, 90, 60]))
-    mailbox.post(1, np.array([0, 2]), np.array([1, 10]), np.array([11, 101]))
-    mailbox.post(2, np.array([2, 0]), np.array([8, 0]), np.array([80, 1]))
-    return mailbox.deliver(16)
+    post(mailbox, 0, np.array([1, 2, 1]), np.array([5, 9, 6]),
+         np.array([50, 90, 60]))
+    post(mailbox, 1, np.array([0, 2]), np.array([1, 10]), np.array([11, 101]))
+    post(mailbox, 2, np.array([2, 0]), np.array([8, 0]), np.array([80, 1]))
+    return deliver(mailbox, 16)
 
 
 def inbox_sets(inboxes):
@@ -94,7 +86,7 @@ class TestReliableMailbox:
         comm_a, metrics_a = make_comm()
         comm_b, metrics_b = make_comm()
         plain = run_exchange(Mailbox(3, comm_a))
-        reliable = run_exchange(ReliableMailbox(3, comm_b))
+        reliable = run_exchange(perfect_wire(3, comm_b))
         for a, b in zip(plain, reliable):
             for col_a, col_b in zip(a, b):
                 assert np.array_equal(col_a, col_b)
@@ -168,6 +160,16 @@ class TestFaultPlan:
             FaultPlan(crashes=(RankCrash(-1, 0),))
         with pytest.raises(ValueError, match="stall"):
             FaultPlan(stalls=(RankStall(0, 0, 0),))
+
+    def test_retry_settings_validated(self):
+        """Retry settings that can never run are rejected where a spec
+        arrives, not by the mailbox a solve builds after its context."""
+        with pytest.raises(ValueError, match="max_attempts"):
+            FaultPlan.from_spec("attempts=0")
+        with pytest.raises(ValueError, match="backoff_cap"):
+            FaultPlan.from_spec("backoff=0")
+        with pytest.raises(ValueError, match="max_attempts"):
+            FaultPlan(max_attempts=-1)
 
     def test_from_spec_round_trip(self):
         plan = FaultPlan.from_spec(

@@ -1,6 +1,6 @@
 """Batched mailbox lanes: allocation discipline and accounting equivalence.
 
-The deliver hot path is lane-batched (DESIGN.md §9): empty (src, dst) lanes
+The exchange hot path is lane-batched (DESIGN.md §9): empty (src, dst) lanes
 are skipped and traffic is accounted from per-lane counts — the non-zero
 entries of one ``bincount`` of the routing key. The per-record src/dst rank
 columns the key is made of are materialised, one narrow entry per record
@@ -10,6 +10,7 @@ contracts that refactor must keep: an idle superstep allocates no per-lane
 arrays at all, the lane-count accounting is metrics-identical to the
 per-record accounting it replaced, and delivered record content (including
 arrival order) is unchanged — for both the plain and the reliable mailbox.
+Ranks post and receive through :mod:`tests.spmd.ranks`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from repro.graph.partition import BlockPartition
 from repro.runtime.comm import RELAX_RECORD_BYTES, Communicator
 from repro.runtime.machine import MachineConfig
 from repro.runtime.metrics import Metrics
-from repro.spmd.mailbox import Mailbox, ReliableMailbox
+from repro.spmd.mailbox import Mailbox
+from tests.spmd.ranks import deliver, per_rank, perfect_wire, post
 
 P = 4
 
@@ -40,8 +42,8 @@ def post_random(mailbox: Mailbox, seed: int, *, rounds: int = 3) -> None:
         for src in range(mailbox.num_ranks):
             k = int(rng.integers(0, 6))
             dst = rng.integers(0, mailbox.num_ranks, k)
-            mailbox.post(
-                src, dst, rng.integers(0, 32, k), rng.integers(0, 100, k)
+            post(
+                mailbox, src, dst, rng.integers(0, 32, k), rng.integers(0, 100, k)
             )
 
 
@@ -52,12 +54,14 @@ class TestIdleSuperstep:
         mailbox = Mailbox(P, make_comm())
 
         def boom(*a, **k):  # pragma: no cover - fails the test if hit
-            raise AssertionError("idle deliver must not allocate lane arrays")
+            raise AssertionError("idle exchange must not allocate lane arrays")
 
-        monkeypatch.setattr(np, "full", boom)
-        monkeypatch.setattr(np, "repeat", boom)
-        monkeypatch.setattr(np, "concatenate", boom)
-        out = mailbox.deliver(RELAX_RECORD_BYTES, phase_kind="long")
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "full", boom)
+            patched.setattr(np, "repeat", boom)
+            patched.setattr(np, "concatenate", boom)
+            routed = mailbox.exchange(RELAX_RECORD_BYTES, phase_kind="long")
+        out = per_rank(mailbox.comm, routed)
         assert len(out) == P
         for cols in out:
             assert all(c.size == 0 and c.dtype == np.int64 for c in cols)
@@ -66,18 +70,18 @@ class TestIdleSuperstep:
         """The zero exchange is still recorded (metrics shape unchanged)."""
         comm = make_comm()
         mailbox = Mailbox(P, comm)
-        mailbox.deliver(RELAX_RECORD_BYTES, phase_kind="long")
+        deliver(mailbox, RELAX_RECORD_BYTES, phase_kind="long")
         assert len(comm.metrics.records) == 1
         rec = comm.metrics.records[0]
         assert rec.bytes_total == 0 and rec.msgs_max == 0
 
     def test_empty_posted_batches_are_skipped(self):
-        """Posting zero-length batches is equivalent to posting nothing."""
+        """Sending zero-length batches is equivalent to sending nothing."""
         comm = make_comm()
         mailbox = Mailbox(P, comm)
         empty = np.empty(0, dtype=np.int64)
-        mailbox.post(0, empty, empty, empty)
-        out = mailbox.deliver(RELAX_RECORD_BYTES)
+        post(mailbox, 0, empty, empty, empty)
+        out = deliver(mailbox, RELAX_RECORD_BYTES)
         assert all(c.size == 0 for cols in out for c in cols)
         assert comm.metrics.records[0].bytes_total == 0
 
@@ -108,11 +112,11 @@ class TestLaneAccountingEquivalence:
         a perfect wire — they charge the same exchange two different ways."""
         plain_comm, rel_comm = make_comm(), make_comm()
         plain = Mailbox(P, plain_comm)
-        reliable = ReliableMailbox(P, rel_comm)
+        reliable = perfect_wire(P, rel_comm)
         post_random(plain, seed)
         post_random(reliable, seed)
-        out_p = plain.deliver(RELAX_RECORD_BYTES, phase_kind="long")
-        out_r = reliable.deliver(RELAX_RECORD_BYTES, phase_kind="long")
+        out_p = deliver(plain, RELAX_RECORD_BYTES, phase_kind="long")
+        out_r = deliver(reliable, RELAX_RECORD_BYTES, phase_kind="long")
         assert plain_comm.metrics.summary() == rel_comm.metrics.summary()
         for cols_p, cols_r in zip(out_p, out_r):
             for a, b in zip(cols_p, cols_r):
@@ -132,10 +136,10 @@ class TestDeliveryContent:
                 dst = np.sort(rng.integers(0, P, k))
                 v = rng.integers(0, 32, k)
                 w = rng.integers(0, 100, k)
-                mailbox.post(src, dst, v, w)
+                post(mailbox, src, dst, v, w)
                 for r, vv, ww in zip(dst, v, w):
                     expected[r].append((int(vv), int(ww)))
-        out = mailbox.deliver(RELAX_RECORD_BYTES)
+        out = deliver(mailbox, RELAX_RECORD_BYTES)
         for r in range(P):
             got = list(zip(out[r][0].tolist(), out[r][1].tolist()))
             assert got == expected[r]
@@ -144,21 +148,24 @@ class TestDeliveryContent:
         """A batch addressed to one rank skips the segmentation sort but
         must deliver identically to the general path."""
         fast = Mailbox(P, make_comm())
-        fast.post(0, np.array([2, 2, 2]), np.array([5, 6, 7]),
-                  np.array([50, 60, 70]))
+        post(fast, 0, np.array([2, 2, 2]), np.array([5, 6, 7]),
+             np.array([50, 60, 70]))
         slow = Mailbox(P, make_comm())
-        slow.post(0, np.array([2, 1, 2]), np.array([5, 9, 6]),
-                  np.array([50, 90, 60]))
-        out_f = fast.deliver(RELAX_RECORD_BYTES)
-        out_s = slow.deliver(RELAX_RECORD_BYTES)
+        post(slow, 0, np.array([2, 1, 2]), np.array([5, 9, 6]),
+             np.array([50, 90, 60]))
+        out_f = deliver(fast, RELAX_RECORD_BYTES)
+        out_s = deliver(slow, RELAX_RECORD_BYTES)
         np.testing.assert_array_equal(out_f[2][0], [5, 6, 7])
         np.testing.assert_array_equal(out_f[2][1], [50, 60, 70])
         np.testing.assert_array_equal(out_s[2][0], [5, 6])
         np.testing.assert_array_equal(out_s[1][0], [9])
 
     def test_out_of_range_destination_rejected(self):
+        """A vertex past the graph has no owning rank: ``send`` reads both
+        rank columns off the owner table, which holds 8·P vertices."""
         mailbox = Mailbox(P, make_comm())
-        with pytest.raises(ValueError, match="out of range"):
-            mailbox.post(0, np.array([P]), np.array([1]))
-        with pytest.raises(ValueError, match="out of range"):
-            mailbox.post(0, np.array([-1]), np.array([1]))
+        with pytest.raises(IndexError, match="out of bounds"):
+            mailbox.send(np.array([0]), np.array([8 * P]), np.array([1]))
+        with pytest.raises(IndexError, match="out of bounds"):
+            mailbox.send(np.array([8 * P]), np.array([0]), np.array([1]))
+        assert mailbox._outbox == []

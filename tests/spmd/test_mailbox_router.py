@@ -1,15 +1,16 @@
 """Router ≡ per-sender segmentation (DESIGN.md §9).
 
-Until PR 19 ``Mailbox.post`` segmented every batch by destination on the
-spot (``argsort`` → run bounds → one tuple per (post, destination) lane) and
+A rank's ``post`` once segmented every batch by destination on the spot
+(``argsort`` → run bounds → one tuple per (post, destination) lane) and
 ``deliver`` merged the lane tuples per receiver; the reliable mailbox
 flattened the same lanes into its wire stream. The mailbox now appends at
-``post`` and routes the whole superstep once. :class:`SegmentedOracle` is the
+``send`` and routes the whole superstep once. :class:`SegmentedOracle` is the
 old code, kept here and nowhere else, and these tests hold the router to
 it: each receiver's columns equal in content *and order*, the reliable wire
 stream equal element for element (fault plans key off stream positions),
 ``Metrics.records`` equal field for field — and the routing key's integer
-width follows the largest key, on both sides of every width boundary.
+width follows the largest key, on both sides of every width boundary. The
+mailboxes take the oracle's per-rank posts through :mod:`tests.spmd.ranks`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ from repro.runtime.comm import RELAX_RECORD_BYTES, Communicator
 from repro.runtime.machine import MachineConfig
 from repro.runtime.metrics import Metrics
 from repro.spmd import mailbox as mailbox_module
-from repro.spmd.mailbox import Mailbox, ReliableMailbox
+from repro.spmd.mailbox import Mailbox
+from tests.spmd.ranks import deliver, perfect_wire, per_rank, post, wire_stream
+
+# The reliable protocol on the perfect wire, under the id it has always had.
+RELIABLE = pytest.param(perfect_wire, id="ReliableMailbox")
 
 
 def make_comm(p: int) -> Communicator:
@@ -188,10 +193,10 @@ def check_superstep(p, num_columns, posts, mailbox_type):
     mailbox = mailbox_type(p, comm)
     oracle = SegmentedOracle(p, oracle_comm)
     for src, dst, cols in posts:
-        mailbox.post(src, dst, *cols)
+        post(mailbox, src, dst, *cols)
         oracle.post(src, dst, *cols)
-    got = mailbox.deliver(
-        RELAX_RECORD_BYTES, phase_kind="short", num_columns=num_columns
+    got = deliver(
+        mailbox, RELAX_RECORD_BYTES, phase_kind="short", num_columns=num_columns
     )
     want = oracle.deliver(
         RELAX_RECORD_BYTES, phase_kind="short", num_columns=num_columns
@@ -202,12 +207,12 @@ def check_superstep(p, num_columns, posts, mailbox_type):
 
 
 def check_wire_stream(p, num_columns, posts):
-    mailbox = ReliableMailbox(p, make_comm(p))
+    mailbox = perfect_wire(p, make_comm(p))
     oracle = SegmentedOracle(p, make_comm(p))
     for src, dst, cols in posts:
-        mailbox.post(src, dst, *cols)
+        post(mailbox, src, dst, *cols)
         oracle.post(src, dst, *cols)
-    src_g, dst_g, cols_g = mailbox._wire_stream(num_columns)
+    src_g, dst_g, cols_g = wire_stream(mailbox, num_columns)
     src_w, dst_w, cols_w = oracle.flatten(num_columns)
     np.testing.assert_array_equal(src_g, src_w)
     np.testing.assert_array_equal(dst_g, dst_w)
@@ -225,7 +230,7 @@ class TestRouterEqualsSegmentation:
     @settings(max_examples=100, deadline=None)
     @given(supersteps())
     def test_reliable_mailbox_on_the_perfect_wire(self, superstep):
-        check_superstep(*superstep, ReliableMailbox)
+        check_superstep(*superstep, perfect_wire)
 
     @settings(max_examples=150, deadline=None)
     @given(supersteps())
@@ -233,7 +238,7 @@ class TestRouterEqualsSegmentation:
         check_wire_stream(*superstep)
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
-    @pytest.mark.parametrize("mailbox_type", [Mailbox, ReliableMailbox])
+    @pytest.mark.parametrize("mailbox_type", [Mailbox, RELIABLE])
     def test_adversarial(self, name, mailbox_type):
         check_superstep(*ADVERSARIAL[name], mailbox_type)
 
@@ -247,27 +252,31 @@ class TestRouterEqualsSegmentation:
         comm = make_comm(4)
         mailbox = Mailbox(4, comm)
         for src, dst, cols in ADVERSARIAL["ios-two-posts-one-lane"][2]:
-            mailbox.post(src, dst, *cols)
-        mailbox.deliver(RELAX_RECORD_BYTES, phase_kind="short")
+            post(mailbox, src, dst, *cols)
+        deliver(mailbox, RELAX_RECORD_BYTES, phase_kind="short")
         (record,) = comm.metrics.records
         assert record.msgs_max == 3  # rank 1 to ranks 0, 2 and 3
         assert record.bytes_total == 7 * RELAX_RECORD_BYTES
 
     def test_consecutive_supersteps_do_not_leak(self):
-        """The outbox is empty after a deliver, whichever path it took."""
-        for mailbox_type in (Mailbox, ReliableMailbox):
+        """The outbox is empty after an exchange, whichever path it took."""
+        for mailbox_type in (Mailbox, perfect_wire):
             mailbox = mailbox_type(4, make_comm(4))
-            mailbox.post(0, np.array([1, 2]), np.array([5, 6]), np.array([7, 8]))
-            mailbox.deliver(RELAX_RECORD_BYTES)
-            out = mailbox.deliver(RELAX_RECORD_BYTES)
+            post(mailbox, 0, np.array([1, 2]), np.array([5, 6]), np.array([7, 8]))
+            deliver(mailbox, RELAX_RECORD_BYTES)
+            out = deliver(mailbox, RELAX_RECORD_BYTES)
             assert all(c.size == 0 for cols in out for c in cols)
 
     def test_inboxes_are_slices_of_one_routed_column(self):
+        """``exchange`` hands back one gathered column per record column,
+        receivers ascending: every inbox is a slice of it."""
         mailbox = Mailbox(4, make_comm(4))
-        mailbox.post(0, np.array([3, 1, 3]), np.array([5, 6, 7]), np.array([1, 2, 3]))
-        mailbox.post(2, np.array([1]), np.array([9]), np.array([4]))
-        out = mailbox.deliver(RELAX_RECORD_BYTES)
+        post(mailbox, 0, np.array([3, 1, 3]), np.array([5, 6, 7]), np.array([1, 2, 3]))
+        post(mailbox, 2, np.array([1]), np.array([9]), np.array([4]))
+        routed = mailbox.exchange(RELAX_RECORD_BYTES, num_columns=3)
+        out = per_rank(mailbox.comm, routed)
         assert np.shares_memory(out[1][0], out[3][0].base)
+        assert out[3][0].base is routed[0]
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +316,7 @@ class TestKeyWidth:
     def test_destination_key_past_a_byte(self, p, sort_key_dtypes):
         posts = _wide_posts(p, 40, seed=p)
         check_superstep(p, 2, posts, Mailbox)
-        (dtype,) = sort_key_dtypes  # one routing sort per deliver
+        (dtype,) = sort_key_dtypes  # one routing sort per exchange
         assert np.iinfo(dtype).max >= p - 1
         assert dtype == np.min_scalar_type(p - 1)
 
@@ -322,7 +331,7 @@ class TestKeyWidth:
         (dtype,) = sort_key_dtypes
         assert np.iinfo(dtype).max >= max_key
         assert dtype == np.min_scalar_type(max_key)
-        check_superstep(p, 2, posts, ReliableMailbox)
+        check_superstep(p, 2, posts, perfect_wire)
 
     def test_width_is_not_a_function_of_the_rank_count(self, sort_key_dtypes):
         """Eight ranks fit a byte; forty posts over eight ranks do not."""

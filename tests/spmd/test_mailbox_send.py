@@ -1,4 +1,4 @@
-"""The one-key mailbox ≡ the router it replaced; ``send`` ≡ per-rank ``post``s.
+"""The one-key mailbox ≡ the router it replaced; one ``send`` ≡ per-rank ones.
 
 The outbox holds every batch as it was queued, ``(src_ranks, dst_ranks,
 columns)`` with one narrow rank entry per record, and a superstep routes
@@ -8,12 +8,13 @@ sender lists, drained the queue into sender order piece by piece
 destination (``_route``) and read the lanes off the run boundaries of the
 routed rank columns. :class:`ParentMailbox` is that code, kept here and
 nowhere else, and the hypothesis test holds the mailbox to it on both
-sides of every key-width boundary: ``exchange`` columns, ``deliver``
+sides of every key-width boundary: ``exchange`` columns, the per-rank
 cuts, ``Metrics.records`` and the reliable wire stream — record ids,
-sequence numbers and fault victims hang on its order.
+sequence numbers and fault victims hang on its order; a batch of one
+rank's records is held to the parent's ``post``.
 
-``send`` of a whole-frontier batch must leave what P ranks posting their
-own shares left: the same records, and in sender order the same stream.
+``send`` of a whole-frontier batch must leave what P ranks sending their
+own shares leave: the same records, and in sender order the same stream.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.runtime.comm import RELAX_RECORD_BYTES
-from repro.spmd.mailbox import Mailbox, ReliableMailbox, _stream
+from repro.spmd.mailbox import Mailbox, _stream
+from tests.spmd.ranks import first_vertex, per_rank, perfect_wire
 from tests.spmd.test_mailbox_router import make_comm, sort_key_dtypes  # noqa: F401 (a fixture)
 
 VERTICES_PER_RANK = 8  # make_comm's block partition
@@ -167,7 +169,7 @@ def supersteps(draw, ranks=(1, 2, 8)):
 def mixed_supersteps(draw):
     """(P, batches) over rank counts on both sides of every key-width
     boundary (``dst·P + src`` past a byte at P = 17, past two at 257):
-    0–3 batches, each a whole-frontier ``send`` or one rank's ``post``."""
+    0–3 batches, each a whole frontier or one rank's records."""
     p, frontiers = draw(supersteps(ranks=(1, 2, 8, 16, 17, 256, 257)))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     batches = []
@@ -186,10 +188,10 @@ def fill(mailbox, p: int, batches, how: str) -> None:
         if how == "send":
             mailbox.send(src, dst, payload)
             continue
-        # What P rank views did: every rank posts its own share of the batch.
+        # What P rank views did: every rank sends its own share of the batch.
         for rank in range(p):
             mine = owner(src) == rank
-            mailbox.post(rank, owner(dst[mine]), dst[mine], payload[mine])
+            mailbox.send(src[mine], dst[mine], payload[mine])
 
 
 def fill_mixed(mailbox, batches) -> None:
@@ -197,8 +199,11 @@ def fill_mixed(mailbox, batches) -> None:
     for how, src, dst, payload in batches:
         if how == "send":
             mailbox.send(src, dst, payload)
-        else:
+        elif isinstance(mailbox, ParentMailbox):
             mailbox.post(src, owner(dst), dst, payload)
+        else:  # rank ``src``'s records, sent from the first vertex it owns
+            rank = np.full(dst.size, first_vertex(mailbox.comm, src))
+            mailbox.send(rank, dst, payload)
 
 
 def both(mailbox_type, p, batches):
@@ -247,13 +252,14 @@ def test_routes_like_the_parent(superstep):
     new, old = boxes["new"], boxes["old"]
     assert_columns_equal(new[0].exchange(RELAX_RECORD_BYTES, phase_kind="long"),
                          old[0].exchange(RELAX_RECORD_BYTES, phase_kind="long"))
-    # ``deliver`` slices at the cuts: equal inboxes are equal cuts.
-    for got, want in zip(new[1].deliver(RELAX_RECORD_BYTES),
+    # The parent sliced at its cuts: equal inboxes are equal cuts.
+    routed = new[1].exchange(RELAX_RECORD_BYTES)
+    for got, want in zip(per_rank(new[1].comm, routed),
                          old[1].deliver(RELAX_RECORD_BYTES), strict=True):
         assert_columns_equal(got, want)
     for n, o in zip(new, old):
         assert n.comm.metrics.records == o.comm.metrics.records
-    reliable, oracle = ReliableMailbox(p, make_comm(p)), ParentMailbox(p, make_comm(p))
+    reliable, oracle = perfect_wire(p, make_comm(p)), ParentMailbox(p, make_comm(p))
     fill_mixed(reliable, batches)
     fill_mixed(oracle, batches)
     src_g, dst_g, cols_g = reliable._wire_stream(2)
@@ -263,7 +269,7 @@ def test_routes_like_the_parent(superstep):
 
 
 # ----------------------------------------------------------------------
-# send ≡ per-rank posts
+# one send ≡ per-rank sends
 # ----------------------------------------------------------------------
 @settings(max_examples=200, deadline=None)
 @given(supersteps())
@@ -281,7 +287,7 @@ def test_send_leaves_the_stream_of_per_rank_posts(superstep):
 @given(supersteps())
 def test_send_leaves_the_wire_stream_of_per_rank_posts(superstep):
     p, batches = superstep
-    sent, posted = both(ReliableMailbox, p, batches)
+    sent, posted = both(perfect_wire, p, batches)
     src_s, dst_s, cols_s = sent._wire_stream(2)
     src_p, dst_p, cols_p = posted._wire_stream(2)
     np.testing.assert_array_equal(src_s, src_p)
@@ -292,15 +298,17 @@ def test_send_leaves_the_wire_stream_of_per_rank_posts(superstep):
 
 
 @settings(max_examples=150, deadline=None)
-@given(supersteps(), st.sampled_from([Mailbox, ReliableMailbox]))
+@given(supersteps(), st.sampled_from([Mailbox, perfect_wire]))
 def test_send_delivers_and_accounts_like_per_rank_posts(superstep, mailbox_type):
     p, batches = superstep
     sent, posted = both(mailbox_type, p, batches)
     routed = sent.exchange(RELAX_RECORD_BYTES, phase_kind="long")
-    inboxes = posted.deliver(RELAX_RECORD_BYTES, phase_kind="long")
-    # ``exchange`` is the routed stream ``deliver`` slices per receiver.
-    for column, per_rank in zip(routed, zip(*inboxes)):
-        np.testing.assert_array_equal(column, np.concatenate(per_rank))
+    inboxes = per_rank(
+        posted.comm, posted.exchange(RELAX_RECORD_BYTES, phase_kind="long")
+    )
+    # One send's routed stream is the per-rank sends' inboxes, receivers ascending.
+    for column, slices in zip(routed, zip(*inboxes)):
+        np.testing.assert_array_equal(column, np.concatenate(slices))
     owner = sent.comm.partition.owner
     assert np.all(np.diff(owner(routed[0])) >= 0)
     assert sent.comm.metrics.records == posted.comm.metrics.records
@@ -323,11 +331,11 @@ def test_two_batches_interleave_by_sender():
     (src_a, dst_a, _), (src_b, dst_b, _) = mailbox._outbox
     assert src_a.tolist() == [0, 0, 1] and dst_a.tolist() == [1, 0, 0]
     assert src_b.tolist() == [0, 1, 1] and dst_b.tolist() == [0, 0, 0]
-    inboxes = mailbox.deliver(RELAX_RECORD_BYTES)
+    inboxes = per_rank(mailbox.comm, mailbox.exchange(RELAX_RECORD_BYTES))
     assert [payload.tolist() for _, payload in inboxes] == [[11, 20, 12, 21, 22], [10]]
     assert [vertex.tolist() for vertex, _ in inboxes] == [[0, 1, 1, 2, 3], [8]]
 
-    reliable = ReliableMailbox(2, make_comm(2))
+    reliable = perfect_wire(2, make_comm(2))
     reliable.send(a, np.array([8, 0, 1]), np.array([10, 11, 12]))
     reliable.send(b, np.array([1, 2, 3]), np.array([20, 21, 22]))
     src, dst, (_, payload) = reliable._wire_stream(2)
@@ -386,6 +394,6 @@ def test_empty_batch_queues_nothing_and_column_count_is_checked():
     mailbox.send(none, none, none)
     assert mailbox._outbox == []
     mailbox.send(np.array([0]), np.array([9]), np.array([1]))
-    with pytest.raises(ValueError, match="posted 2 columns, deliver expects 3"):
+    with pytest.raises(ValueError, match="posted 2 columns, exchange expects 3"):
         mailbox.exchange(24, num_columns=3)
     assert not mailbox.comm.metrics.records  # nothing was charged

@@ -61,26 +61,20 @@ class TestFaultInjection:
         from repro.spmd.engine import spmd_delta_stepping
 
         rng = np.random.default_rng(loss_seed)
-        original = mailbox_mod.Mailbox.deliver
+        original = mailbox_mod.Mailbox.exchange
 
-        def lossy_deliver(self, record_bytes, *, phase_kind="other", num_columns=2):
-            inboxes = original(self, record_bytes, phase_kind=phase_kind,
-                               num_columns=num_columns)
-            damaged = []
-            for cols in inboxes:
-                if cols[0].size:
-                    keep = rng.random(cols[0].size) > 0.3
-                    damaged.append(tuple(c[keep] for c in cols))
-                else:
-                    damaged.append(cols)
-            return damaged
+        def lossy_exchange(self, record_bytes, *, phase_kind="other", num_columns=2):
+            routed = original(self, record_bytes, phase_kind=phase_kind,
+                              num_columns=num_columns)
+            keep = rng.random(routed[0].size) > 0.3
+            return tuple(c[keep] for c in routed)
 
-        mailbox_mod.Mailbox.deliver = lossy_deliver
+        mailbox_mod.Mailbox.exchange = lossy_exchange
         try:
             machine = MachineConfig(num_ranks=4, threads_per_rank=2)
             d, _ = spmd_delta_stepping(graph, root, machine, delta=25)
         finally:
-            mailbox_mod.Mailbox.deliver = original
+            mailbox_mod.Mailbox.exchange = original
         return d
 
     def test_validator_detects_message_loss(self, rmat1_small):

@@ -2,9 +2,12 @@
 """Code lines (non-blank, non-comment, non-docstring) of files or trees.
 
 ``python tools/code_lines.py PATH...`` prints one count per path. With
-``--broker-ratchet`` (CI's ``serve-smoke``) it also fails when
-``src/repro/serve/broker.py`` exceeds 650 code lines or talks to the
-metrics registry itself instead of through ``serve/accounting.py``.
+``--ratchet`` (CI's ``serve-smoke``) it also fails when a row of
+:data:`RATCHETS` is broken: ``src/repro/serve/broker.py`` past 650 code
+lines or talking to the metrics registry itself instead of through
+``serve/accounting.py``; ``src/repro/spmd/mailbox.py`` and
+``src/repro/spmd/faults.py`` together past 430 — the transport and its
+reliable protocol, with one way into a superstep.
 """
 
 import ast
@@ -13,7 +16,11 @@ import pathlib
 import sys
 import tokenize
 
-BROKER, BROKER_MAX = pathlib.Path("src/repro/serve/broker.py"), 650
+#: (files, most code lines they may hold together, calls none may contain)
+RATCHETS = (
+    (("src/repro/serve/broker.py",), 650, ("registry.inc(", "registry.observe(")),
+    (("src/repro/spmd/mailbox.py", "src/repro/spmd/faults.py"), 430, ()),
+)
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -38,11 +45,14 @@ def count(path: pathlib.Path) -> int:
 
 if __name__ == "__main__":
     for arg in sys.argv[1:]:
-        if arg != "--broker-ratchet":
+        if arg != "--ratchet":
             print(f"{count(pathlib.Path(arg)):>7}  {arg}")
-    if "--broker-ratchet" in sys.argv[1:]:
-        text = BROKER.read_text(encoding="utf-8")
-        bad = [s for s in ("registry.inc(", "registry.observe(") if s in text]
-        if count(BROKER) > BROKER_MAX or bad:
-            sys.exit(f"{BROKER}: {count(BROKER)} code lines (max {BROKER_MAX}), "
-                     f"forbidden calls {bad}")
+    if "--ratchet" in sys.argv[1:]:
+        for names, most, calls in RATCHETS:
+            paths = [pathlib.Path(name) for name in names]
+            total = sum(count(path) for path in paths)
+            bad = [c for path in paths for c in calls
+                   if c in path.read_text(encoding="utf-8")]
+            if total > most or bad:
+                sys.exit(f"{' + '.join(names)}: {total} code lines (max {most}), "
+                         f"forbidden calls {bad}")
