@@ -142,7 +142,7 @@ def run_stepping(
         # after a potential resume so it covers the restored state. Only
         # the delta strategy can use it — it is keyed on the fixed width.
         view.attach_index(cfg.delta)
-    strategy.prepare(ctx, view)
+    strategy.prepare(ctx.graph)
     ordinal = defence.bucket_ordinal
     n = ctx.graph.num_vertices
     while True:

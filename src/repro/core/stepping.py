@@ -10,10 +10,11 @@ path through a vertex at distance ``>= hi`` can improve a tentative
 distance below ``hi``. A :class:`SteppingStrategy` owns exactly that
 choice of window plus the policies that hang off it:
 
-- **step selection** — which ``[lo, hi)`` window to drain next
-  (:meth:`~SteppingStrategy.next_step`, written once over the vertex
-  view and a transport, including the next-step collective's accounting
-  charge);
+- **step selection** — which ``[lo, hi)`` window to drain next: the
+  rule itself is :meth:`~SteppingStrategy.window`, a pure function of
+  the unsettled candidates' distances and ids, which an incremental
+  repair calls on its own region; :meth:`~SteppingStrategy.next_step`
+  applies it to the vertex view and charges the next-step collective;
 - **edge classification** — the weight threshold below which an edge is
   relaxed eagerly in the short phases
   (:meth:`~SteppingStrategy.classification_width`);
@@ -106,7 +107,7 @@ class SteppingStrategy:
     checkpoints. ``next_step`` charges its own selection collective — the
     loop charges the preceding unsettled scan — so a strategy with a wider
     collective (ρ-stepping's candidate merge) prices it honestly. The
-    candidate is computed over the whole view — the minimum (or the ρ
+    window is computed over the whole view — the minimum (or the ρ
     smallest) of the ranks' own candidates, which is what the collective
     would return.
     """
@@ -126,8 +127,14 @@ class SteppingStrategy:
         """Short-edge weight threshold for the context's split tables."""
         raise NotImplementedError
 
-    def prepare(self, ctx, view) -> None:
-        """Precompute hook (runs once, before the loop)."""
+    def prepare(self, graph) -> None:
+        """Precompute hook (runs once per solve or repair, before the loop)."""
+
+    def window(self, d: np.ndarray, ids: np.ndarray, ordinal: int) -> Step | None:
+        """The next window over the unsettled candidates ``ids``, whose
+        (finite) tentative distances are ``d``; ``None`` when there are
+        none. ``ordinal`` counts the windows drained so far."""
+        raise NotImplementedError
 
     def next_step(self, ctx, view, transport, ordinal: int) -> Step | None:
         """Select the next window from the view's state.
@@ -136,13 +143,18 @@ class SteppingStrategy:
         """
         raise NotImplementedError
 
+    def _view_window(self, view, ordinal: int) -> Step | None:
+        """:meth:`window` over every unsettled reached vertex of ``view``."""
+        ids = np.flatnonzero(~view.settled & (view.d < INF))
+        return self.window(view.d[ids], ids, ordinal)
+
 
 class DeltaStepping(SteppingStrategy):
     """Fixed-width buckets ``[kΔ, (k+1)Δ)`` — the paper's algorithm.
 
-    The next bucket is one scalar min-allreduce over the bucket index
-    (the loop attaches a ``BucketIndex`` to the view of a strategy with
-    ``uses_bucket_index``).
+    The window is the minimum bucket. In a solve, the next bucket is one
+    scalar min-allreduce over the bucket index (the loop attaches a
+    ``BucketIndex`` to the view of a strategy with ``uses_bucket_index``).
     """
 
     name = "delta"
@@ -151,12 +163,20 @@ class DeltaStepping(SteppingStrategy):
     def classification_width(self) -> int:
         return self.config.delta
 
-    def next_step(self, ctx, view, transport, ordinal: int) -> Step | None:
+    def _bucket(self, k: int) -> Step:
         delta = self.config.delta
+        return Step(key=k, lo=k * delta, hi=(k + 1) * delta)
+
+    def window(self, d: np.ndarray, ids: np.ndarray, ordinal: int) -> Step | None:
+        if not d.size:
+            return None
+        return self._bucket(int(d.min()) // self.config.delta)
+
+    def next_step(self, ctx, view, transport, ordinal: int) -> Step | None:
         k = transport.allreduce_min(view.min_unsettled_bucket())
         if k >= INF:
             return None
-        return Step(key=int(k), lo=int(k) * delta, hi=(int(k) + 1) * delta)
+        return self._bucket(int(k))
 
 
 def vertex_radii(graph, k: int) -> np.ndarray:
@@ -198,22 +218,21 @@ class RadiusStepping(SteppingStrategy):
 
         return DELTA_INFINITY
 
-    def prepare(self, ctx, view) -> None:
+    def prepare(self, graph) -> None:
         # The radius of a vertex derives from its own adjacency row, so
         # the table is rank-local work.
-        self._r = vertex_radii(ctx.graph, self.config.radius_k)
+        self._r = vertex_radii(graph, self.config.radius_k)
 
-    def _candidate(self, d, settled) -> int:
-        mask = ~settled & (d < INF)
-        if not mask.any():
-            return int(INF)
-        return int((d[mask] + self._r[mask]).min())
+    def window(self, d: np.ndarray, ids: np.ndarray, ordinal: int) -> Step | None:
+        if not d.size:
+            return None
+        return Step(key=ordinal, lo=0, hi=int((d + self._r[ids]).min()) + 1)
 
     def next_step(self, ctx, view, transport, ordinal: int) -> Step | None:
-        cand = transport.allreduce_min(self._candidate(view.d, view.settled))
-        if cand >= INF:
-            return None
-        return Step(key=ordinal, lo=0, hi=int(cand) + 1)
+        # One min-allreduce of the ranks' own min(d + r): over the one
+        # view, that is the window of every candidate.
+        ctx.comm.allreduce(1, phase_kind="bucket")
+        return self._view_window(view, ordinal)
 
 
 class RhoStepping(SteppingStrategy):
@@ -235,12 +254,11 @@ class RhoStepping(SteppingStrategy):
 
         return DELTA_INFINITY
 
-    def _candidates(self, d, settled) -> np.ndarray:
-        rho = self.config.rho
-        u = d[~settled & (d < INF)]
-        if u.size > rho:
-            u = np.partition(u, rho - 1)[:rho]
-        return u
+    def window(self, d: np.ndarray, ids: np.ndarray, ordinal: int) -> Step | None:
+        if not d.size:
+            return None
+        kth = min(self.config.rho, d.size) - 1
+        return Step(key=ordinal, lo=0, hi=int(np.partition(d, kth)[kth]) + 1)
 
     def next_step(self, ctx, view, transport, ordinal: int) -> Step | None:
         # The ρ smallest unsettled distances: what a modeled ρ-vector
@@ -248,10 +266,7 @@ class RhoStepping(SteppingStrategy):
         # ρ-th smallest of that union is the global ρ-th smallest however
         # the vertices are split.
         ctx.comm.allreduce(self.config.rho, phase_kind="bucket")
-        merged = self._candidates(view.d, view.settled)
-        if merged.size == 0:
-            return None
-        return Step(key=ordinal, lo=0, hi=int(merged.max()) + 1)
+        return self._view_window(view, ordinal)
 
 
 STRATEGIES: dict[str, type[SteppingStrategy]] = {

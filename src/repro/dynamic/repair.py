@@ -6,13 +6,12 @@ arc-level :class:`~repro.dynamic.updates.EdgeDelta` to the new one,
 **bit-identical** to a fresh solve — shortest distances over ``int64``
 weights are unique, so exactness *is* bit-identity — while touching only
 the region the update actually disturbed. The machinery is the
-delta-propagation family of Ramalingam–Reps / Frigioni et al., driven
-through the repo's own stepping seam: the changed-vertex frontier feeds
-:class:`~repro.core.bucket_index.BucketIndex` (for Δ-stepping) or the
-windowed strategies of :mod:`repro.core.stepping`, and the drain loop
-reuses :func:`~repro.core.relax.apply_relaxations` — precisely the
-"PR 3 bucket machinery already consumes changed-vertex sets" property
-the ROADMAP called out.
+delta-propagation family of Ramalingam–Reps / Frigioni et al.: the
+changed-vertex frontier is drained window by window under the configured
+strategy's own window rule (:meth:`~repro.core.stepping.SteppingStrategy.window`),
+relaxing with :func:`~repro.core.relax.apply_relaxations`, over an
+unsettled set the repair keeps itself — so a window costs in proportion
+to the region it drains, not to ``n``.
 
 Three phases:
 
@@ -39,12 +38,14 @@ Three phases:
    relaxation applies every clean→dirty arc (re-attaching orphans to
    the clean region at their best one-hop bound) and every improved arc
    (inserts / weight decreases). The changed set is the repair frontier.
-3. **Windowed drain.** Everything except the frontier starts settled;
-   the configured stepping strategy picks ``[lo, hi)`` windows and each
-   window relaxes *all* out-arcs of its active vertices to fixpoint
-   before settling them — the standard window-safety argument makes the
-   result exact for any strategy, including Δ-stepping via the
-   incremental bucket index.
+3. **Windowed drain.** Everything except the frontier starts settled.
+   The unsettled region is a list of ids — the frontier, then every
+   vertex a relaxation lowers — with an n-byte membership mask so a
+   re-lowered vertex is listed once. The strategy's window rule picks
+   ``[lo, hi)`` over the region, and each window relaxes *all* out-arcs
+   of the region's vertices below ``hi`` to fixpoint before settling
+   them — the standard window-safety argument makes the result exact
+   for any strategy.
 
 The **cost model** falls back before the drain: when the disturbed
 region (dirty + frontier) exceeds ``max_dirty_fraction`` of the graph, a
@@ -68,11 +69,9 @@ from repro.core.distances import INF
 from repro.core.paths import build_parent_tree
 from repro.core.relax import apply_relaxations
 from repro.core.stepping import make_strategy
-from repro.core.transport import DeclaredTransport
-from repro.core.views import whole_graph_view
 from repro.util.ranges import concat_ranges, sorted_unique_ids
 
-__all__ = ["RepairResult", "repair_sssp"]
+__all__ = ["RepairResult", "check_dirty_fraction", "repair_sssp"]
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ def _out_arcs(graph, vertices: np.ndarray):
     """All out-arcs of ``vertices`` as ``(owner, heads, weights)``, where
     ``owner[i]`` is the position in ``vertices`` of arc ``i``'s tail."""
     indptr = graph.indptr
-    flat, owner = concat_ranges(indptr[vertices], indptr[vertices + 1])
+    flat, owner = concat_ranges(indptr[vertices], indptr[1:][vertices])
     return owner, graph.adj[flat], graph.weights[flat]
 
 
@@ -128,13 +127,14 @@ def _damage_closure(
     # Heads of changed arcs that were tight under their old weight lost
     # *a* certificate; whether they lost every certificate is decided by
     # the worklist scan below. (An inserted arc has old weight INF.)
-    t, h, w_old = delta.tails, delta.heads, delta.old_weights
+    h, w_old = delta.heads, delta.old_weights
+    d_t, d_h = d[delta.tails], d[h]
     was_tight = (
         (w_old != delta.new_weights)
         & (w_old < INF)
-        & (d[t] < INF)
-        & (d[h] < INF)
-        & (d[t] + w_old == d[h])
+        & (d_t < INF)
+        & (d_h < INF)
+        & (d_t + w_old == d_h)
     )
     work = sorted_unique_ids(h[was_tight], n)
     work = work[work != root]
@@ -144,7 +144,9 @@ def _damage_closure(
         # graph is symmetrized, so in-arcs of v are its out-arcs reversed.
         owner, nbrs, w = _out_arcs(graph, work)
         d_tail = d[work][owner]
-        cert = (w > 0) & ~dirty[nbrs] & (d[nbrs] < INF) & (d[nbrs] + w == d_tail)
+        d_head = d[nbrs]
+        reached = d_head < INF
+        cert = (w > 0) & ~dirty[nbrs] & reached & (d_head + w == d_tail)
         has_cert = np.zeros(work.size, dtype=bool)
         has_cert[owner[cert]] = True
         lost = work[~has_cert]  # duplicate-free, clean going in
@@ -157,13 +159,20 @@ def _damage_closure(
         # off the arcs the scan just gathered.
         child = (
             ~has_cert[owner]
-            & (d[nbrs] < INF)
-            & (d_tail + w == d[nbrs])
+            & reached
+            & (d_tail + w == d_head)
             & ~dirty[nbrs]
             & (nbrs != root)
         )
         work = sorted_unique_ids(nbrs[child], n)
     return dirty
+
+
+def check_dirty_fraction(max_dirty_fraction: float) -> None:
+    """Reject a gate fraction every comparison would misread: NaN turns
+    the gate off, a negative one sends every repair to fallback."""
+    if not max_dirty_fraction >= 0:
+        raise ValueError(f"max_dirty_fraction must be >= 0, got {max_dirty_fraction}")
 
 
 def repair_sssp(
@@ -181,9 +190,9 @@ def repair_sssp(
     ----------
     ctx:
         Execution context of the **new** snapshot (its graph and config).
-        It is only read: the drain runs on ``ctx.fork()``, so a memoised
-        per-snapshot template (``GraphVersioner.context_for``) keeps an
-        empty ledger. The strategy is taken from ``ctx.config.strategy``.
+        Only its graph and ``config.strategy`` are read, so a memoised
+        per-snapshot template (``GraphVersioner.context_for``) is never
+        written to.
     root:
         The SSSP root ``old_distances`` solves.
     old_distances:
@@ -192,7 +201,8 @@ def repair_sssp(
         :class:`~repro.dynamic.updates.EdgeDelta` from parent to new.
     max_dirty_fraction:
         Fall back to a fresh solve when ``(dirty + frontier) / n``
-        exceeds this — the cost-model guard.
+        exceeds this — the cost-model guard. NaN or negative raises
+        ``ValueError``; any value from 1 up never trips.
     with_parents:
         Also derive a parent tree from the repaired distances.
 
@@ -200,6 +210,7 @@ def repair_sssp(
     reads in-arcs through symmetry — the setting of the paper and every
     generator in this repo).
     """
+    check_dirty_fraction(max_dirty_fraction)
     graph = ctx.graph
     if not graph.undirected:
         raise ValueError("repair_sssp requires a symmetrized undirected graph")
@@ -237,7 +248,8 @@ def repair_sssp(
     dirty_count = int(np.count_nonzero(dirty))
     if dirty_count > bound:
         return bail("dirty-region", dirty_count, 0, 0)
-    d[dirty] = INF
+    orphans = np.flatnonzero(dirty)
+    d[orphans] = INF
 
     # ------------------------------------------------ phase 2: seeds
     seed_dst = []
@@ -246,16 +258,17 @@ def repair_sssp(
         # Re-anchor orphans: best one-hop bound from the clean region.
         # In-arcs of dirty vertices via symmetry (out-arc (v, u, w) of a
         # dirty v mirrors in-arc (u, v, w)).
-        orphans = np.flatnonzero(dirty)
         owner, du, dw = _out_arcs(graph, orphans)
-        anchor = ~dirty[du] & (d[du] < INF)
+        d_u = d[du]
+        anchor = ~dirty[du] & (d_u < INF)
         seed_dst.append(orphans[owner[anchor]])
-        seed_nd.append(d[du][anchor] + dw[anchor])
+        seed_nd.append(d_u[anchor] + dw[anchor])
     it, ih, iw = delta.improved_tails, delta.improved_heads, delta.improved_weights
     if it.size:
-        live = d[it] < INF
+        d_it = d[it]
+        live = d_it < INF
         seed_dst.append(ih[live])
-        seed_nd.append(d[it][live] + iw[live])
+        seed_nd.append(d_it[live] + iw[live])
     seeds = 0
     if seed_dst:
         dst = np.concatenate(seed_dst)
@@ -273,51 +286,37 @@ def repair_sssp(
         return bail("dirty-region", dirty_count, seeds, int(frontier.size))
 
     # ------------------------------------------------ phase 3: drain
-    settled = np.ones(n, dtype=bool)
-    settled[frontier] = False
-    # The strategies select over a vertex view: wrap the repair state in
-    # one (the drain below relaxes on the arrays directly). They charge
-    # their selection collectives to the context they are given — a fork,
-    # dropped with this call, never the caller's template.
-    ctx = ctx.fork()
-    view = whole_graph_view(ctx, d, settled)
-    transport = DeclaredTransport(ctx.comm)
+    # ``region`` lists the unsettled ids, ``queued`` marks them. Nothing
+    # below a window's ``lo`` is unsettled, so the window's members are
+    # the region's ids under its ``hi``: drain them to fixpoint, settling
+    # each round's active set and queueing whatever a relaxation lowers.
     strategy = make_strategy(ctx.config)
-    if strategy.uses_bucket_index:
-        view.attach_index(ctx.config.delta)
-    strategy.prepare(ctx, view)
-    index = view.index
-    steps = 0
-    relax_records = 0
-    ordinal = 0
+    strategy.prepare(graph)
+    queued = np.zeros(n, dtype=bool)
+    queued[frontier] = True
+    region = frontier
+    steps = relax_records = 0
     while True:
-        step = strategy.next_step(ctx, view, transport, ordinal)
+        region_d = d[region]
+        step = strategy.window(region_d, region, steps)
         if step is None:
             break
-        ordinal += 1
         steps += 1
-        while True:
-            if index is not None:
-                active = index.members(step.key)
-            else:
-                active = np.nonzero(~settled & (d < step.hi))[0]
-            if active.size == 0:
-                break
+        inside = region_d < step.hi
+        while (active := region[inside]).size:
             # Relax every out-arc of the active set (no short/long split:
             # the repair frontier is small, a second phase buys nothing),
             # then settle them; any vertex improved back into the window
             # — including an active one — is re-activated next round.
+            region = region[~inside]
+            queued[active] = False
             owner, dst, w = _out_arcs(graph, active)
-            nd = d[active][owner] + w
-            settled[active] = True
-            if index is not None:
-                index.on_settled(active)
             relax_records += int(dst.size)
-            changed = apply_relaxations(d, dst, nd)
-            if changed.size:
-                settled[changed] = False
-                if index is not None:
-                    index.on_relaxed(changed, d)
+            changed = apply_relaxations(d, dst, d[active][owner] + w)
+            changed = changed[~queued[changed]]
+            queued[changed] = True
+            region = np.concatenate((region, changed))
+            inside = d[region] < step.hi
 
     parents = build_parent_tree(graph, d, root) if with_parents else None
     return RepairResult(

@@ -64,7 +64,7 @@ import time
 
 from repro.core.paths import build_parent_tree, extract_path
 from repro.core.solver import BatchSolver
-from repro.dynamic.repair import repair_sssp
+from repro.dynamic.repair import check_dirty_fraction, repair_sssp
 from repro.dynamic.versioner import GraphVersioner
 from repro.obs.request import RequestContext, request_id
 from repro.runtime.watchdog import SolveTimeout
@@ -563,12 +563,15 @@ class QueryBroker:
         the new epoch cold; repaired distances are bit-identical to a
         fresh solve, so the carried entries are *correct* cache entries,
         not approximations. Roots whose dirty region exceeds
-        ``max_dirty_fraction`` fall back to cold (counted, not repaired).
+        ``max_dirty_fraction`` fall back to cold (counted, not repaired);
+        a NaN or negative fraction raises ``ValueError`` before the batch
+        is applied.
 
         Returns a report dict (``retired``: what this call retired);
         concurrent callers serialise on an update lock (last writer's
         snapshot serves).
         """
+        check_dirty_fraction(max_dirty_fraction)
         with self._lock:
             if self._closed:
                 raise ServiceShutdown("broker is shut down")
