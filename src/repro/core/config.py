@@ -18,6 +18,7 @@ LB-OPT-Δ    OPT-Δ + intra-node thread balancing (+ vertex split)
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -34,6 +35,15 @@ __all__ = [
 
 DELTA_INFINITY: int = 2**60
 """A Δ larger than any achievable distance: one bucket = Bellman-Ford."""
+
+
+def _check_count(name: str, value) -> None:
+    """``value`` must be an integer >= 1 (NumPy integers pass; floats,
+    even integral ones, and bools do not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,12 +157,13 @@ class SolverConfig:
                 f"unknown stepping strategy {self.strategy!r} "
                 "(expected 'delta', 'radius' or 'rho')"
             )
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
-        if self.rho < 1:
-            raise ValueError("rho must be >= 1")
-        if self.radius_k < 1:
-            raise ValueError("radius_k must be >= 1")
+        # Integers, not merely numbers: a float Δ keys buckets off float
+        # distances and settles vertices early (wrong distances, no error).
+        for name in ("delta", "rho", "radius_k", "histogram_bins"):
+            _check_count(name, getattr(self, name))
+        for name in ("heavy_degree", "split_degree"):
+            if getattr(self, name) is not None:
+                _check_count(name, getattr(self, name))
         if self.strategy != "delta":
             # The IOS/pruning/census maths is Δ-bucket-specific: it
             # partitions edges against the fixed bucket width, which the
@@ -183,8 +194,6 @@ class SolverConfig:
             )
         if self.partition not in ("block", "degree"):
             raise ValueError(f"unknown partition strategy {self.partition!r}")
-        if self.histogram_bins < 1:
-            raise ValueError("histogram_bins must be >= 1")
         if self.imbalance_weight < 0:
             raise ValueError("imbalance_weight must be non-negative")
 

@@ -137,11 +137,6 @@ def run_stepping(
         view.settle_reached()
         return
     strategy = make_strategy(cfg)
-    if strategy.uses_bucket_index:
-        # The incremental index replaces the per-epoch full scans; built
-        # after a potential resume so it covers the restored state. Only
-        # the delta strategy can use it — it is keyed on the fixed width.
-        view.attach_index(cfg.delta)
     strategy.prepare(ctx.graph)
     ordinal = defence.bucket_ordinal
     n = ctx.graph.num_vertices
@@ -166,9 +161,6 @@ def run_stepping(
             if should_switch(settled_total, n, cfg.tau, tracer=ctx.tracer):
                 ctx.metrics.hybrid_switch_bucket = step.key
                 view.active = np.nonzero(~view.settled & (view.d < INF))[0]
-                # No bucket is read again: the Bellman-Ford tail need not
-                # keep the index current.
-                view.index = None
                 defence.stage = "bf"
                 if defence.enabled:
                     defence.on_epoch()
@@ -225,8 +217,8 @@ def process_epoch(
     )
 
     # Epoch start: identify the window members. Each rank owns a pass over
-    # its unsettled block in the accounting model, though the bucket index
-    # answers from the changed set instead of touching all n vertices.
+    # its unsettled block in the accounting model, though the view answers
+    # from its unsettled set instead of touching all n vertices.
     ctx.scan_all_ranks(view.num_unsettled)
     view.active = view.members(step)
 
@@ -287,8 +279,8 @@ def process_epoch(
         if guards is not None:
             guards.after_relaxations(view.d)
         stats.update(phase_stats)
-    if guards is not None and view.index is not None:
-        guards.check_bucket_index(view.index, view.d, view.settled)
+    if guards is not None:
+        guards.check_unsettled_set(view.unsettled(), view.d, view.settled)
     stats["bucket"] = k
     stats["members"] = members_count
     if estimate is not None:

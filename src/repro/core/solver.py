@@ -8,6 +8,7 @@ counters, the simulated cost breakdown and simulated GTEPS.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -27,8 +28,14 @@ __all__ = ["SsspResult", "run_validation", "solve_sssp", "BatchSolver"]
 
 
 def _validate_root(root: int, num_vertices: int) -> int:
-    """Reject out-of-range roots with a clear error; returns ``int(root)``."""
-    root = int(root)
+    """Reject non-integer and out-of-range roots with a clear error;
+    returns the root as an ``int`` (NumPy integers pass)."""
+    try:
+        root = operator.index(root)
+    except TypeError:
+        raise ValueError(
+            f"root must be an integer vertex id, got {root!r}"
+        ) from None
     if not 0 <= root < num_vertices:
         raise ValueError(
             f"root {root} out of range for a graph with "

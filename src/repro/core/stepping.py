@@ -13,8 +13,9 @@ choice of window plus the policies that hang off it:
 - **step selection** — which ``[lo, hi)`` window to drain next: the
   rule itself is :meth:`~SteppingStrategy.window`, a pure function of
   the unsettled candidates' distances and ids, which an incremental
-  repair calls on its own region; :meth:`~SteppingStrategy.next_step`
-  applies it to the vertex view and charges the next-step collective;
+  repair calls on its own region; :meth:`~SteppingStrategy.next_step`,
+  written once, applies it to the view's unsettled set and charges the
+  strategy's selection collective (:attr:`~SteppingStrategy.width`);
 - **edge classification** — the weight threshold below which an edge is
   relaxed eagerly in the short phases
   (:meth:`~SteppingStrategy.classification_width`);
@@ -30,8 +31,7 @@ Three families are registered:
     phase. This strategy reproduces the historical engines *bit for bit*
     — same scans, same allreduces, same bucket keys — and is the only
     one the IOS/pruning/census machinery (whose maths is Δ-specific)
-    composes with. It is also the only user of the incremental
-    :class:`~repro.core.bucket_index.BucketIndex` (keyed on fixed Δ).
+    composes with.
 
 ``radius``
     Radius stepping (Blelloch et al., arXiv 1602.03881): per-vertex
@@ -67,7 +67,7 @@ every registered strategy must be bit-identical to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,9 +89,9 @@ class Step:
     """One settle window ``[lo, hi)`` chosen by a strategy.
 
     ``key`` labels the step for tracing, guards and the hybrid-switch
-    marker: the bucket id ``k`` for Δ-stepping (where it doubles as the
-    bucket-index key), the running step ordinal for the windowed
-    families. It is strictly increasing over a solve either way.
+    marker: the bucket id ``k`` for Δ-stepping, the running step ordinal
+    for the windowed families. It is strictly increasing over a solve
+    either way.
     """
 
     key: int
@@ -102,20 +102,18 @@ class Step:
 class SteppingStrategy:
     """Base class: the step-selection seam the solve loop consumes.
 
-    Subclasses override the hooks below; the loop owns everything else
-    (phases, settling, accounting, hybridization) and the drivers the
-    checkpoints. ``next_step`` charges its own selection collective — the
-    loop charges the preceding unsettled scan — so a strategy with a wider
-    collective (ρ-stepping's candidate merge) prices it honestly. The
-    window is computed over the whole view — the minimum (or the ρ
-    smallest) of the ranks' own candidates, which is what the collective
-    would return.
+    A strategy supplies its :meth:`window` rule and the :attr:`width` of
+    its selection collective; the loop owns everything else (phases,
+    settling, accounting, hybridization) and the drivers the checkpoints.
+    ``next_step`` charges the selection collective — the loop charges the
+    preceding unsettled scan — so a strategy with a wider collective
+    (ρ-stepping's candidate merge) prices it honestly.
     """
 
     #: registry name, also the value of ``SolverConfig.strategy``
     name: str = ""
-    #: True when the Δ-keyed incremental BucketIndex applies
-    uses_bucket_index: bool = False
+    #: values each rank contributes to the selection collective
+    width: int = 1
     #: True when every edge relaxes in short phases (no long phase runs)
     short_phase_only: bool = False
 
@@ -137,28 +135,28 @@ class SteppingStrategy:
         raise NotImplementedError
 
     def next_step(self, ctx, view, transport, ordinal: int) -> Step | None:
-        """Select the next window from the view's state.
-
-        Charges the selection allreduce; returns ``None`` at termination.
-        """
-        raise NotImplementedError
-
-    def _view_window(self, view, ordinal: int) -> Step | None:
-        """:meth:`window` over every unsettled reached vertex of ``view``."""
-        ids = np.flatnonzero(~view.settled & (view.d < INF))
-        return self.window(view.d[ids], ids, ordinal)
+        """:meth:`window` over the view's unsettled set, after the
+        selection collective that combines the ranks' own candidates —
+        over the one view, the window of every candidate. A scalar
+        collective carries the window's key (a min-allreduce); a wider
+        one is a ``width``-vector merge. ``None`` at termination."""
+        ids = view.unsettled()
+        step = self.window(view.d[ids], ids, ordinal)
+        if self.width > 1:
+            transport.comm.allreduce(self.width, phase_kind="bucket")
+            return step
+        key = transport.allreduce_min(INF if step is None else step.key)
+        return None if key >= INF else replace(step, key=int(key))
 
 
 class DeltaStepping(SteppingStrategy):
     """Fixed-width buckets ``[kΔ, (k+1)Δ)`` — the paper's algorithm.
 
-    The window is the minimum bucket. In a solve, the next bucket is one
-    scalar min-allreduce over the bucket index (the loop attaches a
-    ``BucketIndex`` to the view of a strategy with ``uses_bucket_index``).
+    The window is the minimum bucket; in a solve its key is one scalar
+    min-allreduce.
     """
 
     name = "delta"
-    uses_bucket_index = True
 
     def classification_width(self) -> int:
         return self.config.delta
@@ -171,12 +169,6 @@ class DeltaStepping(SteppingStrategy):
         if not d.size:
             return None
         return self._bucket(int(d.min()) // self.config.delta)
-
-    def next_step(self, ctx, view, transport, ordinal: int) -> Step | None:
-        k = transport.allreduce_min(view.min_unsettled_bucket())
-        if k >= INF:
-            return None
-        return self._bucket(int(k))
 
 
 def vertex_radii(graph, k: int) -> np.ndarray:
@@ -228,12 +220,6 @@ class RadiusStepping(SteppingStrategy):
             return None
         return Step(key=ordinal, lo=0, hi=int((d + self._r[ids]).min()) + 1)
 
-    def next_step(self, ctx, view, transport, ordinal: int) -> Step | None:
-        # One min-allreduce of the ranks' own min(d + r): over the one
-        # view, that is the window of every candidate.
-        ctx.comm.allreduce(1, phase_kind="bucket")
-        return self._view_window(view, ordinal)
-
 
 class RhoStepping(SteppingStrategy):
     """Lazy-batched priority queue with ρ-bounded extraction (arXiv
@@ -242,12 +228,17 @@ class RhoStepping(SteppingStrategy):
     Each step sets ``hi`` just past the ρ-th smallest unsettled
     tentative distance — one ``np.partition`` over the frontier instead
     of ρ heap pops, the "lazy batching". The selection collective is a
-    ρ-length vector allreduce (each rank contributes its ρ smallest
-    candidates), charged as such.
+    ρ-length vector allreduce: each rank contributes its ρ smallest
+    candidates, and the ρ-th smallest of that union is the global ρ-th
+    smallest however the vertices are split.
     """
 
     name = "rho"
     short_phase_only = True
+
+    @property
+    def width(self) -> int:
+        return self.config.rho
 
     def classification_width(self) -> int:
         from repro.core.config import DELTA_INFINITY
@@ -259,14 +250,6 @@ class RhoStepping(SteppingStrategy):
             return None
         kth = min(self.config.rho, d.size) - 1
         return Step(key=ordinal, lo=0, hi=int(np.partition(d, kth)[kth]) + 1)
-
-    def next_step(self, ctx, view, transport, ordinal: int) -> Step | None:
-        # The ρ smallest unsettled distances: what a modeled ρ-vector
-        # min-allreduce merges out of every rank's own ρ smallest — the
-        # ρ-th smallest of that union is the global ρ-th smallest however
-        # the vertices are split.
-        ctx.comm.allreduce(self.config.rho, phase_kind="bucket")
-        return self._view_window(view, ordinal)
 
 
 STRATEGIES: dict[str, type[SteppingStrategy]] = {

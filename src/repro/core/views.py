@@ -3,7 +3,7 @@
 There is one :class:`VertexView` per solve and it spans the whole graph: it
 *shares* the context's weight-sorted CSR arrays and short/long split table
 (no copies) and owns the tentative-distance array, the settled flags, the
-sorted active set and, for the Δ strategy, the incremental bucket index.
+sorted active set and the unsettled set every step is chosen from.
 The paper distributes vertices in contiguous blocks, so a rank is nothing
 but a range ``[lo, hi)`` of these arrays
 (``ctx.partition.boundaries``): the per-rank facts the accounting wants
@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.bucket_index import BucketIndex
-from repro.core.buckets import NO_BUCKET
 from repro.core.distances import INF, init_distances
 from repro.core.relax import apply_relaxations
 from repro.runtime.comm import RELAX_RECORD_BYTES
@@ -55,8 +53,6 @@ class VertexView:
     settled: np.ndarray
     active: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     """Currently active vertices, sorted (hence grouped by rank)."""
-    index: BucketIndex | None = None
-    """Incremental bucket index over ``d``/``settled`` (``attach_index``)."""
     in_rows: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
     """``(indptr, adj, weights, short_offsets)`` of the *incoming* arcs
     when they differ from the rows above: the reverse graph of a directed
@@ -64,11 +60,20 @@ class VertexView:
     as the in-arc lists."""
     num_unsettled: int = field(init=False)
     """Unsettled vertices, kept current by every method that settles."""
+    region: np.ndarray = field(init=False)
+    """The reached unsettled vertices, in no order: :meth:`apply` appends
+    what it lowers, :meth:`settle` only clears ``queued``, and
+    :meth:`unsettled` drops the settled ids on read."""
+    queued: np.ndarray = field(init=False)
+    """``region``'s n-byte mask."""
 
     def __post_init__(self) -> None:
-        self._count_unsettled()
+        self._retake()
 
-    def _count_unsettled(self) -> None:
+    def _retake(self) -> None:
+        """One O(n) pass: the unsettled set and count from ``d``/``settled``."""
+        self.queued = ~self.settled & (self.d < INF)
+        self.region = np.flatnonzero(self.queued)
         self.num_unsettled = self.d.size - int(np.count_nonzero(self.settled))
 
     def pull_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -78,10 +83,6 @@ class VertexView:
         return self.indptr, self.adj, self.weights, self.short_offsets
 
     # ------------------------------------------------------------------
-    def attach_index(self, delta: int) -> None:
-        """Build the incremental bucket index over the current state."""
-        self.index = BucketIndex(delta, self.d, self.settled)
-
     def restore(
         self,
         d: np.ndarray,
@@ -94,29 +95,26 @@ class VertexView:
         one rank's block on a crash restart — from whole-graph snapshot
         arrays: a slice assignment of ``d`` and ``settled`` and a splice of
         the range's part of the sorted ``active``. Nothing outside the
-        range is written. Distances may rise, so the index is rebuilt and
-        the unsettled count retaken."""
+        range is written. Distances may rise, so the unsettled set and
+        count are retaken."""
         hi = self.d.size if hi is None else hi
         self.d[lo:hi] = d[lo:hi]
         self.settled[lo:hi] = settled[lo:hi]
         mine, theirs = self.active, active
         (a, b), (c, e) = mine.searchsorted((lo, hi)), theirs.searchsorted((lo, hi))
         self.active = np.concatenate((mine[:a], theirs[c:e], mine[b:]))
-        if self.index is not None:
-            self.index.rebuild(self.d, self.settled)
-        self._count_unsettled()
+        self._retake()
 
-    def min_unsettled_bucket(self) -> int:
-        """Next-bucket candidate of the index (INF marker when none)."""
-        k = self.index.min_bucket()
-        return int(INF) if k == NO_BUCKET else int(k)
+    def unsettled(self) -> np.ndarray:
+        """The reached unsettled vertices, in no order."""
+        self.region = self.region[self.queued[self.region]]
+        return self.region
 
     def members(self, step) -> np.ndarray:
         """Unsettled vertices inside the step's window (sorted)."""
-        if self.index is not None:
-            return self.index.members(step.key)
-        mask = (self.d >= step.lo) & (self.d < step.hi) & ~self.settled
-        return np.nonzero(mask)[0]
+        ids = self.unsettled()
+        d = self.d[ids]
+        return np.sort(ids[(d >= step.lo) & (d < step.hi)])
 
     def later(self, hi: int) -> np.ndarray:
         """Unsettled vertices at or past ``hi`` (B-infinity included)."""
@@ -124,18 +122,16 @@ class VertexView:
 
     def settle(self, members: np.ndarray) -> None:
         self.settled[members] = True
+        self.queued[members] = False
         self.num_unsettled -= int(members.size)
-        if self.index is not None:
-            self.index.on_settled(members)
 
     def settle_reached(self) -> None:
         """Everything reached is settled — the close of a Bellman-Ford
         fixpoint, whoever ran it (the hybrid tail, a degraded deadline, the
         healing sweep). Written in place, so whatever shares ``settled``
-        sees it; no bucket is read after a fixpoint, so the index goes."""
+        sees it."""
         np.less(self.d, INF, out=self.settled)
-        self.index = None
-        self._count_unsettled()
+        self._retake()
 
     def apply(
         self, dst: np.ndarray, nd: np.ndarray, window: tuple[int, int] | None = None
@@ -143,16 +139,17 @@ class VertexView:
         """Min-apply received records; returns the changed vertices — with
         ``window=(lo, hi)`` only those whose new distance lies inside it
         (the short phase's next active set). Every relaxation site ends
-        here, so the bucket index follows the changed set instead of
-        per-epoch rescans; the new distances are gathered once for the
-        index and the window both."""
+        here, so the unsettled set follows the changed set instead of
+        per-step rescans: whatever is not queued yet joins ``region``."""
         changed = apply_relaxations(self.d, dst, nd)
-        if not changed.size or (self.index is None and window is None):
+        if not changed.size:
             return changed
-        d_changed = self.d[changed]
-        if self.index is not None:
-            self.index.on_relaxed(changed, self.d, d_changed)
+        fresh = changed[~self.queued[changed]]
+        if fresh.size:
+            self.queued[fresh] = True
+            self.region = np.concatenate((self.region, fresh))
         if window is not None:
+            d_changed = self.d[changed]
             lo, hi = window
             changed = changed[(d_changed >= lo) & (d_changed < hi)]
         return changed

@@ -21,10 +21,11 @@ only validating the final distance array:
 - **Recovery-traffic separation** — a fault-free, non-degraded solve
   charges zero bytes/phases/supersteps to the recovery phase, so PR 1's
   accounting can never leak into the paper-facing numbers.
-- **Bucket-index equivalence** — the incremental bucket index
-  (:class:`~repro.core.bucket_index.BucketIndex`) must agree with the
-  from-scratch scan after every epoch: same per-vertex bucket assignment,
-  same minimum non-empty bucket, same membership set.
+- **Unsettled-set equivalence** — the set of reached unsettled vertices
+  the vertex view keeps from the changed sets
+  (:meth:`~repro.core.views.VertexView.unsettled`), which every step's
+  window and members are read from, must equal the from-scratch scan
+  after every epoch.
 
 The first three describe an undisturbed run: a crash rollback re-baselines
 distance monotonicity and suspends bucket monotonicity and settled finality
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.buckets import NO_BUCKET, bucket_members, next_bucket
 from repro.core.distances import INF
 
 __all__ = ["GuardViolation", "InvariantGuards"]
@@ -180,44 +180,22 @@ class InvariantGuards:
                 f"scanned but {num_proposals} proposals produced"
             )
 
-    # -- bucket-index equivalence --------------------------------------
-    def check_bucket_index(
-        self, index, d: np.ndarray, settled: np.ndarray
+    # -- unsettled-set equivalence ------------------------------------
+    def check_unsettled_set(
+        self, ids: np.ndarray, d: np.ndarray, settled: np.ndarray
     ) -> None:
-        """Cross-check an incremental bucket index against the scans.
-
-        ``index`` is a :class:`~repro.core.bucket_index.BucketIndex` over
-        (a slice of) ``d``/``settled``. Verifies the three contracts the
-        engines rely on: the per-vertex bucket assignment equals the
-        from-scratch formula, :meth:`min_bucket` equals ``next_bucket``,
-        and the minimum bucket's membership equals ``bucket_members``.
-        """
+        """The view's unsettled ``ids`` (in no order) must be exactly the
+        reached unsettled vertices of ``d``/``settled``, each once."""
         self.checks += 1
-        delta = index.delta
-        expected = np.where(
-            (d < INF) & ~settled, d // delta, np.int64(NO_BUCKET)
-        )
-        actual = index.bucket_of_view()
+        expected = np.flatnonzero(~settled & (d < INF))
+        actual = np.sort(ids)
         if not np.array_equal(actual, expected):
-            v = int(np.flatnonzero(actual != expected)[0])
+            diff = np.setxor1d(actual, expected)
+            at = f"vertex {int(diff[0])}" if diff.size else "a repeated id"
             self._fail(
-                "bucket-index equivalence violated: index places vertex "
-                f"{v} in bucket {int(actual[v])} but the scan computes "
-                f"{int(expected[v])}"
-            )
-        k_scan = next_bucket(d, settled, delta)
-        k_index = index.min_bucket()
-        if k_index != k_scan:
-            self._fail(
-                "bucket-index equivalence violated: min_bucket() returned "
-                f"{k_index} but next_bucket computes {k_scan}"
-            )
-        if k_scan != NO_BUCKET and not np.array_equal(
-            index.members(k_scan), bucket_members(d, settled, k_scan, delta)
-        ):
-            self._fail(
-                "bucket-index equivalence violated: members of bucket "
-                f"{k_scan} differ from the from-scratch scan"
+                "unsettled-set equivalence violated: the view's set and the "
+                f"from-scratch scan disagree at {at} ({actual.size} ids "
+                f"against {expected.size})"
             )
 
     # -- recovery traffic separation -----------------------------------

@@ -59,6 +59,7 @@ and abort cancels — new ones are refused.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 
@@ -324,7 +325,12 @@ class QueryBroker:
         if self._closed:
             raise ServiceShutdown("broker is shut down")
         n = self.graph.num_vertices
-        root = int(root)
+        try:
+            root = operator.index(root)
+        except TypeError:
+            raise ValueError(
+                f"root must be an integer vertex id, got {root!r}"
+            ) from None
         if not 0 <= root < n:
             raise ValueError(f"root {root} out of range (n={n})")
         targets = tuple(int(t) for t in targets)
@@ -375,7 +381,7 @@ class QueryBroker:
 
     def submit_many(self, roots, **kwargs) -> list[QueryFuture]:
         """Admit a k-root query; one future per root, in input order."""
-        return [self.submit(int(r), **kwargs) for r in roots]
+        return [self.submit(r, **kwargs) for r in roots]
 
     def _pump(self, futures: list) -> None:
         """Manual mode: nobody else will run the batches (or their

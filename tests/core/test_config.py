@@ -1,5 +1,6 @@
 """Unit tests for solver configuration and presets."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import DELTA_INFINITY, PRESETS, SolverConfig, preset
@@ -24,6 +25,32 @@ class TestSolverConfig:
             SolverConfig(imbalance_weight=-1)
         with pytest.raises(ValueError):
             SolverConfig(pushpull_estimator="guess")
+
+    @pytest.mark.parametrize(
+        "field", ["delta", "rho", "radius_k", "histogram_bins"]
+    )
+    def test_counts_must_be_integers(self, field):
+        """A float Δ solved without error and got distances wrong: every
+        count is an integer (NumPy's too), never a float or a bool."""
+        assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
+        for bad in (2.5, 25.0, np.float64(7.9), True, "3"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SolverConfig(**{field: bad})
+
+    def test_float_delta_preset_is_refused(self):
+        with pytest.raises(ValueError, match="delta must be an integer"):
+            preset("opt", 7.9)
+
+    @pytest.mark.parametrize("field", ["heavy_degree", "split_degree"])
+    def test_degree_thresholds_are_positive_integers_when_set(self, field):
+        assert getattr(SolverConfig(**{field: None}), field) is None
+        assert getattr(SolverConfig(**{field: np.int32(5)}), field) == 5
+        for bad in (0, -4):
+            with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+                SolverConfig(**{field: bad})
+        for bad in (4.5, 8.0, False):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SolverConfig(**{field: bad})
 
     def test_bellman_ford_detection(self):
         assert SolverConfig(delta=DELTA_INFINITY).is_bellman_ford

@@ -103,6 +103,17 @@ class TestSameErrors:
         with pytest.raises(ValueError, match="rank 9.*only 4 ranks"):
             solver.solve(root, faults=FaultPlan(crashes=(RankCrash(9, 4),)))
 
+    def test_non_integer_roots_are_refused(self, case):
+        """``int(root)`` solved 1.7 from vertex 1; NumPy integers pass."""
+        graph, root, ref = case
+        solver = BatchSolver(graph, algorithm="delta", machine=MACHINE)
+        for bad in (1.7, 3.0, "3", np.float64(2.0)):
+            with pytest.raises(ValueError, match="integer vertex id"):
+                solve_sssp(graph, bad, algorithm="delta", machine=MACHINE)
+            with pytest.raises(ValueError, match="integer vertex id"):
+                solver.solve(bad)
+        assert np.array_equal(solver.solve(np.int32(root)).distances, ref)
+
     @pytest.mark.parametrize(
         "config",
         [

@@ -67,10 +67,12 @@ class TestRegistry:
         with pytest.raises(ValueError, match="bogus"):
             make_strategy(Bogus())
 
-    def test_only_delta_uses_bucket_index(self):
-        assert DeltaStepping.uses_bucket_index
-        assert not RadiusStepping.uses_bucket_index
-        assert not RhoStepping.uses_bucket_index
+    def test_selection_collective_widths(self):
+        """One scalar for Δ and radius, the ρ smallest candidates for ρ."""
+        cfg = SolverConfig(rho=37)
+        assert DeltaStepping(cfg).width == 1
+        assert RadiusStepping(cfg).width == 1
+        assert RhoStepping(cfg).width == 37
 
     def test_windowed_strategies_are_short_phase_only(self):
         assert not DeltaStepping.short_phase_only

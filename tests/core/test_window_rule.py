@@ -2,8 +2,8 @@
 
 Every strategy's :meth:`~repro.core.stepping.SteppingStrategy.window` is
 the pure step rule an incremental repair applies to its own region; a
-solve reaches it through ``next_step`` (Δ-stepping through the bucket
-index). On seeded random view states — settled and unreached vertices
+solve reaches it through ``next_step`` over the view's unsettled set. On
+seeded random view states — settled and unreached vertices
 mixed in, every unsettled one a candidate — the two must name the same
 ``Step``, with tracing off or on.
 """
@@ -53,8 +53,6 @@ def steps_of(config, graph, seed):
         ids = np.flatnonzero(~settled & (d < INF))
         want = strategy.window(d[ids], ids, ordinal)
         view = whole_graph_view(ctx, d, settled)
-        if strategy.uses_bucket_index:
-            view.attach_index(config.delta)
         got = strategy.next_step(ctx, view, DeclaredTransport(ctx.comm), ordinal)
         pairs.append((want, got))
     return pairs

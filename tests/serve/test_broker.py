@@ -75,6 +75,17 @@ class TestQueryPath:
             broker.submit(0, targets=(99,))
         broker.shutdown()
 
+    def test_non_integer_root_is_refused(self, path_graph):
+        """``int(root)`` answered 1.7 and "3" for roots 1 and 3."""
+        broker = manual_broker(path_graph)
+        for bad in (1.7, "3", 2.0):
+            with pytest.raises(ValueError, match="integer vertex id"):
+                broker.query(bad)
+            with pytest.raises(ValueError, match="integer vertex id"):
+                broker.submit_many([0, bad])
+        assert broker.query(np.int64(1)).root == 1
+        broker.shutdown()
+
     def test_query_many_input_order(self, rmat1_small):
         broker = manual_broker(rmat1_small, max_batch_size=8)
         roots = [int(r) for r in choose_roots(rmat1_small, 4, seed=2)]

@@ -5,7 +5,8 @@ With one whole-graph view a rank's state is the range ``[lo, hi)`` of the
 view's arrays. Rolling rank ``r`` back to the in-memory snapshot must write
 that range and nothing else — the other ranks did not crash — keep the
 active set sorted (the per-rank facts are ``searchsorted`` cuts of it), and
-leave the bucket index equal to a from-scratch scan of the restored state.
+leave the view's unsettled set equal to a from-scratch scan of the restored
+state.
 And the three places a Bellman-Ford fixpoint closes (hybrid tail, degraded
 deadline, healing sweep) all end in :meth:`VertexView.settle_reached`, which
 writes ``settled`` in place and retakes ``num_unsettled``.
@@ -16,12 +17,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.buckets import bucket_members, next_bucket
+from repro.core.buckets import NO_BUCKET, bucket_members, next_bucket
 from repro.core.config import preset
 from repro.core.context import make_context
 from repro.core.distances import INF
 from repro.core.phases import drive
 from repro.core.reference import dijkstra_reference
+from repro.core.stepping import DeltaStepping, Step
+from repro.core.transport import DeclaredTransport
 from repro.core.views import active_per_rank, rooted_whole_view
 from repro.graph.builder import from_undirected_edges
 from repro.graph.rmat import rmat_graph
@@ -55,13 +58,21 @@ def advance(ctx, view, rng, rounds):
         view.settle(reached[: reached.size // 2])
 
 
-def assert_index_is_a_fresh_scan(view):
+def assert_set_is_a_fresh_scan(ctx, view):
+    """The unsettled set, every live bucket's members and the next step
+    read as the from-scratch scans of ``core/buckets.py``."""
     d, settled = view.d, view.settled
-    assert view.index.min_bucket() == next_bucket(d, settled, DELTA)
+    np.testing.assert_array_equal(
+        np.sort(view.unsettled()), np.flatnonzero(~settled & (d < INF))
+    )
+    strategy = DeltaStepping(preset("delta", DELTA))
+    step = strategy.next_step(ctx, view, DeclaredTransport(ctx.comm), 0)
+    assert (step.key if step else NO_BUCKET) == next_bucket(d, settled, DELTA)
     live = np.unique(d[(d < INF) & ~settled] // DELTA)
     for k in [*live.tolist(), int(live.max(initial=0)) + 1]:
         np.testing.assert_array_equal(
-            view.index.members(k), bucket_members(d, settled, k, DELTA)
+            view.members(Step(k, k * DELTA, (k + 1) * DELTA)),
+            bucket_members(d, settled, k, DELTA),
         )
     assert view.num_unsettled == d.size - int(settled.sum())
 
@@ -70,7 +81,6 @@ def assert_index_is_a_fresh_scan(view):
 def test_restore_writes_the_crashed_ranks_range_and_nothing_else(graph, rank):
     ctx = make_context(graph, MACHINE, preset("delta", DELTA))
     view = rooted_whole_view(ctx, ROOT)
-    view.attach_index(DELTA)
     rng = np.random.default_rng(rank)
     advance(ctx, view, rng, 3)
     manager = _RecoveryManager(ctx, view, FaultPlan())  # snapshots here
@@ -99,7 +109,7 @@ def test_restore_writes_the_crashed_ranks_range_and_nothing_else(graph, rank):
     assert np.all(np.diff(view.active) > 0)
     counts = active_per_rank(ctx, view).tolist()
     assert counts[rank] == int(snap_mine.sum()) and sum(counts) == view.active.size
-    assert_index_is_a_fresh_scan(view)
+    assert_set_is_a_fresh_scan(ctx, view)
     # The snapshot itself is untouched: the next crash restores from it too.
     assert manager._snap[0].tobytes() == snap_d.tobytes()
     assert ctx.metrics.recovery.rank_restarts == 1
@@ -109,7 +119,6 @@ def test_full_restore_is_the_same_call_over_every_vertex(graph):
     """What a checkpoint resume does: the default range is ``[0, n)``."""
     ctx = make_context(graph, MACHINE, preset("delta", DELTA))
     view = rooted_whole_view(ctx, ROOT)
-    view.attach_index(DELTA)
     rng = np.random.default_rng(9)
     advance(ctx, view, rng, 3)
     snap = view.d.copy(), view.settled.copy(), view.active.copy()
@@ -117,7 +126,7 @@ def test_full_restore_is_the_same_call_over_every_vertex(graph):
     view.restore(*snap)
     for mine, theirs in zip((view.d, view.settled, view.active), snap):
         assert mine.tobytes() == theirs.tobytes() and mine is not theirs
-    assert_index_is_a_fresh_scan(view)
+    assert_set_is_a_fresh_scan(ctx, view)
 
 
 # ----------------------------------------------------------------------

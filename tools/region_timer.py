@@ -6,10 +6,10 @@ is hundreds of small NumPy dispatches, none of which stands out. Timed by
 region instead — an accumulator around every call of a named function,
 children included — the per-epoch residues show. Regions nest
 (`concat_ranges` runs inside `gather_push_records` and the short phase,
-`on_relaxed` beside `apply_relaxations` inside `VertexView.apply`, the
-accounting calls inside `relax_round`), so the rows do not add up to the
-solve; a region counts only its outermost call (`scan_all_ranks` may call
-`charge_scan`, both sites of one region).
+`apply_relaxations` inside `VertexView.apply`, the accounting calls
+inside `relax_round`), so the rows do not add up to the solve; a region
+counts only its outermost call (`scan_all_ranks` may call `charge_scan`,
+both sites of one region).
 
     PYTHONPATH=src python tools/region_timer.py [--side 64] [--solves 10] [--seed 1] [--driver rank]
 
@@ -36,7 +36,6 @@ import repro.core.pruning as pruning
 import repro.core.pushpull as pushpull
 import repro.core.views as views
 import repro.spmd.engine as spmd_engine
-from repro.core.bucket_index import BucketIndex
 from repro.core.config import preset
 from repro.core.context import ExecutionContext
 from repro.core.solver import BatchSolver
@@ -50,8 +49,9 @@ from repro.spmd.mailbox import Mailbox
 #: several modules is patched in each
 REGIONS = {
     "estimate_models": [(pushpull, "estimate_models")],
-    "on_relaxed": [(BucketIndex, "on_relaxed")],
+    "VertexView.apply": [(views.VertexView, "apply")],
     "apply_relaxations": [(views, "apply_relaxations")],
+    "VertexView.unsettled": [(views.VertexView, "unsettled")],
     "concat_ranges": [(phases, "concat_ranges"), (pruning, "concat_ranges")],
     "gather_push_records": [(pruning, "gather_push_records")],
     "relax_round": [(phases, "relax_round"), (pruning, "relax_round")],
@@ -149,14 +149,15 @@ def main() -> None:
             seconds, calls = acc.take()
             if root not in best or wall < best[root][0]:
                 best[root] = (wall, seconds, calls)
-            epochs, applies = result.metrics.buckets_processed, calls["on_relaxed"]
+            epochs = result.metrics.buckets_processed
+            applies = calls["VertexView.apply"]
 
     n = len(best)
     solve_ms = sum(w for w, _, _ in best.values()) / n * 1e3
     print(
         f"{args.side}x{args.side} grid, opt/Δ=25, 8x8, {args.driver} driver, "
         f"{n} roots x {args.repeats} "
-        f"passes (per-root minimum); last root: {epochs} epochs, {applies} index updates"
+        f"passes (per-root minimum); last root: {epochs} epochs, {applies} applies"
     )
     print(f"{'region':<25}{'calls/solve':>12}{'ms/solve':>10}{'share':>8}")
     for region in regions:
