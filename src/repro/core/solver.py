@@ -422,8 +422,11 @@ class BatchSolver:
         under a ``root-<r>`` span in the same event stream, artifacts are
         written once at the end, and each returned result's ``trace``
         attribute is that shared tracer. ``deadline`` applies per root.
+        Every root is checked as :meth:`solve` checks one before any is
+        solved: a non-integer or out-of-range root raises ``ValueError``.
         """
-        roots = [int(r) for r in roots]
+        n = self._original_graph.num_vertices
+        roots = [_validate_root(r, n) for r in roots]
         shared = None
         if trace is not None and getattr(trace, "enabled", True):
             from repro.obs.tracer import Tracer

@@ -15,6 +15,16 @@ disagree with its buckets under concurrent :meth:`~MetricsRegistry.observe`
 lock is uncontended in the hot path: the tracer batches per-record
 counters and flushes once at :meth:`~repro.obs.tracer.Tracer.finish`.
 
+**Collectors** (the client-library idea): a writer that would rather not
+pay a registry call per event keeps its own facts and registers
+``collect`` with :meth:`~MetricsRegistry.add_collector`. Every reader —
+:meth:`~MetricsRegistry.snapshot`, :meth:`~MetricsRegistry.prometheus_text`,
+:meth:`~MetricsRegistry.exemplars` — runs the collectors under the
+registry lock before it takes its cut, so the consistent cut includes
+every folded fact. The serving plane's terminal accounting and its cache
+mirrors are collectors; :meth:`~MetricsRegistry.observe_many` is their
+batch write, bit for bit the same as that many ``observe`` calls.
+
 Histograms optionally carry **exemplars** (DESIGN.md §14): the most
 recent ``exemplar=`` reference observed per bucket — the serving plane
 passes request ids, linking each latency bucket to a concrete request
@@ -31,6 +41,8 @@ runs.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from itertools import accumulate, repeat
 from typing import Any, Iterable, Mapping
 
 __all__ = ["MetricsRegistry", "DEFAULT_BUCKETS", "escape_label_value"]
@@ -81,7 +93,9 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        # re-entrant: collectors run under it and write through inc/observe
+        self._lock = threading.RLock()
+        self._collectors: list = []
         self._types: dict[str, str] = {}
         self._help: dict[str, str] = {}
         self._counters: dict[str, dict[_LabelKey, float]] = {}
@@ -140,36 +154,58 @@ class MetricsRegistry:
         observed in each — and surfaces via :meth:`exemplars` /
         :meth:`snapshot`, linking latency buckets back to wide events.
         """
+        self.observe_many(
+            name, (value,), buckets=buckets, help=help,
+            exemplars=None if exemplar is None else (exemplar,), **labels,
+        )
+
+    def observe_many(
+        self, name: str, values, *, buckets: Iterable[float] | None = None,
+        help: str | None = None, exemplars=None, **labels,
+    ) -> None:
+        """:meth:`observe` each of ``values`` in order, under one lock:
+        the same bucket counts, the same float ``sum`` (added in order),
+        the same last-write-wins exemplar per bucket. ``exemplars``, when
+        given, is aligned with ``values`` (``None`` entries carry none)."""
         key = _label_key(labels)
         with self._lock:
             self._register(name, "histogram", help)
-            if name not in self._buckets:
-                self._buckets[name] = tuple(
-                    buckets if buckets is not None else DEFAULT_BUCKETS
-                )
-            bounds = self._buckets[name]
-            series = self._hists.setdefault(name, {})
-            h = series.setdefault(
-                key,
-                {"counts": [0] * len(bounds), "sum": 0.0, "count": 0,
-                 "exemplars": {}},
-            )
-            for i, bound in enumerate(bounds):
-                if value <= bound:
-                    h["counts"][i] += 1
-            h["sum"] += float(value)
-            h["count"] += 1
-            if exemplar is not None:
-                # Exemplar slot = the tightest bucket covering the value
-                # (+Inf when it overflows every bound), last write wins.
-                slot = "+Inf"
-                for bound in bounds:
-                    if value <= bound:
-                        slot = _fmt_value(bound)
-                        break
-                h["exemplars"][slot] = {
-                    "ref": str(exemplar), "value": float(value)
-                }
+            bounds = self._buckets.setdefault(name, tuple(
+                buckets if buckets is not None else DEFAULT_BUCKETS))
+            h = self._hists.setdefault(name, {}).setdefault(key, {
+                "counts": [0] * len(bounds), "sum": 0.0, "count": 0,
+                "exemplars": {}})
+            n, total = len(bounds), h["sum"]
+            tight = [0] * (n + 1)  # per tightest covering bound; n: none
+            last: dict[int, tuple] = {}
+            for value, ref in zip(values, exemplars or repeat(None)):
+                j = bisect_left(bounds, value) if value == value else n
+                tight[j] += 1
+                total += float(value)
+                if ref is not None:
+                    last[j] = (ref, value)
+            h["sum"], h["count"] = total, h["count"] + len(values)
+            # the counts are cumulative, as the text format's ``le`` is
+            for j, covered in enumerate(accumulate(tight[:n])):
+                h["counts"][j] += covered
+            for j, (ref, value) in last.items():
+                # the slot is the tightest covering bound, +Inf past all
+                slot = _fmt_value(bounds[j]) if j < n else "+Inf"
+                h["exemplars"][slot] = {"ref": str(ref), "value": float(value)}
+
+    def add_collector(self, collect) -> None:
+        """Run ``collect(registry)`` under the registry lock ahead of every
+        read (and of :meth:`collect`); it writes its pending facts through
+        the ordinary mutators. It is handed the registry rather than
+        holding it, so a collector makes no reference cycle and its owner
+        is freed as soon as it is dropped."""
+        self._collectors.append(collect)  # one atomic append
+
+    def collect(self) -> None:
+        """Fold every collector's pending facts now."""
+        with self._lock:
+            for collect in self._collectors:
+                collect(self)
 
     # ------------------------------------------------------------------
     def exemplars(self, name: str, **labels) -> dict[str, dict[str, Any]]:
@@ -180,6 +216,7 @@ class MetricsRegistry:
         """
         key = _label_key(labels)
         with self._lock:
+            self.collect()
             h = self._hists.get(name, {}).get(key)
             if h is None:
                 return {}
@@ -193,11 +230,13 @@ class MetricsRegistry:
         Counter/gauge samples are keyed ``name{k="v"}``; histograms expose
         ``sum``/``count``/``buckets`` (and ``exemplars``, when any were
         observed) sub-dicts under the bare name. Taken under the registry
-        lock as one consistent cut: no concurrently-running ``observe``
-        can make ``sum``/``count`` disagree with the bucket counts.
+        lock as one consistent cut, after the collectors have folded:
+        no concurrently-running ``observe`` can make ``sum``/``count``
+        disagree with the bucket counts.
         """
         out: dict[str, Any] = {}
         with self._lock:
+            self.collect()
             for family in (self._counters, self._gauges):
                 for name, series in family.items():
                     for key, value in series.items():
@@ -229,6 +268,7 @@ class MetricsRegistry:
         """
         lines: list[str] = []
         with self._lock:
+            self.collect()
             for name in sorted(self._types):
                 family = self._types[name]
                 if name in self._help:

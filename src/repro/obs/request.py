@@ -9,15 +9,20 @@ ladder. :class:`RequestContext` is the carrier: the broker mints one per
 admitted request (a monotonically increasing ``req-NNNNNN`` id, so ids
 are deterministic whenever the submission order is), attaches it to the
 :class:`~repro.serve.request.QueryRequest`, and every layer the request
-crosses *notes* its decision onto it. At terminal completion the context
-is folded into one structured **wide event**
-(:mod:`repro.serve.events`) — the canonical per-request record the
-journey harness reconciles against tracer spans, registry counters and
-the SLO window.
+crosses *notes* its decision onto it. At terminal completion the broker
+emits the context's :meth:`~RequestContext.wide_event` with its terminal
+arguments bound, and the event log folds that into one structured
+**wide event** (:mod:`repro.serve.events`) when the stream is read — the
+canonical per-request record the journey harness reconciles against
+tracer spans, registry counters and the SLO window. Nothing notes on a
+context after its terminal completion, so the late fold sees what an
+eager one would have.
 
 Pay-for-use, like the rest of ``obs/``: a broker with neither a tracer
 nor an event log attached mints no contexts, and every note site is a
-single ``ctx is not None`` check.
+single ``ctx is not None`` check. A request answered by the cache at
+submit mints none either: nothing would note on it, and its
+:class:`~repro.serve.accounting.HitContext` builds the same event.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ def request_id(seq: int) -> str:
     return f"req-{seq:06d}"
 
 
-@dataclass
+# slots: an unread event record keeps its context alive; keep it small
+@dataclass(slots=True)
 class RequestContext:
     """Everything one request experienced, noted layer by layer.
 

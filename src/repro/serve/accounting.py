@@ -9,15 +9,33 @@ registry series and the report row are one table entry, so they cannot
 disagree. :meth:`ServeAccounting.terminal` is the single exit of every
 request (answered, failed, cancelled or shed) and the package's only
 ``events.emit`` call: "one wide event per request" is structural.
+
+A terminal completion is **one fact** appended to a ledger —
+``(outcome, latency, request id)`` — not a registry call: the ledger
+has a registry collector that folds it into ``serve_requests_total`` and
+``serve_request_latency_seconds`` (buckets, float ``_sum``, exemplars —
+replayed in arrival order, so bit for bit what per-request ``inc`` /
+``observe`` calls would have left) when something reads the registry,
+or by ``terminal`` itself once :data:`FOLD_AT` facts are pending, which
+bounds a never-scraped broker's memory. The wide event it emits is a
+record too: the context's ``wide_event`` with its arguments bound, which
+the event log folds into the dict when the stream is read.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
+from functools import partial
+from typing import NamedTuple
 
+from repro.obs.request import RequestContext
 from repro.serve.slo import LatencyWindow
 
-__all__ = ["ServeAccounting"]
+__all__ = ["FOLD_AT", "HitContext", "ServeAccounting"]
+
+#: pending terminal facts at which ``terminal`` folds the ledger itself
+FOLD_AT = 1024
 
 #: tally -> (registry counter, help); ``None`` keeps a tally report-only
 _COUNTS = {
@@ -49,6 +67,45 @@ _GAUGES = {
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
+class HitContext(NamedTuple):
+    """What a submit-time cache hit knows, in place of the
+    :class:`~repro.obs.request.RequestContext` it never mints: its id,
+    root, pinned snapshot, admission time and — for a stale hit while the
+    breaker is degraded — the ladder rung and the open classes.
+    :meth:`wide_event` builds the same dict that context would have."""
+
+    request_id: str
+    root: int
+    snapshot_id: int
+    submitted_at: float
+    rung: str | None = None
+    open_classes: tuple = ()
+
+    def wide_event(self, **terminal) -> dict:
+        return RequestContext(
+            self.request_id, self.root, self.submitted_at, self.snapshot_id,
+            cache_tier="stale_hit" if self.rung else "hit",
+            degraded_tier=self.rung, breaker_open=self.open_classes,
+        ).wide_event(**terminal)
+
+
+def _fold(ledger: deque, registry) -> None:
+    """Collector: replay the pending facts, in arrival order, into the
+    request counter and latency histogram of their outcome."""
+    groups: dict[str, tuple[list, list]] = {}
+    for _ in range(len(ledger)):  # later appends wait for the next fold
+        outcome, latency, ref = ledger.popleft()
+        latencies, refs = groups.setdefault(outcome, ([], []))
+        latencies.append(latency)
+        refs.append(ref)
+    for outcome, (latencies, refs) in groups.items():
+        registry.inc("serve_requests_total", len(latencies), outcome=outcome,
+                     help="completed requests by outcome")
+        registry.observe_many(
+            "serve_request_latency_seconds", latencies, source=outcome,
+            help="end-to-end request latency", exemplars=refs)
+
+
 class ServeAccounting:
     """Tallies, registry series, spans and wide events of one broker.
 
@@ -56,7 +113,9 @@ class ServeAccounting:
     ``tracer`` and ``events`` the service tracer and the
     :class:`~repro.serve.events.WideEventLog` (or None), ``clock`` the
     broker's (latency samples and ``wall_s`` share its time base). One
-    lock guards the tallies; registry, window and event log keep theirs.
+    lock guards the tallies; registry, window and event log keep theirs,
+    and the ledger is a ``deque`` (appends from several workers are
+    atomic; the fold runs under the registry lock).
     """
 
     def __init__(self, *, registry, tracer, events, clock) -> None:
@@ -70,6 +129,8 @@ class ServeAccounting:
         self._trace_lock = threading.Lock()
         self._tally = dict.fromkeys(_COUNTS, 0)
         self._outcomes: dict[str, int] = {}
+        self._ledger: deque = deque()
+        registry.add_collector(partial(_fold, self._ledger))
 
     # ------------------------------------------------------------------
     def _publish(self, name: str, n: int) -> None:
@@ -144,14 +205,15 @@ class ServeAccounting:
             )
 
     def terminal(
-        self, req, outcome: str, latency: float, *, source: str | None = None,
+        self, ctx, outcome: str, latency: float, *, source: str | None = None,
         attempts: int = 0, stale_ok: bool = False, degraded: bool = False,
     ) -> None:
-        """The one exit of every request. ``outcome="shed"`` is the
-        admission refusal: counted as shed, not as a completed request
-        (no latency sample, no ``serve_requests_total``), still one event.
+        """The one exit of every request; ``ctx`` is its
+        :class:`~repro.obs.request.RequestContext`, a :class:`HitContext`
+        or None (nothing armed). ``outcome="shed"`` is the admission
+        refusal: counted as shed, not as a completed request (no latency
+        sample, no ``serve_requests_total``), still one event.
         """
-        ctx = req.ctx
         if outcome == "shed":
             self.count("shed")
             if ctx is not None:
@@ -164,29 +226,22 @@ class ServeAccounting:
             if retried_ok:
                 self._publish("retried_ok", 1)
             self.latency.record(outcome, latency)
-            self.registry.inc(
-                "serve_requests_total", outcome=outcome,
-                help="completed requests by outcome",
-            )
-            self.registry.observe(
-                "serve_request_latency_seconds", latency, source=outcome,
-                help="end-to-end request latency",
-                exemplar=ctx.request_id if ctx is not None else None,
-            )
-            if self.tracer is not None:
-                ids = {} if ctx is None else {"request_id": ctx.request_id}
+            # atomics only: a pending fact keeps no context alive
+            self._ledger.append(
+                (outcome, latency, None if ctx is None else ctx.request_id))
+            if len(self._ledger) >= FOLD_AT:
+                self.registry.collect()
+            if self.tracer is not None:  # a tracer mints every context
                 self.span(
-                    "request", "request", req.submitted_at, latency,
-                    root=req.root, outcome=outcome, **ids,
+                    "request", "request", ctx.submitted_at, latency,
+                    root=ctx.root, outcome=outcome, request_id=ctx.request_id,
                 )
         if ctx is not None and self.events is not None:
-            self.events.emit(
-                ctx.wide_event(
-                    outcome=outcome, source=source, latency_s=latency,
-                    attempts_total=attempts, stale_ok=stale_ok,
-                    degraded=degraded,
-                )
-            )
+            self.events.emit(partial(
+                ctx.wide_event, outcome=outcome, source=source,
+                latency_s=latency, attempts_total=attempts, stale_ok=stale_ok,
+                degraded=degraded,
+            ))
 
     # ------------------------------------------------------------------
     def report(

@@ -134,8 +134,9 @@ class CircuitBreaker:
         self._classes = {cls: _ClassState() for cls in self.config.classes}
         #: Lock-free steady-state flag: True iff every class is closed.
         #: Maintained by :meth:`_transition`; read without the lock on the
-        #: per-request hot path (:attr:`degraded`), where a stale read is
-        #: benign — the next locked call observes the transition.
+        #: per-request and per-solve hot paths (:attr:`degraded`,
+        #: :meth:`acquire`), where a stale read is benign — the next locked
+        #: call observes the transition.
         self._all_closed = True
         #: chronological ``(t, class, from_state, to_state)`` records —
         #: the journey harness asserts these are identical across replays.
@@ -196,6 +197,8 @@ class CircuitBreaker:
         some class is open (or half-open with all probe slots taken);
         the broker must use the degradation ladder.
         """
+        if self._all_closed:
+            return "primary"  # lock-free, as :attr:`degraded` is
         with self._lock:
             self._refresh()
             if all(s.state == "closed" for s in self._classes.values()):
@@ -223,6 +226,10 @@ class CircuitBreaker:
         """
         if decision == "degraded":
             return  # ladder outcomes never feed the state machine
+        if decision == "primary" and failure_class is None and not any(
+            s.consecutive_failures for s in self._classes.values()
+        ):
+            return  # a success with no failure streak to reset: lock-free
         with self._lock:
             if decision == "probe":
                 half_open = [

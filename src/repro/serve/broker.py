@@ -69,7 +69,7 @@ from repro.dynamic.repair import check_dirty_fraction, repair_sssp
 from repro.dynamic.versioner import GraphVersioner
 from repro.obs.request import RequestContext, request_id
 from repro.runtime.watchdog import SolveTimeout
-from repro.serve.accounting import ServeAccounting
+from repro.serve.accounting import HitContext, ServeAccounting
 from repro.serve.attempt import AttemptRunner, classify
 from repro.serve.batcher import MicroBatcher
 from repro.serve.breaker import BreakerConfig, CircuitBreaker, ladder_rung
@@ -90,6 +90,18 @@ from repro.serve.retry import RetryPolicy
 __all__ = ["QueryBroker"]
 
 _UNSET = object()
+
+
+def _vertex(v, what: str, n: int) -> int:
+    """``v`` as a vertex id of an ``n``-vertex graph (NumPy integers
+    pass); anything else raises ``ValueError``."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer vertex id, got {v!r}") from None
+    if not 0 <= v < n:
+        raise ValueError(f"{what} {v} out of range (n={n})")
+    return v
 
 
 class QueryBroker:
@@ -314,56 +326,60 @@ class QueryBroker:
     ) -> QueryFuture:
         """Admit one query; returns its :class:`QueryFuture`.
 
-        Admission control happens here, synchronously: an out-of-range
-        root or target raises ``ValueError``, a closed broker raises
-        :class:`ServiceShutdown`, and a full queue sheds with
-        :class:`ServiceOverload` — the queue never grows past its bound.
-        A cache hit completes the future before ``submit`` returns.
+        Admission control happens here, synchronously: a root or target
+        that is not an in-range integer vertex id raises ``ValueError``, a
+        closed broker raises :class:`ServiceShutdown`, and a full queue
+        sheds with :class:`ServiceOverload` — the queue never grows past
+        its bound. A cache hit returns a future born complete; it mints
+        no request and never enters the pipeline — only its snapshot pin
+        outlives the cache read, to its paths.
         ``latency_budget_s`` declares the request's latency SLO; the
         batcher schedules tight budgets earliest-deadline-first.
         """
         if self._closed:
             raise ServiceShutdown("broker is shut down")
         n = self.graph.num_vertices
-        try:
-            root = operator.index(root)
-        except TypeError:
-            raise ValueError(
-                f"root must be an integer vertex id, got {root!r}"
-            ) from None
-        if not 0 <= root < n:
-            raise ValueError(f"root {root} out of range (n={n})")
-        targets = tuple(int(t) for t in targets)
-        for t in targets:
-            if not 0 <= t < n:
-                raise ValueError(f"path target {t} out of range (n={n})")
+        root = _vertex(root, "root", n)
+        targets = tuple(_vertex(t, "path target", n) for t in targets)
         if deadline is _UNSET:
             deadline = self.default_deadline
-        req = QueryRequest(
-            root, targets, deadline, submitted_at=self._clock(),
-            latency_budget_s=latency_budget_s,
-        )
+        submitted_at = self._clock()
         with self._lock:
             self._offered += 1
-            self._uncompleted += 1
             # Pin the request to the snapshot serving *now*; the pointer
             # read and the pin share the lock with apply_updates' swap,
             # so a request is never pinned to a half-installed snapshot.
-            req.snapshot_id = self._snapshot_id
-            self.versioner.pin(req.snapshot_id)
+            snapshot_id = self._snapshot_id
+            self.versioner.pin(snapshot_id)
+            seq = self._next_request_seq
+            self._next_request_seq += self._ctx_armed  # ids mint when armed
+        degraded = self._arm_degraded_reads()
+        cached = self.cache.get((snapshot_id, root))
+        if cached is not None:
+            rung = ladder_rung(self.breaker, degraded, cached=True)
+            ctx = None
             if self._ctx_armed:
-                seq = self._next_request_seq
-                self._next_request_seq += 1
+                ctx = HitContext(
+                    request_id(seq), root, snapshot_id, submitted_at, rung,
+                    self.breaker.open_classes() if rung else (),
+                )
+            result = self._answer(
+                ctx, root, targets, snapshot_id, submitted_at, cached,
+                source="cache", stale_ok=rung is not None,
+            )
+            self._unpin(snapshot_id)
+            return QueryFuture.completed(result)
+        req = QueryRequest(
+            root, targets, deadline, submitted_at=submitted_at,
+            latency_budget_s=latency_budget_s, snapshot_id=snapshot_id,
+        )
         if self._ctx_armed:
             req.ctx = RequestContext(
-                request_id(seq), root, submitted_at=req.submitted_at,
-                snapshot_id=req.snapshot_id,
+                request_id(seq), root, submitted_at=submitted_at,
+                snapshot_id=snapshot_id,
             )
-        degraded = self._arm_degraded_reads()
-        cached = self.cache.get((req.snapshot_id, root))
-        if cached is not None:
-            self._complete_hit(req, cached, None, degraded)
-            return req.future
+        with self._lock:
+            self._uncompleted += 1
         try:
             depth = self._batcher.put(req)
         except BaseException as exc:
@@ -374,7 +390,7 @@ class QueryBroker:
             shed = isinstance(exc, ServiceOverload)
             self._release(req, offered=shed)
             if shed:
-                self._acct.terminal(req, "shed", self._clock() - req.submitted_at)
+                self._acct.terminal(req.ctx, "shed", self._clock() - submitted_at)
             raise
         self._acct.gauge("serve_queue_depth", depth)
         return req.future
@@ -451,7 +467,8 @@ class QueryBroker:
         if self.breaker is None:
             return False
         degraded = self.breaker.degraded
-        self.cache.verify_get = degraded
+        if self.cache.verify_get is not degraded:
+            self.cache.verify_get = degraded
         return degraded
 
     def _execute_batch(self, batch: list) -> None:
@@ -479,8 +496,17 @@ class QueryBroker:
                     to_solve.append((key, reqs))
                     continue
                 stats["hits"] += len(reqs)
+                # a dispatch-time hit; while degraded, the ladder's top rung
+                rung = ladder_rung(self.breaker, degraded, cached=True)
                 for req in reqs:
-                    self._complete_hit(req, cached, batch_id, degraded)
+                    if req.ctx is not None:
+                        req.ctx.note_cache("stale_hit" if rung else "hit")
+                        if rung:
+                            req.ctx.note_degraded(rung, self.breaker.open_classes())
+                    self._complete(
+                        req, cached, source="cache", batch_id=batch_id,
+                        stale_ok=rung is not None,
+                    )
             for key, reqs in to_solve:
                 # Per-group isolation: one root's failure reaches only
                 # its own requests; the rest of the batch proceeds.
@@ -824,61 +850,50 @@ class QueryBroker:
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
-    def _paths(self, req: QueryRequest, distances) -> dict[int, list[int] | None]:
-        """Paths to the request's targets, on its pinned snapshot's graph."""
+    def _paths(
+        self, snapshot_id: int, root: int, targets: tuple, distances
+    ) -> dict[int, list[int] | None]:
+        """Paths to ``targets``, on the pinned snapshot's graph."""
+        if not targets:
+            return {}
         parent = build_parent_tree(
-            self.versioner.get(req.snapshot_id).graph, distances, req.root
+            self.versioner.get(snapshot_id).graph, distances, root
         )
-        return {
-            t: extract_path(parent, req.root, t) or None for t in req.targets
-        }
+        return {t: extract_path(parent, root, t) or None for t in targets}
 
-    def _complete_hit(
-        self, req: QueryRequest, cached, batch_id: int | None, degraded: bool
-    ) -> None:
-        """Complete one request from the cache — at submit or at dispatch;
-        while the breaker is degraded the hit is the ladder's top rung."""
-        rung = ladder_rung(self.breaker, degraded, cached=True)
-        if req.ctx is not None:
-            req.ctx.note_cache("stale_hit" if rung else "hit")
-            if rung:
-                req.ctx.note_degraded(rung, self.breaker.open_classes())
-        self._complete(
-            req, cached, source="cache", batch_id=batch_id,
-            stale_ok=rung is not None,
-        )
-
-    def _complete(
-        self,
-        req: QueryRequest,
-        distances,
-        *,
-        source: str,
-        batch_id: int | None,
-        sssp=None,
-        attempts: int = 1,
-        stale_ok: bool = False,
-        degraded: bool = False,
-    ) -> None:
-        latency = self._clock() - req.submitted_at
+    def _answer(
+        self, ctx, root: int, targets: tuple, snapshot_id: int,
+        submitted_at: float, distances, *, source: str,
+        batch_id: int | None = None, sssp=None, attempts: int = 1,
+        stale_ok: bool = False, degraded: bool = False,
+    ) -> QueryResult:
+        """Time, account and build one answer; the caller releases it."""
+        latency = self._clock() - submitted_at
         result = QueryResult(
-            root=req.root, distances=distances, source=source,
-            latency_s=latency, batch_id=batch_id,
-            paths=self._paths(req, distances) if req.targets else {},
-            sssp=sssp, attempts=attempts, stale_ok=stale_ok, degraded=degraded,
-            request_id=req.ctx.request_id if req.ctx is not None else None,
-            snapshot_id=req.snapshot_id,
+            root=root, distances=distances, source=source, latency_s=latency,
+            batch_id=batch_id, sssp=sssp, attempts=attempts,
+            paths=self._paths(snapshot_id, root, targets, distances),
+            stale_ok=stale_ok, degraded=degraded, snapshot_id=snapshot_id,
+            request_id=None if ctx is None else ctx.request_id,
         )
         self._acct.terminal(
-            req, source, latency, source=source, attempts=attempts,
+            ctx, source, latency, source=source, attempts=attempts,
             stale_ok=stale_ok, degraded=degraded,
+        )
+        return result
+
+    def _complete(self, req: QueryRequest, distances, **answer) -> None:
+        result = self._answer(
+            req.ctx, req.root, req.targets, req.snapshot_id, req.submitted_at,
+            distances, **answer,
         )
         self._release(req)
         req.future.set_result(result)
 
     def _fail(self, req: QueryRequest, error: BaseException, *, outcome: str) -> None:
         self._acct.terminal(
-            req, outcome, self._clock() - req.submitted_at, attempts=req.attempts
+            req.ctx, outcome, self._clock() - req.submitted_at,
+            attempts=req.attempts,
         )
         self._release(req)
         req.future.set_error(error)
@@ -892,7 +907,11 @@ class QueryBroker:
             if not offered:
                 self._offered -= 1
             self._idle.notify_all()
-        retired = self.versioner.unpin(req.snapshot_id)
+        self._unpin(req.snapshot_id)
+
+    def _unpin(self, snapshot_id: int) -> None:
+        """Drop one pin; the last on a superseded snapshot retires it."""
+        retired = self.versioner.unpin(snapshot_id)
         if retired:
             self._retire(retired)
 

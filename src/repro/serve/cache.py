@@ -31,7 +31,10 @@ of timed-out roots, so a root known to blow its deadline fails fast
 instead of burning another solve.
 
 All operations are thread-safe; stats mirror into an optional
-:class:`~repro.obs.registry.MetricsRegistry`.
+:class:`~repro.obs.registry.MetricsRegistry` — hits and misses, the
+per-read counts, as a registry collector that publishes what
+:class:`CacheStats` counted since the last read, so :meth:`DistanceCache.get`
+makes no registry call.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -90,7 +94,8 @@ class _Entry:
 
 
 def _crc(distances: np.ndarray) -> int:
-    return zlib.crc32(distances.tobytes())
+    # over the array's own buffer: the CRC of its bytes, without a copy
+    return zlib.crc32(np.ascontiguousarray(distances))
 
 
 def _key(root) -> int | tuple:
@@ -98,8 +103,19 @@ def _key(root) -> int | tuple:
     root)`` tuples to a tuple of ints. Hashable, no aliasing between the
     two shapes."""
     if isinstance(root, tuple):
-        return tuple(int(part) for part in root)
+        return tuple(map(int, root))
     return int(root)
+
+
+def _publish_reads(stats: CacheStats, published: dict, registry) -> None:
+    """Collector: publish the hits and misses ``stats`` counted since the
+    last read. It reads them without the cache lock — the registry lock
+    is held, and cache writers take the two in the other order."""
+    for name, done in published.items():
+        delta = getattr(stats, name) - done
+        if delta:
+            published[name] = done + delta
+            registry.inc(f"serve_cache_{name}_total", delta)
 
 
 class DistanceCache:
@@ -140,6 +156,9 @@ class DistanceCache:
         self.verify_get = False
         self.stats = CacheStats(byte_budget=self.byte_budget)
         self.registry = registry
+        if registry is not None:
+            registry.add_collector(
+                partial(_publish_reads, self.stats, {"hits": 0, "misses": 0}))
         self._entries: "OrderedDict[int | tuple, _Entry]" = OrderedDict()
         self._negative: dict[int | tuple, float] = {}  # key -> expiry time
         self._lock = threading.Lock()
@@ -186,11 +205,9 @@ class DistanceCache:
             entry = self._entries.get(root)
             if entry is None or not self._verify_locked(root, entry):
                 self.stats.misses += 1
-                self._mirror("serve_cache_misses_total", 1)
                 return None
             self._entries.move_to_end(root)
             self.stats.hits += 1
-            self._mirror("serve_cache_hits_total", 1)
             return entry.distances
 
     def peek(self, root: int) -> np.ndarray | None:

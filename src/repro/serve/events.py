@@ -3,7 +3,7 @@
 A *wide event* is the serving plane's unit of observability: instead of
 scattering a request's story across a dozen counters and log lines, the
 broker folds the :class:`~repro.obs.request.RequestContext` it threaded
-through every layer into **one** JSON object at terminal completion —
+through every layer into **one** JSON object —
 admission verdict, cache tier, batch ids and queue waits, every solve
 attempt with its breaker decision and chaos draw, the degradation tier,
 the final outcome/source and wall latency; a request the lineage tier
@@ -12,6 +12,15 @@ answered (``cache_tier="lineage"``, ``source="repair"``) also carries
 The journey harness
 reconciles these against tracer spans, registry counters and the SLO
 window; ``serve-top`` tails them for its "recent requests" pane.
+
+The fold happens when the stream is read, not at terminal completion:
+the broker emits exactly one *record* per request — the context's
+``wide_event`` with its terminal arguments bound — and
+:class:`WideEventLog` turns a record into its dict the first time
+:meth:`~WideEventLog.events`, :meth:`~WideEventLog.tail`,
+:meth:`~WideEventLog.write` or :meth:`~WideEventLog.canonical_text` reaches
+it, keeping the dict in its place. A dict emitted as such (tests, the
+dashboard) is its own fold.
 
 Determinism contract: under a seeded chaos plan and deterministic
 submission order (manual broker or one closed-loop client), the event
@@ -29,7 +38,8 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Any, Iterable
+from collections import deque
+from typing import Any, Callable, Iterable, Union
 
 __all__ = [
     "WideEventLog",
@@ -37,6 +47,9 @@ __all__ = [
     "canonical_text",
     "read_events",
 ]
+
+#: what ``emit`` takes: the event, or a record that builds it when read
+Event = Union[dict[str, Any], Callable[[], dict[str, Any]]]
 
 #: Fields excluded from the replay-identity comparison: wall timings are
 #: the only nondeterministic part of an event.
@@ -78,14 +91,15 @@ class WideEventLog:
     """In-memory sink for wide events, flushed to JSONL on demand.
 
     Thread-safe on ``emit`` (batch workers complete requests
-    concurrently). ``tail(n)`` serves the dashboard's recent-request
-    pane without copying the whole stream.
+    concurrently). ``capacity`` keeps the newest events, trimming one per
+    emit past it. Each record is folded into its dict once, by the first
+    read that reaches it; ``tail(n)`` folds at most ``n`` and serves the
+    dashboard's recent-request pane without copying the whole stream.
     """
 
     def __init__(self, path: str | None = None, *, capacity: int | None = None):
         self.path = path
-        self._capacity = capacity
-        self._events: list[dict[str, Any]] = []
+        self._events: deque[Event] = deque(maxlen=capacity)
         self._emitted = 0
         self._lock = threading.Lock()
 
@@ -99,22 +113,32 @@ class WideEventLog:
         with self._lock:
             return self._emitted
 
-    def emit(self, event: dict[str, Any]) -> None:
+    def emit(self, event: Event) -> None:
         with self._lock:
             self._events.append(event)
             self._emitted += 1
-            if self._capacity is not None and len(self._events) > self._capacity:
-                del self._events[: len(self._events) - self._capacity]
+
+    def _newest(self, n: int) -> list[dict[str, Any]]:
+        """The ``n`` newest retained events as dicts, oldest first; each
+        fold replaces its record in place (lock held)."""
+        events, rows = self._events, []
+        n = min(n, len(events))
+        events.rotate(n)  # the newest n to the front, then back in order
+        for _ in range(n):
+            event = events.popleft()
+            rows.append(event if isinstance(event, dict) else event())
+            events.append(rows[-1])
+        return rows
 
     def events(self) -> list[dict[str, Any]]:
         """A snapshot copy of the retained events."""
         with self._lock:
-            return list(self._events)
+            return self._newest(len(self._events))
 
     def tail(self, n: int) -> list[dict[str, Any]]:
         """The ``n`` most recently emitted retained events."""
         with self._lock:
-            return list(self._events[-n:]) if n > 0 else []
+            return self._newest(n) if n > 0 else []
 
     def canonical_text(self) -> str:
         """Replay-comparable rendering of the retained stream."""

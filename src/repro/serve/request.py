@@ -195,6 +195,13 @@ class QueryResult:
         return int(self.distances[int(vertex)])
 
 
+#: the set Event and the Lock every future born complete shares: nothing
+#: ever waits on one, and nothing can complete it again
+_DONE = threading.Event()
+_DONE.set()
+_DONE_LOCK = threading.Lock()
+
+
 class QueryFuture:
     """Completion handle for one submitted query.
 
@@ -202,7 +209,8 @@ class QueryFuture:
     :meth:`set_result` / :meth:`set_error` is called by the broker;
     :meth:`result` blocks the submitter until then. ``add_done_callback``
     is invoked inline on completion (used by closed-loop workload
-    clients).
+    clients). :meth:`completed` makes one born complete — a submit-time
+    cache hit — with no ``Event`` or ``Lock`` of its own.
     """
 
     def __init__(self) -> None:
@@ -211,6 +219,14 @@ class QueryFuture:
         self._error: BaseException | None = None
         self._callbacks: list = []
         self._lock = threading.Lock()
+
+    @classmethod
+    def completed(cls, result: QueryResult) -> "QueryFuture":
+        """A future already holding ``result``."""
+        future = cls.__new__(cls)
+        future._event, future._lock = _DONE, _DONE_LOCK
+        future._result, future._error, future._callbacks = result, None, []
+        return future
 
     def done(self) -> bool:
         return self._event.is_set()
@@ -248,7 +264,7 @@ class QueryFuture:
 
     def result(self, timeout: float | None = None) -> QueryResult:
         """Block until completed; re-raise the stored error if any."""
-        if not self._event.wait(timeout):
+        if not (self._event.is_set() or self._event.wait(timeout)):
             raise TimeoutError("query still pending")
         if self._error is not None:
             raise self._error

@@ -114,6 +114,20 @@ class TestSameErrors:
                 solver.solve(bad)
         assert np.array_equal(solver.solve(np.int32(root)).distances, ref)
 
+    def test_solve_many_refuses_before_any_solve(self, case, monkeypatch):
+        """``solve_many`` ran ``int(r)`` first: ``[1.7, "3"]`` solved
+        roots 1 and 3. Every root is now checked before the first solve."""
+        graph, root, ref = case
+        solver = BatchSolver(graph, algorithm="delta", machine=MACHINE)
+        solved = []
+        monkeypatch.setattr(solver, "solve", lambda r, **kw: solved.append(r))
+        for bad in ([1.7, "3"], [root, 2.5], [root, graph.num_vertices]):
+            with pytest.raises(ValueError, match="integer vertex id|out of range"):
+                solver.solve_many(bad)
+        assert solved == []
+        solver.solve_many([np.int64(root)])
+        assert solved == [root] and type(solved[0]) is int
+
     @pytest.mark.parametrize(
         "config",
         [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.solver import solve_sssp
+from repro.graph.grid import grid_graph
 from repro.graph.roots import choose_root, choose_roots
 from repro.runtime.watchdog import DeadlineConfig, SolveTimeout
 from repro.serve.breaker import BreakerConfig, CircuitBreaker
@@ -84,6 +85,18 @@ class TestQueryPath:
             with pytest.raises(ValueError, match="integer vertex id"):
                 broker.submit_many([0, bad])
         assert broker.query(np.int64(1)).root == 1
+        broker.shutdown()
+
+    def test_non_integer_target_is_refused(self):
+        """``int(t)`` answered ``targets=[1.7]`` with the path to vertex 1."""
+        broker = manual_broker(grid_graph(4, 4))
+        for bad in (1.7, "3", 2.0, np.float64(1.0)):
+            with pytest.raises(ValueError, match="integer vertex id"):
+                broker.query(0, targets=[bad])
+            with pytest.raises(ValueError, match="integer vertex id"):
+                broker.submit(0, targets=[1, bad])
+        assert broker.report()["offered"] == 0  # refused before admission
+        assert list(broker.query(0, targets=[np.int32(1)]).paths) == [1]
         broker.shutdown()
 
     def test_query_many_input_order(self, rmat1_small):
