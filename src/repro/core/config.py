@@ -18,12 +18,13 @@ LB-OPT-Δ    OPT-Δ + intra-node thread balancing (+ vertex split)
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.tracer import TraceConfig
+
+from repro.util.ints import check_count
 
 __all__ = [
     "SolverConfig",
@@ -35,15 +36,6 @@ __all__ = [
 
 DELTA_INFINITY: int = 2**60
 """A Δ larger than any achievable distance: one bucket = Bellman-Ford."""
-
-
-def _check_count(name: str, value) -> None:
-    """``value`` must be an integer >= 1 (NumPy integers pass; floats,
-    even integral ones, and bools do not)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,10 +152,10 @@ class SolverConfig:
         # Integers, not merely numbers: a float Δ keys buckets off float
         # distances and settles vertices early (wrong distances, no error).
         for name in ("delta", "rho", "radius_k", "histogram_bins"):
-            _check_count(name, getattr(self, name))
+            check_count(name, getattr(self, name))
         for name in ("heavy_degree", "split_degree"):
             if getattr(self, name) is not None:
-                _check_count(name, getattr(self, name))
+                check_count(name, getattr(self, name))
         if self.strategy != "delta":
             # The IOS/pruning/census maths is Δ-bucket-specific: it
             # partitions edges against the fixed bucket width, which the
@@ -194,8 +186,12 @@ class SolverConfig:
             )
         if self.partition not in ("block", "degree"):
             raise ValueError(f"unknown partition strategy {self.partition!r}")
-        if self.imbalance_weight < 0:
-            raise ValueError("imbalance_weight must be non-negative")
+        # Not ``< 0``: a NaN weight passes that, reads every push/pull
+        # estimate as NaN and silently sends every ``auto`` bucket to pull.
+        if not self.imbalance_weight >= 0:
+            raise ValueError(
+                f"imbalance_weight must be non-negative, got {self.imbalance_weight}"
+            )
 
     @property
     def is_bellman_ford(self) -> bool:

@@ -106,19 +106,39 @@ def gather_pull_requests(
     (that is how outer short edges are relaxed in the pull model); without
     IOS the short phases already relaxed every short arc, so only long arcs
     participate.
+
+    The rows are weight-sorted, so a row's passing arcs are a prefix of it.
+    A row whose bound ``d(v) - kΔ`` exceeds the graph's largest weight — an
+    unreached vertex's always does — passes whole, untested; only the other
+    rows are scanned for their prefix length, and the passing prefixes are
+    gathered once.
     """
     lo = k * ctx.config.delta
     in_indptr, in_adj, in_weights, in_short = view.pull_rows()
-    starts = in_indptr[later]
+    starts, ends = in_indptr[later], in_indptr[later + 1]
     if not ctx.config.use_ios:
         starts = starts + in_short[later]
-    arcs, owner_idx = concat_ranges(starts, in_indptr[later + 1])
-    req_w = in_weights[arcs]
-    passes = req_w < view.d[later[owner_idx]] - lo
-    owner_idx = owner_idx[passes]
-    gen_units = np.bincount(owner_idx, minlength=later.size).astype(np.float64)
+    bound = view.d[later] - lo
+    part = np.flatnonzero(bound <= ctx.graph.max_weight)
+    if part.size:
+        # A tested row whose first arc fails passes nothing (an empty row
+        # may test a neighbour's arc: it has nothing to scan either way).
+        # The rest are scanned; a row's prefix length is its passes,
+        # summed off the running total at the row cuts.
+        first = np.minimum(starts[part], in_weights.size - 1)
+        scan = part[in_weights[first] < bound[part]]
+        scan_ends = ends[scan]
+        ends[part] = starts[part]
+        arcs, owner_idx = concat_ranges(starts[scan], scan_ends)
+        passes = in_weights[arcs] < bound[scan][owner_idx]
+        total = np.zeros(arcs.size + 1, dtype=np.int64)
+        np.cumsum(passes, out=total[1:])
+        cuts = total[np.add.accumulate(scan_ends - starts[scan])]
+        ends[scan] += np.diff(cuts, prepend=0)
+    arcs, owner_idx = concat_ranges(starts, ends)
+    gen_units = (ends - starts).astype(np.float64)
     gen_units += 1.0
-    return later[owner_idx], in_adj[arcs][passes], req_w[passes], gen_units
+    return later[owner_idx], in_adj[arcs], in_weights[arcs], gen_units
 
 
 def pull_responders(
@@ -128,11 +148,14 @@ def pull_responders(
 
     The bucket members are settled before the long phase and everything
     settled earlier lies below the bucket, so the responders are exactly
-    the settled vertices whose distance is in bucket ``k``'s range.
+    the settled vertices whose distance is in bucket ``k``'s range: one
+    per-vertex mask of them, read with one byte gather per request.
     """
     lo = k * ctx.config.delta
-    d_u = view.d[u]
-    return view.settled[u] & (d_u >= lo) & (d_u < lo + ctx.config.delta)
+    d = view.d
+    members = (d >= lo) & (d < lo + ctx.config.delta)
+    members &= view.settled
+    return members[u]
 
 
 # ----------------------------------------------------------------------
@@ -183,12 +206,11 @@ def long_phase_pull(
     transport.send(req_v, req_u, req_v, req_w)
     del req_v, req_u, req_w  # the transport keeps what it needs of them
     ctx.charge(ComputeKind.PULL_REQUEST, later, gen_units, phase_kind="long")
-    req_u, req_v, req_w = transport.exchange(
-        REQUEST_RECORD_BYTES, phase_kind="long", num_columns=3
-    )
-    # Request service at the source owner: check bucket membership of u.
-    ctx.charge(
-        ComputeKind.PULL_REQUEST, req_u, None, phase_kind="long", count_as_relax=True
+    # Delivered with its service charge at the source owner (the bucket
+    # membership check of u).
+    req_u, req_v, req_w = transport.deliver(
+        REQUEST_RECORD_BYTES, ComputeKind.PULL_REQUEST, phase_kind="long",
+        num_columns=3,
     )
     requests = int(req_u.size)
 
@@ -197,9 +219,8 @@ def long_phase_pull(
     u = req_u[respond]
     transport.send(u, req_v[respond], view.d[u] + req_w[respond])
     del req_u, req_v, req_w, respond, u  # gone before the response exchange
-    dst, nd = transport.exchange(RELAX_RECORD_BYTES, phase_kind="long")
-    ctx.charge(
-        ComputeKind.PULL_RESPONSE, dst, None, phase_kind="long", count_as_relax=True
+    dst, nd = transport.deliver(
+        RELAX_RECORD_BYTES, ComputeKind.PULL_RESPONSE, phase_kind="long"
     )
     responses = int(dst.size)
     ctx.metrics.note_phase("long", requests + responses)

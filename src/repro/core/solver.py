@@ -8,7 +8,6 @@ counters, the simulated cost breakdown and simulated GTEPS.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 
@@ -23,25 +22,9 @@ from repro.graph.csr import CSRGraph
 from repro.runtime.costmodel import CostBreakdown, evaluate_cost, simulated_gteps
 from repro.runtime.machine import MachineConfig
 from repro.runtime.metrics import Metrics
+from repro.util.ints import vertex_id
 
 __all__ = ["SsspResult", "run_validation", "solve_sssp", "BatchSolver"]
-
-
-def _validate_root(root: int, num_vertices: int) -> int:
-    """Reject non-integer and out-of-range roots with a clear error;
-    returns the root as an ``int`` (NumPy integers pass)."""
-    try:
-        root = operator.index(root)
-    except TypeError:
-        raise ValueError(
-            f"root must be an integer vertex id, got {root!r}"
-        ) from None
-    if not 0 <= root < num_vertices:
-        raise ValueError(
-            f"root {root} out of range for a graph with "
-            f"{num_vertices} vertices (valid: 0 <= root < {num_vertices})"
-        )
-    return root
 
 
 def _resolve_preset(
@@ -208,7 +191,7 @@ def solve_sssp(
     -------
     :class:`SsspResult`
     """
-    root = _validate_root(root, graph.num_vertices)
+    root = vertex_id(root, graph.num_vertices)
     config, algorithm = _resolve_preset(algorithm, delta, config)
     if paranoid and not config.paranoid:
         config = config.evolve(paranoid=True)
@@ -342,7 +325,7 @@ class BatchSolver:
         """The one place a solve is configured and its result assembled:
         a fork of the template context, run by the rank driver when a
         fault plan is given and by the whole-graph driver otherwise."""
-        root = _validate_root(root, self._original_graph.num_vertices)
+        root = vertex_id(root, self._original_graph.num_vertices)
         ctx = self._template_ctx.fork(tracer)
         start_root = (
             int(self._mapping.new_id_of_original[root])
@@ -426,7 +409,7 @@ class BatchSolver:
         solved: a non-integer or out-of-range root raises ``ValueError``.
         """
         n = self._original_graph.num_vertices
-        roots = [_validate_root(r, n) for r in roots]
+        roots = [vertex_id(r, n) for r in roots]
         shared = None
         if trace is not None and getattr(trace, "enabled", True):
             from repro.obs.tracer import Tracer

@@ -11,6 +11,9 @@ another goes through three calls (:class:`Transport`):
   are, and so is whatever an ``exchange`` handed back;
 - ``exchange(record_bytes, phase_kind=, num_columns=)`` — close the
   superstep and return the record columns as the receivers see them;
+  ``deliver(record_bytes, kind, ...)`` also charges one unit of work of
+  ``kind`` per delivered record at its destination, counted as a
+  relaxation — how a relaxing superstep closes;
 - ``allreduce_sum(value)`` / ``allreduce_min(value)`` — a scalar collective
   over per-rank contributions. The one view holds every rank's block, so
   the kernel folds the contributions itself and the transport counts the
@@ -51,6 +54,16 @@ class Transport:
     ) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
 
+    def deliver(
+        self, record_bytes: int, kind, *, phase_kind: str = "other", num_columns: int = 2
+    ) -> tuple[np.ndarray, ...]:
+        """:meth:`exchange`, then charge one unit of ``kind`` per delivered
+        record at its destination (the first column), counted as a
+        relaxation."""
+        cols = self.exchange(record_bytes, phase_kind=phase_kind, num_columns=num_columns)
+        self.comm.metrics.queue_charge(kind, cols[0], None, phase_kind, count_as_relax=True)
+        return cols
+
     def allreduce_sum(self, value, *, phase_kind: str = "bucket"):
         """Count one allreduce and hand ``value`` — already folded over the
         ranks' blocks — back."""
@@ -75,6 +88,15 @@ class DeclaredTransport(Transport):
     ) -> tuple[np.ndarray, ...]:
         """Declare the exchange and return the record columns (destination
         first) in posting order."""
+        return self.deliver(
+            record_bytes, None, phase_kind=phase_kind, num_columns=num_columns
+        )
+
+    def deliver(
+        self, record_bytes: int, kind, *, phase_kind: str = "other", num_columns: int = 2
+    ) -> tuple[np.ndarray, ...]:
+        """:meth:`exchange`, declared with its delivery charge (none when
+        ``kind`` is ``None``) as one accounting fact."""
         posted, self._posted = self._posted, []
         if len(posted) == 1:
             src, *cols = posted[0]
@@ -87,6 +109,6 @@ class DeclaredTransport(Transport):
                 f"posted {len(cols)} columns, exchange expects {num_columns}"
             )
         self.comm.exchange_by_vertex(
-            src, cols[0], record_bytes, phase_kind=phase_kind
+            src, cols[0], record_bytes, phase_kind=phase_kind, deliver=kind
         )
         return tuple(cols)

@@ -219,13 +219,13 @@ def relax_round(
 ) -> tuple[np.ndarray, int]:
     """Close one relaxation superstep whose records have been sent:
     generation charge (``units[i]`` arcs examined at ``vertices[i]``),
-    exchange, application charge (one unit per delivered record at its
-    destination's thread, counted as relaxations), phase note, min-apply —
+    delivery (the exchange and its application charge: one unit per
+    delivered record at its destination's thread, counted as relaxations),
+    phase note, min-apply —
     the sequence every relaxing phase shares. Returns the changed vertices
     (see :meth:`VertexView.apply` for ``window``) and the record count."""
     ctx.charge(kind, vertices, units, phase_kind=phase_kind)
-    dst, nd = transport.exchange(RELAX_RECORD_BYTES, phase_kind=phase_kind)
-    ctx.charge(kind, dst, None, phase_kind=phase_kind, count_as_relax=True)
+    dst, nd = transport.deliver(RELAX_RECORD_BYTES, kind, phase_kind=phase_kind)
     relaxed = int(dst.size)
     ctx.metrics.note_phase(phase_kind, relaxed)
     return view.apply(dst, nd, window), relaxed

@@ -86,6 +86,7 @@ class Communicator:
         record_bytes: int,
         *,
         phase_kind: str = "other",
+        deliver=None,
     ) -> None:
         """Account an exchange of per-vertex records.
 
@@ -93,8 +94,17 @@ class Communicator:
         same-rank records are dropped from the network accounting. The
         ledger queues copies of both vertex arrays and resolves their
         owners when it folds (:func:`~repro.runtime.metrics.fold_exchange`).
+        ``deliver`` (a :class:`~repro.runtime.metrics.ComputeKind`) also
+        charges each record's application at its destination, one unit of
+        that kind counted as a relaxation — both as one fact
+        (:meth:`~repro.runtime.metrics.Metrics.queue_delivery`).
         """
-        self.metrics.queue_route(src_vertices, dst_vertices, record_bytes, phase_kind)
+        if deliver is None:
+            self.metrics.queue_route(src_vertices, dst_vertices, record_bytes, phase_kind)
+        else:
+            self.metrics.queue_delivery(
+                src_vertices, dst_vertices, record_bytes, deliver, phase_kind
+            )
 
     def exchange_by_rank(
         self,

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from repro.util.ints import check_count
+
 __all__ = ["MachineConfig", "BGQ_LIKE"]
 
 
@@ -57,10 +59,8 @@ class MachineConfig:
     t_allreduce_log: float = 1.5e-6
 
     def __post_init__(self) -> None:
-        if self.num_ranks < 1:
-            raise ValueError("num_ranks must be >= 1")
-        if self.threads_per_rank < 1:
-            raise ValueError("threads_per_rank must be >= 1")
+        check_count("num_ranks", self.num_ranks)
+        check_count("threads_per_rank", self.threads_per_rank)
         for name in ("t_relax", "t_request", "t_scan", "alpha", "beta",
                      "t_allreduce_base", "t_allreduce_log"):
             if getattr(self, name) < 0:

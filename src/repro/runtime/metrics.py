@@ -497,6 +497,46 @@ class Metrics:
             src, dst = src.copy(), dst.copy()
         self._queue(_ROUTE, "exchange", phase_kind, src.size, src, dst, record_bytes)
 
+    def queue_delivery(
+        self, src, dst, record_bytes: int, kind, phase_kind="other"
+    ) -> None:
+        """Queue a delivered superstep: the route ``(src, dst,
+        record_bytes)`` of :meth:`queue_route`, then the charge of one unit
+        of ``kind`` per record at vertex ``dst[i]``, counted as relaxations
+        (:meth:`queue_charge`) — the two ledger rows they have always made.
+
+        A superstep past :data:`LARGE_FACT` records folds both rows at once
+        from one ``bincount`` of ``rank[src]·P·T + thread[dst]``: its
+        ``(P, P, T)`` histogram summed over the threads is the lane grid,
+        summed over the source rank the per-thread delivery work (a
+        vertex's thread lies on its rank). Small supersteps, an armed
+        tracer and a heavy threshold below one unit queue the two facts."""
+        src, dst = np.asarray(src), np.asarray(dst)
+        maps = self.maps
+        if (
+            src.size <= LARGE_FACT or self.tracer is not None
+            or maps.heavy_threshold < 1 or maps.thread is None
+        ):
+            self.queue_route(src, dst, record_bytes, phase_kind)
+            self.queue_charge(kind, dst, None, phase_kind, count_as_relax=True)
+            return
+        if src.shape != dst.shape:
+            raise ValueError("source and destination vertices must align")
+        if record_bytes < 0:
+            raise ValueError("record_bytes must be non-negative")
+        p, t = self.num_ranks, self.threads_per_rank
+        key = maps.rank[src]
+        key *= p * t
+        key += maps.thread[dst]
+        hist = np.bincount(key, minlength=p * p * t).reshape(p, p, t)
+        # Two rank-space facts folded at once, as ``exchange_by_rank_counts``
+        # and ``add_compute`` make theirs: lane counts, per-thread work.
+        lanes = (np.arange(p * p), hist.sum(axis=2).ravel(), record_bytes)
+        self._fold_now(_EXCHANGE, "exchange", phase_kind, lanes)
+        self._relaxations.setdefault(kind._value_, 0)
+        work = (np.arange(p * t), hist.sum(axis=0).ravel(), None, True)
+        self._fold_now(_COMPUTE, kind._value_, phase_kind, work)
+
     def queue_exchange(
         self, lanes, counts, record_bytes: int, *, phase_kind: str = "other"
     ) -> None:

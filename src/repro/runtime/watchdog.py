@@ -37,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.util.ints import check_count
+
 __all__ = [
     "DeadlineConfig",
     "DeadlineExceeded",
@@ -109,10 +111,9 @@ class DeadlineConfig:
     policy: str = "raise"
 
     def __post_init__(self) -> None:
-        if self.max_supersteps is not None and self.max_supersteps < 1:
-            raise ValueError("max_supersteps must be >= 1")
-        if self.stall_patience is not None and self.stall_patience < 1:
-            raise ValueError("stall_patience must be >= 1")
+        for name in ("max_supersteps", "stall_patience"):
+            if getattr(self, name) is not None:
+                check_count(name, getattr(self, name))
         if self.policy not in POLICIES:
             raise ValueError(
                 f"unknown deadline policy {self.policy!r}; "

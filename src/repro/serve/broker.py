@@ -59,7 +59,6 @@ and abort cancels — new ones are refused.
 
 from __future__ import annotations
 
-import operator
 import threading
 import time
 
@@ -86,22 +85,11 @@ from repro.serve.request import (
     SolveCorrupted,
 )
 from repro.serve.retry import RetryPolicy
+from repro.util.ints import vertex_id
 
 __all__ = ["QueryBroker"]
 
 _UNSET = object()
-
-
-def _vertex(v, what: str, n: int) -> int:
-    """``v`` as a vertex id of an ``n``-vertex graph (NumPy integers
-    pass); anything else raises ``ValueError``."""
-    try:
-        v = operator.index(v)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer vertex id, got {v!r}") from None
-    if not 0 <= v < n:
-        raise ValueError(f"{what} {v} out of range (n={n})")
-    return v
 
 
 class QueryBroker:
@@ -339,8 +327,8 @@ class QueryBroker:
         if self._closed:
             raise ServiceShutdown("broker is shut down")
         n = self.graph.num_vertices
-        root = _vertex(root, "root", n)
-        targets = tuple(_vertex(t, "path target", n) for t in targets)
+        root = vertex_id(root, n)
+        targets = tuple(vertex_id(t, n, "path target") for t in targets)
         if deadline is _UNSET:
             deadline = self.default_deadline
         submitted_at = self._clock()
@@ -396,7 +384,10 @@ class QueryBroker:
         return req.future
 
     def submit_many(self, roots, **kwargs) -> list[QueryFuture]:
-        """Admit a k-root query; one future per root, in input order."""
+        """Admit a k-root query; one future per root, in input order. Every
+        root is checked before the first is admitted."""
+        n = self.graph.num_vertices
+        roots = [vertex_id(r, n) for r in roots]
         return [self.submit(r, **kwargs) for r in roots]
 
     def _pump(self, futures: list) -> None:

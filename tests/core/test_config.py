@@ -26,6 +26,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(pushpull_estimator="guess")
 
+    def test_nan_imbalance_weight_is_refused(self):
+        """NaN passed the ``< 0`` check, read every push/pull estimate as
+        NaN and silently sent every ``auto`` bucket to pull."""
+        for bad in (float("nan"), np.nan, -0.5, float("-inf")):
+            with pytest.raises(ValueError, match="imbalance_weight must be non-negative"):
+                SolverConfig(imbalance_weight=bad)
+        assert SolverConfig(imbalance_weight=0.0).imbalance_weight == 0.0
+
     @pytest.mark.parametrize(
         "field", ["delta", "rho", "radius_k", "histogram_bins"]
     )

@@ -42,6 +42,17 @@ class TestMakeContext:
         assert ctx.heavy_threshold < float("inf")
         assert ctx.heavy_threshold >= 8
 
+    @pytest.mark.parametrize("partition", ["block", "degree"])
+    @pytest.mark.parametrize("ranks, threads", [(1, 1), (3, 5), (8, 8), (13, 2)])
+    def test_a_vertex_thread_lies_on_its_rank(self, rmat1_small, partition, ranks, threads):
+        """``thread_map // T == owner_map``: the fused delivery fold reads a
+        record's destination rank off its destination thread."""
+        ctx = ctx_for(rmat1_small, ranks=ranks, threads=threads, partition=partition)
+        assert np.array_equal(ctx.thread_map // threads, ctx.partition.owner_map)
+        maps = ctx.metrics.maps
+        assert maps.thread is ctx.thread_map
+        assert maps.rank is ctx.partition.owner_map
+
 
 SHARED_TABLES = (
     "graph", "partition", "machine", "config", "short_offsets", "long_degrees",

@@ -42,8 +42,9 @@ DELTA = 25
 GRAPHS = {
     "rmat10": lambda: rmat_graph(scale=10, seed=7, params=RMAT1),
     "grid24": lambda: grid_graph(24, 24, seed=7),
+    "rmat13": lambda: rmat_graph(scale=13, seed=7, params=RMAT1),
 }
-ROOTS = {"rmat10": 3, "grid24": 0}
+ROOTS = {"rmat10": 3, "grid24": 0, "rmat13": 3}
 
 #: (graph, preset) -> (number of records, SHA-256 of their fields); both
 #: engines must emit exactly this record stream
@@ -60,6 +61,10 @@ EXPECTED = {
     ("rmat10", "delta-hybrid"): (100, "1e38fc3a7705e1bce3bc"),
     ("grid24", "radius"): (705, "c30ce9d3d4901e9c9ebc"),
     ("grid24", "rho"): (391, "ee51e9c32e16b024443c"),
+    # Scale 13: supersteps past ``LARGE_FACT``, which fold as they are
+    # queued; produced on commit 088494a, before a delivery became one fold.
+    ("rmat13", "opt"): (112, "dc86f4c03af7811705c0"),
+    ("rmat13", "prune-pull"): (291, "13c0487dc88c0c661aa0"),
 }
 
 #: names in ``EXPECTED`` that are a preset plus overrides
@@ -85,6 +90,9 @@ EXPECTED_BUCKET_STATS = {
     ("rmat10", "opt"): (3, "2af65d0a1249189e79cf"),
     ("rmat10", "prune"): (14, "8ab4db24941a0abd979d"),
     ("rmat10", "lb-opt"): (3, "2af65d0a1249189e79cf"),
+    # Produced on commit 088494a, like the scale-13 records above.
+    ("rmat13", "opt"): (3, "bd2789fd7d68658409b0"),
+    ("rmat13", "prune"): (16, "c43fb074643d8ad7da43"),
 }
 
 

@@ -2,22 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.buckets import bucket_members
 from repro.core.config import SolverConfig
 from repro.core.context import make_context
 from repro.core.delta_stepping import DeltaSteppingEngine
-from repro.core.distances import init_distances
+from repro.core.distances import INF, init_distances
 from repro.core.pruning import (
     bucket_census,
     gather_pull_requests,
     gather_push_records,
     long_phase_pull,
     long_phase_push,
+    pull_responders,
 )
 from repro.core.reference import dijkstra_reference
 from repro.core.transport import DeclaredTransport
 from repro.core.views import whole_graph_view
+from repro.graph.builder import from_edges
 from repro.runtime.machine import MachineConfig
 
 
@@ -199,3 +202,83 @@ class TestBucketCensus:
         assert census["push_relaxations"] == 30
         assert census["pull_requests"] == 5
         assert census["pull_responses"] == 5
+
+
+# ----------------------------------------------------------------------
+# The pull gather against the per-arc eq.-(1) filter it replaced
+# ----------------------------------------------------------------------
+def eq1_requests(ctx, view, later, k):
+    """``(req_v, req_u, req_w, gen_units)`` arc by arc: every in-arc of
+    every later vertex tested against ``w < d(v) - kΔ``."""
+    indptr, adj, weights, short = view.pull_rows()
+    bound = view.d - k * ctx.config.delta
+    req, gen = [], []
+    for v in later.tolist():
+        first = indptr[v] + (0 if ctx.config.use_ios else short[v])
+        passing = [a for a in range(first, indptr[v + 1]) if weights[a] < bound[v]]
+        req += [(v, adj[a], weights[a]) for a in passing]
+        gen.append(len(passing) + 1.0)
+    cols = np.array(req, dtype=np.int64).reshape(-1, 3).T
+    return (*cols, np.array(gen))
+
+
+@st.composite
+def pull_states(draw):
+    """A small graph — directed or not, zero weights allowed, isolated
+    vertices likely — and a mid-solve state: every vertex up to bucket
+    ``k`` settled, reached and unreached later ones."""
+    n = draw(st.integers(2, 24))
+    m = draw(st.integers(0, 60))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    tails, heads = np.array(draw(ends), np.int64), np.array(draw(ends), np.int64)
+    weights = np.array(
+        draw(st.lists(st.integers(0, 40), min_size=m, max_size=m)), np.int64
+    )
+    directed = draw(st.booleans())
+    if not directed:
+        tails, heads = np.concatenate([tails, heads]), np.concatenate([heads, tails])
+        weights = np.concatenate([weights, weights])
+    graph = from_edges(tails, heads, weights, n, undirected=not directed)
+    delta = draw(st.integers(1, 30))
+    ctx = ctx_for(graph, delta=delta, use_ios=draw(st.booleans()))
+    k = draw(st.integers(0, 4))
+    lo, hi = k * delta, (k + 1) * delta
+    # Bounds d(v) - kΔ that equal an arc weight or the largest one: the
+    # edges of the strict eq.-(1) test and of the whole-row rule.
+    edge = st.sampled_from([int(w) for w in weights] + [0]).map(lambda w: lo + w)
+    d = np.array(draw(st.lists(
+        st.one_of(
+            st.integers(0, hi + 80), st.just(int(INF)), edge,
+            st.just(lo + graph.max_weight),
+        ),
+        min_size=n, max_size=n,
+    )), dtype=np.int64)
+    settled = d < hi
+    return ctx, whole_graph_view(ctx, d, settled), k, lo, hi
+
+
+class TestPullGatherProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(state=pull_states())
+    def test_prefix_gather_equals_the_per_arc_filter(self, state):
+        """Same four arrays, in the same order, with the same dtypes."""
+        ctx, view, k, _, hi = state
+        later = view.later(hi)
+        got = gather_pull_requests(ctx, view, later, k)
+        want = eq1_requests(ctx, view, later, k)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        state=pull_states(),
+        picks=st.lists(st.integers(0, 23), max_size=40),
+        unsettled=st.lists(st.integers(0, 23), max_size=6),
+    )
+    def test_responders_are_the_settled_bucket_members(self, state, picks, unsettled):
+        ctx, view, k, lo, hi = state
+        view.settled[[p % view.d.size for p in unsettled]] = False
+        u = np.array([p % view.d.size for p in picks], dtype=np.int64)
+        d_u = view.d[u]
+        want = view.settled[u] & (d_u >= lo) & (d_u < hi)
+        assert pull_responders(ctx, view, u, k).tolist() == want.tolist()

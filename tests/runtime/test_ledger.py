@@ -418,6 +418,93 @@ class TestFactsOwnTheirArrays:
         assert ctx.metrics.records == []
 
 
+class TestDeliveryFold:
+    """A delivered superstep (``exchange_by_vertex(..., deliver=kind)``)
+    is the route and the one-unit-per-record charge at its destination it
+    replaced: past ``LARGE_FACT`` one fused fold makes both rows, below it
+    (and with a tracer armed, or a heavy threshold under one unit) the two
+    facts are queued as before."""
+
+    @staticmethod
+    def two_facts(ctx, src, dst, record_bytes, kind, phase):
+        ctx.comm.exchange_by_vertex(src, dst, record_bytes, phase_kind=phase)
+        ctx.charge(kind, dst, None, phase_kind=phase, count_as_relax=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 1, False, False), (3, 2, False, False),
+                               (4, 2, True, False), (5, 3, False, True),
+                               (8, 1, True, True)]),
+        size=st.integers(ledger.LARGE_FACT + 1, ledger.LARGE_FACT + 3000),
+        seed=st.integers(0, 2**32 - 1),
+        record_bytes=st.sampled_from([0, 16, 24]),
+    )
+    def test_fused_rows_equal_fold_exchange_and_fold_charges(
+        self, shape, size, seed, record_bytes
+    ):
+        rng = np.random.default_rng(seed)
+        src, dst = rng.integers(0, N, size), rng.integers(0, N, size)
+        fused, split = make_ctx(*shape), make_ctx(*shape)
+        split.comm.allreduce(1)  # a kind counted first keeps its place
+        fused.comm.allreduce(1)
+        self.two_facts(split, src, dst, record_bytes, ComputeKind.PULL_RESPONSE, "long")
+        routes, fold_exchange = [], ledger.fold_exchange
+
+        def spy(folded_routes, *args):
+            routes.extend(folded_routes)
+            return fold_exchange(folded_routes, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            # The fused path maps no vertex a second time: no charge fold,
+            # no route, only rank-space facts.
+            patch.setattr(ledger, "fold_charges", None)
+            patch.setattr(ledger, "fold_exchange", spy)
+            fused.comm.exchange_by_vertex(
+                src, dst, record_bytes, phase_kind="long",
+                deliver=ComputeKind.PULL_RESPONSE,
+            )
+            assert pending(fused.metrics) == 1  # only the allreduce waits
+        assert routes == []
+        assert fused.metrics.records == split.metrics.records
+        assert list(fused.metrics.relaxations.items()) == list(
+            split.metrics.relaxations.items()
+        )
+        # and the rows are the two folds' own
+        m = fused.metrics
+        msgs, byt = ledger.fold_exchange([(src, dst, record_bytes)], [], m.num_ranks, m.maps)
+        work = ledger.fold_charges(
+            [(dst, None)], m.num_ranks * m.threads_per_rank, m.threads_per_rank, m.maps
+        )
+        _, exchange, charge = m.records
+        assert (exchange.msgs_max, exchange.bytes_max, exchange.bytes_total) == (
+            msgs.max(), byt.max(), byt.sum() // 2
+        )
+        assert (charge.comp_max, charge.comp_total) == (work.max(), work.sum())
+        assert m.relaxations["pull_response"] == size
+
+    def test_small_armed_and_sub_unit_heavy_keep_two_facts(self):
+        src, dst = np.arange(N), np.arange(N)[::-1].copy()
+        kind = ComputeKind.SHORT_RELAX
+        ctx = make_ctx(3, 2, False)
+        ctx.comm.exchange_by_vertex(src, dst, 16, phase_kind="short", deliver=kind)
+        assert pending(ctx.metrics) == 2
+        armed = make_ctx(3, 2, False)
+        tracer = armed.metrics.tracer = RecordingTracer()
+        big_src = np.resize(src, ledger.LARGE_FACT + 1)
+        big_dst = np.resize(dst, ledger.LARGE_FACT + 1)
+        armed.comm.exchange_by_vertex(big_src, big_dst, 16, phase_kind="short", deliver=kind)
+        assert [c[0].kind for c in tracer.calls] == ["exchange", "short_relax"]
+        light = make_ctx(3, 2, False)
+        light.metrics.maps = light.metrics.maps._replace(heavy_threshold=0.5)
+        reference = make_ctx(3, 2, False)
+        reference.metrics.maps = light.metrics.maps
+        light.comm.exchange_by_vertex(big_src, big_dst, 16, phase_kind="short", deliver=kind)
+        self.two_facts(reference, big_src, big_dst, 16, kind, "short")
+        assert light.metrics.records == reference.metrics.records
+        for ctx in (ctx, armed, light):
+            assert [r.kind for r in ctx.metrics.records] == ["exchange", "short_relax"]
+
+
 # ----------------------------------------------------------------------
 # Whole solves
 # ----------------------------------------------------------------------
