@@ -35,7 +35,9 @@ from repro.core.context import ExecutionContext
 from repro.core.defence import Defence, chain_hooks
 from repro.core.distances import INF
 from repro.core.hybrid import should_switch
-from repro.core.pruning import bucket_census, long_phase_pull, long_phase_push
+from repro.core.pruning import (
+    bucket_census, inner_prefix, long_phase_pull, long_phase_push,
+)
 from repro.core.pushpull import decide_mode
 from repro.core.stepping import Step, make_strategy
 from repro.core.views import VertexView, active_per_rank, relax_round
@@ -179,19 +181,20 @@ def short_records(
     vertices, whose short-arc counts are ``short``: one per short arc —
     under IOS only per *inner* short arc, whose proposed distance lands
     inside the window ending at ``hi``; outer short arcs wait for the long
-    phase."""
+    phase. The inner arcs are a prefix of the weight-sorted row
+    (:func:`~repro.core.pruning.inner_prefix`), so only they are
+    expanded."""
     starts = view.indptr[active]
-    arcs, owner_idx = concat_ranges(starts, starts + short)
+    count = short
+    if ctx.config.use_ios:
+        count = inner_prefix(view, active, hi)
+        if ctx.guards is not None:
+            ctx.guards.check_ios_split(
+                starts, short, count, view.d[active], view.weights, hi
+            )
+    arcs, owner_idx = concat_ranges(starts, starts + count)
     src = active[owner_idx]
-    dst = view.adj[arcs]
-    nd = view.d[src] + view.weights[arcs]
-    if not ctx.config.use_ios:
-        return src, dst, nd
-    inner = nd < hi
-    if ctx.guards is not None:
-        ctx.guards.check_ios_coverage(int(arcs.size), int(nd.size))
-        ctx.guards.check_ios_partition(nd, hi, inner)
-    return src[inner], dst[inner], nd[inner]
+    return src, view.adj[arcs], view.d[src] + view.weights[arcs]
 
 
 def process_epoch(

@@ -36,6 +36,7 @@ from repro.runtime.metrics import ComputeKind
 from repro.util.ranges import concat_ranges
 
 __all__ = [
+    "inner_prefix",
     "gather_push_records",
     "gather_pull_requests",
     "pull_responders",
@@ -48,6 +49,19 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Record gathering (shared by execution, exact cost estimation and census)
 # ----------------------------------------------------------------------
+def inner_prefix(view: VertexView, vertices: np.ndarray, hi: int) -> np.ndarray:
+    """Per vertex of ``vertices``, how many of its short arcs are *inner*
+    at window end ``hi`` (``d(u) + w < hi``): on a weight-sorted row they
+    are a prefix of it, whose length is one gather from the view's prefix
+    table at bound ``hi - d(u)``, clamped to the table's last column (the
+    short degree). Every vertex must lie below ``hi`` — the short phase's
+    active vertices and the long phase's members do."""
+    table = view.inner_counts
+    bound = hi - view.d[vertices]
+    np.minimum(bound, table.shape[1] - 1, out=bound)
+    return table[vertices, bound]
+
+
 def gather_push_records(
     ctx: ExecutionContext,
     view: VertexView,
@@ -63,28 +77,32 @@ def gather_push_records(
     IOS must find the outer ones).
     """
     starts, ends = view.indptr[members], view.indptr[members + 1]
-    long_starts = starts + view.short_offsets[members]
+    short = view.short_offsets[members]
+    long_starts = starts + short
     if not ctx.config.use_ios:
         arcs, owner_idx = concat_ranges(long_starts, ends)
         src = members[owner_idx]
         batch = (src, view.adj[arcs], view.d[src] + view.weights[arcs])
         return [batch], (ends - long_starts).astype(np.float64)
-    # Under IOS every arc of a member is examined: its whole row is expanded
-    # once and split by position into the long arcs and the short prefix,
-    # of which the outer arcs — proposed distance past the current bucket —
-    # are the second batch (the inner ones were relaxed in the short phases).
+    # Under IOS a member's row past its inner prefix (relaxed in the short
+    # phases) is its outer short arcs, then its long arcs. Every member's
+    # long range, then every member's outer range, is expanded in one pass,
+    # whose two halves are the two batches. The charge still prices every
+    # arc, as a member examines its whole row.
     hi = (k + 1) * ctx.config.delta
-    arcs, owner_idx = concat_ranges(starts, ends)
-    src = members[owner_idx]
-    dst, nd = view.adj[arcs], view.d[src] + view.weights[arcs]
-    long = arcs >= long_starts[owner_idx]
-    outer = nd >= hi
+    inner = inner_prefix(view, members, hi)
     if ctx.guards is not None:
-        s_nd = nd[~long]
-        ctx.guards.check_ios_coverage(int(view.short_offsets[members].sum()), s_nd.size)
-        ctx.guards.check_ios_partition(s_nd, hi, s_nd < hi)
-    outer &= ~long
-    batches = [(src[long], dst[long], nd[long]), (src[outer], dst[outer], nd[outer])]
+        ctx.guards.check_ios_split(
+            starts, short, inner, view.d[members], view.weights, hi
+        )
+    arcs, owner_idx = concat_ranges(
+        np.concatenate((long_starts, starts + inner)),
+        np.concatenate((ends, long_starts)),
+    )
+    src = np.concatenate((members, members))[owner_idx]
+    dst, nd = view.adj[arcs], view.d[src] + view.weights[arcs]
+    cut = owner_idx.searchsorted(members.size)
+    batches = [(src[:cut], dst[:cut], nd[:cut]), (src[cut:], dst[cut:], nd[cut:])]
     return batches, ctx.graph.degrees[members].astype(np.float64)
 
 

@@ -58,6 +58,11 @@ class VertexView:
     when they differ from the rows above: the reverse graph of a directed
     input. ``None`` on undirected graphs, where the symmetrized rows double
     as the in-arc lists."""
+    inner_counts: np.ndarray | None = None
+    """Under IOS, the context's prefix table
+    (:meth:`~repro.core.context.ExecutionContext.inner_counts`): row
+    ``u``, column ``b``, the number of ``u``'s short arcs lighter than
+    ``b``. ``None`` when no short phase splits its arcs."""
     num_unsettled: int = field(init=False)
     """Unsettled vertices, kept current by every method that settles."""
     region: np.ndarray = field(init=False)
@@ -162,7 +167,8 @@ def whole_graph_view(
 
     ``d`` and ``settled`` are the caller's arrays and are updated in place.
     On a directed graph the view also carries the reverse graph's rows for
-    the pull phase.
+    the pull phase; under IOS it carries the prefix table, built here by
+    the graph's first solve if nothing built it before.
     """
     graph = ctx.graph
     in_rows = None
@@ -178,6 +184,7 @@ def whole_graph_view(
         settled=settled,
         active=np.empty(0, np.int64) if active is None else active,
         in_rows=in_rows,
+        inner_counts=ctx.inner_counts(),
     )
 
 

@@ -17,7 +17,10 @@ only validating the final distance array:
   changes and its settled flag never clears.
 - **IOS edge conservation** — the inner/outer short-arc split partitions
   proposals exactly: inner targets fall below the bucket boundary, outer
-  targets at or above it, and together they cover every scanned arc.
+  targets at or above it, and together they cover every scanned arc. The
+  kernels read the inner arcs off a prefix table without testing an arc,
+  so the guard re-derives the per-arc filter over every short arc and
+  holds the table's prefixes to it.
 - **Recovery-traffic separation** — a fault-free, non-degraded solve
   charges zero bytes/phases/supersteps to the recovery phase, so PR 1's
   accounting can never leak into the paper-facing numbers.
@@ -47,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.distances import INF
+from repro.util.ranges import concat_ranges
 
 __all__ = ["GuardViolation", "InvariantGuards"]
 
@@ -171,14 +175,45 @@ class InvariantGuards:
             )
 
     def check_ios_coverage(self, num_short_arcs: int, num_proposals: int) -> None:
-        """Every scanned short arc must yield exactly one proposal before
-        the inner/outer split — none dropped, none duplicated."""
+        """Every scanned short arc must be classified exactly once, inner
+        or outer — none dropped, none duplicated."""
         self.checks += 1
         if num_proposals != num_short_arcs:
             self._fail(
                 f"IOS edge conservation violated: {num_short_arcs} short arcs "
-                f"scanned but {num_proposals} proposals produced"
+                f"scanned but {num_proposals} classified inner or outer"
             )
+
+    def check_ios_split(
+        self,
+        starts: np.ndarray,
+        short: np.ndarray,
+        inner: np.ndarray,
+        d: np.ndarray,
+        weights: np.ndarray,
+        hi: int,
+    ) -> None:
+        """An IOS kernel took the first ``inner[i]`` of the ``short[i]``
+        short arcs of the row at ``starts[i]`` (tail distance ``d[i]``;
+        ``weights`` is the graph's) as their inner arcs, reading each count
+        off the prefix table. Re-derive the per-arc filter
+        ``d + w < hi`` over every one of those short arcs and check that
+        the kernel's inner counts and the filter's outer arcs cover the
+        short arcs (:meth:`check_ios_coverage`), that no prefix runs past
+        its row's short arcs, and that each prefix is exactly the filter's
+        inner set (:meth:`check_ios_partition` over the kernel's split)."""
+        arcs, row = concat_ranges(starts, starts + short)
+        proposed = d[row] + weights[arcs]
+        outer = int(np.count_nonzero(proposed >= hi))
+        self.check_ios_coverage(int(short.sum()), int(inner.sum()) + outer)
+        past = np.flatnonzero(inner > short)
+        if past.size:
+            i = int(past[0])
+            self._fail(
+                f"IOS prefix violated: an inner prefix of {int(inner[i])} arcs "
+                f"runs past its row's {int(short[i])} short arcs"
+            )
+        self.check_ios_partition(proposed, hi, arcs - starts[row] < inner[row])
 
     # -- unsettled-set equivalence ------------------------------------
     def check_unsettled_set(

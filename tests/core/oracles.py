@@ -7,6 +7,11 @@ was trimmed, kept as the reference the trimmed path is held equal to.
   branch and both ``np.clip`` calls, out of place — and evaluated rank by
   rank, each on its own block of the arrays alone, the way one view per
   rank did before a rank became a range of the one view.
+- :func:`short_records_oracle` and :func:`gather_push_records_oracle` —
+  the short-phase records and the push gather as they stood before the
+  inner arcs were read as a prefix off the prefix table: every short arc
+  (under IOS every arc of a member) expanded, its proposal computed and
+  the per-arc filter ``d(u) + w < hi`` applied.
 """
 
 from __future__ import annotations
@@ -15,6 +20,38 @@ import numpy as np
 
 from repro.core.distances import INF
 from repro.core.pushpull import PushPullEstimate, combine_expectation_costs
+from repro.util.ranges import concat_ranges
+
+
+def short_records_oracle(ctx, view, active, short, hi):
+    starts = view.indptr[active]
+    arcs, owner_idx = concat_ranges(starts, starts + short)
+    src = active[owner_idx]
+    dst = view.adj[arcs]
+    nd = view.d[src] + view.weights[arcs]
+    if not ctx.config.use_ios:
+        return src, dst, nd
+    inner = nd < hi
+    return src[inner], dst[inner], nd[inner]
+
+
+def gather_push_records_oracle(ctx, view, members, k):
+    starts, ends = view.indptr[members], view.indptr[members + 1]
+    long_starts = starts + view.short_offsets[members]
+    if not ctx.config.use_ios:
+        arcs, owner_idx = concat_ranges(long_starts, ends)
+        src = members[owner_idx]
+        batch = (src, view.adj[arcs], view.d[src] + view.weights[arcs])
+        return [batch], (ends - long_starts).astype(np.float64)
+    hi = (k + 1) * ctx.config.delta
+    arcs, owner_idx = concat_ranges(starts, ends)
+    src = members[owner_idx]
+    dst, nd = view.adj[arcs], view.d[src] + view.weights[arcs]
+    long = arcs >= long_starts[owner_idx]
+    outer = nd >= hi
+    outer &= ~long
+    batches = [(src[long], dst[long], nd[long]), (src[outer], dst[outer], nd[outer])]
+    return batches, ctx.graph.degrees[members].astype(np.float64)
 
 
 def expectation_partials_oracle(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import SolverConfig
+from repro.core.config import DELTA_INFINITY, SolverConfig
 from repro.core.context import make_context
 from repro.runtime.machine import MachineConfig
 from repro.runtime.metrics import ComputeKind
@@ -266,6 +266,47 @@ class TestMemo:
                 getattr(want.weight_histogram, name),
             )
 
+    def test_the_ios_prefix_table_is_one_shared_read_only_entry(
+        self, rmat1_small, monkeypatch
+    ):
+        """Built once per (graph, Δ), by the first context to ask; shared
+        by every context and fork of the graph — a solver's template and
+        the rank driver's context per solve alike — and read-only."""
+        import repro.core.context as context
+        from repro.core.solver import BatchSolver
+        from repro.spmd.engine import spmd_delta_stepping
+
+        builds = []
+        split = context.concat_ranges
+        monkeypatch.setattr(
+            context, "concat_ranges",
+            lambda *a: builds.append(1) or split(*a),
+        )
+        graph = rmat1_small.sorted_by_weight()
+        # No IOS, or Δ = ∞ (no short phase at all): no table.
+        assert ctx_for(graph).inner_counts() is None
+        unbounded = ctx_for(graph, delta=DELTA_INFINITY, use_ios=True)
+        assert unbounded.inner_counts() is None
+        a = ctx_for(graph, use_ios=True, ranks=2)
+        table = a.inner_counts()
+        b = ctx_for(graph, use_ios=True, ranks=4, partition="degree")
+        solver = BatchSolver(graph, algorithm="opt", delta=25, num_ranks=3)
+        solver.solve(3)
+        spmd_ctxs = [
+            spmd_delta_stepping(graph, root, a.machine, config=a.config)[1]
+            for root in (3, 5)
+        ]
+        for ctx in (a.fork(), b, b.fork(), solver._template_ctx, *spmd_ctxs):
+            assert ctx.inner_counts() is table
+        assert len(builds) == 1
+        other = ctx_for(graph, delta=10, use_ios=True).inner_counts()
+        assert other is not table and len(builds) == 2
+        assert other.shape[1] == 11 and table.shape[1] == 26
+        for t in (table, other):
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[0, 0] = 1
+
     def test_a_dropped_graph_goes_without_the_cycle_collector(self, rmat1_small):
         import gc
         import weakref
@@ -281,6 +322,7 @@ class TestMemo:
                 graph = fresh_copy(source).sorted_by_weight()
                 for key in GRID[:4]:
                     ctx = ctx_for(graph, **key)
+                    ctx_for(graph, use_ios=True, **key).inner_counts()
                 ref = weakref.ref(graph)
                 del ctx, graph
                 assert ref() is None

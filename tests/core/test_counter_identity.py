@@ -65,12 +65,18 @@ EXPECTED = {
     # queued; produced on commit 088494a, before a delivery became one fold.
     ("rmat13", "opt"): (112, "dc86f4c03af7811705c0"),
     ("rmat13", "prune-pull"): (291, "13c0487dc88c0c661aa0"),
+    # Produced on commit 33f3a2d, before the short phase read its inner
+    # arcs as a prefix: Δ = 300 past the largest weight (every arc short,
+    # the bound clamped), and the IOS push gather at scale 13.
+    ("rmat10", "opt-wide"): (70, "d0a74643cac273772e7c"),
+    ("rmat13", "prune"): (281, "f8b2a78d1a9dbe092d93"),
 }
 
 #: names in ``EXPECTED`` that are a preset plus overrides
 VARIANTS = {
     "prune-pull": ("prune", {"pushpull_mode": "pull"}),
     "delta-hybrid": ("delta", {"use_hybrid": True}),
+    "opt-wide": ("opt", {"delta": 300}),
 }
 
 #: (graph, preset) -> the record stream of a run resumed from the epoch-2
@@ -93,6 +99,8 @@ EXPECTED_BUCKET_STATS = {
     # Produced on commit 088494a, like the scale-13 records above.
     ("rmat13", "opt"): (3, "bd2789fd7d68658409b0"),
     ("rmat13", "prune"): (16, "c43fb074643d8ad7da43"),
+    # Produced on commit 33f3a2d, like the ``opt-wide`` records above.
+    ("rmat10", "opt-wide"): (1, "b5073847c7a410ad5ec1"),
 }
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.buckets import bucket_members
 from repro.core.config import SolverConfig
-from repro.core.context import make_context
+from repro.core.context import inner_counts, make_context
 from repro.core.delta_stepping import DeltaSteppingEngine
 from repro.core.distances import INF, init_distances
 from repro.core.pruning import (
@@ -17,11 +17,14 @@ from repro.core.pruning import (
     long_phase_push,
     pull_responders,
 )
+from repro.core.phases import short_records
 from repro.core.reference import dijkstra_reference
 from repro.core.transport import DeclaredTransport
 from repro.core.views import whole_graph_view
 from repro.graph.builder import from_edges
 from repro.runtime.machine import MachineConfig
+
+from tests.core.oracles import gather_push_records_oracle, short_records_oracle
 
 
 def ctx_for(graph, *, delta=5, ranks=2, threads=2, **cfg):
@@ -282,3 +285,120 @@ class TestPullGatherProperty:
         d_u = view.d[u]
         want = view.settled[u] & (d_u >= lo) & (d_u < hi)
         assert pull_responders(ctx, view, u, k).tolist() == want.tolist()
+
+
+# ----------------------------------------------------------------------
+# The short phase and the IOS push gather against the per-arc filter
+# ----------------------------------------------------------------------
+@st.composite
+def window_states(draw):
+    """A small graph — directed or not, zero weights allowed, isolated
+    vertices likely, Δ from 1 to past the largest weight (the clamped
+    column) — on 1–4 ranks, and a window ``[lo, hi)`` of bucket ``k``
+    holding a random share of the vertices; the rest lie below it,
+    above it or unreached."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(0, 60))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    tails, heads = np.array(draw(ends), np.int64), np.array(draw(ends), np.int64)
+    w_top = draw(st.sampled_from([0, 1, 5, 40]))
+    weights = np.array(
+        draw(st.lists(st.integers(0, w_top), min_size=m, max_size=m)), np.int64
+    )
+    directed = draw(st.booleans())
+    if not directed:
+        tails, heads = np.concatenate([tails, heads]), np.concatenate([heads, tails])
+        weights = np.concatenate([weights, weights])
+    graph = from_edges(tails, heads, weights, n, undirected=not directed)
+    delta = draw(st.one_of(st.just(1), st.integers(1, 60)))
+    ctx = ctx_for(
+        graph, delta=delta, ranks=draw(st.integers(1, 4)), threads=1,
+        use_ios=draw(st.booleans()),
+    )
+    k = draw(st.integers(0, 3))
+    lo, hi = k * delta, (k + 1) * delta
+    d = np.array(draw(st.lists(
+        st.one_of(
+            st.integers(lo, hi - 1), st.integers(0, hi + 80), st.just(int(INF))
+        ),
+        min_size=n, max_size=n,
+    )), dtype=np.int64)
+    view = whole_graph_view(ctx, d, d < lo)
+    window = np.flatnonzero((d >= lo) & (d < hi))
+    keep = draw(st.lists(st.booleans(), min_size=window.size, max_size=window.size))
+    return ctx, view, k, hi, window, window[np.array(keep, dtype=bool)]
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+class TestInnerPrefixProperty:
+    """``short_records`` and the push gather read the inner short arcs as
+    a prefix off the table; the parent's per-arc filter is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(state=window_states())
+    def test_short_records_equal_the_per_arc_filter(self, state):
+        ctx, view, _, hi, _, active = state
+        short = view.short_offsets[active]
+        assert_same_arrays(
+            short_records(ctx, view, active, short, hi),
+            short_records_oracle(ctx, view, active, short, hi),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(state=window_states())
+    def test_push_gather_equals_the_per_arc_filter(self, state):
+        """Same batches in the same order, and the same scanned units, for
+        members anywhere in the vertex range (rank cuts included)."""
+        ctx, view, k, _, members, _ = state
+        view.settled[members] = True
+        (got, got_units), (want, want_units) = (
+            gather(ctx, view, members, k)
+            for gather in (gather_push_records, gather_push_records_oracle)
+        )
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_arrays(a, b)
+        assert_same_arrays([got_units], [want_units])
+
+    @settings(max_examples=100, deadline=None)
+    @given(state=window_states())
+    def test_table_counts_the_short_arcs_below_every_bound(self, state):
+        ctx, view = state[:2]
+        graph, delta = ctx.graph, ctx.config.delta
+        table = inner_counts(graph, delta)
+        width = min(delta, graph.max_weight + 1)
+        assert table.shape == (graph.num_vertices, width + 1)
+        assert np.iinfo(table.dtype).max >= ctx.short_offsets.max(initial=0)
+        for u in range(graph.num_vertices):
+            w = graph.neighbor_weights(u)
+            want = [int(((w < b) & (w < delta)).sum()) for b in range(width + 1)]
+            assert table[u].tolist() == want
+
+    @pytest.mark.parametrize("leaves, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_table_type_is_the_narrowest_that_holds_a_short_degree(
+        self, leaves, dtype
+    ):
+        hub = np.zeros(leaves, dtype=np.int64)
+        graph = from_edges(hub, np.arange(1, leaves + 1), np.ones(leaves, np.int64),
+                           leaves + 1, undirected=False)
+        table = inner_counts(graph.sorted_by_weight(), 5)
+        assert table.dtype == dtype and table[0].tolist() == [0, 0, leaves]
+
+    def test_the_paranoid_split_check_trips_on_a_short_prefix(self, star_graph):
+        """A table read one column low classifies an inner arc outer."""
+        from repro.runtime.guards import GuardViolation
+
+        ctx = ctx_for(star_graph, delta=5, use_ios=True, paranoid=True)
+        d = init_distances(star_graph.num_vertices, 0)
+        view = whole_graph_view(ctx, d, np.zeros(d.size, dtype=bool))
+        hub, hi = np.array([0]), 5
+        args = (view.indptr[hub], view.short_offsets[hub])
+        # The hub's short arcs weigh 1…4: all four are inner at d = 0.
+        ctx.guards.check_ios_split(*args, np.array([4]), d[hub], view.weights, hi)
+        with pytest.raises(GuardViolation, match="edge conservation"):
+            ctx.guards.check_ios_split(*args, np.array([3]), d[hub], view.weights, hi)

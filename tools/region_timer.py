@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Wall-clock time per *region* of a `cold_grid`-shaped solve.
+"""Wall-clock time per *region* of a `cold_grid`- or `cold_rmat`-shaped solve.
 
 A cProfile self-time view of the many-bucket regime looks flat: the cost
 is hundreds of small NumPy dispatches, none of which stands out. Timed by
@@ -12,11 +12,14 @@ counts only its outermost call (`scan_all_ranks` may call `charge_scan`,
 both sites of one region).
 
     PYTHONPATH=src python tools/region_timer.py [--side 64] [--solves 10] [--seed 1] [--driver rank]
+    PYTHONPATH=src python tools/region_timer.py --graph rmat --scale 15
 
 Prints, per region, calls and milliseconds per solve (the per-root minimum
 over ``--repeats`` passes, summed over calls), and the solve total. Same
 graph, preset and machine shape as `benchmarks/stack`'s `cold_grid`
-(`opt`, Δ = 25, 8 × 8). ``--driver rank`` runs the same solves through
+(`opt`, Δ = 25, 8 × 8); ``--graph rmat --scale N`` solves on an R-MAT
+graph of 2^N vertices instead, the few-huge-frontiers regime of
+`cold_rmat` (scale 15 there). ``--driver rank`` runs the same solves through
 `spmd_delta_stepping` (the rank driver, as `cold_spmd` calls it: a
 context per solve, records routed through a mailbox) and adds the regions
 only that driver has: `make_context`, `Mailbox.send`, `Mailbox.exchange`.
@@ -39,7 +42,7 @@ import repro.spmd.engine as spmd_engine
 from repro.core.config import preset
 from repro.core.context import ExecutionContext
 from repro.core.solver import BatchSolver
-from repro.graph import grid_graph
+from repro.graph import grid_graph, rmat_graph
 from repro.runtime.comm import Communicator
 from repro.runtime.machine import MachineConfig
 from repro.runtime.metrics import Metrics
@@ -53,6 +56,7 @@ REGIONS = {
     "apply_relaxations": [(views, "apply_relaxations")],
     "VertexView.unsettled": [(views.VertexView, "unsettled")],
     "concat_ranges": [(phases, "concat_ranges"), (pruning, "concat_ranges")],
+    "short_records": [(phases, "short_records")],
     "gather_push_records": [(pruning, "gather_push_records")],
     "relax_round": [(phases, "relax_round"), (pruning, "relax_round")],
     "ExecutionContext.charge": [(ExecutionContext, "charge")],
@@ -112,14 +116,21 @@ class Accumulator:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--graph", choices=("grid", "rmat"), default="grid")
     ap.add_argument("--side", type=int, default=64)
+    ap.add_argument("--scale", type=int, default=15)
     ap.add_argument("--solves", type=int, default=10)
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--driver", choices=("whole", "rank"), default="whole")
     args = ap.parse_args()
 
-    graph = grid_graph(args.side, args.side, seed=args.seed).sorted_by_weight()
+    if args.graph == "rmat":
+        graph = rmat_graph(args.scale, seed=args.seed).sorted_by_weight()
+        shape = f"scale-{args.scale} R-MAT"
+    else:
+        graph = grid_graph(args.side, args.side, seed=args.seed).sorted_by_weight()
+        shape = f"{args.side}x{args.side} grid"
     regions = dict(REGIONS)
     if args.driver == "rank":
         regions.update(RANK_REGIONS)
@@ -134,7 +145,7 @@ def main() -> None:
         ).solve
 
     rng = np.random.default_rng(args.seed)
-    roots = rng.choice(graph.num_vertices, size=args.solves, replace=False)
+    roots = rng.choice(np.flatnonzero(graph.degrees), size=args.solves, replace=False)
     solve(int(roots[0]))  # warm-up
 
     acc = Accumulator(regions)
@@ -155,7 +166,7 @@ def main() -> None:
     n = len(best)
     solve_ms = sum(w for w, _, _ in best.values()) / n * 1e3
     print(
-        f"{args.side}x{args.side} grid, opt/Δ=25, 8x8, {args.driver} driver, "
+        f"{shape}, opt/Δ=25, 8x8, {args.driver} driver, "
         f"{n} roots x {args.repeats} "
         f"passes (per-root minimum); last root: {epochs} epochs, {applies} applies"
     )
