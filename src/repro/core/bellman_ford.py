@@ -80,7 +80,7 @@ def bellman_ford_stage(
             ctx.graph.degrees[active].astype(np.float64), phase_kind=phase_kind,
         )
         if ctx.guards is not None:
-            ctx.guards.after_relaxations(view.d)
+            ctx.guards.after_relaxations(view.d, view.active)
         if tr is not None:
             tr.end(span, relaxed=relaxed)
     return iteration

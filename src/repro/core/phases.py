@@ -244,7 +244,7 @@ def process_epoch(
             short.astype(np.float64), phase_kind="short", window=(lo, hi),
         )
         if guards is not None:
-            guards.after_relaxations(view.d)
+            guards.after_relaxations(view.d, view.active, (lo, hi))
         if tr is not None:
             tr.end(short_span, relaxed=relaxed)
 

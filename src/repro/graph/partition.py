@@ -89,22 +89,6 @@ class ContiguousPartition:
         lo, hi = self.rank_range(rank)
         return hi - lo
 
-    def to_local(self, rank: int, vertices: np.ndarray) -> np.ndarray:
-        """Translate global vertex ids owned by ``rank`` to local indices."""
-        lo, hi = self.rank_range(rank)
-        v = np.asarray(vertices, dtype=np.int64)
-        if v.size and (v.min() < lo or v.max() >= hi):
-            raise ValueError(f"vertices not owned by rank {rank}")
-        return v - lo
-
-    def to_global(self, rank: int, local: np.ndarray) -> np.ndarray:
-        """Translate local indices on ``rank`` back to global vertex ids."""
-        lo, hi = self.rank_range(rank)
-        v = np.asarray(local, dtype=np.int64)
-        if v.size and (v.min() < 0 or v.max() >= hi - lo):
-            raise ValueError(f"local indices out of range for rank {rank}")
-        return v + lo
-
     def thread_owner(
         self, local_vertices: np.ndarray, rank: int, num_threads: int
     ) -> np.ndarray:

@@ -12,7 +12,10 @@ only validating the final distance array:
   settled work.
 - **Distance monotonicity** — min-apply relaxation only ever lowers
   tentative distances; any elementwise increase outside an explicit
-  rollback is corruption.
+  rollback is corruption. Where a relaxation round hands in the changed
+  set its apply returned (the short phases and the Bellman-Ford stage),
+  that set must be exactly the vertices whose distance fell, inside the
+  round's window when it has one.
 - **Settled finality** — once a vertex settles, its distance never
   changes and its settled flag never clears.
 - **IOS edge conservation** — the inner/outer short-arc split partitions
@@ -97,8 +100,20 @@ class InvariantGuards:
         self._last_bucket = k
 
     # -- distance monotonicity -----------------------------------------
-    def after_relaxations(self, d: np.ndarray) -> None:
-        """A relaxation step finished; ``d`` is the new global array."""
+    def after_relaxations(
+        self,
+        d: np.ndarray,
+        changed: np.ndarray | None = None,
+        window: tuple[int, int] | None = None,
+    ) -> None:
+        """A relaxation step finished; ``d`` is the new global array.
+
+        ``changed`` is what the step's one apply returned — with
+        ``window=(lo, hi)``, the changed vertices whose new distance lies
+        inside it. It must be exactly the vertices whose distance fell
+        since the last snapshot (within the window), sorted: the next
+        phase's active set is read off it. Counted as part of the
+        monotonicity check, and skipped with it right after a rollback."""
         self.checks += 1
         if self._d_prev is not None:
             raised = d > self._d_prev
@@ -109,7 +124,26 @@ class InvariantGuards:
                     f"{int(self._d_prev[v])} to {int(d[v])} — relaxation "
                     "must only ever lower tentative distances"
                 )
+            if changed is not None:
+                self._check_changed(d, changed, window)
         self._d_prev = d.copy()
+
+    def _check_changed(
+        self, d: np.ndarray, changed: np.ndarray, window: tuple[int, int] | None
+    ) -> None:
+        fell = np.flatnonzero(d < self._d_prev)
+        if window is not None:
+            lo, hi = window
+            d_fell = d[fell]
+            fell = fell[(d_fell >= lo) & (d_fell < hi)]
+        if not np.array_equal(changed, fell):
+            diff = np.setxor1d(changed, fell)
+            at = f"vertex {int(diff[0])}" if diff.size else "the order or a repeat"
+            self._fail(
+                "changed-set equivalence violated: the apply's changed set "
+                f"and the vertices whose distance fell disagree at {at} "
+                f"({changed.size} ids against {fell.size})"
+            )
 
     def on_rollback(self) -> None:
         """A legitimate state rollback happened (rank restart from a

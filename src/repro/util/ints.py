@@ -3,14 +3,19 @@
 An integer is a Python ``int`` or a NumPy integer. Floats — integral ones
 too — strings and bools are refused with ``ValueError`` before any work: a
 float Δ would key buckets off float distances, and a float or bool vertex
-id would be read as some other vertex.
+id would be read as some other vertex. :func:`int_array` applies the same
+rule to the arrays the exported index kernels take.
 """
 
 from __future__ import annotations
 
 import operator
 
-__all__ = ["check_count", "vertex_id"]
+import numpy as np
+
+__all__ = ["check_count", "int_array", "vertex_id"]
+
+_INT64 = np.dtype(np.int64)
 
 
 def _integer(value) -> int | None:
@@ -49,3 +54,20 @@ def vertex_id(value, num_vertices: int, what: str = "root") -> int:
             f"vertices (valid: 0 <= {what} < {num_vertices})"
         )
     return v
+
+
+def int_array(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array; ``name`` goes into the error.
+
+    Integer arrays of any width are taken (widened, not copied when
+    already int64); float, bool and object arrays are refused instead of
+    truncated. An empty input is taken whatever its dtype — ``[]`` is a
+    float array to NumPy. The check reads the dtype only: O(1), not a
+    pass over the values.
+    """
+    arr = np.asarray(values)
+    if arr.dtype is not _INT64:  # the hot path: a dtype identity test
+        if arr.dtype.kind not in "iu" and arr.size:
+            raise ValueError(f"{name} must be an integer array, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
+    return arr

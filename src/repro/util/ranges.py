@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util.ints import int_array
+
 __all__ = ["concat_ranges", "sorted_unique_ids"]
 
 _DENSE_SHARE = 16
@@ -37,9 +39,10 @@ def sorted_unique_ids(ids: np.ndarray, n: int) -> np.ndarray:
     sorted and keeps every element that differs from its left neighbour
     (O(size log size), independent of ``n``). The choice depends only on
     ``ids.size`` and ``n``. The range is a precondition, not checked: the
-    callers index a length-``n`` array with the same ids first.
+    callers index a length-``n`` array with the same ids first. Non-integer
+    ids are refused with ``ValueError``, not truncated.
     """
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = int_array("ids", ids)
     if ids.size * _DENSE_SHARE < n:
         ordered = np.sort(ids)
         if ordered.size < 2:
@@ -67,9 +70,11 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.
     -------
     >>> concat_ranges(np.array([0, 5]), np.array([2, 8]))
     (array([0, 1, 5, 6, 7]), array([0, 0, 1, 1, 1]))
+
+    Non-integer bounds are refused with ``ValueError``, not truncated.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
+    starts = int_array("starts", starts)
+    ends = int_array("ends", ends)
     if starts.shape != ends.shape:
         raise ValueError("starts and ends must have equal shape")
     counts = ends - starts

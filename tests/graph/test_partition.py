@@ -64,24 +64,6 @@ class TestOwner:
 
 
 class TestLocalGlobal:
-    def test_round_trip(self):
-        p = BlockPartition(10, 3)
-        for r in range(3):
-            lo, hi = p.rank_range(r)
-            g = np.arange(lo, hi)
-            local = p.to_local(r, g)
-            assert np.array_equal(p.to_global(r, local), g)
-
-    def test_to_local_rejects_foreign_vertices(self):
-        p = BlockPartition(10, 2)
-        with pytest.raises(ValueError):
-            p.to_local(0, np.array([9]))
-
-    def test_to_global_rejects_out_of_range(self):
-        p = BlockPartition(10, 2)
-        with pytest.raises(ValueError):
-            p.to_global(0, np.array([7]))
-
     def test_rank_range_bounds_checked(self):
         p = BlockPartition(10, 2)
         with pytest.raises(IndexError):

@@ -72,6 +72,22 @@ class TestUnitViolations:
             d3[1] = 50
             g.after_relaxations(d3)
 
+    def test_changed_set_equivalence(self):
+        g = InvariantGuards(5, 25)
+        d = np.array([0, 10, 20, 30, 40], dtype=np.int64)
+        g.after_relaxations(d)
+        d = np.array([0, 5, 20, 12, 40], dtype=np.int64)  # 1 and 3 fell
+        g.after_relaxations(d.copy(), np.array([1, 3]))
+        g.after_relaxations(d.copy(), np.empty(0, np.int64))  # nothing fell
+        d[[1, 3]] = [4, 11]
+        g.after_relaxations(d.copy(), np.array([3]), (10, 20))  # 1 is below
+        d[[1, 3]] = [3, 10]
+        with pytest.raises(GuardViolation, match="changed-set equivalence"):
+            g.after_relaxations(d.copy(), np.array([1]))  # dropped 3
+        g.on_rollback()
+        g.after_relaxations(d, np.array([4]))  # skipped after a rollback
+        assert g.checks == 6
+
     def test_settled_flag_finality(self):
         g = InvariantGuards(4, 25)
         d = np.array([0, 10, 20, 30], dtype=np.int64)

@@ -51,6 +51,25 @@ class TestConcatRanges:
         with pytest.raises(ValueError):
             concat_ranges(np.array([1, 2]), np.array([3]))
 
+    @pytest.mark.parametrize(
+        "starts, ends",
+        [
+            ([0.5, 3.9], [2.7, 5.2]),  # was truncated to [0, 1, 3, 4]
+            ([0, 3], [2.0, 5.0]),
+            (np.array([True, False]), [1, 1]),
+            (np.array([0, 3], dtype=object), [2, 5]),
+        ],
+    )
+    def test_non_integer_bounds_are_refused(self, starts, ends):
+        with pytest.raises(ValueError, match="must be an integer array"):
+            concat_ranges(np.asarray(starts), np.asarray(ends))
+
+    def test_empty_bounds_of_any_dtype_and_any_integer_width(self):
+        idx, owners = concat_ranges([], [])
+        assert idx.size == owners.size == 0 and idx.dtype == np.int64
+        idx, _ = concat_ranges(np.array([0, 5], np.uint8), np.array([2, 8], np.int16))
+        assert idx.dtype == np.int64 and idx.tolist() == [0, 1, 5, 6, 7]
+
     def test_matches_python_reference(self):
         rng = np.random.default_rng(0)
         starts = rng.integers(0, 50, 30)
@@ -92,6 +111,21 @@ class TestSortedUniqueIds:
 
     def test_single_vertex_universe(self):
         assert list(sorted_unique_ids(np.zeros(5, dtype=np.int64), 1)) == [0]
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[1.5, 1.2, 3.9], [1.0, 3.0], [True, False, True], np.array([1, 3], dtype=object)],
+    )
+    def test_non_integer_ids_are_refused(self, ids):
+        """``[1.5, 1.2, 3.9]`` used to come back as ``[1, 3]``."""
+        with pytest.raises(ValueError, match="^ids must be an integer array"):
+            sorted_unique_ids(np.asarray(ids), 5)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32])
+    def test_any_integer_width_and_empty_input(self, dtype):
+        out = sorted_unique_ids(np.array([3, 1, 3], dtype=dtype), 5)
+        assert out.dtype == np.int64 and out.tolist() == [1, 3]
+        assert sorted_unique_ids([], 5).tolist() == []
 
     def test_both_sides_of_the_switch(self):
         # The same ids against a small and a large universe take the mask

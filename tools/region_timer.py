@@ -6,10 +6,11 @@ is hundreds of small NumPy dispatches, none of which stands out. Timed by
 region instead — an accumulator around every call of a named function,
 children included — the per-epoch residues show. Regions nest
 (`concat_ranges` runs inside `gather_push_records` and the short phase,
-`apply_relaxations` inside `VertexView.apply`, the accounting calls
-inside `relax_round`), so the rows do not add up to the solve; a region
-counts only its outermost call (`scan_all_ranks` may call `charge_scan`,
-both sites of one region).
+`apply_relaxations` inside `VertexView.apply`, `gather_pull_requests`
+inside `long_phase_pull`, the accounting calls inside `relax_round`, and
+the hybrid tail, `bellman_ford_stage`, holds relax rounds of its own), so
+the rows do not add up to the solve; a region counts only its outermost
+call (`scan_all_ranks` may call `charge_scan`, both sites of one region).
 
     PYTHONPATH=src python tools/region_timer.py [--side 64] [--solves 10] [--seed 1] [--driver rank]
     PYTHONPATH=src python tools/region_timer.py --graph rmat --scale 15
@@ -34,6 +35,7 @@ import time
 
 import numpy as np
 
+import repro.core.defence as defence
 import repro.core.phases as phases
 import repro.core.pruning as pruning
 import repro.core.pushpull as pushpull
@@ -58,6 +60,12 @@ REGIONS = {
     "concat_ranges": [(phases, "concat_ranges"), (pruning, "concat_ranges")],
     "short_records": [(phases, "short_records")],
     "gather_push_records": [(pruning, "gather_push_records")],
+    "long_phase_pull": [(phases, "long_phase_pull")],
+    "gather_pull_requests": [(pruning, "gather_pull_requests")],
+    "bellman_ford_stage": [
+        (phases, "bellman_ford_stage"), (defence, "bellman_ford_stage"),
+        (spmd_engine, "bellman_ford_stage"),
+    ],
     "relax_round": [(phases, "relax_round"), (pruning, "relax_round")],
     "ExecutionContext.charge": [(ExecutionContext, "charge")],
     "charge_scan": [
