@@ -22,7 +22,7 @@ Pay-for-use, like the rest of ``obs/``: a broker with neither a tracer
 nor an event log attached mints no contexts, and every note site is a
 single ``ctx is not None`` check. A request answered by the cache at
 submit mints none either: nothing would note on it, and its
-:class:`~repro.serve.accounting.HitContext` builds the same event.
+:class:`~repro.serve.events.HitContext` builds the same event.
 """
 
 from __future__ import annotations

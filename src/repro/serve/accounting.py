@@ -11,25 +11,36 @@ request (answered, failed, cancelled or shed) and the package's only
 ``events.emit`` call: "one wide event per request" is structural.
 
 A terminal completion is **one fact** appended to a ledger —
-``(outcome, latency, request id)`` — not a registry call: the ledger
-has a registry collector that folds it into ``serve_requests_total`` and
-``serve_request_latency_seconds`` (buckets, float ``_sum``, exemplars —
-replayed in arrival order, so bit for bit what per-request ``inc`` /
-``observe`` calls would have left) when something reads the registry,
-or by ``terminal`` itself once :data:`FOLD_AT` facts are pending, which
-bounds a never-scraped broker's memory. The wide event it emits is a
-record too: the context's ``wide_event`` with its arguments bound, which
-the event log folds into the dict when the stream is read.
+``(outcome, latency, request id, clock stamp, retried_ok)``, atoms only,
+no lock taken. Nothing else is written at the terminal: a registry
+collector folds the pending facts, in arrival order, into the outcome
+and ``retried_ok`` tallies, the :class:`~repro.serve.slo.LatencyWindow`
+and the registry series — ``serve_requests_total``,
+``serve_retried_ok_total`` and ``serve_request_latency_seconds``
+(buckets, float ``_sum``, exemplars: bit for bit what per-request
+``inc`` / ``observe`` calls would have left) — whenever something reads
+any of them: a registry read, :meth:`ServeAccounting.report`,
+:meth:`~ServeAccounting.tally`, or any reader of the window (the
+burn-rate monitor, ``serve-top``). ``terminal`` folds itself once
+:data:`FOLD_AT` facts are pending, which bounds a never-read broker's
+memory. The wide event it emits is a flat record too
+(:mod:`repro.serve.events`), folded into its dict when the stream is
+read.
+
+Lock order of a fold: registry → accounting → window. It runs under the
+registry lock (every registry reader takes it first), takes the tally
+lock, and the window's inside that; nothing here takes them the other
+way round.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import deque
 from functools import partial
-from typing import NamedTuple
 
-from repro.obs.request import RequestContext
+from repro.serve.events import HitContext
 from repro.serve.slo import LatencyWindow
 
 __all__ = ["FOLD_AT", "HitContext", "ServeAccounting"]
@@ -67,38 +78,49 @@ _GAUGES = {
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
-class HitContext(NamedTuple):
-    """What a submit-time cache hit knows, in place of the
-    :class:`~repro.obs.request.RequestContext` it never mints: its id,
-    root, pinned snapshot, admission time and — for a stale hit while the
-    breaker is degraded — the ladder rung and the open classes.
-    :meth:`wide_event` builds the same dict that context would have."""
+class _FoldedWindow(LatencyWindow):
+    """The broker's latency window: filled only by the ledger's fold, so
+    each reader first folds through the registry. It holds the registry
+    weakly — the registry's collector holds the window — so no cycle
+    keeps a dropped broker's samples alive."""
 
-    request_id: str
-    root: int
-    snapshot_id: int
-    submitted_at: float
-    rung: str | None = None
-    open_classes: tuple = ()
+    def __init__(self, registry, clock) -> None:
+        super().__init__(clock=clock)
+        self._registry = weakref.ref(registry)
 
-    def wide_event(self, **terminal) -> dict:
-        return RequestContext(
-            self.request_id, self.root, self.submitted_at, self.snapshot_id,
-            cache_tier="stale_hit" if self.rung else "hit",
-            degraded_tier=self.rung, breaker_open=self.open_classes,
-        ).wide_event(**terminal)
+    def _fold_pending(self) -> None:
+        registry = self._registry()
+        if registry is not None:
+            registry.collect()
 
 
-def _fold(ledger: deque, registry) -> None:
+def _fold(ledger: deque, lock, tally: dict, outcomes: dict, window,
+          registry) -> None:
     """Collector: replay the pending facts, in arrival order, into the
-    request counter and latency histogram of their outcome."""
-    groups: dict[str, tuple[list, list]] = {}
+    tallies, the window and the request counter, ``retried_ok`` counter
+    and latency histogram of their outcome (registry lock held)."""
+    groups: dict[str, tuple[list, list, list]] = {}
+    retried_ok = 0
     for _ in range(len(ledger)):  # later appends wait for the next fold
-        outcome, latency, ref = ledger.popleft()
-        latencies, refs = groups.setdefault(outcome, ([], []))
-        latencies.append(latency)
-        refs.append(ref)
-    for outcome, (latencies, refs) in groups.items():
+        outcome, latency, ref, stamp, ok = ledger.popleft()
+        group = groups.get(outcome)
+        if group is None:
+            group = groups[outcome] = ([], [], [])
+        group[0].append(latency)
+        group[1].append(ref)
+        group[2].append((stamp, latency))
+        retried_ok += ok
+    if not groups:
+        return
+    with lock:
+        tally["retried_ok"] += retried_ok
+        for outcome, (latencies, _, rows) in groups.items():
+            outcomes[outcome] = outcomes.get(outcome, 0) + len(latencies)
+            window.record_stamped(outcome, rows)
+    if retried_ok:
+        series, help_ = _COUNTS["retried_ok"]
+        registry.inc(series, retried_ok, help=help_)
+    for outcome, (latencies, refs, _) in groups.items():
         registry.inc("serve_requests_total", len(latencies), outcome=outcome,
                      help="completed requests by outcome")
         registry.observe_many(
@@ -115,14 +137,15 @@ class ServeAccounting:
     broker's (latency samples and ``wall_s`` share its time base). One
     lock guards the tallies; registry, window and event log keep theirs,
     and the ledger is a ``deque`` (appends from several workers are
-    atomic; the fold runs under the registry lock).
+    atomic; the fold runs under the registry lock, in the order the
+    module docstring fixes).
     """
 
     def __init__(self, *, registry, tracer, events, clock) -> None:
         self.registry = registry
         self.tracer = tracer
         self.events = events
-        self.latency = LatencyWindow(clock=clock)
+        self.latency = _FoldedWindow(registry, clock)
         self.clock = clock
         self._t_start = clock()
         self._lock = threading.Lock()
@@ -130,7 +153,9 @@ class ServeAccounting:
         self._tally = dict.fromkeys(_COUNTS, 0)
         self._outcomes: dict[str, int] = {}
         self._ledger: deque = deque()
-        registry.add_collector(partial(_fold, self._ledger))
+        registry.add_collector(partial(
+            _fold, self._ledger, self._lock, self._tally, self._outcomes,
+            self.latency))
 
     # ------------------------------------------------------------------
     def _publish(self, name: str, n: int) -> None:
@@ -145,6 +170,7 @@ class ServeAccounting:
         self._publish(name, n)
 
     def tally(self, name: str) -> int:
+        self.registry.collect()
         with self._lock:
             return self._tally[name]
 
@@ -219,16 +245,10 @@ class ServeAccounting:
             if ctx is not None:
                 ctx.note_shed()
         else:
-            retried_ok = source is not None and attempts > 1
-            with self._lock:
-                self._outcomes[outcome] = self._outcomes.get(outcome, 0) + 1
-                self._tally["retried_ok"] += retried_ok
-            if retried_ok:
-                self._publish("retried_ok", 1)
-            self.latency.record(outcome, latency)
-            # atomics only: a pending fact keeps no context alive
-            self._ledger.append(
-                (outcome, latency, None if ctx is None else ctx.request_id))
+            # atoms only: a pending fact keeps no context alive
+            self._ledger.append((
+                outcome, latency, None if ctx is None else ctx.request_id,
+                self.clock(), source is not None and attempts > 1))
             if len(self._ledger) >= FOLD_AT:
                 self.registry.collect()
             if self.tracer is not None:  # a tracer mints every context
@@ -237,11 +257,10 @@ class ServeAccounting:
                     root=ctx.root, outcome=outcome, request_id=ctx.request_id,
                 )
         if ctx is not None and self.events is not None:
-            self.events.emit(partial(
-                ctx.wide_event, outcome=outcome, source=source,
-                latency_s=latency, attempts_total=attempts, stale_ok=stale_ok,
-                degraded=degraded,
-            ))
+            record = (outcome, source, latency, attempts, stale_ok, degraded)
+            # a hit's fields go in flat: its record is a tuple of atoms
+            self.events.emit(
+                (ctx if type(ctx) is HitContext else (ctx,)) + record)
 
     # ------------------------------------------------------------------
     def report(
@@ -250,6 +269,7 @@ class ServeAccounting:
     ) -> dict:
         """Flat service report; the broker supplies what only the
         pipeline knows (admissions, queue, serving snapshot, cache)."""
+        self.registry.collect()
         with self._lock:
             tally = dict(self._tally)
             outcomes = sorted(self._outcomes.items())

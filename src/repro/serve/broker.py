@@ -328,7 +328,8 @@ class QueryBroker:
             raise ServiceShutdown("broker is shut down")
         n = self.graph.num_vertices
         root = vertex_id(root, n)
-        targets = tuple(vertex_id(t, n, "path target") for t in targets)
+        if type(targets) is not tuple or targets:  # () has nothing to check
+            targets = tuple(vertex_id(t, n, "path target") for t in targets)
         if deadline is _UNSET:
             deadline = self.default_deadline
         submitted_at = self._clock()
@@ -344,7 +345,7 @@ class QueryBroker:
         degraded = self._arm_degraded_reads()
         cached = self.cache.get((snapshot_id, root))
         if cached is not None:
-            rung = ladder_rung(self.breaker, degraded, cached=True)
+            rung = ladder_rung(self.breaker, degraded, cached=True) if degraded else None
             ctx = None
             if self._ctx_armed:
                 ctx = HitContext(

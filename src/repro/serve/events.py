@@ -14,13 +14,16 @@ reconciles these against tracer spans, registry counters and the SLO
 window; ``serve-top`` tails them for its "recent requests" pane.
 
 The fold happens when the stream is read, not at terminal completion:
-the broker emits exactly one *record* per request — the context's
-``wide_event`` with its terminal arguments bound — and
+the broker emits exactly one *record* per request — one flat tuple: the
+request's :class:`~repro.obs.request.RequestContext`, or the fields of a
+submit-time hit's :class:`HitContext` in its place, then ``(outcome,
+source, latency_s, attempts, stale_ok, degraded)`` — and
 :class:`WideEventLog` turns a record into its dict the first time
 :meth:`~WideEventLog.events`, :meth:`~WideEventLog.tail`,
 :meth:`~WideEventLog.write` or :meth:`~WideEventLog.canonical_text` reaches
-it, keeping the dict in its place. A dict emitted as such (tests, the
-dashboard) is its own fold.
+it, keeping the dict in its place. A hit's record holds atoms only, so
+the garbage collector stops tracking it at its first pass. A dict
+emitted as such (tests, the dashboard) is its own fold.
 
 Determinism contract: under a seeded chaos plan and deterministic
 submission order (manual broker or one closed-loop client), the event
@@ -39,21 +42,58 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
-from typing import Any, Callable, Iterable, Union
+from typing import Any, Iterable, NamedTuple, Union
+
+from repro.obs.request import RequestContext
 
 __all__ = [
+    "HitContext",
     "WideEventLog",
     "canonical_event",
     "canonical_text",
     "read_events",
 ]
 
-#: what ``emit`` takes: the event, or a record that builds it when read
-Event = Union[dict[str, Any], Callable[[], dict[str, Any]]]
+#: what ``emit`` takes: the event, or the record it is folded from when read
+Event = Union[dict[str, Any], tuple]
 
 #: Fields excluded from the replay-identity comparison: wall timings are
 #: the only nondeterministic part of an event.
 TIMING_KEY = "timing"
+
+
+class HitContext(NamedTuple):
+    """What a submit-time cache hit knows, in place of the
+    :class:`~repro.obs.request.RequestContext` it never mints: its id,
+    root, pinned snapshot, admission time and — for a stale hit while the
+    breaker is degraded — the ladder rung and the open classes.
+    :meth:`wide_event` builds the same dict that context would have."""
+
+    request_id: str
+    root: int
+    snapshot_id: int
+    submitted_at: float
+    rung: str | None = None
+    open_classes: tuple = ()
+
+    def wide_event(self, **terminal) -> dict:
+        return RequestContext(
+            self.request_id, self.root, self.submitted_at, self.snapshot_id,
+            cache_tier="stale_hit" if self.rung else "hit",
+            degraded_tier=self.rung, breaker_open=self.open_classes,
+        ).wide_event(**terminal)
+
+
+def _fold(event: Event) -> dict[str, Any]:
+    """The dict of one emitted event or record."""
+    if isinstance(event, dict):
+        return event
+    *head, outcome, source, latency, attempts, stale_ok, degraded = event
+    ctx = head[0] if len(head) == 1 else HitContext(*head)
+    return ctx.wide_event(
+        outcome=outcome, source=source, latency_s=latency,
+        attempts_total=attempts, stale_ok=stale_ok, degraded=degraded,
+    )
 
 
 def canonical_event(event: dict[str, Any]) -> dict[str, Any]:
@@ -125,8 +165,7 @@ class WideEventLog:
         n = min(n, len(events))
         events.rotate(n)  # the newest n to the front, then back in order
         for _ in range(n):
-            event = events.popleft()
-            rows.append(event if isinstance(event, dict) else event())
+            rows.append(_fold(events.popleft()))
             events.append(rows[-1])
         return rows
 

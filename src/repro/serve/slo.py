@@ -42,6 +42,12 @@ class LatencyWindow:
     burn-rate monitor see one time base). :meth:`samples` keeps returning
     bare latencies; :meth:`recent` is the time-windowed view the
     multi-window burn-rate monitor (:mod:`repro.obs.burnrate`) consumes.
+
+    :meth:`record` stamps a sample now; :meth:`record_stamped` takes
+    samples stamped earlier. A window that is filled from pending facts
+    (the broker's, DESIGN.md §14) overrides :meth:`_fold_pending`, which
+    every reader — :meth:`samples`, :meth:`recent`, :meth:`summary`,
+    :attr:`count` — runs before it takes the window lock.
     """
 
     def __init__(
@@ -56,15 +62,36 @@ class LatencyWindow:
         self.clock = clock
         self._samples: dict[str, deque] = {}
         self._lock = threading.Lock()
-        self.count = 0
+        self._count = 0
+
+    def _fold_pending(self) -> None:
+        """Bring pending samples in; a plain window has none."""
+
+    @property
+    def count(self) -> int:
+        """Samples recorded so far (monotone; unaffected by ``window``)."""
+        self._fold_pending()
+        with self._lock:
+            return self._count
 
     def record(self, source: str, latency_s: float) -> None:
+        self.record_stamped(source, ((self.clock(), float(latency_s)),))
+
+    def record_stamped(self, source: str, rows) -> None:
+        """Append a sequence of ``(timestamp, latency_s)`` rows of one
+        source, in order."""
         with self._lock:
             bucket = self._samples.get(source)
             if bucket is None:
                 bucket = self._samples[source] = deque(maxlen=self.window)
-            bucket.append((self.clock(), float(latency_s)))
-            self.count += 1
+            bucket.extend(rows)
+            self._count += len(rows)
+
+    def _latencies(self, source: str | None) -> list[float]:
+        """Bare latencies of one source or of all (lock held)."""
+        if source is not None:
+            return [lat for _, lat in self._samples.get(source, ())]
+        return [lat for bucket in self._samples.values() for _, lat in bucket]
 
     def samples(self, source: str | None = None) -> list[float]:
         """Samples of one source, or all sources merged (``None``).
@@ -72,13 +99,9 @@ class LatencyWindow:
         Merged order is per-source insertion order: each source's samples
         appear oldest-first, sources in first-record order.
         """
+        self._fold_pending()
         with self._lock:
-            if source is not None:
-                return [lat for _, lat in self._samples.get(source, ())]
-            merged: list[float] = []
-            for bucket in self._samples.values():
-                merged.extend(lat for _, lat in bucket)
-            return merged
+            return self._latencies(source)
 
     def recent(
         self, window_s: float, *, now: float | None = None
@@ -86,6 +109,7 @@ class LatencyWindow:
         """Samples recorded within the last ``window_s`` seconds, as
         ``(source, timestamp, latency_s)`` rows (per-source insertion
         order, sources in first-record order)."""
+        self._fold_pending()
         with self._lock:
             cutoff = (self.clock() if now is None else now) - float(window_s)
             return [
@@ -97,17 +121,18 @@ class LatencyWindow:
 
     def summary(self) -> dict[str, float | int]:
         """p50/p99/mean over all sources plus per-source p50s."""
-        merged = self.samples()
+        self._fold_pending()
+        with self._lock:
+            merged = self._latencies(None)
+            by_source = {s: self._latencies(s) for s in sorted(self._samples)}
         row: dict[str, float | int] = {
             "requests": len(merged),
             "p50_s": percentile(merged, 50),
             "p99_s": percentile(merged, 99),
             "mean_s": float(np.mean(merged)) if merged else float("nan"),
         }
-        with self._lock:
-            sources = list(self._samples)
-        for source in sorted(sources):
-            row[f"p50_{source}_s"] = percentile(self.samples(source), 50)
+        for source, samples in by_source.items():
+            row[f"p50_{source}_s"] = percentile(samples, 50)
         return row
 
 

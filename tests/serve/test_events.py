@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs.request import RequestContext, request_id
 from repro.serve.events import (
+    HitContext,
     WideEventLog,
     canonical_event,
     canonical_text,
@@ -169,17 +170,22 @@ class TestWideEventLog:
         assert len(log) == n_threads * per_thread
 
 
-class _Record:
-    """A wide-event record that counts how often it is folded."""
+class _Context:
+    """A request context that counts how often its event is folded."""
 
     folds = 0
 
     def __init__(self, seq: int) -> None:
         self.seq = seq
 
-    def __call__(self) -> dict:
-        _Record.folds += 1
+    def wide_event(self, **terminal) -> dict:
+        _Context.folds += 1
         return {"request_id": request_id(self.seq)}
+
+
+def _record(seq: int) -> tuple:
+    """The flat record a terminal emits: context, then its arguments."""
+    return (_Context(seq), "cache", "cache", 0.0, 1, False, False)
 
 
 class TestFoldOnRead:
@@ -187,13 +193,13 @@ class TestFoldOnRead:
 
     @pytest.fixture(autouse=True)
     def _zero(self):
-        _Record.folds = 0
+        _Context.folds = 0
 
     def test_records_and_dicts_read_alike(self):
         log = WideEventLog()
-        log.emit(_Record(0))
+        log.emit(_record(0))
         log.emit({"request_id": request_id(1)})
-        assert _Record.folds == 0  # emitting builds nothing
+        assert _Context.folds == 0  # emitting builds nothing
         assert [e["request_id"] for e in log.events()] == [
             "req-000000", "req-000001"]
         assert log.canonical_text() == canonical_text(log.events())
@@ -201,38 +207,47 @@ class TestFoldOnRead:
     def test_two_reads_fold_each_record_once(self):
         log = WideEventLog()
         for seq in range(5):
-            log.emit(_Record(seq))
+            log.emit(_record(seq))
         first = log.events()
-        assert _Record.folds == 5
+        assert _Context.folds == 5
         assert log.events() == first and log.tail(3) == first[-3:]
-        assert _Record.folds == 5
+        assert _Context.folds == 5
         assert log.events()[0] is first[0]  # the memoised dict itself
 
     def test_tail_folds_at_most_n(self):
         log = WideEventLog()
         for seq in range(100):
-            log.emit(_Record(seq))
+            log.emit(_record(seq))
         assert [e["request_id"] for e in log.tail(2)] == [
             "req-000098", "req-000099"]
-        assert _Record.folds == 2
-        assert len(log.tail(5)) == 5 and _Record.folds == 5
+        assert _Context.folds == 2
+        assert len(log.tail(5)) == 5 and _Context.folds == 5
         assert [e["request_id"] for e in log.events()][:2] == [
             "req-000000", "req-000001"]
-        assert _Record.folds == 100
+        assert _Context.folds == 100
 
     def test_capacity_trims_one_per_emit_and_never_folds_the_trimmed(self):
         log = WideEventLog(capacity=3)
         for seq in range(1000):
-            log.emit(_Record(seq))
+            log.emit(_record(seq))
             assert len(log) == min(seq + 1, 3)
-        assert log.emitted == 1000 and _Record.folds == 0
+        assert log.emitted == 1000 and _Context.folds == 0
         assert [e["request_id"] for e in log.events()] == [
             "req-000997", "req-000998", "req-000999"]
-        assert _Record.folds == 3
+        assert _Context.folds == 3
+
+    def test_a_hits_flat_record_folds_as_its_context_would(self):
+        hit = HitContext(request_id(7), 3, 0, 1.5, "stale_cache", ("solve",))
+        log = WideEventLog()
+        log.emit(hit + ("cache", "cache", 2e-05, 1, True, False))
+        assert log.events() == [hit.wide_event(
+            outcome="cache", source="cache", latency_s=2e-05,
+            attempts_total=1, stale_ok=True, degraded=False)]
+        assert log.events()[0]["cache_tier"] == "stale_hit"
 
     def test_write_folds_records(self, tmp_path):
         log = WideEventLog(str(tmp_path / "events.jsonl"))
-        log.emit(_Record(4))
+        log.emit(_record(4))
         assert read_events(log.write()) == [{"request_id": "req-000004"}]
 
 
