@@ -89,18 +89,6 @@ class ContiguousPartition:
         lo, hi = self.rank_range(rank)
         return hi - lo
 
-    def thread_owner(
-        self, local_vertices: np.ndarray, rank: int, num_threads: int
-    ) -> np.ndarray:
-        """Thread owning each local vertex within a rank.
-
-        Mirrors the paper's node-internal distribution: the vertices owned
-        by a node are block-distributed again over its threads.
-        """
-        size = self.rank_size(rank)
-        sub = BlockPartition(size, num_threads)
-        return sub.owner(np.asarray(local_vertices, dtype=np.int64))
-
 
 @dataclass(frozen=True)
 class BlockPartition(ContiguousPartition):

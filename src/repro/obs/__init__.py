@@ -20,13 +20,12 @@ Modules
 - :mod:`repro.obs.burnrate` — :class:`BurnRateMonitor` (multi-window SLO
   burn-rate alerts over the serving latency window).
 - :mod:`repro.obs.promcheck` — Prometheus text-exposition validator.
-- :mod:`repro.obs.drift` — :class:`DriftMonitor` (wall vs. simulated).
+- :mod:`repro.obs.drift` — :func:`drift_rows` (wall vs. simulated).
 - :mod:`repro.obs.export` — JSONL / Chrome-Perfetto / Prometheus writers.
 - :mod:`repro.obs.report` — trace loading and the text report renderer.
 """
 
 from repro.obs.burnrate import BurnAlert, BurnRateConfig, BurnRateMonitor
-from repro.obs.drift import DriftMonitor
 from repro.obs.registry import MetricsRegistry
 from repro.obs.request import RequestContext
 from repro.obs.tracer import TraceConfig, Tracer
@@ -35,7 +34,6 @@ __all__ = [
     "BurnAlert",
     "BurnRateConfig",
     "BurnRateMonitor",
-    "DriftMonitor",
     "MetricsRegistry",
     "RequestContext",
     "TraceConfig",

@@ -1,4 +1,4 @@
-"""Wall-clock vs. cost-model drift detection.
+"""Wall-clock vs. cost-model drift rows.
 
 The cost model prices every step record in simulated seconds; the tracer
 also measures how long the simulator actually spent producing each record.
@@ -7,102 +7,52 @@ BlueGene/Q), but their *relative* per-kind weighting should agree: if
 ``bucket_scan`` records take 10× more wall time per simulated second than
 everything else, the cost model's ``t_scan`` underprices scanning relative
 to reality — exactly what :mod:`repro.runtime.calibration` fits offline.
-The :class:`DriftMonitor` turns that calibration story into a continuously
-checked invariant: it aggregates wall and simulated time per record kind
-and flags kinds whose normalized ratio leaves a configurable band.
+:func:`drift_rows` turns the per-kind sums of one trace into that check: it
+flags kinds whose normalized ratio leaves a fixed band.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["DriftMonitor", "DEFAULT_DRIFT_THRESHOLD"]
+__all__ = ["DRIFT_THRESHOLD", "MIN_WALL_S", "drift_rows"]
 
-DEFAULT_DRIFT_THRESHOLD = 3.0
+DRIFT_THRESHOLD = 3.0
 """Flag a kind when its wall/simulated ratio diverges from the run-wide
 ratio by more than this factor (either direction)."""
 
-
-@dataclass
-class _KindAgg:
-    wall_s: float = 0.0
-    sim_s: float = 0.0
-    records: int = 0
+MIN_WALL_S = 5e-3
+"""Kinds with less aggregate wall time are never flagged: sub-millisecond
+aggregates are timer noise, not model drift."""
 
 
-@dataclass
-class DriftMonitor:
-    """Aggregates wall vs. simulated seconds per record kind.
+def drift_rows(kinds: dict[str, tuple[int, float, float]]) -> list[dict[str, Any]]:
+    """One row per kind, sorted by kind: record count, wall/sim totals,
+    ratio, normalized ratio, flag.
 
-    Parameters
-    ----------
-    threshold:
-        Flagging band: a kind is flagged when its normalized ratio ``rel``
-        (kind wall/sim divided by the overall wall/sim) exceeds
-        ``threshold`` or falls below ``1/threshold``.
-    min_wall_s:
-        Kinds with less aggregate wall time than this are never flagged —
-        sub-millisecond aggregates are timer noise, not model drift.
+    ``kinds`` maps each record kind, in order of its first record, to
+    ``(records, wall_s, sim_s)``. ``ratio`` is wall seconds per simulated
+    second for the kind; ``rel`` divides that by the run-wide ratio, so
+    ``rel == 1`` means the cost model weights this kind exactly as reality
+    does and ``rel == 4`` means the kind is 4× more expensive in wall time
+    than the model's relative pricing predicts. A kind with no simulated
+    seconds (every ``exchange`` of a 1-rank machine) has no ratio: both
+    read ``None`` and it is never flagged.
     """
-
-    threshold: float = DEFAULT_DRIFT_THRESHOLD
-    min_wall_s: float = 5e-3
-    _kinds: dict[str, _KindAgg] = field(default_factory=dict)
-
-    def add(self, kind: str, wall_dt: float, sim_dt: float) -> None:
-        """Attribute one record's wall and simulated duration to ``kind``."""
-        agg = self._kinds.setdefault(kind, _KindAgg())
-        agg.wall_s += max(wall_dt, 0.0)
-        agg.sim_s += sim_dt
-        agg.records += 1
-
-    @property
-    def total_wall_s(self) -> float:
-        """Wall seconds attributed across all kinds."""
-        return sum(a.wall_s for a in self._kinds.values())
-
-    @property
-    def total_sim_s(self) -> float:
-        """Simulated seconds across all kinds."""
-        return sum(a.sim_s for a in self._kinds.values())
-
-    def report(self) -> list[dict[str, Any]]:
-        """One row per kind: wall/sim totals, ratio, normalized ratio, flag.
-
-        ``ratio`` is wall seconds per simulated second for the kind;
-        ``rel`` divides that by the run-wide ratio, so ``rel == 1`` means
-        the cost model weights this kind exactly as reality does and
-        ``rel == 4`` means the kind is 4× more expensive in wall time than
-        the model's relative pricing predicts.
-        """
-        total_wall = self.total_wall_s
-        total_sim = self.total_sim_s
-        overall = total_wall / total_sim if total_sim > 0 else 0.0
-        rows: list[dict[str, Any]] = []
-        for kind in sorted(self._kinds):
-            agg = self._kinds[kind]
-            ratio = agg.wall_s / agg.sim_s if agg.sim_s > 0 else float("inf")
+    total_wall = sum(wall for _, wall, _ in kinds.values())
+    total_sim = sum(sim for _, _, sim in kinds.values())
+    overall = total_wall / total_sim if total_sim > 0 else 0.0
+    rows: list[dict[str, Any]] = []
+    for kind in sorted(kinds):
+        records, wall, sim = kinds[kind]
+        ratio = rel = None
+        if sim > 0:
+            ratio = wall / sim
             rel = ratio / overall if overall > 0 else 0.0
-            flagged = (
-                agg.wall_s >= self.min_wall_s
-                and agg.sim_s > 0
-                and overall > 0
-                and (rel > self.threshold or rel < 1.0 / self.threshold)
-            )
-            rows.append(
-                {
-                    "kind": kind,
-                    "records": agg.records,
-                    "wall_s": agg.wall_s,
-                    "sim_s": agg.sim_s,
-                    "ratio": ratio,
-                    "rel": rel,
-                    "flagged": flagged,
-                }
-            )
-        return rows
-
-    def flagged(self) -> list[dict[str, Any]]:
-        """Only the rows whose normalized ratio left the threshold band."""
-        return [row for row in self.report() if row["flagged"]]
+        flagged = (
+            wall >= MIN_WALL_S and rel is not None and overall > 0
+            and (rel > DRIFT_THRESHOLD or rel < 1.0 / DRIFT_THRESHOLD)
+        )
+        rows.append({"kind": kind, "records": records, "wall_s": wall,
+                     "sim_s": sim, "ratio": ratio, "rel": rel, "flagged": flagged})
+    return rows

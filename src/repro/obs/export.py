@@ -74,10 +74,8 @@ def _summary_trailer(tracer: Tracer) -> dict[str, Any]:
 def write_jsonl(tracer: Tracer, path: str) -> None:
     """Write the full event stream as newline-delimited JSON."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(_meta_header(tracer)) + "\n")
-        for ev in tracer.events:
-            fh.write(json.dumps(ev) + "\n")
-        fh.write(json.dumps(_summary_trailer(tracer)) + "\n")
+        for ev in (_meta_header(tracer), *tracer.events, _summary_trailer(tracer)):
+            fh.write(json.dumps(ev, allow_nan=False) + "\n")
 
 
 def perfetto_trace(tracer: Tracer) -> dict[str, Any]:
@@ -184,7 +182,7 @@ def perfetto_trace(tracer: Tracer) -> dict[str, Any]:
 def write_perfetto(tracer: Tracer, path: str) -> None:
     """Write the Chrome/Perfetto ``trace_events`` JSON file."""
     with open(path, "w") as fh:
-        json.dump(perfetto_trace(tracer), fh)
+        json.dump(perfetto_trace(tracer), fh, allow_nan=False)
 
 
 def write_prometheus(tracer: Tracer, path: str) -> None:

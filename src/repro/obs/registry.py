@@ -21,9 +21,11 @@ pay a registry call per event keeps its own facts and registers
 :meth:`~MetricsRegistry.snapshot`, :meth:`~MetricsRegistry.prometheus_text`,
 :meth:`~MetricsRegistry.exemplars` — runs the collectors under the
 registry lock before it takes its cut, so the consistent cut includes
-every folded fact. The serving plane's terminal accounting and its cache
-mirrors are collectors; :meth:`~MetricsRegistry.observe_many` is their
-batch write, bit for bit the same as that many ``observe`` calls.
+every folded fact. The serving plane's terminal accounting, its cache,
+circuit breaker and chaos layer are collectors;
+:meth:`~MetricsRegistry.observe_many` is their batch write, bit for bit the
+same as that many ``observe`` calls. :meth:`~MetricsRegistry.read` hands a
+writer back what it counted, so a count kept here is kept nowhere else.
 
 Histograms optionally carry **exemplars** (DESIGN.md §14): the most
 recent ``exemplar=`` reference observed per bucket — the serving plane
@@ -208,6 +210,21 @@ class MetricsRegistry:
                 collect(self)
 
     # ------------------------------------------------------------------
+    def read(self, *names: str) -> dict[str, dict[_LabelKey, float]]:
+        """The series of each of ``names`` as one cut, after the collectors
+        have folded: ``{name: {label key: value}}``, a histogram series
+        reading as its ``sum`` and an unknown name as ``{}``. The one way
+        a writer reads back what it counted here."""
+        with self._lock:
+            self.collect()
+            out = {}
+            for name in names:
+                series = (self._counters.get(name) or self._gauges.get(name)
+                          or self._hists.get(name) or {})
+                out[name] = {key: v["sum"] if isinstance(v, dict) else v
+                             for key, v in series.items()}
+            return out
+
     def exemplars(self, name: str, **labels) -> dict[str, dict[str, Any]]:
         """Exemplars of one histogram series: ``{le: {ref, value}}``.
 

@@ -14,7 +14,6 @@ timeline renderer uses.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -170,7 +169,7 @@ def drift_table(rows: list[dict[str, Any]]) -> str:
             "records": r["records"],
             "wall_ms": r["wall_s"] * 1e3,
             "sim_us": r["sim_s"] * 1e6,
-            "rel": r["rel"] if math.isfinite(r["rel"]) else "inf",
+            "rel": "n/a" if r["rel"] is None else r["rel"],
             "flag": "DRIFT" if r["flagged"] else "",
         }
         for r in rows

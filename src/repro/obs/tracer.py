@@ -14,9 +14,10 @@ decisions, crashes, retransmissions); the metrics sink forwards every
 :class:`~repro.runtime.metrics.StepRecord` together with its per-rank
 work/traffic arrays, from which the tracer derives *per-rank simulated
 durations* — the data behind the one-track-per-rank Perfetto view. Each
-record also carries the wall-clock delta since the previous record, which
-feeds the :class:`~repro.obs.drift.DriftMonitor` and the
-:class:`~repro.obs.registry.MetricsRegistry`.
+record also carries the wall-clock delta since the previous record. The
+record events are the one store of per-kind counts: :meth:`Tracer.finish`
+folds the registry's per-kind counters and the drift rows
+(:func:`~repro.obs.drift.drift_rows`) from them.
 
 Everything here is pay-for-use: when no :class:`TraceConfig` is attached to
 the solver configuration, no tracer exists and every hook site is a single
@@ -33,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.obs.drift import DEFAULT_DRIFT_THRESHOLD, DriftMonitor
+from repro.obs.drift import drift_rows
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.costmodel import _compute_unit_cost, price_record
 from repro.runtime.machine import MachineConfig
@@ -60,9 +61,6 @@ class TraceConfig:
         Optional Prometheus text-exposition dump of the metrics registry.
     progress:
         Emit a live one-line progress report to stderr at epoch boundaries.
-    drift_threshold:
-        Band for the wall vs. cost-model drift flags (see
-        :class:`~repro.obs.drift.DriftMonitor`).
     enabled:
         Master switch; ``False`` behaves exactly like ``trace=None``.
     """
@@ -71,7 +69,6 @@ class TraceConfig:
     format: str = "jsonl"
     metrics_path: str | None = None
     progress: bool = False
-    drift_threshold: float = DEFAULT_DRIFT_THRESHOLD
     enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -80,8 +77,6 @@ class TraceConfig:
                 f"unknown trace format {self.format!r}; "
                 f"choose from {TRACE_FORMATS}"
             )
-        if self.drift_threshold <= 1.0:
-            raise ValueError("drift_threshold must be > 1")
 
 
 class Tracer:
@@ -101,7 +96,6 @@ class Tracer:
         self.machine = machine
         self.config = config
         self.registry = MetricsRegistry()
-        self.drift = DriftMonitor(threshold=config.drift_threshold)
         self.events: list[dict[str, Any]] = []
         self.num_records = 0
         self.cum_bytes = 0
@@ -116,12 +110,8 @@ class Tracer:
         self._stack: list[dict[str, Any]] = []
         self._epochs_seen = 0
         self._unit_cache: dict[str, float] = {}
-        # Per-kind accumulators for the registry counters; flushed once in
-        # :meth:`finish` so the per-record hot path never touches the
-        # registry's label machinery.
-        self._kind_records: dict[str, int] = {}
-        self._kind_wall: dict[str, float] = {}
-        self._kind_sim: dict[str, float] = {}
+        # Relaxations by kind (record events do not carry them), flushed
+        # once in :meth:`finish`.
         self._kind_relax: dict[str, int] = {}
         self.cum_allreduces = 0
         self._t0 = time.perf_counter()
@@ -235,12 +225,11 @@ class Tracer:
     def _emit_record(self, rec, rank_sim: np.ndarray) -> None:
         now, wall_dt = self._attribute_wall()
         sim_dt = price_record(rec, self.machine)
-        kind = rec.kind
         self.events.append(
             {
                 "type": "record",
                 "step": self.num_records,
-                "kind": kind,
+                "kind": rec.kind,
                 "phase": rec.phase_kind,
                 "ts": now,
                 "wall_dt": wall_dt,
@@ -253,10 +242,6 @@ class Tracer:
         self.num_records += 1
         self.cum_bytes += rec.bytes_total
         self.cum_allreduces += rec.allreduces
-        self.drift.add(kind, wall_dt, sim_dt)
-        self._kind_records[kind] = self._kind_records.get(kind, 0) + 1
-        self._kind_wall[kind] = self._kind_wall.get(kind, 0.0) + wall_dt
-        self._kind_sim[kind] = self._kind_sim.get(kind, 0.0) + sim_dt
 
     def on_compute(self, rec, thread_work: np.ndarray, relax_count: int) -> None:
         """Record hook for compute steps; ``thread_work`` is the per-thread
@@ -292,6 +277,16 @@ class Tracer:
     # ------------------------------------------------------------------
     # End of run
     # ------------------------------------------------------------------
+    def _per_kind(self) -> dict[str, tuple[int, float, float]]:
+        """``(records, wall_s, sim_s)`` of each record kind, in order of its
+        first record, summed off the record events in record order."""
+        sums: dict[str, tuple[int, float, float]] = {}
+        for ev in self.events:
+            if ev["type"] == "record":
+                records, wall, sim = sums.get(ev["kind"], (0, 0.0, 0.0))
+                sums[ev["kind"]] = records + 1, wall + ev["wall_dt"], sim + ev["sim_dt"]
+        return sums
+
     def finish(self, metrics=None) -> None:
         """Seal the trace: close open spans, bake gauges and drift rows.
 
@@ -305,14 +300,14 @@ class Tracer:
             self.end(self._stack[-1])
         self.wall_total = self.wall_now()
         reg = self.registry
-        # Flush the batched per-record counters (see __init__).
-        for kind in sorted(self._kind_records):
-            reg.inc("sssp_records_total", self._kind_records[kind], kind=kind,
+        per_kind = self._per_kind()
+        for kind in sorted(per_kind):
+            records, wall, sim = per_kind[kind]
+            reg.inc("sssp_records_total", records, kind=kind,
                     help="step records by kind")
-            reg.inc("sssp_wall_seconds_total", self._kind_wall[kind],
-                    kind=kind,
+            reg.inc("sssp_wall_seconds_total", wall, kind=kind,
                     help="wall-clock seconds attributed to records, by kind")
-            reg.inc("sssp_sim_seconds_total", self._kind_sim[kind], kind=kind,
+            reg.inc("sssp_sim_seconds_total", sim, kind=kind,
                     help="simulated seconds priced by the cost model, by kind")
         for kind in sorted(self._kind_relax):
             reg.inc("sssp_relaxations_total", self._kind_relax[kind],
@@ -335,10 +330,11 @@ class Tracer:
                       help="wall-clock duration of the solve")
         reg.set_gauge("sssp_simulated_seconds", self.sim_t,
                       help="total simulated seconds of the solve")
-        self.drift_rows = self.drift.report()
+        self.drift_rows = drift_rows(per_kind)
         for row in self.drift_rows:
-            reg.set_gauge("sssp_drift_rel", row["rel"], kind=row["kind"],
-                          help="normalized wall/simulated ratio by kind")
+            if row["rel"] is not None:
+                reg.set_gauge("sssp_drift_rel", row["rel"], kind=row["kind"],
+                              help="normalized wall/simulated ratio by kind")
         self.finished = True
         if self.config.progress:
             sys.stderr.write("\n")

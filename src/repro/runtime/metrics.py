@@ -46,6 +46,7 @@ class ComputeKind(str, enum.Enum):
 #: Compute kinds that count as relaxations for the paper's work-done metric.
 RELAX_KINDS = set(ComputeKind) - {ComputeKind.BUCKET_SCAN}
 _BUCKET_SCAN = ComputeKind.BUCKET_SCAN.value
+_PHASE_KINDS = ("short", "long", "bf", "recovery")
 
 
 @dataclass
@@ -322,14 +323,6 @@ class Metrics:
     num_ranks: int
     threads_per_rank: int
 
-    # Aggregate counters ------------------------------------------------
-    short_phases: int = 0
-    long_phases: int = 0
-    bf_phases: int = 0
-    recovery_phases: int = 0
-    buckets_processed: int = 0
-    pull_buckets: int = 0
-    push_buckets: int = 0
     hybrid_switch_bucket: int = -1
     degraded_to_bf: bool = False
     """True when the watchdog's ``degrade`` policy collapsed the remaining
@@ -337,7 +330,11 @@ class Metrics:
     ``degraded`` so report consumers can exclude such runs from comparable
     rows instead of silently mixing them in."""
     per_phase_relaxations: list[tuple[str, int]] = field(default_factory=list)
+    """One ``(kind, relaxations)`` row per paper-level phase; the phase
+    counters are counts of its rows."""
     per_bucket_stats: list[dict[str, int | str]] = field(default_factory=list)
+    """One stats dict per processed bucket; the bucket counters are counts
+    of its rows."""
     recovery: RecoveryStats = field(default_factory=RecoveryStats)
     """Fault-tolerance overhead (all zero unless faults were injected)."""
     tracer: object | None = field(default=None, repr=False, compare=False)
@@ -616,27 +613,28 @@ class Metrics:
 
     def note_phase(self, kind: str, relaxations: int) -> None:
         """Record a paper-level phase and its relaxation count (Fig. 4 data)."""
-        if kind == "short":
-            self.short_phases += 1
-        elif kind == "long":
-            self.long_phases += 1
-        elif kind == "bf":
-            self.bf_phases += 1
-        elif kind == "recovery":
-            self.recovery_phases += 1
-        else:
+        if kind not in _PHASE_KINDS:
             raise ValueError(f"unknown phase kind {kind!r}")
         self.per_phase_relaxations.append((kind, int(relaxations)))
 
     def note_bucket(self, stats: dict[str, int | str]) -> None:
         """Record per-bucket statistics (Fig. 7 census, push/pull choice)."""
-        self.buckets_processed += 1
-        mode = stats.get("mode")
-        if mode == "pull":
-            self.pull_buckets += 1
-        elif mode == "push":
-            self.push_buckets += 1
         self.per_bucket_stats.append(stats)
+
+    # The paper's counters (Figs. 3(a), 4 and 7): counts of the rows above.
+    def _phases_of(self, kind: str) -> int:
+        return sum(k == kind for k, _ in self.per_phase_relaxations)
+
+    def _buckets_in(self, mode: str) -> int:
+        return sum(s.get("mode") == mode for s in self.per_bucket_stats)
+
+    short_phases = property(lambda self: self._phases_of("short"))
+    long_phases = property(lambda self: self._phases_of("long"))
+    bf_phases = property(lambda self: self._phases_of("bf"))
+    recovery_phases = property(lambda self: self._phases_of("recovery"))
+    buckets_processed = property(lambda self: len(self.per_bucket_stats))
+    push_buckets = property(lambda self: self._buckets_in("push"))
+    pull_buckets = property(lambda self: self._buckets_in("pull"))
 
     # ------------------------------------------------------------------
     # Reading the ledger (every reader settles first)
@@ -672,12 +670,7 @@ class Metrics:
     @property
     def total_phases(self) -> int:
         """Total phases of all kinds (Fig. 3(a) metric)."""
-        return (
-            self.short_phases
-            + self.long_phases
-            + self.bf_phases
-            + self.recovery_phases
-        )
+        return len(self.per_phase_relaxations)
 
     @property
     def total_bytes(self) -> int:

@@ -4,8 +4,10 @@ Everything the service *says* about itself has one owner here: the
 report tallies, the :class:`~repro.serve.slo.LatencyWindow`, the metric
 names with their help strings, the request/batch/resilience tracer
 spans, the wide events and :meth:`ServeAccounting.report`. The broker
-states a fact once — ``count("retries", n)`` — and the tally, the
-registry series and the report row are one table entry, so they cannot
+states a fact once — ``count("retries", n)`` — as one ``registry.inc``:
+the registry's counters *are* the tallies, and :meth:`~ServeAccounting.tally`
+and :meth:`~ServeAccounting.report` read them back
+(:meth:`~repro.obs.registry.MetricsRegistry.read`), so the two cannot
 disagree. :meth:`ServeAccounting.terminal` is the single exit of every
 request (answered, failed, cancelled or shed) and the package's only
 ``events.emit`` call: "one wide event per request" is structural.
@@ -13,9 +15,9 @@ request (answered, failed, cancelled or shed) and the package's only
 A terminal completion is **one fact** appended to a ledger —
 ``(outcome, latency, request id, clock stamp, retried_ok)``, atoms only,
 no lock taken. Nothing else is written at the terminal: a registry
-collector folds the pending facts, in arrival order, into the outcome
-and ``retried_ok`` tallies, the :class:`~repro.serve.slo.LatencyWindow`
-and the registry series — ``serve_requests_total``,
+collector folds the pending facts, in arrival order, into the
+:class:`~repro.serve.slo.LatencyWindow` and the registry series —
+``serve_requests_total`` (the outcome tally),
 ``serve_retried_ok_total`` and ``serve_request_latency_seconds``
 (buckets, float ``_sum``, exemplars: bit for bit what per-request
 ``inc`` / ``observe`` calls would have left) — whenever something reads
@@ -27,10 +29,9 @@ memory. The wide event it emits is a flat record too
 (:mod:`repro.serve.events`), folded into its dict when the stream is
 read.
 
-Lock order of a fold: registry → accounting → window. It runs under the
-registry lock (every registry reader takes it first), takes the tally
-lock, and the window's inside that; nothing here takes them the other
-way round.
+Lock order of a fold: registry → window. It runs under the registry lock
+(every registry reader takes it first) and takes the window's inside it;
+nothing here takes them the other way round.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ __all__ = ["FOLD_AT", "HitContext", "ServeAccounting"]
 #: pending terminal facts at which ``terminal`` folds the ledger itself
 FOLD_AT = 1024
 
-#: tally -> (registry counter, help); ``None`` keeps a tally report-only
+#: tally -> (registry counter, help): the counter is the tally
 _COUNTS = {
     "shed": ("serve_shed_total", "requests shed by admission control"),
     "batches": ("serve_batches_total", "executed batches"),
-    "batched_requests": None,
     "solves": ("serve_solves_total", "fresh engine solves"),
     "retries": ("serve_retries_total",
                 "requests re-queued for another solve attempt"),
@@ -94,11 +94,10 @@ class _FoldedWindow(LatencyWindow):
             registry.collect()
 
 
-def _fold(ledger: deque, lock, tally: dict, outcomes: dict, window,
-          registry) -> None:
+def _fold(ledger: deque, window, registry) -> None:
     """Collector: replay the pending facts, in arrival order, into the
-    tallies, the window and the request counter, ``retried_ok`` counter
-    and latency histogram of their outcome (registry lock held)."""
+    window and the request counter, ``retried_ok`` counter and latency
+    histogram of their outcome (registry lock held)."""
     groups: dict[str, tuple[list, list, list]] = {}
     retried_ok = 0
     for _ in range(len(ledger)):  # later appends wait for the next fold
@@ -110,13 +109,8 @@ def _fold(ledger: deque, lock, tally: dict, outcomes: dict, window,
         group[1].append(ref)
         group[2].append((stamp, latency))
         retried_ok += ok
-    if not groups:
-        return
-    with lock:
-        tally["retried_ok"] += retried_ok
-        for outcome, (latencies, _, rows) in groups.items():
-            outcomes[outcome] = outcomes.get(outcome, 0) + len(latencies)
-            window.record_stamped(outcome, rows)
+    for outcome, (_, _, rows) in groups.items():
+        window.record_stamped(outcome, rows)
     if retried_ok:
         series, help_ = _COUNTS["retried_ok"]
         registry.inc(series, retried_ok, help=help_)
@@ -134,11 +128,10 @@ class ServeAccounting:
     ``registry`` is a :class:`~repro.obs.registry.MetricsRegistry`,
     ``tracer`` and ``events`` the service tracer and the
     :class:`~repro.serve.events.WideEventLog` (or None), ``clock`` the
-    broker's (latency samples and ``wall_s`` share its time base). One
-    lock guards the tallies; registry, window and event log keep theirs,
-    and the ledger is a ``deque`` (appends from several workers are
-    atomic; the fold runs under the registry lock, in the order the
-    module docstring fixes).
+    broker's (latency samples and ``wall_s`` share its time base). The
+    registry, window and event log keep their locks, and the ledger is a
+    ``deque`` (appends from several workers are atomic; the fold runs
+    under the registry lock, in the order the module docstring fixes).
     """
 
     def __init__(self, *, registry, tracer, events, clock) -> None:
@@ -148,31 +141,20 @@ class ServeAccounting:
         self.latency = _FoldedWindow(registry, clock)
         self.clock = clock
         self._t_start = clock()
-        self._lock = threading.Lock()
         self._trace_lock = threading.Lock()
-        self._tally = dict.fromkeys(_COUNTS, 0)
-        self._outcomes: dict[str, int] = {}
         self._ledger: deque = deque()
-        registry.add_collector(partial(
-            _fold, self._ledger, self._lock, self._tally, self._outcomes,
-            self.latency))
+        registry.add_collector(partial(_fold, self._ledger, self.latency))
 
     # ------------------------------------------------------------------
-    def _publish(self, name: str, n: int) -> None:
-        series = _COUNTS[name]
-        if series is not None:
-            self.registry.inc(series[0], n, help=series[1])
-
     def count(self, name: str, n: int = 1) -> None:
-        """Bump tally ``name`` and its registry series, as one fact."""
-        with self._lock:
-            self._tally[name] += n
-        self._publish(name, n)
+        """Bump tally ``name``: its registry counter."""
+        series, help_ = _COUNTS[name]
+        self.registry.inc(series, n, help=help_)
 
     def tally(self, name: str) -> int:
-        self.registry.collect()
-        with self._lock:
-            return self._tally[name]
+        """Tally ``name``, read off its counter (pending facts folded)."""
+        (series,) = self.registry.read(_COUNTS[name][0]).values()
+        return int(sum(series.values()))
 
     def gauge(self, name: str, value: float) -> None:
         self.registry.set_gauge(name, value, help=_GAUGES[name])
@@ -205,12 +187,8 @@ class ServeAccounting:
         stats: dict, depth: int,
     ) -> None:
         """One executed batch: tallies, histograms, depth gauge, span."""
-        with self._lock:
-            self._tally["batches"] += 1
-            self._tally["batched_requests"] += len(batch)
-            self._tally["solves"] += stats["solves"]
-        self._publish("batches", 1)
-        self._publish("solves", stats["solves"])
+        self.count("batches")
+        self.count("solves", stats["solves"])
         self.registry.observe(
             "serve_batch_size", len(batch), buckets=_BATCH_SIZE_BUCKETS,
             help="requests per executed batch",
@@ -269,10 +247,14 @@ class ServeAccounting:
     ) -> dict:
         """Flat service report; the broker supplies what only the
         pipeline knows (admissions, queue, serving snapshot, cache)."""
-        self.registry.collect()
-        with self._lock:
-            tally = dict(self._tally)
-            outcomes = sorted(self._outcomes.items())
+        cut = self.registry.read(
+            "serve_requests_total", "serve_batch_size",
+            *(series for series, _ in _COUNTS.values()))
+        tally = {name: int(sum(cut[series].values()))
+                 for name, (series, _) in _COUNTS.items()}
+        outcomes = sorted(
+            (dict(key)["outcome"], int(n))
+            for key, n in cut["serve_requests_total"].items())
         completed = sum(n for _, n in outcomes)
         batches = tally["batches"]
         row = {
@@ -285,7 +267,8 @@ class ServeAccounting:
             "hedges": tally["hedges"],
             "retried_ok": tally["retried_ok"],
             "mean_batch_size": (
-                tally["batched_requests"] / batches if batches else 0.0
+                sum(cut["serve_batch_size"].values()) / batches
+                if batches else 0.0
             ),
             "queue_depth": queue_depth,
             "snapshot_id": snapshot_id,

@@ -18,7 +18,10 @@ them all (one probe verdict covers the shared engine underneath).
 Determinism: the clock is injectable (``clock=``), so the journey
 harness drives transitions with a fake clock and replays them exactly;
 every transition is recorded in :attr:`CircuitBreaker.transitions` as
-``(t, class, from_state, to_state)``.
+``(t, class, from_state, to_state)``. That list and the per-class states
+are the breaker's only store: a registry it is given gets one collector,
+which publishes the transitions since the last read and every class's
+state gauge on each registry read.
 """
 
 from __future__ import annotations
@@ -129,7 +132,6 @@ class CircuitBreaker:
     ) -> None:
         self.config = config or BreakerConfig()
         self._clock = clock
-        self._registry = registry
         self._lock = threading.Lock()
         self._classes = {cls: _ClassState() for cls in self.config.classes}
         #: Lock-free steady-state flag: True iff every class is closed.
@@ -141,18 +143,30 @@ class CircuitBreaker:
         #: chronological ``(t, class, from_state, to_state)`` records —
         #: the journey harness asserts these are identical across replays.
         self.transitions: list[tuple[float, str, str, str]] = []
-        for cls in self._classes:
-            self._gauge(cls, "closed")
+        self._published = 0  # transitions the registry has seen
+        if registry is not None:
+            registry.add_collector(self._collect)
 
     # ------------------------------------------------------------------
-    def _gauge(self, cls: str, state: str) -> None:
-        if self._registry is not None:
-            self._registry.set_gauge(
-                "serve_breaker_state",
-                _STATE_CODE[state],
+    def _collect(self, registry) -> None:
+        """Collector (registry lock held, then the breaker's): publish the
+        transitions since the last read and each class's state gauge."""
+        with self._lock:
+            fresh = self.transitions[self._published:]
+            self._published += len(fresh)
+            states = [(cls, s.state) for cls, s in self._classes.items()]
+        for cls, state in states:
+            registry.set_gauge(
+                "serve_breaker_state", _STATE_CODE[state],
                 help="circuit-breaker state per failure class "
                      "(0=closed, 1=open, 2=half_open)",
                 **{"class": cls},
+            )
+        for _, cls, _, to in fresh:
+            registry.inc(
+                "serve_breaker_transitions_total",
+                help="circuit-breaker state transitions",
+                **{"class": cls, "to": to},
             )
 
     def _transition(self, cls: str, state: _ClassState, to: str) -> None:
@@ -166,16 +180,9 @@ class CircuitBreaker:
             state.probes_out = 0
         elif to == "closed":
             state.consecutive_failures = 0
-        self._gauge(cls, to)
         self._all_closed = all(
             s.state == "closed" for s in self._classes.values()
         )
-        if self._registry is not None:
-            self._registry.inc(
-                "serve_breaker_transitions_total",
-                help="circuit-breaker state transitions",
-                **{"class": cls, "to": to},
-            )
 
     def _refresh(self) -> None:
         """Lazily promote open classes to half-open once recovery elapses."""

@@ -30,11 +30,11 @@ serve bad bytes. ``negative_ttl_s > 0`` enables TTL'd *negative caching*
 of timed-out roots, so a root known to blow its deadline fails fast
 instead of burning another solve.
 
-All operations are thread-safe; stats mirror into an optional
-:class:`~repro.obs.registry.MetricsRegistry` — hits and misses, the
-per-read counts, as a registry collector that publishes what
-:class:`CacheStats` counted since the last read, so :meth:`DistanceCache.get`
-makes no registry call.
+All operations are thread-safe. :class:`CacheStats` is the one store of
+the cache's counts: an optional :class:`~repro.obs.registry.MetricsRegistry`
+is handed a collector that publishes, on every registry read, what the
+stats counted since the last read and the live byte and entry gauges — so
+no cache operation makes a registry call or takes the registry lock.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -98,6 +97,11 @@ def _crc(distances: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(distances))
 
 
+#: the :class:`CacheStats` counters published as ``serve_cache_<name>_total``
+_MIRRORED = ("hits", "misses", "evictions", "rejected", "quarantined",
+             "negative_hits")
+
+
 def _key(root) -> int | tuple:
     """Normalise a cache key: plain roots to ``int``, ``(snapshot_id,
     root)`` tuples to a tuple of ints. Hashable, no aliasing between the
@@ -105,17 +109,6 @@ def _key(root) -> int | tuple:
     if isinstance(root, tuple):
         return tuple(map(int, root))
     return int(root)
-
-
-def _publish_reads(stats: CacheStats, published: dict, registry) -> None:
-    """Collector: publish the hits and misses ``stats`` counted since the
-    last read. It reads them without the cache lock — the registry lock
-    is held, and cache writers take the two in the other order."""
-    for name, done in published.items():
-        delta = getattr(stats, name) - done
-        if delta:
-            published[name] = done + delta
-            registry.inc(f"serve_cache_{name}_total", delta)
 
 
 class DistanceCache:
@@ -155,13 +148,13 @@ class DistanceCache:
         #: entry's CRC; the broker toggles this from the breaker state.
         self.verify_get = False
         self.stats = CacheStats(byte_budget=self.byte_budget)
-        self.registry = registry
-        if registry is not None:
-            registry.add_collector(
-                partial(_publish_reads, self.stats, {"hits": 0, "misses": 0}))
         self._entries: "OrderedDict[int | tuple, _Entry]" = OrderedDict()
         self._negative: dict[int | tuple, float] = {}  # key -> expiry time
         self._lock = threading.Lock()
+        self._sized = False  # the size gauges appear at the first put or clear
+        self._published = dict.fromkeys(_MIRRORED, 0)
+        if registry is not None:
+            registry.add_collector(self._collect)
 
     def __len__(self) -> int:
         with self._lock:
@@ -188,8 +181,6 @@ class DistanceCache:
         del self._entries[root]
         self.stats.bytes_in_use -= entry.nbytes
         self.stats.quarantined += 1
-        self._mirror("serve_cache_quarantined_total", 1)
-        self._gauge()
         return False
 
     def get(self, root: int) -> np.ndarray | None:
@@ -249,7 +240,6 @@ class DistanceCache:
         with self._lock:
             if nbytes > self.byte_budget:
                 self.stats.rejected += 1
-                self._mirror("serve_cache_rejected_total", 1)
                 return False
             old = self._entries.pop(root, None)
             if old is not None:
@@ -261,7 +251,6 @@ class DistanceCache:
                 victim = self._entries.pop(self._pick_victim())
                 self.stats.bytes_in_use -= victim.nbytes
                 self.stats.evictions += 1
-                self._mirror("serve_cache_evictions_total", 1)
             self._entries[root] = _Entry(distances, nbytes, float(cost_s), crc)
             self.stats.bytes_in_use += nbytes
             self.stats.insertions += 1
@@ -272,7 +261,7 @@ class DistanceCache:
                 # accumulate forever (each root's tombstone used to be
                 # dropped only when that exact root was re-probed).
                 self._sweep_negative_locked(self.clock())
-            self._gauge()
+            self._sized = True
             return True
 
     def audit(self) -> list[int]:
@@ -289,10 +278,7 @@ class DistanceCache:
                     del self._entries[root]
                     self.stats.bytes_in_use -= entry.nbytes
                     self.stats.quarantined += 1
-                    self._mirror("serve_cache_quarantined_total", 1)
                     bad.append(root)
-            if bad:
-                self._gauge()
         return bad
 
     # ------------------------------------------------------------------
@@ -330,8 +316,8 @@ class DistanceCache:
         repeated checks cannot inflate the negative-hit counters. When
         the caller actually sheds work on a live tombstone it passes
         ``count`` — the number of requests failed fast — and the stats
-        (and the mirrored ``serve_cache_negative_hits_total``) advance by
-        exactly that, i.e. once per shed request."""
+        (so ``serve_cache_negative_hits_total``) advance by exactly that,
+        i.e. once per shed request."""
         if self.negative_ttl_s <= 0:
             return False
         root = _key(root)
@@ -344,7 +330,6 @@ class DistanceCache:
                 return False
             if count > 0:
                 self.stats.negative_hits += count
-                self._mirror("serve_cache_negative_hits_total", count)
             return True
 
     def negative_size(self) -> int:
@@ -373,16 +358,12 @@ class DistanceCache:
                 self.stats.bytes_in_use -= entry.nbytes
                 self.stats.evictions += 1
                 dropped += 1
-            if dropped:
-                self._mirror("serve_cache_evictions_total", dropped)
             for key in [
                 key
                 for key in self._negative
                 if isinstance(key, tuple) and key[0] == sid
             ]:
                 del self._negative[key]
-            if dropped:
-                self._gauge()
         return dropped
 
     def clear(self) -> None:
@@ -390,22 +371,23 @@ class DistanceCache:
             self._entries.clear()
             self._negative.clear()
             self.stats.bytes_in_use = 0
-            self._gauge()
+            self._sized = True
 
     # ------------------------------------------------------------------
-    def _mirror(self, name: str, value: float) -> None:
-        if self.registry is not None:
-            self.registry.inc(name, value)
-
-    def _gauge(self) -> None:
-        if self.registry is not None:
-            self.registry.set_gauge(
-                "serve_cache_bytes",
-                self.stats.bytes_in_use,
-                help="live byte footprint of the distance cache",
-            )
-            self.registry.set_gauge(
-                "serve_cache_entries",
-                len(self._entries),
-                help="live entry count of the distance cache",
-            )
+    def _collect(self, registry) -> None:
+        """Collector (registry lock held, then the cache's: no cache
+        operation takes the registry's): publish what :attr:`stats` counted
+        since the last read, then the live size gauges."""
+        with self._lock:
+            counted = [(name, getattr(self.stats, name)) for name in _MIRRORED]
+            size = self._sized and (self.stats.bytes_in_use, len(self._entries))
+        for name, value in counted:
+            delta = value - self._published[name]
+            if delta:
+                self._published[name] = value
+                registry.inc(f"serve_cache_{name}_total", delta)
+        if size:
+            registry.set_gauge("serve_cache_bytes", size[0],
+                               help="live byte footprint of the distance cache")
+            registry.set_gauge("serve_cache_entries", size[1],
+                               help="live entry count of the distance cache")

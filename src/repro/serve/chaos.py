@@ -213,19 +213,27 @@ class ChaosSolver:
     passes each request's attempt number, so retries advance the draw
     stream, and the pinned snapshot's solver. Every injected fault is
     appended to :attr:`log` as ``(root, attempt, kind)`` — replaying the
-    same plan over the same requests yields the identical log.
+    same plan over the same requests yields the identical log. The log is
+    the only store: a registry it is given gets one collector, which
+    publishes the faults logged since the last read.
     """
 
     def __init__(self, plan: ChaosPlan, *, registry=None) -> None:
         self.plan = plan
-        self._registry = registry
         #: chronological ``(root, attempt, kind)`` fault records.
         self.log: list[tuple[int, int, str]] = []
+        self._published = 0  # log records the registry has seen
+        if registry is not None:
+            registry.add_collector(self._collect)
 
-    def _note(self, root: int, attempt: int, kind: str) -> None:
-        self.log.append((root, attempt, kind))
-        if self._registry is not None:
-            self._registry.inc(
+    def _collect(self, registry) -> None:
+        """Collector (registry lock held): publish the faults logged since
+        the last read. Appends are atomic; one racing this read waits for
+        the next."""
+        fresh = self.log[self._published:]
+        self._published += len(fresh)
+        for _, _, kind in fresh:
+            registry.inc(
                 "serve_chaos_injected_total",
                 help="chaos faults injected into solve attempts",
                 kind=kind,
@@ -237,20 +245,20 @@ class ChaosSolver:
         root = int(root)
         kind = self.plan.draw(root, attempt)
         if kind == "error":
-            self._note(root, attempt, kind)
+            self.log.append((root, attempt, kind))
             raise InjectedFault(root, attempt)
         if kind == "stall":
-            self._note(root, attempt, kind)
+            self.log.append((root, attempt, kind))
             raise SolveTimeout(
                 "chaos: injected stall past deadline", root=root
             )
         if kind == "slow":
-            self._note(root, attempt, kind)
+            self.log.append((root, attempt, kind))
             if self.plan.slow_s:
                 time.sleep(self.plan.slow_s)
         res = solver.solve(root, deadline=deadline)
         if kind == "corrupt":
-            self._note(root, attempt, kind)
+            self.log.append((root, attempt, kind))
             res.distances = self.plan.corrupt_distances(
                 res.distances, root, attempt
             )

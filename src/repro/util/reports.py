@@ -9,6 +9,7 @@ dicts of JSON-safe scalars and dump them.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -16,13 +17,14 @@ __all__ = ["sssp_report", "bfs_report", "graph500_report", "dump_json"]
 
 
 def _jsonable(value: Any) -> Any:
-    """Coerce numpy scalars and containers to JSON-safe types."""
+    """Coerce numpy scalars and containers to JSON-safe types; a float that
+    is not finite (an undefined percentile or ratio) becomes ``None``."""
     import numpy as np
 
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, (np.bool_,)):
         return bool(value)
     if isinstance(value, dict):
@@ -112,8 +114,9 @@ def graph500_report(result) -> dict[str, Any]:
 
 
 def dump_json(report: dict[str, Any], path: str | Path | None = None) -> str:
-    """Serialise a report; optionally also write it to ``path``."""
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Serialise a report as strict JSON (no ``NaN``/``Infinity``, which
+    strict parsers reject); optionally also write it to ``path``."""
+    text = json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False)
     if path is not None:
         Path(path).write_text(text + "\n")
     return text

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graph.partition import BlockPartition
+from repro.runtime.machine import MachineConfig
+from repro.runtime.work import thread_index
 
 
 class TestBoundaries:
@@ -71,13 +73,17 @@ class TestLocalGlobal:
 
 
 class TestThreadOwner:
+    """The node-internal distribution every solve uses
+    (:func:`~repro.runtime.work.thread_index`): a rank's vertices are
+    block-distributed again over its threads."""
+
     def test_thread_distribution_covers_all_threads(self):
         p = BlockPartition(64, 2)
-        local = np.arange(32)
-        threads = p.thread_owner(local, rank=0, num_threads=4)
+        threads = thread_index(np.arange(32), p, MachineConfig(2, 4))
         assert set(threads.tolist()) == {0, 1, 2, 3}
 
     def test_thread_blocks_contiguous(self):
         p = BlockPartition(64, 2)
-        threads = p.thread_owner(np.arange(32), rank=0, num_threads=4)
+        threads = thread_index(np.arange(64), p, MachineConfig(2, 4))
         assert np.all(np.diff(threads) >= 0)
+        assert np.array_equal(np.bincount(threads), [8] * 8)

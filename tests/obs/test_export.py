@@ -163,3 +163,30 @@ class TestMetricsOut:
         out = capsys.readouterr().out
         assert "wall clock vs. cost model" in out
         assert trace.exists() and prom.exists()
+
+
+def _refuse(constant: str):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+class TestStrictJson:
+    """Every artifact parses under a strict parser (as Node's
+    ``JSON.parse`` and ui.perfetto.dev do): no ``Infinity`` or ``NaN``."""
+
+    def test_one_rank_traced_solve_writes_strict_json(self, tmp_path, capsys):
+        # one rank: every exchange is free, so its drift ratio is undefined
+        files = {fmt: tmp_path / f"run.{fmt}" for fmt in ("jsonl", "perfetto")}
+        for fmt, trace in files.items():
+            report = tmp_path / f"report.{fmt}.json"
+            assert main([
+                "solve", "--scale", "8", "--ranks", "1", "--threads", "2",
+                "--trace", str(trace), "--trace-format", fmt,
+                "--json", str(report),
+            ]) == 0
+            parsed = json.loads(report.read_text(), parse_constant=_refuse)
+            drift = {row["kind"]: row for row in parsed["trace"]["drift"]}
+            assert drift["exchange"]["rel"] is None
+        assert "n/a" in capsys.readouterr().out
+        for line in files["jsonl"].read_text().splitlines():
+            json.loads(line, parse_constant=_refuse)
+        json.loads(files["perfetto"].read_text(), parse_constant=_refuse)

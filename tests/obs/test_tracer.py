@@ -28,10 +28,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             TraceConfig(format="xml")
 
-    def test_bad_drift_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            TraceConfig(drift_threshold=0.5)
-
     def test_disabled_config_means_no_tracer(self, rmat1_small, machine):
         res = solve_sssp(
             rmat1_small, 3, algorithm="opt", delta=25, machine=machine,

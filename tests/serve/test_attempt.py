@@ -52,6 +52,13 @@ def raises(exc):
     return step
 
 
+def hedges(acct) -> int:
+    """The hedge tally: the registry's ``serve_hedges_total``, read back."""
+    count = acct.tally("hedges")
+    assert acct.registry.snapshot().get("serve_hedges_total", 0) == count
+    return count
+
+
 def runner(*, hedge_budget=0, verify=False, chaos=None):
     acct = ServeAccounting(registry=MetricsRegistry(), tracer=None,
                            events=None, clock=time.perf_counter)
@@ -70,7 +77,7 @@ class TestHedging:
         release.set()
         assert used == 1  # the re-attempt's number, not the primary's
         assert np.array_equal(res.distances, EXACT)
-        assert acct.tally("hedges") == 1
+        assert hedges(acct) == 1
 
     def test_failed_hedge_falls_back_to_the_primary(self, path_graph):
         run, acct = runner(hedge_budget=4)
@@ -78,7 +85,7 @@ class TestHedging:
         res, used = run.run(solver, path_graph, 0, None, 2)
         assert used == 2 and solver.calls == 2
         assert np.array_equal(res.distances, EXACT)
-        assert acct.tally("hedges") == 1
+        assert hedges(acct) == 1
 
     def test_both_fail_raises_the_hedge_failure(self, path_graph):
         run, _ = runner(hedge_budget=4)
@@ -90,18 +97,17 @@ class TestHedging:
     def test_exhausted_budget_waits_for_the_primary(self, path_graph):
         run, acct = runner(hedge_budget=1)
         run.run(FakeSolver(slow(0.05, ok()), ok()), path_graph, 0, None, 0)
-        assert acct.tally("hedges") == 1  # the budget, spent
+        assert hedges(acct) == 1  # the budget, spent
         solver = FakeSolver(slow(0.05, ok()))
         res, used = run.run(solver, path_graph, 0, None, 0)
         assert used == 0 and solver.calls == 1
-        assert acct.tally("hedges") == 1
-        assert acct.registry.snapshot()["serve_hedges_total"] == 1
+        assert hedges(acct) == 1
 
     def test_fast_primary_never_hedges(self, path_graph):
         run, acct = runner(hedge_budget=4)
         solver = FakeSolver(ok())
         assert run.run(solver, path_graph, 0, None, 0)[1] == 0
-        assert solver.calls == 1 and acct.tally("hedges") == 0
+        assert solver.calls == 1 and hedges(acct) == 0
 
 
 class TestVerificationAndClassification:

@@ -164,3 +164,9 @@ class TestMetrics:
         text = registry.prometheus_text()
         assert "serve_breaker_state" in text
         assert "serve_breaker_transitions_total" in text
+        # both read the breaker's own state: the classes and transitions
+        snap = registry.snapshot()
+        assert snap['serve_breaker_state{class="timeout"}'] == 1
+        assert snap['serve_breaker_state{class="error"}'] == 0
+        assert breaker.transitions == [(0.0, "timeout", "closed", "open")]
+        assert snap['serve_breaker_transitions_total{class="timeout",to="open"}'] == 1

@@ -419,3 +419,10 @@ class TestContract:
         assert "serve_cache_misses_total 1" in text
         assert "serve_cache_evictions_total 1" in text
         assert "serve_cache_entries 1" in text
+        # the registry reads the stats: later counts show at the next read
+        cache.get(1)
+        cache.put(2, arr(4))
+        snap = registry.snapshot()
+        assert snap["serve_cache_hits_total"] == cache.stats.hits == 2
+        assert snap["serve_cache_evictions_total"] == cache.stats.evictions == 2
+        assert snap["serve_cache_bytes"] == cache.stats.bytes_in_use

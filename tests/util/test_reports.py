@@ -38,6 +38,13 @@ class TestSsspReport:
         # reports stay small: no per-vertex arrays
         assert len(text) < 10_000
 
+    def test_undefined_numbers_are_null(self):
+        # strict JSON: an empty window's percentile (NaN) or an unpriced
+        # ratio (inf) is written as null, never NaN/Infinity
+        text = dump_json({"p50_s": float("nan"), "rows": [{"rel": float("inf")}]})
+        assert json.loads(text, parse_constant=pytest.fail) == {
+            "p50_s": None, "rows": [{"rel": None}]}
+
     def test_write_to_file(self, tmp_path, sssp_result):
         path = tmp_path / "report.json"
         dump_json(sssp_report(sssp_result), path)

@@ -7,7 +7,10 @@
 lines or talking to the metrics registry itself instead of through
 ``serve/accounting.py``; ``src/repro/spmd/mailbox.py`` and
 ``src/repro/spmd/faults.py`` together past 430 — the transport and its
-reliable protocol, with one way into a superstep.
+reliable protocol, with one way into a superstep; ``serve/cache.py``,
+``serve/breaker.py`` and ``serve/chaos.py`` together past 592 or keeping a
+handle on the registry — a component counts in its own state and hands
+the registry one collector.
 """
 
 import ast
@@ -20,6 +23,8 @@ import tokenize
 RATCHETS = (
     (("src/repro/serve/broker.py",), 650, ("registry.inc(", "registry.observe(")),
     (("src/repro/spmd/mailbox.py", "src/repro/spmd/faults.py"), 430, ()),
+    (("src/repro/serve/cache.py", "src/repro/serve/breaker.py",
+      "src/repro/serve/chaos.py"), 592, ("self.registry", "self._registry")),
 )
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
