@@ -186,7 +186,7 @@ GATES: dict[str, DocumentGate | PairedGate] = {
     # What one epoch of the many-bucket regime costs, in SciPy solves of
     # the same graph: the number the per-epoch work of core/ moves.
     "grid-epoch-cost": DocumentGate(
-        "core.ms_per_bucket", "cold_grid", 1.49, "obs-smoke",
+        "core.ms_per_bucket", "cold_grid", 1.20, "obs-smoke",
         over_metric="bench.scipy_ms_p50", sampled=False),
     "hit-vs-cold": DocumentGate(
         "bench.op_ms_p50", "serve_hot", 0.5, "serve-smoke", over="serve_cold"),
@@ -199,7 +199,7 @@ GATES: dict[str, DocumentGate | PairedGate] = {
     # What a read that misses on a live graph costs, in fresh solves: the
     # number the lineage tier moves (a repaired miss is a fraction of one).
     "churn-miss-vs-fresh": DocumentGate(
-        "bench.op_ms_p50", "serve_churn", None, "dynamic-smoke",
+        "bench.op_ms_p50", "serve_churn", 1.30, "dynamic-smoke",
         over_metric="serve.engine_ms_p50"),
     "batching-cache": PairedGate(
         _standard, "serve-smoke", off=_unbatched, against=1.10),

@@ -29,28 +29,33 @@ def compact_edges(
 
     Returns the compacted ``(tails, heads, weights)`` triple.
     """
-    tails = np.asarray(tails, dtype=np.int64)
-    heads = np.asarray(heads, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.int64)
+    tails, heads, weights = (np.asarray(a, dtype=np.int64) for a in (tails, heads, weights))
     if not (tails.shape == heads.shape == weights.shape):
         raise ValueError("tails, heads and weights must have equal length")
     if drop_self_loops:
         keep = tails != heads
         tails, heads, weights = tails[keep], heads[keep], weights[keep]
+    else:  # the packed sort below works in the three arrays
+        tails, heads, weights = tails.copy(), heads.copy(), weights.copy()
     if tails.size == 0:
         return tails, heads, weights
     # Sorting by (tail, head, weight) dominates graph construction. When the
-    # three fields fit together in 62 bits, a single argsort of a packed
-    # composite key is several times faster than a 3-key lexsort.
-    h_span = int(heads.max()) + 1
-    w_span = int(weights.max()) + 1
-    t_bits = int(tails.max()).bit_length()
-    if t_bits + h_span.bit_length() + w_span.bit_length() <= 62 and weights.min() >= 0:
-        key = (tails * h_span + heads) * w_span + weights
-        order = np.argsort(key, kind="stable")
+    # three fields fit together in 62 bits, they are packed into one key in
+    # the tails array, sorted in place and decoded back into the three
+    # arrays: equal keys are equal arcs, so no stable order is needed.
+    h_span, w_span = int(heads.max()) + 1, int(weights.max()) + 1
+    bits = int(tails.max()).bit_length() + h_span.bit_length() + w_span.bit_length()
+    if bits <= 62 and min(tails.min(), heads.min(), weights.min()) >= 0:
+        tails *= h_span
+        tails += heads
+        tails *= w_span
+        tails += weights
+        tails.sort()
+        np.divmod(tails, w_span, out=(tails, weights))
+        np.divmod(tails, h_span, out=(tails, heads))
     else:
         order = np.lexsort((weights, heads, tails))
-    tails, heads, weights = tails[order], heads[order], weights[order]
+        tails, heads, weights = tails[order], heads[order], weights[order]
     # After sorting by (tail, head, weight), the first arc of each duplicate
     # run carries the minimum weight.
     first = np.empty(tails.size, dtype=bool)
@@ -84,9 +89,7 @@ def from_edges(
     dedup:
         Remove self-loops and duplicate arcs (min-weight wins).
     """
-    tails = np.asarray(tails, dtype=np.int64)
-    heads = np.asarray(heads, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.int64)
+    tails, heads, weights = (np.asarray(a, dtype=np.int64) for a in (tails, heads, weights))
     if tails.size and (
         tails.min() < 0
         or heads.min() < 0
@@ -117,12 +120,8 @@ def from_undirected_edges(
     and ``(v, u)``, both with weight ``w``. Self-loops are discarded and
     parallel edges collapse to the lightest.
     """
-    tails = np.asarray(tails, dtype=np.int64)
-    heads = np.asarray(heads, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.int64)
-    all_tails = np.concatenate([tails, heads])
-    all_heads = np.concatenate([heads, tails])
-    all_weights = np.concatenate([weights, weights])
+    tails, heads, weights = (np.asarray(a, dtype=np.int64) for a in (tails, heads, weights))
     return from_edges(
-        all_tails, all_heads, all_weights, num_vertices, undirected=True, dedup=True
+        np.concatenate([tails, heads]), np.concatenate([heads, tails]),
+        np.concatenate([weights, weights]), num_vertices, undirected=True,
     )

@@ -155,23 +155,19 @@ class CSRGraph:
         """
         if self._sorted_by_weight:
             return self
-        n = self.num_vertices
-        adj = self.adj.copy()
-        weights = self.weights.copy()
-        # Sort within each CSR segment: sort globally by (vertex, weight)
-        # using a stable composite key. A packed single-key argsort beats a
-        # 2-key lexsort when both fields fit in 62 bits together.
-        seg = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
-        w_span = int(weights.max()) + 1 if weights.size else 1
-        if (n.bit_length() + w_span.bit_length() <= 62) and (
-            weights.size == 0 or weights.min() >= 0
-        ):
-            order = np.argsort(seg * w_span + weights, kind="stable")
+        n, m = self.num_vertices, self.num_arcs
+        w_span = self.max_weight + 1
+        key = self.arc_tails()
+        # Sort within each CSR segment, stably: one in-place sort of the
+        # packed (tail, weight, arc position) key when it fits in 62 bits.
+        if (n * w_span * m).bit_length() <= 62:
+            key *= w_span
+            key += self.weights
+            order = _positions_in_order(key, m)
         else:
-            order = np.lexsort((weights, seg))
-        adj = adj[order]
-        weights = weights[order]
-        return CSRGraph(self.indptr, adj, weights, self.undirected, _sorted_by_weight=True)
+            order = np.lexsort((self.weights, key))
+        return CSRGraph(self.indptr, self.adj[order], self.weights[order],
+                        self.undirected, _sorted_by_weight=True)
 
     def short_edge_offsets(self, delta: int) -> np.ndarray:
         """Per-vertex index of the first *long* edge (weight >= ``delta``).
@@ -195,16 +191,17 @@ class CSRGraph:
         For undirected (symmetrized) graphs this is an identical graph; it is
         provided for completeness and for directed-graph experiments.
         """
-        n = self.num_vertices
-        tails = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
-        order = np.argsort(self.adj, kind="stable")
-        new_tails = self.adj[order]
-        new_heads = tails[order]
-        new_weights = self.weights[order]
-        counts = np.bincount(new_tails, minlength=n).astype(np.int64)
+        n, m = self.num_vertices, self.num_arcs
+        # Arcs in stable head order: the packed (head, arc position) key
+        # when it fits in 62 bits.
+        if (n * m).bit_length() <= 62:
+            order = _positions_in_order(self.adj.copy(), m)
+        else:
+            order = np.lexsort((self.adj,))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return CSRGraph(indptr, new_heads, new_weights, self.undirected)
+        np.cumsum(np.bincount(self.adj, minlength=n), out=indptr[1:])
+        return CSRGraph(indptr, self.arc_tails()[order], self.weights[order],
+                        self.undirected)
 
     def arc_tails(self) -> np.ndarray:
         """Tail vertex of every stored arc (``int64[num_arcs]``)."""
@@ -220,3 +217,14 @@ class CSRGraph:
             f"CSRGraph(n={self.num_vertices}, m={self.num_undirected_edges}, "
             f"{kind}, w_max={self.max_weight})"
         )
+
+
+def _positions_in_order(key: np.ndarray, m: int) -> np.ndarray:
+    """The stable ``argsort`` of ``key``, ``m`` non-negative entries with
+    ``(key.max() + 1) * m`` at most 2**62: ``key * m + position`` sorted in
+    place, the positions read off by one ``%``. ``key`` is used up."""
+    key *= m
+    key += np.arange(m, dtype=np.int64)
+    key.sort()
+    key %= m
+    return key

@@ -71,18 +71,6 @@ RMAT2 = RMATParams(a=0.50, b=0.10, c=0.10, d=0.30, name="RMAT-2")
 """Proposed Graph 500 SSSP benchmark parameters (paper's RMAT-2 family)."""
 
 
-def _scramble(ids: np.ndarray, scale: int, rng: np.random.Generator) -> np.ndarray:
-    """Apply a fixed pseudo-random vertex permutation.
-
-    Graph 500 scrambles vertex labels so that the low-id vertices produced by
-    the recursive process (which concentrate the high degrees) are spread
-    across the id space — and hence across block partitions.
-    """
-    n = 1 << scale
-    perm = rng.permutation(n)
-    return perm[ids]
-
-
 def rmat_edges(
     scale: int,
     edge_factor: int = EDGE_FACTOR,
@@ -134,10 +122,9 @@ def rmat_edges(
         tails |= tail_bit.astype(np.int64) << level
         heads |= head_bit.astype(np.int64) << level
     if scramble and scale > 0:
-        perm_rng = np.random.default_rng((seed << 1) ^ 0x5851F42D)
-        tails = _scramble(tails, scale, perm_rng)
-        perm_rng = np.random.default_rng((seed << 1) ^ 0x5851F42D)
-        heads = _scramble(heads, scale, perm_rng)
+        # The Graph 500 label scramble: one fixed permutation of both ends.
+        perm = np.random.default_rng((seed << 1) ^ 0x5851F42D).permutation(1 << scale)
+        tails, heads = perm[tails], perm[heads]
     return tails, heads
 
 

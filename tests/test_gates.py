@@ -189,8 +189,16 @@ class TestReadDocument:
         run["samples"][gate.over_metric] = 8
         run["result"]["metrics"][gate.over_metric] = {"value": 12.0, "unit": "ms"}
         result = read_document(gate, stack_document(run))
-        assert (result["value"], result["verdict"]) == (0.5, "recorded")
+        assert (result["value"], result["verdict"]) == (0.5, "within-bound")
         assert result["samples"] == {"serve_churn": [6.0], gate.over_metric: [12.0]}
+        unjudged = dataclasses.replace(gate, ceiling=None)
+        assert read_document(unjudged, stack_document(run))["verdict"] == "recorded"
+        # held to 1.30 fresh solves: 1.25 passes, a solve and a third fails
+        run["result"]["metrics"][gate.metric]["value"] = 15.0
+        assert read_document(gate, stack_document(run))["verdict"] == "within-bound"
+        run["result"]["metrics"][gate.metric]["value"] = 16.0
+        assert read_document(gate, stack_document(run))["verdict"] == "regression"
+        run["result"]["metrics"][gate.metric]["value"] = 6.0
         run["samples"][gate.over_metric] = 0  # every miss repaired: no fresh solve
         assert read_document(gate, stack_document(run))["verdict"] == "missing"
 
@@ -228,6 +236,8 @@ class TestReadDocument:
         assert read_document(unjudged, stack_document(run))["verdict"] == "recorded"
         run["result"]["metrics"][gate.metric]["value"] = 1.89  # 2.1 SciPy solves
         assert read_document(gate, stack_document(run))["verdict"] == "regression"
+        run["result"]["metrics"][gate.metric]["value"] = 1.17  # 1.3 SciPy solves
+        assert read_document(gate, stack_document(run))["verdict"] == "regression"
         run["result"]["metrics"][gate.metric]["value"] = 0.45
         run["samples"][gate.over_metric] = 0
         assert read_document(gate, stack_document(run))["verdict"] == "missing"
@@ -245,11 +255,11 @@ class TestGateTable:
             "trace-overhead": (None, 3.0),
             "checkpoint-overhead": (None, None),
             "spmd-vs-orchestrated": (None, 1.34),
-            "grid-epoch-cost": (None, 1.49),
+            "grid-epoch-cost": (None, 1.20),
             "hit-vs-cold": (None, 0.5),
             "repair-vs-fresh": (None, 0.30),
             "update-vs-fresh": (None, 6.3),
-            "churn-miss-vs-fresh": (None, None),
+            "churn-miss-vs-fresh": (None, 1.30),
             "batching-cache": (1.10, 0.0),
             "resilience-armed": (1.0, 0.02),
             "paranoid-guards": (1.0, None),

@@ -10,7 +10,9 @@ lines or talking to the metrics registry itself instead of through
 reliable protocol, with one way into a superstep; ``serve/cache.py``,
 ``serve/breaker.py`` and ``serve/chaos.py`` together past 592 or keeping a
 handle on the registry — a component counts in its own state and hands
-the registry one collector.
+the registry one collector; ``graph/builder.py`` and ``graph/csr.py``
+together past 189 or calling ``argsort`` — construction sorts a packed
+key in place.
 """
 
 import ast
@@ -25,6 +27,7 @@ RATCHETS = (
     (("src/repro/spmd/mailbox.py", "src/repro/spmd/faults.py"), 430, ()),
     (("src/repro/serve/cache.py", "src/repro/serve/breaker.py",
       "src/repro/serve/chaos.py"), 592, ("self.registry", "self._registry")),
+    (("src/repro/graph/builder.py", "src/repro/graph/csr.py"), 189, ("argsort(",)),
 )
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
