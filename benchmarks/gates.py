@@ -191,10 +191,10 @@ GATES: dict[str, DocumentGate | PairedGate] = {
     "hit-vs-cold": DocumentGate(
         "bench.op_ms_p50", "serve_hot", 0.5, "serve-smoke", over="serve_cold"),
     "repair-vs-fresh": DocumentGate(
-        "dynamic.repair_vs_fresh_ratio", "serve_churn", 0.30, "dynamic-smoke",
+        "dynamic.repair_vs_fresh_ratio", "serve_churn", 0.15, "dynamic-smoke",
         strict=True),
     "update-vs-fresh": DocumentGate(
-        "dynamic.update_ms_p50", "serve_churn", 6.3, "dynamic-smoke",
+        "dynamic.update_ms_p50", "serve_churn", 4.5, "dynamic-smoke",
         over_metric="serve.engine_ms_p50"),
     # What a read that misses on a live graph costs, in fresh solves: the
     # number the lineage tier moves (a repaired miss is a fraction of one).

@@ -12,10 +12,12 @@ choice of window plus the policies that hang off it:
 
 - **step selection** — which ``[lo, hi)`` window to drain next: the
   rule itself is :meth:`~SteppingStrategy.window`, a pure function of
-  the unsettled candidates' distances and ids, which an incremental
-  repair calls on its own region; :meth:`~SteppingStrategy.next_step`,
-  written once, applies it to the view's unsettled set and charges the
-  strategy's selection collective (:attr:`~SteppingStrategy.width`);
+  the unsettled candidates' distances and ids;
+  :meth:`~SteppingStrategy.next_step`, written once, applies it to the
+  view's unsettled set and charges the strategy's selection collective
+  (:attr:`~SteppingStrategy.width`). An incremental repair uses no
+  window: its small remainder drains to one label-correcting fixpoint
+  (:mod:`repro.dynamic.repair`);
 - **edge classification** — the weight threshold below which an edge is
   relaxed eagerly in the short phases
   (:meth:`~SteppingStrategy.classification_width`);

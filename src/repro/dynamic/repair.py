@@ -7,11 +7,14 @@ arc-level :class:`~repro.dynamic.updates.EdgeDelta` to the new one,
 weights are unique, so exactness *is* bit-identity — while touching only
 the region the update actually disturbed. The machinery is the
 delta-propagation family of Ramalingam–Reps / Frigioni et al.: the
-changed-vertex frontier is drained window by window under the configured
-strategy's own window rule (:meth:`~repro.core.stepping.SteppingStrategy.window`),
-relaxing with :func:`~repro.core.relax.apply_relaxations`, over an
-unsettled set the repair keeps itself — so a window costs in proportion
-to the region it drains, not to ``n``.
+changed-vertex frontier is drained by a label-correcting fixpoint —
+relax every out-arc of what the last round lowered with
+:func:`~repro.core.relax.apply_relaxations` until a round lowers
+nothing — so a round costs in proportion to the vertices it relaxes,
+not to ``n``, and the repair pays no per-window selection at all. This
+is the paper's hybridization taken to its end: a repair is always the
+small remainder for which the bucket structure costs more than the
+relaxations it saves, so it finishes Bellman-Ford-style from the start.
 
 Three phases:
 
@@ -38,14 +41,14 @@ Three phases:
    relaxation applies every clean→dirty arc (re-attaching orphans to
    the clean region at their best one-hop bound) and every improved arc
    (inserts / weight decreases). The changed set is the repair frontier.
-3. **Windowed drain.** Everything except the frontier starts settled.
-   The unsettled region is a list of ids — the frontier, then every
-   vertex a relaxation lowers — with an n-byte membership mask so a
-   re-lowered vertex is listed once. The strategy's window rule picks
-   ``[lo, hi)`` over the region, and each window relaxes *all* out-arcs
-   of the region's vertices below ``hi`` to fixpoint before settling
-   them — the standard window-safety argument makes the result exact
-   for any strategy.
+3. **Fixpoint drain.** ``active`` starts as the frontier; each round
+   relaxes all out-arcs of ``active`` and the vertices it lowered
+   become the next ``active``. No order is needed for exactness: after
+   seeding, every arc not leaving a changed vertex satisfies the
+   triangle inequality (clean→clean arcs by the old solution, clean→dirty
+   and improved arcs by the seeds, arcs out of a reset orphan trivially)
+   and every finite distance is realised by a path, so the fixpoint the
+   rounds reach is the shortest-path solution.
 
 The **cost model** falls back before the drain: when the disturbed
 region (dirty + frontier) exceeds ``max_dirty_fraction`` of the graph, a
@@ -68,7 +71,6 @@ import numpy as np
 from repro.core.distances import INF
 from repro.core.paths import build_parent_tree
 from repro.core.relax import apply_relaxations
-from repro.core.stepping import make_strategy
 from repro.util.ranges import concat_ranges, sorted_unique_ids
 
 __all__ = ["RepairResult", "check_dirty_fraction", "repair_sssp"]
@@ -84,9 +86,9 @@ class RepairResult:
     at the wave that crosses the gate, and ``seeds``/``frontier`` are 0
     when it was the closure that crossed it. ``seeds`` counts the
     relaxation records applied in the seeding phase, ``frontier`` the
-    vertices the drain started from, ``steps`` the strategy windows
-    drained and ``relax_records`` the total relaxation records the drain
-    generated.
+    vertices the drain started from, ``steps`` the fixpoint rounds the
+    drain ran and ``relax_records`` the total relaxation records the
+    drain generated.
     """
 
     distances: np.ndarray | None
@@ -99,7 +101,6 @@ class RepairResult:
     steps: int
     relax_records: int
     wall_time_s: float
-    strategy: str
 
 
 def _out_arcs(graph, vertices: np.ndarray):
@@ -189,10 +190,9 @@ def repair_sssp(
     Parameters
     ----------
     ctx:
-        Execution context of the **new** snapshot (its graph and config).
-        Only its graph and ``config.strategy`` are read, so a memoised
-        per-snapshot template (``GraphVersioner.context_for``) is never
-        written to.
+        Execution context of the **new** snapshot. Only its graph is
+        read, so a memoised per-snapshot template
+        (``GraphVersioner.context_for``) is never written to.
     root:
         The SSSP root ``old_distances`` solves.
     old_distances:
@@ -223,7 +223,6 @@ def repair_sssp(
     if d[root] != 0:
         raise ValueError("old_distances is not rooted at the given root")
     start = time.perf_counter()
-    strategy_name = ctx.config.strategy
 
     def bail(reason: str, dirty_count: int, seeds: int, frontier: int) -> RepairResult:
         return RepairResult(
@@ -237,7 +236,6 @@ def repair_sssp(
             steps=0,
             relax_records=0,
             wall_time_s=time.perf_counter() - start,
-            strategy=strategy_name,
         )
 
     # ------------------------------------------------ phase 1: damage
@@ -286,37 +284,15 @@ def repair_sssp(
         return bail("dirty-region", dirty_count, seeds, int(frontier.size))
 
     # ------------------------------------------------ phase 3: drain
-    # ``region`` lists the unsettled ids, ``queued`` marks them. Nothing
-    # below a window's ``lo`` is unsettled, so the window's members are
-    # the region's ids under its ``hi``: drain them to fixpoint, settling
-    # each round's active set and queueing whatever a relaxation lowers.
-    strategy = make_strategy(ctx.config)
-    strategy.prepare(graph)
-    queued = np.zeros(n, dtype=bool)
-    queued[frontier] = True
-    region = frontier
+    # No settle order is needed for exactness (phase 3 above), so each
+    # round relaxes exactly what the last one lowered.
+    active = frontier
     steps = relax_records = 0
-    while True:
-        region_d = d[region]
-        step = strategy.window(region_d, region, steps)
-        if step is None:
-            break
+    while active.size:
         steps += 1
-        inside = region_d < step.hi
-        while (active := region[inside]).size:
-            # Relax every out-arc of the active set (no short/long split:
-            # the repair frontier is small, a second phase buys nothing),
-            # then settle them; any vertex improved back into the window
-            # — including an active one — is re-activated next round.
-            region = region[~inside]
-            queued[active] = False
-            owner, dst, w = _out_arcs(graph, active)
-            relax_records += int(dst.size)
-            changed = apply_relaxations(d, dst, d[active][owner] + w)
-            changed = changed[~queued[changed]]
-            queued[changed] = True
-            region = np.concatenate((region, changed))
-            inside = d[region] < step.hi
+        owner, dst, w = _out_arcs(graph, active)
+        relax_records += int(dst.size)
+        active = apply_relaxations(d, dst, d[active][owner] + w)
 
     parents = build_parent_tree(graph, d, root) if with_parents else None
     return RepairResult(
@@ -330,5 +306,4 @@ def repair_sssp(
         steps=steps,
         relax_records=relax_records,
         wall_time_s=time.perf_counter() - start,
-        strategy=strategy_name,
     )

@@ -8,6 +8,10 @@ fast paths are held equal to.
 - :func:`unconditional_closure` — the damage closure that seeds the head
   of *every* improved arc and gathers the children of the newly dirty in
   a second scan.
+- :func:`windowed_repair` — ``repair_sssp`` draining its frontier window
+  by window under the configured strategy's window rule, over an
+  unsettled region it keeps itself, instead of to one label-correcting
+  fixpoint.
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.distances import INF
+from repro.core.relax import apply_relaxations
+from repro.core.stepping import make_strategy
+from repro.dynamic.repair import _damage_closure, _out_arcs
 from repro.dynamic.updates import EdgeDelta
 from repro.graph.builder import from_edges
 from repro.util.ranges import concat_ranges, sorted_unique_ids
@@ -110,3 +117,52 @@ def unconditional_closure(graph, d: np.ndarray, delta, root: int) -> np.ndarray:
         )
         work = sorted_unique_ids(nbrs[child], n)
     return dirty
+
+
+def windowed_repair(ctx, root: int, old_distances: np.ndarray, delta):
+    """``(distances, steps, relax_records)`` of an ungated repair whose
+    phase 3 drains ``[lo, hi)`` windows of ``ctx.config``'s strategy.
+
+    Phases 1–2 are ``repair_sssp``'s: the damage closure, orphans reset
+    to ``INF``, one batched relaxation of every clean→dirty and improved
+    arc. The unsettled region is a list of ids — the frontier, then
+    every vertex a relaxation lowers — with an n-byte membership mask so
+    a re-lowered vertex is listed once; each window relaxes all out-arcs
+    of the region's vertices below ``hi`` to fixpoint before settling
+    them.
+    """
+    graph = ctx.graph
+    n = graph.num_vertices
+    d = np.array(old_distances, dtype=np.int64, copy=True)
+    dirty = _damage_closure(graph, d, delta, root)
+    orphans = np.flatnonzero(dirty)
+    d[orphans] = INF
+    owner, du, dw = _out_arcs(graph, orphans)
+    anchor = ~dirty[du] & (d[du] < INF)
+    it, ih, iw = delta.improved_tails, delta.improved_heads, delta.improved_weights
+    live = d[it] < INF
+    frontier = apply_relaxations(
+        d,
+        np.concatenate((orphans[owner[anchor]], ih[live])),
+        np.concatenate((d[du][anchor] + dw[anchor], d[it][live] + iw[live])),
+    )
+    strategy = make_strategy(ctx.config)
+    strategy.prepare(graph)
+    queued = np.zeros(n, dtype=bool)
+    queued[frontier] = True
+    region = frontier
+    steps = relax_records = 0
+    while (step := strategy.window(d[region], region, steps)) is not None:
+        steps += 1
+        inside = d[region] < step.hi
+        while (active := region[inside]).size:
+            region = region[~inside]
+            queued[active] = False
+            owner, dst, w = _out_arcs(graph, active)
+            relax_records += int(dst.size)
+            changed = apply_relaxations(d, dst, d[active][owner] + w)
+            changed = changed[~queued[changed]]
+            queued[changed] = True
+            region = np.concatenate((region, changed))
+            inside = d[region] < step.hi
+    return d, steps, relax_records

@@ -128,11 +128,13 @@ class TestSameDirtyMask:
 
 
 #: ``(dirty, seeds, frontier, steps, relax_records)`` of three consecutive
-#: repairs per churn seed, captured at the commit before the tight-seed rule.
+#: repairs per churn seed. ``dirty``/``seeds``/``frontier`` were captured at
+#: the commit before the tight-seed rule; ``steps`` (fixpoint rounds) and
+#: ``relax_records`` since the drain became one label-correcting fixpoint.
 PINNED = {
-    23: [(10, 131, 16, 8, 211), (6, 85, 12, 12, 805), (46, 601, 43, 12, 949)],
-    29: [(4, 86, 9, 5, 66), (46, 637, 48, 12, 906), (5, 83, 12, 8, 85)],
-    31: [(8, 76, 12, 7, 61), (7, 197, 10, 6, 179), (3, 46, 8, 7, 38)],
+    23: [(10, 131, 16, 2, 221), (6, 85, 12, 6, 819), (46, 601, 43, 5, 1453)],
+    29: [(4, 86, 9, 1, 66), (46, 637, 48, 4, 1411), (5, 83, 12, 2, 91)],
+    31: [(8, 76, 12, 2, 61), (7, 197, 10, 3, 221), (3, 46, 8, 2, 38)],
 }
 
 

@@ -1,12 +1,13 @@
-"""The region drain under every strategy, and the dirty gate's domain.
+"""The repair drain under every strategy, and the dirty gate's domain.
 
-``tests/dynamic/test_damage_closure.py::PINNED`` holds the repair
-counters of the ``opt`` preset; :data:`PINNED_BY_STRATEGY` holds the same
-three churn seeds for ``delta``, ``rho`` and ``radius``, captured while
-the drain still ran through a forked context, a whole-graph view and a
-bucket index. The region-local drain must reproduce them exactly: the
-window rule sees the same candidates, so every window, relaxation record
-and step count is the one the whole-solve machinery produced.
+The drain is one label-correcting fixpoint that reads no strategy, so
+the ``delta``, ``rho`` and ``radius`` presets must give the row set
+``tests/dynamic/test_damage_closure.py::PINNED`` holds for ``opt``, one
+table for all four. :data:`WINDOWED_BY_STRATEGY` holds
+``(steps, relax_records)`` of the windowed drain it replaced, per
+strategy, which :func:`tests.dynamic.oracles.windowed_repair` must still
+reproduce: it is the reference the fixpoint is held to in
+``tests/dynamic/test_fixpoint_drain.py``.
 """
 
 from __future__ import annotations
@@ -26,32 +27,34 @@ from repro.dynamic.versioner import GraphVersioner
 from repro.graph.rmat import rmat_graph
 from repro.runtime.machine import MachineConfig
 from repro.serve.broker import QueryBroker
+from tests.dynamic.oracles import windowed_repair
+from tests.dynamic.test_damage_closure import PINNED
 
 MACHINE = MachineConfig(num_ranks=4, threads_per_rank=4)
 
-#: ``(dirty, seeds, frontier, steps, relax_records)`` of three consecutive
-#: repairs per strategy and churn seed.
-PINNED_BY_STRATEGY = {
+#: ``(steps, relax_records)`` of the repairs ``PINNED`` holds, drained
+#: window by window.
+WINDOWED_BY_STRATEGY = {
     "delta": {
-        23: [(10, 131, 16, 8, 211), (6, 85, 12, 12, 805), (46, 601, 43, 12, 949)],
-        29: [(4, 86, 9, 5, 66), (46, 637, 48, 12, 906), (5, 83, 12, 8, 85)],
-        31: [(8, 76, 12, 7, 61), (7, 197, 10, 6, 179), (3, 46, 8, 7, 38)],
+        23: [(8, 211), (12, 805), (12, 949)],
+        29: [(5, 66), (12, 906), (8, 85)],
+        31: [(7, 61), (6, 179), (7, 38)],
     },
     "rho": {
-        23: [(10, 131, 16, 1, 221), (6, 85, 12, 1, 819), (46, 601, 43, 2, 1452)],
-        29: [(4, 86, 9, 1, 66), (46, 637, 48, 1, 1410), (5, 83, 12, 1, 91)],
-        31: [(8, 76, 12, 1, 61), (7, 197, 10, 1, 221), (3, 46, 8, 1, 38)],
+        23: [(1, 221), (1, 819), (2, 1452)],
+        29: [(1, 66), (1, 1410), (1, 91)],
+        31: [(1, 61), (1, 221), (1, 38)],
     },
     "radius": {
-        23: [(10, 131, 16, 5, 211), (6, 85, 12, 7, 805), (46, 601, 43, 7, 822)],
-        29: [(4, 86, 9, 4, 66), (46, 637, 48, 7, 829), (5, 83, 12, 4, 91)],
-        31: [(8, 76, 12, 4, 61), (7, 197, 10, 3, 179), (3, 46, 8, 3, 38)],
+        23: [(5, 211), (7, 805), (7, 822)],
+        29: [(4, 66), (7, 829), (4, 91)],
+        31: [(4, 61), (3, 179), (3, 38)],
     },
 }
 
 
 @pytest.mark.parametrize("seed", [23, 29, 31])
-@pytest.mark.parametrize("algorithm", PINNED_BY_STRATEGY)
+@pytest.mark.parametrize("algorithm", WINDOWED_BY_STRATEGY)
 def test_repair_counters_unchanged(algorithm, seed):
     graph = rmat_graph(8, seed=11)
     root = int(np.flatnonzero(graph.degrees > 0)[0])
@@ -60,18 +63,23 @@ def test_repair_counters_unchanged(algorithm, seed):
     )
     d = solve_sssp(graph, root, algorithm=algorithm, delta=25, machine=MACHINE).distances
     rng = np.random.default_rng(seed)
-    rows = []
+    rows, windowed = [], []
     for _ in range(3):
         snap, _ = versioner.apply(
             random_update_batch(versioner.current.graph, rng, churn_fraction=0.02)
         )
-        result = repair_sssp(versioner.context_for(snap.snapshot_id), root, d, snap.delta)
+        ctx = versioner.context_for(snap.snapshot_id)
+        result = repair_sssp(ctx, root, d, snap.delta)
         assert not result.fallback
+        oracle_d, *counts = windowed_repair(ctx, root, d, snap.delta)
         d = result.distances
         np.testing.assert_array_equal(d, dijkstra_reference(snap.graph, root))
+        np.testing.assert_array_equal(d, oracle_d)
         rows.append((result.dirty, result.seeds, result.frontier, result.steps,
                      result.relax_records))
-    assert rows == PINNED_BY_STRATEGY[algorithm][seed]
+        windowed.append(tuple(counts))
+    assert rows == PINNED[seed]
+    assert windowed == WINDOWED_BY_STRATEGY[algorithm][seed]
 
 
 class TestDirtyFractionDomain:

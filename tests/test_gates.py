@@ -128,8 +128,8 @@ class TestReadDocument:
         assert read_document(self.TRACE, doc)["verdict"] == "regression"
 
     def test_strict_ceiling_is_not_reached(self):
-        at = stack_document(record("serve_churn", self.REPAIR.metric, 0.30))
-        under = stack_document(record("serve_churn", self.REPAIR.metric, 0.29))
+        at = stack_document(record("serve_churn", self.REPAIR.metric, 0.15))
+        under = stack_document(record("serve_churn", self.REPAIR.metric, 0.14))
         assert read_document(self.REPAIR, at)["verdict"] == "regression"
         assert read_document(self.REPAIR, under)["verdict"] == "within-bound"
 
@@ -173,7 +173,7 @@ class TestReadDocument:
         assert result["samples"] == {"serve_churn": [12.0], gate.over_metric: [3.0]}
         unjudged = dataclasses.replace(gate, ceiling=None)
         assert read_document(unjudged, stack_document(run))["verdict"] == "recorded"
-        run["result"]["metrics"][gate.metric]["value"] = 19.5  # 6.5 fresh solves
+        run["result"]["metrics"][gate.metric]["value"] = 13.8  # 4.6 fresh solves
         assert read_document(gate, stack_document(run))["verdict"] == "regression"
         run["result"]["metrics"][gate.metric]["value"] = 12.0
         run["samples"][gate.over_metric] = 0  # a denominator nobody sampled
@@ -257,8 +257,8 @@ class TestGateTable:
             "spmd-vs-orchestrated": (None, 1.34),
             "grid-epoch-cost": (None, 1.20),
             "hit-vs-cold": (None, 0.5),
-            "repair-vs-fresh": (None, 0.30),
-            "update-vs-fresh": (None, 6.3),
+            "repair-vs-fresh": (None, 0.15),
+            "update-vs-fresh": (None, 4.5),
             "churn-miss-vs-fresh": (None, 1.30),
             "batching-cache": (1.10, 0.0),
             "resilience-armed": (1.0, 0.02),

@@ -12,7 +12,9 @@ reliable protocol, with one way into a superstep; ``serve/cache.py``,
 handle on the registry — a component counts in its own state and hands
 the registry one collector; ``graph/builder.py`` and ``graph/csr.py``
 together past 189 or calling ``argsort`` — construction sorts a packed
-key in place.
+key in place; ``dynamic/repair.py`` past 154 or calling a stepping
+strategy's ``make_strategy``/``window`` — a repair drains to one
+label-correcting fixpoint, with no settle windows.
 """
 
 import ast
@@ -28,6 +30,7 @@ RATCHETS = (
     (("src/repro/serve/cache.py", "src/repro/serve/breaker.py",
       "src/repro/serve/chaos.py"), 592, ("self.registry", "self._registry")),
     (("src/repro/graph/builder.py", "src/repro/graph/csr.py"), 189, ("argsort(",)),
+    (("src/repro/dynamic/repair.py",), 154, ("make_strategy(", ".window(")),
 )
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
