@@ -5,7 +5,7 @@ tracer recorded (which individual steps dominate), the per-phase-kind time
 split, the cost model's linear decomposition over the machine constants, a
 what-if retiming under a different interconnect — all without re-running
 anything — and finally the measured wall clock next to the simulated clock,
-with a report of where the two drift apart.
+per record kind, read off the tracer's per-kind counters.
 
 Run:  python examples/profiling_tour.py
 """
@@ -17,7 +17,6 @@ from dataclasses import replace
 from repro import rmat_graph, solve_sssp
 from repro.graph.roots import choose_root
 from repro.obs import TraceConfig
-from repro.obs.report import drift_table
 from repro.runtime.calibration import cost_coefficients, retime
 from repro.util.tables import format_table
 
@@ -80,15 +79,30 @@ def main() -> None:
 
     # 5. Wall clock vs. simulated clock. Everything above priced the run on
     # the *simulated* machine; the tracer also measured what the Python
-    # simulator actually spent per record kind and flags kinds the cost
-    # model weights differently from reality.
+    # simulator actually spent, and counts both per record kind.
     print(f"\ntraced run: wall {tracer.wall_total * 1e3:9.2f} ms over "
           f"{tracer.num_records} records in {len(tracer.events)} events")
     print(f"            sim  {tracer.sim_t * 1e3:9.4f} ms "
           f"(identical to the cost model total: "
           f"{abs(tracer.sim_t - res.cost.total_time) < 1e-12})")
+    series = ("sssp_records_total", "sssp_wall_seconds_total",
+              "sssp_sim_seconds_total")
+    cut = tracer.registry.read(*series)
+    rows = []
+    for key in sorted(cut[series[0]]):
+        records, wall, sim = (cut[name][key] for name in series)
+        rows.append({
+            "kind": dict(key)["kind"],
+            "records": int(records),
+            "wall_ms": wall * 1e3,
+            "sim_us": sim * 1e6,
+            # wall seconds per simulated second; None where the model
+            # prices the kind at zero
+            "wall_per_sim": wall / sim if sim > 0 else None,
+        })
+    assert sum(r["records"] for r in rows) == tracer.num_records
     print()
-    print(drift_table(tracer.drift_rows))
+    print(format_table(rows, title="wall clock vs. cost model, per kind:"))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ Subcommands cover the common workflows::
     python -m repro sweep        --scale 12 --deltas 1,10,25,40,100
     python -m repro bfs          --scale 12
     python -m repro serve-bench  --scale 12 --requests 200 --zipf 1.1
-    python -m repro serve-top    --scale 12 --requests 200 --frames 5
     python -m repro trace-report run.trace.jsonl
 
 All graph and machine knobs are flags; output is the same plain-text
@@ -80,7 +79,7 @@ def _machine(args: argparse.Namespace) -> MachineConfig:
 
 
 def _add_serve_args(p: argparse.ArgumentParser) -> None:
-    """Workload + broker knobs shared by ``serve-bench`` and ``serve-top``."""
+    """Workload + broker knobs of ``serve-bench``."""
     _add_solver_args(p)
     p.add_argument("--requests", type=int, default=200,
                    help="queries in the stream (default 200)")
@@ -131,40 +130,7 @@ def _add_serve_args(p: argparse.ArgumentParser) -> None:
                         "by incremental repair (default 4)")
 
 
-def _add_burn_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--burn-objective", type=float, default=None,
-                   help="arm the multi-window SLO burn-rate monitor with "
-                        "this availability objective (e.g. 0.99); alerts "
-                        "are printed with the report")
-    p.add_argument("--burn-fast-s", type=float, default=60.0,
-                   help="fast (page) burn window in seconds (default 60)")
-    p.add_argument("--burn-slow-s", type=float, default=300.0,
-                   help="slow (ticket) burn window in seconds (default 300)")
-    p.add_argument("--burn-min-samples", type=int, default=10,
-                   help="suppress burn verdicts from windows with fewer "
-                        "samples (default 10)")
-
-
-def _burn_monitor(args: argparse.Namespace, broker, *, default_objective=None):
-    """Build the burn-rate monitor over the broker's latency window, or
-    None when not armed (no --burn-objective and no default)."""
-    objective = args.burn_objective
-    if objective is None:
-        objective = default_objective
-    if objective is None:
-        return None
-    from repro.obs.burnrate import BurnRateConfig, BurnRateMonitor
-
-    config = BurnRateConfig(
-        objective=objective,
-        fast_window_s=args.burn_fast_s,
-        slow_window_s=args.burn_slow_s,
-        min_samples=args.burn_min_samples,
-    )
-    return BurnRateMonitor(broker.latency, config)
-
-
-def _build_serve_broker(args: argparse.Namespace, *, events=None):
+def _build_serve_broker(args: argparse.Namespace):
     """Construct the (broker, workload spec) pair from serve CLI args."""
     from repro.runtime.watchdog import DeadlineConfig
     from repro.serve import QueryBroker, WorkloadSpec
@@ -210,14 +176,14 @@ def _build_serve_broker(args: argparse.Namespace, *, events=None):
         num_workers=args.workers,
         cache_bytes=int(args.cache_mb * (1 << 20)),
         default_deadline=deadline,
-        events=events,
+        events=args.events,
         **resilience,
     )
     return graph, broker, spec
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser with all eight subcommands."""
+    """Construct the argument parser with all seven subcommands."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Scalable SSSP reproduction (IPDPS 2014) on a simulated "
@@ -316,24 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(canonical replay form via "
                               "'python -m repro.serve.events PATH "
                               "--canonical')")
-    _add_burn_args(p_serve)
-
-    p_top = sub.add_parser(
-        "serve-top",
-        help="live terminal dashboard over a serving workload (top-style)",
-    )
-    _add_serve_args(p_top)
-    _add_burn_args(p_top)
-    p_top.add_argument("--refresh-ms", type=float, default=500.0,
-                       help="dashboard refresh interval in ms (default 500)")
-    p_top.add_argument("--frames", type=int, default=None,
-                       help="stop after N frames (default: until the "
-                            "workload completes)")
-    p_top.add_argument("--no-clear", action="store_true",
-                       help="append frames instead of clearing the screen "
-                            "(logs, CI, non-TTY output)")
-    p_top.add_argument("--events", metavar="PATH", default=None,
-                       help="also write the wide-event stream to PATH")
 
     p_trace = sub.add_parser(
         "trace-report",
@@ -400,10 +348,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         }
         print(format_table([row], "recovery overhead"))
     if res.trace is not None:
-        from repro.obs.report import drift_table
-
-        if res.trace.drift_rows:
-            print(drift_table(res.trace.drift_rows))
         for kind, path in sorted(res.trace.artifacts.items()):
             print(f"{kind} written to {path}")
     if args.json is not None:
@@ -419,8 +363,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.serve import SloPolicy, run_workload
 
-    graph, broker, spec = _build_serve_broker(args, events=args.events)
-    monitor = _burn_monitor(args, broker)
+    try:
+        policy = SloPolicy(min_hit_rate=args.slo_min_hit_rate)
+    except ValueError as exc:
+        print(f"serve-bench: {exc}", file=sys.stderr)
+        return 2
+    graph, broker, spec = _build_serve_broker(args)
     churn = None
     if args.update_stream:
         from repro.serve.workload import ChurnSpec
@@ -474,16 +422,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         live["outcome_solve"] = report.get("outcome_solve", 0)
         live["outcome_repair"] = report.get("outcome_repair", 0)
         print(format_table([live], "live graph"))
-    if monitor is not None:
-        burn = monitor.summary()
-        row = {
-            k: (f"{v:.2f}" if isinstance(v, float) else v)
-            for k, v in burn.items()
-            if k not in ("alerts", "paging")
-        }
-        print(format_table([row], "SLO burn rate"))
-        for alert in burn["alerts"]:
-            print(f"BURN ALERT: {alert}", file=sys.stderr)
     if args.events is not None:
         print(f"{report.get('wide_events', 0)} wide events written "
               f"to {args.events}")
@@ -497,57 +435,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         text = dump_json(report, None if args.json == "-" else args.json)
         if args.json == "-":
             print(text)
-    policy = SloPolicy(min_hit_rate=args.slo_min_hit_rate)
     violations = policy.check(report)
     for violation in violations:
         print(f"SLO VIOLATION: {violation}", file=sys.stderr)
     return 1 if violations else 0
-
-
-def _cmd_serve_top(args: argparse.Namespace) -> int:
-    import threading
-
-    from repro.serve import dashboard, run_workload
-
-    if args.workers < 1:
-        print("serve-top needs at least one worker thread", file=sys.stderr)
-        return 2
-    # Events are always armed: the dashboard's recent-requests pane
-    # reads the wide-event stream (kept bounded in memory).
-    from repro.serve.events import WideEventLog
-
-    log = WideEventLog(args.events, capacity=4096)
-    graph, broker, spec = _build_serve_broker(args, events=log)
-    # The dashboard always shows burn rate; default the objective.
-    monitor = _burn_monitor(args, broker, default_objective=0.99)
-    workload_done = threading.Event()
-
-    def drive() -> None:
-        try:
-            run_workload(broker, spec)
-        finally:
-            workload_done.set()
-
-    driver = threading.Thread(target=drive, name="serve-top-load", daemon=True)
-    print(f"graph: {graph}")
-    driver.start()
-    try:
-        dashboard.run(
-            broker,
-            monitor=monitor,
-            refresh_s=args.refresh_ms / 1e3,
-            frames=args.frames,
-            clear=not args.no_clear,
-            should_stop=workload_done.is_set,
-        )
-        driver.join()
-    finally:
-        broker.shutdown(drain=True)
-    # One final frame with the drained end-state.
-    sys.stdout.write(dashboard.render(dashboard.snapshot(broker, monitor=monitor)))
-    if args.events is not None:
-        print(f"wide events written to {args.events}")
-    return 0
 
 
 def _cmd_trace_report(args: argparse.Namespace) -> int:
@@ -636,7 +527,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "bfs": _cmd_bfs,
     "serve-bench": _cmd_serve_bench,
-    "serve-top": _cmd_serve_top,
     "trace-report": _cmd_trace_report,
 }
 

@@ -96,7 +96,7 @@ class SsspResult:
     guards: object | None = None
     trace: object | None = None
     """The solve's :class:`repro.obs.tracer.Tracer` (finalized, with
-    ``registry``/``drift_rows``/``artifacts`` filled in) when telemetry was
+    ``registry``/``artifacts`` filled in) when telemetry was
     configured; ``None`` otherwise."""
 
     @property

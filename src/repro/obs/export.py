@@ -67,7 +67,6 @@ def _summary_trailer(tracer: Tracer) -> dict[str, Any]:
         "wall_total": tracer.wall_total,
         "sim_total": tracer.sim_t,
         "summary": tracer.summary,
-        "drift": tracer.drift_rows,
     }
 
 
@@ -82,7 +81,7 @@ def perfetto_trace(tracer: Tracer) -> dict[str, Any]:
     """Build the Chrome ``trace_events`` JSON object (see module docstring).
 
     Timestamps and durations are microseconds as the format requires;
-    ``otherData`` carries the run summary and drift report so a Perfetto
+    ``otherData`` carries the run summary so a Perfetto
     file remains renderable by ``trace-report``.
     """
     us = 1e6
@@ -174,7 +173,6 @@ def perfetto_trace(tracer: Tracer) -> dict[str, Any]:
             "wall_total": tracer.wall_total,
             "sim_total": tracer.sim_t,
             "summary": tracer.summary,
-            "drift": tracer.drift_rows,
         },
     }
 

@@ -5,8 +5,8 @@
 Chrome/Perfetto JSON — into one normalized :class:`LoadedTrace`.
 :func:`render_report` turns that into the aligned-text summary the
 ``python -m repro trace-report`` subcommand prints: run totals, wall vs.
-simulated time per phase, per-rank busy time, the drift report and the
-top spans by wall duration. All tables go through
+simulated time per phase, per-rank busy time and the top spans by wall
+duration. All tables go through
 :func:`repro.util.tables.format_table`, the same helper the analysis
 timeline renderer uses.
 """
@@ -19,7 +19,7 @@ from typing import Any
 
 from repro.util.tables import format_table
 
-__all__ = ["LoadedTrace", "load_trace", "render_report", "drift_table"]
+__all__ = ["LoadedTrace", "load_trace", "render_report"]
 
 
 @dataclass
@@ -35,7 +35,6 @@ class LoadedTrace:
     path: str
     meta: dict[str, Any] = field(default_factory=dict)
     summary: dict[str, Any] | None = None
-    drift: list[dict[str, Any]] = field(default_factory=list)
     spans: list[dict[str, Any]] = field(default_factory=list)
     instants: list[dict[str, Any]] = field(default_factory=list)
     records: list[dict[str, Any]] = field(default_factory=list)
@@ -59,7 +58,6 @@ def _load_jsonl(path: str, lines: list[dict[str, Any]]) -> LoadedTrace:
             trace.records.append(ev)
         elif typ == "summary":
             trace.summary = ev.get("summary")
-            trace.drift = ev.get("drift") or []
             trace.meta.setdefault("wall_total", ev.get("wall_total"))
             trace.meta.setdefault("sim_total", ev.get("sim_total"))
     return trace
@@ -70,7 +68,6 @@ def _load_perfetto(path: str, data: dict[str, Any]) -> LoadedTrace:
     other = data.get("otherData") or {}
     trace.meta = {"type": "meta", **other}
     trace.summary = other.get("summary")
-    trace.drift = other.get("drift") or []
     by_step: dict[int, dict[str, Any]] = {}
     for ev in data.get("traceEvents", []):
         ph = ev.get("ph")
@@ -159,26 +156,6 @@ def load_trace(path: str) -> LoadedTrace:
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
-def drift_table(rows: list[dict[str, Any]]) -> str:
-    """Render drift-monitor rows (wall vs. cost model per kind)."""
-    if not rows:
-        return "drift: (no records)"
-    table = [
-        {
-            "kind": r["kind"],
-            "records": r["records"],
-            "wall_ms": r["wall_s"] * 1e3,
-            "sim_us": r["sim_s"] * 1e6,
-            "rel": "n/a" if r["rel"] is None else r["rel"],
-            "flag": "DRIFT" if r["flagged"] else "",
-        }
-        for r in rows
-    ]
-    return format_table(
-        table, title="wall clock vs. cost model (rel = normalized ratio):"
-    )
-
-
 def _phase_table(records: list[dict[str, Any]]) -> str:
     phases: dict[str, dict[str, float]] = {}
     for rec in records:
@@ -261,8 +238,6 @@ def render_report(trace: LoadedTrace, *, top: int = 15) -> str:
     if trace.records:
         parts.append(_phase_table(trace.records))
         parts.append(_rank_table(trace.records, sim))
-    if trace.drift:
-        parts.append(drift_table(trace.drift))
     if trace.spans:
         parts.append(_span_table(trace.spans, top))
     return "\n\n".join(parts)

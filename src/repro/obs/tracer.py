@@ -16,8 +16,9 @@ work/traffic arrays, from which the tracer derives *per-rank simulated
 durations* — the data behind the one-track-per-rank Perfetto view. Each
 record also carries the wall-clock delta since the previous record. The
 record events are the one store of per-kind counts: :meth:`Tracer.finish`
-folds the registry's per-kind counters and the drift rows
-(:func:`~repro.obs.drift.drift_rows`) from them.
+folds the registry's per-kind counters from them —
+``sssp_{records,wall_seconds,sim_seconds}_total{kind}``, from which the
+wall/simulated ratio of each kind can be read.
 
 Everything here is pay-for-use: when no :class:`TraceConfig` is attached to
 the solver configuration, no tracer exists and every hook site is a single
@@ -34,7 +35,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.obs.drift import drift_rows
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.costmodel import _compute_unit_cost, price_record
 from repro.runtime.machine import MachineConfig
@@ -103,7 +103,6 @@ class Tracer:
         self.sim_t = 0.0
         self.wall_total: float | None = None
         self.summary: dict[str, Any] | None = None
-        self.drift_rows: list[dict[str, Any]] = []
         self.artifacts: dict[str, str] = {}
         """Paths written by :func:`repro.obs.export.finalize_trace`."""
         self.finished = False
@@ -129,7 +128,7 @@ class Tracer:
 
         Records are emitted immediately after the numpy work that produced
         them, so the delta since the previous record is that record's wall
-        cost — the quantity the drift monitor compares against its price.
+        cost, summed per kind beside its price at :meth:`finish`.
         """
         now = self.wall_now()
         dt = now - self._last_mark
@@ -288,7 +287,8 @@ class Tracer:
         return sums
 
     def finish(self, metrics=None) -> None:
-        """Seal the trace: close open spans, bake gauges and drift rows.
+        """Seal the trace: close open spans, fold the per-kind counters and
+        bake the gauges.
 
         Idempotent; engines call it when the solve returns and
         :func:`repro.obs.export.finalize_trace` calls it defensively
@@ -330,11 +330,6 @@ class Tracer:
                       help="wall-clock duration of the solve")
         reg.set_gauge("sssp_simulated_seconds", self.sim_t,
                       help="total simulated seconds of the solve")
-        self.drift_rows = drift_rows(per_kind)
-        for row in self.drift_rows:
-            if row["rel"] is not None:
-                reg.set_gauge("sssp_drift_rel", row["rel"], kind=row["kind"],
-                              help="normalized wall/simulated ratio by kind")
         self.finished = True
         if self.config.progress:
             sys.stderr.write("\n")

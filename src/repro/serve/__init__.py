@@ -15,7 +15,11 @@ stack — queueing, micro-batching, caching, backpressure:
 - :class:`~repro.serve.workload.WorkloadSpec` /
   :func:`~repro.serve.workload.run_workload` — open/closed-loop arrival
   processes with Zipf-skewed root popularity;
-- :class:`~repro.serve.slo.SloPolicy` — p50/p99/hit-rate/shed verdicts.
+- :class:`~repro.serve.slo.SloPolicy` — p50/p99/hit-rate/shed verdicts
+  over ``report()``, whose exact percentiles come from the broker's
+  bounded :class:`~repro.serve.slo.LatencyWindow`;
+- :class:`~repro.serve.events.WideEventLog` — one wide event per request
+  (DESIGN.md §14).
 
 Quickstart::
 

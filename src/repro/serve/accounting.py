@@ -13,8 +13,8 @@ request (answered, failed, cancelled or shed) and the package's only
 ``events.emit`` call: "one wide event per request" is structural.
 
 A terminal completion is **one fact** appended to a ledger —
-``(outcome, latency, request id, clock stamp, retried_ok)``, atoms only,
-no lock taken. Nothing else is written at the terminal: a registry
+``(outcome, latency, request id, retried_ok)``, atoms only, no lock
+taken. Nothing else is written at the terminal: a registry
 collector folds the pending facts, in arrival order, into the
 :class:`~repro.serve.slo.LatencyWindow` and the registry series —
 ``serve_requests_total`` (the outcome tally),
@@ -22,8 +22,8 @@ collector folds the pending facts, in arrival order, into the
 (buckets, float ``_sum``, exemplars: bit for bit what per-request
 ``inc`` / ``observe`` calls would have left) — whenever something reads
 any of them: a registry read, :meth:`ServeAccounting.report`,
-:meth:`~ServeAccounting.tally`, or any reader of the window (the
-burn-rate monitor, ``serve-top``). ``terminal`` folds itself once
+:meth:`~ServeAccounting.tally`, or any reader of the window.
+``terminal`` folds itself once
 :data:`FOLD_AT` facts are pending, which bounds a never-read broker's
 memory. The wide event it emits is a flat record too
 (:mod:`repro.serve.events`), folded into its dict when the stream is
@@ -84,8 +84,8 @@ class _FoldedWindow(LatencyWindow):
     weakly — the registry's collector holds the window — so no cycle
     keeps a dropped broker's samples alive."""
 
-    def __init__(self, registry, clock) -> None:
-        super().__init__(clock=clock)
+    def __init__(self, registry) -> None:
+        super().__init__()
         self._registry = weakref.ref(registry)
 
     def _fold_pending(self) -> None:
@@ -98,23 +98,22 @@ def _fold(ledger: deque, window, registry) -> None:
     """Collector: replay the pending facts, in arrival order, into the
     window and the request counter, ``retried_ok`` counter and latency
     histogram of their outcome (registry lock held)."""
-    groups: dict[str, tuple[list, list, list]] = {}
+    groups: dict[str, tuple[list, list]] = {}
     retried_ok = 0
     for _ in range(len(ledger)):  # later appends wait for the next fold
-        outcome, latency, ref, stamp, ok = ledger.popleft()
+        outcome, latency, ref, ok = ledger.popleft()
         group = groups.get(outcome)
         if group is None:
-            group = groups[outcome] = ([], [], [])
+            group = groups[outcome] = ([], [])
         group[0].append(latency)
         group[1].append(ref)
-        group[2].append((stamp, latency))
         retried_ok += ok
-    for outcome, (_, _, rows) in groups.items():
-        window.record_stamped(outcome, rows)
+    for outcome, (latencies, _) in groups.items():
+        window.record_many(outcome, latencies)
     if retried_ok:
         series, help_ = _COUNTS["retried_ok"]
         registry.inc(series, retried_ok, help=help_)
-    for outcome, (latencies, refs, _) in groups.items():
+    for outcome, (latencies, refs) in groups.items():
         registry.inc("serve_requests_total", len(latencies), outcome=outcome,
                      help="completed requests by outcome")
         registry.observe_many(
@@ -128,7 +127,7 @@ class ServeAccounting:
     ``registry`` is a :class:`~repro.obs.registry.MetricsRegistry`,
     ``tracer`` and ``events`` the service tracer and the
     :class:`~repro.serve.events.WideEventLog` (or None), ``clock`` the
-    broker's (latency samples and ``wall_s`` share its time base). The
+    broker's (``wall_s`` is read off it). The
     registry, window and event log keep their locks, and the ledger is a
     ``deque`` (appends from several workers are atomic; the fold runs
     under the registry lock, in the order the module docstring fixes).
@@ -138,7 +137,7 @@ class ServeAccounting:
         self.registry = registry
         self.tracer = tracer
         self.events = events
-        self.latency = _FoldedWindow(registry, clock)
+        self.latency = _FoldedWindow(registry)
         self.clock = clock
         self._t_start = clock()
         self._trace_lock = threading.Lock()
@@ -226,7 +225,11 @@ class ServeAccounting:
             # atoms only: a pending fact keeps no context alive
             self._ledger.append((
                 outcome, latency, None if ctx is None else ctx.request_id,
-                self.clock(), source is not None and attempts > 1))
+                source is not None and attempts > 1))
+            # The stamp this read once took has no reader; the read stays
+            # because tests/serve/test_registry_identity.py pins the
+            # broker's sequence of clock reads under a stepping clock.
+            self.clock()
             if len(self._ledger) >= FOLD_AT:
                 self.registry.collect()
             if self.tracer is not None:  # a tracer mints every context

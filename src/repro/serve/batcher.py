@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.serve.request import ServiceOverload, ServiceShutdown
+from repro.util.ints import check_count
 
 __all__ = ["MicroBatcher"]
 
@@ -64,12 +65,8 @@ class MicroBatcher:
         max_batch_size: int,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        self.capacity = int(capacity)
-        self.max_batch_size = int(max_batch_size)
+        self.capacity = check_count("capacity", capacity)
+        self.max_batch_size = check_count("max_batch_size", max_batch_size)
         self.clock = clock
         self._queue: list[_Entry] = []
         self._seq = itertools.count()

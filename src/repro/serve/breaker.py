@@ -288,7 +288,7 @@ class CircuitBreaker:
             return self._classes[failure_class].state
 
     def states(self) -> dict[str, str]:
-        """Per-class state map (one consistent cut, for dashboards)."""
+        """Per-class state map (one consistent cut)."""
         with self._lock:
             self._refresh()
             return {cls: s.state for cls, s in self._classes.items()}

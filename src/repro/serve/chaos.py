@@ -265,7 +265,7 @@ class ChaosSolver:
         return res
 
     def summary(self) -> dict[str, int]:
-        """Injected-fault counts by kind (for reports and dashboards)."""
+        """Injected-fault counts by kind."""
         counts: dict[str, int] = {}
         for _root, _attempt, kind in self.log:
             counts[kind] = counts.get(kind, 0) + 1

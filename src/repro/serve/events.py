@@ -11,7 +11,7 @@ answered (``cache_tier="lineage"``, ``source="repair"``) also carries
 ``lineage``: the ancestor snapshot id, hop count and dirtied vertices.
 The journey harness
 reconciles these against tracer spans, registry counters and the SLO
-window; ``serve-top`` tails them for its "recent requests" pane.
+window.
 
 The fold happens when the stream is read, not at terminal completion:
 the broker emits exactly one *record* per request — one flat tuple: the
@@ -19,11 +19,11 @@ request's :class:`~repro.obs.request.RequestContext`, or the fields of a
 submit-time hit's :class:`HitContext` in its place, then ``(outcome,
 source, latency_s, attempts, stale_ok, degraded)`` — and
 :class:`WideEventLog` turns a record into its dict the first time
-:meth:`~WideEventLog.events`, :meth:`~WideEventLog.tail`,
-:meth:`~WideEventLog.write` or :meth:`~WideEventLog.canonical_text` reaches
-it, keeping the dict in its place. A hit's record holds atoms only, so
-the garbage collector stops tracking it at its first pass. A dict
-emitted as such (tests, the dashboard) is its own fold.
+:meth:`~WideEventLog.events`, :meth:`~WideEventLog.write` or
+:meth:`~WideEventLog.canonical_text` reads it, keeping the dict in its
+place. A hit's record holds atoms only, so the garbage collector stops
+tracking it at its first pass. A dict emitted as such (tests) is its own
+fold.
 
 Determinism contract: under a seeded chaos plan and deterministic
 submission order (manual broker or one closed-loop client), the event
@@ -133,8 +133,7 @@ class WideEventLog:
     Thread-safe on ``emit`` (batch workers complete requests
     concurrently). ``capacity`` keeps the newest events, trimming one per
     emit past it. Each record is folded into its dict once, by the first
-    read that reaches it; ``tail(n)`` folds at most ``n`` and serves the
-    dashboard's recent-request pane without copying the whole stream.
+    read.
     """
 
     def __init__(self, path: str | None = None, *, capacity: int | None = None):
@@ -158,26 +157,14 @@ class WideEventLog:
             self._events.append(event)
             self._emitted += 1
 
-    def _newest(self, n: int) -> list[dict[str, Any]]:
-        """The ``n`` newest retained events as dicts, oldest first; each
-        fold replaces its record in place (lock held)."""
-        events, rows = self._events, []
-        n = min(n, len(events))
-        events.rotate(n)  # the newest n to the front, then back in order
-        for _ in range(n):
-            rows.append(_fold(events.popleft()))
-            events.append(rows[-1])
-        return rows
-
     def events(self) -> list[dict[str, Any]]:
-        """A snapshot copy of the retained events."""
+        """A snapshot copy of the retained events, oldest first; each
+        fold replaces its record in place."""
         with self._lock:
-            return self._newest(len(self._events))
-
-    def tail(self, n: int) -> list[dict[str, Any]]:
-        """The ``n`` most recently emitted retained events."""
-        with self._lock:
-            return self._newest(n) if n > 0 else []
+            rows = [_fold(event) for event in self._events]
+            self._events.clear()
+            self._events.extend(rows)
+            return rows
 
     def canonical_text(self) -> str:
         """Replay-comparable rendering of the retained stream."""

@@ -11,13 +11,14 @@ p50/p99 and :class:`SloPolicy` renders a pass/fail verdict — the object
 
 from __future__ import annotations
 
+import math
 import threading
-import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from repro.util.ints import check_count
 
 __all__ = ["LatencyWindow", "SloPolicy", "percentile"]
 
@@ -37,29 +38,16 @@ def percentile(samples, q: float) -> float:
 class LatencyWindow:
     """Sliding window of request latencies, split by result source.
 
-    Each sample carries its record-time timestamp (from the injectable
-    ``clock`` — the broker passes its own, so fake-clock tests and the
-    burn-rate monitor see one time base). :meth:`samples` keeps returning
-    bare latencies; :meth:`recent` is the time-windowed view the
-    multi-window burn-rate monitor (:mod:`repro.obs.burnrate`) consumes.
-
-    :meth:`record` stamps a sample now; :meth:`record_stamped` takes
-    samples stamped earlier. A window that is filled from pending facts
-    (the broker's, DESIGN.md §14) overrides :meth:`_fold_pending`, which
-    every reader — :meth:`samples`, :meth:`recent`, :meth:`summary`,
-    :attr:`count` — runs before it takes the window lock.
+    Each source keeps its newest ``window`` latencies. :meth:`record`
+    appends one sample, :meth:`record_many` a sequence of one source. A
+    window that is filled from pending facts (the broker's, DESIGN.md
+    §14) overrides :meth:`_fold_pending`, which every reader —
+    :meth:`samples`, :meth:`summary`, :attr:`count` — runs before it
+    takes the window lock.
     """
 
-    def __init__(
-        self,
-        window: int = 100_000,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = int(window)
-        self.clock = clock
+    def __init__(self, window: int = 100_000) -> None:
+        self.window = check_count("window", window)
         self._samples: dict[str, deque] = {}
         self._lock = threading.Lock()
         self._count = 0
@@ -75,23 +63,22 @@ class LatencyWindow:
             return self._count
 
     def record(self, source: str, latency_s: float) -> None:
-        self.record_stamped(source, ((self.clock(), float(latency_s)),))
+        self.record_many(source, (float(latency_s),))
 
-    def record_stamped(self, source: str, rows) -> None:
-        """Append a sequence of ``(timestamp, latency_s)`` rows of one
-        source, in order."""
+    def record_many(self, source: str, latencies) -> None:
+        """Append a sequence of latencies of one source, in order."""
         with self._lock:
             bucket = self._samples.get(source)
             if bucket is None:
                 bucket = self._samples[source] = deque(maxlen=self.window)
-            bucket.extend(rows)
-            self._count += len(rows)
+            bucket.extend(latencies)
+            self._count += len(latencies)
 
     def _latencies(self, source: str | None) -> list[float]:
-        """Bare latencies of one source or of all (lock held)."""
+        """Latencies of one source or of all (lock held)."""
         if source is not None:
-            return [lat for _, lat in self._samples.get(source, ())]
-        return [lat for bucket in self._samples.values() for _, lat in bucket]
+            return list(self._samples.get(source, ()))
+        return [lat for bucket in self._samples.values() for lat in bucket]
 
     def samples(self, source: str | None = None) -> list[float]:
         """Samples of one source, or all sources merged (``None``).
@@ -102,22 +89,6 @@ class LatencyWindow:
         self._fold_pending()
         with self._lock:
             return self._latencies(source)
-
-    def recent(
-        self, window_s: float, *, now: float | None = None
-    ) -> list[tuple[str, float, float]]:
-        """Samples recorded within the last ``window_s`` seconds, as
-        ``(source, timestamp, latency_s)`` rows (per-source insertion
-        order, sources in first-record order)."""
-        self._fold_pending()
-        with self._lock:
-            cutoff = (self.clock() if now is None else now) - float(window_s)
-            return [
-                (source, t, lat)
-                for source, bucket in self._samples.items()
-                for t, lat in bucket
-                if t >= cutoff
-            ]
 
     def summary(self) -> dict[str, float | int]:
         """p50/p99/mean over all sources plus per-source p50s."""
@@ -138,7 +109,8 @@ class LatencyWindow:
 
 @dataclass(frozen=True)
 class SloPolicy:
-    """Service-level objectives; ``None`` disables a bound.
+    """Service-level objectives; ``None`` disables a bound, and any other
+    bound must be a finite number >= 0.
 
     ``p50_s``/``p99_s`` bound the merged latency percentiles,
     ``min_hit_rate`` bounds the cache hit rate from below, and
@@ -151,6 +123,14 @@ class SloPolicy:
     p99_s: float | None = None
     min_hit_rate: float | None = None
     max_shed_fraction: float | None = None
+
+    def __post_init__(self) -> None:
+        # a NaN bound compares false both ways: it would pass every run
+        for f in fields(self):
+            bound = getattr(self, f.name)
+            if bound is not None and not (math.isfinite(bound) and bound >= 0):
+                raise ValueError(
+                    f"{f.name} must be a finite number >= 0, got {bound!r}")
 
     def check(self, report: dict) -> list[str]:
         violations: list[str] = []

@@ -39,8 +39,7 @@ def sssp_report(result) -> dict[str, Any]:
     reports are about the run, not the n-sized payload).
 
     When the solve ran with telemetry (``result.trace``), the report gains a
-    ``trace`` section with the artifact paths, total wall/simulated time and
-    the per-kind drift rows.
+    ``trace`` section with the artifact paths and total wall/simulated time.
     """
     trace = getattr(result, "trace", None)
     extra: dict[str, Any] = {}
@@ -49,7 +48,6 @@ def sssp_report(result) -> dict[str, Any]:
             "artifacts": dict(trace.artifacts),
             "wall_total_s": trace.wall_total,
             "sim_total_s": trace.sim_t,
-            "drift": list(trace.drift_rows),
         }
     return _jsonable(
         {

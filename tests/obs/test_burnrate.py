@@ -1,199 +1,155 @@
-"""Unit tests for the multi-window SLO burn-rate monitor."""
+"""Is the service within its budget? SLO verdicts over the bounded window.
+
+A served run's budget is judged by :class:`~repro.serve.slo.SloPolicy`
+against a report row whose exact percentiles come from the broker's
+:class:`~repro.serve.slo.LatencyWindow` — the newest ``window`` latencies
+of each outcome source. These tests hold the verdicts (which bounds fire,
+on what, with which message) and the window's bound (old samples leave,
+one source at a time).
+"""
 
 import math
 
 import pytest
 
-from repro.obs.burnrate import (
-    COMPANION_DIVISOR,
-    OK_SOURCES,
-    BurnAlert,
-    BurnRateConfig,
-    BurnRateMonitor,
-)
-from repro.serve.slo import LatencyWindow
+from repro.serve.slo import LatencyWindow, SloPolicy
+
+#: every source a served request completes under, then failure outcomes
+SERVED = ("cache", "solve", "repair", "coalesced", "degraded")
+FAILED = ("timeout", "error", "unavailable")
 
 
-class FakeClock:
-    def __init__(self, t0: float = 0.0) -> None:
-        self.t = t0
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
-
-
-def _monitor(clock, **cfg) -> tuple[LatencyWindow, BurnRateMonitor]:
-    window = LatencyWindow(clock=clock)
-    return window, BurnRateMonitor(window, BurnRateConfig(**cfg))
+def _window(*samples, window: int = 100_000) -> LatencyWindow:
+    """A window filled with ``(source, latency_s)`` samples, in order."""
+    w = LatencyWindow(window=window)
+    for source, latency in samples:
+        w.record(source, latency)
+    return w
 
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BurnRateConfig(objective=1.0)
-        with pytest.raises(ValueError):
-            BurnRateConfig(objective=0.0)
-        with pytest.raises(ValueError):
-            BurnRateConfig(fast_window_s=0.0)
-        with pytest.raises(ValueError):
-            BurnRateConfig(slow_threshold=-1.0)
-        with pytest.raises(ValueError):
-            BurnRateConfig(min_samples=0)
+        for bound in (float("nan"), -0.1, float("inf")):
+            for name in ("p50_s", "p99_s", "min_hit_rate", "max_shed_fraction"):
+                with pytest.raises(ValueError, match=name):
+                    SloPolicy(**{name: bound})
+        assert SloPolicy(p99_s=0.0, max_shed_fraction=0.0).check(
+            {"p99_s": 0.0, "offered": 4, "shed": 0}) == []
 
     def test_error_budget(self):
-        assert BurnRateConfig(objective=0.99).error_budget == pytest.approx(0.01)
-        assert BurnRateConfig(objective=0.9).error_budget == pytest.approx(0.1)
+        # the shed bound is an error budget: at it passes, past it fails
+        policy = SloPolicy(max_shed_fraction=0.01)
+        assert policy.check({"offered": 100, "shed": 1}) == []
+        assert policy.check({"offered": 100, "shed": 2}) == [
+            "shed fraction 0.020 > SLO 0.010"]
 
     def test_ok_sources_cover_serving_outcomes(self):
-        # every way the broker can successfully serve must not burn budget
-        assert set(OK_SOURCES) == {
-            "cache", "solve", "repair", "coalesced", "degraded"
-        }
+        # every outcome lands in its own series; the merged row sees all
+        w = _window(*((s, 0.01) for s in SERVED + FAILED))
+        row = w.summary()
+        assert row["requests"] == len(SERVED + FAILED)
+        assert {k for k in row if k.startswith("p50_") and k != "p50_s"} == {
+            f"p50_{s}_s" for s in SERVED + FAILED}
+        for source in SERVED + FAILED:
+            assert w.samples(source) == [0.01]
 
 
 class TestBurnRate:
     def test_thin_window_is_nan(self):
-        clock = FakeClock()
-        window, mon = _monitor(clock, min_samples=10)
-        for _ in range(9):
-            window.record("solve", 0.01)
-        burn, bad, total = mon.burn_rate(60.0)
-        assert math.isnan(burn)
-        assert (bad, total) == (0, 9)
+        # nothing recorded: NaN percentiles, which no latency bound fires on
+        row = LatencyWindow().summary()
+        assert math.isnan(row["p50_s"]) and math.isnan(row["p99_s"])
+        assert SloPolicy(p50_s=0.0, p99_s=0.0).check(row) == []
 
     def test_burn_is_bad_fraction_over_budget(self):
-        clock = FakeClock()
-        window, mon = _monitor(clock, objective=0.9, min_samples=1)
-        for _ in range(8):
-            window.record("solve", 0.01)
-        for _ in range(2):
-            window.record("timeout", 0.01)
-        burn, bad, total = mon.burn_rate(60.0)
-        # bad fraction 0.2 over a 0.1 budget = burning 2x
-        assert burn == pytest.approx(2.0)
-        assert (bad, total) == (2, 10)
+        policy = SloPolicy(max_shed_fraction=0.1)
+        (violation,) = policy.check({"offered": 10, "shed": 2})
+        assert violation == "shed fraction 0.200 > SLO 0.100"
 
     def test_old_samples_age_out_of_window(self):
-        clock = FakeClock()
-        window, mon = _monitor(clock, objective=0.9, min_samples=1)
-        window.record("timeout", 0.01)
-        clock.advance(120.0)
-        for _ in range(5):
-            window.record("solve", 0.01)
-        burn, bad, total = mon.burn_rate(60.0)
-        assert burn == pytest.approx(0.0)
-        assert (bad, total) == (0, 5)
+        # a full window of slow samples, then a window's worth of fast
+        # ones evicts every one of them
+        w = _window(*[("solve", 1.0)] * 3, window=3)
+        policy = SloPolicy(p99_s=0.1)
+        w.record("solve", 0.01)
+        assert len(policy.check(w.summary())) == 1
+        w.record("solve", 0.01)
+        w.record("solve", 0.01)
+        assert w.samples("solve") == [0.01] * 3
+        assert policy.check(w.summary()) == []
+        assert w.count == 6  # the lifetime count keeps the evicted ones
 
     def test_slow_success_burns_when_latency_slo_set(self):
-        clock = FakeClock()
-        window, mon = _monitor(
-            clock, objective=0.9, min_samples=1, latency_slo_s=0.1
-        )
-        window.record("solve", 0.05)   # good and fast
-        window.record("solve", 0.50)   # good but slow -> budget spend
-        burn, bad, total = mon.burn_rate(60.0)
-        assert (bad, total) == (1, 2)
-        assert burn == pytest.approx(5.0)
+        # 'lower' percentiles: p99 of three samples is the second largest
+        w = _window(("solve", 0.05), ("solve", 0.50), ("solve", 0.50))
+        (violation,) = SloPolicy(p99_s=0.1).check(w.summary())
+        assert violation == "p99_s 0.500000 > SLO 0.100000"
 
     def test_without_latency_slo_slow_success_is_fine(self):
-        clock = FakeClock()
-        window, mon = _monitor(clock, objective=0.9, min_samples=1)
-        window.record("solve", 99.0)
-        burn, _, _ = mon.burn_rate(60.0)
-        assert burn == pytest.approx(0.0)
+        w = _window(("solve", 99.0))
+        assert SloPolicy().check(w.summary()) == []
+        assert SloPolicy(min_hit_rate=0.5).check(w.summary()) == []
 
 
 class TestEvaluate:
-    def _saturate(self, window, source, n):
-        for _ in range(n):
-            window.record(source, 0.01)
-
     def test_healthy_budget_no_alerts(self):
-        clock = FakeClock()
-        window, mon = _monitor(clock, min_samples=1)
-        self._saturate(window, "solve", 50)
-        assert mon.evaluate() == []
-        assert mon.summary()["paging"] is False
+        w = _window(*[("cache", 0.001)] * 50)
+        policy = SloPolicy(p50_s=0.01, p99_s=0.01)
+        assert policy.check(w.summary()) == []
 
     def test_hard_burn_pages(self):
-        clock = FakeClock()
-        window, mon = _monitor(clock, objective=0.9, min_samples=1)
-        # 100% bad -> burn 10x > page threshold 14.4? No: 10 < 14.4.
-        # Use a tighter objective so full badness clearly pages.
-        window, mon = _monitor(clock, objective=0.99, min_samples=1)
-        self._saturate(window, "timeout", 20)
-        alerts = mon.evaluate()
-        assert [a.severity for a in alerts] == ["page", "ticket"]
-        page = alerts[0]
-        assert page.burn == pytest.approx(100.0)
-        assert page.companion_burn == pytest.approx(100.0)
-        assert mon.summary()["paging"] is True
+        # every bound broken at once: one violation per bound, in order
+        policy = SloPolicy(p50_s=0.1, p99_s=0.1, min_hit_rate=0.9,
+                           max_shed_fraction=0.0)
+        report = {**_window(("solve", 1.0)).summary(),
+                  "cache_hit_rate": 0.5, "offered": 2, "shed": 1}
+        violations = policy.check(report)
+        assert [v.split()[0] for v in violations] == [
+            "p50_s", "p99_s", "cache_hit_rate", "shed"]
 
     def test_companion_gate_clears_alerts_after_burn_stops(self):
-        clock = FakeClock()
-        window, mon = _monitor(clock, objective=0.99, min_samples=1)
-        # a burst of badness, then recovery
-        self._saturate(window, "timeout", 20)
-        fast_companion_s = mon.config.fast_window_s / COMPANION_DIVISOR
-        clock.advance(fast_companion_s + 1.0)
-        self._saturate(window, "solve", 20)
-        # the fast (page) companion now holds only good samples, so the
-        # page clears; the slow companion (25 s) still sees the burst,
-        # so the ticket correctly keeps firing on sustained burn
-        assert [a.severity for a in mon.evaluate()] == ["ticket"]
-        slow_companion_s = mon.config.slow_window_s / COMPANION_DIVISOR
-        clock.advance(slow_companion_s)
-        self._saturate(window, "solve", 20)
-        # burst is out of both companions (though still inside the 300 s
-        # slow window): everything clears
-        assert mon.evaluate() == []
+        # a burst stays in its own source's series: other traffic does not
+        # evict it, only its source's newer samples do
+        w = _window(*[("timeout", 1.0)] * 3, window=3)
+        policy = SloPolicy(p99_s=0.1)
+        for _ in range(10):
+            w.record("cache", 0.001)
+        assert len(policy.check(w.summary())) == 1
+        for _ in range(3):
+            w.record("timeout", 0.01)
+        assert policy.check(w.summary()) == []
 
     def test_thin_window_never_fires(self):
-        clock = FakeClock()
-        window, mon = _monitor(clock, min_samples=10)
-        self._saturate(window, "timeout", 5)
-        assert mon.evaluate() == []
+        # no offered load: the shed bound has nothing to judge
+        policy = SloPolicy(max_shed_fraction=0.0)
+        assert policy.check({"offered": 0, "shed": 0}) == []
+        assert policy.check({}) == []
 
     def test_ticket_without_page(self):
-        clock = FakeClock()
-        # slow threshold 6x, fast threshold 14.4x: a ~10x burn tickets
-        # but does not page
-        window, mon = _monitor(clock, objective=0.9, min_samples=1)
-        self._saturate(window, "timeout", 1)
-        window.record("solve", 0.01)
-        # bad fraction 0.5 over budget 0.1 = 5x: under both -> nothing
-        assert mon.evaluate() == []
-        self._saturate(window, "timeout", 2)
-        # 3 bad / 4 total = 7.5x: ticket only
-        alerts = mon.evaluate()
-        assert [a.severity for a in alerts] == ["ticket"]
+        # a 2 % tail breaks p99 but leaves the median alone
+        w = _window(*[("solve", 0.01)] * 98, *[("solve", 1.0)] * 2)
+        violations = SloPolicy(p50_s=0.1, p99_s=0.1).check(w.summary())
+        assert [v.split()[0] for v in violations] == ["p99_s"]
 
     def test_describe_is_informative(self):
-        alert = BurnAlert(
-            severity="page", window_s=60.0, burn=20.0,
-            companion_burn=21.0, threshold=14.4, bad=20, total=100,
-        )
-        text = alert.describe()
-        assert "[page]" in text and "20.0x" in text and "20/100 bad" in text
+        policy = SloPolicy(p99_s=0.1, min_hit_rate=0.75)
+        assert policy.check({"p99_s": 0.2, "cache_hit_rate": 0.5}) == [
+            "p99_s 0.200000 > SLO 0.100000",
+            "cache_hit_rate 0.500 < SLO 0.750",
+        ]
 
 
 class TestSummary:
     def test_summary_shape(self):
-        clock = FakeClock()
-        window, mon = _monitor(clock, min_samples=1)
-        window.record("solve", 0.01)
-        row = mon.summary()
-        assert row["objective"] == 0.99
-        assert row["burn_fast"] == pytest.approx(0.0)
-        assert row["burn_fast_total"] == 1
-        assert row["burn_slow_total"] == 1
-        assert row["alerts"] == [] and row["paging"] is False
+        w = _window(("cache", 0.001), ("solve", 0.1), ("solve", 0.3))
+        row = w.summary()
+        assert row == {
+            "requests": 3, "p50_s": 0.1, "p99_s": 0.1,
+            "mean_s": pytest.approx(0.401 / 3),
+            "p50_cache_s": 0.001, "p50_solve_s": 0.1,
+        }
 
     def test_summary_nan_on_empty(self):
-        clock = FakeClock()
-        _, mon = _monitor(clock)
-        row = mon.summary()
-        assert math.isnan(row["burn_fast"]) and math.isnan(row["burn_slow"])
+        row = LatencyWindow().summary()
+        assert row["requests"] == 0 and math.isnan(row["mean_s"])
+        assert not any(k.startswith("p50_") and k != "p50_s" for k in row)

@@ -129,10 +129,14 @@ class TestRegistryAndDrift:
             traced_run.trace.sim_t
         )
 
-    def test_drift_rows_cover_every_kind(self, traced_run):
+    def test_per_kind_counters_cover_every_kind(self, traced_run):
         kinds = {
             e["kind"]
             for e in traced_run.trace.events
             if e["type"] == "record"
         }
-        assert {r["kind"] for r in traced_run.trace.drift_rows} == kinds
+        cut = traced_run.trace.registry.read(
+            "sssp_records_total", "sssp_wall_seconds_total",
+            "sssp_sim_seconds_total")
+        for series in cut.values():
+            assert {dict(key)["kind"] for key in series} == kinds

@@ -4,6 +4,7 @@ The clock is injected and frozen, so a take that returned anything is a
 take that did not wait for time to pass.
 """
 
+import numpy as np
 import pytest
 
 from repro.serve.batcher import MicroBatcher
@@ -95,6 +96,15 @@ class TestAdmission:
             MicroBatcher(capacity=0, max_batch_size=1)
         with pytest.raises(ValueError):
             MicroBatcher(capacity=1, max_batch_size=0)
+        # the integer rule: a float was truncated (2.5 served as 2) and a
+        # bool taken as 1
+        for bad in (2.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="capacity"):
+                MicroBatcher(capacity=bad, max_batch_size=1)
+            with pytest.raises(ValueError, match="max_batch_size"):
+                MicroBatcher(capacity=2, max_batch_size=bad)
+        batcher = MicroBatcher(capacity=np.int64(2), max_batch_size=np.int8(1))
+        assert (batcher.capacity, batcher.max_batch_size) == (2, 1)
 
 
 class Req:

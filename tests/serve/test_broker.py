@@ -154,6 +154,11 @@ class TestCoalescing:
 
 class TestOverloadAndShutdown:
     def test_overload_sheds_typed(self, rmat1_small):
+        # a count is an integer: 2.5 served with a queue of 2, True with 1
+        for bad in ({"capacity": 2.5}, {"max_batch_size": 1.5},
+                    {"capacity": True}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                manual_broker(rmat1_small, **bad)
         broker = manual_broker(rmat1_small, capacity=2)
         roots = [int(r) for r in choose_roots(rmat1_small, 3, seed=5)]
         broker.submit(roots[0])

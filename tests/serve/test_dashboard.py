@@ -1,190 +1,142 @@
-"""Unit tests for the serve-top dashboard (snapshot/render/run split)."""
+"""What ``serve-bench`` shows of a served run: its report tables.
 
+A run's traffic, per-source latency, cache, resilience and live-graph
+rows are printed once, after the workload drains, from the same report
+the ``--json`` document holds; the SLO verdict decides the exit status.
+Each run below is made once per module through ``main([...])``.
+"""
+
+import contextlib
 import io
+import json
 
-from repro.obs.burnrate import BurnRateConfig, BurnRateMonitor
-from repro.obs.request import RequestContext, request_id
-from repro.serve import dashboard
-from repro.serve.events import WideEventLog
-from repro.serve.slo import LatencyWindow
+import pytest
 
+from repro.cli import main
 
-class FakeClock:
-    def __init__(self, t0: float = 0.0) -> None:
-        self.t = t0
+BASE = ["serve-bench", "--scale", "9", "--ranks", "2", "--threads", "2",
+        "--requests", "20", "--workers", "0", "--root-universe", "4",
+        "--concurrency", "1"]
 
-    def __call__(self) -> float:
-        return self.t
+RUNS = {
+    "plain": [],
+    "resilient": ["--chaos", "error=0.3,clean-after=2,seed=3",
+                  "--retries", "3", "--retry-backoff-ms", "0"],
+    "no-cache": ["--cache-mb", "0"],
+    "slo": ["--slo-min-hit-rate", "1.5"],
+}
 
-    def advance(self, dt: float) -> None:
-        self.t += dt
-
-
-class StubBreaker:
-    def states(self):
-        return {"solve": "open", "timeout": "closed"}
+TABLES = ("traffic", "latency (ms)", "distance cache")
 
 
-class StubChaos:
-    def summary(self):
-        return {"error": 3, "stall": 1}
+def _refuse(constant: str):
+    raise ValueError(f"non-standard JSON constant {constant}")
 
 
-class StubBroker:
-    """Duck-typed stand-in exposing exactly what snapshot() reads."""
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """``{name: (exit status, stdout, stderr, strict-parsed report)}``."""
+    out = {}
+    for name, extra in RUNS.items():
+        path = tmp_path_factory.mktemp(name) / "report.json"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(BASE + extra + ["--json", str(path)])
+        report = json.loads(path.read_text(), parse_constant=_refuse)
+        out[name] = rc, stdout.getvalue(), stderr.getvalue(), report
+    return out
 
-    def __init__(self, *, clock=None, events=None, breaker=None, chaos=None):
-        self._clock = clock or FakeClock()
-        self.latency = LatencyWindow(clock=self._clock)
-        self.events = events
-        self.breaker = breaker
-        self.chaos = chaos
-        self._report = {
-            "offered": 10,
-            "completed": 8,
-            "shed": 1,
-            "retries": 2,
-            "hedges": 0,
-            "queue_depth": 1,
-            "batches": 4,
-            "mean_batch_size": 2.0,
-            "outcome_cache": 3,
-            "throughput_qps": 42.0,
-        }
 
-    def report(self):
-        return dict(self._report, wall_s=self._clock())
+def _table(stdout: str, title: str) -> dict[str, str]:
+    """The one-row table ``title`` as ``{column: cell}``."""
+    lines = stdout.splitlines()
+    at = lines.index(title)
+    return dict(zip(lines[at + 1].split(), lines[at + 3].split()))
 
 
 class TestSnapshot:
-    def test_rates_from_report_when_no_prev(self):
-        broker = StubBroker()
-        snap = dashboard.snapshot(broker)
-        assert snap["qps"] == 42.0
-        assert snap["hit_rate"] == 3 / 8
-        assert snap["shed_rate"] == 1 / 10
-        assert snap["retry_rate"] == 2 / 10
+    def test_rates_from_report_when_no_prev(self, runs):
+        _, stdout, _, report = runs["plain"]
+        row = _table(stdout, "traffic")
+        assert row["offered"] == row["completed"] == "20"
+        assert row["shed"] == "0"
+        assert (report["offered"], report["completed"], report["shed"]) == (
+            20, 20, 0)
 
-    def test_instantaneous_qps_from_prev_delta(self):
-        broker = StubBroker()
-        snap0 = dashboard.snapshot(broker)
-        broker._clock.advance(2.0)
-        broker._report["completed"] = 18
-        snap1 = dashboard.snapshot(broker, prev=snap0)
-        # 10 more completions over 2 s
-        assert snap1["qps"] == 5.0
+    def test_instantaneous_qps_from_prev_delta(self, runs):
+        report = runs["plain"][3]
+        assert report["throughput_qps"] == pytest.approx(
+            report["completed"] / report["wall_s"])
 
-    def test_latency_by_source(self):
-        broker = StubBroker()
-        broker.latency.record("cache", 0.001)
-        broker.latency.record("solve", 0.1)
-        broker.latency.record("solve", 0.2)
-        snap = dashboard.snapshot(broker)
-        assert snap["latency_by_source"]["solve"]["n"] == 2
-        assert snap["latency_by_source"]["solve"]["p50_s"] == 0.1
-        assert "degraded" not in snap["latency_by_source"]
+    def test_latency_by_source(self, runs):
+        _, stdout, _, report = runs["plain"]
+        row = _table(stdout, "latency (ms)")
+        for source in ("cache", "solve"):
+            key = f"p50_{source}_s"
+            assert row[key] == f"{report[key] * 1e3:.3f}"
+        assert "p50_degraded_s" not in row
 
-    def test_optional_sections_default_empty(self):
-        snap = dashboard.snapshot(StubBroker())
-        assert snap["breaker"] == {}
-        assert snap["chaos"] == {}
-        assert snap["burn"] is None
-        assert snap["recent"] == []
+    def test_optional_sections_default_empty(self, runs):
+        stdout = runs["plain"][1]
+        assert "resilience" not in stdout.splitlines()
+        assert "live graph" not in stdout.splitlines()
 
-    def test_full_sections(self):
-        events = WideEventLog()
-        ctx = RequestContext(request_id(0), root=5)
-        events.emit(
-            ctx.wide_event(
-                outcome="ok", source="solve", latency_s=0.1, attempts_total=1
-            )
-        )
-        broker = StubBroker(
-            events=events, breaker=StubBreaker(), chaos=StubChaos()
-        )
-        broker.latency.record("solve", 0.1)
-        monitor = BurnRateMonitor(
-            broker.latency, BurnRateConfig(min_samples=1)
-        )
-        snap = dashboard.snapshot(broker, monitor=monitor)
-        assert snap["breaker"]["solve"] == "open"
-        assert snap["chaos"]["error"] == 3
-        assert snap["burn"]["burn_fast_total"] == 1
-        assert snap["recent"][0]["request_id"] == "req-000000"
+    def test_full_sections(self, runs):
+        rc, stdout, _, report = runs["resilient"]
+        assert rc == 0
+        row = _table(stdout, "resilience")
+        assert int(row["retries"]) == report["retries"] > 0
+        outcomes = {k for k in report if k.startswith("outcome_")}
+        assert outcomes and outcomes <= set(row)
 
 
 class TestRender:
-    def test_render_contains_all_sections(self):
-        events = WideEventLog()
-        ctx = RequestContext(request_id(0), root=5)
-        events.emit(
-            ctx.wide_event(
-                outcome="ok", source="solve", latency_s=0.1, attempts_total=1
-            )
-        )
-        broker = StubBroker(
-            events=events, breaker=StubBreaker(), chaos=StubChaos()
-        )
-        broker.latency.record("solve", 0.1)
-        monitor = BurnRateMonitor(
-            broker.latency, BurnRateConfig(min_samples=1)
-        )
-        text = dashboard.render(dashboard.snapshot(broker, monitor=monitor))
-        assert "serve-top" in text
-        assert "offered" in text and "completed" in text
-        assert "solve" in text
-        assert "breaker" in text and "open" in text
-        assert "chaos" in text and "error=3" in text
-        assert "burn rate" in text
-        assert "req-000000" in text
+    def test_render_contains_all_sections(self, runs):
+        lines = runs["plain"][1].splitlines()
+        assert lines[0].startswith("graph: ")
+        at = [lines.index(title) for title in TABLES]
+        assert at == sorted(at)
 
-    def test_render_empty_broker(self):
-        text = dashboard.render(dashboard.snapshot(StubBroker()))
-        assert "(no completed requests yet)" in text
-        assert "burn rate" not in text
+    def test_render_empty_broker(self, runs):
+        # no cache: no request is served from it, and no cache column
+        _, stdout, _, report = runs["no-cache"]
+        assert "p50_cache_s" not in _table(stdout, "latency (ms)")
+        assert "outcome_cache" not in report
+        assert report["cache_hit_rate"] == 0.0
 
-    def test_nan_burn_renders_as_na(self):
-        broker = StubBroker()
-        monitor = BurnRateMonitor(broker.latency, BurnRateConfig())
-        text = dashboard.render(dashboard.snapshot(broker, monitor=monitor))
-        assert "n/a" in text
+    def test_nan_burn_renders_as_na(self, capsys, runs):
+        # '--json -' prints the report after the tables as strict JSON
+        # (a non-finite value would be null): the file form's counters
+        assert main(BASE + ["--json", "-"]) == 0
+        stdout = capsys.readouterr().out
+        text = stdout[stdout.index("\n{") + 1:]
+        report = json.loads(text, parse_constant=_refuse)
+        plain = runs["plain"][3]
+        for key in ("offered", "completed", "shed", "batches", "solves",
+                    "outcome_cache", "outcome_solve", "cache_hit_rate"):
+            assert report[key] == plain[key], key
 
-    def test_alert_line_rendered(self):
-        broker = StubBroker()
-        for _ in range(20):
-            broker.latency.record("timeout", 0.01)
-        monitor = BurnRateMonitor(
-            broker.latency, BurnRateConfig(min_samples=1)
-        )
-        text = dashboard.render(dashboard.snapshot(broker, monitor=monitor))
-        assert "ALERT" in text and "[page]" in text
+    def test_alert_line_rendered(self, runs):
+        rc, _, stderr, report = runs["slo"]
+        assert rc == 1
+        assert stderr == (
+            f"SLO VIOLATION: cache_hit_rate {report['cache_hit_rate']:.3f} "
+            "< SLO 1.500\n")
 
 
 class TestRun:
-    def test_fixed_frames_without_clear(self):
-        broker = StubBroker()
-        out = io.StringIO()
-        drawn = dashboard.run(
-            broker, frames=3, refresh_s=0.0, clear=False, out=out
-        )
-        assert drawn == 3
-        assert out.getvalue().count("serve-top") == 3
-        assert dashboard.CLEAR not in out.getvalue()
+    def test_fixed_frames_without_clear(self, runs):
+        stdout = runs["plain"][1]
+        for title in TABLES:
+            assert stdout.splitlines().count(title) == 1
 
-    def test_clear_mode_prefixes_ansi(self):
-        out = io.StringIO()
-        dashboard.run(StubBroker(), frames=1, refresh_s=0.0, out=out)
-        assert out.getvalue().startswith(dashboard.CLEAR)
+    def test_clear_mode_prefixes_ansi(self, runs):
+        for _, stdout, stderr, _ in runs.values():
+            assert stdout.startswith("graph: ")
+            assert "\x1b" not in stdout + stderr
 
-    def test_should_stop_ends_loop(self):
-        out = io.StringIO()
-        drawn = dashboard.run(
-            StubBroker(),
-            frames=None,
-            refresh_s=0.0,
-            clear=False,
-            out=out,
-            should_stop=lambda: True,
-        )
-        # draws the frame it was on, then honours the stop signal
-        assert drawn == 1
+    def test_should_stop_ends_loop(self, runs):
+        # serve-bench returns once the workload has drained
+        for name, (_, _, _, report) in runs.items():
+            assert report["queue_depth"] == 0, name
+            assert report["completed"] == report["offered"], name

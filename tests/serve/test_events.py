@@ -126,15 +126,15 @@ class TestWideEventLog:
         ]
 
     def test_tail(self):
+        # the stream reads oldest first: the newest events are its tail
         log = WideEventLog()
+        assert log.events() == []
         for seq in range(4):
             log.emit({"request_id": request_id(seq)})
-        assert [e["request_id"] for e in log.tail(2)] == [
-            "req-000002",
-            "req-000003",
-        ]
-        assert log.tail(0) == []
-        assert len(log.tail(99)) == 4
+        assert [e["request_id"] for e in log.events()] == [
+            request_id(seq) for seq in range(4)]
+        log.emit({"request_id": request_id(4)})
+        assert log.events()[-1]["request_id"] == "req-000004"
 
     def test_write_requires_path(self):
         with pytest.raises(ValueError):
@@ -210,21 +210,21 @@ class TestFoldOnRead:
             log.emit(_record(seq))
         first = log.events()
         assert _Context.folds == 5
-        assert log.events() == first and log.tail(3) == first[-3:]
+        assert log.events() == first and log.canonical_text()
         assert _Context.folds == 5
         assert log.events()[0] is first[0]  # the memoised dict itself
 
     def test_tail_folds_at_most_n(self):
+        # a read after more emits folds only the records emitted since
         log = WideEventLog()
         for seq in range(100):
             log.emit(_record(seq))
-        assert [e["request_id"] for e in log.tail(2)] == [
-            "req-000098", "req-000099"]
-        assert _Context.folds == 2
-        assert len(log.tail(5)) == 5 and _Context.folds == 5
-        assert [e["request_id"] for e in log.events()][:2] == [
-            "req-000000", "req-000001"]
-        assert _Context.folds == 100
+        assert len(log.events()) == 100 and _Context.folds == 100
+        log.emit(_record(100))
+        log.emit(_record(101))
+        assert [e["request_id"] for e in log.events()][-2:] == [
+            "req-000100", "req-000101"]
+        assert _Context.folds == 102
 
     def test_capacity_trims_one_per_emit_and_never_folds_the_trimmed(self):
         log = WideEventLog(capacity=3)

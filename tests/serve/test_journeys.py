@@ -28,7 +28,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.solver import solve_sssp
 from repro.graph.builder import from_undirected_edges
 from repro.graph.roots import choose_roots
-from repro.obs.burnrate import OK_SOURCES
 from repro.obs.tracer import TraceConfig
 from repro.serve.breaker import BreakerConfig, CircuitBreaker
 from repro.serve.broker import QueryBroker
@@ -44,6 +43,8 @@ from repro.runtime.watchdog import SolveTimeout
 SEEDS = [3, 11, 42]
 JOURNEY_STEPS = 24
 TYPED_ERRORS = (InjectedFault, SolveTimeout, SolveCorrupted, ServiceUnavailable)
+#: the sources a served request completes under; every other outcome failed
+OK_SOURCES = ("cache", "solve", "repair", "coalesced", "degraded")
 
 
 class FakeClock:

@@ -309,18 +309,17 @@ class TestVerification:
 
 
 def test_serve_top_and_the_events_cli_show_the_repair(rmat1_small, tmp_path, capsys):
-    from repro.obs.burnrate import BurnRateConfig, BurnRateMonitor
-    from repro.serve import dashboard
     from repro.serve.events import main as events_main
 
     broker, root = TestConditionsThatSkipTheTier().seeded(rmat1_small)
     broker.query(root)
-    snap = dashboard.snapshot(broker)
-    assert snap["latency_by_source"]["repair"]["n"] == 1
-    assert "repair" in dashboard.render(snap)
-    # A repaired read is a served read: it burns no error budget.
-    burn = BurnRateMonitor(broker.latency, BurnRateConfig(min_samples=1)).summary()
-    assert (burn["burn_fast_bad"], burn["burn_fast_total"]) == (0, 1)
+    # the per-source row serve-bench prints has the repair in its own column
+    assert len(broker.latency.samples("repair")) == 1
+    report = broker.report()
+    assert report["outcome_repair"] == 1 and report["p50_repair_s"] > 0
+    # A repaired read is a served read: no failure outcome is counted.
+    outcomes = {k for k in report if k.startswith("outcome_")}
+    assert outcomes <= {"outcome_cache", "outcome_solve", "outcome_repair"}
     assert events_main([broker.events.write(str(tmp_path / "events.jsonl"))]) == 0
     line = capsys.readouterr().out.splitlines()[-1]
     assert "source=repair cache=lineage attempts=0" in line

@@ -2,7 +2,7 @@
 completed request folds from the ledger entry it appended.
 
 ``ServeAccounting.terminal`` appends ``(outcome, latency, request id,
-clock stamp, retried_ok)`` and emits one flat wide-event record; the
+retried_ok)`` and emits one flat wide-event record; the
 outcome and ``retried_ok`` tallies, the latency window and the registry
 series are folded from the ledger when something reads them. These tests
 pin that every reader folds first, that folds racing appends lose or
@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.graph.grid import grid_graph
-from repro.obs.burnrate import BurnRateConfig, BurnRateMonitor
 from repro.serve.broker import QueryBroker
 from repro.serve.chaos import ChaosPlan
 from repro.serve.events import WideEventLog
@@ -56,20 +55,36 @@ def _served() -> QueryBroker:
     return broker
 
 
-def _burn_total(broker) -> int:
-    monitor = BurnRateMonitor(broker.latency, BurnRateConfig(min_samples=1))
-    return monitor.burn_rate(3600.0)[2]
+def _newest_exemplar(broker) -> int:
+    """Sequence number of the newest request the latency histogram links
+    to (exemplars are last-write-wins per bucket)."""
+    refs = [
+        ex["ref"] for source in ("cache", "solve")
+        for ex in broker.registry.exemplars(
+            "serve_request_latency_seconds", source=source).values()
+    ]
+    return max(int(ref.split("-")[1]) for ref in refs)
 
 
-#: reader -> (what it reads off a fresh broker, what it must see)
+def _histogram_count(broker) -> int:
+    """Requests in the latency histogram of a scrape — what a
+    scrape-side error-budget rule divides by."""
+    snap = broker.registry.snapshot()
+    return sum(v["count"] for k, v in snap.items()
+               if k.startswith("serve_request_latency_seconds{"))
+
+
+#: reader -> (what it reads off a fresh broker, what it must see); the
+#: "recent" and "burn-rate-monitor" rows read the exemplar link and the
+#: scraped histogram, which outlive the window's timestamped view
 READERS = {
     "samples": (lambda b: len(b.latency.samples()), HITS + 2),
     "samples-of-a-source": (lambda b: len(b.latency.samples("cache")), HITS),
-    "recent": (lambda b: len(b.latency.recent(3600.0)), HITS + 2),
+    "recent": (_newest_exemplar, HITS + 1),
     "summary": (lambda b: b.latency.summary()["requests"], HITS + 2),
     "count": (lambda b: b.latency.count, HITS + 2),
     "tally-retried-ok": (lambda b: b._acct.tally("retried_ok"), 1),
-    "burn-rate-monitor": (_burn_total, HITS + 2),
+    "burn-rate-monitor": (_histogram_count, HITS + 2),
 }
 
 
@@ -91,10 +106,13 @@ class TestReadersFoldFirst:
 
     def test_the_window_keeps_each_source_in_arrival_order(self):
         broker = _served()
-        rows = broker.latency.recent(3600.0)
-        assert [source for source, _, _ in rows] == ["solve"] * 2 + ["cache"] * HITS
-        stamps = [t for source, t, _ in rows if source == "cache"]
-        assert stamps == sorted(stamps)
+        events = broker.events.events()  # in completion order
+        for source in ("solve", "cache"):
+            assert broker.latency.samples(source) == [
+                e["timing"]["latency_s"] for e in events
+                if e["source"] == source]
+        assert broker.latency.samples() == (
+            broker.latency.samples("solve") + broker.latency.samples("cache"))
         broker.shutdown()
 
     def test_a_scrape_folds_the_tallies_too(self):
@@ -125,7 +143,7 @@ def test_concurrent_folds_stay_exact():
     def reader() -> None:
         while not done.is_set():
             broker.report()
-            broker.latency.recent(60.0)
+            broker.latency.summary()
             broker.registry.snapshot()
             reads[0] += 1
 

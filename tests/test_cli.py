@@ -143,26 +143,34 @@ class TestCommands:
         assert rc == 1
         assert "SLO VIOLATION" in capsys.readouterr().err
 
+    def test_serve_bench_slo_nan_bound_fails(self, capsys):
+        # a NaN bound compares false both ways: it must not pass the run
+        for bound in ("nan", "-0.5"):
+            rc = main(["serve-bench", "--scale", "9", "--ranks", "2",
+                       "--threads", "2", "--requests", "10", "--workers", "0",
+                       "--slo-min-hit-rate", bound])
+            assert rc != 0
+            err = capsys.readouterr().err
+            assert "min_hit_rate must be a finite number >= 0" in err
+
     def test_serve_bench_parser_defaults(self):
         args = build_parser().parse_args(["serve-bench"])
         assert args.arrival == "closed"
         assert args.cache_mb == 64.0
         assert args.events is None
-        # burn monitoring is opt-in for serve-bench
-        assert args.burn_objective is None
-        assert args.burn_fast_s == 60.0
-        assert args.burn_slow_s == 300.0
+        assert args.slo_min_hit_rate is None
+        # no burn-rate flags: the SLO verdict is the end-of-run policy
+        assert not any(k.startswith("burn") for k in vars(args))
 
     def test_serve_bench_events_and_burn(self, capsys, tmp_path):
         events = tmp_path / "events.jsonl"
         rc = main(["serve-bench", "--scale", "9", "--ranks", "2",
                    "--threads", "2", "--requests", "20", "--workers", "0",
                    "--root-universe", "4",
-                   "--concurrency", "1", "--events", str(events),
-                   "--burn-objective", "0.99", "--burn-min-samples", "1"])
+                   "--concurrency", "1", "--events", str(events)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "SLO burn rate" in out
+        assert "p50_cache_s" in out and "p50_solve_s" in out
         assert "wide events written" in out
         from repro.serve.events import read_events
 
@@ -189,25 +197,29 @@ class TestCommands:
         assert streams[0] and streams[0] == streams[1]
 
     def test_serve_top_fixed_frames(self, capsys, tmp_path):
+        # a worker thread under load: the report's per-source latency
+        # table, once, after the drain
         events = tmp_path / "events.jsonl"
-        rc = main(["serve-top", "--scale", "9", "--ranks", "2",
+        rc = main(["serve-bench", "--scale", "9", "--ranks", "2",
                    "--threads", "2", "--requests", "20", "--workers", "1",
                    "--root-universe", "4", "--concurrency", "1",
-                   "--refresh-ms", "10", "--frames", "2", "--no-clear",
                    "--events", str(events)])
         assert rc == 0
         out = capsys.readouterr().out
-        # two live frames plus the final post-drain frame
-        assert out.count("serve-top — SSSP serving plane") >= 3
-        assert "latency by source" in out
-        assert "burn rate" in out
+        assert out.count("latency (ms)") == 1
+        header = out[out.index("latency (ms)"):].splitlines()[1]
+        assert "p50_cache_s" in header and "p50_solve_s" in header
         assert events.exists()
 
     def test_serve_top_requires_workers(self, capsys):
-        rc = main(["serve-top", "--scale", "9", "--workers", "0",
-                   "--frames", "1"])
-        assert rc == 2
-        assert "worker" in capsys.readouterr().err
+        # one serving subcommand, and it serves inline with no worker
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert set(sub.choices) == {"solve", "compare", "graph500", "sweep",
+                                    "bfs", "serve-bench", "trace-report"}
+        assert main(["serve-bench", "--scale", "9", "--ranks", "2",
+                     "--threads", "2", "--requests", "5",
+                     "--workers", "0"]) == 0
+        assert "latency (ms)" in capsys.readouterr().out
 
     def test_module_entry_point(self):
         import subprocess

@@ -14,7 +14,10 @@ the registry one collector; ``graph/builder.py`` and ``graph/csr.py``
 together past 189 or calling ``argsort`` — construction sorts a packed
 key in place; ``dynamic/repair.py`` past 154 or calling a stepping
 strategy's ``make_strategy``/``window`` — a repair drains to one
-label-correcting fixpoint, with no settle windows.
+label-correcting fixpoint, with no settle windows; ``cli.py``,
+``serve/slo.py`` and ``obs/tracer.py`` together past 771 or naming the
+burn-rate monitor, the dashboard, drift rows or a time-windowed
+``recent`` view — a signal stays only where something reads it.
 """
 
 import ast
@@ -31,6 +34,8 @@ RATCHETS = (
       "src/repro/serve/chaos.py"), 592, ("self.registry", "self._registry")),
     (("src/repro/graph/builder.py", "src/repro/graph/csr.py"), 189, ("argsort(",)),
     (("src/repro/dynamic/repair.py",), 154, ("make_strategy(", ".window(")),
+    (("src/repro/cli.py", "src/repro/serve/slo.py", "src/repro/obs/tracer.py"),
+     771, ("burnrate", "dashboard", "drift_rows", "def recent(")),
 )
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
