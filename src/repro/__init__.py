@@ -22,11 +22,6 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-figure reproduction index.
 """
 
-from repro.apps import (
-    betweenness_centrality,
-    closeness_centrality,
-    run_graph500,
-)
 from repro.core import (
     BatchSolver,
     DELTA_INFINITY,
@@ -94,12 +89,9 @@ __all__ = [
     "SsspResult",
     "WorkloadSpec",
     "__version__",
-    "betweenness_centrality",
     "build_parent_tree",
-    "closeness_centrality",
     "degree_stats",
     "extract_path",
-    "run_graph500",
     "validate_sssp_structure",
     "dijkstra_reference",
     "evaluate_cost",

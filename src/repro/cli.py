@@ -4,7 +4,6 @@ Subcommands cover the common workflows::
 
     python -m repro solve        --scale 13 --algorithm opt --delta 25
     python -m repro compare      --scale 12 --delta 25
-    python -m repro graph500     --scale 12 --roots 16
     python -m repro sweep        --scale 12 --deltas 1,10,25,40,100
     python -m repro bfs          --scale 12
     python -m repro serve-bench  --scale 12 --requests 200 --zipf 1.1
@@ -12,8 +11,8 @@ Subcommands cover the common workflows::
 
 All graph and machine knobs are flags; output is the same plain-text
 tables the benchmark harness prints.  ``solve --trace PATH`` captures a
-structured trace of the run (``--trace-format perfetto`` writes a
-Chrome/Perfetto ``trace_events`` file loadable in ui.perfetto.dev);
+structured trace of the run (a ``*.json`` PATH gets a Chrome/Perfetto
+``trace_events`` file loadable in ui.perfetto.dev, any other a JSONL log);
 ``trace-report`` summarises a captured trace offline.
 """
 
@@ -25,7 +24,6 @@ from typing import Sequence
 
 from repro.analysis.phase_stats import algorithm_comparison
 from repro.analysis.sweep import delta_sweep
-from repro.apps.graph500 import run_graph500
 from repro.core.config import PRESETS
 from repro.core.solver import solve_sssp
 from repro.graph.rmat import RMAT1, RMAT2, rmat_graph
@@ -183,7 +181,7 @@ def _build_serve_broker(args: argparse.Namespace):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser with all seven subcommands."""
+    """Construct the argument parser with all six subcommands."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Scalable SSSP reproduction (IPDPS 2014) on a simulated "
@@ -195,11 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_args(p_solve)
     p_solve.add_argument("--root", type=int, default=None,
                          help="source vertex (default: sampled non-isolated)")
-    p_solve.add_argument("--validate", action="store_true",
-                         help="cross-check against sequential Dijkstra")
-    p_solve.add_argument("--validate-structural", action="store_true",
-                         help="run the O(m+n) Graph 500-style structural "
-                              "validator instead of a reference solve")
+    p_solve.add_argument("--validate", nargs="?", const=True, default=False,
+                         choices=["structural"],
+                         help="cross-check against sequential Dijkstra; "
+                              "'--validate structural' runs the O(m+n) "
+                              "Graph 500-style structural validator instead")
     p_solve.add_argument("--faults", metavar="SPEC", default=None,
                          help="run --algorithm on the self-healing rank "
                               "driver under injected faults; SPEC is e.g. "
@@ -213,12 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "--checkpoint-dir instead of starting over")
     p_solve.add_argument("--deadline", type=int, metavar="N", default=None,
                          help="superstep budget; the watchdog stops the "
-                              "solve when it is exhausted")
-    p_solve.add_argument("--deadline-policy", choices=["raise", "degrade"],
-                         default="raise",
-                         help="on deadline: 'raise' a structured timeout "
-                              "with a resumable checkpoint, or 'degrade' to "
-                              "a Bellman-Ford finish (default raise)")
+                              "solve when it is exhausted and raises a "
+                              "structured timeout with a resumable "
+                              "checkpoint")
     p_solve.add_argument("--paranoid", action="store_true",
                          help="enable per-superstep runtime invariant "
                               "guards (bucket monotonicity, settled "
@@ -227,29 +222,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write a JSON report to PATH ('-' = stdout)")
     p_solve.add_argument("--trace", metavar="PATH", default=None,
                          help="capture a structured trace of the solve to "
-                              "PATH (see --trace-format)")
-    p_solve.add_argument("--trace-format", choices=["jsonl", "perfetto"],
-                         default="jsonl",
-                         help="trace file format: 'jsonl' event log (read "
-                              "back with 'repro trace-report') or 'perfetto' "
-                              "Chrome trace_events JSON for ui.perfetto.dev "
-                              "(default jsonl)")
+                              "PATH: a '*.json' PATH gets Chrome trace_events "
+                              "JSON for ui.perfetto.dev, any other a JSONL "
+                              "event log (both read back by 'repro "
+                              "trace-report')")
     p_solve.add_argument("--metrics-out", metavar="PATH", default=None,
                          help="write a Prometheus text-format metrics "
                               "snapshot of the solve to PATH")
-    p_solve.add_argument("--progress", action="store_true",
-                         help="print live per-epoch progress to stderr "
-                              "(enables the tracer)")
 
     p_cmp = sub.add_parser(
         "compare", help="compare the algorithm family (at --delta)"
     )
     _add_solver_args(p_cmp)
-
-    p_g500 = sub.add_parser("graph500", help="run the Graph 500 SSSP protocol")
-    _add_solver_args(p_g500)
-    p_g500.add_argument("--roots", type=int, default=16,
-                        help="number of search keys (official: 64)")
 
     p_sweep = sub.add_parser("sweep", help="sweep the bucket width Δ")
     _add_solver_args(p_sweep, algorithm="delta")
@@ -303,21 +287,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     graph = _make_graph(args)
     root = args.root if args.root is not None else choose_root(graph, seed=args.seed)
-    validate: bool | str = "structural" if args.validate_structural else args.validate
     deadline = None
     if args.deadline is not None:
-        deadline = DeadlineConfig(
-            max_supersteps=args.deadline, policy=args.deadline_policy
-        )
+        deadline = DeadlineConfig(max_supersteps=args.deadline)
     trace_cfg = None
-    if args.trace is not None or args.metrics_out is not None or args.progress:
+    if args.trace is not None or args.metrics_out is not None:
         from repro.obs.tracer import TraceConfig
 
+        perfetto = args.trace is not None and args.trace.endswith(".json")
         trace_cfg = TraceConfig(
             path=args.trace,
-            format=args.trace_format,
+            format="perfetto" if perfetto else "jsonl",
             metrics_path=args.metrics_out,
-            progress=args.progress,
         )
     faults = None
     if args.faults is not None:
@@ -327,7 +308,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         res = solve_sssp(
             graph, root, algorithm=args.algorithm, delta=args.delta,
-            machine=_machine(args), validate=validate, faults=faults,
+            machine=_machine(args), validate=args.validate, faults=faults,
             paranoid=args.paranoid, trace=trace_cfg, deadline=deadline,
             checkpoint_dir=args.checkpoint_dir, resume=args.resume,
         )
@@ -478,18 +459,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_graph500(args: argparse.Namespace) -> int:
-    params = RMAT1 if args.family == "rmat1" else RMAT2
-    res = run_graph500(
-        args.scale, edge_factor=args.edge_factor, params=params,
-        num_roots=args.roots, algorithm=args.algorithm, delta=args.delta,
-        machine=_machine(args), seed=args.seed,
-    )
-    print(format_table(res.per_root, "per-root results"))
-    print(format_table([res.summary()], "Graph 500 summary (harmonic-mean GTEPS)"))
-    return 0 if res.all_valid else 1
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     graph = _make_graph(args)
     root = choose_root(graph, seed=args.seed)
@@ -523,7 +492,6 @@ def _cmd_bfs(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "solve": _cmd_solve,
     "compare": _cmd_compare,
-    "graph500": _cmd_graph500,
     "sweep": _cmd_sweep,
     "bfs": _cmd_bfs,
     "serve-bench": _cmd_serve_bench,

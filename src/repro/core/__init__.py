@@ -10,7 +10,6 @@ Key entry points:
 """
 
 from repro.core.bellman_ford import bellman_ford_stage
-from repro.core.buckets import bucket_index, bucket_members, next_bucket
 from repro.core.config import DELTA_INFINITY, PRESETS, SolverConfig, preset
 from repro.core.context import ExecutionContext, make_context
 from repro.core.delta_stepping import DeltaSteppingEngine
@@ -22,7 +21,6 @@ from repro.core.paths import (
     NO_PARENT,
     build_parent_tree,
     extract_path,
-    predecessor_arcs,
     tree_depths,
 )
 from repro.core.pruning import bucket_census, long_phase_pull, long_phase_push
@@ -61,7 +59,6 @@ __all__ = [
     "build_parent_tree",
     "build_weight_histogram",
     "extract_path",
-    "predecessor_arcs",
     "tree_depths",
     "validate_sssp_structure",
     "PRESETS",
@@ -72,8 +69,6 @@ __all__ = [
     "apply_relaxations",
     "bellman_ford_stage",
     "bucket_census",
-    "bucket_index",
-    "bucket_members",
     "decide_mode",
     "dijkstra_reference",
     "estimate_models",
@@ -83,7 +78,6 @@ __all__ = [
     "long_phase_pull",
     "long_phase_push",
     "make_context",
-    "next_bucket",
     "preset",
     "scipy_reference",
     "should_switch",

@@ -302,8 +302,9 @@ def make_context(
 
     ``tracer`` attaches an existing :class:`~repro.obs.tracer.Tracer`
     instead of building one from ``config.trace`` —
-    :meth:`~repro.core.solver.BatchSolver.solve_many` uses it to share one
-    trace across several contexts; the caller then owns finalization.
+    :meth:`~repro.core.solver.BatchSolver.solve` passes a caller's tracer
+    through it to share one trace across several contexts; the caller then
+    owns finalization.
     """
     sorted_graph = graph.sorted_by_weight()
     kind, num_ranks = config.partition, machine.num_ranks

@@ -1,15 +1,12 @@
 """Shortest-path tree reconstruction and path extraction.
 
 The paper's algorithms compute distances only; a downstream consumer
-(routing, centrality, Graph 500 validation) also needs the *tree*. Rather
+(routing, Graph 500 validation) also needs the *tree*. Rather
 than burden the distributed engine with parent bookkeeping, the tree is
 reconstructed from the distance array in one vectorised pass: vertex ``v``
 may pick any neighbour ``u`` with ``d(u) + w(u, v) == d(v)`` as its parent
 — such a neighbour always exists for a reached non-root vertex, and any
 choice yields a valid shortest-path tree.
-
-Also provides predecessor *sets* (all tight incoming arcs), the structure
-weighted betweenness accumulation walks (:mod:`repro.apps.centrality`).
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from repro.util.ranges import concat_ranges
 __all__ = [
     "build_parent_tree",
     "extract_path",
-    "predecessor_arcs",
     "tree_depths",
     "NO_PARENT",
 ]
@@ -87,23 +83,6 @@ def extract_path(parent: np.ndarray, root: int, target: int) -> list[int]:
         if v == root:
             return path[::-1]
     raise ValueError("parent array contains a cycle")
-
-
-def predecessor_arcs(
-    graph: CSRGraph, d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All tight arcs ``(u, v)`` with ``d[u] + w == d[v]`` (the SP DAG).
-
-    Returns parallel arrays ``(tails, heads)`` of the shortest-path DAG
-    edges — every shortest path from the root to any vertex is a path in
-    this DAG, the structure Brandes-style betweenness accumulation needs.
-    """
-    d = np.asarray(d, dtype=np.int64)
-    tails = graph.arc_tails()
-    heads = graph.adj
-    finite = d[tails] < INF
-    tight = finite & (d[tails] + graph.weights == d[heads])
-    return tails[tight], heads[tight]
 
 
 def tree_depths(parent: np.ndarray, root: int) -> np.ndarray:

@@ -215,21 +215,22 @@ class BatchSolver:
     ``solve_sssp`` is a one-shot ``BatchSolver``: it rebuilds the execution
     context — weight-sorted adjacency, short/long tables, partition,
     optional histograms and vertex splitting — on every call. Multi-root
-    workloads (Graph 500's 64 search keys, centrality pipelines) share all
-    of that across roots; this class builds it once and takes a :meth:`~repro.core.context.ExecutionContext.fork`
-    per solve.
+    workloads share all of that across roots; this class builds it once
+    and takes a :meth:`~repro.core.context.ExecutionContext.fork` per
+    solve.
 
     Example::
 
         solver = BatchSolver(graph, algorithm="opt", delta=25, num_ranks=8)
-        results = solver.solve_many(roots)          # input order preserved
+        results = [solver.solve(r) for r in roots]
 
     Each solve still gets fresh metrics and accounting (runs are
-    independent), but graph preprocessing is shared. :meth:`solve_many`
-    can additionally share one trace across the whole batch
-    (``solve_many(roots, trace=TraceConfig(...))``). The serving layer
-    (:mod:`repro.serve`) does not: it solves one root per :meth:`solve`
-    and records its request and batch spans on its own service tracer.
+    independent), but graph preprocessing is shared. A caller that wants
+    one trace across several solves opens a
+    :class:`~repro.obs.tracer.Tracer` and passes it as ``tracer=`` to each;
+    the serving layer (:mod:`repro.serve`) solves one root per
+    :meth:`solve` and records its request and batch spans on its own
+    service tracer.
     """
 
     def __init__(
@@ -311,8 +312,8 @@ class BatchSolver:
         solve on the rank driver under the plan, as in :func:`solve_sssp`.
         ``defence`` holds :class:`~repro.core.defence.Defence`'s options
         for this solve only — the serving layer passes ``deadline`` for
-        per-request timeouts. ``tracer`` attaches a caller-owned shared
-        tracer (see :meth:`solve_many`); the caller then finalizes it.
+        per-request timeouts. ``tracer`` attaches a caller-owned tracer
+        shared across solves; the caller opens its spans and finalizes it.
         """
         return self._solve(
             root, validate=validate, tracer=tracer, faults=faults, **defence
@@ -388,48 +389,3 @@ class BatchSolver:
         return self.solve(
             root, deadline=DeadlineConfig.degraded(max_supersteps)
         )
-
-    def solve_many(
-        self,
-        roots,
-        *,
-        validate: bool | str = False,
-        deadline=None,
-        trace=None,
-    ) -> list[SsspResult]:
-        """Solve from every root in ``roots``; results come back in input
-        order.
-
-        ``trace`` (a :class:`~repro.obs.tracer.TraceConfig`) opens **one**
-        shared tracer spanning the whole batch: every per-root solve nests
-        under a ``root-<r>`` span in the same event stream, artifacts are
-        written once at the end, and each returned result's ``trace``
-        attribute is that shared tracer. ``deadline`` applies per root.
-        Every root is checked as :meth:`solve` checks one before any is
-        solved: a non-integer or out-of-range root raises ``ValueError``.
-        """
-        n = self._original_graph.num_vertices
-        roots = [vertex_id(r, n) for r in roots]
-        shared = None
-        if trace is not None and getattr(trace, "enabled", True):
-            from repro.obs.tracer import Tracer
-
-            shared = Tracer(self.machine, trace)
-        results: list[SsspResult] = []
-        for r in roots:
-            if shared is None:
-                results.append(
-                    self.solve(r, validate=validate, deadline=deadline)
-                )
-                continue
-            with shared.span(f"root-{r}", cat="root", root=r):
-                results.append(
-                    self.solve(
-                        r, validate=validate, deadline=deadline, tracer=shared
-                    )
-                )
-        if shared is not None:
-            from repro.obs.export import finalize_trace
-
-            finalize_trace(shared)
-        return results

@@ -27,7 +27,6 @@ the solver configuration, no tracer exists and every hook site is a single
 
 from __future__ import annotations
 
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -59,8 +58,6 @@ class TraceConfig:
         ``trace_events`` JSON loadable in ``ui.perfetto.dev``.
     metrics_path:
         Optional Prometheus text-exposition dump of the metrics registry.
-    progress:
-        Emit a live one-line progress report to stderr at epoch boundaries.
     enabled:
         Master switch; ``False`` behaves exactly like ``trace=None``.
     """
@@ -68,7 +65,6 @@ class TraceConfig:
     path: str | None = None
     format: str = "jsonl"
     metrics_path: str | None = None
-    progress: bool = False
     enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -107,7 +103,6 @@ class Tracer:
         """Paths written by :func:`repro.obs.export.finalize_trace`."""
         self.finished = False
         self._stack: list[dict[str, Any]] = []
-        self._epochs_seen = 0
         self._unit_cache: dict[str, float] = {}
         # Relaxations by kind (record events do not carry them), flushed
         # once in :meth:`finish`.
@@ -180,14 +175,11 @@ class Tracer:
             "relaxations", self.cum_relax - span.pop("_relax0")
         )
         if span["cat"] == "epoch":
-            self._epochs_seen += 1
             self.registry.observe(
                 "sssp_epoch_wall_seconds",
                 span["dur"],
                 help="wall-clock duration of bucket epochs",
             )
-            if self.config.progress:
-                self._progress_line(span)
 
     @contextmanager
     def span(self, name: str, *, cat: str = "span", **args):
@@ -331,15 +323,3 @@ class Tracer:
         reg.set_gauge("sssp_simulated_seconds", self.sim_t,
                       help="total simulated seconds of the solve")
         self.finished = True
-        if self.config.progress:
-            sys.stderr.write("\n")
-            sys.stderr.flush()
-
-    def _progress_line(self, span: dict[str, Any]) -> None:
-        sys.stderr.write(
-            f"\r[trace] epoch {self._epochs_seen:>5} {span['name']:<14} "
-            f"wall {span['dur'] * 1e3:8.2f} ms  "
-            f"sim {span['sim_dur'] * 1e6:10.2f} us  "
-            f"total wall {self.wall_now():7.2f} s"
-        )
-        sys.stderr.flush()

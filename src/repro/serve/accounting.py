@@ -226,10 +226,6 @@ class ServeAccounting:
             self._ledger.append((
                 outcome, latency, None if ctx is None else ctx.request_id,
                 source is not None and attempts > 1))
-            # The stamp this read once took has no reader; the read stays
-            # because tests/serve/test_registry_identity.py pins the
-            # broker's sequence of clock reads under a stepping clock.
-            self.clock()
             if len(self._ledger) >= FOLD_AT:
                 self.registry.collect()
             if self.tracer is not None:  # a tracer mints every context

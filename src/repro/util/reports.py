@@ -2,8 +2,8 @@
 
 Benchmark pipelines want machine-readable output next to the plain-text
 tables; these helpers flatten the result objects (``SsspResult``,
-``BfsResult``, ``Graph500Result``, cost breakdowns, metrics) into plain
-dicts of JSON-safe scalars and dump them.
+``BfsResult``, cost breakdowns, metrics) into plain dicts of JSON-safe
+scalars and dump them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 from typing import Any
 
-__all__ = ["sssp_report", "bfs_report", "graph500_report", "dump_json"]
+__all__ = ["sssp_report", "bfs_report", "dump_json"]
 
 
 def _jsonable(value: Any) -> Any:
@@ -95,18 +95,6 @@ def bfs_report(result) -> dict[str, Any]:
             "gteps": result.gteps,
             "cost": result.cost.as_row(),
             "metrics": result.metrics.summary(),
-        }
-    )
-
-
-def graph500_report(result) -> dict[str, Any]:
-    """Flatten a :class:`~repro.apps.graph500.Graph500Result`."""
-    return _jsonable(
-        {
-            "kind": "graph500-sssp",
-            **result.summary(),
-            "mean_gteps": result.mean_gteps,
-            "per_root": result.per_root,
         }
     )
 

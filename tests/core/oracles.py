@@ -12,6 +12,11 @@ was trimmed, kept as the reference the trimmed path is held equal to.
   inner arcs were read as a prefix off the prefix table: every short arc
   (under IOS every arc of a member) expanded, its proposal computed and
   the per-arc filter ``d(u) + w < hi`` applied.
+- :func:`bucket_index`, :func:`bucket_members` and :func:`next_bucket` —
+  the from-scratch bucket scans over the whole distance array (bucket ``k``
+  holds the vertices with ``d in [kΔ, (k+1)Δ)``, Section II-A) that the
+  engine kept before a view's unsettled set and the bucket index answered
+  those questions incrementally.
 """
 
 from __future__ import annotations
@@ -102,3 +107,48 @@ def estimate_models_oracle(ctx, view, members, k) -> PushPullEstimate:
         push_partials += push
         pull_partials += pull
     return combine_expectation_costs(cfg, ctx.machine, push_partials, pull_partials)
+
+
+NO_BUCKET = -1
+"""Returned by :func:`next_bucket` when only B-infinity remains."""
+
+
+def bucket_index(d: np.ndarray, delta: int) -> np.ndarray:
+    """Bucket index ``floor(d / Δ)`` per vertex (-1 for unreached)."""
+    out = np.where(d < INF, d // delta, np.int64(NO_BUCKET))
+    # np.where on int64 operands already yields int64: hand it back without
+    # the silent full-array astype copy this function used to pay per call.
+    assert out.dtype == np.int64
+    return out
+
+
+def window_members(
+    d: np.ndarray, settled: np.ndarray, lo: int, hi: int
+) -> np.ndarray:
+    """Unsettled vertices with ``d in [lo, hi)`` (sorted ids).
+
+    The generalised membership scan: a Δ-bucket is the window
+    ``[kΔ, (k+1)Δ)``; the radius/ρ strategies pick non-uniform windows.
+    """
+    mask = (d >= lo) & (d < hi) & ~settled
+    return np.nonzero(mask)[0].astype(np.int64)
+
+
+def bucket_members(
+    d: np.ndarray, settled: np.ndarray, k: int, delta: int
+) -> np.ndarray:
+    """Unsettled vertices currently in bucket ``k`` (sorted ids)."""
+    lo = k * delta
+    return window_members(d, settled, lo, lo + delta)
+
+
+def next_bucket(d: np.ndarray, settled: np.ndarray, delta: int) -> int:
+    """Smallest bucket index holding an unsettled reached vertex.
+
+    Returns :data:`NO_BUCKET` when every reached vertex is settled (the
+    algorithm terminates: only B-infinity is non-empty).
+    """
+    mask = (d < INF) & ~settled
+    if not mask.any():
+        return NO_BUCKET
+    return int(d[mask].min() // delta)

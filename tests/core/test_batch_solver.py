@@ -83,19 +83,27 @@ class TestBatchSolver:
     def test_solve_many(self, rmat1_small):
         solver = BatchSolver(rmat1_small, num_ranks=2, threads_per_rank=2)
         roots = choose_roots(rmat1_small, 3, seed=2)
-        results = solver.solve_many(roots, validate=True)
+        results = [solver.solve(r, validate=True) for r in roots]
         assert len(results) == 3
         assert [r.root for r in results] == [int(x) for x in roots]
 
     def test_solve_many_shared_trace(self, rmat1_small, tmp_path):
-        from repro.obs.export import validate_trace_file
-        from repro.obs.tracer import TraceConfig
+        from repro.obs.export import finalize_trace, validate_trace_file
+        from repro.obs.tracer import TraceConfig, Tracer
 
         path = tmp_path / "batch.jsonl"
         solver = BatchSolver(rmat1_small, num_ranks=2, threads_per_rank=2)
         roots = [int(r) for r in choose_roots(rmat1_small, 3, seed=4)]
-        results = solver.solve_many(roots, trace=TraceConfig(path=str(path)))
+        # the caller owns the shared tracer: it opens one span per root,
+        # each solve nests under it, and the caller finalizes once
+        shared = Tracer(solver.machine, TraceConfig(path=str(path)))
+        results = []
+        for r in roots:
+            with shared.span(f"root-{r}", cat="root", root=r):
+                results.append(solver.solve(r, tracer=shared))
+        finalize_trace(shared)
         assert [r.root for r in results] == roots
+        assert all(r.trace is shared for r in results)
         fmt, problems = validate_trace_file(str(path))
         assert fmt == "jsonl"
         assert problems == []
@@ -106,16 +114,6 @@ class TestBatchSolver:
                       if e.get("type") == "span" and e.get("cat") == "root"]
         # one trace file, one root-level span per solved root
         assert [s["args"]["root"] for s in root_spans] == roots
-
-    def test_solve_many_deadline_forwarded(self, rmat1_small):
-        from repro.runtime.watchdog import DeadlineConfig, SolveTimeout
-
-        solver = BatchSolver(rmat1_small, algorithm="delta", delta=1,
-                             num_ranks=2, threads_per_rank=2)
-        root = int(choose_roots(rmat1_small, 1, seed=3)[0])
-        with pytest.raises(SolveTimeout):
-            solver.solve_many([root],
-                              deadline=DeadlineConfig(max_supersteps=2))
 
     def test_metrics_independent_per_root(self, rmat1_small):
         solver = BatchSolver(rmat1_small, num_ranks=2, threads_per_rank=2)
@@ -157,7 +155,8 @@ class TestBatchSolver:
         roots = [int(r) for r in choose_roots(rmat2_small, 4, seed=5)]
         t0 = time.perf_counter()
         solver = BatchSolver(rmat2_small, num_ranks=2, threads_per_rank=2)
-        solver.solve_many(roots)
+        for r in roots:
+            solver.solve(r)
         batched = time.perf_counter() - t0
         t0 = time.perf_counter()
         for r in roots:

@@ -4,8 +4,8 @@ The contract under test (DESIGN.md §9): after any legal relax / settle /
 restore history of a :class:`~repro.core.views.VertexView`, its unsettled
 set is the reached unsettled vertices, and what every strategy reads off it
 equals the from-scratch scans — for Δ, ``next_step``'s key is
-:func:`~repro.core.buckets.next_bucket` and every bucket's ``members`` is
-:func:`~repro.core.buckets.bucket_members`; for all three strategies the
+:func:`~tests.core.oracles.next_bucket` and every bucket's ``members`` is
+:func:`~tests.core.oracles.bucket_members`; for all three strategies the
 step is the strategy's ``window`` over the scanned ids and its members are
 the scan of that window. The property tests drive randomized histories (the
 hypothesis suite shrinks counterexamples); the engine-level tests assert the
@@ -19,12 +19,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.buckets import (
-    NO_BUCKET,
-    bucket_index,
-    bucket_members,
-    next_bucket,
-)
 from repro.core.config import SolverConfig, preset
 from repro.core.context import make_context
 from repro.core.distances import INF
@@ -37,6 +31,12 @@ from repro.runtime.guards import GuardViolation, InvariantGuards
 from repro.runtime.machine import MachineConfig
 from repro.spmd.engine import spmd_delta_stepping
 from repro.spmd.faults import FaultPlan, RankCrash
+from tests.core.oracles import (
+    NO_BUCKET,
+    bucket_index,
+    bucket_members,
+    next_bucket,
+)
 
 SMALL = MachineConfig(num_ranks=2, threads_per_rank=2)
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.buckets import NO_BUCKET, bucket_index, bucket_members, next_bucket
 from repro.core.distances import INF, init_distances, is_reached, settled_fraction
 from repro.core.relax import apply_relaxations
 from repro.core.views import VertexView
 from repro.util import ranges
+from tests.core.oracles import NO_BUCKET, bucket_index, bucket_members, next_bucket
 
 
 class TestDistances:

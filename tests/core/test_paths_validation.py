@@ -8,7 +8,6 @@ from repro.core.paths import (
     NO_PARENT,
     build_parent_tree,
     extract_path,
-    predecessor_arcs,
     tree_depths,
 )
 from repro.core.reference import dijkstra_reference
@@ -88,27 +87,6 @@ class TestExtractPath:
             i = np.nonzero(nbrs == v)[0][0]
             cost += int(ws[i])
         assert cost == int(d[far])
-
-
-class TestPredecessorArcs:
-    def test_diamond_dag(self, diamond_graph):
-        d = dijkstra_reference(diamond_graph, 0)
-        tails, heads = predecessor_arcs(diamond_graph, d)
-        pairs = set(zip(tails.tolist(), heads.tolist()))
-        # tight arcs: 0->1 (1), 1->2 (2), 1->3 (2)
-        assert (0, 1) in pairs
-        assert (1, 3) in pairs
-        assert (1, 2) in pairs
-        assert (0, 2) not in pairs  # 0-2 weighs 5 > d[2]=2
-
-    def test_every_reached_nonroot_has_predecessor(self, rmat1_small):
-        d = dijkstra_reference(rmat1_small, 3)
-        _, heads = predecessor_arcs(rmat1_small, d)
-        reached = np.nonzero((d < INF))[0]
-        covered = set(heads.tolist())
-        for v in reached:
-            if v != 3:
-                assert int(v) in covered
 
 
 class TestTreeDepths:

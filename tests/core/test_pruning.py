@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.buckets import bucket_members
 from repro.core.config import SolverConfig
 from repro.core.context import inner_counts, make_context
 from repro.core.delta_stepping import DeltaSteppingEngine
@@ -24,7 +23,11 @@ from repro.core.views import whole_graph_view
 from repro.graph.builder import from_edges
 from repro.runtime.machine import MachineConfig
 
-from tests.core.oracles import gather_push_records_oracle, short_records_oracle
+from tests.core.oracles import (
+    bucket_members,
+    gather_push_records_oracle,
+    short_records_oracle,
+)
 
 
 def ctx_for(graph, *, delta=5, ranks=2, threads=2, **cfg):

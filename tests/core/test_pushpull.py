@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.buckets import bucket_members
 from repro.core.config import SolverConfig
 from repro.core.context import make_context
 from repro.core.distances import init_distances
@@ -16,6 +15,7 @@ from repro.core.pushpull import (
 from repro.core.transport import DeclaredTransport
 from repro.core.views import whole_graph_view
 from repro.runtime.machine import MachineConfig
+from tests.core.oracles import bucket_members
 
 
 def ctx_for(graph, *, delta=5, ranks=2, threads=2, alpha=None, **cfg):

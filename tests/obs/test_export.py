@@ -176,13 +176,13 @@ class TestStrictJson:
 
     def test_one_rank_traced_solve_writes_strict_json(self, tmp_path, capsys):
         # one rank: every exchange is priced at zero simulated seconds
-        files = {fmt: tmp_path / f"run.{fmt}" for fmt in ("jsonl", "perfetto")}
+        # the format follows the path: '*.json' is Perfetto, any other JSONL
+        files = {"jsonl": tmp_path / "run.jsonl", "perfetto": tmp_path / "run.json"}
         for fmt, trace in files.items():
             report = tmp_path / f"report.{fmt}.json"
             assert main([
                 "solve", "--scale", "8", "--ranks", "1", "--threads", "2",
-                "--trace", str(trace), "--trace-format", fmt,
-                "--json", str(report),
+                "--trace", str(trace), "--json", str(report),
             ]) == 0
             parsed = json.loads(report.read_text(), parse_constant=_refuse)
             assert set(parsed["trace"]) == {

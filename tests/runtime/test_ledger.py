@@ -524,7 +524,7 @@ def grid24():
 class TestNothingEscapesUnsettled:
     def test_solve_and_solve_many(self, rmat10):
         solver = BatchSolver(rmat10, algorithm="opt", machine=MACHINE)
-        for result in [solver.solve(3), *solver.solve_many([0, 9])]:
+        for result in [solver.solve(r) for r in (3, 0, 9)]:
             assert pending(result.metrics) == 0
         assert pending(solver._template_ctx.metrics) == 0
 

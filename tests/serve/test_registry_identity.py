@@ -45,9 +45,9 @@ from repro.serve.events import WideEventLog
 
 #: journey -> (series in the snapshot, SHA-256 prefix of its JSON)
 EXPECTED = {
-    "chaos-bounded": (30, "2f84025438c225722611"),
-    "chaos-refused": (30, "61e3d406ccdf8b896a4b"),
-    "live": (18, "dec823e059e92081ed2e"),
+    "chaos-bounded": (30, "1c46357510b48b7f5abd"),
+    "chaos-refused": (30, "b16e87f23f5b94f703d3"),
+    "live": (18, "f6a04d461991f1a38366"),
 }
 
 

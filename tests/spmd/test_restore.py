@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.buckets import NO_BUCKET, bucket_members, next_bucket
 from repro.core.config import preset
 from repro.core.context import make_context
 from repro.core.distances import INF
@@ -33,6 +32,7 @@ from repro.runtime.watchdog import DeadlineConfig
 from repro.spmd.engine import _fault_setup, _RecoveryManager
 from repro.spmd.faults import FaultPlan
 from repro.spmd.mailbox import Mailbox
+from tests.core.oracles import NO_BUCKET, bucket_members, next_bucket
 
 MACHINE = MachineConfig(num_ranks=4, threads_per_rank=2)
 DELTA = 25
@@ -60,7 +60,7 @@ def advance(ctx, view, rng, rounds):
 
 def assert_set_is_a_fresh_scan(ctx, view):
     """The unsettled set, every live bucket's members and the next step
-    read as the from-scratch scans of ``core/buckets.py``."""
+    read as the from-scratch scans kept in ``tests/core/oracles.py``."""
     d, settled = view.d, view.settled
     np.testing.assert_array_equal(
         np.sort(view.unsettled()), np.flatnonzero(~settled & (d < INF))

@@ -44,14 +44,14 @@ class TestCommands:
 
     def test_solve_structural_validation(self, capsys):
         rc = main(["solve", "--scale", "9", "--ranks", "2", "--threads", "2",
-                   "--validate-structural"])
+                   "--validate", "structural"])
         assert rc == 0
         assert "gteps" in capsys.readouterr().out
 
     def test_solve_with_faults(self, capsys):
         rc = main(["solve", "--scale", "9", "--ranks", "4", "--threads", "2",
                    "--faults", "loss=0.05,seed=3,crash=1@4",
-                   "--validate-structural"])
+                   "--validate", "structural"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "recovery overhead" in out
@@ -83,13 +83,6 @@ class TestCommands:
         out = capsys.readouterr().out
         for name in ("Dijkstra", "Del-25", "Prune-25", "OPT-25", "Bellman-Ford"):
             assert name in out
-
-    def test_graph500_runs(self, capsys):
-        rc = main(["graph500", "--scale", "9", "--roots", "3",
-                   "--ranks", "2", "--threads", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "hmean_gteps" in out
 
     def test_sweep_runs(self, capsys):
         rc = main(["sweep", "--scale", "9", "--deltas", "1,25",
@@ -214,8 +207,8 @@ class TestCommands:
     def test_serve_top_requires_workers(self, capsys):
         # one serving subcommand, and it serves inline with no worker
         sub = next(a for a in build_parser()._actions if a.dest == "command")
-        assert set(sub.choices) == {"solve", "compare", "graph500", "sweep",
-                                    "bfs", "serve-bench", "trace-report"}
+        assert set(sub.choices) == {"solve", "compare", "sweep", "bfs",
+                                    "serve-bench", "trace-report"}
         assert main(["serve-bench", "--scale", "9", "--ranks", "2",
                      "--threads", "2", "--requests", "5",
                      "--workers", "0"]) == 0

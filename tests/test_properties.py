@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.buckets import bucket_index
 from repro.core.config import DELTA_INFINITY, SolverConfig
 from repro.core.load_balance import _occurrence_index, split_heavy_vertices
 from repro.core.reference import dijkstra_reference
@@ -22,6 +21,7 @@ from repro.graph.partition import BlockPartition
 from repro.runtime.machine import MachineConfig
 from repro.runtime.work import thread_work
 from repro.util.ranges import concat_ranges
+from tests.core.oracles import bucket_index
 
 
 # ----------------------------------------------------------------------

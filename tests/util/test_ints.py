@@ -42,7 +42,7 @@ class TestRoots:
         solver = BatchSolver(path_graph, algorithm="delta", machine=MACHINE)
         entries = (
             lambda r: solver.solve(r),
-            lambda r: solver.solve_many([0, r]),
+            lambda r: [solver.solve(x) for x in (0, r)],
             lambda r: solve_sssp(path_graph, r, algorithm="delta", machine=MACHINE),
         )
         for entry in entries:

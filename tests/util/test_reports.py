@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from repro.apps.graph500 import run_graph500
 from repro.bfs import run_bfs
 from repro.core.solver import solve_sssp
-from repro.util.reports import bfs_report, dump_json, graph500_report, sssp_report
+from repro.util.reports import bfs_report, dump_json, sssp_report
 
 
 @pytest.fixture(scope="module")
@@ -60,16 +59,6 @@ class TestBfsReport:
         assert report["kind"] == "bfs"
         assert report["levels"] == res.num_levels
         assert len(report["directions"]) == res.num_levels
-
-
-class TestGraph500Report:
-    def test_content(self):
-        res = run_graph500(8, num_roots=3, num_ranks=2, threads_per_rank=2)
-        report = graph500_report(res)
-        json.loads(dump_json(report))
-        assert report["kind"] == "graph500-sssp"
-        assert len(report["per_root"]) == 3
-        assert report["hmean_gteps"] == pytest.approx(res.harmonic_mean_gteps)
 
 
 class TestCliJson:

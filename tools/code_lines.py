@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Code lines (non-blank, non-comment, non-docstring) of files or trees.
 
-``python tools/code_lines.py PATH...`` prints one count per path. With
+Usage: ``python tools/code_lines.py [--ratchet] PATH...`` prints one count
+per path; ``--help`` prints this text, and any other option exits 2. With
 ``--ratchet`` (CI's ``serve-smoke``) it also fails when a row of
 :data:`RATCHETS` is broken: ``src/repro/serve/broker.py`` past 650 code
 lines or talking to the metrics registry itself instead of through
@@ -17,7 +18,11 @@ strategy's ``make_strategy``/``window`` — a repair drains to one
 label-correcting fixpoint, with no settle windows; ``cli.py``,
 ``serve/slo.py`` and ``obs/tracer.py`` together past 771 or naming the
 burn-rate monitor, the dashboard, drift rows or a time-windowed
-``recent`` view — a signal stays only where something reads it.
+``recent`` view — a signal stays only where something reads it;
+``repro/__init__.py``, ``core/__init__.py``, ``core/solver.py`` and
+``cli.py`` together past 815 or naming ``repro.apps``,
+``solve_many``, ``core.buckets``, ``graph500`` or ``args.progress`` —
+the front door keeps no API that only its own tests read.
 """
 
 import ast
@@ -36,6 +41,9 @@ RATCHETS = (
     (("src/repro/dynamic/repair.py",), 154, ("make_strategy(", ".window(")),
     (("src/repro/cli.py", "src/repro/serve/slo.py", "src/repro/obs/tracer.py"),
      771, ("burnrate", "dashboard", "drift_rows", "def recent(")),
+    (("src/repro/__init__.py", "src/repro/core/__init__.py",
+      "src/repro/core/solver.py", "src/repro/cli.py"), 815,
+     ("repro.apps", "solve_many", "core.buckets", "graph500", "args.progress")),
 )
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
@@ -60,10 +68,19 @@ def count(path: pathlib.Path) -> int:
 
 
 if __name__ == "__main__":
-    for arg in sys.argv[1:]:
+    args = sys.argv[1:]
+    if "--help" in args or "-h" in args:
+        print(__doc__)
+        sys.exit(0)
+    unknown = [a for a in args if a.startswith("-") and a != "--ratchet"]
+    if unknown:
+        print(f"code_lines.py: unknown option {unknown[0]} (see --help)",
+              file=sys.stderr)
+        sys.exit(2)
+    for arg in args:
         if arg != "--ratchet":
             print(f"{count(pathlib.Path(arg)):>7}  {arg}")
-    if "--ratchet" in sys.argv[1:]:
+    if "--ratchet" in args:
         for names, most, calls in RATCHETS:
             paths = [pathlib.Path(name) for name in names]
             total = sum(count(path) for path in paths)
