@@ -77,7 +77,7 @@ def bellman_ford_stage(
         transport.send(*_all_arc_records(view, active))
         view.active, relaxed = relax_round(
             ctx, view, transport, ComputeKind.BF_RELAX, active,
-            ctx.graph.degrees[active].astype(np.float64), phase_kind=phase_kind,
+            ctx.graph.degrees[active], phase_kind=phase_kind,
         )
         if ctx.guards is not None:
             ctx.guards.after_relaxations(view.d, view.active)

@@ -152,9 +152,9 @@ class ExecutionContext:
         vertex exceeding the heaviness threshold is spread across its rank's
         threads. ``count_as_relax`` feeds the units into the paper's
         relaxation counters (used on the record-application side so each
-        relaxation is counted exactly once). The ledger queues copies of
-        ``vertices`` and ``units``; they meet the thread and rank tables
-        when it folds (:func:`~repro.runtime.metrics.fold_charges`).
+        relaxation is counted exactly once). The ledger copies ``vertices``
+        and ``units`` into its charge buffers; they meet the thread and rank
+        tables when it folds (:func:`~repro.runtime.metrics.work_grid`).
         """
         self.metrics.queue_charge(kind, vertices, units, phase_kind, count_as_relax)
 
@@ -165,7 +165,7 @@ class ExecutionContext:
         scans an equal slice of its rank's vertex block), so the work is
         spread uniformly within each rank.
         """
-        per_rank = np.array(num_local_vertices_scanned)
+        per_rank = np.asarray(num_local_vertices_scanned)  # the ledger copies it
         if per_rank.size != self.machine.num_ranks:
             raise ValueError("need one scan count per rank")
         self.metrics.queue_scan(per_rank)

@@ -11,7 +11,7 @@ neighbourhood work is spread over the ranks owning the proxies.
 
 (The *intra*-node tier of the strategy — threads of a rank cooperating on
 heavy vertices — does not change the graph and lives in the step ledger's
-fold of a charge, :func:`repro.runtime.metrics.fold_charges`.)
+fold of a charge, :func:`repro.runtime.metrics.work_grid`.)
 """
 
 from __future__ import annotations

@@ -241,7 +241,7 @@ def process_epoch(
         transport.send(*short_records(ctx, view, active, short, hi))
         view.active, relaxed = relax_round(
             ctx, view, transport, ComputeKind.SHORT_RELAX, active,
-            short.astype(np.float64), phase_kind="short", window=(lo, hi),
+            short, phase_kind="short", window=(lo, hi),
         )
         if guards is not None:
             guards.after_relaxations(view.d, view.active, (lo, hi))

@@ -37,7 +37,7 @@ contiguous block, in rank order — what a rank of a distributed run adds up
 before the allreduce: that, not the arithmetic before it, is what pins the
 estimate's floats (``tests/core/test_counter_identity.py`` holds them by
 literal). The push partials are sums of whole numbers, exact in any order,
-so they come off one running sum.
+so they are one ``bincount`` of the members' long degrees by owner.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from repro.core.pruning import (
 )
 from repro.core.views import VertexView, rank_cuts
 from repro.runtime.comm import RELAX_RECORD_BYTES, REQUEST_RECORD_BYTES
-from repro.runtime.metrics import fold_charges, fold_exchange
+from repro.runtime.metrics import route_lanes, traffic, work_grid
 
 __all__ = [
     "PushPullEstimate",
@@ -99,19 +99,31 @@ def expectation_partials(
     later_in_degrees: np.ndarray,
     later_cuts: np.ndarray,
 ) -> tuple[list[float], list[float]]:
-    """Per-rank (push, pull) partial sums of the expectation estimator.
+    """Per-rank (push, pull) partial sums of the expectation estimator,
+    rank ``r`` holding the members ``[member_cuts[r], member_cuts[r+1])``
+    and the later vertices ``[later_cuts[r], later_cuts[r+1])``.
 
-    Push volume is the long-degree sum over a rank's bucket members; pull
-    volume is the uniform-weight expectation of eq.-(1) requests over its
-    later vertices, whose in-degrees are all incoming arcs under IOS and
-    the long ones otherwise (integer counts or their floats: the terms
-    are the same). The pull terms are evaluated once, in place on the one
-    array ``d_later`` is converted into; rank ``r`` then sums its block
-    ``[cuts[r], cuts[r+1])`` — a contiguous slice, whose pairwise sum is the
-    float a per-rank evaluation gives (``np.add.reduceat`` is not). The push
-    terms are whole numbers, so their block sums are exact in any order:
-    one running sum, differenced at the cuts.
+    Push volume is the long-degree sum over a rank's members. The terms
+    are whole numbers (integers or their floats, every partial below
+    2**53), so one ``bincount`` by rank adds them exactly, in any order —
+    the floats a pairwise per-rank sum gives. Pull volume is
+    :func:`_pull_partials` of the later vertices.
     """
+    num_ranks = member_cuts.size - 1
+    ranks = np.repeat(np.arange(num_ranks), np.diff(member_cuts))
+    push = np.bincount(ranks, member_long_degrees, minlength=num_ranks).tolist()
+    return push, _pull_partials(cfg, w_max, lo, d_later, later_in_degrees, later_cuts)
+
+
+def _pull_partials(cfg, w_max, lo, d_later, later_in_degrees, later_cuts) -> list[float]:
+    """Pull volume per rank: the uniform-weight expectation of eq.-(1)
+    requests over its block of later vertices, whose in-degrees are all
+    incoming arcs under IOS and the long ones otherwise (integer counts or
+    their floats: the terms are the same). The terms are evaluated once,
+    in place on the one array ``d_later`` is converted into; rank ``r``
+    then sums its block ``[cuts[r], cuts[r+1])`` — a contiguous slice,
+    whose pairwise sum is the float a per-rank evaluation gives
+    (``np.add.reduceat`` is not)."""
     frac = d_later.astype(np.float64)
     if cfg.use_ios:
         # Requests may ride any incoming arc with w < d(v) - kΔ. A later
@@ -128,17 +140,7 @@ def expectation_partials(
         np.maximum(frac, 0.0, out=frac)
     np.minimum(frac, 1.0, out=frac)
     frac *= later_in_degrees
-    return _count_sums(member_long_degrees, member_cuts), _block_sums(frac, later_cuts)
-
-
-def _count_sums(counts: np.ndarray, cuts: np.ndarray) -> list[float]:
-    """Block sums of whole-number ``counts`` (integers or their floats, all
-    partial sums below 2**53): exact, hence the floats a pairwise slice sum
-    of their floats gives."""
-    running = np.zeros(counts.size + 1, dtype=counts.dtype)
-    np.cumsum(counts, out=running[1:])
-    ends = running[cuts]
-    return (ends[1:] - ends[:-1]).astype(np.float64).tolist()
+    return _block_sums(frac, later_cuts)
 
 
 def _block_sums(terms: np.ndarray, cuts: np.ndarray) -> list[float]:
@@ -203,9 +205,11 @@ def estimate_models(
 ) -> PushPullEstimate:
     """Expectation-based push/pull estimate for bucket ``k`` (members settled).
 
-    Evaluates :func:`expectation_partials` over the members and the later
-    vertices, cut at the partition boundaries, and folds the per-rank
-    partials in rank order with :func:`combine_expectation_costs`.
+    Evaluates the push partials over the members, one ``bincount`` by
+    owner, and the pull partials over the later vertices, cut at the
+    partition boundaries (as :func:`expectation_partials` does over given
+    blocks), and folds the per-rank partials in rank order with
+    :func:`combine_expectation_costs`.
     """
     cfg = ctx.config
     lo = k * cfg.delta
@@ -214,10 +218,10 @@ def estimate_models(
     # otherwise.
     in_degrees = ctx.in_graph.degrees if cfg.use_ios else ctx.in_long_degrees
     later = view.later(lo + cfg.delta)
-    push, pull = expectation_partials(
-        cfg, w_max, lo,
-        ctx.long_degrees[members], rank_cuts(ctx, members),
-        view.d[later], in_degrees[later], rank_cuts(ctx, later),
+    owners, p = ctx.partition.owner_map[members], ctx.machine.num_ranks
+    push = np.bincount(owners, ctx.long_degrees[members], minlength=p).tolist()
+    pull = _pull_partials(
+        cfg, w_max, lo, view.d[later], in_degrees[later], rank_cuts(ctx, later)
     )
     return combine_expectation_costs(cfg, ctx.machine, push, pull)
 
@@ -299,9 +303,9 @@ def _compute_cost_max(
     """Busiest-thread compute time of what ``ctx.charge`` would record:
     the fold of that one charge."""
     machine = ctx.machine
-    work = fold_charges(
-        [(vertices, units)], machine.total_threads, machine.threads_per_rank,
-        ctx.metrics.maps,
+    work = work_grid(
+        vertices, units, (vertices.size,), machine.total_threads,
+        machine.threads_per_rank, ctx.metrics.maps,
     )
     return float(work.max()) * t_unit
 
@@ -314,8 +318,9 @@ def _exchange_cost(
 ) -> float:
     """α–β price of what ``Communicator.exchange_by_vertex`` would record:
     the fold of that one route."""
-    route = (src_vertices, dst_vertices, record_bytes)
-    msgs, byt = fold_exchange([route], [], ctx.machine.num_ranks, ctx.metrics.maps)
+    p = ctx.machine.num_ranks
+    lanes = route_lanes(src_vertices, dst_vertices, ctx.metrics.maps.rank, p)
+    msgs, byt = traffic(lanes, None, (lanes.size,), (record_bytes,), p)
     return ctx.machine.alpha * int(msgs.max()) + ctx.machine.beta * int(byt.max())
 
 

@@ -69,7 +69,7 @@ every registered strategy must be bit-identical to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,7 +148,7 @@ class SteppingStrategy:
             transport.comm.allreduce(self.width, phase_kind="bucket")
             return step
         key = transport.allreduce_min(INF if step is None else step.key)
-        return None if key >= INF else replace(step, key=int(key))
+        return None if key >= INF else Step(int(key), step.lo, step.hi)
 
 
 class DeltaStepping(SteppingStrategy):

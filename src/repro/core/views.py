@@ -119,7 +119,9 @@ class VertexView:
         """Unsettled vertices inside the step's window (sorted)."""
         ids = self.unsettled()
         d = self.d[ids]
-        return np.sort(ids[(d >= step.lo) & (d < step.hi)])
+        inside = ids[(d >= step.lo) & (d < step.hi)]
+        inside.sort()  # a fresh compress: sorted in place
+        return inside
 
     def later(self, hi: int) -> np.ndarray:
         """Unsettled vertices at or past ``hi`` (B-infinity included)."""

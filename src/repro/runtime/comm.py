@@ -92,8 +92,9 @@ class Communicator:
 
         Each record travels from ``owner(src)`` to ``owner(dst)``;
         same-rank records are dropped from the network accounting. The
-        ledger queues copies of both vertex arrays and resolves their
-        owners when it folds (:func:`~repro.runtime.metrics.fold_exchange`).
+        ledger copies both vertex arrays into its route buffers and
+        resolves their owners when it folds
+        (:func:`~repro.runtime.metrics.route_lanes`).
         ``deliver`` (a :class:`~repro.runtime.metrics.ComputeKind`) also
         charges each record's application at its destination, one unit of
         that kind counted as a relaxation — both as one fact
@@ -137,7 +138,7 @@ class Communicator:
         ignored.
         """
         lanes = self.lanes(src_ranks, dst_ranks)
-        cnt = np.array(counts, dtype=np.float64)  # the fold's bincount weights
+        cnt = np.asarray(counts, dtype=np.float64)  # the fold's bincount weights
         if cnt.shape != lanes.shape:
             raise ValueError("src_ranks, dst_ranks and counts must align")
         if cnt.size and cnt.min() < 0:

@@ -9,15 +9,19 @@ consumes the aggregates — these are exactly the statistics the paper plots
 (number of relaxations, number of phases and buckets, communication
 volume, load balance).
 
-Accounting calls reduce nothing on the spot: each appends a *fact* — a
-copy of the ids it was handed — and :meth:`Metrics.settle` folds all queued
-facts of a family in one vectorised pass (:func:`fold_charges`,
-:func:`fold_compute`, :func:`fold_exchange`). A charge names vertices and a
-routed exchange vertex pairs; the fold maps every queued id at once, through
-the tables of
+Accounting calls reduce nothing on the spot: each queues a *fact* — it
+copies the ids and units it was handed (or its per-rank spread) to the end
+of one growable flat buffer per fact family and appends only ints (ledger
+row, element count, a tag) to a list — and :meth:`Metrics.settle` folds
+each family in one vectorised pass over its buffers: one key build, one
+``bincount`` and one row max/sum (:func:`work_grid`, :func:`traffic`). A
+charge names vertices and a routed exchange or a delivery vertex pairs; the
+fold maps every queued id at once, through the tables of
 :class:`VertexMaps`, to its hardware thread, its rank and its lane. Facts
 already in rank space (lanes, per-thread rows, per-rank counts) fold as
-they are. Every reader settles first (DESIGN.md §9 rule 4).
+they are. A fact folded at once (past :data:`LARGE_FACT`, or under an
+armed tracer) goes through the same functions as a batch of one. Every
+reader settles first (DESIGN.md §9 rule 4).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["ComputeKind", "StepRecord", "RecoveryStats", "Metrics", "VertexMaps"]
-__all__ += ["fold_charges", "fold_compute", "fold_exchange"]
+__all__ += ["work_grid", "route_lanes", "traffic"]
 
 
 class ComputeKind(str, enum.Enum):
@@ -134,12 +138,15 @@ class RecoveryStats:
 
 LARGE_FACT = 4096
 """A fact with more array elements than this is not queued: it folds at
-once, alone, through the same fold as a batch of one — no concatenate, no
-row offsets — straight into its ledger row, and nothing big is kept."""
+once, alone, through the same fold as a batch of one — no buffer copy —
+straight into its ledger row, and nothing big is kept."""
 
 FLUSH_BUDGET = 1 << 18
 """Pending facts fold once their array elements plus the grid cells they
 will fold into exceed this. Both constants: sweep in DESIGN.md §9."""
+
+_FIRST = 64
+"""Elements a fact buffer holds before it first grows."""
 
 
 class VertexMaps(NamedTuple):
@@ -155,146 +162,118 @@ class VertexMaps(NamedTuple):
     this has them spread evenly over its rank's threads instead."""
 
 
-def _cat(arrays: list) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _weights(units: list, sizes: np.ndarray) -> np.ndarray | None:
-    """The ``bincount`` weights of runs of ids (``sizes[i]`` ids each) in
-    one buffer: ``None`` when every run counts one per id, else ones filled
-    once, the weighted runs' ``units`` written over their places."""
-    if len(units) == 1:
-        return units[0]
-    weighted = [u is not None for u in units]
-    if not any(weighted):
-        return None
-    w = np.ones(sizes.sum())
-    w[np.repeat(weighted, sizes)] = np.concatenate([u for u in units if u is not None])
-    return w
-
-
-def _spread(grid: np.ndarray, scans: list, t: int) -> None:
-    """Write per-rank work, divided evenly over each rank's ``t`` threads,
-    into the grid rows of ``scans``: ``(row, spread)`` pairs, a spread being
-    ``[P]`` counts or one number for every rank. The rows are those of facts
-    without ids, zero until now (and ``0 + x`` is ``x``), so the shares are
-    written in place, broadcast — no row-sized temporary."""
-    by_rank = grid.reshape(len(grid), -1, t)
-    for counts in (True, False):
-        part = [(i, s) for i, s in scans if isinstance(s, np.ndarray) is counts]
-        if part:
-            rows, spreads = zip(*part)
-            share = np.array(spreads) / t
-            by_rank[list(rows)] = share[:, :, None] if counts else share[:, None, None]
-
-
-def _grid(ids, at, sizes, weights, k: int, width: int) -> np.ndarray:
-    """``(k, width)`` grid: run ``i`` of ``ids`` (``sizes[i]`` of them)
-    binned into row ``at[i]`` with its ``weights`` (one each when
-    ``None``), by one ``bincount`` over row-offset ids — so within a cell
-    weights add in input order, as a row's own ``bincount`` adds them. An
-    id outside ``[0, width)`` raises rather than land in a neighbour row."""
+def _binned(ids, sizes, weights, width: int) -> np.ndarray:
+    """``(K, width)`` grid, ``K = len(sizes)``: run ``i`` of ``ids``
+    (``sizes[i]`` of them) binned into row ``i`` with its ``weights`` (one
+    each when ``None``), by one ``bincount`` over row-offset ids — so
+    within a cell weights add in input order, as a row's own ``bincount``
+    adds them. An id outside ``[0, width)`` raises rather than land in a
+    neighbour row."""
+    k = len(sizes)
     if k > 1:
         if ids.size and not 0 <= ids.min() <= ids.max() < width:
             raise ValueError(f"fact ids must lie in [0, {width})")
-        offset = np.repeat(np.asarray(at) * width, sizes)
-        offset += ids
-        ids = offset
+        key = np.repeat(np.arange(0, k * width, width), sizes)
+        key += ids
+        ids = key
     return np.bincount(ids, weights, minlength=k * width).reshape(k, width)
 
 
-def fold_charges(
-    charges: list, width: int, threads_per_rank: int, maps: VertexMaps
-) -> np.ndarray:
-    """Per-thread work of charges, one ``float64[width]`` row each.
+def work_grid(ids, units, sizes, width: int, threads_per_rank: int, maps=None):
+    """Per-thread work of compute facts laid end to end, one
+    ``float64[width]`` row each: fact ``i`` is the next ``sizes[i]`` of
+    ``ids`` and of ``units`` (one each when ``None``).
 
-    A charge starts ``(vertices, units)``: ``units[i]`` work units (one
-    each when ``None``) on the thread of vertex ``vertices[i]``
-    (``maps.thread``), except that units above ``maps.heavy_threshold`` are
-    spread evenly over the threads of the vertex's rank instead
-    (``maps.rank``; the paper's intra-node strategy: a heavy vertex's edges
-    are partitioned among the node's threads).
+    Without ``maps`` the ids are hardware threads. With them they are
+    vertices — a charge: units on the thread of each vertex
+    (``maps.thread``), except that units above ``maps.heavy_threshold``
+    are spread evenly over the threads of the vertex's rank instead
+    (``maps.rank``; the paper's intra-node strategy: a heavy vertex's
+    edges are partitioned among the node's threads).
     """
-    t, k = threads_per_rank, len(charges)
-    if not k:
-        return np.zeros((0, width))
-    sizes = np.array([c[0].size for c in charges])
-    w = _weights([c[1] for c in charges], sizes)
-    v = _cat([c[0] for c in charges])
-    per_rank = None
-    if maps.heavy_threshold < float("inf"):
-        u = np.ones(v.size) if w is None else w
-        heavy = u > maps.heavy_threshold
-        if heavy.any():
-            heavy_sizes = np.bincount(np.repeat(np.arange(k), sizes)[heavy], minlength=k)
-            per_rank = _grid(
-                maps.rank[v[heavy]], range(k), heavy_sizes, u[heavy], k, width // t
-            )
-            v, w, sizes = v[~heavy], u[~heavy], sizes - heavy_sizes
-    grid = _grid(maps.thread[v], range(k), sizes, w, k, width)
-    grid = grid.astype(np.float64, copy=False)
+    t, per_rank = threads_per_rank, None
+    if maps is not None:
+        if maps.heavy_threshold < float("inf"):
+            u = np.ones(ids.size) if units is None else units
+            heavy = u > maps.heavy_threshold
+            if heavy.any():
+                k = len(sizes)
+                split = np.bincount(np.repeat(np.arange(k), sizes)[heavy], minlength=k)
+                per_rank = _binned(maps.rank[ids[heavy]], split, u[heavy], width // t)
+                ids, units, sizes = ids[~heavy], u[~heavy], np.subtract(sizes, split)
+        ids = maps.thread[ids]
+    grid = _binned(ids, sizes, units, width).astype(np.float64, copy=False)
     if per_rank is not None:
-        by_rank = grid.reshape(k, -1, t)
+        by_rank = grid.reshape(len(grid), -1, t)
         by_rank += (per_rank / t)[:, :, None]
     return grid
 
 
-def fold_compute(facts: list, width: int, threads_per_rank: int) -> np.ndarray:
-    """Per-thread work of compute facts, one ``float64[width]`` row each.
-
-    A fact starts ``(idx, units, spread)``: ``units[i]`` work units (one
-    each when ``None``) on hardware thread ``idx[i]``, or, with ``idx``
-    ``None``, per-rank work ``spread`` (``[P]`` counts or one number for
-    every rank) divided evenly over each rank's threads — a bucket scan.
-    """
-    k = len(facts)
-    at = [i for i, f in enumerate(facts) if f[0] is not None]
-    if at:
-        sizes = np.array([facts[i][0].size for i in at])
-        w = _weights([facts[i][1] for i in at], sizes)
-        grid = _grid(_cat([facts[i][0] for i in at]), at, sizes, w, k, width)
-        grid = grid.astype(np.float64, copy=False)
-    else:
-        grid = np.zeros((k, width))
-    scans = [(i, f[2]) for i, f in enumerate(facts) if f[2] is not None]
-    if scans:
-        _spread(grid, scans, threads_per_rank)
-    return grid
+def route_lanes(src, dst, rank: np.ndarray, num_ranks: int) -> np.ndarray:
+    """Lane ``owner(src[i])·P + owner(dst[i])`` of every routed record."""
+    return rank[src] * num_ranks + rank[dst]
 
 
-def fold_exchange(
-    routes: list, facts: list, num_ranks: int, maps: VertexMaps = VertexMaps()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-rank ``(messages, bytes)``, ``int64[P]`` rows: one per route,
-    then one per fact.
-
-    A route starts ``(src, dst, record_bytes)``: one record from the owner
-    of vertex ``src[i]`` to the owner of vertex ``dst[i]`` (``maps.rank``).
-    A fact starts ``(lanes, counts, record_bytes)``: ``counts[i]`` records
-    (one each when ``None``; exact below 2**53) on lane ``lanes[i] = src *
-    P + dst``. Same-rank lanes — the diagonal of the ``P×P`` traffic grid —
-    are free; a rank's bytes are its row plus its column, its messages one
-    per lane with traffic (SPI aggregation).
-    """
-    p, every = num_ranks, routes + facts
-    k = len(every)
-    if not k:
-        return np.zeros((2, 0, p), dtype=np.int64)
-    sizes = np.array([f[0].size for f in every])
-    lanes = [f[0] for f in facts]
-    if routes:
-        lane = maps.rank[_cat([r[0] for r in routes])]
-        lane *= p
-        lane += maps.rank[_cat([r[1] for r in routes])]
-        lanes.insert(0, lane)
-    w = _weights([None] * len(routes) + [f[1] for f in facts], sizes)
-    grid = _grid(_cat(lanes), range(k), sizes, w, k, p * p)
-    grid = grid.astype(np.int64, copy=False)
+def traffic(lanes, counts, sizes, record_bytes, num_ranks: int):
+    """Per-rank ``(messages, bytes)``, ``int64[P]`` rows, of exchange facts
+    laid end to end: fact ``i`` is the next ``sizes[i]`` lanes ``src·P +
+    dst`` and as many record counts (one each when ``None``; exact below
+    2**53), ``record_bytes[i]`` bytes a record. Same-rank lanes — the
+    diagonal of the ``P×P`` traffic grid — are free; a rank's bytes are its
+    row plus its column, its messages one per lane with traffic (SPI
+    aggregation)."""
+    p = num_ranks
+    grid = _binned(lanes, sizes, counts, p * p).astype(np.int64, copy=False)
     grid[:, :: p + 1] = 0
     grid = grid.reshape(-1, p, p)
-    record_bytes = np.array([f[2] for f in every], dtype=np.int64)
     msgs = (grid != 0).sum(axis=2)
-    return msgs, (grid.sum(axis=2) + grid.sum(axis=1)) * record_bytes[:, None]
+    size = np.asarray(record_bytes, dtype=np.int64)[:, None]
+    return msgs, (grid.sum(axis=2) + grid.sum(axis=1)) * size
+
+
+def _spread(spreads: np.ndarray, threads_per_rank: int) -> np.ndarray:
+    """Per-thread work of per-rank work (``P`` or ``(K, P)`` of it),
+    divided evenly over each rank's threads."""
+    return np.repeat(spreads / threads_per_rank, threads_per_rank, axis=-1)
+
+
+def _reduced(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max and total of every row (the grid is let go on return)."""
+    return grid.max(axis=1), grid.sum(axis=1)
+
+
+class _Queue:
+    """One family's pending facts: their elements laid end to end in
+    growable flat buffers (``cols``; ``end`` of ``cap`` in use), and per
+    fact only ``(ledger row, element count, tag)`` in ``facts``, the tag
+    record bytes, an allreduce count, or the kind a compute fact counts
+    relaxations of (``False`` when it counts none)."""
+
+    __slots__ = ("cols", "cap", "end", "facts", "cells", "dtypes")
+
+    def __init__(self, cells: int, *dtypes) -> None:
+        self.cells, self.dtypes = cells, dtypes
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every fact and let the buffers go: each fold starts small."""
+        self.end, self.facts, self.cap = 0, [], _FIRST
+        self.cols = [np.empty(_FIRST, dt) for dt in self.dtypes]
+
+    def grow(self, end: int) -> list[np.ndarray]:
+        """The buffers, grown (fourfold: few copies, few fresh pages) to hold
+        ``end`` elements; only the elements in use are copied."""
+        self.cap = max(end, 4 * self.cap)
+        grown = [np.empty(self.cap, c.dtype) for c in self.cols]
+        for new, old in zip(grown, self.cols):
+            new[: self.end] = old[: self.end]
+        self.cols = grown
+        return grown
+
+    def taken(self) -> tuple:
+        """``(buffers in use, ledger rows, element counts, tags)``."""
+        rows, sizes, tags = (list(column) for column in zip(*self.facts))
+        return [col[: self.end] for col in self.cols], rows, sizes, tags
 
 
 _ROW = np.dtype(
@@ -304,9 +283,10 @@ _ROW = np.dtype(
 """The numeric columns of a ledger row — :class:`StepRecord`'s, in order."""
 
 
-# Fact families, the slots of Metrics._pending: charges and routes name
-# vertices, the other compute and exchange facts threads and lanes.
-_CHARGE, _COMPUTE, _ROUTE, _EXCHANGE, _ALLREDUCE = range(5)
+# Fact families, the queues of Metrics._facts: charges, routes and
+# deliveries name vertices, the other compute and exchange facts threads
+# and lanes. A delivery holds two ledger rows, its route's and its charge's.
+_CHARGE, _COMPUTE, _SCAN, _ROUTE, _DELIVERY, _EXCHANGE, _ALLREDUCE = range(7)
 
 
 def _records(kinds, phases, rows) -> list[StepRecord]:
@@ -314,6 +294,16 @@ def _records(kinds, phases, rows) -> list[StepRecord]:
     return [
         StepRecord(kind, *row, phase) for kind, phase, row in zip(kinds, phases, rows)
     ]
+
+
+def _checked(src, dst, record_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+    """A route's vertex arrays, once they align and its records have a size."""
+    src, dst = np.asarray(src), np.asarray(dst)
+    if src.shape != dst.shape:
+        raise ValueError("source and destination vertices must align")
+    if record_bytes < 0:
+        raise ValueError("record_bytes must be non-negative")
+    return src, dst
 
 
 @dataclass
@@ -355,56 +345,51 @@ class Metrics:
         self._phases: list[str] = []
         self._rows = np.zeros(0, dtype=_ROW)
         self._relaxations: dict[str, int] = {}
-        # Pending facts by family, each ending in its ledger row; what
-        # folding them costs; grid cells per fact of each family.
-        self._pending: tuple[list, ...] = ([], [], [], [], [])
+        # Pending facts by family, each queue knowing the grid cells a fact
+        # folds into; what folding them all costs (elements plus cells).
+        p, self._width = self.num_ranks, self.num_ranks * self.threads_per_rank
+        self._facts = (
+            _Queue(self._width, np.int64, np.float64),  # charges: vertices, units
+            _Queue(self._width, np.int64, np.float64),  # compute: threads, units
+            _Queue(self._width, np.float64),  # scans: per-rank spreads, P each
+            _Queue(p * p, np.int64, np.int64),  # routes: source, destination vertices
+            _Queue(p * p + self._width, np.int64, np.int64),  # deliveries: the same
+            _Queue(p * p, np.int64, np.float64),  # exchanges: lanes, record counts
+            _Queue(1),  # allreduces: counts in the tags
+        )
         self._queued = 0
-        threads, lanes = self.num_ranks * self.threads_per_rank, self.num_ranks**2
-        self._cells = (threads, threads, lanes, lanes, 1)
         self._view: list[StepRecord] | None = None  # `records`, until the next fact
 
     # ------------------------------------------------------------------
     # Recording API (called by algorithms and the communicator)
     # ------------------------------------------------------------------
-    def _waits(self, size: int) -> bool:
-        """Whether a fact of ``size`` elements is queued — the rule
-        :meth:`_queue` applies; one that is not folds at once and keeps no
-        array, so its caller need not copy."""
-        return size <= LARGE_FACT and self.tracer is None
-
-    def _queue(self, family: int, kind: str, phase_kind: str, size: int, *fact):
-        if size > LARGE_FACT or self.tracer is not None:
-            return self._fold_now(family, kind, phase_kind, fact)
-        self._pending[family].append((*fact, len(self._kinds)))
+    def _queue(self, family: int, kind: str, phase_kind: str, tag, a, b=None, n=None):
+        """Queue a fact: copy its ``n`` elements (``a.size`` by default) of
+        ``a`` and ``b`` to the end of its family's buffers and reserve the
+        next ledger row for it, folding everything queued once the fold
+        would take more than :data:`FLUSH_BUDGET` elements and grid cells."""
+        queue = self._facts[family]
+        start = queue.end
+        n = a.size if n is None else n
+        cols = queue.cols if start + n <= queue.cap else queue.grow(start + n)
+        if a is not None:
+            cols[0][start : start + n] = a
+        if b is not None:
+            cols[1][start : start + n] = b
+        queue.end = start + n
+        queue.facts.append((len(self._kinds), n, tag))
         self._kinds.append(kind)
         self._phases.append(phase_kind)
         self._view = None
-        self._queued += size + self._cells[family]
+        self._queued += n + queue.cells
         if self._queued > FLUSH_BUDGET:
             self.settle()
 
-    def _fold_now(self, family: int, kind: str, phase_kind: str, fact) -> None:
-        """Fold ``fact`` at once, as a batch of one, into the next ledger row
-        (queued facts hold theirs already). An armed tracer gets the row and
-        the per-thread / per-rank arrays it came from, as from an eager
+    def _append(self, kind: str, phase_kind: str, row: tuple, hook) -> None:
+        """Write a row folded at once into the next ledger row (queued facts
+        hold theirs already). An armed tracer gets the row and the
+        per-thread / per-rank arrays it came from, as from an eager
         reduction, at that moment."""
-        tr = self.tracer
-        if family in (_CHARGE, _COMPUTE):
-            work = self._fold_work(family, [fact])[0]
-            total = float(work.sum())
-            row = (float(work.max()), total, 0, 0, 0, 0)
-            relaxed = self._relaxed(kind, total) if fact[-1] else 0
-            hook = tr and (tr.on_compute, work, relaxed)
-        elif family in (_ROUTE, _EXCHANGE):
-            if fact[0] is None:  # add_exchange: the per-rank arrays, ready
-                msgs, byt = fact[1:]
-            else:
-                one = ([fact], []) if family == _ROUTE else ([], [fact])
-                msgs, byt = (a[0] for a in fold_exchange(*one, self.num_ranks, self.maps))
-            row = (0.0, 0.0, int(msgs.max()), int(byt.max()), int(byt.sum()) // 2, 0)
-            hook = tr and (tr.on_exchange, msgs, byt)
-        else:
-            row, hook = (0.0, 0.0, 0, 0, 0, fact[0]), tr and (tr.on_allreduce,)
         at = len(self._kinds)
         self._room(at + 1)[at] = row
         self._kinds.append(kind)
@@ -414,17 +399,18 @@ class Metrics:
             (rec,) = _records((kind,), (phase_kind,), (row,))
             hook[0](rec, *hook[1:])
 
-    def _fold_work(self, family: int, facts: list) -> np.ndarray:
-        """The per-thread work rows of charges or of compute facts."""
-        width = self._cells[_COMPUTE]
-        if family == _CHARGE:
-            return fold_charges(facts, width, self.threads_per_rank, self.maps)
-        return fold_compute(facts, width, self.threads_per_rank)
+    def _compute_now(self, kind: str, phase_kind: str, work, relax: bool) -> None:
+        total = float(work.sum())
+        relaxed = int(round(total)) if relax else 0
+        if relax:
+            self._relaxations[kind] += relaxed
+        row, tr = (float(work.max()), total, 0, 0, 0, 0), self.tracer
+        self._append(kind, phase_kind, row, tr and (tr.on_compute, work, relaxed))
 
-    def _reduced(self, family: int, facts: list) -> tuple[np.ndarray, np.ndarray]:
-        """Max and total of every per-thread work row of ``facts``."""
-        grid = self._fold_work(family, facts)
-        return grid.max(axis=1), grid.sum(axis=1)
+    def _exchange_now(self, phase_kind: str, msgs, byt) -> None:
+        row = (0.0, 0.0, int(msgs.max()), int(byt.max()), int(byt.sum()) // 2, 0)
+        tr = self.tracer
+        self._append("exchange", phase_kind, row, tr and (tr.on_exchange, msgs, byt))
 
     def _room(self, end: int) -> np.ndarray:
         """The row store, grown (doubling) to hold ``end`` rows."""
@@ -433,66 +419,66 @@ class Metrics:
             self._rows = np.concatenate([self._rows, spare])
         return self._rows
 
-    def _relaxed(self, kind: str, total: float) -> int:
-        """Count a compute row's total work as relaxations of ``kind``."""
-        count = int(round(total))
-        self._relaxations[kind] += count
-        return count
+    def _work(self, family: int, name: str, ids, units, phase_kind, relax, maps) -> None:
+        """A charge (``maps``: the ids are vertices) or a compute fact
+        (``None``: they are threads), queued or, past :data:`LARGE_FACT`
+        or under an armed tracer, folded at once."""
+        if relax:
+            self._relaxations.setdefault(name, 0)
+        if ids.size > LARGE_FACT or self.tracer is not None:
+            units = None if units is None else np.asarray(units)
+            work = work_grid(
+                ids, units, [ids.size], self._width, self.threads_per_rank, maps
+            )
+            return self._compute_now(name, phase_kind, work[0], relax)
+        units = 1.0 if units is None else units
+        self._queue(family, name, phase_kind, relax and name, ids, units)
 
     def queue_charge(
         self, kind, vertices, units, phase_kind="other", count_as_relax=False
     ) -> None:
-        """Queue the charge ``(vertices, units)`` of :func:`fold_charges`:
-        ``units[i]`` work units (one each when ``None``) at vertex
-        ``vertices[i]``. The ledger keeps copies of both and maps the
-        vertices to threads and ranks when it folds, so an id outside the
+        """Queue a charge: ``units[i]`` work units (one each when ``None``)
+        at vertex ``vertices[i]`` (:func:`work_grid` through the ledger's
+        maps). Both are copied into the charge buffers; the vertices meet
+        the thread and rank tables when they fold, so an id outside the
         graph raises there. ``count_as_relax`` as for :meth:`queue_compute`."""
         name = kind._value_  # ``kind.value``, without the enum property's call
-        if count_as_relax:
-            self._relaxations.setdefault(name, 0)
-        v, u = np.asarray(vertices), None if units is None else np.asarray(units)
-        if self._waits(v.size):
-            v, u = v.copy(), None if u is None else u.copy()
-        self._queue(_CHARGE, name, phase_kind, v.size, v, u, count_as_relax)
+        vertices = np.asarray(vertices)
+        self._work(_CHARGE, name, vertices, units, phase_kind, count_as_relax, self.maps)
 
     def queue_scan(self, spread) -> None:
-        """Queue a bucket scan: per-rank vertex counts (``[P]``, the
-        ledger's to keep, or one number for every rank) spread evenly over
-        each rank's threads — the compute fact ``(None, None, spread)``."""
-        self._queue(_COMPUTE, _BUCKET_SCAN, "bucket", 0, None, None, spread, False)
+        """Queue a bucket scan: per-rank vertex counts (``[P]``) or one
+        number for every rank, copied as ``P`` floats into the scan buffer
+        and spread evenly over each rank's threads when it folds."""
+        p = self.num_ranks
+        if self.tracer is not None:
+            work = _spread(np.full(p, spread, dtype=np.float64), self.threads_per_rank)
+            return self._compute_now(_BUCKET_SCAN, "bucket", work, False)
+        self._queue(_SCAN, _BUCKET_SCAN, "bucket", False, spread, n=p)
 
     def queue_compute(
-        self, kind, idx, units, spread=None, *, phase_kind="other", count_as_relax=False
+        self, kind, idx, units, *, phase_kind="other", count_as_relax=False
     ) -> None:
-        """Queue the compute fact ``(idx, units, spread)`` of
-        :func:`fold_compute` (``idx`` hardware threads, ``None`` for a
-        spread alone). The ledger keeps the arrays until they fold, so they
-        must be the caller's to give away — fresh gathers or copies.
-        ``count_as_relax`` feeds the row's total work into the relaxation
-        counter of ``kind`` (which takes its place among the counters now:
-        rows may fold out of program order)."""
-        if idx is not None and spread is not None:
-            raise ValueError("a compute fact has thread ids or a spread, not both")
-        if count_as_relax:
-            self._relaxations.setdefault(kind.value, 0)
-        size = 0 if idx is None else idx.size
-        self._queue(
-            _COMPUTE, kind.value, phase_kind, size, idx, units, spread, count_as_relax
-        )
+        """Queue a compute fact: ``units[i]`` work units (one each when
+        ``None``) on hardware thread ``idx[i]`` (:func:`work_grid` without
+        maps), both copied into the compute buffers. ``count_as_relax``
+        feeds the row's total work into the relaxation counter of ``kind``
+        (which takes its place among the counters now: rows may fold out
+        of program order)."""
+        self._work(_COMPUTE, kind.value, idx, units, phase_kind, count_as_relax, None)
 
     def queue_route(self, src, dst, record_bytes: int, phase_kind="other") -> None:
-        """Queue the route ``(src, dst, record_bytes)`` of
-        :func:`fold_exchange`: one record from the owner of vertex
-        ``src[i]`` to the owner of vertex ``dst[i]``. The ledger keeps
-        copies of both and resolves the owners when it folds."""
-        src, dst = np.asarray(src), np.asarray(dst)
-        if src.shape != dst.shape:
-            raise ValueError("source and destination vertices must align")
-        if record_bytes < 0:
-            raise ValueError("record_bytes must be non-negative")
-        if self._waits(src.size):
-            src, dst = src.copy(), dst.copy()
-        self._queue(_ROUTE, "exchange", phase_kind, src.size, src, dst, record_bytes)
+        """Queue a route: one record from the owner of vertex ``src[i]`` to
+        the owner of vertex ``dst[i]`` (:func:`route_lanes`, then
+        :func:`traffic`). Both are copied into the route buffers; the owners
+        are resolved when they fold."""
+        src, dst = _checked(src, dst, record_bytes)
+        p = self.num_ranks
+        if src.size > LARGE_FACT or self.tracer is not None:
+            lanes = route_lanes(src, dst, self.maps.rank, p)
+            msgs, byt = traffic(lanes, None, (src.size,), (record_bytes,), p)
+            return self._exchange_now(phase_kind, msgs[0], byt[0])
+        self._queue(_ROUTE, "exchange", phase_kind, record_bytes, src, dst)
 
     def queue_delivery(
         self, src, dst, record_bytes: int, kind, phase_kind="other"
@@ -500,50 +486,49 @@ class Metrics:
         """Queue a delivered superstep: the route ``(src, dst,
         record_bytes)`` of :meth:`queue_route`, then the charge of one unit
         of ``kind`` per record at vertex ``dst[i]``, counted as relaxations
-        (:meth:`queue_charge`) — the two ledger rows they have always made.
+        (:meth:`queue_charge`) — the two ledger rows they have always made,
+        from one copy of each vertex array.
 
         A superstep past :data:`LARGE_FACT` records folds both rows at once
         from one ``bincount`` of ``rank[src]·P·T + thread[dst]``: its
         ``(P, P, T)`` histogram summed over the threads is the lane grid,
         summed over the source rank the per-thread delivery work (a
-        vertex's thread lies on its rank). Small supersteps, an armed
-        tracer and a heavy threshold below one unit queue the two facts."""
-        src, dst = np.asarray(src), np.asarray(dst)
-        maps = self.maps
-        if (
-            src.size <= LARGE_FACT or self.tracer is not None
-            or maps.heavy_threshold < 1 or maps.thread is None
-        ):
+        vertex's thread lies on its rank). With a tracer armed, or past
+        :data:`LARGE_FACT` under a heavy threshold below one unit, the
+        route and the charge fold one after the other."""
+        src, dst = _checked(src, dst, record_bytes)
+        name, maps = kind._value_, self.maps
+        self._relaxations.setdefault(name, 0)
+        if self.tracer is None and src.size <= LARGE_FACT:
+            self._kinds.append("exchange")  # the route's row; the fact's is the charge's
+            self._phases.append(phase_kind)
+            return self._queue(_DELIVERY, name, phase_kind, record_bytes, src, dst)
+        if self.tracer is not None or maps.heavy_threshold < 1 or maps.thread is None:
             self.queue_route(src, dst, record_bytes, phase_kind)
-            self.queue_charge(kind, dst, None, phase_kind, count_as_relax=True)
-            return
-        if src.shape != dst.shape:
-            raise ValueError("source and destination vertices must align")
-        if record_bytes < 0:
-            raise ValueError("record_bytes must be non-negative")
+            return self.queue_charge(kind, dst, None, phase_kind, count_as_relax=True)
         p, t = self.num_ranks, self.threads_per_rank
-        key = maps.rank[src]
-        key *= p * t
-        key += maps.thread[dst]
+        key = maps.rank[src] * (p * t) + maps.thread[dst]
         hist = np.bincount(key, minlength=p * p * t).reshape(p, p, t)
-        # Two rank-space facts folded at once, as ``exchange_by_rank_counts``
-        # and ``add_compute`` make theirs: lane counts, per-thread work.
-        lanes = (np.arange(p * p), hist.sum(axis=2).ravel(), record_bytes)
-        self._fold_now(_EXCHANGE, "exchange", phase_kind, lanes)
-        self._relaxations.setdefault(kind._value_, 0)
-        work = (np.arange(p * t), hist.sum(axis=0).ravel(), None, True)
-        self._fold_now(_COMPUTE, kind._value_, phase_kind, work)
+        # Two rank-space folds at once: lane counts, per-thread work.
+        lanes = hist.sum(axis=2).ravel()
+        msgs, byt = traffic(np.arange(p * p), lanes, (p * p,), (record_bytes,), p)
+        self._exchange_now(phase_kind, msgs[0], byt[0])
+        self._compute_now(name, phase_kind, hist.sum(axis=0).ravel().astype(float), True)
 
     def queue_exchange(
         self, lanes, counts, record_bytes: int, *, phase_kind: str = "other"
     ) -> None:
-        """Queue the exchange fact ``(lanes, counts, record_bytes)`` of
-        :func:`fold_exchange`; the arrays become the ledger's."""
+        """Queue an exchange fact: ``counts[i]`` records (one each when
+        ``None``) on lane ``lanes[i] = src·P + dst`` (:func:`traffic`),
+        both copied into the exchange buffers."""
         if record_bytes < 0:
             raise ValueError("record_bytes must be non-negative")
-        self._queue(
-            _EXCHANGE, "exchange", phase_kind, lanes.size, lanes, counts, record_bytes
-        )
+        p = self.num_ranks
+        if lanes.size > LARGE_FACT or self.tracer is not None:
+            msgs, byt = traffic(lanes, counts, (lanes.size,), (record_bytes,), p)
+            return self._exchange_now(phase_kind, msgs[0], byt[0])
+        counts = 1.0 if counts is None else counts
+        self._queue(_EXCHANGE, "exchange", phase_kind, record_bytes, lanes, counts)
 
     def add_compute(
         self, kind: ComputeKind, thread_work, *, phase_kind="other", count_as_relax=None
@@ -555,16 +540,15 @@ class Metrics:
         thread. Its max determines the simulated step time; its sum feeds
         the relaxation counters.
         """
-        thread_work = np.array(thread_work, dtype=np.float64)
-        expected = self.num_ranks * self.threads_per_rank
-        if thread_work.size != expected:
+        thread_work = np.asarray(thread_work, dtype=np.float64)
+        if thread_work.size != self._width:
             raise ValueError(
-                f"thread_work must have {expected} entries, got {thread_work.size}"
+                f"thread_work must have {self._width} entries, got {thread_work.size}"
             )
         if count_as_relax is None:
             count_as_relax = kind in RELAX_KINDS
         self.queue_compute(
-            kind, np.arange(expected), thread_work,
+            kind, np.arange(self._width), thread_work,
             phase_kind=phase_kind, count_as_relax=count_as_relax,
         )
 
@@ -574,42 +558,68 @@ class Metrics:
         byt = np.array(bytes_per_rank, dtype=np.int64)
         if not msgs.shape == byt.shape == (self.num_ranks,):
             raise ValueError(f"need {self.num_ranks} entries per array")
-        self._fold_now(_EXCHANGE, "exchange", phase_kind, (None, msgs, byt))
+        self._exchange_now(phase_kind, msgs, byt)
 
     def add_allreduce(self, count: int = 1, *, phase_kind: str = "bucket") -> None:
         """Record ``count`` small allreduce operations."""
-        self._queue(_ALLREDUCE, "allreduce", phase_kind, 0, count)
+        if self.tracer is not None:
+            row = (0.0, 0.0, 0, 0, 0, count)
+            return self._append("allreduce", phase_kind, row, (self.tracer.on_allreduce,))
+        self._queue(_ALLREDUCE, "allreduce", phase_kind, count, None, n=0)
 
     def settle(self) -> None:
         """Fold every queued fact into its ledger row (no-op when none are):
-        one :func:`fold_compute` and one :func:`fold_exchange` pass, each
-        result landing in the row its fact reserved — program order. If a
-        fold raises (an id out of range) the facts stay queued and every
-        later reader raises too, rather than see rows left at zero."""
+        per family one key build, one ``bincount`` over its buffers and one
+        row max/sum, each result landing in the row its fact reserved —
+        program order. If a fold raises (an id out of range) the facts stay
+        queued and every later reader raises too, rather than see rows left
+        at zero."""
         if not self._queued:
             return
-        charges, computes, routes, exchanges, allreduce = self._pending
+        p, t, width, maps = self.num_ranks, self.threads_per_rank, self._width, self.maps
+        charges, computes, scans, routes, deliveries, exchanges, allreduce = (
+            q.taken() if q.facts else None for q in self._facts
+        )
         # Each grid is reduced to its rows' max and total and let go before
         # the next fold allocates: what a fold holds at once stays small.
-        reduced = self._reduced(_CHARGE, charges), self._reduced(_COMPUTE, computes)
-        most, totals = (np.concatenate(column) for column in zip(*reduced))
-        msgs, byt = fold_exchange(routes, exchanges, self.num_ranks, self.maps)
-        self._pending, self._queued = ([], [], [], [], []), 0
-        rows = self._room(len(self._kinds))
-        compute = charges + computes
-        at = [f[-1] for f in compute]
-        rows["comp_max"][at] = most
-        rows["comp_total"][at] = totals
-        relax = [i for i, f in enumerate(compute) if f[-2]]
-        counts = np.rint(totals[relax]).astype(np.int64).tolist()  # round() each
-        for i, count in zip(relax, counts):
-            self._relaxations[self._kinds[at[i]]] += count
-        at = np.array([f[-1] for f in routes + exchanges], dtype=np.intp)
-        rows["msgs_max"][at] = msgs.max(axis=1)
-        rows["bytes_max"][at] = byt.max(axis=1)
-        # Each byte is counted at its source and at its destination.
-        rows["bytes_total"][at] = byt.sum(axis=1) // 2
-        rows["allreduces"][[f[-1] for f in allreduce]] = [f[0] for f in allreduce]
+        work, moved = [], []
+        for facts, vertices in ((charges, maps), (computes, None)):
+            if facts:
+                (ids, units), rows, sizes, kinds = facts
+                grid = work_grid(ids, units, sizes, width, t, vertices)
+                work.append((rows, kinds, *_reduced(grid)))
+        if scans:
+            spreads = scans[0][0].reshape(-1, p)
+            work.append((scans[1], (), *_reduced(_spread(spreads, t))))
+        if deliveries:  # a delivery's row is its charge's, the one before its route's
+            (_, dst), rows, sizes, _ = deliveries
+            grid = work_grid(dst, None, sizes, width, t, maps)
+            work.append((rows, [self._kinds[row] for row in rows], *_reduced(grid)))
+        for facts in (routes, deliveries, exchanges):
+            if facts:
+                (a, b), rows, sizes, record_bytes = facts
+                lanes, counts = (a, b) if facts is exchanges else (
+                    route_lanes(a, b, maps.rank, p), None)
+                at = np.array(rows) - (facts is deliveries)
+                moved.append((at, *traffic(lanes, counts, sizes, record_bytes, p)))
+        table = self._room(len(self._kinds))
+        for rows, kinds, most, totals in work:
+            at = np.array(rows)
+            table["comp_max"][at], table["comp_total"][at] = most, totals
+            for kind in dict.fromkeys(kinds):
+                if kind:  # each row's total, round()ed, counts as relaxations
+                    mine = np.rint(totals[[k == kind for k in kinds]])
+                    self._relaxations[kind] += int(mine.astype(np.int64).sum())
+        for at, msgs, byt in moved:
+            table["msgs_max"][at] = msgs.max(axis=1)
+            table["bytes_max"][at] = byt.max(axis=1)
+            # Each byte is counted at its source and at its destination.
+            table["bytes_total"][at] = byt.sum(axis=1) // 2
+        if allreduce:
+            table["allreduces"][allreduce[1]] = allreduce[3]
+        for queue in self._facts:
+            queue.clear()
+        self._queued = 0
 
     def note_phase(self, kind: str, relaxations: int) -> None:
         """Record a paper-level phase and its relaxation count (Fig. 4 data)."""

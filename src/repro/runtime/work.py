@@ -6,7 +6,7 @@ block-distributed over the threads of their owning rank (Section III-E), so
 a vertex maps to a global thread index; heavy vertices can instead have
 their work spread across all threads of the rank (intra-node load
 balancing). A solve charges vertices and the step ledger maps them when it
-folds (:func:`repro.runtime.metrics.fold_compute`); :func:`thread_work` is
+folds (:func:`repro.runtime.metrics.work_grid`); :func:`thread_work` is
 that fold for one charge on its own.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.graph.partition import BlockPartition
 from repro.runtime.machine import MachineConfig
-from repro.runtime.metrics import VertexMaps, fold_charges
+from repro.runtime.metrics import VertexMaps, work_grid
 
 __all__ = ["thread_index", "thread_work"]
 
@@ -76,4 +76,5 @@ def thread_work(
     v = np.asarray(vertices, dtype=np.int64)
     u = None if units is None else np.asarray(units, dtype=np.float64)
     maps = VertexMaps(thread_map, partition.owner_map, heavy_threshold)
-    return fold_charges([(v, u)], machine.total_threads, machine.threads_per_rank, maps)[0]
+    t = machine.threads_per_rank
+    return work_grid(v, u, (v.size,), machine.total_threads, t, maps)[0]

@@ -80,14 +80,14 @@ class TestBatchSolver:
         with pytest.raises(ValueError, match="vertex-splitting"):
             BatchSolver.from_context(ctx)
 
-    def test_solve_many(self, rmat1_small):
+    def test_solve_each_root(self, rmat1_small):
         solver = BatchSolver(rmat1_small, num_ranks=2, threads_per_rank=2)
         roots = choose_roots(rmat1_small, 3, seed=2)
         results = [solver.solve(r, validate=True) for r in roots]
         assert len(results) == 3
         assert [r.root for r in results] == [int(x) for x in roots]
 
-    def test_solve_many_shared_trace(self, rmat1_small, tmp_path):
+    def test_roots_share_one_trace(self, rmat1_small, tmp_path):
         from repro.obs.export import finalize_trace, validate_trace_file
         from repro.obs.tracer import TraceConfig, Tracer
 

@@ -41,7 +41,10 @@ N = 60  # vertices of the graph every synthetic fact is about
 
 
 def pending(metrics) -> int:
-    return sum(len(family) for family in metrics._pending)
+    """Ledger rows still waiting for their numbers: one per queued fact,
+    two per queued delivery (its route's and its charge's)."""
+    deliveries = len(metrics._facts[ledger._DELIVERY].facts)
+    return sum(len(queue.facts) for queue in metrics._facts) + deliveries
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +113,72 @@ def eager_by_counts(p, src, dst, cnt, record_bytes, phase_kind):
 
 
 # ----------------------------------------------------------------------
+# The list-of-arrays fold the flat buffers replaced: a fact list per family
+# ----------------------------------------------------------------------
+def _cat(arrays: list) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _weights(units: list, sizes: np.ndarray) -> np.ndarray | None:
+    """``None`` when every run counts one per id, else ones with the
+    weighted runs' units written over their places."""
+    if len(units) == 1:
+        return units[0]
+    weighted = [u is not None for u in units]
+    if not any(weighted):
+        return None
+    w = np.ones(sizes.sum())
+    w[np.repeat(weighted, sizes)] = np.concatenate([u for u in units if u is not None])
+    return w
+
+
+def _grid(ids, sizes, weights, k: int, width: int) -> np.ndarray:
+    if k > 1:
+        offset = np.repeat(np.arange(k) * width, sizes)
+        offset += ids
+        ids = offset
+    return np.bincount(ids, weights, minlength=k * width).reshape(k, width)
+
+
+def fold_charges(charges: list, width: int, t: int, maps) -> np.ndarray:
+    """Per-thread work rows of ``(vertices, units)`` charges."""
+    k = len(charges)
+    sizes = np.array([c[0].size for c in charges])
+    w = _weights([c[1] for c in charges], sizes)
+    v = _cat([c[0] for c in charges])
+    per_rank = None
+    if maps.heavy_threshold < float("inf"):
+        u = np.ones(v.size) if w is None else w
+        heavy = u > maps.heavy_threshold
+        if heavy.any():
+            heavy_sizes = np.bincount(np.repeat(np.arange(k), sizes)[heavy], minlength=k)
+            per_rank = _grid(maps.rank[v[heavy]], heavy_sizes, u[heavy], k, width // t)
+            v, w, sizes = v[~heavy], u[~heavy], sizes - heavy_sizes
+    grid = _grid(maps.thread[v], sizes, w, k, width).astype(np.float64, copy=False)
+    if per_rank is not None:
+        grid.reshape(k, -1, t)[...] += (per_rank / t)[:, :, None]
+    return grid
+
+
+def fold_exchange(routes: list, facts: list, p: int, maps) -> tuple:
+    """Per-rank ``(messages, bytes)`` rows of ``(src, dst, record_bytes)``
+    routes, then of ``(lanes, counts, record_bytes)`` facts."""
+    every = routes + facts
+    sizes = np.array([f[0].size for f in every])
+    lanes = [f[0] for f in facts]
+    if routes:
+        lane = maps.rank[_cat([r[0] for r in routes])] * p
+        lanes.insert(0, lane + maps.rank[_cat([r[1] for r in routes])])
+    w = _weights([None] * len(routes) + [f[1] for f in facts], sizes)
+    grid = _grid(_cat(lanes), sizes, w, len(every), p * p).astype(np.int64, copy=False)
+    grid[:, :: p + 1] = 0
+    grid = grid.reshape(-1, p, p)
+    record_bytes = np.array([f[2] for f in every], dtype=np.int64)
+    msgs = (grid != 0).sum(axis=2)
+    return msgs, (grid.sum(axis=2) + grid.sum(axis=1)) * record_bytes[:, None]
+
+
+# ----------------------------------------------------------------------
 # Random programs of accounting calls
 # ----------------------------------------------------------------------
 KINDS = list(ComputeKind)
@@ -126,8 +195,8 @@ def programs(draw):
     ops = []
     for _ in range(draw(st.integers(0, 14))):
         op = draw(st.sampled_from(
-            ["charge", "scan", "scan_all", "by_vertex", "by_rank", "by_counts",
-             "allreduce", "ready"]
+            ["charge", "scan", "scan_all", "by_vertex", "deliver", "by_rank",
+             "by_counts", "allreduce", "ready", "burst"]
         ))
         phase = draw(st.sampled_from(PHASES))
         size = draw(st.integers(0, 9))
@@ -143,9 +212,12 @@ def programs(draw):
             ops.append((op, draw(st.lists(st.integers(0, 500), min_size=p, max_size=p))))
         elif op == "scan_all":
             ops.append((op, draw(st.one_of(st.none(), st.integers(0, N)))))
-        elif op == "by_vertex":
+        elif op in ("by_vertex", "deliver"):
             ends = st.lists(vertex_ids, min_size=size, max_size=size)
-            ops.append((op, phase, draw(ends), draw(ends), draw(st.integers(0, 24))))
+            ops.append((op, phase, draw(ends), draw(ends), draw(st.integers(0, 24)),
+                        draw(st.sampled_from(KINDS))))
+        elif op == "burst":
+            ops += burst(p, draw(st.integers(0, 2**32 - 1)), draw(st.integers(100, 400)))
         elif op in ("by_rank", "by_counts"):
             ranks = st.lists(st.integers(0, p - 1), min_size=size, max_size=size)
             counts = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
@@ -157,6 +229,32 @@ def programs(draw):
             work = draw(st.lists(st.integers(0, 30), min_size=p * t, max_size=p * t))
             ops.append((op, draw(st.sampled_from(KINDS)), phase, work))
     return (p, t, draw(st.booleans()), draw(st.booleans())), ops
+
+
+def burst(p, seed, count):
+    """``count`` plain ops — charges, scans, routes and deliveries of up to
+    9 ids each — drawn from ``seed``: enough facts that the ledger's
+    buffers grow inside one program."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for op in rng.choice(["charge", "scan", "by_vertex", "deliver"], count).tolist():
+        size, phase = int(rng.integers(0, 10)), PHASES[rng.integers(len(PHASES))]
+        kind = KINDS[rng.integers(len(KINDS))]
+        vertices = rng.integers(0, N, size).tolist()
+        if op == "charge":
+            units = None if rng.random() < 0.5 else rng.integers(0, 41, size).tolist()
+            ops.append((op, kind, phase, vertices, units, bool(rng.random() < 0.5)))
+        elif op == "scan":
+            ops.append((op, rng.integers(0, 501, p).tolist()))
+        else:
+            dst = rng.integers(0, N, size).tolist()
+            ops.append((op, phase, vertices, dst, int(rng.integers(0, 25)), kind))
+    return ops
+
+
+def rows_of(ops) -> int:
+    """Ledger rows a program makes: two for a delivery, one for any other op."""
+    return sum(2 if op[0] == "deliver" else 1 for op in ops)
 
 
 def skewed_graph():
@@ -192,8 +290,11 @@ def replay(ctx, ops, *, settle_each=False):
             ctx.charge_scan(ints(op[1]))
         elif op[0] == "scan_all":
             ctx.scan_all_ranks(op[1])
-        elif op[0] == "by_vertex":
-            ctx.comm.exchange_by_vertex(ints(op[2]), ints(op[3]), op[4], phase_kind=op[1])
+        elif op[0] in ("by_vertex", "deliver"):
+            deliver = op[5] if op[0] == "deliver" else None
+            ctx.comm.exchange_by_vertex(
+                ints(op[2]), ints(op[3]), op[4], phase_kind=op[1], deliver=deliver
+            )
         elif op[0] == "by_rank":
             ctx.comm.exchange_by_rank(ints(op[2]), ints(op[3]), op[5], phase_kind=op[1])
         elif op[0] == "by_counts":
@@ -232,9 +333,14 @@ def oracle(ctx, ops):
                 ComputeKind.BUCKET_SCAN, np.repeat(per_rank / t, t), "bucket", False,
                 relaxations,
             ))
-        elif op[0] == "by_vertex":
+        elif op[0] in ("by_vertex", "deliver"):
             src, dst = owner(ints(op[2])), owner(ints(op[3]))
             out.append(eager_by_rank(p, src, dst, op[4], op[1]))
+            if op[0] == "deliver":  # one unit per record at its destination
+                out.append(eager_compute(
+                    op[5], eager_thread_work(ctx, ints(op[3]), None), op[1], True,
+                    relaxations,
+                ))
         elif op[0] == "by_rank":
             out.append(eager_by_rank(p, ints(op[2]), ints(op[3]), op[5], op[1]))
         elif op[0] == "by_counts":
@@ -275,7 +381,7 @@ class TestFoldOracle:
         shape, ops = program
         batched, single = make_ctx(*shape), make_ctx(*shape)
         replay(batched, ops)
-        assert pending(batched.metrics) == len(ops)  # nothing folded yet
+        assert pending(batched.metrics) == rows_of(ops)  # nothing folded yet
         replay(single, ops, settle_each=True)
         records, relaxations, _ = oracle(batched, ops)
         for ctx in (batched, single):
@@ -285,16 +391,42 @@ class TestFoldOracle:
             assert pending(ctx.metrics) == 0
 
     @settings(max_examples=60, deadline=None)
-    @given(program=programs(), large=st.integers(0, 6), budget=st.integers(0, 200))
+    @given(
+        program=programs(), large=st.integers(0, 6),
+        budget=st.one_of(st.integers(0, 200), st.integers(200, 20000)),
+    )
     def test_size_rules_change_nothing(self, program, large, budget):
         """Large facts folding alone and small ones flushing at any budget
-        leave the same ledger as one fold at the end."""
+        — after every fact, or in the middle of a burst whose buffers have
+        grown — leave the same ledger as one fold at the end."""
         shape, ops = program
         ctx = make_ctx(*shape)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ledger, "LARGE_FACT", large)
             patch.setattr(ledger, "FLUSH_BUDGET", budget)
             replay(ctx, ops)
+        records, relaxations, _ = oracle(ctx, ops)
+        assert ctx.metrics.records == records
+        assert ctx.metrics.relaxations == relaxations
+
+    def test_a_burst_settles_midway_from_grown_buffers(self):
+        """Hundreds of small facts grow the buffers past their first size
+        and a FLUSH_BUDGET settle folds them in the middle of the burst:
+        the ledger is still the eager one."""
+        ops = burst(7, seed=47, count=400)
+        ctx = make_ctx(7, 5, True, True)
+        seen, settle = [], ledger.Metrics.settle
+
+        def spy(metrics):
+            seen.append((pending(metrics), max(q.cap for q in metrics._facts)))
+            settle(metrics)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ledger, "FLUSH_BUDGET", 20000)
+            patch.setattr(ledger.Metrics, "settle", spy)
+            replay(ctx, ops)
+            assert any(rows and cap > ledger._FIRST for rows, cap in seen)
+            assert pending(ctx.metrics) > 0  # and the burst went on after it
         records, relaxations, _ = oracle(ctx, ops)
         assert ctx.metrics.records == records
         assert ctx.metrics.relaxations == relaxations
@@ -311,7 +443,8 @@ class TestFoldOracle:
         records, _, arrays = oracle(ctx, ops)
         for i, op in enumerate(ops):
             replay(ctx, [op])
-            assert len(tracer.calls) == i + 1 and pending(ctx.metrics) == 0
+            assert len(tracer.calls) == rows_of(ops[: i + 1])
+            assert pending(ctx.metrics) == 0
         assert [c[0] for c in tracer.calls] == records == ctx.metrics.records
         for (rec, got, relaxed), want in zip(tracer.calls, arrays):
             assert len(got) == len(want)
@@ -371,6 +504,52 @@ class TestFoldOracle:
                 with pytest.raises((ValueError, IndexError)):
                     m.records
             assert pending(m) == batch
+
+
+class TestFlatFold:
+    """``work_grid`` and ``traffic`` over facts laid end to end in flat
+    buffers are, to the bit, the fact-list folds they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.tuples(
+            st.integers(1, 7), st.integers(1, 5), st.booleans(), st.booleans()
+        ),
+        sizes=st.lists(st.integers(0, 12), min_size=1, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_the_fact_list_folds(self, shape, sizes, seed):
+        rng = np.random.default_rng(seed)
+        p, t = shape[:2]
+        maps = make_ctx(*shape).metrics.maps
+        charges = [
+            (rng.integers(0, N, n),
+             None if rng.random() < 0.3 else rng.integers(0, 41, n))
+            for n in sizes
+        ]
+        vertices = np.concatenate([v for v, _ in charges])
+        units = np.concatenate([np.ones(v.size) if u is None else u for v, u in charges])
+        got = ledger.work_grid(vertices, units, sizes, p * t, t, maps)
+        want = fold_charges(charges, p * t, t, maps)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        routes = [(v, rng.integers(0, N, v.size), int(rng.integers(0, 25)))
+                  for v, _ in charges]
+        facts = [(rng.integers(0, p * p, n),
+                  None if rng.random() < 0.5 else rng.integers(0, 7, n).astype(float),
+                  int(rng.integers(0, 25))) for n in sizes]
+        lanes = ledger.route_lanes(
+            vertices, np.concatenate([r[1] for r in routes]), maps.rank, p
+        )
+        by_route = ledger.traffic(lanes, None, sizes, [r[2] for r in routes], p)
+        counts = np.concatenate(
+            [np.ones(f[0].size) if f[1] is None else f[1] for f in facts]
+        )
+        by_lane = ledger.traffic(
+            np.concatenate([f[0] for f in facts]), counts, sizes, [f[2] for f in facts], p
+        )
+        want = fold_exchange(routes, facts, p, maps)  # routes' rows, then the facts'
+        for got, rows in zip(zip(by_route, by_lane), want):
+            assert np.array_equal(np.concatenate(got), rows)
 
 
 class TestRecordsView:
@@ -448,17 +627,17 @@ class TestDeliveryFold:
         split.comm.allreduce(1)  # a kind counted first keeps its place
         fused.comm.allreduce(1)
         self.two_facts(split, src, dst, record_bytes, ComputeKind.PULL_RESPONSE, "long")
-        routes, fold_exchange = [], ledger.fold_exchange
+        routes, route_lanes = [], ledger.route_lanes
 
-        def spy(folded_routes, *args):
-            routes.extend(folded_routes)
-            return fold_exchange(folded_routes, *args)
+        def spy(src, dst, *args):
+            routes.append((src, dst))
+            return route_lanes(src, dst, *args)
 
         with pytest.MonkeyPatch.context() as patch:
             # The fused path maps no vertex a second time: no charge fold,
             # no route, only rank-space facts.
-            patch.setattr(ledger, "fold_charges", None)
-            patch.setattr(ledger, "fold_exchange", spy)
+            patch.setattr(ledger, "work_grid", None)
+            patch.setattr(ledger, "route_lanes", spy)
             fused.comm.exchange_by_vertex(
                 src, dst, record_bytes, phase_kind="long",
                 deliver=ComputeKind.PULL_RESPONSE,
@@ -471,8 +650,8 @@ class TestDeliveryFold:
         )
         # and the rows are the two folds' own
         m = fused.metrics
-        msgs, byt = ledger.fold_exchange([(src, dst, record_bytes)], [], m.num_ranks, m.maps)
-        work = ledger.fold_charges(
+        msgs, byt = fold_exchange([(src, dst, record_bytes)], [], m.num_ranks, m.maps)
+        work = fold_charges(
             [(dst, None)], m.num_ranks * m.threads_per_rank, m.threads_per_rank, m.maps
         )
         _, exchange, charge = m.records
@@ -522,7 +701,7 @@ def grid24():
 
 
 class TestNothingEscapesUnsettled:
-    def test_solve_and_solve_many(self, rmat10):
+    def test_solve_each_root(self, rmat10):
         solver = BatchSolver(rmat10, algorithm="opt", machine=MACHINE)
         for result in [solver.solve(r) for r in (3, 0, 9)]:
             assert pending(result.metrics) == 0

@@ -22,7 +22,10 @@ burn-rate monitor, the dashboard, drift rows or a time-windowed
 ``repro/__init__.py``, ``core/__init__.py``, ``core/solver.py`` and
 ``cli.py`` together past 815 or naming ``repro.apps``,
 ``solve_many``, ``core.buckets``, ``graph500`` or ``args.progress`` —
-the front door keeps no API that only its own tests read.
+the front door keeps no API that only its own tests read;
+``runtime/metrics.py`` past 445 or naming ``_cat(`` or ``_weights(`` —
+a ledger fact is a slice of one flat buffer per family, folded by one
+``bincount``, not a list of arrays concatenated at the fold.
 """
 
 import ast
@@ -44,6 +47,7 @@ RATCHETS = (
     (("src/repro/__init__.py", "src/repro/core/__init__.py",
       "src/repro/core/solver.py", "src/repro/cli.py"), 815,
      ("repro.apps", "solve_many", "core.buckets", "graph500", "args.progress")),
+    (("src/repro/runtime/metrics.py",), 445, ("_cat(", "_weights(")),
 )
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
