@@ -38,7 +38,7 @@ from repro.core.hybrid import should_switch
 from repro.core.pruning import (
     bucket_census, inner_prefix, long_phase_pull, long_phase_push,
 )
-from repro.core.pushpull import decide_mode
+from repro.core.pushpull import PullRebuild, decide_mode
 from repro.core.stepping import Step, make_strategy
 from repro.core.views import VertexView, active_per_rank, relax_round
 from repro.runtime.metrics import ComputeKind
@@ -83,7 +83,11 @@ def drive(
     if cfg.is_bellman_ford:
         # Δ = ∞: the whole solve is the Bellman-Ford stage.
         defence.stage = "bf"
-    if recovery is not None and defence.start is not None:
+    if recovery is None:
+        # Records arrive as sent, so a certified bucket's pull estimate can
+        # be rebuilt from the final distances (pushpull.PullRebuild).
+        ctx.metrics.resolver = PullRebuild(ctx)
+    elif defence.start is not None:
         # Re-snapshot: the in-memory crash checkpoint must cover the
         # *restored* state, not the pre-resume initial one.
         recovery.checkpoint()
@@ -101,6 +105,8 @@ def drive(
     # end-of-solve guards and the close of the root span.
     ctx.metrics.settle()
     d = view.d
+    if recovery is None:
+        ctx.metrics.resolver.seal(d)
     if ctx.guards is not None:
         ctx.guards.check_final(d, root)
         ctx.guards.check_recovery_separation(
@@ -288,7 +294,10 @@ def process_epoch(
     stats["members"] = members_count
     if estimate is not None:
         stats["est_push_cost"] = estimate.push_cost
-        stats["est_pull_cost"] = estimate.pull_cost
-    ctx.metrics.note_bucket(stats)
+        if estimate.pull_cost is not None:
+            stats["est_pull_cost"] = estimate.pull_cost
+    # A certified push's pull estimate is rebuilt when the row is read.
+    deferred = estimate is not None and estimate.pull_cost is None
+    ctx.metrics.note_bucket(stats, deferred)
     if tr is not None:
         tr.end(epoch_span, members=members_count, mode=mode)

@@ -1,7 +1,7 @@
 """Push–pull decision heuristic (Section III-C).
 
 At the end of each bucket's short stage the algorithm must pick the model
-for the long-edge phase. Two estimators are provided, selected by
+for the long-edge phase. Three estimators are provided, selected by
 ``SolverConfig.pushpull_estimator``:
 
 **expectation** (the paper's heuristic) — prices each model from cheap
@@ -24,17 +24,33 @@ cases).
 Either way the decision consumes two small allreduces (sum and max
 aggregates), which are charged against the run.
 
-The expectation estimate runs once per bucket, over every *later* vertex,
-to price a phase that may move a few dozen records, so it is kept to the
-passes the formula needs (DESIGN.md §9, rule 5). Its per-vertex degrees —
-long out-arcs for push, the in-arcs a request may ride for pull — are one
-gather each of a table that already exists (the context's
-``long_degrees`` / ``in_long_degrees``, the in-graph's ``degrees``), not
-differences of ``indptr`` gathered per epoch; the request share is
-computed in place on the one array the later distances are converted
-into. Each rank's pull partial stays the pairwise sum of its own
-contiguous block, in rank order — what a rank of a distributed run adds up
-before the allreduce: that, not the arithmetic before it, is what pins the
+**The certificate.** The expectation estimate would price pull over every
+*later* vertex to decide a phase that may move a few dozen records. Under
+IOS an unreached vertex prices at exactly its in-degree and a reached
+later one at ``>= 0``, so with ``U`` the unreached in-degree sum the pull
+cost is at least ``β·U·(request + relax bytes) + 2αP +
+imbalance_weight·t_request·U/P``: a push cost at most that times
+``1 − 1e-9`` (the margin covers the float error of the pairwise sums)
+decides push without pricing pull (:func:`certify_push`; one ``dot``,
+and the push partials it computed are the estimate's when it fails).
+Such a bucket publishes its push cost at once and its pull cost when its
+row is first read: :class:`PullRebuild` rebuilds the bucket's state from
+the final distances ``d*`` — settled ``d* < hi``, members ``lo <= d* <
+hi``, a later vertex at the least ``d*(u) + w`` over its arcs from ``d*(u)
+< lo``, else INF — and runs the unchanged :func:`estimate_models` on it.
+``estimate_models`` runs at the decision in five cases: the certificate
+fails; a tracer is armed (its decision instant carries both costs); a
+fault plan is armed (delayed or lost records make the tentative distances
+differ from the rebuild); IOS is off; another estimator is configured.
+
+When it runs it is kept to the passes the formula needs (DESIGN.md §9,
+rule 5): its per-vertex degrees — long out-arcs for push, the in-arcs a
+request may ride for pull — are one gather each of an existing table
+(``long_degrees`` / ``in_long_degrees``, the in-graph's ``degrees``), and
+the request share is computed in place on the one array the later
+distances are converted into. Each rank's pull partial stays the pairwise
+sum of its own contiguous block, in rank order — what a rank of a
+distributed run adds up before the allreduce: that is what pins the
 estimate's floats (``tests/core/test_counter_identity.py`` holds them by
 literal). The push partials are sums of whole numbers, exact in any order,
 so they are one ``bincount`` of the members' long degrees by owner.
@@ -42,6 +58,8 @@ so they are one ``bincount`` of the members' long degrees by owner.
 
 from __future__ import annotations
 
+import dataclasses
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +71,11 @@ from repro.core.pruning import (
     gather_push_records,
     pull_responders,
 )
-from repro.core.views import VertexView, rank_cuts
+from repro.core.relax import apply_relaxations
+from repro.core.views import VertexView, rank_cuts, whole_graph_view
 from repro.runtime.comm import RELAX_RECORD_BYTES, REQUEST_RECORD_BYTES
 from repro.runtime.metrics import route_lanes, traffic, work_grid
+from repro.util.ranges import concat_ranges
 
 __all__ = [
     "PushPullEstimate",
@@ -64,26 +84,32 @@ __all__ = [
     "estimate_models",
     "estimate_models_histogram",
     "estimate_models_exact",
+    "push_partials",
+    "certify_push",
+    "PullRebuild",
     "decide_mode",
 ]
 
 
 @dataclass(frozen=True)
 class PushPullEstimate:
-    """Cost estimates for the two long-phase models of one bucket."""
+    """Cost estimates for the two long-phase models of one bucket; the pull
+    fields are ``None`` when push was certified without pricing pull
+    (:func:`certify_push`)."""
 
     push_records: float
     push_max_rank_records: float
-    pull_requests: float
-    pull_max_rank_requests: float
+    pull_requests: float | None
+    pull_max_rank_requests: float | None
     push_cost: float
-    pull_cost: float
+    pull_cost: float | None
     estimator: str = "expectation"
 
     @property
     def choice(self) -> str:
         """Model with the lower estimated cost."""
-        return "push" if self.push_cost <= self.pull_cost else "pull"
+        pull = self.pull_cost
+        return "push" if pull is None or self.push_cost <= pull else "pull"
 
 
 # ----------------------------------------------------------------------
@@ -158,11 +184,6 @@ def _volume_estimate(
     maxima (the imbalance terms)."""
     p = machine.num_ranks
     pull_responses = pull_requests  # paper's upper bound, good in practice
-    push_cost = (
-        machine.beta * push_records * RELAX_RECORD_BYTES
-        + machine.alpha * p
-        + cfg.imbalance_weight * machine.t_relax * push_max
-    )
     pull_cost = (
         machine.beta
         * (pull_requests * REQUEST_RECORD_BYTES + pull_responses * RELAX_RECORD_BYTES)
@@ -174,9 +195,17 @@ def _volume_estimate(
         push_max_rank_records=push_max,
         pull_requests=pull_requests,
         pull_max_rank_requests=pull_max,
-        push_cost=push_cost,
+        push_cost=_push_cost(cfg, machine, push_records, push_max),
         pull_cost=pull_cost,
         estimator=estimator,
+    )
+
+
+def _push_cost(cfg, machine, push_records, push_max) -> float:
+    return (
+        machine.beta * push_records * RELAX_RECORD_BYTES
+        + machine.alpha * machine.num_ranks
+        + cfg.imbalance_weight * machine.t_relax * push_max
     )
 
 
@@ -202,14 +231,15 @@ def estimate_models(
     view: VertexView,
     members: np.ndarray,
     k: int,
+    push: list[float] | None = None,
 ) -> PushPullEstimate:
     """Expectation-based push/pull estimate for bucket ``k`` (members settled).
 
-    Evaluates the push partials over the members, one ``bincount`` by
-    owner, and the pull partials over the later vertices, cut at the
-    partition boundaries (as :func:`expectation_partials` does over given
-    blocks), and folds the per-rank partials in rank order with
-    :func:`combine_expectation_costs`.
+    Evaluates the push partials over the members (:func:`push_partials`,
+    unless the caller hands them in as ``push``) and the pull partials over
+    the later vertices, cut at the partition boundaries (as
+    :func:`expectation_partials` does over given blocks), and folds the
+    per-rank partials in rank order with :func:`combine_expectation_costs`.
     """
     cfg = ctx.config
     lo = k * cfg.delta
@@ -218,12 +248,113 @@ def estimate_models(
     # otherwise.
     in_degrees = ctx.in_graph.degrees if cfg.use_ios else ctx.in_long_degrees
     later = view.later(lo + cfg.delta)
-    owners, p = ctx.partition.owner_map[members], ctx.machine.num_ranks
-    push = np.bincount(owners, ctx.long_degrees[members], minlength=p).tolist()
     pull = _pull_partials(
         cfg, w_max, lo, view.d[later], in_degrees[later], rank_cuts(ctx, later)
     )
+    if push is None:
+        push = push_partials(ctx, members)
     return combine_expectation_costs(cfg, ctx.machine, push, pull)
+
+
+def push_partials(ctx, members: np.ndarray) -> list[float]:
+    """Per-rank long-degree sums of the ``members``: one ``bincount`` by owner."""
+    owners, p = ctx.partition.owner_map[members], ctx.machine.num_ranks
+    return np.bincount(owners, ctx.long_degrees[members], minlength=p).tolist()
+
+
+def certify_push(ctx, view: VertexView, push: list[float]) -> PushPullEstimate | None:
+    """The expectation estimate's push half, from the members' per-rank
+    ``push`` partials (:func:`push_partials`), when it alone proves push
+    wins under IOS; ``None`` when it does not.
+
+    Under IOS an unreached unsettled vertex is a later vertex whose
+    request share saturates at exactly ``1.0``, so it prices at its
+    in-degree, and a reached later vertex adds a term ``>= 0``. With ``U``
+    the in-degree sum of those vertices (in a solve no unreached vertex is
+    settled) the pull volume is therefore ``>= U``, its responses equal
+    its requests, and its busiest rank holds ``>= U / P``: the pull cost
+    is at least ``β·U·(request + relax bytes) + 2αP +
+    imbalance_weight·t_request·U/P``. A push cost at most that floor times
+    ``1 − 1e-9`` (the margin covers the float error of the pairwise sums)
+    is one the exact estimate would pick push for. The pull fields of
+    the returned estimate are ``None``: nothing priced them.
+    """
+    cfg, machine = ctx.config, ctx.machine
+    records, most = sum(push), max(push)
+    push_cost = _push_cost(cfg, machine, records, most)
+    unreached = view.d >= INF
+    np.greater(unreached, view.settled, out=unreached)  # and not settled
+    unreached = int(ctx.in_graph.degrees @ unreached)
+    p = machine.num_ranks
+    pull_floor = (
+        machine.beta * unreached * (REQUEST_RECORD_BYTES + RELAX_RECORD_BYTES)
+        + machine.alpha * 2 * p
+        + cfg.imbalance_weight * machine.t_request * unreached / p
+    )
+    if push_cost > pull_floor * (1 - 1e-9):
+        return None
+    return PushPullEstimate(records, most, None, None, push_cost, None)
+
+
+class PullRebuild:
+    """The resolver of one solve's deferred pull estimates
+    (``Metrics.resolver``; :func:`~repro.core.phases.drive` registers it).
+
+    It keeps the per-graph tables of the solve's context — not the context,
+    whose per-run state would outlive the solve — and, from :meth:`seal`
+    on, the final distances ``d*`` with their CRC-32: a caller that writes
+    into them cannot move a rebuilt estimate. Nothing is kept per bucket: a
+    certified bucket's state is rebuilt from ``d*`` when its row is first
+    read (:meth:`__call__`). The tables hold the graph, so the serving
+    broker drops the resolver from the answers it hands out: an answer
+    outlives its snapshot.
+    """
+
+    def __init__(self, ctx: ExecutionContext) -> None:
+        self.tables = dataclasses.replace(
+            ctx, metrics=None, comm=None, guards=None, tracer=None
+        )
+        self.d = self.crc = None
+
+    def seal(self, d: np.ndarray) -> None:
+        """Take the solve's final distances (not copied) and their CRC-32."""
+        self.d, self.crc = d, zlib.crc32(d)
+
+    def __call__(self, rows: list[dict]) -> None:
+        """Fill ``est_pull_cost`` into the certified buckets' ``rows``
+        (solve order): one sweep of increasing ``k`` rebuilds each bucket's
+        state at its decision — settled is ``d* < hi``, the members are
+        ``lo <= d* < hi``, and a later vertex's tentative distance is the
+        least ``d*(u) + w`` over its in-arcs from ``d*(u) < lo`` (under IOS
+        every arc of an earlier bucket has been relaxed, and no short
+        record of this bucket lands at or past ``hi``), else INF — and
+        runs :func:`estimate_models` on it. Raises when the solve did not
+        finish or its distances were written since."""
+        d = self.d
+        if d is None:
+            raise RuntimeError("the solve did not finish: no distances to rebuild from")
+        if zlib.crc32(d) != self.crc:
+            raise RuntimeError(
+                "the solve's distances were written after it finished; "
+                "its deferred pull estimates cannot be rebuilt"
+            )
+        ctx = self.tables
+        graph, delta = ctx.graph, ctx.config.delta
+        order = np.argsort(d, kind="stable")
+        cuts = d[order].searchsorted([row["bucket"] * delta for row in rows]).tolist()
+        tentative = np.full(d.size, INF, dtype=np.int64)
+        done = 0
+        for row, cut in zip(rows, cuts):
+            k = row["bucket"]
+            tails, done = order[done:cut], cut
+            starts = graph.indptr[tails]
+            arcs, owners = concat_ranges(starts, graph.indptr[tails + 1])
+            nd = d[tails[owners]] + graph.weights[arcs]
+            apply_relaxations(tentative, graph.adj[arcs], nd)
+            settled = d < (k + 1) * delta
+            members = np.flatnonzero(settled & (d >= k * delta))
+            view = whole_graph_view(ctx, np.where(settled, d, tentative), settled)
+            row["est_pull_cost"] = estimate_models(ctx, view, members, k).pull_cost
 
 
 def _max_per_rank(ctx, vertices: np.ndarray, weights=None) -> float:
@@ -387,7 +518,11 @@ def decide_mode(
     """Pick the long-phase model for this bucket.
 
     Honors forced modes and oracle replay sequences; in ``auto`` mode runs
-    the configured estimator (charging its two decision allreduces).
+    the configured estimator (charging its two decision allreduces). The
+    expectation estimator under IOS first tries :func:`certify_push`, when
+    the solve has a resolver to rebuild the unpriced pull estimate from
+    (``ctx.metrics.resolver``, a :class:`PullRebuild`) and no tracer whose
+    decision instant carries both costs.
     """
     cfg = ctx.config
     if not cfg.use_pruning:
@@ -400,12 +535,21 @@ def decide_mode(
         cfg.pushpull_sequence
     ):
         return cfg.pushpull_sequence[bucket_ordinal], None
-    estimator = {
-        "expectation": estimate_models,
-        "exact": estimate_models_exact,
-        "histogram": estimate_models_histogram,
-    }[cfg.pushpull_estimator]
-    est = estimator(ctx, view, members, k)
+    if (
+        cfg.pushpull_estimator == "expectation" and cfg.use_ios
+        and ctx.tracer is None and ctx.metrics.resolver is not None
+    ):
+        push = push_partials(ctx, members)
+        est = certify_push(ctx, view, push) or estimate_models(
+            ctx, view, members, k, push
+        )
+    else:
+        estimator = {
+            "expectation": estimate_models,
+            "exact": estimate_models_exact,
+            "histogram": estimate_models_histogram,
+        }[cfg.pushpull_estimator]
+        est = estimator(ctx, view, members, k)
     # The decision aggregates are part of the pruning long-phase machinery,
     # not of bucket identification, so they bill to OtherTime.
     ctx.comm.allreduce(2, phase_kind="long")

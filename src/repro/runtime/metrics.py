@@ -10,14 +10,16 @@ consumes the aggregates — these are exactly the statistics the paper plots
 volume, load balance).
 
 Accounting calls reduce nothing on the spot: each queues a *fact* — it
-copies the ids and units it was handed (or its per-rank spread) to the end
-of one growable flat buffer per fact family and appends only ints (ledger
-row, element count, a tag) to a list — and :meth:`Metrics.settle` folds
-each family in one vectorised pass over its buffers: one key build, one
-``bincount`` and one row max/sum (:func:`work_grid`, :func:`traffic`). A
-charge names vertices and a routed exchange or a delivery vertex pairs; the
-fold maps every queued id at once, through the tables of
-:class:`VertexMaps`, to its hardware thread, its rank and its lane. Facts
+copies the ids and units it was handed (or its per-rank spread, or the one
+number a scan gives every rank) to the end of one growable flat buffer per
+fact family and appends only ints (ledger row, element count, a tag) to a
+list; an allreduce books only its row and count — and
+:meth:`Metrics.settle` folds each family in one vectorised pass over its
+buffers: one key build, one ``bincount`` and one row max/sum
+(:func:`work_grid`, :func:`traffic`). A charge names vertices and a
+routed exchange or a delivery vertex pairs; the fold maps every queued id
+at once, through the tables of :class:`VertexMaps`, to its hardware
+thread, its rank and its lane. Facts
 already in rank space (lanes, per-thread rows, per-rank counts) fold as
 they are. A fact folded at once (past :data:`LARGE_FACT`, or under an
 armed tracer) goes through the same functions as a batch of one. Every
@@ -231,10 +233,14 @@ def traffic(lanes, counts, sizes, record_bytes, num_ranks: int):
     return msgs, (grid.sum(axis=2) + grid.sum(axis=1)) * size
 
 
-def _spread(spreads: np.ndarray, threads_per_rank: int) -> np.ndarray:
-    """Per-thread work of per-rank work (``P`` or ``(K, P)`` of it),
-    divided evenly over each rank's threads."""
-    return np.repeat(spreads / threads_per_rank, threads_per_rank, axis=-1)
+def _spread(values: np.ndarray, sizes, width: int, threads_per_rank: int) -> np.ndarray:
+    """``(K, width)`` per-thread work of scans laid end to end: scan ``i``
+    is the next ``sizes[i]`` of ``values``, its ranks' work (``P`` of it,
+    or one number for every rank), divided evenly over each rank's
+    threads."""
+    t = threads_per_rank
+    copies = np.repeat(np.where(np.equal(sizes, 1), width, t), sizes)
+    return np.repeat(values / t, copies).reshape(-1, width)
 
 
 def _reduced(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +252,8 @@ class _Queue:
     """One family's pending facts: their elements laid end to end in
     growable flat buffers (``cols``; ``end`` of ``cap`` in use), and per
     fact only ``(ledger row, element count, tag)`` in ``facts``, the tag
-    record bytes, an allreduce count, or the kind a compute fact counts
-    relaxations of (``False`` when it counts none)."""
+    record bytes or the kind a compute fact counts relaxations of
+    (``False`` when it counts none)."""
 
     __slots__ = ("cols", "cap", "end", "facts", "cells", "dtypes")
 
@@ -286,14 +292,7 @@ _ROW = np.dtype(
 # Fact families, the queues of Metrics._facts: charges, routes and
 # deliveries name vertices, the other compute and exchange facts threads
 # and lanes. A delivery holds two ledger rows, its route's and its charge's.
-_CHARGE, _COMPUTE, _SCAN, _ROUTE, _DELIVERY, _EXCHANGE, _ALLREDUCE = range(7)
-
-
-def _records(kinds, phases, rows) -> list[StepRecord]:
-    """Ledger rows (tuples of :data:`_ROW`'s fields) as :class:`StepRecord`."""
-    return [
-        StepRecord(kind, *row, phase) for kind, phase, row in zip(kinds, phases, rows)
-    ]
+_CHARGE, _COMPUTE, _SCAN, _ROUTE, _DELIVERY, _EXCHANGE = range(6)
 
 
 def _checked(src, dst, record_bytes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,9 +321,6 @@ class Metrics:
     per_phase_relaxations: list[tuple[str, int]] = field(default_factory=list)
     """One ``(kind, relaxations)`` row per paper-level phase; the phase
     counters are counts of its rows."""
-    per_bucket_stats: list[dict[str, int | str]] = field(default_factory=list)
-    """One stats dict per processed bucket; the bucket counters are counts
-    of its rows."""
     recovery: RecoveryStats = field(default_factory=RecoveryStats)
     """Fault-tolerance overhead (all zero unless faults were injected)."""
     tracer: object | None = field(default=None, repr=False, compare=False)
@@ -337,6 +333,8 @@ class Metrics:
     """The tables vertex-id facts fold through (set by ``make_context``; a
     :class:`~repro.runtime.comm.Communicator` supplies its partition's
     owner table when none is set)."""
+    resolver: object | None = field(default=None, repr=False, compare=False)
+    """Completes :attr:`per_bucket_stats`' deferred rows on their first read."""
 
     def __post_init__(self) -> None:
         # The ledger. A row's kind and phase kind are known when its fact
@@ -355,14 +353,25 @@ class Metrics:
             _Queue(p * p, np.int64, np.int64),  # routes: source, destination vertices
             _Queue(p * p + self._width, np.int64, np.int64),  # deliveries: the same
             _Queue(p * p, np.int64, np.float64),  # exchanges: lanes, record counts
-            _Queue(1),  # allreduces: counts in the tags
         )
+        self._allreduces: list[tuple[int, int]] = []  # (ledger row, count)
         self._queued = 0
         self._view: list[StepRecord] | None = None  # `records`, until the next fact
+        self._buckets: list[dict[str, int | str]] = []
+        self._deferred: list[dict[str, int | str]] = []
 
     # ------------------------------------------------------------------
     # Recording API (called by algorithms and the communicator)
     # ------------------------------------------------------------------
+    def _reserve(self, kind: str, phase_kind: str) -> int:
+        """The next ledger row, its kind and phase kind known; its numbers
+        arrive with the fold or are written at once."""
+        at = len(self._kinds)
+        self._kinds.append(kind)
+        self._phases.append(phase_kind)
+        self._view = None
+        return at
+
     def _queue(self, family: int, kind: str, phase_kind: str, tag, a, b=None, n=None):
         """Queue a fact: copy its ``n`` elements (``a.size`` by default) of
         ``a`` and ``b`` to the end of its family's buffers and reserve the
@@ -372,15 +381,11 @@ class Metrics:
         start = queue.end
         n = a.size if n is None else n
         cols = queue.cols if start + n <= queue.cap else queue.grow(start + n)
-        if a is not None:
-            cols[0][start : start + n] = a
+        cols[0][start : start + n] = a
         if b is not None:
             cols[1][start : start + n] = b
         queue.end = start + n
-        queue.facts.append((len(self._kinds), n, tag))
-        self._kinds.append(kind)
-        self._phases.append(phase_kind)
-        self._view = None
+        queue.facts.append((self._reserve(kind, phase_kind), n, tag))
         self._queued += n + queue.cells
         if self._queued > FLUSH_BUDGET:
             self.settle()
@@ -390,14 +395,10 @@ class Metrics:
         hold theirs already). An armed tracer gets the row and the
         per-thread / per-rank arrays it came from, as from an eager
         reduction, at that moment."""
-        at = len(self._kinds)
+        at = self._reserve(kind, phase_kind)
         self._room(at + 1)[at] = row
-        self._kinds.append(kind)
-        self._phases.append(phase_kind)
-        self._view = None
         if hook:
-            (rec,) = _records((kind,), (phase_kind,), (row,))
-            hook[0](rec, *hook[1:])
+            hook[0](StepRecord(kind, *row, phase_kind), *hook[1:])
 
     def _compute_now(self, kind: str, phase_kind: str, work, relax: bool) -> None:
         total = float(work.sum())
@@ -447,14 +448,16 @@ class Metrics:
         self._work(_CHARGE, name, vertices, units, phase_kind, count_as_relax, self.maps)
 
     def queue_scan(self, spread) -> None:
-        """Queue a bucket scan: per-rank vertex counts (``[P]``) or one
-        number for every rank, copied as ``P`` floats into the scan buffer
-        and spread evenly over each rank's threads when it folds."""
-        p = self.num_ranks
+        """Queue a bucket scan: per-rank vertex counts (a ``[P]`` array) or
+        one number for every rank, copied into the scan buffer as they are
+        (the one number once, given to every rank when it folds) and spread
+        evenly over each rank's threads when it folds."""
+        n = getattr(spread, "size", 1)  # P counts, or the one number
         if self.tracer is not None:
-            work = _spread(np.full(p, spread, dtype=np.float64), self.threads_per_rank)
-            return self._compute_now(_BUCKET_SCAN, "bucket", work, False)
-        self._queue(_SCAN, _BUCKET_SCAN, "bucket", False, spread, n=p)
+            values = np.asarray(spread, dtype=np.float64).reshape(n)
+            work = _spread(values, (n,), self._width, self.threads_per_rank)
+            return self._compute_now(_BUCKET_SCAN, "bucket", work[0], False)
+        self._queue(_SCAN, _BUCKET_SCAN, "bucket", False, spread, n=n)
 
     def queue_compute(
         self, kind, idx, units, *, phase_kind="other", count_as_relax=False
@@ -500,8 +503,8 @@ class Metrics:
         name, maps = kind._value_, self.maps
         self._relaxations.setdefault(name, 0)
         if self.tracer is None and src.size <= LARGE_FACT:
-            self._kinds.append("exchange")  # the route's row; the fact's is the charge's
-            self._phases.append(phase_kind)
+            # The route's row; the fact's own is the charge's.
+            self._reserve("exchange", phase_kind)
             return self._queue(_DELIVERY, name, phase_kind, record_bytes, src, dst)
         if self.tracer is not None or maps.heavy_threshold < 1 or maps.thread is None:
             self.queue_route(src, dst, record_bytes, phase_kind)
@@ -565,7 +568,9 @@ class Metrics:
         if self.tracer is not None:
             row = (0.0, 0.0, 0, 0, 0, count)
             return self._append("allreduce", phase_kind, row, (self.tracer.on_allreduce,))
-        self._queue(_ALLREDUCE, "allreduce", phase_kind, count, None, n=0)
+        # Its row's one number is known: booked beside the ledger, no buffer.
+        self._allreduces.append((self._reserve("allreduce", phase_kind), count))
+        self._queued += 1
 
     def settle(self) -> None:
         """Fold every queued fact into its ledger row (no-op when none are):
@@ -577,7 +582,7 @@ class Metrics:
         if not self._queued:
             return
         p, t, width, maps = self.num_ranks, self.threads_per_rank, self._width, self.maps
-        charges, computes, scans, routes, deliveries, exchanges, allreduce = (
+        charges, computes, scans, routes, deliveries, exchanges = (
             q.taken() if q.facts else None for q in self._facts
         )
         # Each grid is reduced to its rows' max and total and let go before
@@ -589,8 +594,8 @@ class Metrics:
                 grid = work_grid(ids, units, sizes, width, t, vertices)
                 work.append((rows, kinds, *_reduced(grid)))
         if scans:
-            spreads = scans[0][0].reshape(-1, p)
-            work.append((scans[1], (), *_reduced(_spread(spreads, t))))
+            (values,), rows, sizes, _ = scans
+            work.append((rows, (), *_reduced(_spread(values, sizes, width, t))))
         if deliveries:  # a delivery's row is its charge's, the one before its route's
             (_, dst), rows, sizes, _ = deliveries
             grid = work_grid(dst, None, sizes, width, t, maps)
@@ -615,8 +620,10 @@ class Metrics:
             table["bytes_max"][at] = byt.max(axis=1)
             # Each byte is counted at its source and at its destination.
             table["bytes_total"][at] = byt.sum(axis=1) // 2
-        if allreduce:
-            table["allreduces"][allreduce[1]] = allreduce[3]
+        if self._allreduces:
+            rows, counts = zip(*self._allreduces)
+            table["allreduces"][list(rows)] = counts
+            self._allreduces = []
         for queue in self._facts:
             queue.clear()
         self._queued = 0
@@ -627,22 +634,35 @@ class Metrics:
             raise ValueError(f"unknown phase kind {kind!r}")
         self.per_phase_relaxations.append((kind, int(relaxations)))
 
-    def note_bucket(self, stats: dict[str, int | str]) -> None:
-        """Record per-bucket statistics (Fig. 7 census, push/pull choice)."""
-        self.per_bucket_stats.append(stats)
+    def note_bucket(self, stats: dict[str, int | str], deferred: bool = False) -> None:
+        """Record per-bucket statistics (Fig. 7 census, push/pull choice);
+        a ``deferred`` row is completed by :attr:`resolver` when first read."""
+        self._buckets.append(stats)
+        if deferred:
+            self._deferred.append(stats)
+
+    @property
+    def per_bucket_stats(self) -> list[dict[str, int | str]]:
+        """One stats dict per processed bucket, deferred rows resolved (left
+        as noted without a :attr:`resolver`); the bucket counters are counts
+        of its rows and resolve nothing."""
+        if self._deferred and self.resolver is not None:
+            self.resolver(self._deferred)
+            self._deferred = []
+        return self._buckets
 
     # The paper's counters (Figs. 3(a), 4 and 7): counts of the rows above.
     def _phases_of(self, kind: str) -> int:
         return sum(k == kind for k, _ in self.per_phase_relaxations)
 
     def _buckets_in(self, mode: str) -> int:
-        return sum(s.get("mode") == mode for s in self.per_bucket_stats)
+        return sum(s.get("mode") == mode for s in self._buckets)
 
     short_phases = property(lambda self: self._phases_of("short"))
     long_phases = property(lambda self: self._phases_of("long"))
     bf_phases = property(lambda self: self._phases_of("bf"))
     recovery_phases = property(lambda self: self._phases_of("recovery"))
-    buckets_processed = property(lambda self: len(self.per_bucket_stats))
+    buckets_processed = property(lambda self: len(self._buckets))
     push_buckets = property(lambda self: self._buckets_in("push"))
     pull_buckets = property(lambda self: self._buckets_in("pull"))
 
@@ -662,7 +682,8 @@ class Metrics:
         it again is free, and an edit to it never reaches the ledger."""
         if self._view is None:
             kinds, phases, rows = self.columns()
-            self._view = _records(kinds, phases, rows.tolist())
+            rows = zip(kinds, phases, rows.tolist())
+            self._view = [StepRecord(kind, *row, phase) for kind, phase, row in rows]
         return self._view
 
     @property
@@ -690,16 +711,8 @@ class Metrics:
     @property
     def recovery_bytes(self) -> int:
         """Bytes moved by the recovery layer (retries + healing sweeps)."""
-        return self.bytes_by_phase_kind().get("recovery", 0)
-
-    def bytes_by_phase_kind(self) -> dict[str, int]:
-        """Total bytes split by paper-level phase kind."""
         _, phases, rows = self.columns()
-        moved = rows["bytes_total"]
-        out: dict[str, int] = {}
-        for row in np.flatnonzero(moved).tolist():
-            out[phases[row]] = out.get(phases[row], 0) + int(moved[row])
-        return out
+        return int(rows["bytes_total"][[k == "recovery" for k in phases]].sum())
 
     @property
     def total_allreduces(self) -> int:

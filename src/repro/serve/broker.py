@@ -791,6 +791,10 @@ class QueryBroker:
         every request — the first as the solve, the rest as coalesced."""
         stats["solves"] += 1
         self.cache.put((key[2], key[0]), res.distances, cost_s=res.wall_time_s)
+        # A served answer outlives its snapshot: it keeps no resolver, which
+        # would hold the snapshot's graph (its certified buckets' rows keep
+        # their push cost only, DESIGN.md §9 rule 5).
+        res.metrics.resolver = None
         for i, req in enumerate(reqs):
             source = "degraded" if degraded else "coalesced" if i else "solve"
             self._complete(

@@ -42,9 +42,11 @@ N = 60  # vertices of the graph every synthetic fact is about
 
 def pending(metrics) -> int:
     """Ledger rows still waiting for their numbers: one per queued fact,
-    two per queued delivery (its route's and its charge's)."""
+    two per queued delivery (its route's and its charge's), one per booked
+    allreduce."""
     deliveries = len(metrics._facts[ledger._DELIVERY].facts)
-    return sum(len(queue.facts) for queue in metrics._facts) + deliveries
+    queued = sum(len(queue.facts) for queue in metrics._facts)
+    return queued + deliveries + len(metrics._allreduces)
 
 
 # ----------------------------------------------------------------------

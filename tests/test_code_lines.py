@@ -1,4 +1,5 @@
-"""``tools/code_lines.py``'s command line: ``--help`` and unknown options."""
+"""``tools/code_lines.py``'s command line: ``--help`` and unknown options,
+and the ratchets the source tree is held to."""
 
 import pathlib
 import subprocess
@@ -34,3 +35,23 @@ def test_counts_a_path():
     assert proc.returncode == 0, proc.stderr
     count, name = proc.stdout.split()
     assert int(count) > 0 and name == str(TOOL)
+
+
+def test_the_push_pull_decision_and_its_ledger_stay_capped():
+    """``core/pushpull.py`` + ``core/phases.py`` + ``runtime/metrics.py``
+    hold at most 988 code lines, and the tree keeps every ratchet."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    names = tuple(
+        f"src/repro/{name}"
+        for name in ("core/pushpull.py", "core/phases.py", "runtime/metrics.py")
+    )
+    assert (names, 988, ()) in tool.RATCHETS
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "src/repro", "--ratchet"],
+        capture_output=True, text=True, timeout=60, cwd=TOOL.parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -25,7 +25,11 @@ burn-rate monitor, the dashboard, drift rows or a time-windowed
 the front door keeps no API that only its own tests read;
 ``runtime/metrics.py`` past 445 or naming ``_cat(`` or ``_weights(`` —
 a ledger fact is a slice of one flat buffer per family, folded by one
-``bincount``, not a list of arrays concatenated at the fold.
+``bincount``, not a list of arrays concatenated at the fold;
+``core/pushpull.py``, ``core/phases.py`` and ``runtime/metrics.py``
+together past 988 — the push/pull decision certifies push before it
+prices pull, and a certified bucket's pull estimate is rebuilt from the
+final distances when read, with nothing kept per bucket.
 """
 
 import ast
@@ -48,6 +52,8 @@ RATCHETS = (
       "src/repro/core/solver.py", "src/repro/cli.py"), 815,
      ("repro.apps", "solve_many", "core.buckets", "graph500", "args.progress")),
     (("src/repro/runtime/metrics.py",), 445, ("_cat(", "_weights(")),
+    (("src/repro/core/pushpull.py", "src/repro/core/phases.py",
+      "src/repro/runtime/metrics.py"), 988, ()),
 )
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}

@@ -8,15 +8,20 @@ children included — the per-epoch residues show. Regions nest
 (`concat_ranges` runs inside `gather_push_records` and the short phase,
 `apply_relaxations` inside `VertexView.apply`, `gather_pull_requests`
 inside `long_phase_pull`, the accounting calls inside `relax_round`, and
-the hybrid tail, `bellman_ford_stage`, holds relax rounds of its own), so
-the rows do not add up to the solve; a region counts only its outermost
-call (`scan_all_ranks` may call `charge_scan`, both sites of one region).
+the hybrid tail, `bellman_ford_stage`, holds relax rounds of its own,
+`estimate_models` runs inside `decide_mode` and `gather_push_records`
+inside `long_phase_push`), so the rows do not add up to the solve; a
+region counts only its outermost call (`scan_all_ranks` may call
+`charge_scan`, both sites of one region).
 
     PYTHONPATH=src python tools/region_timer.py [--side 64] [--solves 10] [--seed 1] [--driver rank]
     PYTHONPATH=src python tools/region_timer.py --graph rmat --scale 15
 
 Prints, per region, calls and milliseconds per solve (the per-root minimum
-over ``--repeats`` passes, summed over calls), and the solve total. Same
+over ``--repeats`` passes, summed over calls), the solve total, and how
+many push/pull decisions per solve were certified push without pricing
+pull and how many ran `estimate_models` (`decide_mode` calls less
+`estimate_models` calls, and those calls). Same
 graph, preset and machine shape as `benchmarks/stack`'s `cold_grid`
 (`opt`, Δ = 25, 8 × 8); ``--graph rmat --scale N`` solves on an R-MAT
 graph of 2^N vertices instead, the few-huge-frontiers regime of
@@ -53,7 +58,9 @@ from repro.spmd.mailbox import Mailbox
 #: (owner, attribute) sites per region; a function imported by name into
 #: several modules is patched in each
 REGIONS = {
+    "decide_mode": [(phases, "decide_mode")],
     "estimate_models": [(pushpull, "estimate_models")],
+    "long_phase_push": [(phases, "long_phase_push")],
     "VertexView.apply": [(views.VertexView, "apply")],
     "apply_relaxations": [(views, "apply_relaxations")],
     "VertexView.unsettled": [(views.VertexView, "unsettled")],
@@ -184,6 +191,10 @@ def main() -> None:
         calls = sum(c[region] for _, _, c in best.values()) / n
         print(f"{region:<25}{calls:>12.0f}{ms:>10.2f}{ms / solve_ms:>8.1%}")
     print(f"{'solve':<25}{'':>12}{solve_ms:>10.2f}")
+    # Every decision the expectation estimator does not certify it prices.
+    priced = sum(c["estimate_models"] for _, _, c in best.values()) / n
+    certified = sum(c["decide_mode"] for _, _, c in best.values()) / n - priced
+    print(f"push/pull decisions per solve: {certified:.1f} certified, {priced:.1f} priced")
 
 
 if __name__ == "__main__":
