@@ -13,25 +13,20 @@ field on wide events.
 Three serving-plane needs shape the class:
 
 - **Structural digests** — a SHA-256 over the CSR arrays plus the
-  directedness flag, computed lazily and memoised. Two snapshots with
-  equal digests are byte-identical graphs, which is what replay
-  verification and cross-process cache audits compare.
+  directedness flag, memoised: equal digests are byte-identical graphs.
 - **Bounded retention** — only the newest ``retention`` snapshots stay
-  resident (graphs, contexts, digests); asking for a retired snapshot
-  raises ``KeyError``. A snapshot's *delta* outlives it: the newest
-  :attr:`~GraphVersioner.reach` deltas are kept (four integers per
-  touched arc, no graph), and :meth:`~GraphVersioner.delta_between`
-  composes them into the net diff from an ancestor up to ``reach``
-  updates back — what lets an answer cached under a snapshot that has
-  since retired still be repaired onto a resident one.
-- **Pins** — a snapshot somebody still reads must outlive the window.
-  :meth:`pin` / :meth:`unpin` count readers per snapshot (the broker
-  pins once per in-flight request, and once for its serving pointer);
-  retention evicts only unpinned snapshots, and a pinned one keeps its
-  graph, memoised context and digest. Every retired id is reported
-  exactly once — by the :meth:`apply` that pushed it out of the window,
-  or by the :meth:`unpin` that released it — so the caller can evict
-  dependent state (cache entries, solvers).
+  resident, with their memoised contexts, solvers and digests; asking
+  for a retired one raises ``KeyError``. The newest
+  :attr:`~GraphVersioner.reach` *deltas* outlive their snapshots (four
+  integers per touched arc), and :meth:`~GraphVersioner.delta_between`
+  composes them — what lets an answer cached under a retired snapshot
+  still be repaired onto a resident one.
+- **Pins** — :meth:`pin` / :meth:`unpin` count readers per snapshot (the
+  serving plane pins once per in-flight request and once for its
+  serving pointer); retention evicts only unpinned snapshots. Every
+  retired id is reported exactly once — by the :meth:`apply` that pushed
+  it out of the window, or by the :meth:`unpin` that released it — so
+  the caller can evict dependent state (cache entries).
 
 :meth:`context_for` memoises one preprocessed
 :class:`~repro.core.context.ExecutionContext` per resident snapshot —
@@ -139,16 +134,17 @@ class GraphVersioner:
     Thread safety: one state lock guards the tables (snapshots, pins,
     memos) and is only ever held for a dictionary operation, so ``pin``
     on the request path never waits for an update; the slow work
-    (``apply``'s graph splice, a context build, a digest) runs under a
-    separate build lock, one at a time. Readers only ever observe a
-    fully-minted snapshot.
+    (``apply``'s graph splice, a context, solver or digest build) runs
+    under a separate build lock, one at a time. Readers only ever observe
+    a fully-minted snapshot.
     """
 
     def __init__(self, graph: CSRGraph, *, machine, config, retention: int = 4):
         if retention < 1:
             raise ValueError("retention must be >= 1")
         self._lock = threading.RLock()
-        self._build_lock = threading.Lock()
+        # re-entrant: a solver build may ask for the snapshot's context
+        self._build_lock = threading.RLock()
         self._machine = machine
         self._config = config
         self.retention = int(retention)
@@ -159,6 +155,7 @@ class GraphVersioner:
         self._snapshots: dict[int, GraphSnapshot] = {}  # ascending ids
         self._contexts: dict[int, object] = {}
         self._digests: dict[int, str] = {}
+        self._solvers: dict[int, object] = {}
         self._deltas: dict[int, EdgeDelta] = {}  # the newest ``reach`` ids
         self._pins: dict[int, int] = {}
         self._current_id = 0
@@ -176,6 +173,7 @@ class GraphVersioner:
             del self._snapshots[sid]
             self._contexts.pop(sid, None)
             self._digests.pop(sid, None)
+            self._solvers.pop(sid, None)
         return retired
 
     def pin(self, snapshot_id: int) -> None:
@@ -285,6 +283,11 @@ class GraphVersioner:
             self._digests, snapshot_id, lambda snap: structural_digest(snap.graph)
         )
 
+    def solver_for(self, snapshot_id: int, build):
+        """The snapshot's solver, ``build(snapshot)`` on first use and
+        dropped when the snapshot retires (memoised like a context)."""
+        return self._memo(self._solvers, snapshot_id, build)
+
     def context_for(self, snapshot_id: int | None = None):
         """Memoised :func:`~repro.core.context.make_context` per snapshot,
         for the versioner's machine and config.
@@ -301,11 +304,8 @@ class GraphVersioner:
         def build(snapshot):
             with self._lock:
                 parent = self._contexts.get(snapshot.parent_id)
-            graph = None
-            if parent is not None:
-                graph = _sorted_from_parent(parent.graph, snapshot)
-            if graph is None:
-                graph = snapshot.graph
+            graph = None if parent is None else _sorted_from_parent(parent.graph, snapshot)
+            graph = snapshot.graph if graph is None else graph
             return make_context(graph, self._machine, self._config)
 
         return self._memo(self._contexts, snapshot_id, build)

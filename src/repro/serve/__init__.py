@@ -5,11 +5,13 @@ The offline front-ends (:func:`~repro.core.solver.solve_sssp`,
 package turns them into a *service* with the same shapes as an inference
 stack — queueing, micro-batching, caching, backpressure:
 
-- :class:`~repro.serve.broker.QueryBroker` — the request pipeline:
-  admission control on a bounded queue, per-request watchdog deadlines,
-  a worker pool, graceful drain on shutdown;
-- :class:`~repro.serve.batcher.MicroBatcher` — bounded EDF queue; a
-  free worker takes every ready request (no batch-formation window);
+- :class:`~repro.serve.broker.QueryBroker` — the request pipeline,
+  wiring four policies: admission
+  (:class:`~repro.serve.batcher.MicroBatcher` — a bounded FIFO queue; a
+  free worker takes every ready request, no batch-formation window),
+  attempts (:class:`~repro.serve.attempt.AttemptRunner`), snapshots
+  (:class:`~repro.serve.snapshots.Snapshots`) and telemetry
+  (:class:`~repro.serve.accounting.ServeAccounting`);
 - :class:`~repro.serve.cache.DistanceCache` — byte-budgeted LRU of
   distance arrays whose hits are bit-identical to fresh solves;
 - :class:`~repro.serve.workload.WorkloadSpec` /

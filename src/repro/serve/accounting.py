@@ -1,12 +1,14 @@
-"""Terminal accounting of the serving plane (DESIGN.md §11/§14).
+"""Telemetry of the serving plane (DESIGN.md §11/§14).
 
 Everything the service *says* about itself has one owner here: the
+service tracer, the metrics registry and the wide-event log (built from
+the broker's ``trace=`` and ``events=``, with the clock they imply), the
 report tallies, the :class:`~repro.serve.slo.LatencyWindow`, the metric
 names with their help strings, the request/batch/resilience tracer
-spans, the wide events and :meth:`ServeAccounting.report`. The broker
-states a fact once — ``count("retries", n)`` — as one ``registry.inc``:
-the registry's counters *are* the tallies, and :meth:`~ServeAccounting.tally`
-and :meth:`~ServeAccounting.report` read them back
+spans and :meth:`ServeAccounting.report`. A policy states a fact once —
+``count("retries", n)`` — as one ``registry.inc``: the registry's
+counters *are* the tallies, and :meth:`~ServeAccounting.tally` and
+:meth:`~ServeAccounting.report` read them back
 (:meth:`~repro.obs.registry.MetricsRegistry.read`), so the two cannot
 disagree. :meth:`ServeAccounting.terminal` is the single exit of every
 request (answered, failed, cancelled or shed) and the package's only
@@ -14,20 +16,13 @@ request (answered, failed, cancelled or shed) and the package's only
 
 A terminal completion is **one fact** appended to a ledger —
 ``(outcome, latency, request id, retried_ok)``, atoms only, no lock
-taken. Nothing else is written at the terminal: a registry
-collector folds the pending facts, in arrival order, into the
-:class:`~repro.serve.slo.LatencyWindow` and the registry series —
-``serve_requests_total`` (the outcome tally),
-``serve_retried_ok_total`` and ``serve_request_latency_seconds``
-(buckets, float ``_sum``, exemplars: bit for bit what per-request
-``inc`` / ``observe`` calls would have left) — whenever something reads
-any of them: a registry read, :meth:`ServeAccounting.report`,
-:meth:`~ServeAccounting.tally`, or any reader of the window.
-``terminal`` folds itself once
-:data:`FOLD_AT` facts are pending, which bounds a never-read broker's
-memory. The wide event it emits is a flat record too
-(:mod:`repro.serve.events`), folded into its dict when the stream is
-read.
+taken. A registry collector folds the pending facts, in arrival order,
+into the window, ``serve_requests_total``, ``serve_retried_ok_total``
+and ``serve_request_latency_seconds`` (bit for bit what per-request
+``inc`` / ``observe`` calls would have left) whenever something reads
+any of them, or once :data:`FOLD_AT` facts are pending. The wide event
+is a flat record too (:mod:`repro.serve.events`), folded into its dict
+when the stream is read.
 
 Lock order of a fold: registry → window. It runs under the registry lock
 (every registry reader takes it first) and takes the window's inside it;
@@ -37,11 +32,13 @@ nothing here takes them the other way round.
 from __future__ import annotations
 
 import threading
+import time
 import weakref
 from collections import deque
 from functools import partial
 
-from repro.serve.events import HitContext
+from repro.obs.registry import MetricsRegistry
+from repro.serve.events import HitContext, WideEventLog
 from repro.serve.slo import LatencyWindow
 
 __all__ = ["FOLD_AT", "HitContext", "ServeAccounting"]
@@ -122,27 +119,32 @@ def _fold(ledger: deque, window, registry) -> None:
 
 
 class ServeAccounting:
-    """Tallies, registry series, spans and wide events of one broker.
+    """Tracer, registry, event log, tallies, spans and wide events of one
+    broker. ``trace`` is an optional :class:`~repro.obs.tracer.TraceConfig`
+    (a tracer for ``machine`` is built; its registry and wall clock are
+    the service's), ``events`` a :class:`~repro.serve.events.WideEventLog`,
+    a path (a log writing there) or ``True`` (in memory). The ledger is a
+    ``deque``: appends from several workers are atomic."""
 
-    ``registry`` is a :class:`~repro.obs.registry.MetricsRegistry`,
-    ``tracer`` and ``events`` the service tracer and the
-    :class:`~repro.serve.events.WideEventLog` (or None), ``clock`` the
-    broker's (``wall_s`` is read off it). The
-    registry, window and event log keep their locks, and the ledger is a
-    ``deque`` (appends from several workers are atomic; the fold runs
-    under the registry lock, in the order the module docstring fixes).
-    """
+    def __init__(self, *, machine=None, trace=None, events=None) -> None:
+        self.tracer = None
+        if trace is not None and getattr(trace, "enabled", True):
+            from repro.obs.tracer import Tracer
 
-    def __init__(self, *, registry, tracer, events, clock) -> None:
-        self.registry = registry
-        self.tracer = tracer
+            self.tracer = Tracer(machine, trace)
+            self.registry = self.tracer.registry
+            self.clock = self.tracer.wall_now
+        else:
+            self.registry = MetricsRegistry()
+            self.clock = time.perf_counter
+        if events is not None and not isinstance(events, WideEventLog):
+            events = WideEventLog(None if events is True else str(events))
         self.events = events
-        self.latency = _FoldedWindow(registry)
-        self.clock = clock
-        self._t_start = clock()
+        self.latency = _FoldedWindow(self.registry)
+        self._t_start = self.clock()
         self._trace_lock = threading.Lock()
         self._ledger: deque = deque()
-        registry.add_collector(partial(_fold, self._ledger, self.latency))
+        self.registry.add_collector(partial(_fold, self._ledger, self.latency))
 
     # ------------------------------------------------------------------
     def count(self, name: str, n: int = 1) -> None:
@@ -159,11 +161,8 @@ class ServeAccounting:
         self.registry.set_gauge(name, value, help=_GAUGES[name])
 
     def solve_failed(self, failure_class: str) -> None:
-        self.registry.inc(
-            "serve_solve_failures_total",
-            help="failed solve attempts by failure class",
-            **{"class": failure_class},
-        )
+        self.registry.inc("serve_solve_failures_total", **{"class": failure_class},
+                          help="failed solve attempts by failure class")
 
     def span(self, name: str, cat: str, ts: float, dur: float, **args) -> None:
         """Append one finished span to the service tracer (the tracer's
@@ -239,6 +238,16 @@ class ServeAccounting:
             self.events.emit(
                 (ctx if type(ctx) is HitContext else (ctx,)) + record)
 
+    def close(self, queue_depth: int) -> None:
+        """Shutdown: write the event log and the trace artifacts."""
+        if self.events is not None and self.events.path is not None:
+            self.events.write()
+        if self.tracer is not None:
+            from repro.obs.export import finalize_trace
+
+            self.gauge("serve_queue_depth", queue_depth)
+            finalize_trace(self.tracer)
+
     # ------------------------------------------------------------------
     def report(
         self, *, offered: int, queue_depth: int, snapshot_id: int,
@@ -265,10 +274,8 @@ class ServeAccounting:
             "retries": tally["retries"],
             "hedges": tally["hedges"],
             "retried_ok": tally["retried_ok"],
-            "mean_batch_size": (
-                sum(cut["serve_batch_size"].values()) / batches
-                if batches else 0.0
-            ),
+            "mean_batch_size": (sum(cut["serve_batch_size"].values()) / batches
+                                if batches else 0.0),
             "queue_depth": queue_depth,
             "snapshot_id": snapshot_id,
             "updates": tally["updates"],

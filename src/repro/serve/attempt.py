@@ -1,14 +1,19 @@
-"""One solve attempt of the serving plane (DESIGN.md §12).
+"""Attempts: what the serving plane does with one coalesce group that
+missed the cache (DESIGN.md §12).
 
-:class:`AttemptRunner` is everything between "the broker decided to
-solve this root on this snapshot" and "here are verified distances, or
-a classified failure": the chaos draw (a
-:class:`~repro.serve.chaos.ChaosSolver`, when a plan is configured), the
-optional hedged re-attempt with its broker-wide budget, post-solve
-verification, and the :data:`~repro.serve.retry.FAILURE_CLASSES` class
-of what went wrong. It holds no request state and never touches the
-queue, the cache or a future — the line the pipeline above it
-(admission, batching, retries, the ladder) can be cut along.
+:class:`AttemptRunner` owns every decision between "these requests need
+distances for this root on this snapshot" and the outcome the broker
+applies: the negative-cache check, the circuit breaker's admission of
+the attempt and its verdict after, the degradation ladder's
+bounded-exact or refused rung, the lineage tier's turn, the solve
+attempt itself — the chaos draw (a :class:`~repro.serve.chaos.ChaosSolver`
+when a plan is configured), the optional hedged re-attempt with its
+broker-wide budget, post-solve verification and the
+:data:`~repro.serve.retry.FAILURE_CLASSES` class of what went wrong —
+and the :class:`~repro.serve.retry.RetryPolicy`'s verdict with its
+backoff. It notes each decision on the requests' contexts, but never
+touches the queue or a future: :meth:`AttemptRunner.solve` returns the
+outcome, and the broker completes, fails or requeues.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ import threading
 
 from repro.core.solver import run_validation
 from repro.runtime.watchdog import SolveTimeout
+from repro.serve.breaker import ladder_rung
 from repro.serve.chaos import ChaosSolver
-from repro.serve.request import SolveCorrupted
+from repro.serve.request import ServiceUnavailable, SolveCorrupted
 
 __all__ = ["AttemptRunner", "classify"]
 
@@ -33,25 +39,36 @@ def classify(exc: BaseException) -> str:
 
 
 class AttemptRunner:
-    """Runs single (possibly hedged) solve attempts.
+    """Decides and runs the solve attempts of coalesce groups.
 
     ``chaos`` is an optional :class:`~repro.serve.chaos.ChaosPlan`
     (wrapped into :attr:`chaos`: one draw stream and one fault log over
-    every snapshot's solver), ``retry`` the policy whose hedging knobs
-    apply (None = never hedge), ``verify`` the post-solve validation mode.
-    Hedges are counted by ``accounting``; the budget is spent against
-    that one tally, serialised by this runner's lock.
+    every snapshot's solver), ``retry`` the policy (None = the first
+    failure is terminal, never hedge), ``verify`` the post-solve
+    validation mode, ``breaker`` the
+    :class:`~repro.serve.breaker.CircuitBreaker` or None. ``snapshots``
+    (:class:`~repro.serve.snapshots.Snapshots`) supplies the solvers, the
+    cache and the lineage tier, ``admission``
+    (:class:`~repro.serve.batcher.MicroBatcher`) whether a shutdown
+    aborted retries. Hedges are counted by ``accounting``; the budget is
+    spent against that one tally, serialised by this runner's lock.
     """
 
-    def __init__(self, *, chaos, retry, verify, accounting) -> None:
+    def __init__(
+        self, *, chaos, retry, verify, accounting, breaker=None,
+        snapshots=None, admission=None,
+    ) -> None:
         self.chaos = (
             ChaosSolver(chaos, registry=accounting.registry)
             if chaos is not None
             else None
         )
+        self.breaker = breaker
         self._policy = retry
         self._verify = verify
         self._acct = accounting
+        self._snapshots = snapshots
+        self._admission = admission
         self._hedge_lock = threading.Lock()
 
     def draw(self, root: int, attempt: int) -> str | None:
@@ -60,6 +77,100 @@ class AttemptRunner:
         if self.chaos is None:
             return None
         return self.chaos.plan.draw(root, attempt)
+
+    def _note(self, reqs: list, attempt: int, decision: str, outcome: str) -> None:
+        """Record one solve attempt on every coalesced request's context."""
+        if reqs[0].ctx is None:
+            return
+        draw = self.draw(reqs[0].root, attempt)
+        for req in reqs:
+            req.ctx.note_attempt(attempt, decision, draw, outcome)
+
+    def solve(self, key: tuple, reqs: list, batch_id: int) -> tuple:
+        """Serve one coalesce group (``key`` = root, deadline, snapshot)
+        past the cache; returns ``(verb, value, detail)`` for the broker:
+
+        - ``("solve" | "degraded", result, None)``: answer the group with
+          an engine result — a primary-path attempt, or the ladder's
+          bounded-exact rung;
+        - ``("repair", distances, (ancestor, dirty))``: the lineage tier
+          answered (and cached the answer);
+        - ``("retry", ready_at, attempts)``: requeue the group, ``attempts``
+          consumed, held back until ``ready_at``;
+        - ``("fail", error, outcome)``: fail the group — a negative-cache
+          tombstone, the ladder's refusal or a spent retry budget.
+
+        Ladder rungs and the lineage tier never feed the breaker — they
+        do not exercise the primary path it protects.
+        """
+        root, deadline, snapshot_id = key
+        snapshots, breaker, acct = self._snapshots, self.breaker, self._acct
+        attempt = max(req.attempts for req in reqs)
+        if snapshots.cache.negative((snapshot_id, root), count=len(reqs)):
+            for req in reqs:
+                if req.ctx is not None:
+                    req.ctx.note_negative()
+            exc = SolveTimeout("negative-cached: root recently timed out", root=root)
+            return "fail", exc, "timeout"
+        decision = breaker.acquire() if breaker is not None else "primary"
+        snap = snapshots.versioner.get(snapshot_id)
+        rung = ladder_rung(
+            breaker, decision == "degraded",
+            cached=False, num_vertices=snap.graph.num_vertices,
+        )
+        if rung is not None:
+            open_classes = breaker.open_classes()
+            for req in reqs:
+                if req.ctx is not None:
+                    req.ctx.note_degraded(rung, open_classes)
+            if rung == "refused":
+                return "fail", ServiceUnavailable(root, open_classes), "unavailable"
+            res = snapshots.solver(snapshot_id).solve_degraded(
+                root, max_supersteps=breaker.config.degrade_supersteps
+            )
+            return "degraded", res, None
+        if decision == "primary" and deadline is None and snap.graph.undirected:
+            found = snapshots.lineage(snap, root, self.verified)
+            if found is not None:
+                return "repair", found[0], found[1:]
+        t0 = acct.clock()
+        try:
+            res, used = self.run(
+                snapshots.solver(snapshot_id), snap.graph, root, deadline, attempt
+            )
+        except Exception as exc:
+            failure_class = classify(exc)
+            self._note(reqs, attempt, decision, failure_class)
+            if breaker is not None:
+                breaker.on_result(decision, failure_class)
+            acct.solve_failed(failure_class)
+            consumed, policy = attempt + 1, self._policy
+            if (
+                policy is not None
+                and not self._admission.aborted
+                and policy.allows(failure_class, consumed)
+            ):
+                delay = policy.backoff(consumed)
+                now = acct.clock()
+                acct.count("retries", len(reqs))
+                acct.span(
+                    "retry", "resilience", now, 0.0, root=root, attempt=consumed,
+                    failure_class=failure_class, backoff_s=delay,
+                )
+                return "retry", now + delay, consumed
+            if failure_class == "timeout":
+                snapshots.cache.note_timeout((snapshot_id, root))
+            return "fail", exc, failure_class
+        self._note(reqs, used, decision, "ok")
+        if breaker is not None:
+            breaker.on_result(decision, None)
+        if acct.tracer is not None:
+            acct.span(
+                "solve", "solve", t0, acct.clock() - t0,
+                root=root, attempt=used, batch_id=batch_id,
+                request_ids=[req.ctx.request_id for req in reqs if req.ctx is not None],
+            )
+        return "solve", res, None
 
     # ------------------------------------------------------------------
     def _solve(self, solver, root: int, deadline, attempt: int):

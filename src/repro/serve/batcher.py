@@ -1,30 +1,30 @@
-"""Micro-batcher: bounded queue with EDF take order.
+"""Admission: the bounded queue and what the pipeline counts on it.
 
-Admitted requests wait in a bounded queue; a free worker takes **every
-ready request at once**, up to ``max_batch_size``. There is no batch
-formation window: a batch shares no solver work (each coalesce group is
-solved on its own), so holding a lonely request for company would only
-add latency. Requests that queue behind a busy worker are taken
-together, which is where coalescing of identical roots comes from.
-``max_batch_size`` bounds one take, so a second worker and a
-tight-deadline request arriving mid-take still see the queue.
+:class:`MicroBatcher` is the serving plane's admission policy
+(DESIGN.md §11). Admitted requests wait in a bounded queue; a free
+worker takes **every ready request at once**, up to ``max_batch_size``,
+oldest first. There is no batch formation window: a batch shares no
+solver work (each coalesce group is solved on its own), so holding a
+lonely request for company would only add latency. Requests that queue
+behind a busy worker are taken together, which is where coalescing of
+identical roots comes from. ``max_batch_size`` bounds one take, so a
+second worker still sees the queue.
 
-Within a take the batch is ordered **earliest-deadline-first**: requests
-exposing a ``deadline_at`` (``submitted_at + latency_budget_s``, see
-:class:`~repro.serve.request.QueryRequest`) are served tightest-deadline
-first, so a late-arriving tight-SLO request jumps older slack ones.
-Requests without a budget sort as ``deadline_at = inf`` and keep FIFO
-order among themselves — with no budgets anywhere the batcher is FIFO.
-
-Admission control lives here too: :meth:`put` on a full queue raises
+:meth:`put` on a full queue raises
 :class:`~repro.serve.request.ServiceOverload` instead of growing the
 queue — the typed shed the broker surfaces to callers. Retries re-enter
 through :meth:`requeue`, which bypasses both the capacity check (the
 request was already admitted once) and the closed check (a draining
-broker must still finish its retries); a ``ready_at`` in the future holds
-the entry back until its backoff expires.
+broker must still finish its retries); a ``ready_at`` in the future
+holds the entry back until its backoff expires.
 
-The clock is injectable (``clock=``) so the backoff and EDF policies are
+The pipeline's own counts live here too, under the queue's one lock:
+the offered load and the admission sequence (:meth:`offer`), the
+unresolved requests :meth:`wait_idle` waits on (a successful ``put``
+counts one, :meth:`release` gives it back), the batch ids and the
+closed and aborted flags of a shutdown (:meth:`close`).
+
+The clock is injectable (``clock=``) so the backoff policy is
 unit-testable without sleeping.
 """
 
@@ -33,8 +33,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.serve.request import ServiceOverload, ServiceShutdown
 from repro.util.ints import check_count
@@ -42,17 +41,15 @@ from repro.util.ints import check_count
 __all__ = ["MicroBatcher"]
 
 
-@dataclass
-class _Entry:
+class _Entry(NamedTuple):
     request: object
-    seq: int
     enqueued_at: float
     ready_at: float
-    deadline_at: float
 
 
 class MicroBatcher:
-    """Bounded queue of requests with EDF-ordered coalescing take-off.
+    """Bounded FIFO of requests with coalescing take-off and the
+    pipeline's admission counts.
 
     ``capacity`` bounds the number of *queued* (not yet taken) requests;
     ``max_batch_size`` bounds one take.
@@ -69,9 +66,16 @@ class MicroBatcher:
         self.max_batch_size = check_count("max_batch_size", max_batch_size)
         self.clock = clock
         self._queue: list[_Entry] = []
-        self._seq = itertools.count()
-        self._closed = False
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        #: set by :meth:`close`; read unlocked by the broker's submit
+        self.closed = False
+        #: set by ``close(drain=False)``: no further retry is launched
+        self.aborted = False
+        self.offered = 0
+        self._seq = 0
+        self._unresolved = 0  # admitted, not yet terminally resolved
+        self._batch_ids = itertools.count()
 
     # ------------------------------------------------------------------
     @property
@@ -84,30 +88,37 @@ class MicroBatcher:
         return self.depth
 
     # ------------------------------------------------------------------
-    def _entry(self, request, now: float, ready_at: float | None) -> _Entry:
-        return _Entry(
-            request=request,
-            seq=next(self._seq),
-            enqueued_at=now,
-            ready_at=now if ready_at is None else float(ready_at),
-            deadline_at=float(getattr(request, "deadline_at", float("inf"))),
-        )
+    def offer(self) -> int:
+        """Count one offered request; returns its admission sequence
+        number (the request id's, when ids are minted)."""
+        with self._lock:
+            self.offered += 1
+            self._seq += 1
+            return self._seq - 1
+
+    def withdraw(self) -> None:
+        """Take back an offer that was never admitted (a ``put`` that
+        lost the race with shutdown): it is not offered load."""
+        with self._lock:
+            self.offered -= 1
 
     def put(self, request) -> int:
-        """Admit one request; returns the new depth.
+        """Admit one request as unresolved; returns the new depth.
 
         Raises :class:`ServiceOverload` when the queue is at capacity and
         :class:`ServiceShutdown` when the batcher is closed.
         """
         with self._cond:
-            if self._closed:
+            if self.closed:
                 raise ServiceShutdown("batcher is closed")
             depth = len(self._queue)
             if depth >= self.capacity:
                 raise ServiceOverload(depth, self.capacity)
-            self._queue.append(self._entry(request, self.clock(), None))
+            now = self.clock()
+            self._queue.append(_Entry(request, now, now))
+            self._unresolved += 1
             self._cond.notify_all()
-            return len(self._queue)
+            return depth + 1
 
     def requeue(self, request, *, ready_at: float | None = None) -> int:
         """Re-admit a retried request, bypassing capacity *and* closed
@@ -116,16 +127,26 @@ class MicroBatcher:
         finish its retries. ``ready_at`` (batcher-clock time) holds the
         entry back until its backoff expires."""
         with self._cond:
-            self._queue.append(self._entry(request, self.clock(), ready_at))
+            now = self.clock()
+            self._queue.append(
+                _Entry(request, now, now if ready_at is None else float(ready_at))
+            )
             self._cond.notify_all()
             return len(self._queue)
 
-    # ------------------------------------------------------------------
-    def _ready(self, now: float) -> list[_Entry]:
-        return [e for e in self._queue if e.ready_at <= now]
+    def release(self) -> None:
+        """One admitted request resolved terminally."""
+        with self._cond:
+            self._unresolved -= 1
+            self._cond.notify_all()
 
+    def next_batch_id(self) -> int:
+        """The id of the batch about to execute, in dispatch order."""
+        return next(self._batch_ids)
+
+    # ------------------------------------------------------------------
     def take(self, *, block: bool = True) -> list | None:
-        """Take every ready request (1..max_batch_size, EDF order).
+        """Take every ready request (1..max_batch_size, FIFO order).
 
         Blocks only while nothing is ready — an empty queue or retries
         still in backoff; returns ``None`` when the batcher is closed and
@@ -135,10 +156,9 @@ class MicroBatcher:
         with self._cond:
             while True:
                 now = self.clock()
-                ready = self._ready(now)
-                if ready:
-                    ready.sort(key=lambda e: (e.deadline_at, e.seq))
-                    batch = ready[: self.max_batch_size]
+                batch = [e for e in self._queue if e.ready_at <= now]
+                if batch:
+                    del batch[self.max_batch_size:]
                     taken = {id(e) for e in batch}
                     self._queue = [e for e in self._queue if id(e) not in taken]
                     self._cond.notify_all()
@@ -149,19 +169,31 @@ class MicroBatcher:
                         if ctx is not None:
                             ctx.note_dequeue(now - e.enqueued_at)
                     return [e.request for e in batch]
-                if not block or (self._closed and not self._queue):
+                if not block or (self.closed and not self._queue):
                     return None
                 # Sleep until the next held-back entry becomes ready (or
                 # a put/requeue/close notifies).
                 pending = [e.ready_at for e in self._queue]
                 self._cond.wait(timeout=min(pending) - now if pending else None)
 
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Stop admissions; queued requests remain takeable (drain)."""
+    def wait_idle(self, timeout: float | None = None) -> bool:
+        """Wait until no admitted request is unresolved; False when
+        ``timeout`` expired first (``0``: just look)."""
         with self._cond:
-            self._closed = True
+            return self._cond.wait_for(lambda: not self._unresolved, timeout)
+
+    # ------------------------------------------------------------------
+    def close(self, *, drain: bool = True) -> bool:
+        """Stop admissions; queued requests remain takeable (drain).
+        ``drain=False`` also marks the pipeline aborted. Returns False
+        when it was already closed."""
+        with self._cond:
+            if self.closed:
+                return False
+            self.closed = True
+            self.aborted = not drain
             self._cond.notify_all()
+            return True
 
     def cancel_pending(self) -> list:
         """Pop and return every queued request (immediate shutdown)."""

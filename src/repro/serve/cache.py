@@ -194,7 +194,7 @@ class DistanceCache:
         root = _key(root)
         with self._lock:
             entry = self._entries.get(root)
-            if entry is None or not self._verify_locked(root, entry):
+            if entry is None or self.verify_get and not self._verify_locked(root, entry):
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(root)
@@ -207,7 +207,7 @@ class DistanceCache:
         root = _key(root)
         with self._lock:
             entry = self._entries.get(root)
-            if entry is None or not self._verify_locked(root, entry):
+            if entry is None or self.verify_get and not self._verify_locked(root, entry):
                 return None
             return entry.distances
 

@@ -102,11 +102,6 @@ class QueryRequest:
     deadline: Any = None
     submitted_at: float = 0.0
     future: "QueryFuture" = field(default_factory=lambda: QueryFuture())
-    #: wall-clock latency SLO of this request (seconds from submission);
-    #: the micro-batcher schedules earliest-deadline-first on
-    #: ``submitted_at + latency_budget_s``, so a tight budget jumps FIFO.
-    #: None = no budget (FIFO among themselves).
-    latency_budget_s: float | None = None
     #: solve attempts already consumed (bumped by the retry machinery
     #: before a request is re-queued).
     attempts: int = 0
@@ -130,13 +125,6 @@ class QueryRequest:
         snapshots must never share a solve, even for the same root.
         """
         return (self.root, self.deadline, self.snapshot_id)
-
-    @property
-    def deadline_at(self) -> float:
-        """Absolute wall-clock deadline used for EDF batch ordering."""
-        if self.latency_budget_s is None:
-            return float("inf")
-        return self.submitted_at + self.latency_budget_s
 
 
 @dataclass

@@ -22,7 +22,14 @@ def test_put_on_a_closed_batcher_releases_count_and_pin(path_graph):
     broker = QueryBroker(path_graph, num_workers=0, cache_bytes=0,
                          num_ranks=2, threads_per_rank=2, events=events)
     broker.query(1)
-    broker._batcher.close()  # what a racing shutdown does after the check
+    admission = broker._admission
+    put = admission.put
+
+    def racing_put(request):
+        admission.close()  # what a racing shutdown does after the check
+        return put(request)
+
+    admission.put = racing_put
     with pytest.raises(ServiceShutdown):
         broker.submit(0)
     assert broker.drain(timeout=0.2)

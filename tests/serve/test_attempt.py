@@ -7,7 +7,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.obs.registry import MetricsRegistry
 from repro.runtime.watchdog import SolveTimeout
 from repro.serve.accounting import ServeAccounting
 from repro.serve.attempt import AttemptRunner, classify
@@ -60,8 +59,7 @@ def hedges(acct) -> int:
 
 
 def runner(*, hedge_budget=0, verify=False, chaos=None):
-    acct = ServeAccounting(registry=MetricsRegistry(), tracer=None,
-                           events=None, clock=time.perf_counter)
+    acct = ServeAccounting()
     retry = RetryPolicy(hedge_after_s=0.01 if hedge_budget else None,
                         hedge_budget=hedge_budget)
     return AttemptRunner(chaos=chaos, retry=retry, verify=verify,

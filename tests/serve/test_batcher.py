@@ -107,48 +107,19 @@ class TestAdmission:
         assert (batcher.capacity, batcher.max_batch_size) == (2, 1)
 
 
-class Req:
-    """Minimal request exposing the EDF contract of QueryRequest."""
-
-    def __init__(self, name, deadline_at=float("inf")):
-        self.name = name
-        self.deadline_at = deadline_at
-
-    def __repr__(self):  # pragma: no cover - assertion messages only
-        return f"Req({self.name})"
-
-
 class TestEdfOrder:
-    def test_tight_deadline_jumps_fifo(self):
-        # A late-arriving tight-deadline request is scheduled before
-        # older slack ones (the ROADMAP follow-up).
-        batcher, _ = make(max_batch_size=8)
-        slack1 = Req("slack1", deadline_at=10.0)
-        slack2 = Req("slack2", deadline_at=12.0)
-        tight = Req("tight", deadline_at=0.5)  # arrives last
-        for r in (slack1, slack2, tight):
-            batcher.put(r)
-        assert batcher.take(block=False) == [tight, slack1, slack2]
-
-    def test_edf_spills_slackest_past_batch_bound(self):
-        batcher, _ = make(max_batch_size=2)
-        slack = Req("slack", deadline_at=99.0)
-        mid = Req("mid", deadline_at=5.0)
-        tight = Req("tight", deadline_at=1.0)
-        for r in (slack, mid, tight):
-            batcher.put(r)
-        assert batcher.take(block=False) == [tight, mid]
-        assert batcher.take(block=False) == [slack]
+    """The take order once earliest-deadline-first scheduling went (no
+    caller declared a latency budget): FIFO among the ready entries."""
 
     def test_no_budgets_preserves_fifo(self):
         batcher, _ = make(max_batch_size=8)
-        reqs = [Req(i) for i in range(4)]
+        reqs = [Traced(i) for i in range(4)]
         for r in reqs:
             batcher.put(r)
         assert batcher.take(block=False) == reqs
 
     def test_plain_payloads_still_work(self):
-        # Non-request payloads (no deadline_at attribute) sort as FIFO.
+        # Non-request payloads (no ``ctx`` attribute) are taken as well.
         batcher, _ = make(max_batch_size=8)
         batcher.put("a")
         batcher.put("b")
@@ -208,21 +179,6 @@ class TestRequeue:
         clock.t = 2.0
         assert batcher.take(block=False) == [req]
         assert req.ctx.waits == [0.25, 1.0]
-
-    def test_take_is_bounded_and_spills_by_deadline(self):
-        # A requeued entry sits at the queue tail; with every entry
-        # ready, a take is the max_batch_size tightest by deadline and
-        # the rest spill to the next take.
-        batcher, _ = make(max_batch_size=2)
-        slack = Req("slack", deadline_at=9.0)
-        young = Req("young", deadline_at=5.0)
-        retry = Req("retry", deadline_at=1.0)
-        batcher.put(slack)
-        batcher.put(young)
-        batcher.requeue(retry)
-        assert batcher.take(block=False) == [retry, young]
-        assert batcher.take(block=False) == [slack]
-        assert batcher.take(block=False) is None
 
 
 class TestShutdown:

@@ -225,8 +225,8 @@ class TestOnePreprocessingPerSnapshot:
         other = int(choose_root(rmat1_small, seed=1))
         res = broker.query(other)  # a miss: builds snapshot 1's solver
         ctx = broker.versioner.context_for(1)
-        assert broker._solver_for(1)._template_ctx is ctx
-        assert broker._solver_for(1).algorithm == broker._solver_for(0).algorithm
+        assert broker._snapshots.solver(1)._template_ctx is ctx
+        assert broker._snapshots.solver(1).algorithm == broker._snapshots.solver(0).algorithm
         np.testing.assert_array_equal(
             res.distances, offline(broker.versioner.current.graph, other)
         )
@@ -244,7 +244,7 @@ class TestOnePreprocessingPerSnapshot:
         broker.apply_updates(churn(graph1, 23))
         assert broker.versioner.ids() == [1, 2]  # 1: out of window, pinned
         assert broker.versioner.context_for(1) is ctx1
-        assert broker._solver_for(1)._template_ctx is ctx1
+        assert broker._snapshots.solver(1)._template_ctx is ctx1
         broker.drain()
         res = fut.result()
         assert res.snapshot_id == 1
@@ -262,7 +262,7 @@ class TestOnePreprocessingPerSnapshot:
         broker.apply_updates(churn(rmat1_small, 24))
         root = int(choose_root(rmat1_small, seed=3))
         res = broker.query(root)
-        assert broker._solver_for(1).num_proxies > 0
+        assert broker._snapshots.solver(1).num_proxies > 0
         np.testing.assert_array_equal(
             res.distances,
             solve_sssp(broker.versioner.current.graph, root, config=cfg,

@@ -1,11 +1,19 @@
 """``tools/code_lines.py``'s command line: ``--help`` and unknown options,
 and the ratchets the source tree is held to."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def _run(*args):
@@ -40,11 +48,7 @@ def test_counts_a_path():
 def test_the_push_pull_decision_and_its_ledger_stay_capped():
     """``core/pushpull.py`` + ``core/phases.py`` + ``runtime/metrics.py``
     hold at most 988 code lines, and the tree keeps every ratchet."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool()
     names = tuple(
         f"src/repro/{name}"
         for name in ("core/pushpull.py", "core/phases.py", "runtime/metrics.py")
@@ -55,3 +59,32 @@ def test_the_push_pull_decision_and_its_ledger_stay_capped():
         capture_output=True, text=True, timeout=60, cwd=TOOL.parents[1],
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_directory_row_counts_and_scans_every_file_in_its_tree(tmp_path):
+    """A row may name a tree: its cap counts every ``*.py`` file under it,
+    nested ones included, and a forbidden call in any of them breaks it."""
+    tool = _tool()
+    (tmp_path / "a.py").write_text('"""doc"""\nx = 1\n# note\ny = 2\n')
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.py").write_text("def f(registry):\n    registry.inc(1)\n")
+    (tmp_path / "sub" / "notes.txt").write_text("registry.observe(\n")
+    row = (str(tmp_path),)
+    assert tool.count(tmp_path) == 4
+    assert tool.broken(row, 4, ()) is None
+    assert "4 code lines (max 3)" in tool.broken(row, 3, ())
+    complaint = tool.broken(row, 4, ("registry.inc(", "registry.observe("))
+    assert complaint.endswith("forbidden calls ['registry.inc(']")
+
+
+def test_the_serving_plane_row_holds_and_the_pipeline_keeps_off_the_registry():
+    """``serve/`` + ``dynamic/versioner.py`` are one capped row, and the
+    broker with its policies names neither the registry's writes nor a
+    take deadline."""
+    tool = _tool()
+    rows = {names: (most, calls) for names, most, calls in tool.RATCHETS}
+    most, calls = rows[("src/repro/serve", "src/repro/dynamic/versioner.py")]
+    assert most < 2400 and calls == ()
+    pipeline = tuple(f"src/repro/serve/{name}.py"
+                     for name in ("broker", "batcher", "attempt", "snapshots"))
+    assert rows[pipeline][1] == ("registry.inc(", "registry.observe(", "deadline_at")
