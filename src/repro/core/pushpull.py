@@ -38,10 +38,12 @@ row is first read: :class:`PullRebuild` rebuilds the bucket's state from
 the final distances ``d*`` — settled ``d* < hi``, members ``lo <= d* <
 hi``, a later vertex at the least ``d*(u) + w`` over its arcs from ``d*(u)
 < lo``, else INF — and runs the unchanged :func:`estimate_models` on it.
-``estimate_models`` runs at the decision in five cases: the certificate
-fails; a tracer is armed (its decision instant carries both costs); a
-fault plan is armed (delayed or lost records make the tentative distances
-differ from the rebuild); IOS is off; another estimator is configured.
+A traced solve decides the same way; its decision instant carries the
+push cost, ``certified`` and a null pull cost. ``estimate_models`` runs at
+the decision in four cases: the certificate fails; a fault plan is armed
+(a rank restored from its checkpoint decides on tentative distances the
+rebuild from ``d*`` does not reproduce, so a rebuilt row could price pull
+below the push it certified); IOS is off; another estimator is configured.
 
 When it runs it is kept to the passes the formula needs (DESIGN.md §9,
 rule 5): its per-vertex degrees — long out-arcs for push, the in-arcs a
@@ -79,8 +81,6 @@ from repro.util.ranges import concat_ranges
 
 __all__ = [
     "PushPullEstimate",
-    "expectation_partials",
-    "combine_expectation_costs",
     "estimate_models",
     "estimate_models_histogram",
     "estimate_models_exact",
@@ -115,32 +115,6 @@ class PushPullEstimate:
 # ----------------------------------------------------------------------
 # Expectation estimator (the paper's heuristic)
 # ----------------------------------------------------------------------
-def expectation_partials(
-    cfg,
-    w_max: int,
-    lo: int,
-    member_long_degrees: np.ndarray,
-    member_cuts: np.ndarray,
-    d_later: np.ndarray,
-    later_in_degrees: np.ndarray,
-    later_cuts: np.ndarray,
-) -> tuple[list[float], list[float]]:
-    """Per-rank (push, pull) partial sums of the expectation estimator,
-    rank ``r`` holding the members ``[member_cuts[r], member_cuts[r+1])``
-    and the later vertices ``[later_cuts[r], later_cuts[r+1])``.
-
-    Push volume is the long-degree sum over a rank's members. The terms
-    are whole numbers (integers or their floats, every partial below
-    2**53), so one ``bincount`` by rank adds them exactly, in any order —
-    the floats a pairwise per-rank sum gives. Pull volume is
-    :func:`_pull_partials` of the later vertices.
-    """
-    num_ranks = member_cuts.size - 1
-    ranks = np.repeat(np.arange(num_ranks), np.diff(member_cuts))
-    push = np.bincount(ranks, member_long_degrees, minlength=num_ranks).tolist()
-    return push, _pull_partials(cfg, w_max, lo, d_later, later_in_degrees, later_cuts)
-
-
 def _pull_partials(cfg, w_max, lo, d_later, later_in_degrees, later_cuts) -> list[float]:
     """Pull volume per rank: the uniform-weight expectation of eq.-(1)
     requests over its block of later vertices, whose in-degrees are all
@@ -209,23 +183,6 @@ def _push_cost(cfg, machine, push_records, push_max) -> float:
     )
 
 
-def combine_expectation_costs(
-    cfg,
-    machine,
-    push_partials: list[float],
-    pull_partials: list[float],
-) -> PushPullEstimate:
-    """Fold per-rank partials into the two model costs (sum/max aggregate).
-
-    The combination is the allreduce pair the decision charges: totals by
-    sum, the imbalance terms by per-rank maximum.
-    """
-    return _volume_estimate(
-        cfg, machine, sum(push_partials), max(push_partials),
-        sum(pull_partials), max(pull_partials), "expectation",
-    )
-
-
 def estimate_models(
     ctx: ExecutionContext,
     view: VertexView,
@@ -237,9 +194,9 @@ def estimate_models(
 
     Evaluates the push partials over the members (:func:`push_partials`,
     unless the caller hands them in as ``push``) and the pull partials over
-    the later vertices, cut at the partition boundaries (as
-    :func:`expectation_partials` does over given blocks), and folds the
-    per-rank partials in rank order with :func:`combine_expectation_costs`.
+    the later vertices, cut at the partition boundaries, and folds the
+    per-rank partials in rank order: totals by sum, the imbalance terms by
+    per-rank maximum — the allreduce pair the decision charges.
     """
     cfg = ctx.config
     lo = k * cfg.delta
@@ -253,7 +210,9 @@ def estimate_models(
     )
     if push is None:
         push = push_partials(ctx, members)
-    return combine_expectation_costs(cfg, ctx.machine, push, pull)
+    return _volume_estimate(
+        cfg, ctx.machine, sum(push), max(push), sum(pull), max(pull), "expectation"
+    )
 
 
 def push_partials(ctx, members: np.ndarray) -> list[float]:
@@ -390,35 +349,19 @@ def estimate_models_histogram(
             "context construction"
         )
     cfg = ctx.config
-    machine = ctx.machine
-    delta = cfg.delta
-    lo = k * delta
-    hi = lo + delta
-    d = view.d
-
-    push_per_vertex = ctx.long_degrees[members].astype(np.float64)
-    push_records = float(push_per_vertex.sum())
-    push_max = _max_per_rank(ctx, members, push_per_vertex)
-
-    later = view.later(hi)
-    if later.size:
-        hist = ctx.weight_histogram
-        w_max = max(ctx.graph.max_weight, 1)
-        d_later = d[later].astype(np.float64)
-        window = np.where(d_later >= INF, np.float64(w_max + 1), d_later - lo)
-        req_per_vertex = hist.count_below(later, window)
-        if not cfg.use_ios:
-            # Short arcs (w < Δ) never ride requests without IOS.
-            req_per_vertex = np.maximum(
-                req_per_vertex - ctx.in_short_offsets[later], 0.0
-            )
-        pull_requests = float(req_per_vertex.sum())
-        pull_max = _max_per_rank(ctx, later, req_per_vertex)
-    else:
-        pull_requests = 0.0
-        pull_max = 0.0
+    lo = k * cfg.delta
+    later = view.later(lo + cfg.delta)
+    w_max = max(ctx.graph.max_weight, 1)
+    d_later = view.d[later].astype(np.float64)
+    window = np.where(d_later >= INF, np.float64(w_max + 1), d_later - lo)
+    req_per_vertex = ctx.weight_histogram.count_below(later, window)
+    if not cfg.use_ios:
+        # Short arcs (w < Δ) never ride requests without IOS.
+        req_per_vertex = np.maximum(req_per_vertex - ctx.in_short_offsets[later], 0.0)
+    push = push_partials(ctx, members)
     return _volume_estimate(
-        cfg, machine, push_records, push_max, pull_requests, pull_max, "histogram"
+        cfg, ctx.machine, sum(push), max(push), float(req_per_vertex.sum()),
+        _max_per_rank(ctx, later, req_per_vertex), "histogram",
     )
 
 
@@ -494,9 +437,7 @@ def estimate_models_exact(
 
     return PushPullEstimate(
         push_records=float(dst.size),
-        push_max_rank_records=_max_per_rank(
-            ctx, members, ctx.long_degrees[members].astype(np.float64)
-        ),
+        push_max_rank_records=max(push_partials(ctx, members)),
         pull_requests=float(req_v.size),
         pull_max_rank_requests=_max_per_rank(ctx, req_v),
         push_cost=push_cost,
@@ -521,8 +462,8 @@ def decide_mode(
     the configured estimator (charging its two decision allreduces). The
     expectation estimator under IOS first tries :func:`certify_push`, when
     the solve has a resolver to rebuild the unpriced pull estimate from
-    (``ctx.metrics.resolver``, a :class:`PullRebuild`) and no tracer whose
-    decision instant carries both costs.
+    (``ctx.metrics.resolver``, a :class:`PullRebuild`) — traced or not: an
+    armed tracer records the decision and does not steer it.
     """
     cfg = ctx.config
     if not cfg.use_pruning:
@@ -537,7 +478,7 @@ def decide_mode(
         return cfg.pushpull_sequence[bucket_ordinal], None
     if (
         cfg.pushpull_estimator == "expectation" and cfg.use_ios
-        and ctx.tracer is None and ctx.metrics.resolver is not None
+        and ctx.metrics.resolver is not None
     ):
         push = push_partials(ctx, members)
         est = certify_push(ctx, view, push) or estimate_models(
@@ -561,5 +502,6 @@ def decide_mode(
             estimator=est.estimator,
             push_cost=est.push_cost,
             pull_cost=est.pull_cost,
+            certified=est.pull_cost is None,
         )
     return est.choice, est

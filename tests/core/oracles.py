@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.distances import INF
-from repro.core.pushpull import PushPullEstimate, combine_expectation_costs
+from repro.core.pushpull import PushPullEstimate, _volume_estimate
 from repro.util.ranges import concat_ranges
 
 
@@ -106,7 +106,10 @@ def estimate_models_oracle(ctx, view, members, k) -> PushPullEstimate:
         )
         push_partials += push
         pull_partials += pull
-    return combine_expectation_costs(cfg, ctx.machine, push_partials, pull_partials)
+    return _volume_estimate(
+        cfg, ctx.machine, sum(push_partials), max(push_partials),
+        sum(pull_partials), max(pull_partials), "expectation",
+    )
 
 
 NO_BUCKET = -1

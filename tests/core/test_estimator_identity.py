@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import preset
 from repro.core.context import make_context
 from repro.core.distances import INF
-from repro.core.pushpull import estimate_models, expectation_partials
+from repro.core.pushpull import _pull_partials, estimate_models
 from repro.core.views import whole_graph_view
 from repro.graph.builder import from_edges
 from repro.runtime.machine import MachineConfig
@@ -100,9 +100,9 @@ def test_estimate_equals_the_parent_body(
 @pytest.mark.parametrize("use_ios", [False, True])
 @pytest.mark.parametrize("degree_dtype", [np.int64, np.float64])
 def test_partials_take_counts_or_floats(use_ios, degree_dtype):
-    """``expectation_partials`` on integer degree counts (what
-    ``estimate_models`` gathers) and on their floats gives the oracle's
-    partials; it leaves its arguments alone."""
+    """``_pull_partials`` on integer in-degree counts (what
+    ``estimate_models`` gathers) and on their floats gives the pull half of
+    the oracle's partials; it leaves its arguments alone."""
     rng = np.random.default_rng(3)
     cfg = preset("opt", 25).evolve(use_ios=use_ios)
     members_deg = rng.integers(0, 9, 12).astype(degree_dtype)
@@ -112,6 +112,7 @@ def test_partials_take_counts_or_floats(use_ios, degree_dtype):
     cuts_m, cuts_l = np.array([0, 0, 5, 12, 12]), np.array([0, 11, 11, 30, 40])
     args = (cfg, 255, 50, members_deg, cuts_m, d_later, later_deg, cuts_l)
     before = [a.copy() for a in args[3:]]
-    assert expectation_partials(*args) == expectation_partials_oracle(*args)
+    pull = _pull_partials(cfg, 255, 50, d_later, later_deg, cuts_l)
+    assert pull == expectation_partials_oracle(*args)[1]
     for a, b in zip(args[3:], before):
         assert np.array_equal(a, b)

@@ -23,7 +23,7 @@ import pytest
 from repro.core.config import preset
 from repro.core.context import make_context
 from repro.core.distances import INF
-from repro.core.pushpull import combine_expectation_costs, estimate_models
+from repro.core.pushpull import _volume_estimate, estimate_models
 from repro.core.views import whole_graph_view
 from repro.runtime.machine import MachineConfig
 from tests.core.test_transport_parity import assert_parity
@@ -90,8 +90,9 @@ def oracle_estimate(ctx, d, settled, k):
         )
         push_parts.append(push)
         pull_parts.append(pull)
-    return members, combine_expectation_costs(
-        cfg, ctx.machine, push_parts, pull_parts
+    return members, _volume_estimate(
+        cfg, ctx.machine, sum(push_parts), max(push_parts),
+        sum(pull_parts), max(pull_parts), "expectation",
     )
 
 

@@ -14,6 +14,7 @@ and the certificate must never fire where that estimate picks pull.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from unittest import mock
 
 import numpy as np
@@ -30,9 +31,11 @@ from repro.core.solver import BatchSolver
 from repro.core.views import whole_graph_view
 from repro.graph.builder import from_edges, from_undirected_edges
 from repro.graph.grid import grid_graph
+from repro.graph.rmat import RMAT1, rmat_graph
+from repro.obs.tracer import TraceConfig
 from repro.runtime.machine import MachineConfig
 from repro.spmd.engine import spmd_delta_stepping
-from repro.spmd.faults import FaultPlan
+from repro.spmd.faults import FaultPlan, RankCrash
 from tests.core.test_estimator_identity import random_graph, random_state
 
 
@@ -180,10 +183,76 @@ def test_an_edited_result_refuses_the_rebuild(grid_result):
     assert grid_result.metrics.buckets_processed  # the counters still read
 
 
-@pytest.mark.parametrize(
-    "case", ["traced", "faults", "no-ios", "histogram", "exact"]
+@functools.cache
+def small_graph(kind):
+    if kind == "grid":
+        return grid_graph(16, 16, seed=3)
+    return rmat_graph(scale=9, seed=42, params=RMAT1)
+
+
+def traced_or_not(graph, root, config, engine, trace):
+    """One solve's metrics, ``certify_push``'s answers in call order and
+    the ``pushpull-decision`` instants (none untraced)."""
+    machine = MachineConfig(num_ranks=2, threads_per_rank=2)
+    certify = pushpull.certify_push
+    answers = []
+
+    def spy(*args):
+        est = certify(*args)
+        answers.append(est is not None)
+        return est
+
+    trace = TraceConfig() if trace else None
+    with mock.patch.object(pushpull, "certify_push", spy):
+        if engine == "core":
+            config = config.evolve(trace=trace)
+            result = BatchSolver(graph, config=config, machine=machine).solve(root)
+            metrics, tracer = result.metrics, result.trace
+        else:
+            _, ctx = spmd_delta_stepping(graph, root, machine, config=config, trace=trace)
+            metrics, tracer = ctx.metrics, ctx.tracer
+    events = tracer.events if tracer is not None else []
+    return metrics, answers, [
+        e["args"] for e in events if e.get("name") == "pushpull-decision"
+    ]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=st.sampled_from(["grid", "rmat"]),
+    engine=st.sampled_from(["core", "spmd"]),
+    root=st.integers(0, 255),
+    delta=st.sampled_from([5, 25, 100]),
 )
+def test_a_traced_solve_decides_as_an_untraced_one(kind, engine, root, delta):
+    """An armed tracer records the decision and does not steer it: the
+    certificate fires at the same buckets, every row's mode and rebuilt
+    estimate are the untraced solve's, bit for bit, and each certified
+    bucket's instant says so, with a null pull cost."""
+    def decided(metrics):
+        return [
+            (s["bucket"], s["mode"], hexes(s["est_push_cost"], s["est_pull_cost"]))
+            for s in metrics.per_bucket_stats
+            if "est_push_cost" in s
+        ]
+
+    graph, config = small_graph(kind), preset("opt", delta)
+    plain, want, _ = traced_or_not(graph, root, config, engine, trace=False)
+    traced, got, instants = traced_or_not(graph, root, config, engine, trace=True)
+    assert got == want
+    rows = decided(traced)
+    assert rows == decided(plain)
+    assert [i["bucket"] for i in instants] == [k for k, _, _ in rows]
+    assert [i["certified"] for i in instants] == got
+    for event in instants:
+        assert (event["pull_cost"] is None) == event["certified"]
+
+
+@pytest.mark.parametrize("case", ["faults", "crash", "no-ios", "histogram", "exact"])
 def test_the_eager_cases_never_certify(case):
+    """Under a fault plan ``drive`` registers no resolver: a rank restored
+    from its checkpoint (``crash``) decides on tentative distances the
+    rebuild from the final ones does not reproduce."""
     graph, machine = grid_graph(12, 12, seed=5), MachineConfig(2, 2)
     config = preset("opt", 25)
     if case == "no-ios":
@@ -192,15 +261,10 @@ def test_the_eager_cases_never_certify(case):
         config = config.evolve(pushpull_estimator=case)
     refuse = mock.Mock(side_effect=AssertionError("certified"))
     with mock.patch.object(pushpull, "certify_push", refuse):
-        if case == "traced":
-            from repro.obs.tracer import TraceConfig
-
-            metrics = spmd_delta_stepping(
-                graph, 0, machine, config=config, trace=TraceConfig()
-            )[1].metrics
-        elif case == "faults":
+        if case in ("faults", "crash"):
+            plan = FaultPlan(crashes=(RankCrash(1, 4),) if case == "crash" else ())
             solver = BatchSolver(graph, config=config, machine=machine)
-            metrics = solver.solve(0, faults=FaultPlan()).metrics
+            metrics = solver.solve(0, faults=plan).metrics
         else:
             metrics = BatchSolver(graph, config=config, machine=machine).solve(0).metrics
     assert metrics.per_bucket_stats

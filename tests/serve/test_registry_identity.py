@@ -18,12 +18,14 @@ seconds, so latencies spread over six histogram buckets and are a pure
 function of the broker's sequence of clock reads. That sequence is part
 of what is pinned.
 
-The digests below are literals. They were produced by this file on commit
+The digests below are literals. This file first produced them on commit
 ``444e16f`` — the last one where ``ServeAccounting.terminal`` called
 ``registry.inc``/``registry.observe`` once per request and
-``DistanceCache.get`` mirrored every hit and miss into the registry — and
-must only ever be regenerated for a change that intends to alter what the
-service reports; say so in CHANGES.md.
+``DistanceCache.get`` mirrored every hit and miss into the registry. They
+were regenerated on commit ``0e795d5``, which dropped the terminal's dead
+clock read: only the stepping-clock latencies moved. They must only ever
+be regenerated for a change that intends to alter what the service
+reports; say so in CHANGES.md.
 """
 
 from __future__ import annotations

@@ -47,13 +47,17 @@ def test_counts_a_path():
 
 def test_the_push_pull_decision_and_its_ledger_stay_capped():
     """``core/pushpull.py`` + ``core/phases.py`` + ``runtime/metrics.py``
-    hold at most 988 code lines, and the tree keeps every ratchet."""
+    hold at most 949 code lines and no tracer fork or estimator composition
+    layer, and the tree keeps every ratchet."""
     tool = _tool()
     names = tuple(
         f"src/repro/{name}"
         for name in ("core/pushpull.py", "core/phases.py", "runtime/metrics.py")
     )
-    assert (names, 988, ()) in tool.RATCHETS
+    forbidden = (
+        "expectation_partials", "combine_expectation_costs", "ctx.tracer is None"
+    )
+    assert (names, 949, forbidden) in tool.RATCHETS
     proc = subprocess.run(
         [sys.executable, str(TOOL), "src/repro", "--ratchet"],
         capture_output=True, text=True, timeout=60, cwd=TOOL.parents[1],

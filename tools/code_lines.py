@@ -33,9 +33,11 @@ the front door keeps no API that only its own tests read;
 a ledger fact is a slice of one flat buffer per family, folded by one
 ``bincount``, not a list of arrays concatenated at the fold;
 ``core/pushpull.py``, ``core/phases.py`` and ``runtime/metrics.py``
-together past 988 — the push/pull decision certifies push before it
-prices pull, and a certified bucket's pull estimate is rebuilt from the
-final distances when read, with nothing kept per bucket.
+together past 949 or naming ``expectation_partials``,
+``combine_expectation_costs`` or ``ctx.tracer is None`` — the push/pull
+decision certifies push before it prices pull, traced or not, and a
+certified bucket's pull estimate is rebuilt from the final distances when
+read, with nothing kept per bucket.
 """
 
 import ast
@@ -62,7 +64,8 @@ RATCHETS = (
      ("repro.apps", "solve_many", "core.buckets", "graph500", "args.progress")),
     (("src/repro/runtime/metrics.py",), 445, ("_cat(", "_weights(")),
     (("src/repro/core/pushpull.py", "src/repro/core/phases.py",
-      "src/repro/runtime/metrics.py"), 988, ()),
+      "src/repro/runtime/metrics.py"), 949,
+     ("expectation_partials", "combine_expectation_costs", "ctx.tracer is None")),
 )
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}

@@ -21,7 +21,8 @@ Prints, per region, calls and milliseconds per solve (the per-root minimum
 over ``--repeats`` passes, summed over calls), the solve total, and how
 many push/pull decisions per solve were certified push without pricing
 pull and how many ran `estimate_models` (`decide_mode` calls less
-`estimate_models` calls, and those calls). Same
+`estimate_models` calls, and those calls) — the same counts a traced
+solve makes, since a tracer does not steer the decision. Same
 graph, preset and machine shape as `benchmarks/stack`'s `cold_grid`
 (`opt`, Δ = 25, 8 × 8); ``--graph rmat --scale N`` solves on an R-MAT
 graph of 2^N vertices instead, the few-huge-frontiers regime of
