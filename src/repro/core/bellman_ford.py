@@ -4,8 +4,9 @@ Used in three places: as the whole solve of the Δ = ∞ baseline
 (``config.is_bellman_ford``), as the tail stage of the hybridization
 strategy (Section III-D), which collapses all buckets past the switch point
 into one and finishes with Bellman-Ford iterations, and — charged to the
-recovery phase — as the fixpoint pass of the watchdog's ``degrade`` policy
-and of the SPMD self-healing sweep.
+recovery phase — as the one recovery fixpoint of
+:class:`~repro.core.defence.Defence`, run by the watchdog's ``degrade``
+policy and by the self-healing sweep of a faulted solve.
 
 Each iteration relaxes *all* incident arcs of every active vertex (a vertex
 is active when its tentative distance changed in the previous iteration);
@@ -49,8 +50,8 @@ def bellman_ford_stage(
     cost then lands in the recovery accounting instead of the paper-facing
     phases). ``epoch_hook`` is called at the top of every iteration, when
     the distances are a consistent epoch boundary — the defence layer's
-    checkpoints and watchdog tick and the recovery manager's in-memory
-    snapshots live there. Returns the number of iterations executed.
+    crash snapshot, checkpoint and watchdog tick live there. Returns the
+    number of iterations executed.
     """
     sync_kind = RECOVERY_PHASE if phase_kind == RECOVERY_PHASE else "bucket"
     tr = ctx.tracer

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.bellman_ford import bellman_ford_stage
 from repro.core.context import ExecutionContext
-from repro.core.defence import Defence, chain_hooks
+from repro.core.defence import Defence
 from repro.core.distances import INF
 from repro.core.hybrid import should_switch
 from repro.core.pruning import (
@@ -56,18 +56,17 @@ def drive(
     engine: str,
     *,
     perfect,
-    recovery=None,
+    faults=None,
     **defence_options,
 ) -> np.ndarray:
     """One solve from ``root``, start to finish; returns the distances.
 
     The body both drivers share: each hands in a fresh view rooted at
     ``root`` and its transport. ``engine`` tags the root span and the
-    checkpoints; ``defence_options`` are :class:`Defence`'s.
+    checkpoints; ``faults`` and ``defence_options`` are :class:`Defence`'s.
     ``perfect()`` makes a fresh fault-free transport for the pass that
-    resolves a tripped deadline. ``recovery`` is the rank driver's crash
-    manager when a fault plan is armed: its in-memory snapshots ride the
-    epoch boundaries and its self-healing sweep closes an undisturbed run.
+    resolves a tripped deadline; an undisturbed run closes with the
+    defence's self-healing sweep.
     """
     cfg = ctx.config
     tr = ctx.tracer
@@ -79,40 +78,34 @@ def drive(
         if tr is not None
         else None
     )
-    defence = Defence(ctx, view, transport, root, engine, **defence_options)
+    defence = Defence(
+        ctx, view, transport, root, engine, faults=faults, **defence_options
+    )
     if cfg.is_bellman_ford:
         # Δ = ∞: the whole solve is the Bellman-Ford stage.
         defence.stage = "bf"
-    if recovery is None:
+    if faults is None:
         # Records arrive as sent, so a certified bucket's pull estimate can
         # be rebuilt from the final distances (pushpull.PullRebuild).
         ctx.metrics.resolver = PullRebuild(ctx)
-    elif defence.start is not None:
-        # Re-snapshot: the in-memory crash checkpoint must cover the
-        # *restored* state, not the pre-resume initial one.
-        recovery.checkpoint()
     try:
-        run_stepping(
-            ctx, view, transport, defence,
-            recovery_hook=recovery.on_epoch if recovery is not None else None,
-        )
+        run_stepping(ctx, view, transport, defence)
     except DeadlineExceeded as exc:
         defence.resolve_deadline(exc, perfect())
     else:
-        if recovery is not None:
-            recovery.heal(transport, root)
+        defence.heal(root)
     # Settle the ledger (no result pins a frontier array), then the
     # end-of-solve guards and the close of the root span.
     ctx.metrics.settle()
     d = view.d
-    if recovery is None:
+    if faults is None:
         ctx.metrics.resolver.seal(d)
     if ctx.guards is not None:
         ctx.guards.check_final(d, root)
         ctx.guards.check_recovery_separation(
             ctx.metrics,
             allowed=ctx.metrics.degraded_to_bf
-            or (recovery is not None and recovery.plan.injects_anything),
+            or (faults is not None and faults.injects_anything),
         )
     if tr is not None:
         tr.end(solve_span, settled=int(view.settled.sum()))
@@ -121,27 +114,19 @@ def drive(
 
 
 def run_stepping(
-    ctx: ExecutionContext,
-    view: VertexView,
-    transport,
-    defence: Defence,
-    *,
-    recovery_hook=None,
+    ctx: ExecutionContext, view: VertexView, transport, defence: Defence
 ) -> None:
     """Step until no window remains (or the hybrid switch fires).
 
-    ``defence`` supplies the resume point and receives the epoch
-    boundaries; ``recovery_hook`` is the rank driver's in-memory snapshot
-    cadence, called at the top of every epoch.
+    ``defence`` supplies the resume point and is called before every
+    epoch (its crash snapshot) and after it (checkpoint, watchdog tick);
+    its ``bf_hook`` does both for every Bellman-Ford iteration.
     """
     cfg = ctx.config
-    bf_hook = chain_hooks(
-        recovery_hook, defence.bf_hook if defence.enabled else None
-    )
     if defence.stage == "bf":
         # Resuming past the hybrid switch (or from a forced timeout
         # checkpoint): run the Bellman-Ford tail directly.
-        bellman_ford_stage(ctx, view, transport, epoch_hook=bf_hook)
+        bellman_ford_stage(ctx, view, transport, epoch_hook=defence.bf_hook)
         view.settle_reached()
         return
     strategy = make_strategy(cfg)
@@ -158,8 +143,7 @@ def run_stepping(
             break
         if ctx.guards is not None:
             ctx.guards.on_bucket_start(step.key)
-        if recovery_hook is not None:
-            recovery_hook()
+        defence.before_epoch()
         process_epoch(ctx, view, transport, step, ordinal, strategy)
         ordinal += 1
         defence.bucket_ordinal = ordinal
@@ -170,13 +154,11 @@ def run_stepping(
                 ctx.metrics.hybrid_switch_bucket = step.key
                 view.active = np.nonzero(~view.settled & (view.d < INF))[0]
                 defence.stage = "bf"
-                if defence.enabled:
-                    defence.on_epoch()
-                bellman_ford_stage(ctx, view, transport, epoch_hook=bf_hook)
+                defence.on_epoch()
+                bellman_ford_stage(ctx, view, transport, epoch_hook=defence.bf_hook)
                 view.settle_reached()
                 break
-        if defence.enabled:
-            defence.on_epoch()
+        defence.on_epoch()
 
 
 def short_records(

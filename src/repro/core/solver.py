@@ -171,9 +171,10 @@ def solve_sssp(
         Optional :class:`~repro.spmd.faults.FaultPlan`. A plan needs a wire
         to break, so the same preset then runs on the rank driver
         (:func:`repro.spmd.engine.run_ranks`) through the fault-injecting
-        reliable mailbox; recovery overhead lands in the ``recovery_*``
-        counters and the recovered distances are bit-identical to the
-        fault-free run's.
+        reliable mailbox, and the solve's
+        :class:`~repro.core.defence.Defence` restarts crashed ranks and
+        heals; recovery overhead lands in the ``recovery_*`` counters and
+        the recovered distances are bit-identical to the fault-free run's.
     paranoid:
         Enable the runtime invariant guards
         (:class:`~repro.runtime.guards.InvariantGuards`) for this solve.
@@ -183,8 +184,8 @@ def solve_sssp(
         finalized tracer is returned as ``result.trace``.
     defence:
         Durable checkpoints, resume and the deadline watchdog
-        (``checkpoint_dir``, ``checkpoint_interval``, ``checkpoint_keep``,
-        ``resume``, ``deadline``), documented on
+        (``checkpoint_dir``, ``checkpoint_keep``, ``resume``,
+        ``deadline``), documented on
         :class:`~repro.core.defence.Defence`.
 
     Returns

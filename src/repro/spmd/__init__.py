@@ -21,12 +21,14 @@ also the natural host for the fault-injection and recovery layer
 (:mod:`repro.spmd.faults`, DESIGN.md §7): a :class:`FaultPlan` drives a
 :class:`FaultyMailbox` — the :class:`Mailbox` with a sequence/ack/retry
 protocol over a wire that loses, duplicates, reorders and delays records or
-crashes whole ranks — while driver-side checkpointing and self-healing
-sweeps recover the exact fault-free answer. Both mailboxes take records
-one way, the kernels' ``send``/``exchange``. A plan is handed to the
-front door: ``solve_sssp(..., faults=plan)``.
+crashes whole ranks — while the solve's epoch snapshots and self-healing
+sweeps (:class:`~repro.core.defence.Defence`) recover the exact fault-free
+answer. Both mailboxes take records one way, the kernels'
+``send``/``exchange``. A plan is handed to the front door:
+``solve_sssp(..., faults=plan)``.
 """
 
+from repro.core.defence import RecoveryError
 from repro.spmd.checkpoint import (
     CheckpointError,
     CheckpointManager,
@@ -36,7 +38,7 @@ from repro.spmd.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.spmd.engine import RecoveryError, run_ranks, spmd_delta_stepping
+from repro.spmd.engine import run_ranks, spmd_delta_stepping
 from repro.spmd.faults import FaultPlan, FaultyMailbox, RankCrash, RankStall
 from repro.spmd.mailbox import Mailbox
 

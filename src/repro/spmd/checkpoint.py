@@ -1,11 +1,12 @@
 """Durable on-disk checkpoint/resume for SSSP solves (DESIGN.md §8).
 
-PR 1's epoch checkpoints live in memory: they survive an injected rank
-crash but not a killed process. This module makes solve state *durable*: at
-epoch boundaries the engine serialises everything needed to restart the
-solve — the global tentative-distance array, settled flags, the active
-frontier, the loop stage (bucket loop vs Bellman-Ford tail) and the
-reliable mailbox's superstep counter — into a versioned ``.npz`` file.
+The crash snapshots of :class:`~repro.core.defence.Defence` live in memory:
+they survive an injected rank crash but not a killed process. This module
+makes solve state *durable*: at every epoch boundary the defence
+serialises everything needed to restart the solve — the global
+tentative-distance array, settled flags, the active frontier, the loop
+stage (bucket loop vs Bellman-Ford tail) and the reliable mailbox's
+superstep counter — into a versioned ``.npz`` file.
 
 The format is defensive end to end:
 
@@ -23,10 +24,10 @@ The format is defensive end to end:
   root); resuming against a different graph or config raises
   :class:`CheckpointError` instead of silently computing wrong distances.
 
-Restoring a checkpoint is sound for the same reason PR 1's in-memory
-restore is: tentative distances in a checkpoint are lengths of real paths,
-so re-running the monotone min-apply relaxation from them converges to the
-exact shortest-distance array.
+Restoring a checkpoint is sound for the same reason a crash restore is:
+tentative distances in a checkpoint are lengths of real paths, so re-running
+the monotone min-apply relaxation from them converges to the exact
+shortest-distance array.
 """
 
 from __future__ import annotations
@@ -183,9 +184,7 @@ def checkpoint_path(directory: str | Path, epoch: int) -> Path:
     return Path(directory) / f"{_CKPT_PREFIX}{epoch:08d}{_CKPT_SUFFIX}"
 
 
-def save_checkpoint(
-    directory: str | Path, ckpt: SolveCheckpoint, *, fsync: bool = True
-) -> Path:
+def save_checkpoint(directory: str | Path, ckpt: SolveCheckpoint) -> Path:
     """Durably write ``ckpt`` under ``directory`` (atomic write-rename)."""
     directory = Path(directory)
     payload = _checkpoint_payload(ckpt)
@@ -196,21 +195,19 @@ def save_checkpoint(
         with open(tmp, "wb") as fh:
             np.savez(fh, digest=np.array(digest), **payload)
             fh.flush()
-            if fsync:
-                os.fsync(fh.fileno())
+            os.fsync(fh.fileno())
         os.replace(tmp, final)
     except OSError:
         tmp.unlink(missing_ok=True)
         raise
-    if fsync:  # make the rename itself durable (best effort on odd FSes)
+    try:  # make the rename itself durable (best effort on odd FSes)
+        dir_fd = os.open(directory, os.O_RDONLY)
         try:
-            dir_fd = os.open(directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:  # pragma: no cover - platform dependent
-            pass
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:  # pragma: no cover - platform dependent
+        pass
     return final
 
 
@@ -298,11 +295,10 @@ class CheckpointManager:
     """Durable-checkpoint policy for one solve.
 
     Owns the directory (validated writable at construction, *before* any
-    solve work), the run fingerprints, the cadence (every ``interval``
-    epochs) and retention (newest ``keep`` files). Engines call
-    :meth:`maybe_save` at epoch boundaries and :meth:`save` for the final
-    forced checkpoint a :class:`~repro.runtime.watchdog.SolveTimeout`
-    carries.
+    solve work), the run fingerprints and retention (newest ``keep``
+    files). The solve's :class:`~repro.core.defence.Defence` calls
+    :meth:`save` at every epoch boundary and for the final checkpoint a
+    :class:`~repro.runtime.watchdog.SolveTimeout` carries.
     """
 
     def __init__(
@@ -314,23 +310,15 @@ class CheckpointManager:
         machine,
         root: int,
         engine: str,
-        interval: int = 1,
         keep: int = 3,
-        fsync: bool = True,
     ) -> None:
-        if interval < 1:
-            raise ValueError("checkpoint interval must be >= 1")
         if keep < 1:
             raise ValueError("checkpoint retention must keep >= 1 file")
         self.directory = ensure_checkpoint_dir(directory)
-        self.interval = interval
         self.keep = keep
-        self.fsync = fsync
         self.root = root
         self.graph_digest = fingerprint_graph(graph)
         self.run_digest = fingerprint_run(config, machine, root, engine)
-        self.last_path: Path | None = None
-        self.saves = 0
 
     # ------------------------------------------------------------------
     def load_resume(self) -> SolveCheckpoint | None:
@@ -354,7 +342,6 @@ class CheckpointManager:
                 f"checkpoint {path} belongs to a different run configuration "
                 "(engine/algorithm/machine/root fingerprint mismatch)"
             )
-        self.last_path = path
         return ckpt
 
     # ------------------------------------------------------------------
@@ -384,17 +371,9 @@ class CheckpointManager:
             run_digest=self.run_digest,
             hybrid_switch_bucket=hybrid_switch_bucket,
         )
-        path = save_checkpoint(self.directory, ckpt, fsync=self.fsync)
-        self.last_path = path
-        self.saves += 1
+        path = save_checkpoint(self.directory, ckpt)
         self._prune()
         return path
-
-    def maybe_save(self, *, epoch: int, **state) -> Path | None:
-        """Checkpoint iff ``epoch`` is on the configured cadence."""
-        if epoch % self.interval != 0:
-            return None
-        return self.save(epoch=epoch, **state)
 
     def _prune(self) -> None:
         """Drop all but the newest ``keep`` checkpoints (best effort)."""

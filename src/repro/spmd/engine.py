@@ -15,194 +15,67 @@ that declared traffic equals a true message-passing execution's. The rank
 driver accepts every configuration the whole-graph driver accepts, by
 construction: there is no second copy to keep up.
 
-What is the rank driver's own is the fault stack. :func:`run_ranks` works
-on a prepared context — it is what :meth:`BatchSolver.solve(root,
-faults=plan) <repro.core.solver.BatchSolver.solve>` runs on a fork of its
-template — and :func:`spmd_delta_stepping` is ``make_context`` +
-``run_ranks`` for callers that want the context back (``make_context``
-reads its per-graph tables off the graph's memo, so the per-solve cost is
-the per-run state). With a
+What is the rank driver's own is the wire. :func:`run_ranks` works on a
+prepared context — it is what :meth:`BatchSolver.solve(root, faults=plan)
+<repro.core.solver.BatchSolver.solve>` runs on a fork of its template — and
+:func:`spmd_delta_stepping` is ``make_context`` + ``run_ranks`` for callers
+that want the context back (``make_context`` reads its per-graph tables off
+the graph's memo, so the per-solve cost is the per-run state). With a
 :class:`~repro.spmd.faults.FaultPlan` records travel through a
 :class:`~repro.spmd.faults.FaultyMailbox` (reliable sequence/ack/retry
-transport over a faulty wire), the state is snapshotted in memory at epoch
-boundaries so a crashed rank can restart — its range of the arrays is
-assigned back from the snapshot, nobody else's is touched — and a
-post-solve self-healing sweep re-runs Bellman-Ford iterations until the
-structural validator accepts: sound because min-apply relaxation is
-idempotent, monotone and therefore self-stabilizing.
+transport over a faulty wire), and the solve's
+:class:`~repro.core.defence.Defence` snapshots the state before every epoch
+so a crashed rank can restart, then heals the distances after the loop.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from repro.core.bellman_ford import bellman_ford_stage
 from repro.core.config import SolverConfig
 from repro.core.context import ExecutionContext, make_context
-from repro.core.distances import INF
 from repro.core.phases import drive
 
 # The one view constructor, under the name the stack benchmark's span
 # recorder wraps on this module (``spmd.rank_state_build_ms``).
-from repro.core.views import VertexView, rooted_whole_view as build_rank_states
+from repro.core.views import rooted_whole_view as build_rank_states
 from repro.graph.csr import CSRGraph
-from repro.runtime.comm import RECOVERY_PHASE
 from repro.runtime.machine import MachineConfig
+from repro.spmd.faults import FaultPlan, FaultyMailbox
 from repro.spmd.mailbox import Mailbox
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.spmd.faults import FaultPlan
-
-__all__ = ["run_ranks", "spmd_delta_stepping", "RecoveryError"]
+__all__ = ["run_ranks", "spmd_delta_stepping"]
 
 
-class RecoveryError(RuntimeError):
-    """Self-healing failed: the structural validator still rejects the
-    distances after the configured number of healing sweeps."""
-
-
-# ----------------------------------------------------------------------
-# Fault recovery (in-memory checkpoints, rank restart, self-healing sweep)
-# ----------------------------------------------------------------------
-class _RecoveryManager:
-    """Engine-side half of the recovery protocol.
-
-    Holds an epoch-level snapshot of the view's state (distances, settled
-    flags, active set), restores a rank's range of it when the mailbox
-    reports that rank's crash, and runs the post-solve self-healing sweep:
-    Bellman-Ford iterations, charged to the ``recovery`` phase, repeated
-    until the structural validator accepts. Restoring a checkpoint can only
-    *raise* tentative distances (they are monotone non-increasing over
-    time), so every tentative distance remains the length of a real path
-    and the sweep's fixpoint is exactly the true shortest-distance array.
-    """
-
-    def __init__(
-        self, ctx: ExecutionContext, view: VertexView, plan: "FaultPlan"
-    ) -> None:
-        self.ctx = ctx
-        self.view = view
-        self.plan = plan
-        self._epoch = 0
-        self.checkpoint()
-
-    def checkpoint(self) -> None:
-        """Snapshot (d, settled, active)."""
-        view = self.view
-        self._snap = (view.d.copy(), view.settled.copy(), view.active.copy())
-        self.ctx.metrics.recovery.checkpoints_taken += 1
-
-    def on_epoch(self) -> None:
-        """Epoch boundary: checkpoint every ``checkpoint_interval`` epochs."""
-        if self._epoch % self.plan.checkpoint_interval == 0:
-            self.checkpoint()
-        self._epoch += 1
-
-    def restore(self, rank: int) -> None:
-        """Roll ``rank`` back to the last checkpoint (crash restart): its
-        vertex range of the snapshot is assigned back, and the view
-        rebuilds its incremental index — distances lawfully rise — before
-        the next epoch reads it."""
-        self.view.restore(*self._snap, *self.ctx.partition.rank_range(rank))
-        self.ctx.metrics.recovery.rank_restarts += 1
-        if self.ctx.tracer is not None:
-            self.ctx.tracer.instant("rank-restart", rank=int(rank))
-        if self.ctx.guards is not None:
-            # A restore lawfully raises distances and clears settled flags;
-            # reset the monotonicity/finality baselines so the guards track
-            # the restored state instead of flagging the rollback itself.
-            self.ctx.guards.on_rollback()
-
-    def heal(self, mailbox: Mailbox, root: int) -> None:
-        """Self-healing sweep: re-run Bellman-Ford until the structural
-        validator accepts (raises :class:`RecoveryError` if it never does).
-        """
-        from repro.core.validation import validate_sssp_structure
-
-        ctx, view = self.ctx, self.view
-
-        def accepted() -> bool:
-            # One allreduce models the global validity vote.
-            ctx.comm.allreduce(1, phase_kind=RECOVERY_PHASE)
-            return validate_sssp_structure(ctx.graph, root, view.d).valid
-
-        for _ in range(self.plan.max_healing_sweeps):
-            if accepted():
-                break
-            ctx.metrics.recovery.healing_sweeps += 1
-            if ctx.tracer is not None:
-                ctx.tracer.instant(
-                    "healing-sweep",
-                    sweep=int(ctx.metrics.recovery.healing_sweeps),
-                )
-            view.active = np.nonzero(view.d < INF)[0]
-            bellman_ford_stage(ctx, view, mailbox, phase_kind=RECOVERY_PHASE)
-        else:
-            report = validate_sssp_structure(ctx.graph, root, view.d)
-            if not report.valid:
-                raise RecoveryError(
-                    "self-healing did not converge after "
-                    f"{self.plan.max_healing_sweeps} sweeps: "
-                    + "; ".join(report.failures)
-                )
-        view.settle_reached()
-
-
-def _fault_setup(
-    ctx: ExecutionContext, view: VertexView, faults: "FaultPlan | None"
-) -> tuple[Mailbox, _RecoveryManager | None]:
-    """Build the (mailbox, recovery manager) pair for a run."""
-    num_ranks = ctx.machine.num_ranks
-    if faults is None:
-        return Mailbox(num_ranks, ctx.comm), None
-    from repro.spmd.faults import FaultyMailbox
-
-    # The plan is machine-agnostic; rank references only resolve here.
-    for event in (*faults.crashes, *faults.stalls):
-        if event.rank >= num_ranks:
-            raise ValueError(
-                f"fault plan references rank {event.rank} but the machine "
-                f"has only {num_ranks} ranks"
-            )
-
-    mailbox = FaultyMailbox(num_ranks, ctx.comm, faults)
-    manager = _RecoveryManager(ctx, view, faults)
-    mailbox.on_restart = manager.restore
-    return mailbox, manager
-
-
-# ----------------------------------------------------------------------
-# Entry points
-# ----------------------------------------------------------------------
 def run_ranks(
     ctx: ExecutionContext,
     root: int,
     *,
-    faults: "FaultPlan | None" = None,
+    faults: FaultPlan | None = None,
     **defence,
 ) -> np.ndarray:
     """Solve from ``root`` on ``ctx`` through a mailbox; returns distances.
 
     Δ = ∞ (``config.is_bellman_ford``) runs the whole solve as the
     Bellman-Ford stage, under its own checkpoint tag. With ``faults``,
-    records travel through the fault-injecting reliable mailbox, the
-    state is snapshotted at epoch boundaries for crash restart, and the
-    post-solve self-healing sweep makes the distances bit-identical to the
-    fault-free run's. ``defence`` is documented on
-    :class:`~repro.core.defence.Defence`.
+    records travel through the fault-injecting reliable mailbox and the
+    solve's :class:`~repro.core.defence.Defence` (whose options
+    ``defence`` are) restarts crashed ranks and heals the distances to the
+    fault-free run's, bit for bit.
     """
     view = build_rank_states(ctx, root)
-    mailbox, manager = _fault_setup(ctx, view, faults)
+    p = ctx.machine.num_ranks
+    mailbox = (
+        Mailbox(p, ctx.comm) if faults is None else FaultyMailbox(p, ctx.comm, faults)
+    )
     return drive(
         ctx,
         view,
         mailbox,
         root,
         "spmd-bf" if ctx.config.is_bellman_ford else "spmd-delta",
-        perfect=lambda: Mailbox(ctx.machine.num_ranks, ctx.comm),
-        recovery=manager,
+        perfect=lambda: Mailbox(p, ctx.comm),
+        faults=faults,
         **defence,
     )
 
@@ -215,7 +88,7 @@ def spmd_delta_stepping(
     delta: int = 25,
     use_ios: bool = False,
     config: SolverConfig | None = None,
-    faults: "FaultPlan | None" = None,
+    faults: FaultPlan | None = None,
     trace=None,
     **defence,
 ) -> tuple[np.ndarray, ExecutionContext]:

@@ -12,7 +12,7 @@ plan breaks — an empty ``FaultPlan()`` is the perfect wire.
 
 Recovery is sound because min-apply relaxation is idempotent and monotone
 (the SP_Async observation): re-delivered records are no-ops, lost records
-are retransmitted, and a crashed rank restarted from an epoch checkpoint
+are retransmitted, and a crashed rank restarted from an epoch snapshot
 can only *raise* its tentative distances — so the post-solve self-healing
 sweep (extra Bellman-Ford iterations until the structural validator
 accepts) always converges back to the exact fault-free distances.
@@ -48,8 +48,8 @@ class RankCrash:
     """Rank ``rank`` fails at superstep ``superstep``: it loses all state
     since its last checkpoint, the records it posted that superstep are
     never sent, and records addressed to it bounce until it restarts (which
-    happens immediately, from the checkpoint, via the engine's restore
-    hook)."""
+    happens immediately, from the last snapshot, via the mailbox's
+    ``on_restart`` hook)."""
 
     rank: int
     superstep: int
@@ -77,9 +77,9 @@ class FaultPlan:
     (recorded in :attr:`repro.runtime.metrics.RecoveryStats.events`).
 
     Recovery knobs: ``max_attempts``/``backoff_cap`` tune the reliable
-    transport's capped exponential backoff, ``checkpoint_interval`` the
-    epoch-checkpoint cadence, and ``max_healing_sweeps`` bounds the
-    post-solve self-healing Bellman-Ford sweeps.
+    transport's capped exponential backoff. Crash snapshots are taken
+    before every epoch and the healing sweeps are bounded by
+    :data:`repro.core.defence.MAX_HEALING_SWEEPS`.
     """
 
     seed: int = 0
@@ -96,8 +96,6 @@ class FaultPlan:
     """Whether retransmissions can be hit by the rate faults again."""
     max_attempts: int = 6
     backoff_cap: int = 4
-    checkpoint_interval: int = 1
-    max_healing_sweeps: int = 4
 
     def __post_init__(self) -> None:
         for name in ("loss_rate", "dup_rate", "reorder_rate", "delay_rate"):
@@ -110,10 +108,6 @@ class FaultPlan:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_cap < 1:
             raise ValueError("backoff_cap must be >= 1")
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
-        if self.max_healing_sweeps < 1:
-            raise ValueError("max_healing_sweeps must be >= 1")
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "stalls", tuple(self.stalls))
         for crash in self.crashes:
@@ -158,7 +152,7 @@ class FaultPlan:
 
         Keys: ``loss``, ``dup``, ``reorder``, ``delay`` (rates);
         ``max-delay``, ``seed``, ``first``, ``last``, ``attempts``,
-        ``backoff``, ``ckpt`` (ints); ``retry-faults`` (0/1);
+        ``backoff`` (ints); ``retry-faults`` (0/1);
         ``crash=RANK@SUPERSTEP`` and ``stall=RANK@SUPERSTEP[xDURATION]``,
         multiple events joined with ``+``.
         """
@@ -173,7 +167,6 @@ class FaultPlan:
             "last": ("last_superstep", int),
             "attempts": ("max_attempts", int),
             "backoff": ("backoff_cap", int),
-            "ckpt": ("checkpoint_interval", int),
             "retry-faults": ("faults_on_retry", lambda v: bool(int(v))),
         }
 
@@ -238,14 +231,23 @@ class FaultyMailbox(Mailbox):
     reordering) draw from one seeded generator, so the whole fault
     schedule — logged in ``metrics.recovery.events`` — is a pure function
     of the plan and the run.  The protocol repairs everything except
-    crash-induced state loss, which the engine repairs via checkpoints and
-    the self-healing sweep: ``on_restart`` is its crash hook, invoked with
-    the rank id when the plan crashes a rank at the current superstep,
-    *before* any record of the superstep is handed to the engine, so the
-    engine can roll the rank back to its last checkpoint first.
+    crash-induced state loss, which the solve's
+    :class:`~repro.core.defence.Defence` repairs from its epoch snapshot
+    and the self-healing sweep: ``on_restart`` is its crash hook, invoked
+    with the rank id when the plan crashes a rank at the current
+    superstep, *before* any record of the superstep is handed out, so the
+    rank is rolled back first. A plan naming a rank the machine does not
+    have is rejected here.
     """
 
     def __init__(self, num_ranks: int, comm: Communicator, plan: FaultPlan) -> None:
+        # The plan is machine-agnostic; rank references only resolve here.
+        for event in (*plan.crashes, *plan.stalls):
+            if event.rank >= num_ranks:
+                raise ValueError(
+                    f"fault plan references rank {event.rank} but the machine "
+                    f"has only {num_ranks} ranks"
+                )
         super().__init__(num_ranks, comm)
         self.plan = plan
         self.on_restart: Callable[[int], None] | None = None

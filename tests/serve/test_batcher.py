@@ -68,11 +68,6 @@ class TestFlushTriggers:
         assert batcher.take(block=False) == [3, 4]
         assert batcher.depth == 0
 
-    def test_zero_interval_flushes_immediately(self):
-        batcher, _ = make(max_batch_size=8)
-        batcher.put("x")
-        assert batcher.take(block=False) == ["x"]
-
 
 class TestAdmission:
     def test_put_returns_depth(self):

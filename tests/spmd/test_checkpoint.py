@@ -141,22 +141,6 @@ class TestManager:
         assert len(files) == 2
         assert files[-1].endswith("ckpt-00000004.npz")
 
-    def test_interval_cadence(self, tmp_path, graph, machine):
-        mgr = CheckpointManager(
-            tmp_path, graph=graph, config=SolverConfig(), machine=machine,
-            root=0, engine="t", interval=3, keep=10,
-        )
-        saved = [
-            mgr.maybe_save(epoch=e, stage="bucket", bucket_ordinal=0,
-                           superstep=0, d=np.zeros(2, np.int64),
-                           settled=np.zeros(2, bool),
-                           active=np.empty(0, np.int64))
-            for e in range(1, 7)
-        ]
-        assert [p is not None for p in saved] == [
-            False, False, True, False, False, True
-        ]
-
     def test_resume_rejects_different_graph(self, tmp_path, graph, machine):
         mgr = CheckpointManager(
             tmp_path, graph=graph, config=SolverConfig(), machine=machine,

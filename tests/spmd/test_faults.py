@@ -173,18 +173,18 @@ class TestFaultPlan:
 
     def test_from_spec_round_trip(self):
         plan = FaultPlan.from_spec(
-            "loss=0.05,dup=0.02,seed=3,crash=1@4+0@9,stall=2@5x3,ckpt=2"
+            "loss=0.05,dup=0.02,seed=3,crash=1@4+0@9,stall=2@5x3"
         )
         assert plan.loss_rate == 0.05
         assert plan.dup_rate == 0.02
         assert plan.seed == 3
         assert plan.crashes == (RankCrash(1, 4), RankCrash(0, 9))
         assert plan.stalls == (RankStall(2, 5, 3),)
-        assert plan.checkpoint_interval == 2
 
     def test_from_spec_rejects_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown fault spec key"):
-            FaultPlan.from_spec("gamma=1")
+        for spec in ("gamma=1", "ckpt=2"):
+            with pytest.raises(ValueError, match="unknown fault spec key"):
+                FaultPlan.from_spec(spec)
         with pytest.raises(ValueError, match="malformed"):
             FaultPlan.from_spec("loss")
 

@@ -2,11 +2,12 @@
 has one spelling.
 
 With one whole-graph view a rank's state is the range ``[lo, hi)`` of the
-view's arrays. Rolling rank ``r`` back to the in-memory snapshot must write
-that range and nothing else — the other ranks did not crash — keep the
-active set sorted (the per-rank facts are ``searchsorted`` cuts of it), and
-leave the view's unsettled set equal to a from-scratch scan of the restored
-state.
+view's arrays. Rolling rank ``r`` back to the defence's in-memory snapshot
+must write that range and nothing else — the other ranks did not crash —
+keep the active set sorted (the per-rank facts are ``searchsorted`` cuts of
+it), and leave the view's unsettled set equal to a from-scratch scan of the
+restored state. A resumed faulted solve holds one snapshot: the restored
+checkpoint's.
 And the three places a Bellman-Ford fixpoint closes (hybrid tail, degraded
 deadline, healing sweep) all end in :meth:`VertexView.settle_reached`, which
 writes ``settled`` in place and retakes ``num_unsettled``.
@@ -19,6 +20,7 @@ import pytest
 
 from repro.core.config import preset
 from repro.core.context import make_context
+from repro.core.defence import Defence
 from repro.core.distances import INF
 from repro.core.phases import drive
 from repro.core.reference import dijkstra_reference
@@ -29,8 +31,8 @@ from repro.graph.builder import from_undirected_edges
 from repro.graph.rmat import rmat_graph
 from repro.runtime.machine import MachineConfig
 from repro.runtime.watchdog import DeadlineConfig
-from repro.spmd.engine import _fault_setup, _RecoveryManager
-from repro.spmd.faults import FaultPlan
+from repro.spmd.checkpoint import CheckpointManager
+from repro.spmd.faults import FaultPlan, FaultyMailbox
 from repro.spmd.mailbox import Mailbox
 from tests.core.oracles import NO_BUCKET, bucket_members, next_bucket
 
@@ -77,19 +79,25 @@ def assert_set_is_a_fresh_scan(ctx, view):
     assert view.num_unsettled == d.size - int(settled.sum())
 
 
+def armed_defence(ctx, view, plan, **options):
+    """The rank driver's defence over a fault-injecting mailbox."""
+    mailbox = FaultyMailbox(MACHINE.num_ranks, ctx.comm, plan)
+    return Defence(ctx, view, mailbox, ROOT, "spmd-delta", faults=plan, **options)
+
+
 @pytest.mark.parametrize("rank", range(MACHINE.num_ranks))
 def test_restore_writes_the_crashed_ranks_range_and_nothing_else(graph, rank):
     ctx = make_context(graph, MACHINE, preset("delta", DELTA))
     view = rooted_whole_view(ctx, ROOT)
     rng = np.random.default_rng(rank)
     advance(ctx, view, rng, 3)
-    manager = _RecoveryManager(ctx, view, FaultPlan())  # snapshots here
-    snap_d, snap_settled, snap_active = (a.copy() for a in manager._snap)
+    defence = armed_defence(ctx, view, FaultPlan())  # snapshots here
+    snap_d, snap_settled, snap_active = (a.copy() for a in defence._snap)
     advance(ctx, view, rng, 4)
     d, settled, active = view.d.copy(), view.settled.copy(), view.active.copy()
     assert not np.array_equal(d, snap_d) and not np.array_equal(settled, snap_settled)
 
-    manager.restore(rank)
+    defence.restore_rank(rank)
 
     lo, hi = ctx.partition.rank_range(rank)
     outside = np.ones(d.size, dtype=bool)
@@ -111,7 +119,7 @@ def test_restore_writes_the_crashed_ranks_range_and_nothing_else(graph, rank):
     assert counts[rank] == int(snap_mine.sum()) and sum(counts) == view.active.size
     assert_set_is_a_fresh_scan(ctx, view)
     # The snapshot itself is untouched: the next crash restores from it too.
-    assert manager._snap[0].tobytes() == snap_d.tobytes()
+    assert defence._snap[0].tobytes() == snap_d.tobytes()
     assert ctx.metrics.recovery.rank_restarts == 1
 
 
@@ -127,6 +135,32 @@ def test_full_restore_is_the_same_call_over_every_vertex(graph):
     for mine, theirs in zip((view.d, view.settled, view.active), snap):
         assert mine.tobytes() == theirs.tobytes() and mine is not theirs
     assert_set_is_a_fresh_scan(ctx, view)
+
+
+def test_a_resumed_faulted_solve_holds_one_snapshot_the_checkpoints(graph, tmp_path):
+    """The crash snapshot is taken once, after the resume wrote the
+    checkpoint back, so a restart rolls back to what the run resumed."""
+    ctx = make_context(graph, MACHINE, preset("delta", DELTA))
+    view = rooted_whole_view(ctx, ROOT)
+    advance(ctx, view, np.random.default_rng(5), 3)
+    CheckpointManager(
+        tmp_path, graph=ctx.graph, config=ctx.config, machine=MACHINE,
+        root=ROOT, engine="spmd-delta",
+    ).save(epoch=3, stage="bucket", bucket_ordinal=2, superstep=7, d=view.d,
+           settled=view.settled, active=view.active)
+
+    ctx = make_context(graph, MACHINE, preset("delta", DELTA))
+    defence = armed_defence(
+        ctx, rooted_whole_view(ctx, ROOT), FaultPlan(), checkpoint_dir=tmp_path,
+        resume=True,
+    )
+
+    assert defence.start is not None
+    assert ctx.metrics.recovery.checkpoints_taken == 1
+    for snap, restored in zip(
+        defence._snap, (defence.start.d, defence.start.settled, defence.start.active)
+    ):
+        assert snap.tobytes() == restored.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -166,8 +200,9 @@ def test_after_a_heal(islands, spec):
     ctx = make_context(islands, MACHINE, preset("opt", DELTA))
     view = rooted_whole_view(ctx, ROOT)
     settled = view.settled
-    mailbox, manager = _fault_setup(ctx, view, FaultPlan.from_spec(spec))
-    drive(ctx, view, mailbox, ROOT, "spmd-delta", perfect=None, recovery=manager)
+    plan = FaultPlan.from_spec(spec)
+    mailbox = FaultyMailbox(MACHINE.num_ranks, ctx.comm, plan)
+    drive(ctx, view, mailbox, ROOT, "spmd-delta", perfect=None, faults=plan)
     assert view.settled is settled
     assert_reached_is_settled(view, islands, ROOT)
 

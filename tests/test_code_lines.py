@@ -47,22 +47,43 @@ def test_counts_a_path():
 
 def test_the_push_pull_decision_and_its_ledger_stay_capped():
     """``core/pushpull.py`` + ``core/phases.py`` + ``runtime/metrics.py``
-    hold at most 949 code lines and no tracer fork or estimator composition
-    layer, and the tree keeps every ratchet."""
+    hold at most 934 code lines and no tracer fork, estimator composition
+    layer or second recovery hook, and the tree keeps every ratchet."""
     tool = _tool()
     names = tuple(
         f"src/repro/{name}"
         for name in ("core/pushpull.py", "core/phases.py", "runtime/metrics.py")
     )
     forbidden = (
-        "expectation_partials", "combine_expectation_costs", "ctx.tracer is None"
+        "expectation_partials", "combine_expectation_costs", "ctx.tracer is None",
+        "recovery_hook",
     )
-    assert (names, 949, forbidden) in tool.RATCHETS
+    assert (names, 934, forbidden) in tool.RATCHETS
     proc = subprocess.run(
         [sys.executable, str(TOOL), "src/repro", "--ratchet"],
         capture_output=True, text=True, timeout=60, cwd=TOOL.parents[1],
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_one_defence_owns_the_epoch_boundary():
+    """``core/defence.py`` + ``spmd/engine.py`` + ``spmd/checkpoint.py``
+    hold at most 478 code lines with no second recovery manager, hook
+    chain, checkpoint cadence or healing knob, and the transport row names
+    neither knob."""
+    tool = _tool()
+    rows = {names: (most, calls) for names, most, calls in tool.RATCHETS}
+    most, calls = rows[tuple(
+        f"src/repro/{name}"
+        for name in ("core/defence.py", "spmd/engine.py", "spmd/checkpoint.py")
+    )]
+    assert most == 478
+    assert calls == (
+        "_RecoveryManager", "chain_hooks", "recovery_hook", "maybe_save",
+        "max_healing_sweeps", "checkpoint_interval",
+    )
+    transport = rows[("src/repro/spmd/mailbox.py", "src/repro/spmd/faults.py")]
+    assert transport == (430, ("checkpoint_interval", "max_healing_sweeps"))
 
 
 def test_a_directory_row_counts_and_scans_every_file_in_its_tree(tmp_path):

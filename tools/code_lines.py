@@ -13,11 +13,12 @@ pipeline wiring four policies, not one broker class;
 together past 722 or talking to the metrics registry themselves instead
 of through ``serve/accounting.py``, or naming ``deadline_at`` — a take
 is FIFO; ``src/repro/spmd/mailbox.py`` and
-``src/repro/spmd/faults.py`` together past 430 — the transport and its
-reliable protocol, with one way into a superstep; ``serve/cache.py``,
-``serve/breaker.py`` and ``serve/chaos.py`` together past 592 or keeping a
-handle on the registry — a component counts in its own state and hands
-the registry one collector; ``graph/builder.py`` and ``graph/csr.py``
+``src/repro/spmd/faults.py`` together past 430 or naming
+``checkpoint_interval`` or ``max_healing_sweeps`` — the transport and its
+reliable protocol, with one way into a superstep and no recovery knob;
+``serve/cache.py``, ``serve/breaker.py`` and ``serve/chaos.py`` together
+past 592 or keeping a handle on the registry — a component counts in its
+own state and hands the registry one collector; ``graph/builder.py`` and ``graph/csr.py``
 together past 189 or calling ``argsort`` — construction sorts a packed
 key in place; ``dynamic/repair.py`` past 154 or calling a stepping
 strategy's ``make_strategy``/``window`` — a repair drains to one
@@ -33,11 +34,17 @@ the front door keeps no API that only its own tests read;
 a ledger fact is a slice of one flat buffer per family, folded by one
 ``bincount``, not a list of arrays concatenated at the fold;
 ``core/pushpull.py``, ``core/phases.py`` and ``runtime/metrics.py``
-together past 949 or naming ``expectation_partials``,
-``combine_expectation_costs`` or ``ctx.tracer is None`` — the push/pull
-decision certifies push before it prices pull, traced or not, and a
-certified bucket's pull estimate is rebuilt from the final distances when
-read, with nothing kept per bucket.
+together past 934 or naming ``expectation_partials``,
+``combine_expectation_costs``, ``ctx.tracer is None`` or
+``recovery_hook`` — the push/pull decision certifies push before it prices
+pull, traced or not, a certified bucket's pull estimate is rebuilt from the
+final distances when read, with nothing kept per bucket, and the loop
+calls one defence; ``core/defence.py``, ``spmd/engine.py`` and
+``spmd/checkpoint.py`` together past 478 or naming ``_RecoveryManager``,
+``chain_hooks``, ``recovery_hook``, ``maybe_save``,
+``max_healing_sweeps`` or ``checkpoint_interval`` — one defence object per
+solve owns its checkpoints, crash snapshot, healing and deadline, and
+checkpoints every epoch.
 """
 
 import ast
@@ -52,7 +59,8 @@ RATCHETS = (
     (("src/repro/serve/broker.py", "src/repro/serve/batcher.py",
       "src/repro/serve/attempt.py", "src/repro/serve/snapshots.py"), 722,
      ("registry.inc(", "registry.observe(", "deadline_at")),
-    (("src/repro/spmd/mailbox.py", "src/repro/spmd/faults.py"), 430, ()),
+    (("src/repro/spmd/mailbox.py", "src/repro/spmd/faults.py"), 430,
+     ("checkpoint_interval", "max_healing_sweeps")),
     (("src/repro/serve/cache.py", "src/repro/serve/breaker.py",
       "src/repro/serve/chaos.py"), 592, ("self.registry", "self._registry")),
     (("src/repro/graph/builder.py", "src/repro/graph/csr.py"), 189, ("argsort(",)),
@@ -64,8 +72,13 @@ RATCHETS = (
      ("repro.apps", "solve_many", "core.buckets", "graph500", "args.progress")),
     (("src/repro/runtime/metrics.py",), 445, ("_cat(", "_weights(")),
     (("src/repro/core/pushpull.py", "src/repro/core/phases.py",
-      "src/repro/runtime/metrics.py"), 949,
-     ("expectation_partials", "combine_expectation_costs", "ctx.tracer is None")),
+      "src/repro/runtime/metrics.py"), 934,
+     ("expectation_partials", "combine_expectation_costs", "ctx.tracer is None",
+      "recovery_hook")),
+    (("src/repro/core/defence.py", "src/repro/spmd/engine.py",
+      "src/repro/spmd/checkpoint.py"), 478,
+     ("_RecoveryManager", "chain_hooks", "recovery_hook", "maybe_save",
+      "max_healing_sweeps", "checkpoint_interval")),
 )
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
