@@ -200,8 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "Graph 500-style structural validator instead")
     p_solve.add_argument("--faults", metavar="SPEC", default=None,
                          help="run --algorithm on the self-healing rank "
-                              "driver under injected faults; SPEC is e.g. "
-                              "'loss=0.05,dup=0.02,seed=3,crash=1@4'")
+                              "driver under injected faults; SPEC keys are "
+                              "loss, dup, reorder, delay (rates), seed, "
+                              "crash=RANK@STEP and stall=RANK@STEP[xROUNDS], "
+                              "e.g. 'loss=0.05,dup=0.02,seed=3,crash=1@4'")
     p_solve.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                          help="write durable epoch checkpoints to DIR "
                               "(atomic, digest-protected); a killed solve "

@@ -132,7 +132,6 @@ def solve_sssp(
     num_ranks: int = 8,
     threads_per_rank: int = 8,
     validate: bool | str = False,
-    split_seed: int = 0,
     faults=None,
     paranoid: bool = False,
     trace=None,
@@ -165,8 +164,6 @@ def solve_sssp(
         sequential Dijkstra reference (O(m log n) extra work; intended for
         tests and examples); ``"structural"`` runs the O(m) structural
         validator instead, which needs no reference solve.
-    split_seed:
-        Seed for the proxy-relabelling permutation of vertex splitting.
     faults:
         Optional :class:`~repro.spmd.faults.FaultPlan`. A plan needs a wire
         to break, so the same preset then runs on the rank driver
@@ -205,7 +202,6 @@ def solve_sssp(
         machine=machine,
         num_ranks=num_ranks,
         threads_per_rank=threads_per_rank,
-        split_seed=split_seed,
     )
     return solver._solve(root, validate=validate, faults=faults, **defence)
 
@@ -244,7 +240,6 @@ class BatchSolver:
         machine: MachineConfig | None = None,
         num_ranks: int = 8,
         threads_per_rank: int = 8,
-        split_seed: int = 0,
     ) -> None:
         config, algorithm = _resolve_preset(algorithm, delta, config)
         if machine is None:
@@ -260,7 +255,7 @@ class BatchSolver:
                 )
             mean_degree = float(graph.degrees.mean()) if graph.num_vertices else 0.0
             threshold = config.derived_split_degree(mean_degree)
-            mapping = split_heavy_vertices(graph, threshold, seed=split_seed)
+            mapping = split_heavy_vertices(graph, threshold)
             work_graph = mapping.graph
         # One context build sorts the graph and derives every table; each
         # solve forks it, renewing only the per-run state.

@@ -1,9 +1,9 @@
 """Solve deadlines and livelock detection (DESIGN.md §8).
 
 The reliable mailbox (:class:`~repro.spmd.faults.FaultyMailbox`) bounds a
-retry storm only by the blunt ``MAX_RECOVERY_ROUNDS`` cap, and an
-adversarial fault plan (e.g. a rank stalled for longer than the retry
-budget) either spins to that cap and dies with a bare ``RuntimeError`` or
+long recovery only by the blunt ``MAX_RECOVERY_ROUNDS`` cap, and an
+adversarial fault plan (e.g. a rank stalled for more rounds than that
+cap) either spins to that cap and dies with a bare ``RuntimeError`` or
 makes no forward progress at all.
 This module gives every solve a *superstep-granular* budget and a
 progress watchdog:

@@ -74,8 +74,6 @@ class ChurnSpec:
 
     updates: int = 4
     churn_fraction: float = 0.01
-    insert_fraction: float = 0.34
-    delete_fraction: float = 0.33
     repair_hot_roots: int = 4
     seed: int = 0
 
@@ -93,11 +91,7 @@ class ChurnSpec:
 
         rng = np.random.default_rng((self.seed, int(round_index)))
         return random_update_batch(
-            graph,
-            rng,
-            churn_fraction=self.churn_fraction,
-            insert_fraction=self.insert_fraction,
-            delete_fraction=self.delete_fraction,
+            graph, rng, churn_fraction=self.churn_fraction
         )
 
 

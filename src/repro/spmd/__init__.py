@@ -19,7 +19,7 @@ simulation approach (DESIGN.md §5).
 Because every cross-rank byte goes through the mailbox, the rank driver is
 also the natural host for the fault-injection and recovery layer
 (:mod:`repro.spmd.faults`, DESIGN.md §7): a :class:`FaultPlan` drives a
-:class:`FaultyMailbox` — the :class:`Mailbox` with a sequence/ack/retry
+:class:`FaultyMailbox` — the :class:`Mailbox` with a sequence/ack/resend
 protocol over a wire that loses, duplicates, reorders and delays records or
 crashes whole ranks — while the solve's epoch snapshots and self-healing
 sweeps (:class:`~repro.core.defence.Defence`) recover the exact fault-free

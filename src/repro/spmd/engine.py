@@ -22,7 +22,7 @@ prepared context — it is what :meth:`BatchSolver.solve(root, faults=plan)
 that want the context back (``make_context`` reads its per-graph tables off
 the graph's memo, so the per-solve cost is the per-run state). With a
 :class:`~repro.spmd.faults.FaultPlan` records travel through a
-:class:`~repro.spmd.faults.FaultyMailbox` (reliable sequence/ack/retry
+:class:`~repro.spmd.faults.FaultyMailbox` (reliable sequence/ack/resend
 transport over a faulty wire), and the solve's
 :class:`~repro.core.defence.Defence` snapshots the state before every epoch
 so a crashed rank can restart, then heals the distances after the loop.

@@ -7,12 +7,12 @@ describes — fully deterministically, from a seed — which faults hit which
 supersteps: per-record **loss**, **duplication**, **delayed delivery** and
 stream **reordering** at configurable rates, plus whole-rank **stall** and
 **crash** events pinned to chosen supersteps.  :class:`FaultyMailbox` is
-the reliable transport: a sequence/ack/retry protocol over the wire the
+the reliable transport: a sequence/ack/resend protocol over the wire the
 plan breaks — an empty ``FaultPlan()`` is the perfect wire.
 
 Recovery is sound because min-apply relaxation is idempotent and monotone
 (the SP_Async observation): re-delivered records are no-ops, lost records
-are retransmitted, and a crashed rank restarted from an epoch snapshot
+are resent once, and a crashed rank restarted from an epoch snapshot
 can only *raise* its tentative distances — so the post-solve self-healing
 sweep (extra Bellman-Ford iterations until the structural validator
 accepts) always converges back to the exact fault-free distances.
@@ -68,17 +68,15 @@ class RankStall:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Seeded, deterministic schedule of injected faults + recovery knobs.
+    """Seeded, deterministic schedule of injected faults.
 
-    Rates are per record and apply to supersteps in
-    ``[first_superstep, last_superstep]`` (``None`` = unbounded); crash and
-    stall events fire at their own supersteps regardless of that window.
-    The same seed over the same run yields the identical fault schedule
-    (recorded in :attr:`repro.runtime.metrics.RecoveryStats.events`).
-
-    Recovery knobs: ``max_attempts``/``backoff_cap`` tune the reliable
-    transport's capped exponential backoff. Crash snapshots are taken
-    before every epoch and the healing sweeps are bounded by
+    Rates are per record and apply to every superstep's first attempt; a
+    delayed record is held for 1 to :data:`MAX_DELAY` recovery rounds.
+    Crash and stall events fire at their own supersteps. The same seed over
+    the same run yields the identical fault schedule (recorded in
+    :attr:`repro.runtime.metrics.RecoveryStats.events`). Recovery has no
+    knob: a missing record is resent once, crash snapshots are taken
+    before every epoch, and the healing sweeps are bounded by
     :data:`repro.core.defence.MAX_HEALING_SWEEPS`.
     """
 
@@ -87,27 +85,14 @@ class FaultPlan:
     dup_rate: float = 0.0
     reorder_rate: float = 0.0
     delay_rate: float = 0.0
-    max_delay: int = 3
-    first_superstep: int = 0
-    last_superstep: int | None = None
     crashes: tuple[RankCrash, ...] = ()
     stalls: tuple[RankStall, ...] = ()
-    faults_on_retry: bool = False
-    """Whether retransmissions can be hit by the rate faults again."""
-    max_attempts: int = 6
-    backoff_cap: int = 4
 
     def __post_init__(self) -> None:
         for name in ("loss_rate", "dup_rate", "reorder_rate", "delay_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.max_delay < 1:
-            raise ValueError("max_delay must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_cap < 1:
-            raise ValueError("backoff_cap must be >= 1")
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "stalls", tuple(self.stalls))
         for crash in self.crashes:
@@ -130,12 +115,6 @@ class FaultPlan:
             or self.stalls
         )
 
-    def active_at(self, superstep: int) -> bool:
-        """Whether the rate-based faults apply at this superstep."""
-        if superstep < self.first_superstep:
-            return False
-        return self.last_superstep is None or superstep <= self.last_superstep
-
     def crashes_at(self, superstep: int) -> tuple[int, ...]:
         """Ranks crashing at this superstep."""
         return tuple(c.rank for c in self.crashes if c.superstep == superstep)
@@ -150,9 +129,7 @@ class FaultPlan:
         """Parse a compact CLI spec like
         ``"loss=0.05,dup=0.02,seed=3,crash=1@4+0@9,stall=2@5x3"``.
 
-        Keys: ``loss``, ``dup``, ``reorder``, ``delay`` (rates);
-        ``max-delay``, ``seed``, ``first``, ``last``, ``attempts``,
-        ``backoff`` (ints); ``retry-faults`` (0/1);
+        Keys: ``loss``, ``dup``, ``reorder``, ``delay`` (rates); ``seed``;
         ``crash=RANK@SUPERSTEP`` and ``stall=RANK@SUPERSTEP[xDURATION]``,
         multiple events joined with ``+``.
         """
@@ -161,13 +138,7 @@ class FaultPlan:
             "dup": ("dup_rate", float),
             "reorder": ("reorder_rate", float),
             "delay": ("delay_rate", float),
-            "max-delay": ("max_delay", int),
             "seed": ("seed", int),
-            "first": ("first_superstep", int),
-            "last": ("last_superstep", int),
-            "attempts": ("max_attempts", int),
-            "backoff": ("backoff_cap", int),
-            "retry-faults": ("faults_on_retry", lambda v: bool(int(v))),
         }
 
         def crash(event: str) -> RankCrash:
@@ -182,6 +153,9 @@ class FaultPlan:
         return cls(**parse_spec(spec, "fault", scalars, events, overrides))
 
 
+MAX_DELAY = 3
+"""Recovery rounds a delayed record may be held on the wire (at least one)."""
+
 MAX_RECOVERY_ROUNDS = 10_000
 """Ack rounds one superstep may take before the protocol gives up."""
 
@@ -195,7 +169,7 @@ def _route(dst_ranks: np.ndarray, num_ranks: int) -> tuple[np.ndarray, np.ndarra
 
 
 class FaultyMailbox(Mailbox):
-    """Mailbox with a sequence/ack/retry reliable-transport layer over a
+    """Mailbox with a sequence/ack/resend reliable-transport layer over a
     wire perturbed by a :class:`FaultPlan`.
 
     Every superstep close orders the record stream by (sender, batch,
@@ -206,22 +180,19 @@ class FaultyMailbox(Mailbox):
     1. **First attempt** — the whole stream is handed to the wire
        (:meth:`_transmit`) and charged exactly like a plain
        :class:`~repro.spmd.mailbox.Mailbox` exchange, under the
-       algorithm's own phase kind.
-    2. **Ack rounds** — while any record is unacknowledged (or the wire
-       still holds delayed records), an extra *recovery superstep* runs:
-       one small allreduce models the ack exchange, delayed records due
-       this round are released (:meth:`_release`), and channels with gaps
-       retransmit their missing sequence numbers.  Retries follow capped
-       exponential backoff (``min(2^attempt, plan.backoff_cap)`` rounds
-       between attempts); after ``plan.max_attempts`` attempts a channel's
-       records are delivered out-of-band (the wire "heals"), which bounds
-       recovery time under arbitrarily adversarial fault plans.
+       algorithm's own phase kind. It is the only attempt the plan faults.
+    2. **Ack rounds** — while any record is unacknowledged or still held
+       on the wire (delayed or stalled), an extra *recovery superstep*
+       runs: one small allreduce models the ack exchange and the copies
+       held for that round are released. Round 1 resends every record
+       still missing in one batch, and a resend always arrives, so later
+       rounds only drain held copies.
     3. **Dedup** — receivers drop any sequence number they have already
-       absorbed, so duplicated or delayed-then-retransmitted records are
-       exact no-ops.
+       absorbed, so duplicated or held-then-resent records are exact
+       no-ops.
 
-    Retransmissions and ack rounds are charged under the ``recovery`` phase
-    kind (see :meth:`repro.runtime.comm.Communicator.retransmit`); on the
+    Resends and ack rounds are charged under the ``recovery`` phase kind
+    (see :meth:`repro.runtime.comm.Communicator.retransmit`); on the
     perfect wire of an empty ``FaultPlan()`` no recovery round ever runs
     and the class is bit-identical to :class:`~repro.spmd.mailbox.Mailbox`
     in both results and accounting.
@@ -253,13 +224,10 @@ class FaultyMailbox(Mailbox):
         self.on_restart: Callable[[int], None] | None = None
         self.watchdog = None
         """Optional :class:`~repro.runtime.watchdog.Watchdog`; every
-        recovery round is reported to it so retry storms burn deadline
+        recovery round is reported to it so long stalls burn deadline
         budget even though the epoch counter stands still."""
         self._superstep = 0
-        self._fl_src: np.ndarray | None = None
-        self._fl_dst: np.ndarray | None = None
         self._rng = np.random.default_rng(plan.seed)
-        self._held: dict[int, list[np.ndarray]] = {}
 
     @property
     def superstep(self) -> int:
@@ -279,16 +247,6 @@ class FaultyMailbox(Mailbox):
     # ------------------------------------------------------------------
     # The wire
     # ------------------------------------------------------------------
-    def _hold(self, round_: int, gids: np.ndarray) -> None:
-        self._held.setdefault(round_, []).append(gids)
-
-    def _release(self, round_: int) -> np.ndarray:
-        """Delayed record ids whose release round has come."""
-        parts = self._held.pop(round_, None)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-
     def _pre_send_mask(
         self, superstep: int, src_ranks: np.ndarray
     ) -> np.ndarray | None:
@@ -308,90 +266,66 @@ class FaultyMailbox(Mailbox):
     def _transmit(
         self,
         superstep: int,
-        round_: int,
-        gids: np.ndarray,
-        protect: np.ndarray | None = None,
+        src: np.ndarray,
+        dst: np.ndarray,
+        held: dict[int, list[np.ndarray]],
     ) -> np.ndarray:
-        """Push record ids through the wire; returns the ids arriving now.
-
-        ``protect`` marks records whose channel exhausted
-        ``plan.max_attempts``: they must be delivered unconditionally.
-        """
-        if gids.size == 0:
-            return gids
-        plan = self.plan
+        """Push the first attempt of the ``(src, dst)`` stream through the
+        wire; returns the record ids arriving now. Ids the wire holds go
+        into ``held`` under the recovery round that releases them."""
+        delivered = np.arange(src.size, dtype=np.int64)
+        if delivered.size == 0:
+            return delivered
+        plan, rng = self.plan, self._rng
         rec = self.comm.metrics.recovery
-        guaranteed = None
-        if protect is not None and protect.any():
-            guaranteed = gids[protect]
-            gids = gids[~protect]
-        delivered = gids
 
-        # Deterministic events (independent of the rate window).
-        if round_ == 0 and delivered.size:
-            down = plan.crashes_at(superstep)
-            if down:
-                # The crashed rank was not up to receive the exchange; its
-                # records bounce and are retransmitted once it restarts.
-                drop = np.isin(
-                    self._fl_dst[delivered], np.asarray(down, dtype=np.int64)
-                )
-                if drop.any():
-                    rec.note_fault(
-                        superstep, round_, "crash-recv-loss", int(drop.sum())
-                    )
-                    delivered = delivered[~drop]
-            for stall in plan.stalls_at(superstep):
-                held = self._fl_src[delivered] == stall.rank
-                if held.any():
-                    rec.note_fault(superstep, round_, "stall", int(held.sum()))
-                    self._hold(round_ + stall.duration, delivered[held])
-                    delivered = delivered[~held]
+        def hold(round_: int, gids: np.ndarray) -> None:
+            held.setdefault(round_, []).append(gids)
 
-        # Rate-based faults within the plan's superstep window.
-        faultable = plan.active_at(superstep) and (
-            round_ == 0 or plan.faults_on_retry
-        )
-        if faultable and delivered.size:
-            rng = self._rng
-            if plan.loss_rate:
-                lost = rng.random(delivered.size) < plan.loss_rate
-                if lost.any():
-                    rec.note_fault(superstep, round_, "loss", int(lost.sum()))
-                    delivered = delivered[~lost]
-            if plan.delay_rate and delivered.size:
-                delayed = rng.random(delivered.size) < plan.delay_rate
-                if delayed.any():
-                    count = int(delayed.sum())
-                    rec.note_fault(superstep, round_, "delay", count)
-                    due = round_ + rng.integers(
-                        1, plan.max_delay + 1, size=count
-                    )
-                    victims = delivered[delayed]
-                    for offset in np.unique(due):
-                        self._hold(int(offset), victims[due == offset])
-                    delivered = delivered[~delayed]
-            if plan.dup_rate and delivered.size:
-                dup = rng.random(delivered.size) < plan.dup_rate
-                if dup.any():
-                    rec.note_fault(
-                        superstep, round_, "duplicate", int(dup.sum())
-                    )
-                    delivered = np.concatenate([delivered, delivered[dup]])
-            if (
-                plan.reorder_rate
-                and delivered.size > 1
-                and rng.random() < plan.reorder_rate
-            ):
-                rec.note_fault(superstep, round_, "reorder", delivered.size)
-                delivered = rng.permutation(delivered)
+        down = plan.crashes_at(superstep)
+        if down:
+            # The crashed rank was not up to receive the exchange; its
+            # records bounce and are resent once it restarts.
+            drop = np.isin(dst[delivered], np.asarray(down, dtype=np.int64))
+            if drop.any():
+                rec.note_fault(superstep, 0, "crash-recv-loss", int(drop.sum()))
+                delivered = delivered[~drop]
+        for stall in plan.stalls_at(superstep):
+            stalled = src[delivered] == stall.rank
+            if stalled.any():
+                rec.note_fault(superstep, 0, "stall", int(stalled.sum()))
+                hold(stall.duration, delivered[stalled])
+                delivered = delivered[~stalled]
 
-        if guaranteed is not None:
-            delivered = (
-                np.concatenate([guaranteed, delivered])
-                if delivered.size
-                else guaranteed
-            )
+        if delivered.size == 0:
+            return delivered
+        if plan.loss_rate:
+            lost = rng.random(delivered.size) < plan.loss_rate
+            if lost.any():
+                rec.note_fault(superstep, 0, "loss", int(lost.sum()))
+                delivered = delivered[~lost]
+        if plan.delay_rate and delivered.size:
+            delayed = rng.random(delivered.size) < plan.delay_rate
+            if delayed.any():
+                count = int(delayed.sum())
+                rec.note_fault(superstep, 0, "delay", count)
+                due = rng.integers(1, MAX_DELAY + 1, size=count)
+                victims = delivered[delayed]
+                for round_ in np.unique(due):
+                    hold(int(round_), victims[due == round_])
+                delivered = delivered[~delayed]
+        if plan.dup_rate and delivered.size:
+            dup = rng.random(delivered.size) < plan.dup_rate
+            if dup.any():
+                rec.note_fault(superstep, 0, "duplicate", int(dup.sum()))
+                delivered = np.concatenate([delivered, delivered[dup]])
+        if (
+            plan.reorder_rate
+            and delivered.size > 1
+            and rng.random() < plan.reorder_rate
+        ):
+            rec.note_fault(superstep, 0, "reorder", delivered.size)
+            delivered = rng.permutation(delivered)
         return delivered
 
     # ------------------------------------------------------------------
@@ -421,15 +355,15 @@ class FaultyMailbox(Mailbox):
         ])
         posts, ordinal = np.unique(pair, return_inverse=True)
         order = _stable_order(ordinal * p + dst, posts.size * p - 1)
-        # Full width: the protocol indexes its channel tables by src * P + dst.
+        # Full-width rank columns: the ids the wire's faults and resends take.
         src, dst = src[order].astype(np.int64), dst[order].astype(np.int64)
         return src, dst, tuple(c[order] for c in cols)
 
     def _close(
         self, record_bytes: int, phase_kind: str, num_columns: int
     ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Reliable superstep close: retries until every surviving record
-        of the exchange has been delivered exactly once."""
+        """Reliable superstep close: every surviving record of the exchange
+        is delivered exactly once."""
         p, plan = self.num_ranks, self.plan
         superstep = self._superstep
         self._superstep += 1
@@ -468,7 +402,6 @@ class FaultyMailbox(Mailbox):
             src_arr, dst_arr, record_bytes, phase_kind=phase_kind
         )
         n = src_arr.size
-        self._fl_src, self._fl_dst = src_arr, dst_arr
         seen = np.zeros(n, dtype=bool)
         arrival: list[np.ndarray] = []
 
@@ -486,14 +419,15 @@ class FaultyMailbox(Mailbox):
             seen[fresh] = True
             arrival.append(fresh)
 
-        absorb(self._transmit(superstep, 0, np.arange(n, dtype=np.int64)))
+        held: dict[int, list[np.ndarray]] = {}
+        absorb(self._transmit(superstep, src_arr, dst_arr, held))
 
-        # Ack/retry rounds with capped exponential backoff.
-        channel = src_arr * p + dst_arr
-        attempt = np.zeros(p * p, dtype=np.int64)
-        next_retry = np.ones(p * p, dtype=np.int64)
-        round_ = 1
-        while not seen.all() or self._held:  # or delayed records on the wire
+        # Ack rounds. A held record never arrived in the first attempt, so
+        # recovery runs exactly when something is missing, until the last
+        # held copy is released: round 1 takes its released copies, then
+        # resends every record still missing; later rounds only drain.
+        rounds = max(held, default=1) if not seen.all() else 0
+        for round_ in range(1, rounds + 1):
             if round_ > MAX_RECOVERY_ROUNDS:
                 raise RuntimeError(
                     "reliable delivery did not converge within "
@@ -503,26 +437,15 @@ class FaultyMailbox(Mailbox):
             if self.watchdog is not None:
                 self.watchdog.note_recovery_round()
             self.comm.allreduce(1, phase_kind=RECOVERY_PHASE)
-            absorb(self._release(round_))
-            missing = np.nonzero(~seen)[0]
-            if missing.size:
-                due = next_retry[channel[missing]] <= round_
-                resend = missing[due]
+            if round_ == 1:
+                for gids in held.get(1, ()):
+                    absorb(gids)
+                resend = np.flatnonzero(~seen)
                 if resend.size:
                     self.comm.retransmit(
                         src_arr[resend], dst_arr[resend], record_bytes
                     )
-                    ch_ids = np.unique(channel[resend])
-                    attempt[ch_ids] += 1
-                    next_retry[ch_ids] = round_ + np.minimum(
-                        1 << np.minimum(attempt[ch_ids], 30), plan.backoff_cap
-                    )
-                    protect = attempt[channel[resend]] >= plan.max_attempts
-                    absorb(
-                        self._transmit(superstep, round_, resend, protect=protect)
-                    )
-            round_ += 1
-        self._fl_src = self._fl_dst = None
+                    absorb(resend)
 
         # Hand the arrivals out with the same router: stable on the
         # destination, so every receiver sees its records in arrival order.
@@ -534,5 +457,5 @@ class FaultyMailbox(Mailbox):
         else:
             routed, cuts = _no_records(p, num_columns)
         if tr is not None:
-            tr.end(span, records=int(n), recovery_rounds=round_ - 1)
+            tr.end(span, records=int(n), recovery_rounds=rounds)
         return routed, cuts

@@ -28,7 +28,7 @@ returns the routed columns, receiver ascending. The cost of an exchange is
 a few passes over its records, whatever the rank count.
 
 The one other mailbox, :class:`repro.spmd.faults.FaultyMailbox`, runs a
-sequence/ack/retry protocol over the wire a fault plan breaks.
+sequence/ack/resend protocol over the wire a fault plan breaks.
 """
 
 from __future__ import annotations

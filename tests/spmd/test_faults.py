@@ -9,6 +9,7 @@ no fault is injected.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import preset
 from repro.core.reference import dijkstra_reference
@@ -68,12 +69,17 @@ class TestMailboxValidation:
 # ----------------------------------------------------------------------
 # Reliable transport over a faulty wire
 # ----------------------------------------------------------------------
-def run_exchange(mailbox):
-    """Post a fixed cross-rank workload and deliver it."""
-    post(mailbox, 0, np.array([1, 2, 1]), np.array([5, 9, 6]),
-         np.array([50, 90, 60]))
-    post(mailbox, 1, np.array([0, 2]), np.array([1, 10]), np.array([11, 101]))
-    post(mailbox, 2, np.array([2, 0]), np.array([8, 0]), np.array([80, 1]))
+def run_exchange(mailbox, silent=()):
+    """Post a fixed cross-rank workload and deliver it; the ``silent``
+    ranks post nothing."""
+    posts = (
+        (0, [1, 2, 1], [5, 9, 6], [50, 90, 60]),
+        (1, [0, 2], [1, 10], [11, 101]),
+        (2, [2, 0], [8, 0], [80, 1]),
+    )
+    for rank, *columns in posts:
+        if rank not in silent:
+            post(mailbox, rank, *map(np.array, columns))
     return deliver(mailbox, 16)
 
 
@@ -133,18 +139,39 @@ class TestReliableMailbox:
         expected = inbox_sets(run_exchange(Mailbox(3, comm_ref)))
         assert inbox_sets(inboxes) == expected
 
-    def test_adversarial_total_loss_still_terminates(self):
-        # 100% loss on every attempt: the out-of-band heal after
-        # max_attempts must still deliver everything.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rates=st.lists(st.floats(0.0, 0.5), min_size=4, max_size=4),
+        crashes=st.lists(
+            st.builds(RankCrash, st.integers(0, 2), st.integers(0, 2)),
+            max_size=2,
+        ),
+        stalls=st.lists(
+            st.builds(RankStall, st.integers(0, 2), st.integers(0, 2),
+                      st.integers(1, 4)),
+            max_size=2,
+        ),
+    )
+    def test_one_resend_per_superstep_delivers_every_record(
+        self, seed, rates, crashes, stalls
+    ):
+        """Over any plan, three supersteps deliver what a plain mailbox
+        does — less what a crashed sender never sent — with at most one
+        resend batch per superstep: a resend is never faulted."""
+        loss, dup, reorder, delay = rates
+        plan = FaultPlan(seed=seed, loss_rate=loss, dup_rate=dup,
+                         reorder_rate=reorder, delay_rate=delay,
+                         crashes=crashes, stalls=stalls)
         comm, metrics = make_comm()
-        plan = FaultPlan(seed=5, loss_rate=1.0, faults_on_retry=True,
-                         max_attempts=3)
         mailbox = FaultyMailbox(3, comm, plan)
-        inboxes = run_exchange(mailbox)
-        comm_ref, _ = make_comm()
-        expected = inbox_sets(run_exchange(Mailbox(3, comm_ref)))
-        assert inbox_sets(inboxes) == expected
-        assert metrics.recovery.retries >= 3
+        for superstep in range(3):
+            comm_ref, _ = make_comm()
+            expected = run_exchange(
+                Mailbox(3, comm_ref), silent=plan.crashes_at(superstep)
+            )
+            assert inbox_sets(run_exchange(mailbox)) == inbox_sets(expected)
+        assert metrics.recovery.retries <= 3
 
 
 # ----------------------------------------------------------------------
@@ -154,22 +181,10 @@ class TestFaultPlan:
     def test_rates_validated(self):
         with pytest.raises(ValueError, match="loss_rate"):
             FaultPlan(loss_rate=1.5)
-        with pytest.raises(ValueError, match="max_delay"):
-            FaultPlan(max_delay=0)
         with pytest.raises(ValueError, match="crash"):
             FaultPlan(crashes=(RankCrash(-1, 0),))
         with pytest.raises(ValueError, match="stall"):
             FaultPlan(stalls=(RankStall(0, 0, 0),))
-
-    def test_retry_settings_validated(self):
-        """Retry settings that can never run are rejected where a spec
-        arrives, not by the mailbox a solve builds after its context."""
-        with pytest.raises(ValueError, match="max_attempts"):
-            FaultPlan.from_spec("attempts=0")
-        with pytest.raises(ValueError, match="backoff_cap"):
-            FaultPlan.from_spec("backoff=0")
-        with pytest.raises(ValueError, match="max_attempts"):
-            FaultPlan(max_attempts=-1)
 
     def test_from_spec_round_trip(self):
         plan = FaultPlan.from_spec(
@@ -182,7 +197,9 @@ class TestFaultPlan:
         assert plan.stalls == (RankStall(2, 5, 3),)
 
     def test_from_spec_rejects_unknown_key(self):
-        for spec in ("gamma=1", "ckpt=2"):
+        removed = ("max-delay=2", "first=1", "last=4", "attempts=3",
+                   "backoff=2", "retry-faults=1")
+        for spec in ("gamma=1", "ckpt=2", *removed):
             with pytest.raises(ValueError, match="unknown fault spec key"):
                 FaultPlan.from_spec(spec)
         with pytest.raises(ValueError, match="malformed"):
@@ -202,13 +219,6 @@ class TestFaultPlan:
             solve_sssp(rmat1_small, 0, algorithm="bellman-ford",
                        machine=machine4,
                        faults=FaultPlan(stalls=(RankStall(7, 2),)))
-
-    def test_superstep_window(self):
-        plan = FaultPlan(loss_rate=0.1, first_superstep=2, last_superstep=5)
-        assert not plan.active_at(1)
-        assert plan.active_at(2)
-        assert plan.active_at(5)
-        assert not plan.active_at(6)
 
     def test_same_seed_identical_schedule(self, rmat1_small, machine4):
         plan = FaultPlan(seed=9, loss_rate=0.08, dup_rate=0.03,

@@ -70,7 +70,7 @@ def test_one_defence_owns_the_epoch_boundary():
     """``core/defence.py`` + ``spmd/engine.py`` + ``spmd/checkpoint.py``
     hold at most 478 code lines with no second recovery manager, hook
     chain, checkpoint cadence or healing knob, and the transport row names
-    neither knob."""
+    neither knob nor the fault plan's retired retry and window settings."""
     tool = _tool()
     rows = {names: (most, calls) for names, most, calls in tool.RATCHETS}
     most, calls = rows[tuple(
@@ -83,7 +83,10 @@ def test_one_defence_owns_the_epoch_boundary():
         "max_healing_sweeps", "checkpoint_interval",
     )
     transport = rows[("src/repro/spmd/mailbox.py", "src/repro/spmd/faults.py")]
-    assert transport == (430, ("checkpoint_interval", "max_healing_sweeps"))
+    assert transport == (430, (
+        "checkpoint_interval", "max_healing_sweeps", "faults_on_retry",
+        "backoff_cap", "first_superstep", "last_superstep",
+    ))
 
 
 def test_a_directory_row_counts_and_scans_every_file_in_its_tree(tmp_path):
