@@ -66,18 +66,28 @@ class Communicator:
         self.machine = machine
         self.partition = partition
         self.metrics = metrics
+        self._lane_dtype = np.min_scalar_type(machine.num_ranks**2 - 1)
         if metrics.maps.rank is None:  # a ledger of its own: route through this partition
             metrics.maps = metrics.maps._replace(rank=partition.owner_map)
 
     # ------------------------------------------------------------------
     def lanes(self, src_ranks: np.ndarray, dst_ranks: np.ndarray) -> np.ndarray:
-        """Lane id ``src * P + dst`` of every record: the array an exchange
-        fact is made of (a fresh one — the ledger keeps it)."""
-        src = np.asarray(src_ranks, dtype=np.int64)
-        dst = np.asarray(dst_ranks, dtype=np.int64)
+        """Lane id ``src * P + dst`` of every record, in the narrowest
+        unsigned type that holds ``P² − 1``: the array an exchange fact is
+        made of (a fresh one — the ledger keeps it). A rank outside
+        ``[0, P)`` raises here rather than wrap into another lane."""
+        src, dst = np.asarray(src_ranks), np.asarray(dst_ranks)
         if src.shape != dst.shape:
             raise ValueError("src_ranks and dst_ranks must align")
-        return src * self.machine.num_ranks + dst
+        p, unsigned = self.machine.num_ranks, src.dtype.kind == dst.dtype.kind == "u"
+        if src.size and (
+            max(src.max(), dst.max()) >= p
+            or not unsigned and min(src.min(), dst.min()) < 0
+        ):
+            raise ValueError(f"ranks must lie in [0, {p})")
+        lanes = src.astype(self._lane_dtype)
+        lanes *= p
+        return np.add(lanes, dst, out=lanes, casting="unsafe")
 
     def exchange_by_vertex(
         self,
@@ -136,6 +146,11 @@ class Communicator:
         lane. Lanes may repeat (they are deduplicated for the message
         count, exactly as repeated records are) and zero-count lanes are
         ignored.
+
+        No solve calls it: both mailboxes account a superstep through
+        :meth:`exchange_by_rank`. It stays because the benchmark's
+        accounting probe (``benchmarks/stack/cold.py::_probe_accounting``)
+        wraps it by name.
         """
         lanes = self.lanes(src_ranks, dst_ranks)
         cnt = np.asarray(counts, dtype=np.float64)  # the fold's bincount weights

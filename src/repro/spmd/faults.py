@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from repro.runtime.comm import RECOVERY_PHASE, Communicator
-from repro.spmd.mailbox import Mailbox, _cuts, _no_records, _stable_order, _stream
+from repro.spmd.mailbox import Mailbox, _no_records, _stable_order, _stream
 from repro.util.specs import parse_spec, split_event
 
 __all__ = [
@@ -158,14 +158,6 @@ MAX_DELAY = 3
 
 MAX_RECOVERY_ROUNDS = 10_000
 """Ack rounds one superstep may take before the protocol gives up."""
-
-
-def _route(dst_ranks: np.ndarray, num_ranks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Route records to their destination ranks: ``(order, cuts)`` where
-    ``order`` is the stable permutation that groups the records by
-    destination, each receiver's in the order they had before."""
-    cuts = _cuts(np.bincount(dst_ranks, minlength=num_ranks))
-    return _stable_order(dst_ranks, num_ranks - 1), cuts
 
 
 class FaultyMailbox(Mailbox):
@@ -354,17 +346,18 @@ class FaultyMailbox(Mailbox):
             s.astype(np.int64) * batches + b for b, (s, _, _) in enumerate(queued)
         ])
         posts, ordinal = np.unique(pair, return_inverse=True)
-        order = _stable_order(ordinal * p + dst, posts.size * p - 1)
+        key_dtype = np.min_scalar_type(posts.size * p - 1)
+        order = _stable_order(ordinal * p + dst, key_dtype)
         # Full-width rank columns: the ids the wire's faults and resends take.
         src, dst = src[order].astype(np.int64), dst[order].astype(np.int64)
         return src, dst, tuple(c[order] for c in cols)
 
     def _close(
         self, record_bytes: int, phase_kind: str, num_columns: int
-    ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    ) -> tuple[np.ndarray, ...]:
         """Reliable superstep close: every surviving record of the exchange
         is delivered exactly once."""
-        p, plan = self.num_ranks, self.plan
+        plan = self.plan
         superstep = self._superstep
         self._superstep += 1
         self._check_columns(num_columns)
@@ -451,11 +444,10 @@ class FaultyMailbox(Mailbox):
         # destination, so every receiver sees its records in arrival order.
         if arrival:
             got = np.concatenate(arrival)
-            order, cuts = _route(dst_arr[got], p)
-            got = got[order]
+            got = got[_stable_order(dst_arr[got], self._rank_dtype)]
             routed = tuple(c[got] for c in cols)
         else:
-            routed, cuts = _no_records(p, num_columns)
+            routed = _no_records(num_columns)
         if tr is not None:
             tr.end(span, records=int(n), recovery_rounds=rounds)
-        return routed, cuts
+        return routed

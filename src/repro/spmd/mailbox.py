@@ -16,16 +16,18 @@ rank of every record, in the narrowest unsigned type that holds a rank
 :attr:`~repro.graph.partition.ContiguousPartition.narrow_owner_map`),
 beside the records. They live until the exchange.
 
-A superstep is one key. The queued batches are concatenated in insertion
-order (one batch is handed on uncopied) and every record gets the key
-``dst·P + src``: one ``bincount`` of it gives the (src, dst) lane counts
-the accounting wants and the per-receiver cuts, one stable sort on it
-routes the records (:func:`_stable_order`: the key is cast to the
-narrowest unsigned type that holds it, which makes NumPy's stable sort a
-radix sort), one gather per column moves them. A receiver sees its records
-by sender, then batch, then position in the batch. :meth:`Mailbox.exchange`
-returns the routed columns, receiver ascending. The cost of an exchange is
-a few passes over its records, whatever the rank count.
+A superstep routes once and counts once. The queued batches are
+concatenated in insertion order (one batch is handed on uncopied); one
+stable sort on the key ``dst·P + src`` routes the records
+(:func:`_stable_order`: the key is held in the narrowest unsigned type
+that holds it, which makes NumPy's stable sort a radix sort), one gather
+per column moves them, and the two rank columns, as they are, are the
+traffic (:meth:`~repro.runtime.comm.Communicator.exchange_by_rank`: the
+ledger counts the (src, dst) lanes when it folds). A receiver sees its
+records by sender, then batch, then position in the batch.
+:meth:`Mailbox.exchange` returns the routed columns, receiver ascending.
+The cost of an exchange is a few passes over its records, whatever the
+rank count.
 
 The one other mailbox, :class:`repro.spmd.faults.FaultyMailbox`, runs a
 sequence/ack/resend protocol over the wire a fault plan breaks.
@@ -41,27 +43,18 @@ from repro.runtime.comm import Communicator
 __all__ = ["Mailbox"]
 
 
-def _stable_order(keys: np.ndarray, max_key: int) -> np.ndarray:
-    """Stable sorting permutation of non-negative ``keys`` no larger than
-    ``max_key``: the one routing sort of the module.
+def _stable_order(keys: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Stable sorting permutation of non-negative ``keys``, each held by
+    the unsigned ``dtype``: the one routing sort of the module.
 
-    The keys are cast to the narrowest unsigned type that holds
-    ``max_key`` first, because NumPy's stable sort is a radix sort — one
-    counting pass per key byte — for keys of at most 16 bits and a
+    The keys are cast to ``dtype`` — the narrowest type that holds the
+    largest key — first, because NumPy's stable sort is a radix sort (one
+    counting pass per key byte) for keys of at most 16 bits and a
     comparison sort beyond. A superstep's key ``dst·P + src`` fits a byte
     up to 16 ranks and two up to 256; wider keys take the comparison sort,
     same result.
     """
-    narrow = keys.astype(np.min_scalar_type(max_key), copy=False)
-    return np.argsort(narrow, kind="stable")
-
-
-def _cuts(counts: np.ndarray) -> np.ndarray:
-    """Receiver ``r`` owns positions ``cuts[r]:cuts[r + 1]`` of a routed
-    stream holding ``counts[r]`` records for it."""
-    cuts = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=cuts[1:])
-    return cuts
+    return keys.astype(dtype, copy=False).argsort(kind="stable")
 
 
 def _stream(
@@ -84,18 +77,15 @@ def _in_sender_order(
     """Whether the queued stream is already ordered by sender. A batch is
     (a ``send``'s records are grouped by sending rank, ascending), so the
     stream is when no batch starts below the sender its predecessor ended
-    with — one batch always is."""
+    with."""
     return all(
         a[-1] <= b[0] for (a, _, _), (b, _, _) in zip(queued, queued[1:])
     )
 
 
-def _no_records(
-    num_ranks: int, num_columns: int
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """``(routed, cuts)`` of a superstep nobody sent anything in."""
-    empty = np.empty(0, dtype=np.int64)
-    return (empty,) * num_columns, np.zeros(num_ranks + 1, dtype=np.int64)
+def _no_records(num_columns: int) -> tuple[np.ndarray, ...]:
+    """The routed columns of a superstep nobody sent anything in."""
+    return (np.empty(0, dtype=np.int64),) * num_columns
 
 
 class Mailbox(Transport):
@@ -135,20 +125,18 @@ class Mailbox(Transport):
 
     def _close(
         self, record_bytes: int, phase_kind: str, num_columns: int
-    ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Close the superstep: account the traffic and return ``(routed,
-        cuts)`` — the record columns grouped by receiving rank, receiver
-        ``r`` owning positions ``cuts[r]:cuts[r + 1]``, ordered there by
-        sender, then by batch, then by position in the batch.
+    ) -> tuple[np.ndarray, ...]:
+        """Close the superstep: account the traffic and return the record
+        columns grouped by receiving rank, receiver ascending, ordered
+        there by sender, then by batch, then by position in the batch.
 
-        Everything comes off one key per record, ``dst·P + src``: its
-        ``bincount`` is the (src, dst) lane counts in dst-major order, whose
-        row sums are the cuts; its stable sort is the routing order, and
-        each column is gathered once. When the queued stream is already in
-        sender order (one batch always is) stability keeps that order, so
-        the sort reads the ``dst`` half alone — the same permutation, one
-        radix pass fewer past 16 ranks. An idle superstep allocates
-        nothing.
+        The routing order is the stable sort of the key ``dst·P + src``.
+        When the queued stream is already in sender order (one batch always
+        is) stability keeps that order, so the sort reads the ``dst`` half
+        alone — the same permutation, one radix pass fewer past 16 ranks.
+        Each column is gathered once, and the rank columns are the traffic,
+        one :meth:`~repro.runtime.comm.Communicator.exchange_by_rank` call.
+        An idle superstep allocates nothing.
         """
         self._check_columns(num_columns)
         tr = self.comm.metrics.tracer
@@ -158,36 +146,29 @@ class Mailbox(Transport):
             else None
         )
         queued, self._outbox = self._outbox, []
-        p = self.num_ranks
         if not queued:
-            lane_src = lane_dst = lane_cnt = np.empty(0, dtype=np.int64)
-            routed, cuts = _no_records(p, num_columns)
+            src = dst = np.empty(0, dtype=self._rank_dtype)
+            routed = _no_records(num_columns)
         else:
             src, dst, columns = _stream(queued)
-            key = dst.astype(self._key_dtype)
-            key *= p
-            key += src
-            counts = np.bincount(key, minlength=p * p)
-            cuts = _cuts(counts.reshape(p, p).sum(axis=1))
-            if _in_sender_order(queued):
-                order = _stable_order(dst, p - 1)
+            if len(queued) == 1 or _in_sender_order(queued):
+                order = _stable_order(dst, self._rank_dtype)
             else:
-                order = _stable_order(key, p * p - 1)
-            lanes = np.flatnonzero(counts)
-            lane_dst, lane_src = np.divmod(lanes, p)
-            lane_cnt = counts[lanes]
+                key = dst.astype(self._key_dtype)
+                key *= self.num_ranks
+                key += src
+                order = _stable_order(key, self._key_dtype)
             routed = tuple(col[order] for col in columns)
-        self.comm.exchange_by_rank_counts(
-            lane_src, lane_dst, lane_cnt, record_bytes, phase_kind=phase_kind
-        )
+        self.comm.exchange_by_rank(src, dst, record_bytes, phase_kind=phase_kind)
         if tr is not None:
             # ``lanes``: distinct (src, dst) pairs with traffic this superstep.
-            tr.end(span, lanes=int(lane_cnt.size), records=int(lane_cnt.sum()))
-        return routed, cuts
+            lanes = np.unique(self.comm.lanes(src, dst)).size
+            tr.end(span, lanes=lanes, records=int(src.size))
+        return routed
 
     def exchange(
         self, record_bytes: int, *, phase_kind: str = "other", num_columns: int = 2
     ) -> tuple[np.ndarray, ...]:
         """Close the superstep and return the routed record columns: what
         the ranks receive, receiver ascending (see :meth:`_close`)."""
-        return self._close(record_bytes, phase_kind, num_columns)[0]
+        return self._close(record_bytes, phase_kind, num_columns)

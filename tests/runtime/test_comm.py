@@ -135,6 +135,29 @@ class TestExchangeByRankDiagonal:
         assert (rec.msgs_max, rec.bytes_max, rec.bytes_total) == (2, 0, 0)
 
 
+class TestExchangeByRankRange:
+    """Lane ids are held in the narrowest unsigned type that holds
+    ``P² − 1``: a rank outside ``[0, P)`` must raise, never wrap into a
+    valid lane."""
+
+    # Four ranks: rank 64 is where a byte-wide lane 64·4 + 0 would wrap to 0.
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    @pytest.mark.parametrize("src, dst", [(4, 0), (3, 4), (64, 0)])
+    def test_rank_past_the_machine_raises(self, src, dst, dtype):
+        self.check(np.array([0, src], dtype=dtype), np.array([1, dst], dtype=dtype))
+
+    @pytest.mark.parametrize("src, dst", [(-1, 0), (0, -1)])
+    def test_negative_rank_raises(self, src, dst):
+        self.check(np.array([0, src]), np.array([1, dst]))
+
+    @staticmethod
+    def check(src, dst):
+        comm, metrics, _ = make_comm()
+        with pytest.raises(ValueError):
+            comm.exchange_by_rank(src, dst, 16)
+            metrics.records  # the fold, where an unchecked lane would raise
+
+
 class TestAllreduce:
     def test_counted(self):
         comm, metrics, _ = make_comm()

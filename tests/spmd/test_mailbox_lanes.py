@@ -1,16 +1,16 @@
-"""Batched mailbox lanes: allocation discipline and accounting equivalence.
+"""Mailbox lanes: allocation discipline and accounting equivalence.
 
-The exchange hot path is lane-batched (DESIGN.md §9): empty (src, dst) lanes
-are skipped and traffic is accounted from per-lane counts — the non-zero
-entries of one ``bincount`` of the routing key. The per-record src/dst rank
-columns the key is made of are materialised, one narrow entry per record
-(a byte up to 256 ranks), and never handed to the accounting; no per-lane
-table is built for an idle superstep. These tests pin down the three
-contracts that refactor must keep: an idle superstep allocates no per-lane
-arrays at all, the lane-count accounting is metrics-identical to the
-per-record accounting it replaced, and delivered record content (including
-arrival order) is unchanged — for both the plain and the reliable mailbox.
-Ranks post and receive through :mod:`tests.spmd.ranks`.
+A superstep is accounted per record (DESIGN.md §9): the mailbox hands the
+two narrow rank columns of its stream (one entry per record, a byte up to
+256 ranks) to one ``Communicator.exchange_by_rank`` call, and the ledger
+counts the (src, dst) lanes when it folds — same-rank lanes free, one
+message per lane with traffic. These tests pin down the contracts that
+accounting keeps: an idle superstep allocates no per-lane arrays at all,
+a close makes that one call and no other, per-lane counts are
+metrics-identical to the per-record form, the plain and the reliable
+mailbox charge a superstep alike, and delivered record content (including
+arrival order) is what the ranks posted. Ranks post and receive through
+:mod:`tests.spmd.ranks`.
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ class TestLaneAccountingEquivalence:
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_deliver_accounting_matches_reliable(self, seed):
-        """Plain (lane-count) and reliable (per-record) accounting agree on
-        a perfect wire — they charge the same exchange two different ways."""
+        """Plain and reliable accounting agree on a perfect wire: the plain
+        mailbox charges its stream in routing order, the reliable one its
+        wire stream."""
         plain_comm, rel_comm = make_comm(), make_comm()
         plain = Mailbox(P, plain_comm)
         reliable = perfect_wire(P, rel_comm)
@@ -121,6 +122,33 @@ class TestLaneAccountingEquivalence:
         for cols_p, cols_r in zip(out_p, out_r):
             for a, b in zip(cols_p, cols_r):
                 np.testing.assert_array_equal(a, b)
+
+
+class TestOneAccountingCall:
+    @pytest.mark.parametrize("make", [Mailbox, perfect_wire], ids=["Mailbox", "perfect_wire"])
+    @pytest.mark.parametrize("seed", [None, 0, 8])
+    def test_a_close_accounts_once_per_record(self, monkeypatch, make, seed):
+        """Closing a superstep, idle (``seed`` None) or not, makes exactly
+        one ``exchange_by_rank`` call, with one rank pair per record, and
+        never charges per-lane counts."""
+        calls = []
+        by_rank = Communicator.exchange_by_rank
+
+        def spy(self, src_ranks, dst_ranks, *args, **kwargs):
+            calls.append(len(src_ranks))
+            return by_rank(self, src_ranks, dst_ranks, *args, **kwargs)
+
+        def counts(*args, **kwargs):  # pragma: no cover - fails the test if hit
+            raise AssertionError("a superstep must not account per-lane counts")
+
+        monkeypatch.setattr(Communicator, "exchange_by_rank", spy)
+        monkeypatch.setattr(Communicator, "exchange_by_rank_counts", counts)
+        mailbox = make(P, make_comm())
+        if seed is not None:
+            post_random(mailbox, seed)
+        records = sum(len(src) for src, _, _ in mailbox._outbox)
+        routed = mailbox.exchange(RELAX_RECORD_BYTES, phase_kind="long", num_columns=3)
+        assert calls == [records] and routed[0].size == records
 
 
 class TestDeliveryContent:

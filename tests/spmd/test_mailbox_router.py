@@ -15,8 +15,6 @@ mailboxes take the oracle's per-rank posts through :mod:`tests.spmd.ranks`.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +23,7 @@ from repro.graph.partition import BlockPartition
 from repro.runtime.comm import RELAX_RECORD_BYTES, Communicator
 from repro.runtime.machine import MachineConfig
 from repro.runtime.metrics import Metrics
-from repro.spmd import mailbox as mailbox_module
+from repro.spmd import faults as faults_module, mailbox as mailbox_module
 from repro.spmd.mailbox import Mailbox
 from tests.spmd.ranks import deliver, perfect_wire, per_rank, post, wire_stream
 
@@ -284,17 +282,18 @@ class TestRouterEqualsSegmentation:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def sort_key_dtypes(monkeypatch):
-    """Dtypes of the arrays ``repro/spmd/mailbox.py`` hands to
-    ``np.argsort`` (the oracle and the accounting sort too; not recorded)."""
+    """Dtypes of the keys both mailboxes sort, as :func:`_stable_order`
+    sorts them (the oracles sort too; not recorded)."""
     seen = []
-    argsort = np.argsort
+    stable_order = mailbox_module._stable_order
 
-    def spy(a, *args, **kwargs):
-        if sys._getframe(1).f_code.co_filename == mailbox_module.__file__:
-            seen.append(np.asarray(a).dtype)
-        return argsort(a, *args, **kwargs)
+    def spy(keys, dtype):
+        order = stable_order(keys, dtype)
+        seen.append(keys.astype(dtype, copy=False).dtype)
+        return order
 
-    monkeypatch.setattr(np, "argsort", spy)
+    for module in (mailbox_module, faults_module):
+        monkeypatch.setattr(module, "_stable_order", spy)
     return seen
 
 

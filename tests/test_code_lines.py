@@ -69,8 +69,9 @@ def test_the_push_pull_decision_and_its_ledger_stay_capped():
 def test_one_defence_owns_the_epoch_boundary():
     """``core/defence.py`` + ``spmd/engine.py`` + ``spmd/checkpoint.py``
     hold at most 478 code lines with no second recovery manager, hook
-    chain, checkpoint cadence or healing knob, and the transport row names
-    neither knob nor the fault plan's retired retry and window settings."""
+    chain, checkpoint cadence or healing knob, and the transport row holds
+    at most 346 and names neither knob, the fault plan's retired retry and
+    window settings, receiver cuts nor a per-lane-count accounting call."""
     tool = _tool()
     rows = {names: (most, calls) for names, most, calls in tool.RATCHETS}
     most, calls = rows[tuple(
@@ -83,9 +84,10 @@ def test_one_defence_owns_the_epoch_boundary():
         "max_healing_sweeps", "checkpoint_interval",
     )
     transport = rows[("src/repro/spmd/mailbox.py", "src/repro/spmd/faults.py")]
-    assert transport == (430, (
+    assert transport == (346, (
         "checkpoint_interval", "max_healing_sweeps", "faults_on_retry",
-        "backoff_cap", "first_superstep", "last_superstep",
+        "backoff_cap", "first_superstep", "last_superstep", "_cuts(",
+        "exchange_by_rank_counts(",
     ))
 
 

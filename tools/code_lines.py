@@ -13,11 +13,12 @@ pipeline wiring four policies, not one broker class;
 together past 722 or talking to the metrics registry themselves instead
 of through ``serve/accounting.py``, or naming ``deadline_at`` — a take
 is FIFO; ``src/repro/spmd/mailbox.py`` and
-``src/repro/spmd/faults.py`` together past 430 or naming
+``src/repro/spmd/faults.py`` together past 346 or naming
 ``checkpoint_interval``, ``max_healing_sweeps``, ``faults_on_retry``,
-``backoff_cap``, ``first_superstep`` or ``last_superstep`` — the transport
-and its reliable protocol, with one way into a superstep, one resend of
-what is missing and no recovery knob;
+``backoff_cap``, ``first_superstep``, ``last_superstep``, ``_cuts(`` or
+``exchange_by_rank_counts(`` — the transport and its reliable protocol,
+with one way into a superstep, one accounting call out of it, no receiver
+cuts, one resend of what is missing and no recovery knob;
 ``serve/cache.py``, ``serve/breaker.py`` and ``serve/chaos.py`` together
 past 592 or keeping a handle on the registry — a component counts in its
 own state and hands the registry one collector; ``graph/builder.py`` and ``graph/csr.py``
@@ -61,9 +62,10 @@ RATCHETS = (
     (("src/repro/serve/broker.py", "src/repro/serve/batcher.py",
       "src/repro/serve/attempt.py", "src/repro/serve/snapshots.py"), 722,
      ("registry.inc(", "registry.observe(", "deadline_at")),
-    (("src/repro/spmd/mailbox.py", "src/repro/spmd/faults.py"), 430,
+    (("src/repro/spmd/mailbox.py", "src/repro/spmd/faults.py"), 346,
      ("checkpoint_interval", "max_healing_sweeps", "faults_on_retry",
-      "backoff_cap", "first_superstep", "last_superstep")),
+      "backoff_cap", "first_superstep", "last_superstep", "_cuts(",
+      "exchange_by_rank_counts(")),
     (("src/repro/serve/cache.py", "src/repro/serve/breaker.py",
       "src/repro/serve/chaos.py"), 592, ("self.registry", "self._registry")),
     (("src/repro/graph/builder.py", "src/repro/graph/csr.py"), 189, ("argsort(",)),

@@ -70,10 +70,7 @@ REGIONS = {
     "gather_push_records": [(pruning, "gather_push_records")],
     "long_phase_pull": [(phases, "long_phase_pull")],
     "gather_pull_requests": [(pruning, "gather_pull_requests")],
-    "bellman_ford_stage": [
-        (phases, "bellman_ford_stage"), (defence, "bellman_ford_stage"),
-        (spmd_engine, "bellman_ford_stage"),
-    ],
+    "bellman_ford_stage": [(phases, "bellman_ford_stage"), (defence, "bellman_ford_stage")],
     "relax_round": [(phases, "relax_round"), (pruning, "relax_round")],
     "ExecutionContext.charge": [(ExecutionContext, "charge")],
     "charge_scan": [
