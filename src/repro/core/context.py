@@ -263,11 +263,10 @@ def _run_state(graph, partition, machine, config, tracer, maps: VertexMaps) -> d
         num_ranks=machine.num_ranks, threads_per_rank=machine.threads_per_rank,
         maps=maps,
     )
-    if tracer is None:
-        if config.trace is not None and config.trace.enabled:
-            from repro.obs.tracer import Tracer
+    if tracer is None and config.trace is not None:
+        from repro.obs.tracer import Tracer
 
-            tracer = Tracer(machine, config.trace)
+        tracer = Tracer(machine, config.trace)
     metrics.tracer = tracer
     guards = (
         InvariantGuards(graph.num_vertices, _classification_delta(config))

@@ -58,14 +58,13 @@ class TraceConfig:
         ``trace_events`` JSON loadable in ``ui.perfetto.dev``.
     metrics_path:
         Optional Prometheus text-exposition dump of the metrics registry.
-    enabled:
-        Master switch; ``False`` behaves exactly like ``trace=None``.
+
+    A solve without telemetry passes ``trace=None``.
     """
 
     path: str | None = None
     format: str = "jsonl"
     metrics_path: str | None = None
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.format not in TRACE_FORMATS:

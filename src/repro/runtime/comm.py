@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.graph.partition import BlockPartition
 from repro.runtime.machine import MachineConfig
-from repro.runtime.metrics import Metrics
+from repro.runtime.metrics import Metrics, traffic
 
 __all__ = [
     "Communicator",
@@ -127,7 +127,7 @@ class Communicator:
     ) -> None:
         """Account an exchange given explicit per-record rank endpoints."""
         lanes = self.lanes(src_ranks, dst_ranks)
-        self.metrics.queue_exchange(lanes, None, record_bytes, phase_kind=phase_kind)
+        self.metrics.queue_exchange(lanes, record_bytes, phase_kind=phase_kind)
 
     def exchange_by_rank_counts(
         self,
@@ -145,7 +145,8 @@ class Communicator:
         ``counts[i]`` records travel the ``(src_ranks[i], dst_ranks[i])``
         lane. Lanes may repeat (they are deduplicated for the message
         count, exactly as repeated records are) and zero-count lanes are
-        ignored.
+        ignored. It folds at once: its row is written on the spot, as
+        :meth:`~repro.runtime.metrics.Metrics.add_exchange`'s is.
 
         No solve calls it: both mailboxes account a superstep through
         :meth:`exchange_by_rank`. It stays because the benchmark's
@@ -158,7 +159,11 @@ class Communicator:
             raise ValueError("src_ranks, dst_ranks and counts must align")
         if cnt.size and cnt.min() < 0:
             raise ValueError("counts must be non-negative")
-        self.metrics.queue_exchange(lanes, cnt, record_bytes, phase_kind=phase_kind)
+        if record_bytes < 0:
+            raise ValueError("record_bytes must be non-negative")
+        p = self.machine.num_ranks
+        msgs, byt = traffic(lanes, cnt, (lanes.size,), (record_bytes,), p)
+        self.metrics.add_exchange(msgs[0], byt[0], phase_kind=phase_kind)
 
     def retransmit(
         self,

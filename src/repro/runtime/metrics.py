@@ -352,7 +352,7 @@ class Metrics:
             _Queue(self._width, np.float64),  # scans: per-rank spreads, P each
             _Queue(p * p, np.int64, np.int64),  # routes: source, destination vertices
             _Queue(p * p + self._width, np.int64, np.int64),  # deliveries: the same
-            _Queue(p * p, np.int64, np.float64),  # exchanges: lanes, record counts
+            _Queue(p * p, np.int64),  # exchanges: lanes, one record each
         )
         self._allreduces: list[tuple[int, int]] = []  # (ledger row, count)
         self._queued = 0
@@ -518,20 +518,16 @@ class Metrics:
         self._exchange_now(phase_kind, msgs[0], byt[0])
         self._compute_now(name, phase_kind, hist.sum(axis=0).ravel().astype(float), True)
 
-    def queue_exchange(
-        self, lanes, counts, record_bytes: int, *, phase_kind: str = "other"
-    ) -> None:
-        """Queue an exchange fact: ``counts[i]`` records (one each when
-        ``None``) on lane ``lanes[i] = src·P + dst`` (:func:`traffic`),
-        both copied into the exchange buffers."""
+    def queue_exchange(self, lanes, record_bytes: int, *, phase_kind="other") -> None:
+        """Queue an exchange fact: one record on each lane ``lanes[i] =
+        src·P + dst`` (:func:`traffic`), copied into the exchange buffer."""
         if record_bytes < 0:
             raise ValueError("record_bytes must be non-negative")
         p = self.num_ranks
         if lanes.size > LARGE_FACT or self.tracer is not None:
-            msgs, byt = traffic(lanes, counts, (lanes.size,), (record_bytes,), p)
+            msgs, byt = traffic(lanes, None, (lanes.size,), (record_bytes,), p)
             return self._exchange_now(phase_kind, msgs[0], byt[0])
-        counts = 1.0 if counts is None else counts
-        self._queue(_EXCHANGE, "exchange", phase_kind, record_bytes, lanes, counts)
+        self._queue(_EXCHANGE, "exchange", phase_kind, record_bytes, lanes)
 
     def add_compute(
         self, kind: ComputeKind, thread_work, *, phase_kind="other", count_as_relax=None
@@ -602,11 +598,10 @@ class Metrics:
             work.append((rows, [self._kinds[row] for row in rows], *_reduced(grid)))
         for facts in (routes, deliveries, exchanges):
             if facts:
-                (a, b), rows, sizes, record_bytes = facts
-                lanes, counts = (a, b) if facts is exchanges else (
-                    route_lanes(a, b, maps.rank, p), None)
+                ends, rows, sizes, record_bytes = facts
+                lanes = ends[0] if facts is exchanges else route_lanes(*ends, maps.rank, p)
                 at = np.array(rows) - (facts is deliveries)
-                moved.append((at, *traffic(lanes, counts, sizes, record_bytes, p)))
+                moved.append((at, *traffic(lanes, None, sizes, record_bytes, p)))
         table = self._room(len(self._kinds))
         for rows, kinds, most, totals in work:
             at = np.array(rows)

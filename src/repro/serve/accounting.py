@@ -128,7 +128,7 @@ class ServeAccounting:
 
     def __init__(self, *, machine=None, trace=None, events=None) -> None:
         self.tracer = None
-        if trace is not None and getattr(trace, "enabled", True):
+        if trace is not None:
             from repro.obs.tracer import Tracer
 
             self.tracer = Tracer(machine, trace)

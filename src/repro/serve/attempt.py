@@ -125,9 +125,7 @@ class AttemptRunner:
                     req.ctx.note_degraded(rung, open_classes)
             if rung == "refused":
                 return "fail", ServiceUnavailable(root, open_classes), "unavailable"
-            res = snapshots.solver(snapshot_id).solve_degraded(
-                root, max_supersteps=breaker.config.degrade_supersteps
-            )
+            res = snapshots.solver(snapshot_id).solve_degraded(root)
             return "degraded", res, None
         if decision == "primary" and deadline is None and snap.graph.undirected:
             found = snapshots.lineage(snap, root, self.verified)
@@ -148,7 +146,7 @@ class AttemptRunner:
             if (
                 policy is not None
                 and not self._admission.aborted
-                and policy.allows(failure_class, consumed)
+                and policy.allows(consumed)
             ):
                 delay = policy.backoff(consumed)
                 now = acct.clock()

@@ -10,10 +10,10 @@ its degradation ladder: serve cache hits flagged ``stale_ok``, fall back
 to the PR 2 bounded-exact Bellman-Ford path for small graphs, or shed
 with a typed :class:`~repro.serve.request.ServiceUnavailable`.
 
-After ``recovery_time_s`` an open class becomes **half-open**: a limited
-number of probe requests are let through on the primary path, and their
-outcome decides — success closes every half-open class, failure re-opens
-them all (one probe verdict covers the shared engine underneath).
+After ``recovery_time_s`` an open class becomes **half-open**: one probe
+request is let through on the primary path, and its outcome decides —
+success closes every half-open class, failure re-opens them all (one
+probe verdict covers the shared engine underneath).
 
 Determinism: the clock is injectable (``clock=``), so the journey
 harness drives transitions with a fake clock and replays them exactly;
@@ -40,43 +40,28 @@ _STATE_CODE = {"closed": 0, "open": 1, "half_open": 2}
 
 @dataclass(frozen=True)
 class BreakerConfig:
-    """Breaker thresholds and the degradation-ladder bounds.
+    """Breaker thresholds and the degradation-ladder bound.
 
-    ``failure_threshold`` consecutive failures of one class open it;
-    ``recovery_time_s`` later it turns half-open and admits
-    ``half_open_probes`` probe solves. The ladder's bounded-exact
-    fallback is only offered on graphs up to ``degrade_max_vertices``
-    vertices, running :meth:`~repro.runtime.watchdog.DeadlineConfig.degraded`
-    with ``degrade_supersteps`` before the Bellman-Ford collapse.
+    ``failure_threshold`` consecutive failures of one class (every class
+    of :data:`~repro.serve.retry.FAILURE_CLASSES` is tracked) open it;
+    ``recovery_time_s`` later it turns half-open and admits one probe
+    solve. The ladder's bounded-exact fallback is only offered on graphs
+    up to ``degrade_max_vertices`` vertices, running
+    :meth:`~repro.core.solver.BatchSolver.solve_degraded` (8 supersteps
+    before the Bellman-Ford collapse).
     """
 
     failure_threshold: int = 3
     recovery_time_s: float = 0.25
-    half_open_probes: int = 1
     degrade_max_vertices: int = 1 << 17
-    degrade_supersteps: int = 8
-    classes: tuple[str, ...] = FAILURE_CLASSES
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if self.recovery_time_s < 0:
             raise ValueError("recovery_time_s must be >= 0")
-        if self.half_open_probes < 1:
-            raise ValueError("half_open_probes must be >= 1")
         if self.degrade_max_vertices < 0:
             raise ValueError("degrade_max_vertices must be >= 0")
-        if self.degrade_supersteps < 1:
-            raise ValueError("degrade_supersteps must be >= 1")
-        object.__setattr__(self, "classes", tuple(self.classes))
-        if not self.classes:
-            raise ValueError("at least one failure class required")
-        for cls in self.classes:
-            if cls not in FAILURE_CLASSES:
-                raise ValueError(
-                    f"unknown failure class {cls!r}; "
-                    f"choose from {FAILURE_CLASSES}"
-                )
 
 
 def ladder_rung(
@@ -103,13 +88,13 @@ def ladder_rung(
 
 
 class _ClassState:
-    __slots__ = ("state", "consecutive_failures", "opened_at", "probes_out")
+    __slots__ = ("state", "consecutive_failures", "opened_at", "probing")
 
     def __init__(self) -> None:
         self.state = "closed"
         self.consecutive_failures = 0
         self.opened_at = 0.0
-        self.probes_out = 0
+        self.probing = False  # half-open with its one probe out
 
 
 class CircuitBreaker:
@@ -133,7 +118,7 @@ class CircuitBreaker:
         self.config = config or BreakerConfig()
         self._clock = clock
         self._lock = threading.Lock()
-        self._classes = {cls: _ClassState() for cls in self.config.classes}
+        self._classes = {cls: _ClassState() for cls in FAILURE_CLASSES}
         #: Lock-free steady-state flag: True iff every class is closed.
         #: Maintained by :meth:`_transition`; read without the lock on the
         #: per-request and per-solve hot paths (:attr:`degraded`,
@@ -173,11 +158,9 @@ class CircuitBreaker:
         now = self._clock()
         self.transitions.append((now, cls, state.state, to))
         state.state = to
+        state.probing = False
         if to == "open":
             state.opened_at = now
-            state.probes_out = 0
-        elif to == "half_open":
-            state.probes_out = 0
         elif to == "closed":
             state.consecutive_failures = 0
         self._all_closed = all(
@@ -199,10 +182,10 @@ class CircuitBreaker:
         """Decide the path of the next solve attempt.
 
         ``"primary"`` — all classes closed, normal solve. ``"probe"`` —
-        some class is half-open and a probe slot was reserved; the
+        some class is half-open and its one probe was reserved; the
         attempt's outcome feeds the half-open verdict. ``"degraded"`` —
-        some class is open (or half-open with all probe slots taken);
-        the broker must use the degradation ladder.
+        some class is open (or half-open with its probe out); the broker
+        must use the degradation ladder.
         """
         if self._all_closed:
             return "primary"  # lock-free, as :attr:`degraded` is
@@ -214,12 +197,9 @@ class CircuitBreaker:
                 s for s in self._classes.values() if s.state == "half_open"
             ]
             if half_open and all(s.state != "open" for s in self._classes.values()):
-                if all(
-                    s.probes_out < self.config.half_open_probes
-                    for s in half_open
-                ):
+                if not any(s.probing for s in half_open):
                     for s in half_open:
-                        s.probes_out += 1
+                        s.probing = True
                     return "probe"
             return "degraded"
 
@@ -250,18 +230,14 @@ class CircuitBreaker:
                 else:
                     for cls, s in half_open:
                         self._transition(cls, s, "open")
-                    state = self._classes.get(failure_class)
-                    if state is not None:
-                        state.consecutive_failures += 1
+                    self._classes[failure_class].consecutive_failures += 1
                 return
             # primary path
             if failure_class is None:
                 for s in self._classes.values():
                     s.consecutive_failures = 0
                 return
-            state = self._classes.get(failure_class)
-            if state is None:
-                return  # untracked class: no breaker opinion
+            state = self._classes[failure_class]
             state.consecutive_failures += 1
             if (
                 state.state == "closed"

@@ -15,20 +15,22 @@ degrades to an exact solve — the cache can only ever make a query
 faster, never different.
 
 Eviction runs under a byte budget (``distances.nbytes`` per entry) and is
-**cost-aware**: among the ``evict_scan`` least-recently-used entries, the
-one whose solve was cheapest (recorded wall-time ``cost_s``) goes first —
-cheap-to-recompute answers are the ones worth dropping. With no recorded
-costs this degrades to plain LRU. An entry larger than the whole budget
-is rejected outright (counted in ``stats.rejected``) instead of evicting
-everything for a value that cannot fit.
+**cost-aware**: among the :data:`EVICT_SCAN` (8) least-recently-used
+entries, the one whose solve was cheapest (recorded wall-time
+``cost_s``) goes first — cheap-to-recompute answers are the ones worth
+dropping. With no recorded costs this degrades to plain LRU. An entry
+larger than the whole budget is rejected outright (counted in
+``stats.rejected``) instead of evicting everything for a value that
+cannot fit.
 
 Resilience hardening (DESIGN.md §12): with ``checksum=True`` every entry
 carries a CRC-32 of its bytes; when ``verify_get`` is on (the broker
 raises it while the circuit breaker is degraded) reads re-verify and
 **quarantine** corrupted entries — drop them and count a miss rather than
 serve bad bytes. ``negative_ttl_s > 0`` enables TTL'd *negative caching*
-of timed-out roots, so a root known to blow its deadline fails fast
-instead of burning another solve.
+of timed-out roots (at most :data:`MAX_NEGATIVE`, 4,096, tombstones), so
+a root known to blow its deadline fails fast instead of burning another
+solve.
 
 All operations are thread-safe. :class:`CacheStats` is the one store of
 the cache's counts: an optional :class:`~repro.obs.registry.MetricsRegistry`
@@ -48,6 +50,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["CacheStats", "DistanceCache"]
+
+#: Eviction scans this many least-recently-used entries for the cheapest.
+EVICT_SCAN = 8
+#: Most live negative-cache tombstones (soonest-to-expire evicted first).
+MAX_NEGATIVE = 4096
 
 
 @dataclass
@@ -126,23 +133,15 @@ class DistanceCache:
         registry=None,
         checksum: bool = False,
         negative_ttl_s: float = 0.0,
-        max_negative: int = 4096,
         clock=time.monotonic,
-        evict_scan: int = 8,
     ) -> None:
         if byte_budget < 0:
             raise ValueError("byte_budget must be >= 0")
         if negative_ttl_s < 0:
             raise ValueError("negative_ttl_s must be >= 0")
-        if max_negative < 1:
-            raise ValueError("max_negative must be >= 1")
-        if evict_scan < 1:
-            raise ValueError("evict_scan must be >= 1")
         self.byte_budget = int(byte_budget)
         self.checksum = bool(checksum)
         self.negative_ttl_s = float(negative_ttl_s)
-        self.max_negative = int(max_negative)
-        self.evict_scan = int(evict_scan)
         self.clock = clock
         #: when True (and ``checksum`` is on), every read re-verifies the
         #: entry's CRC; the broker toggles this from the breaker state.
@@ -213,12 +212,12 @@ class DistanceCache:
 
     def _pick_victim(self) -> int:
         """Root to evict: the cheapest-to-recompute entry among the
-        ``evict_scan`` least-recently-used ones (lock held, non-empty).
+        :data:`EVICT_SCAN` least-recently-used ones (lock held, non-empty).
         ``min`` is stable, so equal costs fall back to pure LRU."""
         window = []
         for root, entry in self._entries.items():
             window.append((root, entry.cost_s))
-            if len(window) >= self.evict_scan:
+            if len(window) >= EVICT_SCAN:
                 break
         return min(window, key=lambda item: item[1])[0]
 
@@ -284,7 +283,7 @@ class DistanceCache:
     # ------------------------------------------------------------------
     def _sweep_negative_locked(self, now: float) -> None:
         """Drop expired tombstones (lock held). Cost is bounded by
-        ``max_negative``, which caps the map size."""
+        :data:`MAX_NEGATIVE`, which caps the map size."""
         expired = [r for r, expiry in self._negative.items() if now >= expiry]
         for r in expired:
             del self._negative[r]
@@ -295,7 +294,7 @@ class DistanceCache:
         For ``negative_ttl_s`` seconds, :meth:`negative` reports True and
         the broker fails matching requests fast instead of re-burning a
         solve. Expired tombstones of *other* roots are reaped here, and
-        the map is capped at ``max_negative`` entries (soonest-to-expire
+        the map is capped at :data:`MAX_NEGATIVE` entries (soonest-to-expire
         evicted first), so a workload touching many distinct timed-out
         roots once cannot grow the map without bound. No-op when
         negative caching is disabled."""
@@ -305,7 +304,7 @@ class DistanceCache:
             now = self.clock()
             self._sweep_negative_locked(now)
             self._negative[_key(root)] = now + self.negative_ttl_s
-            while len(self._negative) > self.max_negative:
+            while len(self._negative) > MAX_NEGATIVE:
                 soonest = min(self._negative, key=self._negative.__getitem__)
                 del self._negative[soonest]
 

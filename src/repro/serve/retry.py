@@ -5,11 +5,10 @@ injected error, a corrupted result caught by verification, a deadline
 trip on a straggling attempt) are worth a bounded number of re-attempts
 before the typed terminal error reaches the caller. :class:`RetryPolicy`
 is the budget: how many attempts a request may consume, the capped
-exponential backoff between them, which failure classes are retryable at
-all, and the *hedging* knobs — when an attempt has been running longer
-than ``hedge_after_s``, a second attempt is launched and the first
-successful result wins (the SP_Async straggler-tolerance idea applied at
-the request layer).
+exponential backoff between them, and the *hedging* knobs — when an
+attempt has been running longer than ``hedge_after_s``, a second attempt
+is launched and the first successful result wins (the SP_Async
+straggler-tolerance idea applied at the request layer).
 
 Retries re-enter the micro-batcher (they do not block batch-mates), carry
 their backoff as a ``ready_at`` gate, and are exempt from admission
@@ -26,9 +25,12 @@ __all__ = ["RetryPolicy", "FAILURE_CLASSES"]
 
 #: The serving plane's failure taxonomy: ``error`` (the solve raised),
 #: ``timeout`` (the watchdog tripped / injected stall), ``corrupt`` (the
-#: output failed verification). Breaker state and retryability are
-#: tracked per class.
+#: output failed verification). Breaker state is tracked per class;
+#: every class is retryable.
 FAILURE_CLASSES = ("error", "timeout", "corrupt")
+
+#: The backoff doubles per retry up to this cap (seconds).
+BACKOFF_CAP_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -36,20 +38,17 @@ class RetryPolicy:
     """Attempt budget, capped exponential backoff, and hedging knobs.
 
     ``max_attempts`` counts *total* solve attempts per request (1 = no
-    retries). ``backoff(attempt)`` is the delay inserted before attempt
-    number ``attempt`` (the first retry is attempt 1):
-    ``min(base * multiplier**(attempt-1), cap)``. ``retry_on`` lists the
-    retryable failure classes (a non-listed class fails terminally on
-    first occurrence). ``hedge_after_s`` (None = hedging off) is the
-    straggler threshold after which a hedged re-attempt launches;
-    ``hedge_budget`` caps total hedges per broker lifetime.
+    retries); every failure class is retryable within it.
+    ``backoff(attempt)`` is the delay inserted before attempt number
+    ``attempt`` (the first retry is attempt 1):
+    ``min(backoff_base_s * 2**(attempt-1), BACKOFF_CAP_S)``.
+    ``hedge_after_s`` (None = hedging off) is the straggler threshold
+    after which a hedged re-attempt launches; ``hedge_budget`` caps total
+    hedges per broker lifetime.
     """
 
     max_attempts: int = 3
     backoff_base_s: float = 0.001
-    backoff_multiplier: float = 2.0
-    backoff_cap_s: float = 0.05
-    retry_on: tuple[str, ...] = FAILURE_CLASSES
     hedge_after_s: float | None = None
     hedge_budget: int = 32
 
@@ -58,17 +57,6 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_base_s < 0:
             raise ValueError("backoff_base_s must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if self.backoff_cap_s < 0:
-            raise ValueError("backoff_cap_s must be >= 0")
-        object.__setattr__(self, "retry_on", tuple(self.retry_on))
-        for cls in self.retry_on:
-            if cls not in FAILURE_CLASSES:
-                raise ValueError(
-                    f"unknown failure class {cls!r}; "
-                    f"choose from {FAILURE_CLASSES}"
-                )
         if self.hedge_after_s is not None and self.hedge_after_s < 0:
             raise ValueError("hedge_after_s must be >= 0")
         if self.hedge_budget < 0:
@@ -79,22 +67,12 @@ class RetryPolicy:
         """Seconds to wait before retry number ``attempt`` (1-based)."""
         if attempt < 1:
             raise ValueError("attempt must be >= 1")
-        return min(
-            self.backoff_base_s * self.backoff_multiplier ** (attempt - 1),
-            self.backoff_cap_s,
-        )
+        return min(self.backoff_base_s * 2.0 ** (attempt - 1), BACKOFF_CAP_S)
 
-    def retries(self, failure_class: str) -> bool:
-        """Whether this failure class is retryable at all."""
-        return failure_class in self.retry_on
-
-    def allows(self, failure_class: str, attempts_consumed: int) -> bool:
-        """Whether one more attempt may be spent after a failure of this
-        class with ``attempts_consumed`` attempts already used."""
-        return (
-            self.retries(failure_class)
-            and attempts_consumed < self.max_attempts
-        )
+    def allows(self, attempts_consumed: int) -> bool:
+        """Whether one more attempt may be spent after a failure (of any
+        class) with ``attempts_consumed`` attempts already used."""
+        return attempts_consumed < self.max_attempts
 
     @property
     def hedging(self) -> bool:

@@ -31,7 +31,7 @@ class TestConfig:
     def test_disabled_config_means_no_tracer(self, rmat1_small, machine):
         res = solve_sssp(
             rmat1_small, 3, algorithm="opt", delta=25, machine=machine,
-            trace=TraceConfig(enabled=False),
+            trace=None,
         )
         assert res.trace is None
 

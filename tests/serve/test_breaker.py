@@ -4,6 +4,9 @@ import pytest
 
 from repro.serve.breaker import BreakerConfig, CircuitBreaker
 
+#: settings that became constants: refused as unknown keywords
+RETIRED = {"half_open_probes", "degrade_supersteps", "classes"}
+
 
 class FakeClock:
     def __init__(self) -> None:
@@ -35,7 +38,8 @@ class TestConfig:
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValueError):
+        error = TypeError if RETIRED & set(kwargs) else ValueError
+        with pytest.raises(error):
             BreakerConfig(**kwargs)
 
 
@@ -107,7 +111,7 @@ class TestStateMachine:
 
     def test_probe_slots_are_bounded(self):
         clock = FakeClock()
-        breaker = make(clock, half_open_probes=1)
+        breaker = make(clock)
         breaker.on_result("primary", "error")
         breaker.on_result("primary", "error")
         clock.advance(1.5)

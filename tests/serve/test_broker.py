@@ -383,20 +383,6 @@ class TestRetries:
         assert report["outcome_error"] == 1
         broker.shutdown()
 
-    def test_non_retryable_class_fails_terminally(self, rmat1_small):
-        root = int(choose_root(rmat1_small, seed=3))
-        broker = manual_broker(
-            rmat1_small,
-            chaos=ChaosPlan(error_rate=1.0, roots=(root,),
-                            max_faulty_attempts=1),
-            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.0,
-                              retry_on=("timeout",)),
-        )
-        with pytest.raises(InjectedFault):
-            broker.query(root)
-        assert broker.report()["retries"] == 0
-        broker.shutdown()
-
     def test_drain_waits_for_inflight_retries(self, rmat1_small):
         # Satellite: drain must account for requests being retried —
         # a future is never leaked even when its retry is mid-backoff.

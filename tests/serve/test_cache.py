@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.obs.registry import MetricsRegistry
-from repro.serve.cache import DistanceCache
+from repro.serve.cache import EVICT_SCAN, MAX_NEGATIVE, DistanceCache
 
 
 def arr(n: int, fill: int = 0) -> np.ndarray:
@@ -106,14 +106,14 @@ class TestCostAwareEviction:
         assert cache.roots() == [2, 3]  # plain LRU when costs tie
 
     def test_scan_window_bounds_the_search(self):
-        entry = arr(8)
-        cache = DistanceCache(3 * entry.nbytes, evict_scan=2)
-        cache.put(1, arr(8), cost_s=5.0)
-        cache.put(2, arr(8), cost_s=4.0)
-        cache.put(3, arr(8), cost_s=0.01)  # cheapest, but outside the window
-        cache.put(4, arr(8), cost_s=9.0)
-        # only {1, 2} were scanned; 2 is the cheaper of those
-        assert cache.roots() == [1, 3, 4]
+        entry, window = arr(8), range(EVICT_SCAN)
+        cache = DistanceCache((EVICT_SCAN + 1) * entry.nbytes)
+        for root in window:
+            cache.put(root, arr(8), cost_s=4.0 if root == 1 else 5.0 + root)
+        cache.put(EVICT_SCAN, arr(8), cost_s=0.01)  # cheapest, but outside the window
+        cache.put(EVICT_SCAN + 1, arr(8), cost_s=9.0)
+        # only the window was scanned; 1 is the cheapest of it
+        assert cache.roots() == [r for r in window if r != 1] + [EVICT_SCAN, EVICT_SCAN + 1]
 
 
 class TestChecksums:
@@ -225,20 +225,14 @@ class TestNegativeCache:
 
     def test_max_negative_caps_map_size(self):
         clock = FakeClock()
-        cache = DistanceCache(
-            1 << 20, negative_ttl_s=1000.0, max_negative=16, clock=clock
-        )
-        for root in range(100):
+        cache = DistanceCache(1 << 20, negative_ttl_s=1000.0, clock=clock)
+        for root in range(MAX_NEGATIVE + 84):
             clock.t += 0.01  # distinct expiries: later roots expire later
             cache.note_timeout(root)
-        assert cache.negative_size() == 16
+        assert cache.negative_size() == MAX_NEGATIVE
         # soonest-to-expire (oldest) were evicted; newest survive
         assert not cache.negative(0)
-        assert cache.negative(99)
-
-    def test_max_negative_validation(self):
-        with pytest.raises(ValueError):
-            DistanceCache(1 << 20, max_negative=0)
+        assert cache.negative(MAX_NEGATIVE + 83)
 
     def test_disabled_by_default(self):
         cache = DistanceCache(1 << 20)
@@ -335,20 +329,19 @@ class TestClearAuditNegativeInterplay:
 
     def test_negative_cap_restarts_after_clear(self):
         clock = FakeClock()
-        cache = DistanceCache(
-            1 << 20, negative_ttl_s=1000.0, max_negative=4, clock=clock
-        )
-        for root in range(10):
+        cache = DistanceCache(1 << 20, negative_ttl_s=1000.0, clock=clock)
+        before, after = MAX_NEGATIVE + 6, MAX_NEGATIVE + 2
+        for root in range(before):
             clock.t += 0.01
             cache.note_timeout(root)
         cache.clear()
-        for root in range(10, 16):
+        for root in range(before, before + after):
             clock.t += 0.01
             cache.note_timeout(root)
         # cap applies to the post-clear population alone
-        assert cache.negative_size() == 4
-        assert not cache.negative(10)  # oldest post-clear evicted
-        assert cache.negative(15)
+        assert cache.negative_size() == MAX_NEGATIVE
+        assert not cache.negative(before)  # oldest post-clear evicted
+        assert cache.negative(before + after - 1)
 
     def test_audit_ignores_negative_entries(self):
         clock = FakeClock()

@@ -108,13 +108,19 @@ def test_a_directory_row_counts_and_scans_every_file_in_its_tree(tmp_path):
 
 
 def test_the_serving_plane_row_holds_and_the_pipeline_keeps_off_the_registry():
-    """``serve/`` + ``dynamic/versioner.py`` are one capped row, and the
-    broker with its policies names neither the registry's writes nor a
-    take deadline."""
+    """``serve/`` + ``dynamic/versioner.py`` are one capped row naming no
+    retired failure-policy setting, the cache, breaker and chaos files
+    another, and the broker with its policies names neither the
+    registry's writes nor a take deadline."""
     tool = _tool()
     rows = {names: (most, calls) for names, most, calls in tool.RATCHETS}
     most, calls = rows[("src/repro/serve", "src/repro/dynamic/versioner.py")]
-    assert most < 2400 and calls == ()
+    assert most == 2255 and calls == (
+        "retry_on", "half_open_probes", "degrade_supersteps", "evict_scan",
+        "max_negative",
+    )
+    policies = tuple(f"src/repro/serve/{name}.py" for name in ("cache", "breaker", "chaos"))
+    assert rows[policies][0] == 561
     pipeline = tuple(f"src/repro/serve/{name}.py"
                      for name in ("broker", "batcher", "attempt", "snapshots"))
     assert rows[pipeline][1] == ("registry.inc(", "registry.observe(", "deadline_at")

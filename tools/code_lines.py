@@ -7,8 +7,11 @@ this text, and any other option exits 2. With ``--ratchet`` (CI's
 ``serve-smoke``) it also fails when a row of :data:`RATCHETS` is broken —
 a row names files or trees, the most code lines they may hold together
 and calls no file of theirs may contain: ``src/repro/serve`` and
-``dynamic/versioner.py`` together past 2,315 — the serving plane is a
-pipeline wiring four policies, not one broker class;
+``dynamic/versioner.py`` together past 2,255 or naming ``retry_on``,
+``half_open_probes``, ``degrade_supersteps``, ``evict_scan`` or
+``max_negative`` (docstrings included) — the serving plane is a
+pipeline wiring four policies, not one broker class, and its failure
+policies keep only the settings a caller uses;
 ``serve/broker.py``, ``batcher.py``, ``attempt.py`` and ``snapshots.py``
 together past 722 or talking to the metrics registry themselves instead
 of through ``serve/accounting.py``, or naming ``deadline_at`` — a take
@@ -20,7 +23,7 @@ is FIFO; ``src/repro/spmd/mailbox.py`` and
 with one way into a superstep, one accounting call out of it, no receiver
 cuts, one resend of what is missing and no recovery knob;
 ``serve/cache.py``, ``serve/breaker.py`` and ``serve/chaos.py`` together
-past 592 or keeping a handle on the registry — a component counts in its
+past 561 or keeping a handle on the registry — a component counts in its
 own state and hands the registry one collector; ``graph/builder.py`` and ``graph/csr.py``
 together past 189 or calling ``argsort`` — construction sorts a packed
 key in place; ``dynamic/repair.py`` past 154 or calling a stepping
@@ -33,7 +36,7 @@ burn-rate monitor, the dashboard, drift rows or a time-windowed
 ``cli.py`` together past 815 or naming ``repro.apps``,
 ``solve_many``, ``core.buckets``, ``graph500`` or ``args.progress`` —
 the front door keeps no API that only its own tests read;
-``runtime/metrics.py`` past 445 or naming ``_cat(`` or ``_weights(`` —
+``runtime/metrics.py`` past 441 or naming ``_cat(`` or ``_weights(`` —
 a ledger fact is a slice of one flat buffer per family, folded by one
 ``bincount``, not a list of arrays concatenated at the fold;
 ``core/pushpull.py``, ``core/phases.py`` and ``runtime/metrics.py``
@@ -58,7 +61,9 @@ import tokenize
 
 #: (files, most code lines they may hold together, calls none may contain)
 RATCHETS = (
-    (("src/repro/serve", "src/repro/dynamic/versioner.py"), 2315, ()),
+    (("src/repro/serve", "src/repro/dynamic/versioner.py"), 2255,
+     ("retry_on", "half_open_probes", "degrade_supersteps", "evict_scan",
+      "max_negative")),
     (("src/repro/serve/broker.py", "src/repro/serve/batcher.py",
       "src/repro/serve/attempt.py", "src/repro/serve/snapshots.py"), 722,
      ("registry.inc(", "registry.observe(", "deadline_at")),
@@ -67,7 +72,7 @@ RATCHETS = (
       "backoff_cap", "first_superstep", "last_superstep", "_cuts(",
       "exchange_by_rank_counts(")),
     (("src/repro/serve/cache.py", "src/repro/serve/breaker.py",
-      "src/repro/serve/chaos.py"), 592, ("self.registry", "self._registry")),
+      "src/repro/serve/chaos.py"), 561, ("self.registry", "self._registry")),
     (("src/repro/graph/builder.py", "src/repro/graph/csr.py"), 189, ("argsort(",)),
     (("src/repro/dynamic/repair.py",), 154, ("make_strategy(", ".window(")),
     (("src/repro/cli.py", "src/repro/serve/slo.py", "src/repro/obs/tracer.py"),
@@ -75,7 +80,7 @@ RATCHETS = (
     (("src/repro/__init__.py", "src/repro/core/__init__.py",
       "src/repro/core/solver.py", "src/repro/cli.py"), 815,
      ("repro.apps", "solve_many", "core.buckets", "graph500", "args.progress")),
-    (("src/repro/runtime/metrics.py",), 445, ("_cat(", "_weights(")),
+    (("src/repro/runtime/metrics.py",), 441, ("_cat(", "_weights(")),
     (("src/repro/core/pushpull.py", "src/repro/core/phases.py",
       "src/repro/runtime/metrics.py"), 934,
      ("expectation_partials", "combine_expectation_costs", "ctx.tracer is None",
